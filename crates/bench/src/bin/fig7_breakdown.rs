@@ -3,7 +3,9 @@
 //!
 //! Phases match the paper's categories: sampling (`Kblk`), BSR product,
 //! entry generation, convergence test (batched QR), ID, upsweep, random
-//! generation, and miscellaneous (marshaling + workspace allocation).
+//! generation, the `‖K‖₂` power iteration (single-vector sampler products,
+//! which the paper folds into its set-up), and miscellaneous (marshaling +
+//! workspace allocation).
 //! A second table reports the kernel structure underneath the phases —
 //! launch counts per batched kernel plus the blocked-GEMM packing passes
 //! (`gemmPack` launches / staged MiB) and `gemv` calls of the dense layer.
@@ -41,6 +43,7 @@ fn main() {
             "id %",
             "upsweep %",
             "rand %",
+            "norm_est %",
             "misc %",
             "total (s)",
         ]);
@@ -80,6 +83,7 @@ fn main() {
                 pct("id"),
                 pct("upsweep"),
                 pct("rand"),
+                pct("norm_est"),
                 pct("misc"),
                 format!("{total:.3}"),
             ]);

@@ -261,7 +261,7 @@ fn sketch_construct_engine(
 
     // ---- norm estimate backing the relative threshold (§III.B; power
     // iteration on KᵀK, so unsymmetry is handled) ----
-    let norm_est = rt.phase(Phase::Misc, || {
+    let norm_est = rt.phase(Phase::NormEst, || {
         estimate_norm_2(sampler, cfg.norm_est_iters, cfg.seed ^ 0x5A5A_5A5A)
     });
     stats.norm_estimate = norm_est;

@@ -23,9 +23,10 @@
 //!   disjoint entry sets, so near-field memory doubles inherently.
 //!
 //! The same [`BlockStore`] implements both keying disciplines (and therefore
-//! one `memory_bytes` accounting); [`BlockStore::get_op`] answers "the block
-//! of `K` or `Kᵀ` at ordered position `(s, t)`" uniformly, which is what the
-//! matvec and the construction's BSR subtraction consume.
+//! one `memory_bytes` accounting); [`BlockStore::lookup_op`] (and its f64-only
+//! projection [`BlockStore::get_op`]) answers "the block of `K` or `Kᵀ` at
+//! ordered position `(s, t)`" uniformly, which is what the matvec and the
+//! construction's BSR subtraction consume.
 //!
 //! ## Storage precision tier
 //!
@@ -59,6 +60,30 @@ pub enum StoreLayout {
     /// Blocks stored per ordered pair; `(s, t)` and `(t, s)` are
     /// independent.
     Ordered,
+}
+
+/// A stored block resolved as a product operand
+/// ([`BlockStore::lookup_op`]).
+#[derive(Clone, Copy)]
+pub struct BlockOp<'a> {
+    /// The f64 working copy (for a demoted block: its f32 values promoted).
+    pub mat: &'a Mat,
+    /// The f32 storage of a demoted block — what the promote-on-pack GEMM
+    /// of the matvec reads; `None` while the block is stored f64.
+    pub mat32: Option<&'a Mat32>,
+    /// Whether the stored block must be read transposed.
+    pub transposed: bool,
+}
+
+impl BlockOp<'_> {
+    /// The same stored block answering for the mirrored position `(t, s)`
+    /// of a symmetric store.
+    pub fn mirrored(self) -> Self {
+        BlockOp {
+            transposed: !self.transposed,
+            ..self
+        }
+    }
 }
 
 /// Storage for per-pair blocks under either keying discipline.
@@ -188,57 +213,41 @@ impl BlockStore {
         }
     }
 
-    /// The f32 storage of the block at ordered position `(s, t)` under
-    /// `transpose` (same resolution as [`BlockStore::get_op`]), or `None`
-    /// when the block is stored f64. The promote-on-pack GEMM path of the
-    /// matvec consumes this.
-    pub fn get_op32(&self, s: usize, t: usize, transpose: bool) -> Option<(&Mat32, bool)> {
-        let (key, tr) = match self.layout {
-            StoreLayout::Symmetric => ((s.min(t), s.max(t)), s > t),
-            StoreLayout::Ordered => {
-                if transpose {
-                    ((t, s), true)
-                } else {
-                    ((s, t), false)
-                }
-            }
-        };
-        let &i = self.index.get(&key)?;
-        self.blocks32[i].as_ref().map(|m| (m, tr))
-    }
-
-    /// Look up the block of `K` at the *ordered* position `(s, t)`. Returns
-    /// the stored matrix and whether it must be read transposed.
-    pub fn get(&self, s: usize, t: usize) -> Option<(&Mat, bool)> {
-        match self.layout {
-            StoreLayout::Symmetric => {
-                let key = (s.min(t), s.max(t));
-                self.index.get(&key).map(|&i| (&self.blocks[i], s > t))
-            }
-            StoreLayout::Ordered => self.index.get(&(s, t)).map(|&i| (&self.blocks[i], false)),
-        }
-    }
-
-    /// Look up the block of `K` (`transpose == false`) or of `Kᵀ`
-    /// (`transpose == true`) at the ordered position `(s, t)` —
-    /// `Kᵀ(I_s, I_t) = K(I_t, I_s)ᵀ`. This is the one lookup the
-    /// side-generic matvec and BSR subtraction need.
+    /// The one lookup of the side-generic matvec and BSR subtraction: the
+    /// block of `K` (`transpose == false`) or of `Kᵀ` at the *ordered*
+    /// position `(s, t)` — `Kᵀ(I_s, I_t) = K(I_t, I_s)ᵀ` — as a product
+    /// operand: working copy, f32 storage if demoted, and orientation, from
+    /// a single probe of the index.
     ///
     /// A symmetric store represents a symmetric matrix, so `Kᵀ = K` and the
     /// flag is ignored — transpose products read *identical* blocks with
     /// identical orientations and are therefore bitwise equal to forward
     /// products, not merely equal up to roundoff.
+    pub fn lookup_op(&self, s: usize, t: usize, transpose: bool) -> Option<BlockOp<'_>> {
+        let (key, transposed) = match self.layout {
+            StoreLayout::Symmetric => ((s.min(t), s.max(t)), s > t),
+            StoreLayout::Ordered if transpose => ((t, s), true),
+            StoreLayout::Ordered => ((s, t), false),
+        };
+        self.index.get(&key).map(|&i| BlockOp {
+            mat: &self.blocks[i],
+            mat32: self.blocks32[i].as_ref(),
+            transposed,
+        })
+    }
+
+    /// [`BlockStore::lookup_op`] for consumers of the f64 working copy only
+    /// (BSR subtraction, solvers): the matrix and whether it must be read
+    /// transposed.
     pub fn get_op(&self, s: usize, t: usize, transpose: bool) -> Option<(&Mat, bool)> {
-        match self.layout {
-            StoreLayout::Symmetric => self.get(s, t),
-            StoreLayout::Ordered => {
-                if transpose {
-                    self.get(t, s).map(|(m, tr)| (m, !tr))
-                } else {
-                    self.get(s, t)
-                }
-            }
-        }
+        self.lookup_op(s, t, transpose)
+            .map(|b| (b.mat, b.transposed))
+    }
+
+    /// Look up the block of `K` at the *ordered* position `(s, t)`. Returns
+    /// the stored matrix and whether it must be read transposed.
+    pub fn get(&self, s: usize, t: usize) -> Option<(&Mat, bool)> {
+        self.get_op(s, t, false)
     }
 
     pub fn len(&self) -> usize {
@@ -526,12 +535,14 @@ impl H2Matrix {
             .collect()
     }
 
-    /// Structural sanity checks: basis shapes consistent with tree and
+    /// Structural sanity checks: the partition's block lists well formed
+    /// ([`Partition::validate`]), basis shapes consistent with tree and
     /// children ranks on every stored side, skeleton indices inside cluster
     /// ranges, block shapes consistent with side ranks / cluster sizes, all
     /// partition blocks present under the store's keying discipline.
     pub fn validate(&self) -> Result<(), String> {
         let tree = &self.tree;
+        self.partition.validate(tree)?;
         let leaf_level = tree.leaf_level();
         let mut sides: Vec<(&str, &[Mat], &[Vec<usize>])> = vec![("row", &self.basis, &self.skel)];
         if let Some(c) = &self.col {
@@ -752,33 +763,31 @@ mod tests {
     }
 
     #[test]
-    fn get_op32_resolves_like_get_op() {
+    fn lookup_op_resolves_like_get_op() {
         use h2_dense::gaussian_mat;
         // Symmetric store: (t, s) reads the stored block transposed, and
-        // the transpose flag of get_op is ignored.
+        // the transpose flag is ignored. Ordered store: Kᵀ at (2,5) reads
+        // the (5,2) block transposed.
         let mut sym = BlockStore::symmetric();
         sym.insert(2, 5, gaussian_mat(3, 4, 11));
-        sym.demote_pending(f64::INFINITY);
-        for &(s, t, transpose) in &[(2, 5, false), (5, 2, false), (2, 5, true), (5, 2, true)] {
-            let (m64, tr64) = sym.get_op(s, t, transpose).unwrap();
-            let (m32, tr32) = sym.get_op32(s, t, transpose).unwrap();
-            assert_eq!(tr64, tr32);
-            assert_eq!(&m32.promote(), m64);
-        }
-        // Ordered store: Kᵀ at (2,5) reads the (5,2) block transposed.
         let mut ord = BlockStore::ordered();
         ord.insert(2, 5, gaussian_mat(3, 4, 12));
         ord.insert(5, 2, gaussian_mat(4, 3, 13));
-        ord.demote_pending(f64::INFINITY);
-        for &(s, t, transpose) in &[(2, 5, false), (5, 2, false), (2, 5, true), (5, 2, true)] {
-            let (m64, tr64) = ord.get_op(s, t, transpose).unwrap();
-            let (m32, tr32) = ord.get_op32(s, t, transpose).unwrap();
-            assert_eq!(tr64, tr32);
-            assert_eq!(&m32.promote(), m64);
+        for store in [&mut sym, &mut ord] {
+            store.demote_pending(f64::INFINITY);
+            for &(s, t, transpose) in &[(2, 5, false), (5, 2, false), (2, 5, true), (5, 2, true)] {
+                let (m64, tr64) = store.get_op(s, t, transpose).unwrap();
+                let op = store.lookup_op(s, t, transpose).unwrap();
+                assert!(std::ptr::eq(op.mat, m64));
+                assert_eq!(op.transposed, tr64);
+                assert_eq!(&op.mat32.unwrap().promote(), m64);
+                assert_eq!(op.mirrored().transposed, !tr64);
+            }
         }
-        // A block kept f64 answers None on the 32-bit lookup.
+        // A block kept f64 carries no 32-bit storage.
         let mut kept = BlockStore::symmetric();
         kept.insert(0, 1, gaussian_mat(2, 2, 14));
-        assert!(kept.get_op32(0, 1, false).is_none());
+        assert!(kept.lookup_op(0, 1, false).unwrap().mat32.is_none());
+        assert!(kept.lookup_op(0, 2, false).is_none());
     }
 }

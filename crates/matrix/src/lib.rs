@@ -38,7 +38,7 @@ pub mod matvec;
 pub mod orthog;
 
 pub use direct::{direct_construct, fill_blocks, DirectConfig};
-pub use format::{BasisSide, BlockStore, H2Matrix, MemoryBreakdown, StoreLayout};
+pub use format::{BasisSide, BlockOp, BlockStore, H2Matrix, MemoryBreakdown, StoreLayout};
 pub use h2_dense::Precision;
 pub use lowrank::{LinOpEntry, LowRankUpdate};
 pub use matvec::ApplyPhases;

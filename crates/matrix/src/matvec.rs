@@ -1,25 +1,66 @@
 //! O(N) H2 matrix-vector and matrix-block products, side-generic.
 //!
-//! The classical three-pass algorithm: an upward pass compressing the input
-//! through the nested *input-side* bases (`x̂_τ = V_τᵀ x_τ`), coupling
-//! products (`ŷ_s += B_{s,t} x̂_t`), and a downward pass expanding through
-//! the *output-side* bases (`y_τ += U_τ ŷ_τ`), plus the dense near-field.
-//! This is the fast black-box sampler `Kblk(·)` used by the construction
-//! experiments (the paper uses H2Opus's matvec for the same purpose).
+//! # Three passes
 //!
-//! One implementation serves all four products: `K x` reads input side `V`,
-//! output side `U`; `Kᵀ x` swaps the sides and reads every block through
-//! [`crate::format::BlockStore::get_op`] with the transpose flag — for a
-//! symmetric matrix both sides alias the same basis tree and the two
-//! products coincide bitwise.
+//! An upward pass compresses the input through the nested *input-side* bases
+//! (`x̂_τ = V_τᵀ x_τ`), the coupling products add `ŷ_s += B_{s,t} x̂_t`, and
+//! a downward pass expands through the *output-side* bases
+//! (`y_τ = U_τ ŷ_τ`), to which the dense near field `y_s += D_{s,t} x_t` is
+//! added. This is the fast black-box sampler `Kblk(·)` used by the
+//! construction experiments (the paper uses H2Opus's matvec for the same
+//! purpose). One implementation serves all four products: `K x` reads input
+//! side `V`, output side `U`; `Kᵀ x` swaps the sides and reads every block
+//! through [`BlockStore::lookup_op`] with the transpose flag — for a
+//! symmetric matrix both sides alias the same basis tree and the two products
+//! coincide bitwise.
+//!
+//! # One traversal of the stored blocks
+//!
+//! A single-vector product is bandwidth-bound: its cost is the bytes of
+//! coupling and dense blocks it moves. A symmetric [`BlockStore`] keeps one
+//! block per unordered pair, so the in-process product
+//! ([`H2Matrix::apply_permuted`]) visits *stored blocks*, not block rows:
+//! rows are taken in ascending order, and a stored block `(s, t)`, `s < t`,
+//! is used while it is in cache for both `acc_s += B x_t` and
+//! `acc_t += Bᵀ x_s`. Coupling and near field are the same traversal
+//! (`ApplyPhases::traverse`) over a different store, adjacency list and
+//! input. An ordered (unsymmetric) store has nothing to pair; the same loop
+//! then visits each block once from its own row.
+//!
+//! # Why the bits do not change
+//!
+//! The row-owned kernels [`ApplyPhases::coupling_node`] and
+//! [`ApplyPhases::leaf_node`] accumulate row `t` over its adjacency list in
+//! list order. That list is **strictly ascending** and the relation is
+//! symmetric (`h2_tree::Partition::validate` checks both; the argument
+//! depends on it), so row `t`'s order is: every partner `s < t` ascending,
+//! then every `t' ≥ t` ascending. The traversal reaches rows in ascending
+//! order, so row `t` receives its mirrored contributions from `s < t` in
+//! ascending `s` — each the very GEMM call the row-owned kernel makes, on an
+//! accumulator holding the very same partial sum — before its own turn adds
+//! `t' ≥ t` ascending. Same calls, same operands, same order: the result is
+//! bit-identical to the row-owned kernels, which stay as the form the
+//! device-sharded executor of `h2_sched` needs (a device owns rows) and as
+//! the oracle of `tests/apply_onepass.rs`.
+//!
+//! # Chunks
+//!
+//! For several workers the rows are cut into contiguous chunks, one owner
+//! each. A block with both rows in one chunk is read once. A block
+//! straddling two chunks is read by both owners: the later chunk applies
+//! its earlier-chunk partners in a prologue (ascending, before anything
+//! else touches the row), the earlier chunk applies its later-chunk
+//! partners at the row's turn. Every row keeps the order above whatever the
+//! boundaries, so the bits do not depend on the chunk — or thread — count;
+//! one chunk is the plain sequential traversal.
 //!
 //! The per-node work of each pass is factored into [`ApplyPhases`] so that
-//! two executors can drive the same numerics: the in-process rayon path
-//! below ([`H2Matrix::apply_permuted`]) and the device-sharded executor of
-//! the `h2_sched` crate, which runs the same phase kernels level by level
-//! over contiguous node chunks with explicit cross-device transfers.
+//! two executors can drive the same numerics: the in-process path below and
+//! the device-sharded executor of the `h2_sched` crate, which runs the
+//! row-owned phase kernels level by level over contiguous node chunks with
+//! explicit cross-device transfers.
 
-use crate::format::H2Matrix;
+use crate::format::{BlockOp, BlockStore, H2Matrix, StoreLayout};
 use h2_dense::{gemm, gemm_mixed, Mat, MatMut, MatRef, Op};
 use rayon::prelude::*;
 
@@ -124,22 +165,12 @@ impl<'a> ApplyPhases<'a> {
             if ks == 0 || self.in_basis[t].cols() == 0 {
                 continue;
             }
-            // Demoted blocks read their f32 storage through the
-            // promote-on-pack path — bitwise identical to the f64 working
-            // copy (see the format module docs), but it exercises the wire
-            // representation the fabric ships.
-            if let Some((b32, tr)) = self.h2.coupling.get_op32(s, t, self.transpose) {
-                let op = if tr { Op::Trans } else { Op::NoTrans };
-                gemm_mixed(op, Op::NoTrans, 1.0, b32, xhat[t].rf(), 1.0, acc.rm());
-                continue;
-            }
-            let (blk, transposed) = self
+            let blk = self
                 .h2
                 .coupling
-                .get_op(s, t, self.transpose)
+                .lookup_op(s, t, self.transpose)
                 .expect("coupling block");
-            let op = if transposed { Op::Trans } else { Op::NoTrans };
-            gemm(op, Op::NoTrans, 1.0, blk.rf(), xhat[t].rf(), 1.0, acc.rm());
+            accumulate(blk, xhat[t].rf(), acc.rm());
         }
         Some(acc)
     }
@@ -175,16 +206,10 @@ impl<'a> ApplyPhases<'a> {
         Some(out)
     }
 
-    /// Leaf kernel: the output rows owned by leaf `s` — basis expansion of
-    /// `ŷ_s` plus the dense near-field products. Returns
-    /// `(row_start, block)`; leaf row ranges are disjoint, so per-device
-    /// partial outputs assemble without reduction conflicts.
-    pub fn leaf_node(&self, s: usize, x: MatRef<'_>, yhat: &[Mat]) -> (usize, Mat) {
-        let tree = &self.h2.tree;
-        let d = x.cols();
-        let (b, e) = tree.range(s);
-        let m = e - b;
-        let mut out = Mat::zeros(m, d);
+    /// `U_s ŷ_s`: the output rows of leaf `s` before any near-field block
+    /// lands on them (zero where the leaf carries no basis).
+    fn expand_leaf(&self, s: usize, yhat: &[Mat], d: usize) -> Mat {
+        let mut out = Mat::zeros(self.h2.tree.nodes[s].len(), d);
         if yhat[s].rows() > 0 && self.out_basis[s].cols() > 0 {
             gemm(
                 Op::NoTrans,
@@ -196,61 +221,150 @@ impl<'a> ApplyPhases<'a> {
                 out.rm(),
             );
         }
+        out
+    }
+
+    /// Leaf kernel: the output rows owned by leaf `s` — basis expansion of
+    /// `ŷ_s` plus the dense near-field products. Returns
+    /// `(row_start, block)`; leaf row ranges are disjoint, so per-device
+    /// partial outputs assemble without reduction conflicts.
+    pub fn leaf_node(&self, s: usize, x: MatRef<'_>, yhat: &[Mat]) -> (usize, Mat) {
+        let tree = &self.h2.tree;
+        let d = x.cols();
+        let mut out = self.expand_leaf(s, yhat, d);
         for &t in &self.h2.partition.near_of[s] {
             let (tb, te) = tree.range(t);
-            if let Some((b32, tr)) = self.h2.dense.get_op32(s, t, self.transpose) {
-                let op = if tr { Op::Trans } else { Op::NoTrans };
-                gemm_mixed(
-                    op,
-                    Op::NoTrans,
-                    1.0,
-                    b32,
-                    x.view(tb, 0, te - tb, d),
-                    1.0,
-                    out.rm(),
-                );
-                continue;
-            }
-            let (blk, transposed) = self
+            let blk = self
                 .h2
                 .dense
-                .get_op(s, t, self.transpose)
+                .lookup_op(s, t, self.transpose)
                 .expect("dense block");
-            let op = if transposed { Op::Trans } else { Op::NoTrans };
-            gemm(
-                op,
-                Op::NoTrans,
-                1.0,
-                blk.rf(),
-                x.view(tb, 0, te - tb, d),
-                1.0,
-                out.rm(),
-            );
+            accumulate(blk, x.view(tb, 0, te - tb, d), out.rm());
         }
-        (b, out)
+        (tree.range(s).0, out)
+    }
+
+    /// One traversal of the stored blocks of `store` (see the module docs):
+    /// `acc[s - first] += Σ_{t ∈ adj[s]} op(block(s, t)) · input(t)` for the
+    /// rows `first .. first + acc.len()`, cut into `nchunks` contiguous
+    /// chunks that run in parallel. Bit-identical to accumulating each row
+    /// over `adj[s]` in list order, for every `nchunks`.
+    fn traverse<'x>(
+        &self,
+        store: &BlockStore,
+        adj: &[Vec<usize>],
+        input: &(impl Fn(usize) -> MatRef<'x> + Sync),
+        first: usize,
+        acc: &mut [Mat],
+        nchunks: usize,
+    ) {
+        let per = acc.len().div_ceil(nchunks.max(1)).max(1);
+        let chunks: Vec<(usize, &mut [Mat])> = acc
+            .chunks_mut(per)
+            .enumerate()
+            .map(|(c, rows)| (first + c * per, rows))
+            .collect();
+        chunks
+            .into_par_iter()
+            .for_each(|(lo, rows)| self.traverse_chunk(store, adj, input, lo, rows));
+    }
+
+    /// The rows `lo .. lo + acc.len()` of [`ApplyPhases::traverse`]. Rows and
+    /// inputs of rank 0 take part in nothing (zero-dimensional blocks, which
+    /// a store need not hold).
+    fn traverse_chunk<'x>(
+        &self,
+        store: &BlockStore,
+        adj: &[Vec<usize>],
+        input: &impl Fn(usize) -> MatRef<'x>,
+        lo: usize,
+        acc: &mut [Mat],
+    ) {
+        let hi = lo + acc.len();
+        let live = |row: &Mat, t: usize| row.rows() > 0 && input(t).rows() > 0;
+        let block = |s: usize, t: usize| {
+            store
+                .lookup_op(s, t, self.transpose)
+                .expect("partition block present in the store")
+        };
+        // A symmetric store holds `(s, t)` for `s <= t` only: the row of the
+        // larger index gets the block mirrored, when the smaller one is at
+        // its turn.
+        let paired = store.layout() == StoreLayout::Symmetric;
+        // Prologue: partners owned by earlier chunks, which every row
+        // accumulates before anything of this chunk reaches it.
+        for s in lo..hi {
+            for &t in adj[s].iter().take_while(|&&t| t < lo) {
+                if live(&acc[s - lo], t) {
+                    accumulate(block(s, t), input(t), acc[s - lo].rm());
+                }
+            }
+        }
+        for s in lo..hi {
+            for &t in adj[s].iter().skip_while(|&&t| t < lo) {
+                if paired && t < s {
+                    continue; // arrived mirrored at row t's turn
+                }
+                let own = live(&acc[s - lo], t);
+                let mirror = paired && s < t && t < hi && live(&acc[t - lo], s);
+                if !own && !mirror {
+                    continue;
+                }
+                let blk = block(s, t);
+                if own {
+                    accumulate(blk, input(t), acc[s - lo].rm());
+                }
+                if mirror {
+                    accumulate(blk.mirrored(), input(s), acc[t - lo].rm());
+                }
+            }
+        }
+    }
+}
+
+/// `acc += op(block) · input` — the one accumulation the coupling and
+/// near-field phases are made of, whoever schedules it.
+///
+/// Demoted blocks read their f32 storage through the promote-on-pack path —
+/// bitwise identical to the f64 working copy (see the format module docs),
+/// but it exercises the wire representation the fabric ships.
+fn accumulate(blk: BlockOp<'_>, input: MatRef<'_>, acc: MatMut<'_>) {
+    let op = if blk.transposed {
+        Op::Trans
+    } else {
+        Op::NoTrans
+    };
+    match blk.mat32 {
+        Some(b32) => gemm_mixed(op, Op::NoTrans, 1.0, b32, input, 1.0, acc),
+        None => gemm(op, Op::NoTrans, 1.0, blk.mat.rf(), input, 1.0, acc),
     }
 }
 
 impl H2Matrix {
     /// `y = K x` for a block of vectors, in tree-permuted coordinates.
     pub fn apply_permuted(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        self.apply_impl(x, y, false);
+        self.apply_chunked(x, y, false, rayon::current_num_threads());
     }
 
     /// `y = Kᵀ x`: the basis sides swap and blocks are read transposed
     /// (`Kᵀ`'s block `(s, t)` is `K(I_t, I_s)ᵀ`). Identical to
     /// [`H2Matrix::apply_permuted`] for symmetric matrices.
     pub fn apply_transpose_permuted(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        self.apply_impl(x, y, true);
+        self.apply_chunked(x, y, true, rayon::current_num_threads());
     }
 
-    fn apply_impl(&self, x: MatRef<'_>, mut y: MatMut<'_>, transpose: bool) {
+    /// The product behind [`H2Matrix::apply_permuted`] /
+    /// [`H2Matrix::apply_transpose_permuted`] with the block traversal cut
+    /// into `nchunks` row chunks instead of one per worker thread. The
+    /// result does not depend on `nchunks` (module docs); this entry point
+    /// exists so that tests can hold the product to that.
+    #[doc(hidden)]
+    pub fn apply_chunked(&self, x: MatRef<'_>, mut y: MatMut<'_>, transpose: bool, nchunks: usize) {
         let n = self.n();
         let d = x.cols();
         assert_eq!(x.rows(), n, "apply: x rows");
         assert_eq!(y.rows(), n, "apply: y rows");
         assert_eq!(y.cols(), d, "apply: y cols");
-        y.fill(0.0);
 
         let ph = self.apply_phases(transpose);
         let tree = &self.tree;
@@ -270,15 +384,25 @@ impl H2Matrix {
             }
         }
 
-        // ---- coupling products: ŷ_s = Σ_t op(B) x̂_t ----
-        let yhat_res: Vec<(usize, Mat)> = (0..nnodes)
-            .into_par_iter()
-            .filter_map(|s| ph.coupling_node(s, &xhat, d).map(|m| (s, m)))
+        // ---- coupling products: ŷ_s = Σ_t op(B) x̂_t, by stored block ----
+        let far_of = &self.partition.far_of;
+        let mut yhat: Vec<Mat> = (0..nnodes)
+            .map(|s| {
+                if far_of[s].is_empty() {
+                    Mat::zeros(0, 0)
+                } else {
+                    Mat::zeros(ph.out_basis[s].cols(), d)
+                }
+            })
             .collect();
-        let mut yhat: Vec<Mat> = vec![Mat::zeros(0, 0); nnodes];
-        for (s, m) in yhat_res {
-            yhat[s] = m;
-        }
+        ph.traverse(
+            &self.coupling,
+            far_of,
+            &|t| xhat[t].rf(),
+            0,
+            &mut yhat,
+            nchunks,
+        );
 
         // ---- downward pass through the output basis ----
         for l in 0..tree.nlevels() {
@@ -299,14 +423,28 @@ impl H2Matrix {
             }
         }
 
-        // ---- expand at leaves + dense near field ----
-        let leaf_ids: Vec<usize> = tree.level(leaf_level).collect();
-        // Disjoint leaf row ranges of y: compute contributions in parallel.
-        let leaf_out: Vec<(usize, Mat)> = leaf_ids
-            .par_iter()
-            .map(|&s| ph.leaf_node(s, x, &yhat))
+        // ---- expand at leaves, then the dense near field by stored block ----
+        let leaves = tree.level(leaf_level);
+        let mut out: Vec<Mat> = leaves
+            .clone()
+            .into_par_iter()
+            .map(|s| ph.expand_leaf(s, &yhat, d))
             .collect();
-        for (b, m) in leaf_out {
+        let rows_of = |t: usize| {
+            let (b, e) = tree.range(t);
+            x.view(b, 0, e - b, d)
+        };
+        ph.traverse(
+            &self.dense,
+            &self.partition.near_of,
+            &rows_of,
+            leaves.start,
+            &mut out,
+            nchunks,
+        );
+        // Leaf row ranges tile `0..n`: every row of y is written here.
+        for (s, m) in leaves.zip(&out) {
+            let b = tree.range(s).0;
             y.rb_mut().into_view(b, 0, m.rows(), d).copy_from(m.rf());
         }
     }

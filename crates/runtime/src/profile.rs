@@ -131,11 +131,14 @@ pub enum Phase {
     Id,
     /// Sample/ Ω upsweep (shrink + GEMM).
     Upsweep,
+    /// Power iteration for the `‖K‖₂` estimate behind the relative
+    /// threshold (§III.B): `2·iters + 1` single-vector sampler products.
+    NormEst,
     /// Marshaling, workspace allocation, bookkeeping.
     Misc,
 }
 
-pub const PHASE_COUNT: usize = 8;
+pub const PHASE_COUNT: usize = 9;
 
 impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
@@ -146,6 +149,7 @@ impl Phase {
         Phase::ConvergenceTest,
         Phase::Id,
         Phase::Upsweep,
+        Phase::NormEst,
         Phase::Misc,
     ];
 
@@ -158,7 +162,8 @@ impl Phase {
             Phase::ConvergenceTest => 4,
             Phase::Id => 5,
             Phase::Upsweep => 6,
-            Phase::Misc => 7,
+            Phase::NormEst => 7,
+            Phase::Misc => 8,
         }
     }
 
@@ -171,6 +176,7 @@ impl Phase {
             Phase::ConvergenceTest => "convergence_test",
             Phase::Id => "id",
             Phase::Upsweep => "upsweep",
+            Phase::NormEst => "norm_est",
             Phase::Misc => "misc",
         }
     }

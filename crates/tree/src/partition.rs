@@ -190,6 +190,53 @@ impl Partition {
         true
     }
 
+    /// Structural checks of the block lists against `tree`: one list per
+    /// node, every partner a node of the same level (`near_of` at the leaf
+    /// level only), every list **strictly ascending**, and both relations
+    /// symmetric (`t ∈ near_of[s] ⇔ s ∈ near_of[t]`, likewise `far_of`).
+    ///
+    /// [`Partition::build`] guarantees all of it; a partition read from
+    /// outside must be checked. The sorted, symmetric lists are what the
+    /// one-pass H2 product (`h2_matrix::matvec`) rests its accumulation
+    /// order on, and what lets a symmetric block store keep one block per
+    /// unordered pair.
+    pub fn validate(&self, tree: &ClusterTree) -> Result<(), String> {
+        let nnodes = tree.nodes.len();
+        if self.nlevels != tree.nlevels() {
+            return Err(format!(
+                "partition has {} levels, tree has {}",
+                self.nlevels,
+                tree.nlevels()
+            ));
+        }
+        let leaf_level = tree.leaf_level();
+        for (name, lists) in [("far_of", &self.far_of), ("near_of", &self.near_of)] {
+            if lists.len() != nnodes {
+                return Err(format!("{name}: {} lists, {nnodes} nodes", lists.len()));
+            }
+            for (s, list) in lists.iter().enumerate() {
+                let level = tree.level_of(s);
+                if name == "near_of" && level != leaf_level && !list.is_empty() {
+                    return Err(format!("near_of[{s}]: dense blocks above the leaf level"));
+                }
+                if !list.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(format!("{name}[{s}] is not strictly ascending"));
+                }
+                for &t in list {
+                    if t >= nnodes || tree.level_of(t) != level {
+                        return Err(format!(
+                            "{name}[{s}]: partner {t} is not a node of its level"
+                        ));
+                    }
+                    if lists[t].binary_search(&s).is_err() {
+                        return Err(format!("{name}: {t} in list {s} but {s} not in list {t}"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The far field of node `τ` as a set of disjoint index intervals: the
     /// complement of the ranges of `τ`'s same-level inadmissible partners.
     /// These are exactly the columns covered by admissible blocks of `τ` or
@@ -373,6 +420,44 @@ mod tests {
                 assert_eq!(far_len, anc_far_len, "node {id}");
             }
         }
+    }
+
+    #[test]
+    fn validate_pins_sorted_symmetric_lists() {
+        let t = tree(700, 16, 19);
+        for rule in [Admissibility::Strong { eta: 0.7 }, Admissibility::Weak] {
+            let p = Partition::build(&t, rule);
+            p.validate(&t).unwrap();
+            for list in p.near_of.iter().chain(&p.far_of) {
+                assert!(list.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+        let good = || Partition::build(&t, Admissibility::Strong { eta: 0.7 });
+        let leaf = t.level(t.leaf_level()).start;
+        // Unsorted list.
+        let mut p = good();
+        assert!(p.near_of[leaf].len() >= 2);
+        p.near_of[leaf].reverse();
+        assert!(p.validate(&t).unwrap_err().contains("ascending"));
+        // Duplicate partner (ascending, not strictly).
+        let mut p = good();
+        let dup = p.near_of[leaf][0];
+        p.near_of[leaf].insert(0, dup);
+        assert!(p.validate(&t).unwrap_err().contains("ascending"));
+        // One-sided pair.
+        let mut p = good();
+        let s = (0..t.nodes.len())
+            .find(|&s| !p.far_of[s].is_empty())
+            .unwrap();
+        p.far_of[s].pop();
+        assert!(p.validate(&t).unwrap_err().contains("not in list"));
+        // Partner off the level / out of range.
+        let mut p = good();
+        p.far_of[s].push(t.nodes.len());
+        assert!(p.validate(&t).unwrap_err().contains("not a node"));
+        let mut p = good();
+        p.near_of[0].push(0);
+        assert!(p.validate(&t).unwrap_err().contains("above the leaf level"));
     }
 
     #[test]
