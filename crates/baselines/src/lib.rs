@@ -3,7 +3,7 @@
 //! The comparator algorithms of the paper's evaluation:
 //!
 //! * [`topdown_peel`] over a strong-admissibility partition — the
-//!   ButterflyPACK-style sketched H construction of Levitt–Martinsson [23]
+//!   ButterflyPACK-style sketched H construction of Levitt–Martinsson \[23\]
 //!   with graph colouring (O(colors · d · log N) samples),
 //! * [`hodlr_peel`] — the same peeling over a weak-admissibility partition:
 //!   the HODLR route H2Opus's top-down algorithm takes, whose per-level

@@ -7,7 +7,7 @@
 //! the action of) everything already built. Structured random test blocks
 //! restricted to one cluster colour at a time keep same-level and
 //! finer-level contributions from contaminating each other — the graph
-//! colouring of [23].
+//! colouring of \[23\].
 //!
 //! The defining cost: every level needs its own sketches, so the total
 //! sample count grows as `O(colors · d · log N)` — against the O(1) samples

@@ -22,7 +22,7 @@
 //!
 //! [`TraceSink`] is the matching observability hook: constructed from the
 //! common `--trace <path>` flag, it hands out a shared
-//! [`Tracer`](h2_obs::Tracer) for runtimes and fabrics to emit into and
+//! [`h2_obs::Tracer`] for runtimes and fabrics to emit into and
 //! writes a Chrome-trace JSON (Perfetto-loadable) on
 //! [`TraceSink::finish`].
 

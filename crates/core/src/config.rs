@@ -108,6 +108,12 @@ pub struct SketchStats {
     pub rounds: usize,
     /// Adaptive rounds per level (leaf first).
     pub rounds_per_level: Vec<usize>,
+    /// The adaptive loop stopped at `max_samples` with nodes still failing
+    /// the convergence test: the operator may miss the tolerance.
+    pub sample_cap_hit: bool,
+    /// Node IDs re-truncated to `max_rank` (per stream): each one dropped
+    /// rank the tolerance asked for.
+    pub rank_cap_hits: usize,
     /// Estimated `‖K‖₂` backing the relative threshold.
     pub norm_estimate: f64,
     /// Wall-clock construction time.

@@ -6,7 +6,7 @@
 //! `Y = Kblk(Ω)` (with `Z = Kᵀblk(Ψ)` for the unsymmetric extension), an
 //! entry evaluator for sub-blocks, a relative tolerance ε, and the sample
 //! block size `d`. The construction proceeds level by level from the
-//! leaves, driving one [`SketchStream`] per basis side:
+//! leaves, driving one `SketchStream` per basis side:
 //!
 //! * the **row** stream `Y = K Ω`: its per-node local samples span the
 //!   block row of the remaining admissible matrix; a row ID yields the row
@@ -387,7 +387,11 @@ fn sketch_construct_engine(
                 unconverged |=
                     (0..yloc.count()).any(|i| d_cur < yloc.rows_of(i) && mins[i] > eps_conv);
             }
-            if !unconverged || stats.total_samples + cfg.sample_block > cfg.max_samples {
+            if !unconverged {
+                break;
+            }
+            if stats.total_samples + cfg.sample_block > cfg.max_samples {
+                stats.sample_cap_hit = true;
                 break;
             }
             // updateSamples: fresh global sketch per stream swept through the
@@ -431,6 +435,7 @@ fn sketch_construct_engine(
             for (i, r) in id_res.iter_mut().enumerate() {
                 if r.rank() > cfg.max_rank {
                     *r = h2_dense::cpqr::row_id(&yloc.to_mat(i), Truncation::Rank(cfg.max_rank));
+                    stats.rank_cap_hits += 1;
                 }
             }
 

@@ -77,6 +77,8 @@ mod tests {
         let (h2, stats) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         h2.validate().unwrap();
         assert!(stats.total_samples >= 64);
+        assert!(!stats.sample_cap_hit, "default caps must not bind here");
+        assert_eq!(stats.rank_cap_hits, 0, "default caps must not bind here");
         let dense = Mat::from_fn(1500, 1500, |i, j| km.entry(i, j));
         let rec = h2.to_dense();
         let mut d = rec;
@@ -436,14 +438,20 @@ mod adaptive_tests {
             tol: 1e-12, // unreachable: forces the adaptive loop to the cap
             initial_samples: 8,
             sample_block: 8,
-            max_samples: 40,
+            // Below the 32 stacked rows of the level above the leaves, so
+            // the loop cannot end by sampling a node's full row space.
+            max_samples: 24,
             ..Default::default()
         };
         let (h2, stats) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         assert!(
-            stats.total_samples <= 40,
+            stats.total_samples <= 24,
             "budget violated: {}",
             stats.total_samples
+        );
+        assert!(
+            stats.sample_cap_hit,
+            "the exhausted budget must be reported"
         );
         h2.validate().unwrap();
         let e = relative_error_2(&km, &h2, 15, 402);
@@ -464,10 +472,11 @@ mod adaptive_tests {
             max_rank: 6,
             ..Default::default()
         };
-        let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (h2, stats) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         h2.validate().unwrap();
         let (_, hi) = h2.rank_range();
         assert!(hi <= 6, "rank cap violated: {hi}");
+        assert!(stats.rank_cap_hits > 0, "the truncation must be reported");
     }
 
     /// Adaptive rounds can trigger at inner levels, not just the leaves:

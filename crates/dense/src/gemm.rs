@@ -121,11 +121,11 @@ const NC: usize = 512;
 /// reflects the blocked kernel structure.
 ///
 /// Because the counters are process-wide, *draining* them is gated behind
-/// an exclusive [`StatsClaim`] handle: exactly one profile at a time may
-/// swap the counters to zero, so two concurrent profiles (parallel tests,
-/// a multi-tenant server) can no longer silently steal each other's
-/// pack/gemv counts. [`snapshot`] stays available to everyone — reading
-/// without resetting is race-free by nature.
+/// an exclusive [`stats::StatsClaim`] handle: exactly one profile at a time
+/// may swap the counters to zero, so two concurrent profiles (parallel
+/// tests, a multi-tenant server) can no longer silently steal each other's
+/// pack/gemv counts. [`stats::snapshot`] stays available to everyone —
+/// reading without resetting is race-free by nature.
 pub mod stats {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -317,7 +317,7 @@ fn use_packed_rhs(m: usize, k: usize) -> bool {
 /// per-`(i, j)` FMA chain into a private accumulator lane no matter how
 /// many columns share the call (padding lanes of a partial `NR` panel are
 /// separate accumulators that never touch real columns). With the
-/// dispatch decided by [`use_packed_rhs`]`(m, k)` alone, **column `j` of
+/// dispatch decided by `use_packed_rhs(m, k)` alone, **column `j` of
 /// the result is bitwise identical for every RHS width it rides in**: the
 /// `n = 32` call produces in `C[:, j]` exactly what the `n = 1` call on
 /// `B[:, j]` produces. [`gemm`] deliberately does *not* have this property
@@ -788,7 +788,7 @@ fn packed_macro_loops<PA>(
 /// `A` operand **stored in f32** and all arithmetic accumulating in f64.
 ///
 /// Above the crossover this packs the f32 operand straight into the f64
-/// micro-panels ([`pack_a32`] — promotion happens at the packing stage, so
+/// micro-panels (`pack_a32` — promotion happens at the packing stage, so
 /// the register-tiled microkernel is byte-for-byte the all-f64 one); below
 /// it the operand is promoted once and the naive kernel runs. Either way
 /// the result is **bitwise identical** to [`gemm`] on `a.promote()` — the

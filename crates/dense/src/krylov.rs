@@ -1,83 +1,11 @@
-//! Krylov solvers on abstract [`LinOp`]s.
+//! Stochastic estimators on abstract [`LinOp`]s.
 //!
-//! Compressed H2 operators are built to be *used* — kernel ridge regression,
-//! IE solves, preconditioned iterations (paper §I motivation). This module
-//! provides conjugate gradients (optionally with diagonal regularization
-//! `A + σ²I`) and a power-iteration extreme-eigenvalue estimate for SPD
-//! operators.
+//! Compressed H2 operators are built to be *used* (paper §I motivation).
+//! The Krylov solvers live in `h2_solve`; what remains here is the
+//! Hutchinson trace estimate.
 
 use crate::mat::Mat;
 use crate::op::LinOp;
-
-/// Result of an iterative solve.
-#[derive(Clone, Debug)]
-pub struct SolveResult {
-    pub x: Vec<f64>,
-    pub iterations: usize,
-    /// Final relative residual `‖b - A x‖ / ‖b‖`.
-    pub relative_residual: f64,
-    pub converged: bool,
-}
-
-/// Conjugate gradients for `(A + shift·I) x = b` with an SPD operator `A`.
-pub fn cg(a: &dyn LinOp, b: &[f64], shift: f64, max_iters: usize, rtol: f64) -> SolveResult {
-    let n = b.len();
-    assert_eq!(a.nrows(), n, "cg: dimension mismatch");
-    let apply = |v: &[f64], out: &mut Vec<f64>| {
-        let vm = Mat::from_vec(n, 1, v.to_vec());
-        let mut av = Mat::zeros(n, 1);
-        a.apply(vm.rf(), av.rm());
-        out.clear();
-        out.extend((0..n).map(|i| av[(i, 0)] + shift * v[i]));
-    };
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = r.clone();
-    let mut ap = Vec::with_capacity(n);
-    let mut rs: f64 = r.iter().map(|v| v * v).sum();
-    let b_norm = rs.sqrt().max(f64::MIN_POSITIVE);
-    let mut iterations = 0;
-
-    for _ in 0..max_iters {
-        if rs.sqrt() <= rtol * b_norm {
-            break;
-        }
-        iterations += 1;
-        apply(&p, &mut ap);
-        let denom: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
-        if denom <= 0.0 {
-            // Not SPD (or numerically indefinite): bail with best effort.
-            break;
-        }
-        let alpha = rs / denom;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rs_new: f64 = r.iter().map(|v| v * v).sum();
-        let beta = rs_new / rs;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rs = rs_new;
-    }
-
-    // True residual (not the recursive one).
-    apply(&x, &mut ap);
-    let mut res = 0.0;
-    for i in 0..n {
-        let d = b[i] - ap[i];
-        res += d * d;
-    }
-    let relative_residual = res.sqrt() / b_norm;
-    SolveResult {
-        x,
-        iterations,
-        relative_residual,
-        converged: relative_residual <= 10.0 * rtol,
-    }
-}
 
 /// Hutchinson stochastic trace estimator `tr(A) ≈ mean(zᵀ A z)` with
 /// Rademacher probes — the "trace estimation in Bayesian optimization" use
@@ -104,37 +32,10 @@ pub fn hutchinson_trace(a: &dyn LinOp, probes: usize, seed: u64) -> f64 {
     acc / probes.max(1) as f64
 }
 
-/// Estimate the largest eigenvalue of an SPD operator by power iteration
-/// (Rayleigh quotient).
-pub fn power_eig_max(a: &dyn LinOp, iters: usize, seed: u64) -> f64 {
-    let n = a.nrows();
-    let mut v = crate::rand::gaussian_mat(n, 1, seed);
-    let nv = v.norm_fro();
-    v.scale(1.0 / nv.max(f64::MIN_POSITIVE));
-    let mut av = Mat::zeros(n, 1);
-    let mut lambda = 0.0;
-    for _ in 0..iters.max(1) {
-        a.apply(v.rf(), av.rm());
-        let mut dot = 0.0;
-        for i in 0..n {
-            dot += v[(i, 0)] * av[(i, 0)];
-        }
-        lambda = dot;
-        let nav = av.norm_fro();
-        if nav == 0.0 {
-            return 0.0;
-        }
-        for i in 0..n {
-            v[(i, 0)] = av[(i, 0)] / nav;
-        }
-    }
-    lambda
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemv, matmul, Op};
+    use crate::gemm::{matmul, Op};
     use crate::op::DenseOp;
     use crate::rand::gaussian_mat;
 
@@ -148,48 +49,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_solves_spd_system() {
-        let n = 40;
-        let op = spd_op(n, 1);
-        let x0 = gaussian_mat(n, 1, 2);
-        let mut b = vec![0.0; n];
-        gemv(Op::NoTrans, 1.0, op.a.rf(), x0.col(0), 0.0, &mut b);
-        let res = cg(&op, &b, 0.0, 200, 1e-12);
-        assert!(res.converged, "residual {}", res.relative_residual);
-        for i in 0..n {
-            assert!((res.x[i] - x0[(i, 0)]).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn cg_with_shift() {
-        let n = 30;
-        let op = spd_op(n, 3);
-        let shift = 2.5;
-        let x0 = gaussian_mat(n, 1, 4);
-        let mut b = vec![0.0; n];
-        gemv(Op::NoTrans, 1.0, op.a.rf(), x0.col(0), 0.0, &mut b);
-        for i in 0..n {
-            b[i] += shift * x0[(i, 0)];
-        }
-        let res = cg(&op, &b, shift, 200, 1e-12);
-        assert!(res.converged);
-        for i in 0..n {
-            assert!((res.x[i] - x0[(i, 0)]).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn cg_reports_nonconvergence_budget() {
-        let n = 50;
-        let op = spd_op(n, 5);
-        let b = vec![1.0; n];
-        let res = cg(&op, &b, 0.0, 1, 1e-14);
-        assert_eq!(res.iterations, 1);
-        assert!(!res.converged);
-    }
-
-    #[test]
     fn hutchinson_estimates_trace() {
         let n = 60;
         let op = spd_op(n, 6);
@@ -199,14 +58,5 @@ mod tests {
             (est - exact).abs() < 0.1 * exact,
             "est {est} vs exact {exact}"
         );
-    }
-
-    #[test]
-    fn power_eig_close_to_norm() {
-        let n = 30;
-        let op = spd_op(n, 8);
-        let lam = power_eig_max(&op, 100, 9);
-        let nrm = crate::svd::spectral_norm(&op.a);
-        assert!((lam - nrm).abs() < 0.02 * nrm, "{lam} vs {nrm}");
     }
 }

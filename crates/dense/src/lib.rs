@@ -14,11 +14,11 @@
 //! * column-pivoted QR and interpolative decompositions ([`cpqr`]) — the
 //!   skeletonization step,
 //! * triangular solves, LU, Cholesky, one-sided Jacobi SVD,
-//! * the [`LinOp`](op::LinOp) / [`EntryAccess`](op::EntryAccess) traits — the
+//! * the [`LinOp`] / [`EntryAccess`] traits — the
 //!   paper's two black-box inputs — plus power-iteration norm estimation,
 //! * the storage/wire precision tier ([`prec`]): [`Precision`], the f32
 //!   storage type [`Mat32`] with demote/promote conversion kernels, and the
-//!   mixed-precision [`gemm_mixed`](gemm::gemm_mixed) whose f32 operand is
+//!   mixed-precision [`gemm_mixed`] whose f32 operand is
 //!   promoted at the packing stage while every accumulation stays f64.
 
 pub mod aca;
@@ -40,7 +40,7 @@ pub use gemm::{
     dispatched_mr, gemm, gemm_mixed, gemm_naive, gemm_rhs, gemv, matmul, par_gemm, simd_tier, Op,
     SimdTier,
 };
-pub use krylov::{cg, hutchinson_trace, power_eig_max, SolveResult};
+pub use krylov::hutchinson_trace;
 pub use lu::{cholesky_in_place, cholesky_solve, lu_factor, LuFactor};
 pub use mat::{Mat, MatMut, MatRef};
 pub use op::{estimate_norm_2, relative_error_2, DenseOp, DiffOp, EntryAccess, LinOp};

@@ -380,11 +380,6 @@ impl<'a> MatRef<'a> {
         m
     }
 
-    /// Owned transposed copy.
-    pub fn transpose_to_mat(&self) -> Mat {
-        Mat::from_fn(self.cols, self.rows, |i, j| self.at(j, i))
-    }
-
     pub fn norm_fro(&self) -> f64 {
         let mut s = 0.0;
         for j in 0..self.cols {

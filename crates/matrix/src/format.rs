@@ -397,14 +397,6 @@ impl H2Matrix {
         }
     }
 
-    /// The *independently stored* column basis of one node; `None` when the
-    /// column side aliases the row side (symmetric layout). Callers that
-    /// can share work between aliased sides (e.g. one QR instead of two in
-    /// the ULV rotation) branch on this.
-    pub fn col_basis_distinct(&self, node: usize) -> Option<&Mat> {
-        self.col.as_ref().map(|c| &c.basis[node])
-    }
-
     /// Row rank of node `τ` (0 when it has no basis). For symmetric
     /// matrices this is *the* rank.
     pub fn rank(&self, node: usize) -> usize {
@@ -419,11 +411,6 @@ impl H2Matrix {
     /// Column rank of node `τ`.
     pub fn col_rank(&self, node: usize) -> usize {
         self.col_basis()[node].cols()
-    }
-
-    /// Whether node `τ` carries a row basis.
-    pub fn has_basis(&self, node: usize) -> bool {
-        self.rank(node) > 0
     }
 
     /// Total stored bytes of the representation (the paper's Fig. 6

@@ -1,7 +1,7 @@
 //! Low-rank updated operators: `A' = A + P Qᵀ`.
 //!
 //! The paper's third application (§V.A) recompresses "an existing H2
-//! representation of the covariance matrix [updated] with an additional
+//! representation of the covariance matrix \[updated\] with an additional
 //! low-rank product", the situation arising in hierarchical LU and
 //! multifrontal Schur-complement updates. [`LowRankUpdate`] supplies both
 //! black-box inputs for that experiment: the sampler is the fast H2 matvec

@@ -8,7 +8,7 @@
 //! No GPU library offers a variable-block-size BSR product, so the paper
 //! splits the operation into at most `Csp` batched-GEMM launches such that
 //! each launch touches **at most one block per row** — making all row updates
-//! conflict-free without atomics. [`BsrPattern::slots`] reproduces exactly
+//! conflict-free without atomics. `BsrPattern::slots` reproduces exactly
 //! that decomposition, and [`bsr_gemm`] issues one launch per slot.
 
 use crate::batch::VarBatch;

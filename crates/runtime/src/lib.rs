@@ -39,9 +39,9 @@ pub use h2_dense::Precision;
 // observability layer through the runtime they already depend on.
 pub use h2_obs::{ArgValue, Registry, SpanGuard, Tracer};
 pub use multidev::{
-    combine_terms, owner, simulate, simulate_prec, simulate_prec_mode, simulate_solve,
+    combine_terms, epoch_terms, owner, simulate, simulate_prec, simulate_prec_mode, simulate_solve,
     simulate_solve_prec, simulate_solve_prec_mode, transfer_census, DeviceModel, LevelSpec,
-    SimReport, SolveLevel, SolveSpec, StreamSpec,
+    Schedule, ScheduleEpoch, SimReport, SolveLevel, SolveSpec, StreamSpec,
 };
 pub use ops::{
     batched_gen, batched_row_id, gather_rows, gemm_at_x, hcat_batches, qr_min_rdiag, rand_mat,

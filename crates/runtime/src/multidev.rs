@@ -19,20 +19,41 @@
 use crate::shard::{PipelineMode, Transfer, TransferKind};
 use h2_dense::Precision;
 
-/// Combine one level's three schedule terms — busiest device's compute,
-/// link time, per-device launch overhead — under an execution discipline.
-/// This is the *same* composition `h2_sched`'s `ExecReport::epoch_makespan`
-/// applies to measured counters: serialized for a synchronous schedule
-/// (every copy and kernel-boundary barrier is exposed), the max of the
-/// three for a pipelined one (prefetched transfers overlap compute, and
-/// job-level dependency chaining lets the host enqueue kernel *k+1* while
-/// kernel *k* drains, hiding launch overhead too).
+/// Combine one epoch's `(compute, comm, launch)` terms — the output of
+/// [`epoch_terms`] — under an execution discipline: serialized for a
+/// synchronous schedule (every copy and kernel-boundary barrier is
+/// exposed), the max of the three for a pipelined one (prefetched
+/// transfers overlap compute, and job-level dependency chaining lets the
+/// host enqueue kernel *k+1* while kernel *k* drains, hiding launch
+/// overhead too).
 #[inline]
-pub fn combine_terms(mode: PipelineMode, compute_max: f64, comm: f64, launch: f64) -> f64 {
+pub fn combine_terms(mode: PipelineMode, (compute_max, comm, launch): (f64, f64, f64)) -> f64 {
     match mode {
         PipelineMode::Synchronous => compute_max + comm + launch,
         PipelineMode::Pipelined => compute_max.max(comm).max(launch),
     }
+}
+
+/// The one epoch-pricing rule: the `(compute, comm, launch)` seconds of an
+/// epoch whose busiest device computes for `compute_max` seconds and issues
+/// `launches` kernels while `comm_bytes` in `comm_messages` messages cross
+/// the link. Every projection — [`Schedule::makespan`], the construction and
+/// solve simulators below, `h2_sched`'s `ExecReport` and its drift tables —
+/// prices an epoch here and composes the terms with [`combine_terms`], so
+/// equal counts give bit-equal seconds.
+#[inline]
+pub fn epoch_terms(
+    model: &DeviceModel,
+    compute_max: f64,
+    comm_bytes: u64,
+    comm_messages: usize,
+    launches: f64,
+) -> (f64, f64, f64) {
+    (
+        compute_max,
+        comm_bytes as f64 / model.link_bandwidth + comm_messages as f64 * model.link_latency,
+        launches * model.launch_overhead,
+    )
 }
 
 /// The work/traffic formulas shared by the closed-form simulator and the
@@ -70,28 +91,17 @@ pub mod cost {
         (r * c) as f64
     }
 
-    /// Bytes of one fetched `rows × d` f64 block (an Ω/Ψ partner fetch, or
-    /// one half of a sibling merge). The f64 specialization of
-    /// [`fetch_bytes_p`], kept for the historical call sites.
-    pub fn fetch_bytes(rows: usize, d: usize) -> u64 {
-        fetch_bytes_p(rows, d, Precision::F64)
-    }
-
-    /// Bytes of one fetched `rows × d` block at wire precision `prec` —
-    /// the element width is the only thing the precision tier changes in
-    /// the transfer model, so every byte formula is linear in it.
+    /// Bytes of one fetched `rows × d` block (an Ω/Ψ partner fetch, or one
+    /// half of a sibling merge) at wire precision `prec` — the element
+    /// width is the only thing the precision tier changes in the transfer
+    /// model, so every byte formula is linear in it.
     pub fn fetch_bytes_p(rows: usize, d: usize, prec: Precision) -> u64 {
         (rows * d * prec.bytes()) as u64
     }
 
     /// Bytes of a line-24 boundary sibling merge: the moved child's samples
-    /// *and* inputs — twice [`fetch_bytes`] (the executor records the two
+    /// *and* inputs — twice [`fetch_bytes_p`] (the executor records the two
     /// halves as separate `stack_children` transfers).
-    pub fn merge_bytes(rows: usize, d: usize) -> u64 {
-        merge_bytes_p(rows, d, Precision::F64)
-    }
-
-    /// [`merge_bytes`] at wire precision `prec`.
     pub fn merge_bytes_p(rows: usize, d: usize, prec: Precision) -> u64 {
         2 * fetch_bytes_p(rows, d, prec)
     }
@@ -155,6 +165,94 @@ impl Default for DeviceModel {
             launch_overhead: 5.0e-6,
             entry_cost: 20.0,
         }
+    }
+}
+
+/// A sharded operation described once, as data: what each device computes,
+/// launches and allocates per epoch, and every cross-device copy. The
+/// planner that emits it (`h2_sched::plan_matvec`) is the only place owners,
+/// guards and [`cost`] formulas are evaluated; the fabric *executes* the
+/// value and [`Schedule::makespan`] *prices* it, so measured and predicted
+/// counts are equal by construction rather than by a second walk.
+#[derive(Clone, Debug)]
+pub struct Schedule {
+    pub devices: usize,
+    /// Execution discipline the epochs were laid out for (it decides both
+    /// the epoch structure and how [`Schedule::makespan`] combines terms).
+    pub mode: PipelineMode,
+    /// Wire precision behind every transfer's `bytes` and the arena charges.
+    pub wire: Precision,
+    pub epochs: Vec<ScheduleEpoch>,
+}
+
+/// One accounting epoch of a [`Schedule`].
+#[derive(Clone, Debug)]
+pub struct ScheduleEpoch {
+    pub label: String,
+    /// The batched kernel the epoch's jobs run, by name.
+    pub kernel: &'static str,
+    /// Tree levels the kernel runs over, in per-device queue order: one
+    /// launch per listed level on every device owning a non-empty chunk.
+    pub levels: Vec<usize>,
+    /// Modeled flops per device.
+    pub flops: Vec<f64>,
+    /// Kernel launches per device.
+    pub launches: Vec<usize>,
+    /// Workspace bytes per device (live peak over the epoch).
+    pub arena: Vec<usize>,
+    /// Transfers **issued** during this epoch, each with the index of the
+    /// epoch whose jobs wait on it — its own, or a later one for a copy
+    /// issued ahead. Traffic is accounted where it is issued.
+    pub transfers: Vec<(Transfer, usize)>,
+}
+
+impl ScheduleEpoch {
+    pub fn comm_bytes(&self) -> u64 {
+        self.transfers.iter().map(|(t, _)| t.bytes).sum()
+    }
+
+    pub fn comm_messages(&self) -> usize {
+        self.transfers.len()
+    }
+}
+
+impl Schedule {
+    pub fn total_comm_bytes(&self) -> u64 {
+        self.epochs.iter().map(|e| e.comm_bytes()).sum()
+    }
+
+    pub fn total_flops(&self) -> f64 {
+        self.epochs.iter().flat_map(|e| e.flops.iter()).sum()
+    }
+
+    /// Modeled critical-path seconds of epoch `i`: the busiest device's
+    /// compute, the epoch's link traffic and the busiest device's launches,
+    /// priced by [`epoch_terms`] and combined under the schedule's mode.
+    pub fn epoch_makespan(&self, i: usize, model: &DeviceModel) -> f64 {
+        let e = &self.epochs[i];
+        let compute_max = e
+            .flops
+            .iter()
+            .map(|f| f / model.flops_per_sec)
+            .fold(0.0, f64::max);
+        let launches_max = e.launches.iter().copied().max().unwrap_or(0);
+        combine_terms(
+            self.mode,
+            epoch_terms(
+                model,
+                compute_max,
+                e.comm_bytes(),
+                e.comm_messages(),
+                launches_max as f64,
+            ),
+        )
+    }
+
+    /// Sum of the epoch makespans (epochs are sequential).
+    pub fn makespan(&self, model: &DeviceModel) -> f64 {
+        (0..self.epochs.len())
+            .map(|i| self.epoch_makespan(i, model))
+            .sum()
     }
 }
 
@@ -382,7 +480,7 @@ fn stream_census(
 /// non-adaptive construction issues — the extended simulator's input for
 /// predicting *faulted* byte totals. The multiset returned here equals the
 /// executor's transfer record multiset exactly (same owner mapping, same
-/// dedup, same byte formulas as [`stream_cost`], whose totals the
+/// dedup, same byte formulas as [`simulate_prec_mode`], whose totals the
 /// equivalence tests pin to the executor), so replaying a seeded
 /// [`h2_fault::FaultPlan`] over it — fingerprint plus occurrence index per
 /// descriptor — reproduces the executor's exact retry stream, and
@@ -568,14 +666,15 @@ pub fn simulate_prec_mode(
         let active = devices.min(n.max(1));
         let launches = active * (6 + csp) * nstreams;
 
-        let compute_max = compute.iter().cloned().fold(0.0, f64::max);
-        let comm_time =
-            comm_bytes as f64 / model.link_bandwidth + comm_messages as f64 * model.link_latency;
         let level_makespan = combine_terms(
             mode,
-            compute_max,
-            comm_time,
-            launches as f64 / active.max(1) as f64 * model.launch_overhead,
+            epoch_terms(
+                model,
+                compute.iter().cloned().fold(0.0, f64::max),
+                comm_bytes,
+                comm_messages,
+                launches as f64 / active.max(1) as f64,
+            ),
         );
 
         makespan += level_makespan;
@@ -680,14 +779,15 @@ pub fn simulate_solve_prec_mode(
                       launches: usize,
                       out: &mut Vec<LevelCost>| {
         let active = compute.iter().filter(|&&c| c > 0.0).count().max(1);
-        let compute_max = compute.iter().cloned().fold(0.0, f64::max);
-        let comm_time =
-            comm_bytes as f64 / model.link_bandwidth + comm_messages as f64 * model.link_latency;
         let makespan = combine_terms(
             mode,
-            compute_max,
-            comm_time,
-            launches as f64 / active as f64 * model.launch_overhead,
+            epoch_terms(
+                model,
+                compute.iter().cloned().fold(0.0, f64::max),
+                comm_bytes,
+                comm_messages,
+                launches as f64 / active as f64,
+            ),
         );
         out.push(LevelCost {
             makespan,

@@ -229,12 +229,6 @@ impl Profile {
         self.dense_claim.lock().unwrap().is_some()
     }
 
-    /// Release the dense-counter handle early (normally dropped with the
-    /// profile), letting another profile claim attribution.
-    pub fn release_dense_claim(&self) {
-        self.dense_claim.lock().unwrap().take();
-    }
-
     /// Credit `bytes` of blocked-GEMM packing traffic.
     pub fn record_pack_bytes(&self, bytes: u64) {
         self.pack_bytes.fetch_add(bytes, Ordering::Relaxed);

@@ -294,7 +294,7 @@ struct Shared {
     /// cross-device block ships at. Configuration, not accounting — it
     /// survives [`DeviceFabric::reset`].
     wire: AtomicU8,
-    link: Mutex<LinkModel>,
+    link: LinkModel,
     delay: Mutex<Option<TransferDelay>>,
     accounts: Vec<Mutex<Account>>,
     arenas: Vec<Mutex<Arena>>,
@@ -572,7 +572,7 @@ impl DeviceFabric {
             devices,
             mode,
             wire: AtomicU8::new(0),
-            link: Mutex::new(link),
+            link,
             delay: Mutex::new(None),
             accounts: (0..devices)
                 .map(|_| Mutex::new(Account::default()))
@@ -728,11 +728,6 @@ impl DeviceFabric {
 
     pub fn mode(&self) -> PipelineMode {
         self.shared.mode
-    }
-
-    /// Replace the virtual link model (affects subsequent transfers).
-    pub fn set_link(&self, link: LinkModel) {
-        *self.shared.link.plock() = link;
     }
 
     /// Set the wire precision: the element width every cross-device block
@@ -1092,6 +1087,22 @@ impl DeviceFabric {
         }
     }
 
+    /// Issue one transfer of a plan under the fabric's discipline:
+    /// prefetched on a pipelined fabric, its ticket filed under the
+    /// destination device in `tickets` for that device's consuming job to
+    /// wait on; recorded and serviced inline on a synchronous one.
+    pub fn issue(&self, t: Transfer, tickets: &mut [Vec<u64>]) {
+        match self.shared.mode {
+            PipelineMode::Pipelined => {
+                let ticket = self.prefetch_transfer(t);
+                if ticket != 0 {
+                    tickets[t.dst].push(ticket);
+                }
+            }
+            PipelineMode::Synchronous => self.record_transfer(t),
+        }
+    }
+
     /// Charge the fault plan's consequences for one issued transfer: one
     /// extra [`TransferRecord`] per failed attempt (same bytes, same
     /// parent ticket — the re-transfer traffic the accounts and the
@@ -1211,7 +1222,7 @@ impl DeviceFabric {
     }
 
     fn service_time(&self, t: &Transfer) -> Duration {
-        let base = self.shared.link.plock().service(t);
+        let base = self.shared.link.service(t);
         let extra = self
             .shared
             .delay
@@ -1815,7 +1826,8 @@ impl ExecReport {
     /// The three schedule terms of epoch `i` under `model`:
     /// `(compute_max, comm, launch_overhead)` — the busiest device's modeled
     /// compute seconds, the epoch's link time, and the busiest device's
-    /// launch overhead. How they combine depends on the run's discipline;
+    /// launch overhead, priced by [`h2_runtime::epoch_terms`]. How they
+    /// combine depends on the run's discipline;
     /// [`ExecReport::epoch_makespan`] applies it.
     pub fn epoch_terms(&self, i: usize, model: &DeviceModel) -> (f64, f64, f64) {
         let e = &self.epochs[i];
@@ -1824,13 +1836,13 @@ impl ExecReport {
             .iter()
             .map(|d| (d.flops + model.entry_cost * d.gen_entries) / model.flops_per_sec)
             .fold(0.0, f64::max);
-        let comm = e.comm_bytes as f64 / model.link_bandwidth
-            + e.comm_messages as f64 * model.link_latency;
         let launches_max = e.per_device.iter().map(|d| d.launches).max().unwrap_or(0);
-        (
+        h2_runtime::epoch_terms(
+            model,
             compute_max,
-            comm,
-            launches_max as f64 * model.launch_overhead,
+            e.comm_bytes,
+            e.comm_messages,
+            launches_max as f64,
         )
     }
 
@@ -1841,22 +1853,20 @@ impl ExecReport {
     /// copy engine, and with job-level dependency chaining the host
     /// enqueues kernel *k+1* while kernel *k* still drains, so launch
     /// overhead also hides behind whichever of compute or communication
-    /// dominates. [`ExecReport::modeled_makespan`] is exactly the sum of
-    /// this over all epochs — the sim-drift attributor relies on that
-    /// identity to make per-epoch shares sum to the whole.
+    /// dominates ([`h2_runtime::combine_terms`]).
+    /// [`ExecReport::modeled_makespan`] is exactly the sum of this over all
+    /// epochs — the sim-drift attributor relies on that identity to make
+    /// per-epoch shares sum to the whole.
     pub fn epoch_makespan(&self, i: usize, model: &DeviceModel) -> f64 {
-        let (compute_max, comm, launch) = self.epoch_terms(i, model);
-        match self.mode {
-            PipelineMode::Synchronous => compute_max + comm + launch,
-            PipelineMode::Pipelined => compute_max.max(comm).max(launch),
-        }
+        h2_runtime::combine_terms(self.mode, self.epoch_terms(i, model))
     }
 
-    /// Export the report's totals into an observability [`Registry`]
-    /// (`h2_obs`): fabric byte/message/launch counters (total and per
-    /// transfer kind) and per-device busy/stall/overlapped/idle nanosecond
-    /// counters. The counter values are defined to equal the corresponding
-    /// `ExecReport` accessors exactly — the reconciliation tests assert it.
+    /// Export the report's totals into an observability
+    /// [`h2_obs::Registry`]: fabric byte/message/launch counters (total and
+    /// per transfer kind) and per-device busy/stall/overlapped/idle
+    /// nanosecond counters. The counter values are defined to equal the
+    /// corresponding `ExecReport` accessors exactly — the reconciliation
+    /// tests assert it.
     pub fn export_metrics(&self, registry: &h2_obs::Registry) {
         registry
             .counter("fabric.comm_bytes")

@@ -25,14 +25,35 @@
 //!
 //! ## Entry points
 //!
+//! A sharded operation is meant to be written once, as a
+//! [`Schedule`] — epochs × per-device flops / launches / workspace × the
+//! explicit transfer list — that the fabric **executes** and one pricing
+//! rule ([`h2_runtime::epoch_terms`], shared by [`Schedule::makespan`],
+//! [`ExecReport::modeled_makespan`], both closed-form simulators and the
+//! drift tables) **prices**. The matvec is the first kernel on that shape;
+//! the ULV sweep and the construction level loop still pair an executor
+//! with a separately written simulator.
+//!
+//! * [`plan_matvec`] → [`shard_matvec`] → [`Schedule::makespan`] — plan,
+//!   execute, price. The plan is the only walk over owners, guards and
+//!   cost formulas; the executor charges the plan's counts, issues its
+//!   transfers ([`DeviceFabric::issue`]) and runs `h2_matrix`'s
+//!   [`h2_matrix::ApplyPhases`] node kernels (identical numerics to the
+//!   in-process product, different scheduling), so bytes, flops and
+//!   modeled makespan equal the plan's by construction.
+//!   [`simulate_matvec`] is the same function under the name the
+//!   cross-checks use; [`compare_matvec_with_simulator`] and
+//!   [`drift_matvec`] report against it.
 //! * [`shard_construct`] / [`shard_construct_unsym`] — Algorithm 1 on the
 //!   fabric, via the stream-generic engine of `h2_core::construct`: the
 //!   symmetric one-stream and unsymmetric two-stream instances shard
 //!   through the same `Runtime::sharded` backend.
-//! * [`shard_matvec`] — the upsweep/coupling/downsweep/leaf phases of
-//!   `h2_matrix`'s matvec with per-device partial sums, built on the same
-//!   [`h2_matrix::ApplyPhases`] kernels as the in-process path (identical
-//!   numerics, different scheduling).
+//!   [`compare_with_simulator`] cross-validates a non-adaptive pass: the
+//!   executor performs exactly the kernel populations of
+//!   [`h2_core::level_specs`], so its flop and byte totals must equal the
+//!   [`h2_runtime::simulate`] prediction (the equivalence tests assert
+//!   equality for work/traffic and a 3x band for the makespan, where the
+//!   two sides' launch/round-robin details legitimately differ).
 //! * [`shard_ulv_solve`] — the ULV forward/backward triangular sweeps on
 //!   the fabric (upsweep-ordered eliminate, downsweep-ordered substitute)
 //!   over the same `h2_solve::UlvSweep` node kernels, with byte totals
@@ -40,12 +61,6 @@
 //!   [`compare_solve_with_simulator`]; [`FabricOp`] and
 //!   [`UlvFabricPrecond`] plug the sharded matvec and sweep into the
 //!   Krylov methods as a `LinOp`/`Preconditioner` pair.
-//! * [`compare_with_simulator`] — cross-validation: on a non-adaptive pass
-//!   the executor performs exactly the kernel populations of
-//!   [`h2_core::level_specs`], so its flop and byte totals must equal the
-//!   [`h2_runtime::simulate`] prediction (the equivalence tests assert
-//!   equality for work/traffic and a 3x band for the makespan, where the
-//!   two sides' launch/round-robin details legitimately differ).
 //!
 //! Results are bitwise-deterministic: every batched kernel computes
 //! identical per-entry arithmetic regardless of the device count, so a
@@ -176,10 +191,12 @@ pub use fabric::{
 };
 pub use h2_fault::{FabricError, FailStop, FaultKind, FaultPlan, OccurrenceMap};
 pub use h2_obs::{ChromeTrace, DriftTable, Registry, Tracer};
-pub use h2_runtime::{PipelineMode, Precision, Transfer, TransferKind};
+pub use h2_runtime::{PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer, TransferKind};
+// `simulate_matvec` is the plan read as a prediction; the end-to-end
+// benchmark's adapter calls it by that name.
 pub use matvec::{
-    compare_matvec_with_simulator, shard_matvec, shard_matvec_with_report, simulate_matvec,
-    MatvecSim, MatvecSimEpoch,
+    compare_matvec_with_simulator, plan_matvec, plan_matvec as simulate_matvec, shard_matvec,
+    shard_matvec_with_report,
 };
 pub use solve::{
     compare_solve_with_simulator, resident_reduce_bytes, resident_reduce_hook, shard_ulv_solve,

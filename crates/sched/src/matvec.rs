@@ -1,102 +1,149 @@
-//! Device-sharded H2 matvec: the three-pass algorithm executed level by
-//! level over contiguous node chunks on the fabric, with per-device partial
-//! outputs and explicit transfers.
+//! Device-sharded H2 matvec: **plan → execute → price**.
 //!
-//! Phase mapping (§IV.A chunking, §IV.B communication):
+//! The paper's multi-GPU scheme (§IV.B) is one decision — which device owns
+//! which node of a level, and which `x̂`/`ŷ` reads therefore cross a device
+//! boundary — and this module writes it once:
 //!
-//! * **upsweep** — each level's nodes shard by [`h2_runtime::owner`]; a
-//!   parent whose second child lives across a chunk boundary reads that
-//!   child's `x̂` through a [`TransferKind::ChildGather`] (the matvec
-//!   analogue of the line-24 sibling merge);
-//! * **coupling** — rows shard per level; reading the `x̂_t` of an
-//!   off-device partner is a [`TransferKind::OmegaFetch`], deduplicated per
-//!   `(device, partner)` per level exactly like the construction's `Ω_b`
-//!   fetches;
-//! * **downsweep** — children shard per level; a child on a different
-//!   device than its parent reads the parent's `ŷ` partial sum
-//!   ([`TransferKind::PartialSum`]);
-//! * **leaves** — leaf row ranges are disjoint, so the per-device partial
-//!   outputs assemble into `y` without a reduction.
+//! * [`plan_matvec`] lays the three-pass algorithm out as a [`Schedule`]:
+//!   per epoch the flops, launches and workspace bytes of every device and
+//!   the explicit [`Transfer`] list. It is the only function that evaluates
+//!   [`h2_runtime::owner`], the activity guards and the
+//!   [`h2_runtime::multidev::cost`] formulas.
+//! * [`shard_matvec`] **executes** that value on the fabric: per epoch it
+//!   charges the plan's counts, issues the plan's transfers
+//!   ([`DeviceFabric::issue`]), enqueues one job per device and level over
+//!   the same [`h2_matrix::ApplyPhases`] node kernels the in-process
+//!   product runs, and closes the epoch.
+//! * [`Schedule::makespan`] **prices** it with the epoch-pricing rule
+//!   ([`h2_runtime::epoch_terms`]) that [`ExecReport::modeled_makespan`]
+//!   applies to the measured counts.
 //!
-//! ## Pipelined schedule
+//! So executor bytes == plan bytes, flops == plan flops and makespan ratio
+//! == 1 hold by construction; [`compare_matvec_with_simulator`] packages
+//! the cross-check, and `simulate_matvec` is this crate's name for the plan
+//! seen as a prediction.
 //!
-//! On a [`h2_runtime::PipelineMode::Pipelined`] fabric the same arithmetic
-//! runs under an overlapped schedule:
+//! ## The plan
 //!
-//! * upsweep child-gather descriptors are **issued one level ahead** (their
-//!   predicate depends only on basis shapes), so the virtual copies for
-//!   level *l* run behind level *l+1*'s compute; the level-*l* jobs are
-//!   gated on the tickets instead of a synchronous service;
-//! * the **whole upsweep and the coupling phase form one chain scope**
-//!   ([`DeviceFabric::chain_begin`]): jobs write the device-resident `x̂`
-//!   slot table directly (no per-level host assembly), each level's flush
-//!   records a dependency boundary instead of blocking, and level *l*'s
-//!   jobs are gated on level *l+1*'s completion tickets across devices —
-//!   per-device FIFO order covers the same-device edges;
-//! * the **coupling products of all levels continue that scope**: every
-//!   level's `x̂_t` fetches are prefetched up front, per-device jobs for
-//!   every level are enqueued on the ordered queues, and the single real
-//!   barrier ([`DeviceFabric::chain_end`]) closes the merged region — a
-//!   device that finishes level *l* immediately starts level *l+1* instead
-//!   of idling at a per-level join. The coupling phase closes as one epoch,
-//!   so the makespan projection sees `max_dev Σ_levels` instead of
-//!   `Σ_levels max_dev`;
-//! * downsweep partial-sum descriptors are data-dependent (a parent's `ŷ`
-//!   may be empty), so they are issued at their own level — still as
-//!   prefetches the level's jobs are gated on.
+//! Nodes of a level shard over the devices in contiguous chunks
+//! (§IV.A). Per pass (§IV.B communication):
 //!
-//! Per-device queue order plus per-level job granularity keeps the
-//! floating-point accumulation order identical to the synchronous schedule,
-//! so outputs are bit-identical — the property the pipeline tests assert.
+//! * **upsweep** (leaf level first) — a based parent whose child lives
+//!   across a chunk boundary reads that child's `x̂` through a
+//!   [`TransferKind::ChildGather`] (the matvec analogue of the line-24
+//!   sibling merge);
+//! * **coupling** — reading the `x̂_t` of an off-device partner is a
+//!   [`TransferKind::OmegaFetch`], deduplicated per `(device, partner)`
+//!   per level exactly like the construction's `Ω_b` fetches;
+//! * **downsweep** — a child on a different device than its parent reads
+//!   the parent's `ŷ` partial sum ([`TransferKind::PartialSum`]). `ŷ`
+//!   activity is structural: `ŷ_s` is live iff the node has far-field rank
+//!   and either couples directly or inherits a live parent;
+//! * **leaves** — basis expansion plus the dense near field; leaf row
+//!   ranges are disjoint, so the output assembles without a reduction.
+//!
+//! The two execution disciplines differ only in the data:
+//!
+//! * synchronous — one epoch per level and pass, every transfer issued in
+//!   the epoch whose jobs read it;
+//! * pipelined — upsweep gathers are **issued one level ahead** (their
+//!   predicate is basis shapes only), so level *l*'s copies run behind
+//!   level *l+1*'s compute and are accounted to the epoch that issued
+//!   them; and **all coupling levels share one epoch**, every fetch
+//!   prefetched up front, so a device that finishes level *l* starts level
+//!   *l+1* instead of idling at a per-level join and the projection sees
+//!   `max_dev Σ_levels` instead of `Σ_levels max_dev`.
+//!
+//! ## The execution
+//!
+//! `x̂`, `ŷ` and the leaf output blocks live in slot tables the jobs write
+//! directly. On a pipelined fabric the upsweep and coupling epochs run in
+//! one chain scope ([`DeviceFabric::chain_begin`]): each level's flush
+//! records a dependency boundary instead of blocking, the next level's jobs
+//! are gated on its completion tickets across devices (per-device FIFO
+//! order covers the same-device edges), and one real barrier closes the
+//! scope. Per-device queue order and per-node arithmetic are the same under
+//! both disciplines, so outputs are bit-identical — the property the
+//! pipeline tests assert.
 //!
 //! The global input `x` (and the stored blocks) are treated as
-//! device-resident, consistent with the simulator treating the generator
-//! and initial sample scatter as free — only `x̂`/`ŷ` movement counts.
+//! device-resident, consistent with the construction simulator treating
+//! the generator and initial sample scatter as free — only `x̂`/`ŷ`
+//! movement counts.
 
 use crate::exec::SimComparison;
 use crate::fabric::{DeviceFabric, ExecReport};
 use h2_dense::Mat;
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
-use h2_runtime::DeviceModel;
-use h2_runtime::{chunk_bounds, owner, PipelineMode, Precision, ShardJob, Transfer, TransferKind};
+use h2_runtime::{
+    chunk_bounds, owner, DeviceModel, PipelineMode, Precision, Schedule, ScheduleEpoch, ShardJob,
+    Transfer, TransferKind,
+};
 use std::collections::HashSet;
 
-/// `y = K x` (or `Kᵀ x`) executed sharded on the fabric, in tree-permuted
-/// coordinates. Numerically identical to [`H2Matrix::apply_permuted`] /
-/// `apply_transpose_permuted` — the same [`h2_matrix::ApplyPhases`] kernels
-/// run, only the scheduling differs (synchronous fork-join or the
-/// pipelined overlap described in the module docs, depending on the
-/// fabric's mode).
-pub fn shard_matvec(fabric: &DeviceFabric, h2: &H2Matrix, x: &Mat, transpose: bool) -> Mat {
-    let n = h2.n();
-    assert_eq!(x.rows(), n, "shard_matvec: x rows");
-    let d = x.cols();
-    let devices = fabric.devices();
-    let pipelined = fabric.mode() == PipelineMode::Pipelined;
-    // Every x̂/ŷ block that crosses a device boundary ships at the fabric's
-    // wire precision, and the staged copies occupy arena space at the same
-    // width — the simulator uses the identical formulas, so byte totals
-    // stay exactly equal at either width.
-    let wire = fabric.wire();
-    let ph = h2.apply_phases(transpose);
-    let in_basis = ph.in_basis();
-    let out_basis = ph.out_basis();
-    let tree = &h2.tree;
-    let nnodes = tree.nodes.len();
-    let leaf_level = tree.leaf_level();
+/// [`ScheduleEpoch::kernel`] names of the four passes.
+const UPSWEEP: &str = "upsweep";
+const COUPLING: &str = "coupling";
+const DOWNSWEEP: &str = "downsweep";
+const LEAVES: &str = "leaves";
 
-    // Child-gather descriptors of one upsweep level (predicate is basis
-    // shapes only, so these can be issued a level ahead).
-    let upsweep_transfers = |l: usize| -> Vec<Transfer> {
+/// The sharded matvec `y = K x` (or `Kᵀ x`) at width `d` as a [`Schedule`],
+/// from the matrix structure alone (basis shapes and the partition) — see
+/// the module docs for the layout. `wire` sizes every transfer and arena
+/// charge; `mode` decides the epoch structure and the makespan projection.
+pub fn plan_matvec(
+    h2: &H2Matrix,
+    d: usize,
+    devices: usize,
+    mode: PipelineMode,
+    wire: Precision,
+    transpose: bool,
+) -> Schedule {
+    let pipelined = mode == PipelineMode::Pipelined;
+    let ph = h2.apply_phases(transpose);
+    let (in_basis, out_basis) = (ph.in_basis(), ph.out_basis());
+    let tree = &h2.tree;
+    let far_of = &h2.partition.far_of;
+    let leaf_level = tree.leaf_level();
+    let elem = wire.bytes();
+    let mut epochs: Vec<ScheduleEpoch> = Vec::new();
+
+    let blank = |kernel: &'static str, label: String| ScheduleEpoch {
+        label,
+        kernel,
+        levels: Vec::new(),
+        flops: vec![0.0; devices],
+        launches: vec![0; devices],
+        arena: vec![0; devices],
+        transfers: Vec::new(),
+    };
+    // The epoch's kernel runs over level `l`: one batched launch on every
+    // device whose chunk of the level is non-empty.
+    let run_level = |e: &mut ScheduleEpoch, l: usize| {
+        e.levels.push(l);
+        let bounds = chunk_bounds(tree.level_len(l), devices);
+        for dev in 0..devices {
+            e.launches[dev] += usize::from(bounds[dev + 1] > bounds[dev]);
+        }
+    };
+    // One `rows × d` block read across a device boundary.
+    let read = |src: usize, dst: usize, rows: usize, kind: TransferKind| Transfer {
+        src,
+        dst,
+        bytes: cost::fetch_bytes_p(rows, d, wire),
+        kind,
+        prec: wire,
+    };
+
+    // ---- upsweep: x̂_τ, leaf level first ----
+    let gathers = |l: usize| -> Vec<Transfer> {
         let mut out = Vec::new();
         if l >= leaf_level {
             return out;
         }
-        let ids: Vec<usize> = tree.level(l).collect();
-        let nl = ids.len();
-        let ncl = tree.level_len(l + 1);
-        for (local, &id) in ids.iter().enumerate() {
+        let (nl, ncl) = (tree.level_len(l), tree.level_len(l + 1));
+        for (local, id) in tree.level(l).enumerate() {
             if in_basis[id].cols() == 0 {
                 continue;
             }
@@ -105,421 +152,273 @@ pub fn shard_matvec(fabric: &DeviceFabric, h2: &H2Matrix, x: &Mat, transpose: bo
             for c in [c1, c2] {
                 let cdev = owner(tree.local_index(c), ncl, devices);
                 if cdev != dev && in_basis[c].cols() > 0 {
-                    out.push(Transfer {
-                        src: cdev,
-                        dst: dev,
-                        bytes: cost::fetch_bytes_p(in_basis[c].cols(), d, wire),
-                        kind: TransferKind::ChildGather,
-                        prec: wire,
-                    });
+                    out.push(read(
+                        cdev,
+                        dev,
+                        in_basis[c].cols(),
+                        TransferKind::ChildGather,
+                    ));
                 }
             }
         }
         out
     };
-
-    // Issue a transfer list as prefetches, grouping the tickets by
-    // destination device so only the consuming device's queue gates on
-    // each copy.
-    let prefetch_by_dev = |ts: Vec<Transfer>| -> Vec<Vec<u64>> {
-        let mut by = vec![Vec::new(); devices];
-        for t in ts {
-            let tk = fabric.prefetch_transfer(t);
-            if tk != 0 {
-                by[t.dst].push(tk);
-            }
-        }
-        by
-    };
-
-    // ---- upward pass: x̂_τ, leaf level first ----
-    //
-    // `x̂` lives in one device-resident slot table the jobs write directly:
-    // no host-side assembly between levels, so on the pipelined fabric the
-    // whole upsweep *and* the coupling phase run in a single chain scope
-    // (see [`DeviceFabric::chain_begin`]) — level `l`'s jobs are gated on
-    // level `l+1`'s completion tickets across devices, the coupling jobs on
-    // the last upsweep kernel's, and one barrier closes the merged scope.
-    // Raw-slice access is sound for the same reason the construction chain
-    // is: writers and readers of any slot are ordered by tickets (cross
-    // device) or queue order (same device), and the host only touches the
-    // table after the closing barrier.
-    let mut xhat: Vec<Mat> = vec![Mat::zeros(0, 0); nnodes];
-    let xhat_addr = xhat.as_mut_ptr() as usize;
-    // Per-level id lists, hoisted so chained jobs' borrows outlive the
-    // closing barrier.
-    let level_ids: Vec<Vec<usize>> = (0..tree.nlevels())
-        .map(|l| tree.level(l).collect())
-        .collect();
-    fabric.chain_begin();
-    // Tickets pre-issued for the next level's gathers (pipelined only).
-    let mut ahead: Option<(usize, Vec<Vec<u64>>)> = None;
+    // Level whose gathers the previous epoch already issued.
+    let mut ahead: Option<usize> = None;
     for l in (0..tree.nlevels()).rev() {
-        let ids = &level_ids[l];
-        let nl = ids.len();
-        let bounds = chunk_bounds(nl, devices);
+        let nl = tree.level_len(l);
+        let mut e = blank(UPSWEEP, format!("matvec upsweep L{l}"));
         let mut any = false;
-        for (local, &id) in ids.iter().enumerate() {
+        for (local, id) in tree.level(l).enumerate() {
             let v = &in_basis[id];
             if v.cols() == 0 {
                 continue;
             }
             any = true;
             let dev = owner(local, nl, devices);
-            fabric.record_flops(dev, cost::upsweep_flops(v.rows(), v.cols(), d));
-            fabric.arena_charge(dev, v.cols() * d * wire.bytes());
+            e.flops[dev] += cost::upsweep_flops(v.rows(), v.cols(), d);
+            e.arena[dev] += v.cols() * d * elem;
         }
-        let tickets: Vec<Vec<u64>> = if pipelined {
-            match ahead.take() {
-                Some((al, tk)) if al == l => tk,
-                _ => prefetch_by_dev(upsweep_transfers(l)),
-            }
-        } else {
-            for t in upsweep_transfers(l) {
-                fabric.record_transfer(t);
-            }
-            vec![Vec::new(); devices]
-        };
         if !any {
+            // No based node, hence no gathers either: no epoch, and the
+            // level above issues its own gathers.
             continue;
         }
-        {
-            let ph_ref = &ph;
-            for dev in 0..devices {
-                let (b, e) = (bounds[dev], bounds[dev + 1]);
-                if e > b {
-                    fabric.record_launches(dev, 1);
-                }
-                let job: ShardJob<'_> = Box::new(move || {
-                    // SAFETY: slot accesses are ordered by the chain's
-                    // completion tickets / queue order; each job writes only
-                    // its own chunk's ids and reads only completed children.
-                    let xh =
-                        unsafe { std::slice::from_raw_parts_mut(xhat_addr as *mut Mat, nnodes) };
-                    for local in b..e {
-                        let id = ids[local];
-                        if let Some(m) = ph_ref.upsweep_node(id, x.rf(), xh) {
-                            xh[id] = m;
-                        }
-                    }
-                });
-                // SAFETY: barriered by the flush below (synchronous) or the
-                // chain scope's closing barrier before any borrow ends.
-                unsafe { fabric.enqueue(dev, &tickets[dev], job) };
-            }
-            // Issue the next level's gathers while this level computes.
-            if pipelined && l > 0 {
-                ahead = Some((l - 1, prefetch_by_dev(upsweep_transfers(l - 1))));
-            }
-            fabric.flush();
+        run_level(&mut e, l);
+        let at = epochs.len();
+        if ahead.take() != Some(l) {
+            e.transfers.extend(gathers(l).into_iter().map(|t| (t, at)));
         }
-        fabric.close_epoch(&format!("matvec upsweep L{l}"));
+        if pipelined && l > 0 {
+            // Non-empty only if level l-1 has based nodes, i.e. only if
+            // its epoch is the next one.
+            e.transfers
+                .extend(gathers(l - 1).into_iter().map(|t| (t, at + 1)));
+            ahead = Some(l - 1);
+        }
+        epochs.push(e);
     }
 
-    // ---- coupling products per level: ŷ_s = Σ_t op(B) x̂_t ----
-    let mut yhat: Vec<Mat> = vec![Mat::zeros(0, 0); nnodes];
-    let yhat_addr = yhat.as_mut_ptr() as usize;
-    if pipelined {
-        // All levels continue the upsweep's chain scope: prefetch every
-        // level's fetches up front, enqueue every level's per-device jobs on
-        // the ordered queues — gated on the upsweep's completion tickets —
-        // and let `chain_end` run the single real barrier for the merged
-        // upsweep+coupling region. Levels only read the completed `xhat`,
-        // and each level's output nodes are disjoint, so per-device FIFO
-        // order reproduces the synchronous arithmetic exactly. The planning
-        // below touches only basis shapes and the partition, never `xhat`
-        // data, so it legally proceeds while the upsweep still drains.
-        struct LevelPlan {
-            ids: Vec<usize>,
-            bounds: Vec<usize>,
-            /// Fetch tickets grouped by destination device.
-            tickets: Vec<Vec<u64>>,
-            /// Per-device workspace bytes of this level (outputs + fetches).
-            arena: Vec<usize>,
-        }
-        let mut plans: Vec<LevelPlan> = Vec::new();
-        for l in 0..tree.nlevels() {
-            let ids: Vec<usize> = tree.level(l).collect();
-            let nl = ids.len();
-            let bounds = chunk_bounds(nl, devices);
-            let mut any = false;
-            let mut fetched: HashSet<(usize, usize)> = HashSet::new();
-            let mut tickets: Vec<Vec<u64>> = vec![Vec::new(); devices];
-            let mut arena = vec![0usize; devices];
-            for (local, &s) in ids.iter().enumerate() {
-                if h2.partition.far_of[s].is_empty() {
-                    continue;
-                }
-                any = true;
-                let dev = owner(local, nl, devices);
-                let ks = out_basis[s].cols();
-                arena[dev] += ks * d * wire.bytes();
-                for &t in &h2.partition.far_of[s] {
-                    let kt = in_basis[t].cols();
-                    if ks == 0 || kt == 0 {
-                        continue;
-                    }
-                    fabric.record_flops(dev, cost::bsr_flops(ks, kt, d));
-                    let tdev = owner(tree.local_index(t), nl, devices);
-                    if tdev != dev && fetched.insert((dev, t)) {
-                        let bytes = cost::fetch_bytes_p(kt, d, wire);
-                        let tk = fabric.prefetch_transfer(Transfer {
-                            src: tdev,
-                            dst: dev,
-                            bytes,
-                            kind: TransferKind::OmegaFetch,
-                            prec: wire,
-                        });
-                        if tk != 0 {
-                            tickets[dev].push(tk);
-                        }
-                        arena[dev] += bytes as usize;
-                    }
-                }
-            }
-            if any {
-                plans.push(LevelPlan {
-                    ids,
-                    bounds,
-                    tickets,
-                    arena,
-                });
-            }
-        }
-        // Double-buffered workspace discipline across the merged phase: a
-        // device's level-l workspace is dead once its level-l job drains,
-        // while level l+1's is already marshaled — so the live peak per
-        // device is the largest *adjacent pair* of level workspaces, not
-        // the sum over all levels.
-        for dev in 0..devices {
-            let peak = (0..plans.len())
-                .map(|i| plans[i].arena[dev] + plans.get(i + 1).map(|p| p.arena[dev]).unwrap_or(0))
-                .max()
-                .unwrap_or(0);
-            if peak > 0 {
-                fabric.arena_charge(dev, peak);
-            }
-        }
-        {
-            let ph_ref = &ph;
-            for plan in plans.iter() {
-                for dev in 0..devices {
-                    let (b, e) = (plan.bounds[dev], plan.bounds[dev + 1]);
-                    if e > b {
-                        fabric.record_launches(dev, 1);
-                    }
-                    let ids_ref = &plan.ids;
-                    let job: ShardJob<'_> = Box::new(move || {
-                        // SAFETY: `xhat` writers all precede these jobs in
-                        // the chain (completion tickets / queue order), and
-                        // each `yhat` slot has exactly one writer — the
-                        // node's owning level/device job.
-                        let xh =
-                            unsafe { std::slice::from_raw_parts(xhat_addr as *const Mat, nnodes) };
-                        let yh = unsafe {
-                            std::slice::from_raw_parts_mut(yhat_addr as *mut Mat, nnodes)
-                        };
-                        for local in b..e {
-                            let s = ids_ref[local];
-                            if let Some(m) = ph_ref.coupling_node(s, xh, d) {
-                                yh[s] = m;
-                            }
-                        }
-                    });
-                    // SAFETY: barriered by `chain_end` below before `plans`
-                    // (and the `xhat`/`yhat` tables) drop.
-                    unsafe { fabric.enqueue(dev, &plan.tickets[dev], job) };
-                }
-            }
-            fabric.flush();
-        }
-        // One real barrier closes the merged upsweep+coupling region; every
-        // host-side read of `xhat`/`yhat` sits after this point.
-        fabric.chain_end();
-        fabric.close_epoch("matvec coupling (overlapped)");
-    } else {
-        for l in 0..tree.nlevels() {
-            let ids: Vec<usize> = tree.level(l).collect();
-            let nl = ids.len();
-            let bounds = chunk_bounds(nl, devices);
-            let mut any = false;
-            let mut fetched: HashSet<(usize, usize)> = HashSet::new();
-            for (local, &s) in ids.iter().enumerate() {
-                if h2.partition.far_of[s].is_empty() {
-                    continue;
-                }
-                any = true;
-                let dev = owner(local, nl, devices);
-                let ks = out_basis[s].cols();
-                fabric.arena_charge(dev, ks * d * wire.bytes());
-                for &t in &h2.partition.far_of[s] {
-                    let kt = in_basis[t].cols();
-                    if ks == 0 || kt == 0 {
-                        continue;
-                    }
-                    fabric.record_flops(dev, cost::bsr_flops(ks, kt, d));
-                    let tdev = owner(tree.local_index(t), nl, devices);
-                    if tdev != dev && fetched.insert((dev, t)) {
-                        let bytes = cost::fetch_bytes_p(kt, d, wire);
-                        fabric.record_transfer(Transfer {
-                            src: tdev,
-                            dst: dev,
-                            bytes,
-                            kind: TransferKind::OmegaFetch,
-                            prec: wire,
-                        });
-                        fabric.arena_charge(dev, bytes as usize);
-                    }
-                }
-            }
-            if !any {
-                continue;
-            }
-            let mut results: Vec<Vec<(usize, Mat)>> = (0..devices).map(|_| Vec::new()).collect();
-            {
-                let (xhat_ref, ids_ref, ph_ref) = (&xhat, &ids, &ph);
-                let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(devices);
-                for (dev, slot) in results.iter_mut().enumerate() {
-                    let (b, e) = (bounds[dev], bounds[dev + 1]);
-                    if e > b {
-                        fabric.record_launches(dev, 1);
-                    }
-                    jobs.push(Box::new(move || {
-                        for local in b..e {
-                            let s = ids_ref[local];
-                            if let Some(m) = ph_ref.coupling_node(s, xhat_ref, d) {
-                                slot.push((s, m));
-                            }
-                        }
-                    }));
-                }
-                fabric.run_jobs(jobs);
-            }
-            for (s, m) in results.into_iter().flatten() {
-                yhat[s] = m;
-            }
-            fabric.close_epoch(&format!("matvec coupling L{l}"));
-        }
-    }
-
-    // ---- downward pass: children read the parent's ŷ partial sum ----
-    for l in 0..leaf_level {
-        let ids: Vec<usize> = tree.level(l + 1).collect();
-        let nl = ids.len();
-        let np = tree.level_len(l);
-        let bounds = chunk_bounds(nl, devices);
+    // ---- coupling: ŷ_s = Σ_t op(B) x̂_t, partner reads deduplicated per
+    // (device, partner) per level. Synchronous: one epoch per level.
+    // Pipelined: one epoch for all levels, closed unconditionally. ----
+    let mut merged = pipelined.then(|| blank(COUPLING, "matvec coupling (overlapped)".to_string()));
+    let mut prev_ws = vec![0usize; devices];
+    for l in 0..tree.nlevels() {
+        let nl = tree.level_len(l);
+        let mut own = blank(COUPLING, format!("matvec coupling L{l}"));
+        let e = merged.as_mut().unwrap_or(&mut own);
+        // Level workspace per device: outputs plus landed fetches.
+        let mut ws = vec![0usize; devices];
+        let mut fetched: HashSet<(usize, usize)> = HashSet::new();
         let mut any = false;
-        let mut tickets: Vec<Vec<u64>> = vec![Vec::new(); devices];
-        for (local, &child) in ids.iter().enumerate() {
-            let Some(parent) = tree.nodes[child].parent else {
-                continue;
-            };
-            if yhat[parent].rows() == 0
-                || out_basis[parent].cols() == 0
-                || out_basis[child].cols() == 0
-            {
+        for (local, s) in tree.level(l).enumerate() {
+            if far_of[s].is_empty() {
                 continue;
             }
             any = true;
             let dev = owner(local, nl, devices);
-            let kp = out_basis[parent].cols();
-            fabric.record_flops(dev, cost::upsweep_flops(out_basis[child].cols(), kp, d));
-            let pdev = owner(tree.local_index(parent), np, devices);
-            if pdev != dev {
-                let t = Transfer {
-                    src: pdev,
-                    dst: dev,
-                    bytes: cost::fetch_bytes_p(kp, d, wire),
-                    kind: TransferKind::PartialSum,
-                    prec: wire,
-                };
-                if pipelined {
-                    // Data-dependent predicate (the parent's partial sum
-                    // must exist), so issue at this level — still an async
-                    // prefetch the consuming device's jobs are gated on.
-                    let tk = fabric.prefetch_transfer(t);
-                    if tk != 0 {
-                        tickets[dev].push(tk);
-                    }
-                } else {
-                    fabric.record_transfer(t);
+            let ks = out_basis[s].cols();
+            ws[dev] += ks * d * elem;
+            for &t in &far_of[s] {
+                let kt = in_basis[t].cols();
+                if ks == 0 || kt == 0 {
+                    continue;
+                }
+                e.flops[dev] += cost::bsr_flops(ks, kt, d);
+                let tdev = owner(tree.local_index(t), nl, devices);
+                if tdev != dev && fetched.insert((dev, t)) {
+                    let fetch = read(tdev, dev, kt, TransferKind::OmegaFetch);
+                    ws[dev] += fetch.bytes as usize;
+                    e.transfers.push((fetch, epochs.len()));
                 }
             }
         }
         if !any {
             continue;
         }
-        let mut results: Vec<Vec<(usize, Mat)>> = (0..devices).map(|_| Vec::new()).collect();
-        {
-            let (yhat_ref, ids_ref, ph_ref) = (&yhat, &ids, &ph);
-            for (dev, slot) in results.iter_mut().enumerate() {
-                let (b, e) = (bounds[dev], bounds[dev + 1]);
-                if e > b {
-                    fabric.record_launches(dev, 1);
+        run_level(e, l);
+        // Double-buffered workspace discipline inside a merged epoch: a
+        // device's level-l workspace is dead once its level-l job drains,
+        // while level l+1's is already marshaled — the live peak is the
+        // largest *adjacent pair* of level workspaces, not their sum.
+        for dev in 0..devices {
+            e.arena[dev] = e.arena[dev].max(prev_ws[dev] + ws[dev]);
+        }
+        if pipelined {
+            prev_ws = ws;
+        } else {
+            epochs.push(own);
+        }
+    }
+    epochs.extend(merged);
+
+    // ---- downsweep: a child goes live when its parent is live and it has
+    // rank; partial-sum reads are per child, not deduplicated ----
+    let mut live: Vec<bool> = (0..tree.nodes.len())
+        .map(|s| !far_of[s].is_empty() && out_basis[s].cols() > 0)
+        .collect();
+    for l in 1..=leaf_level {
+        let (nl, np) = (tree.level_len(l), tree.level_len(l - 1));
+        let mut e = blank(DOWNSWEEP, format!("matvec downsweep L{l}"));
+        let mut any = false;
+        for (local, child) in tree.level(l).enumerate() {
+            let parent = tree.nodes[child].parent.expect("non-root node");
+            let kc = out_basis[child].cols();
+            if !live[parent] || kc == 0 {
+                continue;
+            }
+            any = true;
+            live[child] = true;
+            let dev = owner(local, nl, devices);
+            let kp = out_basis[parent].cols();
+            e.flops[dev] += cost::upsweep_flops(kc, kp, d);
+            let pdev = owner(tree.local_index(parent), np, devices);
+            if pdev != dev {
+                e.transfers
+                    .push((read(pdev, dev, kp, TransferKind::PartialSum), epochs.len()));
+            }
+        }
+        if any {
+            run_level(&mut e, l);
+            epochs.push(e);
+        }
+    }
+
+    // ---- leaf expansion + dense near field (no transfers) ----
+    let nl = tree.level_len(leaf_level);
+    let mut e = blank(LEAVES, "matvec leaves".to_string());
+    for (local, s) in tree.level(leaf_level).enumerate() {
+        let dev = owner(local, nl, devices);
+        let rows = tree.nodes[s].len();
+        e.arena[dev] += rows * d * elem;
+        if live[s] {
+            e.flops[dev] += cost::upsweep_flops(rows, out_basis[s].cols(), d);
+        }
+        for &t in &h2.partition.near_of[s] {
+            e.flops[dev] += cost::bsr_flops(rows, tree.nodes[t].len(), d);
+        }
+    }
+    run_level(&mut e, leaf_level);
+    epochs.push(e);
+
+    Schedule {
+        devices,
+        mode,
+        wire,
+        epochs,
+    }
+}
+
+/// `y = K x` (or `Kᵀ x`) executed sharded on the fabric, in tree-permuted
+/// coordinates: [`plan_matvec`] for the fabric's device count, mode and
+/// wire precision, executed epoch by epoch. Numerically identical to
+/// [`H2Matrix::apply_permuted`] / `apply_transpose_permuted` — the same
+/// [`h2_matrix::ApplyPhases`] kernels run, only the scheduling differs.
+pub fn shard_matvec(fabric: &DeviceFabric, h2: &H2Matrix, x: &Mat, transpose: bool) -> Mat {
+    let n = h2.n();
+    assert_eq!(x.rows(), n, "shard_matvec: x rows");
+    let d = x.cols();
+    let devices = fabric.devices();
+    let plan = plan_matvec(h2, d, devices, fabric.mode(), fabric.wire(), transpose);
+    let ph = h2.apply_phases(transpose);
+    let tree = &h2.tree;
+    let nnodes = tree.nodes.len();
+
+    // Slot tables the jobs write directly (no host-side assembly between
+    // epochs): x̂, ŷ, and the output rows of each leaf.
+    let mut xhat: Vec<Mat> = vec![Mat::zeros(0, 0); nnodes];
+    let mut yhat = xhat.clone();
+    let mut rows_out = xhat.clone();
+    let (xhat_addr, yhat_addr, out_addr) = (
+        xhat.as_mut_ptr() as usize,
+        yhat.as_mut_ptr() as usize,
+        rows_out.as_mut_ptr() as usize,
+    );
+    // One kernel application; the caller is a job that owns node `id`.
+    let ph_ref = &ph;
+    let node = move |kernel: &str, id: usize| {
+        // SAFETY: every slot has one writer — the job owning the node in
+        // the one pass that produces it — and its readers are jobs of later
+        // levels or passes, ordered behind the writer by a barrier, by the
+        // chain scope's completion tickets (other devices) or by queue
+        // order (same device). The host touches the tables only after the
+        // last barrier.
+        let (xh, yh, out) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(xhat_addr as *mut Mat, nnodes),
+                std::slice::from_raw_parts_mut(yhat_addr as *mut Mat, nnodes),
+                std::slice::from_raw_parts_mut(out_addr as *mut Mat, nnodes),
+            )
+        };
+        match kernel {
+            UPSWEEP => {
+                if let Some(m) = ph_ref.upsweep_node(id, x.rf(), xh) {
+                    xh[id] = m;
                 }
-                let job: ShardJob<'_> = Box::new(move || {
-                    for local in b..e {
-                        let child = ids_ref[local];
-                        if let Some(m) = ph_ref.downsweep_child(child, yhat_ref, d) {
-                            slot.push((child, m));
-                        }
+            }
+            COUPLING => {
+                if let Some(m) = ph_ref.coupling_node(id, xh, d) {
+                    yh[id] = m;
+                }
+            }
+            DOWNSWEEP => {
+                if let Some(m) = ph_ref.downsweep_child(id, yh, d) {
+                    if yh[id].rows() == 0 {
+                        yh[id] = m;
+                    } else {
+                        yh[id].axpy(1.0, &m);
                     }
-                });
-                // SAFETY: flushed below before `results`/`yhat` borrows end.
-                unsafe { fabric.enqueue(dev, &tickets[dev], job) };
+                }
+            }
+            LEAVES => out[id] = ph_ref.leaf_node(id, x.rf(), yh).1,
+            other => unreachable!("matvec plan names kernel {other}"),
+        }
+    };
+
+    // Upsweep and coupling — the leading epochs — hand off inside one chain
+    // scope (a no-op on a synchronous fabric, where every flush is the
+    // barrier), closed with the last of them.
+    let chained = |e: &ScheduleEpoch| e.kernel == UPSWEEP || e.kernel == COUPLING;
+    if plan.epochs.first().is_some_and(chained) {
+        fabric.chain_begin();
+    }
+    // Tickets of issued transfers, by gated epoch and destination device.
+    let mut tickets: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); devices]; plan.epochs.len()];
+    for (i, epoch) in plan.epochs.iter().enumerate() {
+        for dev in 0..devices {
+            fabric.record_flops(dev, epoch.flops[dev]);
+            fabric.record_launches(dev, epoch.launches[dev]);
+            fabric.arena_charge(dev, epoch.arena[dev]);
+        }
+        for &(t, gates) in &epoch.transfers {
+            fabric.issue(t, &mut tickets[gates]);
+        }
+        for &l in &epoch.levels {
+            let first = tree.level(l).start;
+            let bounds = chunk_bounds(tree.level_len(l), devices);
+            for dev in 0..devices {
+                let chunk = first + bounds[dev]..first + bounds[dev + 1];
+                let kernel = epoch.kernel;
+                let job: ShardJob<'_> = Box::new(move || chunk.for_each(|id| node(kernel, id)));
+                // SAFETY: everything the job borrows outlives the barrier
+                // that follows it — this flush, or inside the chain scope
+                // the `chain_end` below.
+                unsafe { fabric.enqueue(dev, &tickets[i][dev], job) };
             }
             fabric.flush();
         }
-        for (child, m) in results.into_iter().flatten() {
-            if yhat[child].rows() == 0 {
-                yhat[child] = m;
-            } else {
-                yhat[child].axpy(1.0, &m);
-            }
+        if chained(epoch) && !plan.epochs.get(i + 1).is_some_and(chained) {
+            fabric.chain_end();
         }
-        fabric.close_epoch(&format!("matvec downsweep L{}", l + 1));
+        fabric.close_epoch(&epoch.label);
     }
 
-    // ---- leaf expansion + dense near field: disjoint per-device partial
-    // outputs, assembled without reduction ----
-    let ids: Vec<usize> = tree.level(leaf_level).collect();
-    let nl = ids.len();
-    let bounds = chunk_bounds(nl, devices);
-    for (local, &s) in ids.iter().enumerate() {
-        let dev = owner(local, nl, devices);
-        let (b, e) = tree.range(s);
-        fabric.arena_charge(dev, (e - b) * d * wire.bytes());
-        if yhat[s].rows() > 0 && out_basis[s].cols() > 0 {
-            fabric.record_flops(dev, cost::upsweep_flops(e - b, out_basis[s].cols(), d));
-        }
-        for &t in &h2.partition.near_of[s] {
-            let (tb, te) = tree.range(t);
-            fabric.record_flops(dev, cost::bsr_flops(e - b, te - tb, d));
-        }
-    }
     let mut y = Mat::zeros(n, d);
-    let mut results: Vec<Vec<(usize, Mat)>> = (0..devices).map(|_| Vec::new()).collect();
-    {
-        let (yhat_ref, ids_ref, ph_ref) = (&yhat, &ids, &ph);
-        let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(devices);
-        for (dev, slot) in results.iter_mut().enumerate() {
-            let (b, e) = (bounds[dev], bounds[dev + 1]);
-            if e > b {
-                fabric.record_launches(dev, 1);
-            }
-            jobs.push(Box::new(move || {
-                for local in b..e {
-                    let s = ids_ref[local];
-                    slot.push(ph_ref.leaf_node(s, x.rf(), yhat_ref));
-                }
-            }));
-        }
-        fabric.run_jobs(jobs);
+    for s in tree.level(tree.leaf_level()) {
+        y.view_mut(tree.range(s).0, 0, tree.nodes[s].len(), d)
+            .copy_from(rows_out[s].rf());
     }
-    for (b, m) in results.into_iter().flatten() {
-        y.view_mut(b, 0, m.rows(), d).copy_from(m.rf());
-    }
-    fabric.close_epoch("matvec leaves");
     y
 }
 
@@ -536,354 +435,10 @@ pub fn shard_matvec_with_report(
     (y, fabric.report("matvec tail"))
 }
 
-/// One modeled epoch of [`simulate_matvec`] — the closed-form counterpart
-/// of a fabric [`crate::Epoch`].
-#[derive(Clone, Debug)]
-pub struct MatvecSimEpoch {
-    pub label: String,
-    /// Modeled batched-kernel flops per device.
-    pub flops: Vec<f64>,
-    /// Kernel launches per device.
-    pub launches: Vec<usize>,
-    /// Cross-device bytes issued during the epoch (at the wire precision).
-    pub comm_bytes: u64,
-    pub comm_messages: usize,
-}
-
-/// Closed-form prediction of one [`shard_matvec`] run: the same per-level
-/// owner/chunk sharding, transfer predicates, byte formulas and epoch
-/// boundaries evaluated from the matrix structure alone (basis shapes and
-/// the partition), without executing any arithmetic.
-///
-/// The executor and this model walk the identical guards — `x̂`/`ŷ`
-/// activity is derived structurally (`ŷ_s` is live iff the node has
-/// far-field rank and either couples directly or inherits a live parent) —
-/// so flop and byte totals must be *equal*, and
-/// [`MatvecSim::makespan`] applies the same projection as
-/// [`ExecReport::modeled_makespan`], making the makespan ratio 1 up to
-/// floating-point rounding. [`compare_matvec_with_simulator`] packages the
-/// cross-check.
-#[derive(Clone, Debug)]
-pub struct MatvecSim {
-    pub devices: usize,
-    pub mode: PipelineMode,
-    /// Wire precision the byte formulas were evaluated at.
-    pub wire: Precision,
-    pub epochs: Vec<MatvecSimEpoch>,
-}
-
-impl MatvecSim {
-    pub fn total_comm_bytes(&self) -> u64 {
-        self.epochs.iter().map(|e| e.comm_bytes).sum()
-    }
-
-    pub fn total_comm_messages(&self) -> usize {
-        self.epochs.iter().map(|e| e.comm_messages).sum()
-    }
-
-    pub fn total_flops(&self) -> f64 {
-        self.epochs.iter().flat_map(|e| e.flops.iter()).sum()
-    }
-
-    /// Project the modeled epochs through a [`DeviceModel`] with the same
-    /// formula as [`ExecReport::modeled_makespan`]
-    /// ([`h2_runtime::combine_terms`]): per epoch the busiest device's
-    /// compute, the communication, and the per-device launch overhead —
-    /// summed when synchronous, mutually overlapped (max of the three) when
-    /// pipelined, since job-level dependency chaining hides launch gaps
-    /// behind whichever of compute or communication dominates; epochs are
-    /// sequential.
-    pub fn makespan(&self, model: &DeviceModel) -> f64 {
-        self.epochs
-            .iter()
-            .map(|e| {
-                let compute_max = e
-                    .flops
-                    .iter()
-                    .map(|f| f / model.flops_per_sec)
-                    .fold(0.0, f64::max);
-                let comm = e.comm_bytes as f64 / model.link_bandwidth
-                    + e.comm_messages as f64 * model.link_latency;
-                let launches_max = e.launches.iter().copied().max().unwrap_or(0);
-                h2_runtime::combine_terms(
-                    self.mode,
-                    compute_max,
-                    comm,
-                    launches_max as f64 * model.launch_overhead,
-                )
-            })
-            .sum()
-    }
-}
-
-/// Closed-form model of one sharded matvec (see [`MatvecSim`]).
-///
-/// `wire` must match the fabric's wire precision for byte totals to line
-/// up; `mode` decides both the epoch structure (the pipelined coupling
-/// phase merges all levels into one epoch, and upsweep gathers are issued
-/// one level ahead) and the makespan projection.
-pub fn simulate_matvec(
-    h2: &H2Matrix,
-    d: usize,
-    devices: usize,
-    mode: PipelineMode,
-    wire: Precision,
-    transpose: bool,
-) -> MatvecSim {
-    let pipelined = mode == PipelineMode::Pipelined;
-    let ph = h2.apply_phases(transpose);
-    let in_basis = ph.in_basis();
-    let out_basis = ph.out_basis();
-    let tree = &h2.tree;
-    let nnodes = tree.nodes.len();
-    let leaf_level = tree.leaf_level();
-    let mut epochs: Vec<MatvecSimEpoch> = Vec::new();
-
-    // Per-device launch pattern of one level: every device with a
-    // non-empty chunk issues exactly one batched launch.
-    let chunk_launches = |nl: usize| -> Vec<usize> {
-        let bounds = chunk_bounds(nl, devices);
-        (0..devices)
-            .map(|dev| usize::from(bounds[dev + 1] > bounds[dev]))
-            .collect()
-    };
-
-    // Child-gather traffic of one upsweep level (the executor's
-    // `upsweep_transfers` predicate).
-    let gathers = |l: usize| -> (u64, usize) {
-        let (mut bytes, mut msgs) = (0u64, 0usize);
-        if l >= leaf_level {
-            return (bytes, msgs);
-        }
-        let ids: Vec<usize> = tree.level(l).collect();
-        let nl = ids.len();
-        let ncl = tree.level_len(l + 1);
-        for (local, &id) in ids.iter().enumerate() {
-            if in_basis[id].cols() == 0 {
-                continue;
-            }
-            let dev = owner(local, nl, devices);
-            let (c1, c2) = tree.nodes[id].children.unwrap();
-            for c in [c1, c2] {
-                let cdev = owner(tree.local_index(c), ncl, devices);
-                if cdev != dev && in_basis[c].cols() > 0 {
-                    bytes += cost::fetch_bytes_p(in_basis[c].cols(), d, wire);
-                    msgs += 1;
-                }
-            }
-        }
-        (bytes, msgs)
-    };
-
-    // ---- upsweep, leaf level first. The pipelined executor issues level
-    // l-1's gathers during level l's epoch window (issue-epoch tagging
-    // charges them one epoch early); a level skipped for having no based
-    // nodes drops the look-ahead, so the next level issues its own. ----
-    let mut preissued: Option<usize> = None;
-    for l in (0..tree.nlevels()).rev() {
-        let ids: Vec<usize> = tree.level(l).collect();
-        let nl = ids.len();
-        let mut flops = vec![0.0; devices];
-        let mut any = false;
-        for (local, &id) in ids.iter().enumerate() {
-            let v = &in_basis[id];
-            if v.cols() == 0 {
-                continue;
-            }
-            any = true;
-            flops[owner(local, nl, devices)] += cost::upsweep_flops(v.rows(), v.cols(), d);
-        }
-        let (mut bytes, mut msgs) = (0u64, 0usize);
-        if preissued.take() != Some(l) {
-            let (b, m) = gathers(l);
-            bytes += b;
-            msgs += m;
-        }
-        if !any {
-            continue;
-        }
-        if pipelined && l > 0 {
-            let (b, m) = gathers(l - 1);
-            bytes += b;
-            msgs += m;
-            preissued = Some(l - 1);
-        }
-        epochs.push(MatvecSimEpoch {
-            label: format!("matvec upsweep L{l}"),
-            flops,
-            launches: chunk_launches(nl),
-            comm_bytes: bytes,
-            comm_messages: msgs,
-        });
-    }
-
-    // ---- coupling: deduplicated partner fetches per (device, partner)
-    // per level; one merged epoch when pipelined, one per level when
-    // synchronous. ----
-    struct LevelAcc {
-        flops: Vec<f64>,
-        launches: Vec<usize>,
-        bytes: u64,
-        msgs: usize,
-        any: bool,
-    }
-    let couple_level = |l: usize| -> LevelAcc {
-        let ids: Vec<usize> = tree.level(l).collect();
-        let nl = ids.len();
-        let mut acc = LevelAcc {
-            flops: vec![0.0; devices],
-            launches: vec![0; devices],
-            bytes: 0,
-            msgs: 0,
-            any: false,
-        };
-        let mut fetched: HashSet<(usize, usize)> = HashSet::new();
-        for (local, &s) in ids.iter().enumerate() {
-            if h2.partition.far_of[s].is_empty() {
-                continue;
-            }
-            acc.any = true;
-            let dev = owner(local, nl, devices);
-            let ks = out_basis[s].cols();
-            for &t in &h2.partition.far_of[s] {
-                let kt = in_basis[t].cols();
-                if ks == 0 || kt == 0 {
-                    continue;
-                }
-                acc.flops[dev] += cost::bsr_flops(ks, kt, d);
-                let tdev = owner(tree.local_index(t), nl, devices);
-                if tdev != dev && fetched.insert((dev, t)) {
-                    acc.bytes += cost::fetch_bytes_p(kt, d, wire);
-                    acc.msgs += 1;
-                }
-            }
-        }
-        if acc.any {
-            acc.launches = chunk_launches(nl);
-        }
-        acc
-    };
-    if pipelined {
-        let mut flops = vec![0.0; devices];
-        let mut launches = vec![0usize; devices];
-        let (mut bytes, mut msgs) = (0u64, 0usize);
-        for l in 0..tree.nlevels() {
-            let acc = couple_level(l);
-            for dev in 0..devices {
-                flops[dev] += acc.flops[dev];
-                launches[dev] += acc.launches[dev];
-            }
-            bytes += acc.bytes;
-            msgs += acc.msgs;
-        }
-        // The executor closes this epoch unconditionally.
-        epochs.push(MatvecSimEpoch {
-            label: "matvec coupling (overlapped)".to_string(),
-            flops,
-            launches,
-            comm_bytes: bytes,
-            comm_messages: msgs,
-        });
-    } else {
-        for l in 0..tree.nlevels() {
-            let acc = couple_level(l);
-            if !acc.any {
-                continue;
-            }
-            epochs.push(MatvecSimEpoch {
-                label: format!("matvec coupling L{l}"),
-                flops: acc.flops,
-                launches: acc.launches,
-                comm_bytes: acc.bytes,
-                comm_messages: acc.msgs,
-            });
-        }
-    }
-
-    // ---- downsweep: structural ŷ activity. After coupling, ŷ_s is live
-    // iff the node couples directly with positive rank; a child goes live
-    // when its parent is live and both ranks are positive. ----
-    let mut active: Vec<bool> = (0..nnodes)
-        .map(|s| !h2.partition.far_of[s].is_empty() && out_basis[s].cols() > 0)
-        .collect();
-    for l in 0..leaf_level {
-        let ids: Vec<usize> = tree.level(l + 1).collect();
-        let nl = ids.len();
-        let np = tree.level_len(l);
-        let mut flops = vec![0.0; devices];
-        let (mut bytes, mut msgs) = (0u64, 0usize);
-        let mut any = false;
-        let mut newly_live: Vec<usize> = Vec::new();
-        for (local, &child) in ids.iter().enumerate() {
-            let Some(parent) = tree.nodes[child].parent else {
-                continue;
-            };
-            if !active[parent] || out_basis[parent].cols() == 0 || out_basis[child].cols() == 0 {
-                continue;
-            }
-            any = true;
-            let dev = owner(local, nl, devices);
-            let kp = out_basis[parent].cols();
-            flops[dev] += cost::upsweep_flops(out_basis[child].cols(), kp, d);
-            let pdev = owner(tree.local_index(parent), np, devices);
-            if pdev != dev {
-                // Partial-sum reads are per child, not deduplicated.
-                bytes += cost::fetch_bytes_p(kp, d, wire);
-                msgs += 1;
-            }
-            newly_live.push(child);
-        }
-        if !any {
-            continue;
-        }
-        for c in newly_live {
-            active[c] = true;
-        }
-        epochs.push(MatvecSimEpoch {
-            label: format!("matvec downsweep L{}", l + 1),
-            flops,
-            launches: chunk_launches(nl),
-            comm_bytes: bytes,
-            comm_messages: msgs,
-        });
-    }
-
-    // ---- leaf expansion + dense near field (no transfers) ----
-    let ids: Vec<usize> = tree.level(leaf_level).collect();
-    let nl = ids.len();
-    let mut flops = vec![0.0; devices];
-    for (local, &s) in ids.iter().enumerate() {
-        let dev = owner(local, nl, devices);
-        let (b, e) = tree.range(s);
-        if active[s] && out_basis[s].cols() > 0 {
-            flops[dev] += cost::upsweep_flops(e - b, out_basis[s].cols(), d);
-        }
-        for &t in &h2.partition.near_of[s] {
-            let (tb, te) = tree.range(t);
-            flops[dev] += cost::bsr_flops(e - b, te - tb, d);
-        }
-    }
-    epochs.push(MatvecSimEpoch {
-        label: "matvec leaves".to_string(),
-        flops,
-        launches: chunk_launches(nl),
-        comm_bytes: 0,
-        comm_messages: 0,
-    });
-
-    MatvecSim {
-        devices,
-        mode,
-        wire,
-        epochs,
-    }
-}
-
-/// Measured-vs-simulated comparison of one sharded matvec against
-/// [`simulate_matvec`] — the matvec arm of the simulator-equivalence
-/// suite. Byte and flop totals must match exactly; the makespan ratio is
-/// 1 up to floating-point rounding, since both sides project the same
-/// per-epoch counts through the same formula.
+/// Measured-vs-planned comparison of one sharded matvec against
+/// [`plan_matvec`] for the report's own device count, mode and wire — the
+/// matvec arm of the simulator-equivalence suite. The executor ran that
+/// plan, so byte and flop totals are equal and the makespan ratio is 1.
 pub fn compare_matvec_with_simulator(
     report: &ExecReport,
     h2: &H2Matrix,
@@ -891,13 +446,13 @@ pub fn compare_matvec_with_simulator(
     transpose: bool,
     model: &DeviceModel,
 ) -> SimComparison {
-    let sim = simulate_matvec(h2, d, report.devices, report.mode, report.wire, transpose);
+    let plan = plan_matvec(h2, d, report.devices, report.mode, report.wire, transpose);
     SimComparison {
         measured_flop_equiv: report.flop_equiv(model.entry_cost),
-        predicted_flop_equiv: sim.total_flops(),
+        predicted_flop_equiv: plan.total_flops(),
         measured_bytes: report.total_comm_bytes(),
-        predicted_bytes: sim.total_comm_bytes(),
+        predicted_bytes: plan.total_comm_bytes(),
         measured_makespan: report.modeled_makespan(model),
-        predicted_makespan: sim.makespan(model),
+        predicted_makespan: plan.makespan(model),
     }
 }

@@ -18,8 +18,8 @@
 //!   ranges are disjoint, so per-device partial outputs assemble into `x`
 //!   without a reduction.
 //!
-//! On a [`PipelineMode::Pipelined`] fabric the transfers are issued as
-//! prefetch descriptors and the per-device jobs are gated on their
+//! Transfers go through [`DeviceFabric::issue`]: on a pipelined fabric
+//! they are prefetch descriptors and the per-device jobs are gated on their
 //! tickets (the same enqueue/flush surface the construction and matvec
 //! use); per-device FIFO order keeps the arithmetic identical to the
 //! synchronous schedule, so outputs are bit-identical in both modes — and
@@ -39,8 +39,8 @@ use h2_dense::{LinOp, Mat, MatMut, MatRef};
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
-    chunk_bounds, owner, simulate_solve_prec_mode, DeviceModel, PipelineMode, ShardJob, SolveSpec,
-    Transfer, TransferKind,
+    chunk_bounds, owner, simulate_solve_prec_mode, DeviceModel, ShardJob, SolveSpec, Transfer,
+    TransferKind,
 };
 use h2_solve::{Preconditioner, UlvFactor};
 use std::sync::Arc;
@@ -180,12 +180,6 @@ impl<'a> FabricOp<'a> {
         }
     }
 
-    /// Override the vector residency (builder form).
-    pub fn with_residency(mut self, residency: Residency) -> Self {
-        self.residency = residency;
-        self
-    }
-
     pub fn residency(&self) -> Residency {
         self.residency
     }
@@ -279,24 +273,11 @@ pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
     let tree = ulv.tree().clone();
     let leaf_level = tree.leaf_level();
     let devices = fabric.devices();
-    let pipelined = fabric.mode() == PipelineMode::Pipelined;
     // Cross-device reduced blocks ship (and land in the arena) at the
     // fabric's wire precision; the solve simulator mirrors the width.
     let wire = fabric.wire();
     let sweep = ulv.sweep();
     let nnodes = tree.nodes.len();
-
-    // Issue one sweep transfer: prefetched (ticket pushed) or synchronous.
-    let issue = |t: Transfer, tickets: &mut Vec<Vec<u64>>| {
-        if pipelined {
-            let tk = fabric.prefetch_transfer(t);
-            if tk != 0 {
-                tickets[t.dst].push(tk);
-            }
-        } else {
-            fabric.record_transfer(t);
-        }
-    };
 
     if leaf_level == 0 {
         fabric.record_flops(0, cost::lu_solve_flops(ulv.root_size(), d));
@@ -337,7 +318,7 @@ pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
                     let kc = ulv.retained(c);
                     let cdev = owner(tree.local_index(c), ncl, devices);
                     if kc > 0 && cdev != dev {
-                        issue(
+                        fabric.issue(
                             Transfer {
                                 src: cdev,
                                 dst: dev,
@@ -397,7 +378,7 @@ pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
             let kc = ulv.retained(c);
             let cdev = owner(tree.local_index(c), n1, devices);
             if kc > 0 && cdev != 0 {
-                issue(
+                fabric.issue(
                     Transfer {
                         src: cdev,
                         dst: 0,
@@ -445,7 +426,7 @@ pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
             let pdev = owner(tree.local_index(parent), np, devices);
             let kc = ulv.retained(id);
             if kc > 0 && pdev != dev {
-                issue(
+                fabric.issue(
                     Transfer {
                         src: pdev,
                         dst: dev,

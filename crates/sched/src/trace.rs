@@ -25,7 +25,7 @@
 //! [`drift_construct`] / [`drift_matvec`] / [`drift_solve`] join the
 //! measured per-epoch schedule projection
 //! ([`ExecReport::epoch_makespan`]) against the per-level predictions of
-//! `simulate_prec_mode` / [`simulate_matvec`](crate::simulate_matvec) /
+//! `simulate_prec_mode` / [`plan_matvec`](crate::plan_matvec) /
 //! `simulate_solve_prec_mode`, each evaluated under the report's own
 //! pipeline mode. The rows cover *all* measured epochs and *all*
 //! predicted levels, so the table's measured total is exactly
@@ -35,10 +35,9 @@
 //! bands. The table answers *which epoch* contributes the gap.
 
 use crate::fabric::ExecReport;
-use crate::matvec::{MatvecSim, MatvecSimEpoch};
 use h2_obs::{ns_to_us, ChromeTrace, DriftPart, DriftRow, DriftTable, Event, Json};
 use h2_runtime::{
-    simulate_prec_mode, simulate_solve_prec_mode, DeviceModel, LevelSpec, PipelineMode, Precision,
+    simulate_prec_mode, simulate_solve_prec_mode, DeviceModel, LevelSpec, Precision, Schedule,
     SolveSpec,
 };
 
@@ -280,35 +279,14 @@ pub fn drift_construct(
     paired_table(report, model, predicted)
 }
 
-/// Predicted makespan of one matvec sim epoch — the identical formula
-/// [`MatvecSim::makespan`] sums, evaluated per epoch so the drift rows
-/// decompose it exactly.
-fn matvec_epoch_makespan(e: &MatvecSimEpoch, mode: PipelineMode, model: &DeviceModel) -> f64 {
-    let compute_max = e
-        .flops
-        .iter()
-        .map(|f| f / model.flops_per_sec)
-        .fold(0.0, f64::max);
-    let comm =
-        e.comm_bytes as f64 / model.link_bandwidth + e.comm_messages as f64 * model.link_latency;
-    let launches_max = e.launches.iter().copied().max().unwrap_or(0);
-    h2_runtime::combine_terms(
-        mode,
-        compute_max,
-        comm,
-        launches_max as f64 * model.launch_overhead,
-    )
-}
-
 /// Drift table for a sharded matvec: measured epochs against the
-/// closed-form [`MatvecSim`] (built for the same mode/wire), paired label
-/// by label — the executor and simulator close identically labeled epochs
-/// in the same order.
-pub fn drift_matvec(report: &ExecReport, sim: &MatvecSim, model: &DeviceModel) -> DriftTable {
-    let predicted = sim
-        .epochs
-        .iter()
-        .map(|e| (e.label.clone(), matvec_epoch_makespan(e, sim.mode, model)))
+/// [`Schedule`] the executor ran ([`plan_matvec`](crate::plan_matvec) for
+/// the same mode/wire), epoch by epoch — same labels, same order, and the
+/// predicted column is [`Schedule::epoch_makespan`], so it sums to
+/// [`Schedule::makespan`] exactly.
+pub fn drift_matvec(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -> DriftTable {
+    let predicted = (0..plan.epochs.len())
+        .map(|i| (plan.epochs[i].label.clone(), plan.epoch_makespan(i, model)))
         .collect();
     paired_table(report, model, predicted)
 }

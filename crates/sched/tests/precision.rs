@@ -8,7 +8,7 @@
 
 use h2_core::{level_specs, SketchConfig};
 use h2_dense::gaussian_mat;
-use h2_kernels::{ExponentialKernel, KernelMatrix};
+use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime};
 use h2_sched::{
@@ -110,64 +110,75 @@ fn construct_bytes_equal_simulator_at_both_widths() {
 fn matvec_bytes_and_makespan_equal_simulator_at_both_widths() {
     let (tree, part, km) = sym_problem(1200, 16, 92);
     let rt = Runtime::parallel();
-    let (h2, _) = h2_core::sketch_construct(&km, &km, tree, part, &rt, &cfg());
-    let x = gaussian_mat(h2.n(), 4, 93);
+    let (sym, _) = h2_core::sketch_construct(&km, &km, tree, part, &rt, &cfg());
+    let pts = h2_tree::uniform_cube(900, 95);
+    let tree = Arc::new(ClusterTree::build(&pts, 16));
+    let part = Arc::new(Partition::build(&tree, Admissibility::Strong { eta: 0.7 }));
+    let kmu = UnsymKernelMatrix::new(ConvectionKernel::default(), tree.points.clone());
+    let (unsym, _) = h2_core::sketch_construct_unsym(&kmu, &kmu, tree, part, &rt, &cfg());
     let model = DeviceModel::default();
-    for devices in DEVICE_COUNTS {
-        for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
-            let mut totals = Vec::new();
-            let mut outputs = Vec::new();
-            for wire in [Precision::F64, Precision::F32] {
-                let fabric = DeviceFabric::with_config(devices, mode, Default::default());
-                fabric.set_wire(wire);
-                let (y, report) = shard_matvec_with_report(&fabric, &h2, &x, false);
-                let cmp = compare_matvec_with_simulator(&report, &h2, 4, false, &model);
-                assert!(
-                    cmp.bytes_match(),
-                    "D={devices} {mode:?} wire={wire}: executor {} vs simulator {} bytes",
-                    cmp.measured_bytes,
-                    cmp.predicted_bytes
-                );
-                assert!(
-                    cmp.flops_rel_err() < 1e-12,
-                    "D={devices} {mode:?} wire={wire}: flop totals diverged"
-                );
-                let ratio = cmp.makespan_ratio();
-                assert!(
-                    (ratio - 1.0).abs() < 1e-9,
-                    "D={devices} {mode:?} wire={wire}: makespan ratio {ratio}"
-                );
-                // Per-epoch traffic must line up, not just the totals.
-                let sim = h2_sched::simulate_matvec(&h2, 4, devices, mode, wire, false);
-                assert_eq!(report.epochs.len(), sim.epochs.len());
-                for (got, want) in report.epochs.iter().zip(sim.epochs.iter()) {
-                    assert_eq!(got.label, want.label);
-                    assert_eq!(
-                        got.comm_bytes, want.comm_bytes,
-                        "D={devices} {mode:?} wire={wire} epoch {}: bytes",
-                        got.label
+    for (h2, transpose) in [(&sym, false), (&sym, true), (&unsym, false), (&unsym, true)] {
+        let x = gaussian_mat(h2.n(), 4, 93);
+        for devices in DEVICE_COUNTS {
+            for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
+                let mut totals = Vec::new();
+                let mut outputs = Vec::new();
+                for wire in [Precision::F64, Precision::F32] {
+                    let at = format!(
+                        "n={} transpose={transpose} D={devices} {mode:?} wire={wire}",
+                        h2.n()
                     );
-                    assert_eq!(
-                        got.comm_messages, want.comm_messages,
-                        "D={devices} {mode:?} wire={wire} epoch {}: messages",
-                        got.label
+                    let fabric = DeviceFabric::with_config(devices, mode, Default::default());
+                    fabric.set_wire(wire);
+                    let (y, report) = shard_matvec_with_report(&fabric, h2, &x, transpose);
+                    let cmp = compare_matvec_with_simulator(&report, h2, 4, transpose, &model);
+                    assert!(
+                        cmp.bytes_match(),
+                        "{at}: executor {} vs simulator {} bytes",
+                        cmp.measured_bytes,
+                        cmp.predicted_bytes
                     );
+                    assert!(cmp.flops_rel_err() < 1e-12, "{at}: flop totals diverged");
+                    // The executor ran the plan: every epoch's counts are the
+                    // plan's, so one pricing function gives equal seconds.
+                    let plan = h2_sched::simulate_matvec(h2, 4, devices, mode, wire, transpose);
+                    assert_eq!(
+                        plan.makespan(&model),
+                        report.modeled_makespan(&model),
+                        "{at}: makespan"
+                    );
+                    assert_eq!(report.epochs.len(), plan.epochs.len(), "{at}");
+                    for (got, want) in report.epochs.iter().zip(plan.epochs.iter()) {
+                        let at = format!("{at} epoch {}", want.label);
+                        assert_eq!(got.label, want.label, "{at}");
+                        assert_eq!(got.comm_bytes, want.comm_bytes(), "{at}: bytes");
+                        assert_eq!(got.comm_messages, want.comm_messages(), "{at}: messages");
+                        for (dev, d) in got.per_device.iter().enumerate() {
+                            assert_eq!(
+                                d.flops.to_bits(),
+                                want.flops[dev].to_bits(),
+                                "{at} dev {dev}: flops"
+                            );
+                            assert_eq!(d.launches, want.launches[dev], "{at} dev {dev}: launches");
+                            assert_eq!(d.arena_peak, want.arena[dev], "{at} dev {dev}: arena");
+                        }
+                    }
+                    totals.push(report.total_comm_bytes());
+                    outputs.push(y);
                 }
-                totals.push(report.total_comm_bytes());
-                outputs.push(y);
+                assert_eq!(
+                    totals[1] * 2,
+                    totals[0],
+                    "D={devices} {mode:?}: f32 wire must move exactly half the bytes"
+                );
+                let mut diff = outputs[0].clone();
+                diff.axpy(-1.0, &outputs[1]);
+                assert_eq!(
+                    diff.norm_max(),
+                    0.0,
+                    "wire precision is accounting only: outputs must be bitwise equal"
+                );
             }
-            assert_eq!(
-                totals[1] * 2,
-                totals[0],
-                "D={devices} {mode:?}: f32 wire must move exactly half the bytes"
-            );
-            let mut diff = outputs[0].clone();
-            diff.axpy(-1.0, &outputs[1]);
-            assert_eq!(
-                diff.norm_max(),
-                0.0,
-                "wire precision is accounting only: outputs must be bitwise equal"
-            );
         }
     }
 }

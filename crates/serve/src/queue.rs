@@ -56,14 +56,6 @@ impl Batch {
     pub fn width(&self) -> usize {
         self.requests.iter().map(|r| r.width()).sum()
     }
-
-    /// Arrival time of the oldest request in the batch.
-    pub fn oldest_arrival(&self) -> f64 {
-        self.requests
-            .iter()
-            .map(|r| r.arrival)
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// Arrival-ordered coalescing queue (see module docs for the policy).

@@ -239,7 +239,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Inclusive element-count range for [`vec`].
+    /// Inclusive element-count range for [`vec()`].
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,

@@ -179,7 +179,7 @@ fn apply_prec_into(m: &dyn Preconditioner, v: &[f64], out: &mut [f64]) {
 const REDUCE_BLOCK: usize = 256;
 
 /// Blocked, fixed-order dot product: partial sums accumulate within
-/// consecutive [`REDUCE_BLOCK`]-length blocks, and the block partials
+/// consecutive `REDUCE_BLOCK`-length blocks, and the block partials
 /// combine left to right. Because the grouping is independent of how a
 /// device fabric shards the vectors, a per-device partial reduction that
 /// respects the block boundaries followed by an in-order combine reproduces

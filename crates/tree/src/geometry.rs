@@ -78,15 +78,6 @@ impl BBox {
         }
         s.sqrt()
     }
-
-    /// Box center.
-    pub fn center(&self) -> Point {
-        [
-            0.5 * (self.min[0] + self.max[0]),
-            0.5 * (self.min[1] + self.max[1]),
-            0.5 * (self.min[2] + self.max[2]),
-        ]
-    }
 }
 
 /// Euclidean distance between two points.
