@@ -8,6 +8,10 @@
 //!   `gemm` dispatch path) and the retained naive axpy/dot reference
 //!   (`gemm_naive`) — the packed/naive ratio is the headline speedup and
 //!   the small sizes document the crossover behavior;
+//! * (printed only) blocked Householder QR and the wide block-reflector
+//!   `Qᵀ` application at the two largest `hss2d` ULV node shapes, so the
+//!   gap between the factorization kernels and the GEMM rows above them is
+//!   visible;
 //! * the batched sketch-apply (`gemm_at_x` over a skewed `VarBatch`, the
 //!   upsweep workload `Ω^{l+1} = Uᵀ Ω^l`) on the parallel runtime;
 //! * a full sketching construction plus matvecs wall clock (covariance
@@ -21,7 +25,7 @@
 
 use h2_bench::{build_problem, reference_h2, App, Args, BenchReport, TraceSink};
 use h2_core::{sketch_construct, SketchConfig};
-use h2_dense::{gaussian_mat, gemm, gemm_naive, par_gemm, Mat, Op};
+use h2_dense::{gaussian_mat, gemm, gemm_naive, par_gemm, qr_factor, qr_in_place, Mat, Op};
 use h2_obs::Json;
 use h2_runtime::{gemm_at_x, Runtime, VarBatch};
 use std::time::Instant;
@@ -120,6 +124,27 @@ fn bench_par_gemm(sizes: &[usize], min_secs: f64) -> Vec<ParGemmPoint> {
     out
 }
 
+/// Blocked QR of an `m × k` reduced basis and `Qᵀ` applied to the `m × m`
+/// diagonal block beside it (the ULV rotation), in GF/s of the exact
+/// Householder flop counts `2k²(m − k/3)` and `4mk(m − k/2)`.
+fn bench_householder(m: usize, k: usize, min_secs: f64) -> (f64, f64) {
+    let (mf, kf) = (m as f64, k as f64);
+    let a = gaussian_mat(m, k, 11);
+    let mut w = a.clone();
+    let t_qr = time_per_rep(min_secs, || {
+        w.rm().copy_from(a.rf());
+        std::hint::black_box(qr_in_place(&mut w.rm()));
+    });
+    let f = qr_factor(a);
+    // Qᵀ is orthogonal, so repeated application keeps the block bounded.
+    let mut c = gaussian_mat(m, m, 12);
+    let t_apply = time_per_rep(min_secs, || f.apply_qt_block(&mut c.rm()));
+    (
+        2.0 * kf * kf * (mf - kf / 3.0) / t_qr / 1e9,
+        4.0 * mf * kf * (mf - kf / 2.0) / t_apply / 1e9,
+    )
+}
+
 /// The batched upsweep shape: many variable-size entries, sizes skewed the
 /// way a construction level is (a few big blocks, a long tail of small
 /// ones).
@@ -199,6 +224,19 @@ fn main() {
             format!("{:.2}", p.serial_gflops),
             format!("{:.2}", p.par_gflops),
             format!("{:.2}x", p.par_gflops / p.serial_gflops),
+        ]);
+    }
+
+    // --- Householder kernels at the hss2d ULV shapes (report only) ---
+    println!("\n## Householder QR and wide Qᵀ apply (ULV node shapes)\n");
+    h2_bench::header(&["m", "k", "qr GF/s", "apply_qt GF/s"]);
+    for (m, k) in [(516, 288), (380, 258)] {
+        let (qr_gflops, apply_gflops) = bench_householder(m, k, min_secs);
+        h2_bench::row(&[
+            m.to_string(),
+            k.to_string(),
+            format!("{qr_gflops:.2}"),
+            format!("{apply_gflops:.2}"),
         ]);
     }
 

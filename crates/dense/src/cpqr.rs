@@ -1,5 +1,6 @@
-//! Column-pivoted QR (LAPACK `geqp3`-style, unblocked) and the
-//! interpolative decomposition (ID) built on it.
+//! Column-pivoted QR (LAPACK `geqp3`-style pivoting over the level-2 panel
+//! kernel of [`crate::qr`]) and the interpolative decomposition (ID) built
+//! on it.
 //!
 //! The row ID is the heart of the paper's skeletonization step
 //! (Algorithm 1, lines 16/34): given local samples `Y_loc`, compute
@@ -8,8 +9,16 @@
 //! column-pivoted QR of `Y_loc^T`: the pivot columns are the skeleton rows
 //! and `T = R1^{-1} R2` is the interpolation coefficient block (eq. (3) of
 //! the paper).
+//!
+//! The factorization is unblocked — greedy pivoting needs every trailing
+//! column norm after every step — but it **stops at the rank it keeps**:
+//! the ID hands its [`Truncation`] rule to the factorization, which ends at
+//! the first pivot the rule rejects. After `k` steps rows `0..k` of R are
+//! final and no later step touches them, so `skel`, `T` and `U` have the
+//! bits a full factorization truncated afterwards would give.
 
 use crate::mat::Mat;
+use crate::qr::{house_apply, house_gen};
 use crate::tri::{solve_triangular_left, Diag, Triangle};
 
 /// Result of a column-pivoted QR: packed factor, `tau`, and pivot order
@@ -22,11 +31,23 @@ pub struct Cpqr {
 
 /// Factor `a` with column pivoting. Returns the packed factor, pivots, and
 /// the diagonal magnitudes of R (non-increasing, used for rank decisions).
-pub fn cpqr_factor(mut a: Mat) -> (Cpqr, Vec<usize>, Vec<f64>) {
+pub fn cpqr_factor(a: Mat) -> (Cpqr, Vec<usize>, Vec<f64>) {
+    let (f, rdiag) = cpqr_truncated(a, Truncation::Rank(usize::MAX));
+    let pv = f.jpvt.clone();
+    (f, pv, rdiag)
+}
+
+/// Column-pivoted QR that stops at the first step `rule` rejects. `tau` and
+/// the returned `|diag(R)|` have one entry per completed step `k`; rows
+/// `0..k` of the packed factor are the final rows of R and `jpvt[..k]` the
+/// pivots. What lies below row `k` in columns `k..` is the unfactored
+/// residual (its pivot column already swapped into place and scaled).
+fn cpqr_truncated(mut a: Mat, rule: Truncation) -> (Cpqr, Vec<f64>) {
     let m = a.rows();
     let n = a.cols();
     let kmax = m.min(n);
-    let mut tau = vec![0.0; kmax];
+    let mut tau = Vec::new();
+    let mut rdiag = Vec::new();
     let mut jpvt: Vec<usize> = (0..n).collect();
 
     // Column norms, updated by downdating with periodic recomputation
@@ -34,7 +55,12 @@ pub fn cpqr_factor(mut a: Mat) -> (Cpqr, Vec<usize>, Vec<f64>) {
     let mut norms: Vec<f64> = (0..n).map(|j| norm2(a.col(j))).collect();
     let mut norms_ref = norms.clone();
 
-    for k in 0..kmax {
+    let steps = match rule {
+        Truncation::Rank(r) => kmax.min(r),
+        _ => kmax,
+    };
+    let data = a.as_mut_slice();
+    for k in 0..steps {
         // Pivot: swap the column with the largest residual norm into place.
         let (piv, _) = norms
             .iter()
@@ -45,45 +71,40 @@ pub fn cpqr_factor(mut a: Mat) -> (Cpqr, Vec<usize>, Vec<f64>) {
                 |(bi, bv), (i, &v)| if v > bv { (i, v) } else { (bi, bv) },
             );
         if piv != k {
-            swap_cols(&mut a, k, piv);
+            let (lo, hi) = data.split_at_mut(piv * m);
+            lo[k * m..(k + 1) * m].swap_with_slice(&mut hi[..m]);
             jpvt.swap(k, piv);
             norms.swap(k, piv);
             norms_ref.swap(k, piv);
         }
 
         // Householder reflector for column k, rows k..m.
-        let (t, beta) = house_gen_col(&mut a, k);
-        tau[k] = t;
+        let (head, trail) = data.split_at_mut((k + 1) * m);
+        let vk = &mut head[k * m + k..];
+        let (t, beta) = house_gen(vk);
+        let d = beta.abs();
+        if !rule.keeps(k, d, rdiag.first().copied().unwrap_or(d)) {
+            break;
+        }
+        tau.push(t);
+        rdiag.push(d);
 
         // Apply to trailing columns and downdate their norms.
         if t != 0.0 {
-            for j in (k + 1)..n {
-                let mut s = a[(k, j)];
-                for i in (k + 1)..m {
-                    s += a[(i, k)] * a[(i, j)];
-                }
-                s *= t;
-                a[(k, j)] -= s;
-                for i in (k + 1)..m {
-                    let vik = a[(i, k)];
-                    a[(i, j)] -= s * vik;
-                }
+            for cj in trail.chunks_exact_mut(m) {
+                house_apply(&vk[1..], t, &mut cj[k..]);
             }
         }
-        a[(k, k)] = beta;
+        vk[0] = beta;
 
-        for j in (k + 1)..n {
+        for (cj, j) in trail.chunks_exact(m).zip(k + 1..) {
             if norms[j] != 0.0 {
-                let temp = (a[(k, j)] / norms[j]).abs();
+                let temp = (cj[k] / norms[j]).abs();
                 let temp = (1.0 - temp * temp).max(0.0);
                 let temp2 = norms[j] / norms_ref[j];
                 if temp * temp2 * temp2 <= 1e-14 {
                     // Downdate lost accuracy: recompute from scratch.
-                    let mut s = 0.0;
-                    for i in (k + 1)..m {
-                        s += a[(i, j)] * a[(i, j)];
-                    }
-                    norms[j] = s.sqrt();
+                    norms[j] = norm2(&cj[k + 1..]);
                     norms_ref[j] = norms[j];
                 } else {
                     norms[j] *= temp.sqrt();
@@ -92,41 +113,15 @@ pub fn cpqr_factor(mut a: Mat) -> (Cpqr, Vec<usize>, Vec<f64>) {
         }
     }
 
-    let rdiag: Vec<f64> = (0..kmax).map(|i| a[(i, i)].abs()).collect();
-    let pv = jpvt.clone();
-    (Cpqr { a, tau, jpvt }, pv, rdiag)
+    (Cpqr { a, tau, jpvt }, rdiag)
 }
 
 fn norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-fn swap_cols(a: &mut Mat, i: usize, j: usize) {
-    for r in 0..a.rows() {
-        let t = a[(r, i)];
-        a[(r, i)] = a[(r, j)];
-        a[(r, j)] = t;
+    let mut s = 0.0;
+    for x in v {
+        s += x * x;
     }
-}
-
-fn house_gen_col(a: &mut Mat, k: usize) -> (f64, f64) {
-    let m = a.rows();
-    let alpha = a[(k, k)];
-    let mut xnorm2 = 0.0;
-    for i in (k + 1)..m {
-        xnorm2 += a[(i, k)] * a[(i, k)];
-    }
-    if xnorm2 == 0.0 {
-        return (0.0, alpha);
-    }
-    let norm = (alpha * alpha + xnorm2).sqrt();
-    let beta = if alpha >= 0.0 { -norm } else { norm };
-    let tau = (beta - alpha) / beta;
-    let scale = 1.0 / (alpha - beta);
-    for i in (k + 1)..m {
-        a[(i, k)] *= scale;
-    }
-    (tau, beta)
+    s.sqrt()
 }
 
 /// Truncation rule for rank selection from the CPQR diagonal.
@@ -140,16 +135,28 @@ pub enum Truncation {
     Rank(usize),
 }
 
-/// Select the numerical rank from the non-increasing `|diag(R)|` sequence.
-pub fn select_rank(rdiag: &[f64], rule: Truncation) -> usize {
-    match rule {
-        Truncation::Absolute(tol) => rdiag.iter().take_while(|&&d| d > tol).count(),
-        Truncation::Relative(tol) => {
-            let r0 = rdiag.first().copied().unwrap_or(0.0);
-            rdiag.iter().take_while(|&&d| d > tol * r0).count()
+impl Truncation {
+    /// Whether step `k` with pivot magnitude `d = |R_kk|` is kept, given
+    /// `r0 = |R_00|`. The one predicate behind [`select_rank`] and the
+    /// factorization's early stop.
+    fn keeps(self, k: usize, d: f64, r0: f64) -> bool {
+        match self {
+            Truncation::Absolute(tol) => d > tol,
+            Truncation::Relative(tol) => d > tol * r0,
+            Truncation::Rank(r) => k < r,
         }
-        Truncation::Rank(k) => k.min(rdiag.len()),
     }
+}
+
+/// Select the numerical rank from the non-increasing `|diag(R)|` sequence:
+/// the number of leading entries the rule keeps.
+pub fn select_rank(rdiag: &[f64], rule: Truncation) -> usize {
+    let r0 = rdiag.first().copied().unwrap_or(0.0);
+    rdiag
+        .iter()
+        .enumerate()
+        .take_while(|&(k, &d)| rule.keeps(k, d, r0))
+        .count()
 }
 
 /// A column interpolative decomposition `A ≈ A(:, skel) * interp` where
@@ -160,10 +167,10 @@ pub struct ColId {
     /// Interpolation coefficients `T` (`k x (n-k)`), mapping skeleton to the
     /// redundant columns in pivot order.
     pub t: Mat,
-    /// Full pivot order (first `k` entries are `skel`).
+    /// Full pivot order (first `k` entries are `skel`; the order of the
+    /// rest is where the factorization stopped, and pairs with the columns
+    /// of `t`).
     pub jpvt: Vec<usize>,
-    /// `|diag(R)|` of the underlying CPQR.
-    pub rdiag: Vec<f64>,
 }
 
 impl ColId {
@@ -195,8 +202,8 @@ impl ColId {
 /// cluster whose entire far field vanishes.
 pub fn col_id(a: Mat, rule: Truncation) -> ColId {
     let n = a.cols();
-    let (f, jpvt, rdiag) = cpqr_factor(a);
-    let k = select_rank(&rdiag, rule).min(rdiag.len());
+    let (f, _) = cpqr_truncated(a, rule);
+    let k = f.tau.len();
     // T = R1^{-1} R2 with R1 = R[0..k, 0..k], R2 = R[0..k, k..n].
     let mut r2 = Mat::from_fn(
         k,
@@ -208,10 +215,9 @@ pub fn col_id(a: Mat, rule: Truncation) -> ColId {
         solve_triangular_left(Triangle::Upper, Diag::NonUnit, r1.rf(), &mut r2.rm());
     }
     ColId {
-        skel: jpvt[..k].to_vec(),
+        skel: f.jpvt[..k].to_vec(),
         t: r2,
-        jpvt,
-        rdiag,
+        jpvt: f.jpvt,
     }
 }
 
@@ -222,8 +228,6 @@ pub struct RowId {
     /// Interpolation matrix `U` (`m x k`), rows permuted back to the original
     /// order of `A`.
     pub u: Mat,
-    /// `|diag(R)|` of the underlying CPQR of `A^T`.
-    pub rdiag: Vec<f64>,
 }
 
 impl RowId {
@@ -252,11 +256,7 @@ pub fn row_id(a: &Mat, rule: Truncation) -> RowId {
             }
         }
     }
-    RowId {
-        skel: cid.skel,
-        u,
-        rdiag: cid.rdiag,
-    }
+    RowId { skel: cid.skel, u }
 }
 
 #[cfg(test)]
@@ -264,6 +264,172 @@ mod tests {
     use super::*;
     use crate::gemm::{matmul, Op};
     use crate::rand::{gaussian_mat, random_low_rank};
+
+    /// The seed's element-indexed full factorization, kept as the bitwise
+    /// reference of the slice-based loop and of the early stop.
+    fn cpqr_factor_ref(mut a: Mat) -> (Mat, Vec<f64>, Vec<usize>, Vec<f64>) {
+        let m = a.rows();
+        let n = a.cols();
+        let kmax = m.min(n);
+        let mut tau = vec![0.0; kmax];
+        let mut jpvt: Vec<usize> = (0..n).collect();
+        let mut norms: Vec<f64> = (0..n).map(|j| norm2(a.col(j))).collect();
+        let mut norms_ref = norms.clone();
+        for k in 0..kmax {
+            let (piv, _) = norms
+                .iter()
+                .enumerate()
+                .skip(k)
+                .fold(
+                    (k, -1.0),
+                    |(bi, bv), (i, &v)| if v > bv { (i, v) } else { (bi, bv) },
+                );
+            if piv != k {
+                for r in 0..m {
+                    let t = a[(r, k)];
+                    a[(r, k)] = a[(r, piv)];
+                    a[(r, piv)] = t;
+                }
+                jpvt.swap(k, piv);
+                norms.swap(k, piv);
+                norms_ref.swap(k, piv);
+            }
+            let alpha = a[(k, k)];
+            let mut xnorm2 = 0.0;
+            for i in (k + 1)..m {
+                xnorm2 += a[(i, k)] * a[(i, k)];
+            }
+            let (t, beta) = if xnorm2 == 0.0 {
+                (0.0, alpha)
+            } else {
+                let norm = (alpha * alpha + xnorm2).sqrt();
+                let beta = if alpha >= 0.0 { -norm } else { norm };
+                let scale = 1.0 / (alpha - beta);
+                for i in (k + 1)..m {
+                    a[(i, k)] *= scale;
+                }
+                ((beta - alpha) / beta, beta)
+            };
+            tau[k] = t;
+            if t != 0.0 {
+                for j in (k + 1)..n {
+                    let mut s = a[(k, j)];
+                    for i in (k + 1)..m {
+                        s += a[(i, k)] * a[(i, j)];
+                    }
+                    s *= t;
+                    a[(k, j)] -= s;
+                    for i in (k + 1)..m {
+                        let vik = a[(i, k)];
+                        a[(i, j)] -= s * vik;
+                    }
+                }
+            }
+            a[(k, k)] = beta;
+            for j in (k + 1)..n {
+                if norms[j] != 0.0 {
+                    let temp = (a[(k, j)] / norms[j]).abs();
+                    let temp = (1.0 - temp * temp).max(0.0);
+                    let temp2 = norms[j] / norms_ref[j];
+                    if temp * temp2 * temp2 <= 1e-14 {
+                        let mut s = 0.0;
+                        for i in (k + 1)..m {
+                            s += a[(i, j)] * a[(i, j)];
+                        }
+                        norms[j] = s.sqrt();
+                        norms_ref[j] = norms[j];
+                    } else {
+                        norms[j] *= temp.sqrt();
+                    }
+                }
+            }
+        }
+        let rdiag = (0..kmax).map(|i| a[(i, i)].abs()).collect();
+        (a, tau, jpvt, rdiag)
+    }
+
+    /// The seed's ID: full factorization, then `select_rank`, then
+    /// `T = R1⁻¹ R2`. Returns `(skel, U)` of the row ID of `a`.
+    fn row_id_ref(a: &Mat, rule: Truncation) -> (Vec<usize>, Mat) {
+        let (fa, _, jpvt, rdiag) = cpqr_factor_ref(a.transpose());
+        let n = a.rows();
+        let k = select_rank(&rdiag, rule);
+        let mut r2 = Mat::from_fn(k, n - k, |i, j| fa[(i, j + k)]);
+        let r1 = Mat::from_fn(k, k, |i, j| if j >= i { fa[(i, j)] } else { 0.0 });
+        if k > 0 && n > k {
+            solve_triangular_left(Triangle::Upper, Diag::NonUnit, r1.rf(), &mut r2.rm());
+        }
+        let mut u = Mat::zeros(n, k);
+        for (p, &row) in jpvt.iter().enumerate() {
+            for i in 0..k {
+                u[(row, i)] = if p >= k {
+                    r2[(i, p - k)]
+                } else if i == p {
+                    1.0
+                } else {
+                    0.0
+                };
+            }
+        }
+        (jpvt[..k].to_vec(), u)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Tall, wide, square and rank-deficient inputs (the last with an
+    /// exactly-zero and a duplicated column).
+    fn cpqr_cases() -> Vec<Mat> {
+        let mut cases: Vec<Mat> = [(128, 64), (64, 128), (40, 40), (7, 1), (1, 9)]
+            .iter()
+            .map(|&(m, n)| gaussian_mat(m, n, (m * 37 + n) as u64))
+            .collect();
+        cases.push(random_low_rank(60, 90, 7, 0.5, 27));
+        cases.push(random_low_rank(90, 60, 12, 0.7, 28));
+        let mut a = gaussian_mat(30, 20, 29);
+        a.col_mut(4).fill(0.0);
+        let c1 = a.col(1).to_vec();
+        a.col_mut(9).copy_from_slice(&c1);
+        cases.push(a);
+        cases
+    }
+
+    #[test]
+    fn slice_loop_is_bitwise_the_seed_loop() {
+        for a in cpqr_cases() {
+            let (m, n) = (a.rows(), a.cols());
+            let (wa, wtau, wpvt, wrd) = cpqr_factor_ref(a.clone());
+            let (f, jpvt, rdiag) = cpqr_factor(a);
+            assert_eq!(bits(f.a.as_slice()), bits(wa.as_slice()), "a {m}x{n}");
+            assert_eq!(bits(&f.tau), bits(&wtau), "tau {m}x{n}");
+            assert_eq!(jpvt, wpvt, "jpvt {m}x{n}");
+            assert_eq!(bits(&rdiag), bits(&wrd), "rdiag {m}x{n}");
+        }
+    }
+
+    #[test]
+    fn early_stop_keeps_the_id_bits() {
+        for a in cpqr_cases() {
+            let scale = a.norm_max();
+            for rule in [
+                Truncation::Absolute(1e-9 * scale),
+                Truncation::Absolute(0.3 * scale),
+                Truncation::Absolute(1e9 * scale),
+                Truncation::Relative(1e-10),
+                Truncation::Relative(0.5),
+                Truncation::Rank(0),
+                Truncation::Rank(5),
+                Truncation::Rank(1000),
+            ] {
+                let (skel, u) = row_id_ref(&a, rule);
+                let id = row_id(&a, rule);
+                let what = format!("{}x{} {rule:?}", a.rows(), a.cols());
+                assert_eq!(id.skel, skel, "skel {what}");
+                assert_eq!(bits(id.u.as_slice()), bits(u.as_slice()), "U {what}");
+            }
+        }
+    }
 
     #[test]
     fn cpqr_reconstructs_with_pivots() {

@@ -10,9 +10,15 @@
 //!   leading-dimension views (so batched workspaces can be sliced in place),
 //! * [`gemm`](gemm::gemm) with all transpose combinations and a
 //!   column-parallel variant for large products,
-//! * Householder QR ([`qr`]) — the adaptive convergence test,
+//! * Householder QR ([`qr`]) — the adaptive convergence test and the ULV
+//!   rotations: a blocked compact-WY factorization whose trailing updates
+//!   and wide `Q` / `Qᵀ` applications run on [`gemm`](gemm::gemm), plus the
+//!   level-2 [`QrFactor::apply_q`] / [`QrFactor::apply_qt`] whose result
+//!   per column is bit-identical at every right-hand-side width (the
+//!   solve-sweep kernel, as [`gemm_rhs`] is to [`gemm`](gemm::gemm)),
 //! * column-pivoted QR and interpolative decompositions ([`cpqr`]) — the
-//!   skeletonization step,
+//!   skeletonization step; the factorization stops at the rank the
+//!   truncation rule keeps,
 //! * triangular solves, LU, Cholesky, one-sided Jacobi SVD,
 //! * the [`LinOp`] / [`EntryAccess`] traits — the
 //!   paper's two black-box inputs — plus power-iteration norm estimation,

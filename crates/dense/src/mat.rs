@@ -523,7 +523,10 @@ impl<'a> MatMut<'a> {
     /// Split into two disjoint column-range views `[0, c)` and `[c, cols)`.
     pub fn split_cols(self, c: usize) -> (MatMut<'a>, MatMut<'a>) {
         assert!(c <= self.cols);
-        let (l, r) = self.data.split_at_mut(c * self.ld);
+        // A sub-view's storage ends with its last column's `rows` entries,
+        // short of a full `ld` stride: clamp so `c == cols` splits there.
+        let at = (c * self.ld).min(self.data.len());
+        let (l, r) = self.data.split_at_mut(at);
         (
             MatMut {
                 rows: self.rows,
@@ -675,6 +678,12 @@ mod tests {
         r.fill(2.0);
         assert_eq!(m[(0, 0)], 1.0);
         assert_eq!(m[(1, 3)], 2.0);
+        // A sub-view stops short of a full stride after its last column:
+        // splitting off all of its columns must still work.
+        let (mut all, none) = m.view_mut(0, 1, 1, 3).split_cols(3);
+        assert_eq!((all.cols(), none.cols()), (3, 0));
+        all.fill(3.0);
+        assert_eq!((m[(0, 3)], m[(1, 3)]), (3.0, 2.0));
     }
 
     #[test]

@@ -1,12 +1,49 @@
-//! Householder QR factorization (unblocked, LAPACK `geqrf`-style).
+//! Householder QR factorization: blocked compact-WY (LAPACK `geqrt`-style)
+//! over an unblocked panel kernel.
 //!
 //! The factor is stored compactly: R in the upper triangle, the Householder
 //! vectors below the diagonal with implicit unit leading entry, and the
 //! scalar factors `tau` separately. This is the work-horse of the adaptive
 //! convergence test (Algorithm 1, lines 11/29 — "QR of Y_loc, inspect
-//! min |R_ii|") and of sample orthonormalization.
+//! min |R_ii|"), of sample orthonormalization and of the ULV rotations.
+//!
+//! # Two levels
+//!
+//! * **Panel kernel** (`house_gen` + `house_apply`, one reflector at a
+//!   time over contiguous column slices). [`qr_in_place`] is this kernel
+//!   alone when `min(m, n) ≤ NB`.
+//! * **Block reflector.** Above that, `NB` columns at a time are factored
+//!   by the panel kernel, the panel's reflectors are aggregated into
+//!   `Q_p = I − V T Vᵀ` (`V` unit lower trapezoidal, `T` upper triangular,
+//!   the compact-WY form) and the trailing columns are updated as
+//!   `C ← C − V (Tᵀ (Vᵀ C))` through three [`gemm`] calls.
+//!   [`QrFactor::apply_qt_block`] / [`QrFactor::apply_q_block`] (and
+//!   [`QrFactor::q_thin`]) apply `Q` to a block the same way. `T` is
+//!   rebuilt from the stored reflectors per application (one `NB`-wide
+//!   `VᵀV` product per panel, `NB / 2n` of the application's flops for an
+//!   `n`-column block) rather than kept: a factor outlives its block
+//!   applications — the ULV keeps every node's for the solve sweeps — and
+//!   stored `T` panels would add `NB / m` to its resident size.
+//!
+//! # Which apply to call
+//!
+//! The block form is the fast one for *wide* blocks (the ULV rotation
+//! `D̃ = Qᵀ D P`, forming `Q`). Its GEMMs choose their kernel from the full
+//! shape of the block, so column `j` of the result may depend in the last
+//! bits on how many columns ride along. The level-2
+//! [`QrFactor::apply_q`] / [`QrFactor::apply_qt`] sweep the reflectors one
+//! at a time over each column independently: **column `j` of their result
+//! is bit-identical at every right-hand-side width**, which is the contract
+//! the blocked ULV solve sweep (`UlvSweep`, `shard_ulv_solve`) pins its
+//! blocked == sequential identity on. They are the right-hand-side kernel;
+//! the block form is the factorization kernel — the same split as
+//! [`gemm`] / [`gemm_rhs`](crate::gemm::gemm_rhs).
 
+use crate::gemm::{gemm, Op};
 use crate::mat::{Mat, MatMut, MatRef};
+
+/// Panel width of the blocked factorization and of the block reflectors.
+pub const NB: usize = 32;
 
 /// Compact Householder QR factor of an `m x n` matrix.
 pub struct QrFactor {
@@ -24,43 +61,52 @@ pub fn qr_factor(mut a: Mat) -> QrFactor {
 
 /// In-place Householder QR on a view; returns `tau`.
 pub fn qr_in_place(a: &mut MatMut<'_>) -> Vec<f64> {
-    let m = a.rows();
-    let n = a.cols();
+    let (m, n) = (a.rows(), a.cols());
     let kmax = m.min(n);
     let mut tau = vec![0.0; kmax];
-    for k in 0..kmax {
-        // Build the Householder reflector for column k.
-        let (t, beta) = house_gen(a, k);
-        tau[k] = t;
-        // Apply (I - tau v v^T) to the trailing columns.
-        if t != 0.0 {
-            for j in (k + 1)..n {
-                let mut s = a.at(k, j);
-                for i in (k + 1)..m {
-                    s += a.at(i, k) * a.at(i, j);
-                }
-                s *= t;
-                *a.at_mut(k, j) -= s;
-                for i in (k + 1)..m {
-                    let vik = a.at(i, k);
-                    *a.at_mut(i, j) -= s * vik;
-                }
-            }
-        }
-        *a.at_mut(k, k) = beta;
+    if kmax <= NB {
+        // One panel: the level-2 kernel sweeps every column itself.
+        qr_panel(a, &mut tau);
+        return tau;
+    }
+    let mut work = BlockWork::new(m, n - NB);
+    for k0 in (0..kmax).step_by(NB) {
+        let jb = NB.min(kmax - k0);
+        let sub = a.rb_mut().into_view(k0, k0, m - k0, n - k0);
+        let (mut panel, mut trail) = sub.split_cols(jb);
+        qr_panel(&mut panel, &mut tau[k0..k0 + jb]);
+        work.apply(panel.rb(), &tau[k0..k0 + jb], Op::Trans, &mut trail);
     }
     tau
 }
 
-/// Generate a Householder reflector for column `k` of `a` (rows `k..m`),
-/// storing `v` (unit leading entry implicit) in rows `k+1..m`. Returns
-/// `(tau, beta)` where `beta` is the resulting diagonal value of R.
-fn house_gen(a: &mut MatMut<'_>, k: usize) -> (f64, f64) {
-    let m = a.rows();
-    let alpha = a.at(k, k);
+/// Unblocked Householder QR of `tau.len()` columns of `a`, each reflector
+/// applied to every column to its right.
+fn qr_panel(a: &mut MatMut<'_>, tau: &mut [f64]) {
+    let n = a.cols();
+    for k in 0..tau.len() {
+        let (mut head, mut trail) = a.rb_mut().split_cols(k + 1);
+        let vk = &mut head.col_mut(k)[k..];
+        let (t, beta) = house_gen(vk);
+        tau[k] = t;
+        if t != 0.0 {
+            for j in 0..n - k - 1 {
+                house_apply(&vk[1..], t, &mut trail.col_mut(j)[k..]);
+            }
+        }
+        vk[0] = beta;
+    }
+}
+
+/// Generate the Householder reflector annihilating `x[1..]`: overwrites
+/// `x[1..]` with the reflector's tail (unit leading entry implicit), leaves
+/// `x[0]` to the caller, and returns `(tau, beta)` where `beta` is the
+/// resulting diagonal value of R.
+pub(crate) fn house_gen(x: &mut [f64]) -> (f64, f64) {
+    let (alpha, tail) = x.split_first_mut().expect("house_gen: empty column");
+    let alpha = *alpha;
     let mut xnorm2 = 0.0;
-    for i in (k + 1)..m {
-        let v = a.at(i, k);
+    for v in tail.iter() {
         xnorm2 += v * v;
     }
     if xnorm2 == 0.0 {
@@ -70,10 +116,89 @@ fn house_gen(a: &mut MatMut<'_>, k: usize) -> (f64, f64) {
     let beta = if alpha >= 0.0 { -norm } else { norm };
     let tau = (beta - alpha) / beta;
     let scale = 1.0 / (alpha - beta);
-    for i in (k + 1)..m {
-        *a.at_mut(i, k) *= scale;
+    for v in tail.iter_mut() {
+        *v *= scale;
     }
     (tau, beta)
+}
+
+/// `c ← (I − tau v vᵀ) c` for `v = [1; v_tail]`, `c.len() == v_tail.len() + 1`.
+#[inline]
+pub(crate) fn house_apply(v_tail: &[f64], tau: f64, c: &mut [f64]) {
+    let (c0, ct) = c.split_first_mut().expect("house_apply: empty column");
+    debug_assert_eq!(ct.len(), v_tail.len());
+    let mut s = *c0;
+    for (v, x) in v_tail.iter().zip(ct.iter()) {
+        s += v * x;
+    }
+    s *= tau;
+    *c0 -= s;
+    for (v, x) in v_tail.iter().zip(ct.iter_mut()) {
+        *x -= s * v;
+    }
+}
+
+/// Scratch of a block-reflector application: the panel's explicit `V`,
+/// `G = VᵀV`, the compact-WY factor `T` and the two `NB x n` products.
+struct BlockWork {
+    v: Mat,
+    g: Mat,
+    t: Mat,
+    w: Mat,
+    tw: Mat,
+}
+
+impl BlockWork {
+    /// Room for panels of up to `m` rows applied to up to `n` columns.
+    fn new(m: usize, n: usize) -> Self {
+        BlockWork {
+            v: Mat::zeros(m, NB),
+            g: Mat::zeros(NB, NB),
+            t: Mat::zeros(NB, NB),
+            w: Mat::zeros(NB, n),
+            tw: Mat::zeros(NB, n),
+        }
+    }
+
+    /// `C ← (I − V op(T) Vᵀ) C` for the reflectors stored in `panel`
+    /// (packed: tails below the diagonal) with scalars `tau`: `op = Trans`
+    /// applies the panel's `Qᵀ`, `NoTrans` its `Q`.
+    fn apply(&mut self, panel: MatRef<'_>, tau: &[f64], op: Op, c: &mut MatMut<'_>) {
+        let (mp, jb, n) = (panel.rows(), tau.len(), c.cols());
+        if n == 0 {
+            return;
+        }
+        // Explicit V: unit diagonal, zeros above it, the stored tails below.
+        let mut v = self.v.view_mut(0, 0, mp, jb);
+        for j in 0..jb {
+            let dst = v.col_mut(j);
+            dst[..j].fill(0.0);
+            dst[j] = 1.0;
+            dst[j + 1..].copy_from_slice(&panel.col(j)[j + 1..]);
+        }
+        let v = v.rb();
+        // H_0 ⋯ H_{jb-1} = I − V T Vᵀ with T upper triangular, built column
+        // by column from G = VᵀV: T[..i, i] = −tau_i · T[..i, ..i] · G[..i, i],
+        // T[i, i] = tau_i (a tau_i = 0 column is zero: H_i is the identity).
+        let mut g = self.g.view_mut(0, 0, jb, jb);
+        gemm(Op::Trans, Op::NoTrans, 1.0, v, v, 0.0, g.rb_mut());
+        let mut t = self.t.view_mut(0, 0, jb, jb);
+        t.fill(0.0);
+        for i in 0..jb {
+            for r in 0..i {
+                let mut s = 0.0;
+                for l in r..i {
+                    s += t.at(r, l) * g.at(l, i);
+                }
+                *t.at_mut(r, i) = -tau[i] * s;
+            }
+            *t.at_mut(i, i) = tau[i];
+        }
+        let (mut w, mut tw) = (self.w.view_mut(0, 0, jb, n), self.tw.view_mut(0, 0, jb, n));
+        gemm(Op::Trans, Op::NoTrans, 1.0, v, c.rb(), 0.0, w.rb_mut());
+        gemm(op, Op::NoTrans, 1.0, t.rb(), w.rb(), 0.0, tw.rb_mut());
+        gemm(Op::NoTrans, Op::NoTrans, -1.0, v, tw.rb(), 1.0, c.rb_mut());
+    }
 }
 
 impl QrFactor {
@@ -108,7 +233,8 @@ impl QrFactor {
         )
     }
 
-    /// The thin orthonormal factor Q (`m x min(m,n)`).
+    /// The thin orthonormal factor Q (`m x min(m,n)`), formed through the
+    /// block reflectors.
     pub fn q_thin(&self) -> Mat {
         let m = self.a.rows();
         let k = self.tau.len();
@@ -116,11 +242,13 @@ impl QrFactor {
         for i in 0..k {
             q[(i, i)] = 1.0;
         }
-        self.apply_q(&mut q.rm());
+        self.apply_q_block(&mut q.rm());
         q
     }
 
-    /// `c <- Q c` (apply reflectors in reverse order).
+    /// `c <- Q c`, one reflector at a time in reverse order. Column `j` of
+    /// the result does not depend on the other columns of `c` (see the
+    /// module docs).
     pub fn apply_q(&self, c: &mut MatMut<'_>) {
         let m = self.a.rows();
         assert_eq!(c.rows(), m, "apply_q: row mismatch");
@@ -129,7 +257,8 @@ impl QrFactor {
         }
     }
 
-    /// `c <- Q^T c` (apply reflectors in forward order).
+    /// `c <- Q^T c`, one reflector at a time in forward order; the same
+    /// column-independence as [`Self::apply_q`].
     pub fn apply_qt(&self, c: &mut MatMut<'_>) {
         let m = self.a.rows();
         assert_eq!(c.rows(), m, "apply_qt: row mismatch");
@@ -143,17 +272,39 @@ impl QrFactor {
         if t == 0.0 {
             return;
         }
-        let m = self.a.rows();
+        let v_tail = &self.a.col(k)[k + 1..];
         for j in 0..c.cols() {
-            let mut s = c.at(k, j);
-            for i in (k + 1)..m {
-                s += self.a[(i, k)] * c.at(i, j);
-            }
-            s *= t;
-            *c.at_mut(k, j) -= s;
-            for i in (k + 1)..m {
-                *c.at_mut(i, j) -= s * self.a[(i, k)];
-            }
+            house_apply(v_tail, t, &mut c.col_mut(j)[k..]);
+        }
+    }
+
+    /// `c <- Q c` through the block reflectors (panels in reverse order):
+    /// the level-3 form for wide `c`.
+    pub fn apply_q_block(&self, c: &mut MatMut<'_>) {
+        self.apply_block(Op::NoTrans, c);
+    }
+
+    /// `c <- Q^T c` through the block reflectors (panels in forward order):
+    /// the level-3 form for wide `c`.
+    pub fn apply_qt_block(&self, c: &mut MatMut<'_>) {
+        self.apply_block(Op::Trans, c);
+    }
+
+    fn apply_block(&self, op: Op, c: &mut MatMut<'_>) {
+        let m = self.a.rows();
+        assert_eq!(c.rows(), m, "apply_block: row mismatch");
+        let (k, n) = (self.tau.len(), c.cols());
+        let mut work = BlockWork::new(m, n);
+        let mut one = |k0: usize| {
+            let jb = NB.min(k - k0);
+            let panel = self.a.view(k0, k0, m - k0, jb);
+            let mut rows = c.rb_mut().into_view(k0, 0, m - k0, n);
+            work.apply(panel, &self.tau[k0..k0 + jb], op, &mut rows);
+        };
+        let panels = (0..k).step_by(NB);
+        match op {
+            Op::Trans => panels.for_each(&mut one),
+            Op::NoTrans => panels.rev().for_each(&mut one),
         }
     }
 }
@@ -179,6 +330,108 @@ mod tests {
     use super::*;
     use crate::gemm::{matmul, Op};
     use crate::rand::gaussian_mat;
+
+    /// The seed's element-indexed loop, kept as the bitwise reference of
+    /// the slice-based panel kernel.
+    fn qr_in_place_ref(a: &mut MatMut<'_>) -> Vec<f64> {
+        let m = a.rows();
+        let n = a.cols();
+        let kmax = m.min(n);
+        let mut tau = vec![0.0; kmax];
+        for k in 0..kmax {
+            let alpha = a.at(k, k);
+            let mut xnorm2 = 0.0;
+            for i in (k + 1)..m {
+                let v = a.at(i, k);
+                xnorm2 += v * v;
+            }
+            let (t, beta) = if xnorm2 == 0.0 {
+                (0.0, alpha)
+            } else {
+                let norm = (alpha * alpha + xnorm2).sqrt();
+                let beta = if alpha >= 0.0 { -norm } else { norm };
+                let scale = 1.0 / (alpha - beta);
+                for i in (k + 1)..m {
+                    *a.at_mut(i, k) *= scale;
+                }
+                ((beta - alpha) / beta, beta)
+            };
+            tau[k] = t;
+            if t != 0.0 {
+                for j in (k + 1)..n {
+                    let mut s = a.at(k, j);
+                    for i in (k + 1)..m {
+                        s += a.at(i, k) * a.at(i, j);
+                    }
+                    s *= t;
+                    *a.at_mut(k, j) -= s;
+                    for i in (k + 1)..m {
+                        let vik = a.at(i, k);
+                        *a.at_mut(i, j) -= s * vik;
+                    }
+                }
+            }
+            *a.at_mut(k, k) = beta;
+        }
+        tau
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn panel_kernel_is_bitwise_the_seed_loop() {
+        let mut shapes = vec![(12, 1), (1, 1), (40, 17), (17, 40), (32, 32), (128, 64)];
+        shapes.extend([(70, 70), (50, 90)]);
+        for (m, n) in shapes {
+            let mut a = gaussian_mat(m, n, (m * 131 + n) as u64);
+            if m > 3 && n > 6 {
+                // A duplicate and an exactly-zero column: tau = 0 steps.
+                let c0 = a.col(0).to_vec();
+                a.col_mut(3).copy_from_slice(&c0);
+                a.col_mut(5).fill(0.0);
+            }
+            let mut want = a.clone();
+            let tau_want = qr_in_place_ref(&mut want.rm());
+            let mut got = a.clone();
+            let mut tau = vec![0.0; m.min(n)];
+            qr_panel(&mut got.rm(), &mut tau);
+            assert_eq!(bits(&tau), bits(&tau_want), "tau {m}x{n}");
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "a {m}x{n}");
+            if m.min(n) <= NB {
+                let mut via = a.clone();
+                let tau_via = qr_in_place(&mut via.rm());
+                assert_eq!(bits(&tau_via), bits(&tau_want), "entry tau {m}x{n}");
+                assert_eq!(bits(via.as_slice()), bits(want.as_slice()));
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_rdiag_matches_panel_kernel() {
+        for (m, n) in [
+            (200, 33),
+            (64, 64),
+            (90, 65),
+            (97, 97),
+            (80, 130),
+            (300, 130),
+        ] {
+            let a = gaussian_mat(m, n, (m * 7 + n) as u64);
+            let mut p = a.clone();
+            let mut tau = vec![0.0; m.min(n)];
+            qr_panel(&mut p.rm(), &mut tau);
+            let f = qr_factor(a);
+            for i in 0..tau.len() {
+                let (want, got) = (p[(i, i)].abs(), f.a[(i, i)].abs());
+                assert!(
+                    (want - got).abs() <= 1e-13 * want.max(1e-300),
+                    "{m}x{n} |R_{i}{i}|: {got} vs {want}"
+                );
+            }
+        }
+    }
 
     fn reconstruct_err(a: &Mat) -> f64 {
         let f = qr_factor(a.clone());

@@ -348,14 +348,17 @@ pub fn stack_children(rt: &Runtime, child: &VarBatch, children: &[Vec<usize>]) -
 }
 
 /// Batched QR convergence statistic: per entry, `min_i |R_ii|` of the
-/// Householder QR of the entry (Algorithm 1 lines 11/29). Entries with zero
-/// rows or columns report `0.0` (trivially converged).
+/// Householder QR of the entry (Algorithm 1 lines 11/29). The statistic
+/// asks whether `cols` samples have exhausted the entry's row space, so it
+/// is only defined for `cols < rows`: an entry with at least as many
+/// columns as rows (empty ones included) is not factored and reports `0.0`
+/// (trivially converged — more samples cannot raise its rank).
 pub fn qr_min_rdiag(rt: &Runtime, batch: &VarBatch) -> Vec<f64> {
     rt.launch(Kernel::Qr);
     // The shared convergence-QR cost formula.
     let flops = |i: usize| cost::qr_flops(batch.rows_of(i), batch.cols_of(i));
     batch_map(rt, batch, flops, |_, m| {
-        if m.rows() == 0 || m.cols() == 0 {
+        if m.cols() == 0 || m.cols() >= m.rows() {
             return 0.0;
         }
         let mut work = m.to_mat();
@@ -609,15 +612,17 @@ mod tests {
         for rt in rts() {
             let full = gaussian_mat(8, 4, 1);
             let lowrank = h2_dense::random_low_rank(8, 4, 2, 0.5, 2);
-            let mut b = VarBatch::zeros_uniform_cols(vec![8, 8], 4);
+            let mut b = VarBatch::zeros_uniform_cols(vec![8, 8, 4], 4);
             b.set(0, full.rf());
             b.set(1, lowrank.rf());
+            b.set(2, full.view(0, 0, 4, 4));
             let mins = qr_min_rdiag(&rt, &b);
             assert!(
                 mins[0] > 1e-3,
                 "full-rank sample should have large min rdiag"
             );
             assert!(mins[1] < 1e-10, "rank-2 sample must collapse by column 3");
+            assert_eq!(mins[2], 0.0, "cols >= rows is not factored");
         }
     }
 

@@ -72,15 +72,16 @@ pub fn batched_lu_solve(rt: &Runtime, lus: &[LuFactor], b: &mut VarBatch) {
     });
 }
 
-/// Batched `b_i ← Qᵢᵀ b_i` for stored compact QR factors (the ULV rotation
-/// of diagonal blocks and right-hand sides).
+/// Batched `b_i ← Qᵢᵀ b_i` for stored compact QR factors through their block
+/// reflectors — the ULV rotation of the (wide) diagonal blocks. Right-hand
+/// sides go through the width-invariant level-2 `QrFactor::apply_qt` instead.
 pub fn batched_apply_qt(rt: &Runtime, qrs: &[QrFactor], b: &mut VarBatch) {
     assert_eq!(qrs.len(), b.count(), "batched_apply_qt: count mismatch");
     rt.launch(Kernel::Gemm);
     let cols: Vec<usize> = (0..b.count()).map(|i| b.cols_of(i)).collect();
     let flops = |i: usize| cost::qr_apply_flops(qrs[i].rows(), qrs[i].tau.len(), cols[i]);
     batch_for_each_mut(rt, b, flops, |i, mut m| {
-        qrs[i].apply_qt(&mut m);
+        qrs[i].apply_qt_block(&mut m);
     });
 }
 

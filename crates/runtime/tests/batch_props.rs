@@ -47,6 +47,10 @@ proptest! {
         let (m1, s1, y1) = run(&Runtime::sequential());
         let (m2, s2, y2) = run(&Runtime::parallel());
         prop_assert_eq!(s1, s2);
+        if d >= rows {
+            // Entries with no more rows than samples are not factored.
+            prop_assert!(m1.iter().chain(&m2).all(|&v| v == 0.0));
+        }
         for (a, b) in m1.iter().zip(&m2) {
             prop_assert!((a - b).abs() < 1e-14);
         }

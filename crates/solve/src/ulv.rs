@@ -61,6 +61,16 @@
 //! identical to the retained per-node reference schedule
 //! ([`UlvSchedule::PerNode`]), so the two produce bit-identical factors.
 //!
+//! The rotations are level-3: the basis QRs are blocked compact-WY
+//! factorizations and `D̃ = Qᵀ D P` applies each `Q` to the (wide)
+//! diagonal block through its block reflectors
+//! ([`QrFactor::apply_qt_block`]), both on the packed GEMM. The solve
+//! sweeps rotate right-hand sides with the *same* stored reflectors
+//! through the level-2 [`QrFactor::apply_qt`] / [`QrFactor::apply_q`],
+//! which treat every column independently — that, with [`gemm_rhs`], is
+//! what makes column `j` of a blocked solve bit-identical to its own
+//! single-column solve.
+//!
 //! The factorization is exact for the represented matrix (up to roundoff),
 //! so `‖K_H2 x − b‖ ≈ ε_machine`, while `‖K x − b‖` reflects the
 //! construction tolerance. A loosely-compressed HSS + ULV therefore makes
@@ -293,9 +303,12 @@ fn eliminate_node(
     let col_qr = w_col.map(qr_factor);
     // Rotate: D̃ = Qᵀ D P (apply Pᵀ to the columns through a transpose).
     let mut dt = d;
-    row_qr.apply_qt(&mut dt.rm());
+    row_qr.apply_qt_block(&mut dt.rm());
     let mut dtt = dt.transpose();
-    col_qr.as_ref().unwrap_or(&row_qr).apply_qt(&mut dtt.rm());
+    col_qr
+        .as_ref()
+        .unwrap_or(&row_qr)
+        .apply_qt_block(&mut dtt.rm());
     let drot = dtt.transpose();
     build_factor(id, &drot, row_qr, col_qr, k, e)
 }
@@ -1246,6 +1259,59 @@ mod tests {
                     "column {c} row {i} drifted from the single-RHS sweep"
                 );
             }
+        }
+    }
+
+    /// Ranks above the QR panel width, so the factorization runs the
+    /// block-reflector rotations: both schedules still produce the same
+    /// bits (same kernels on the same shapes), and the sweep — which stays
+    /// on the level-2 `apply_q` / `apply_qt` — still solves 64 columns
+    /// exactly as 64 single-column solves.
+    #[test]
+    fn blocked_rotations_keep_the_sweep_bit_identities() {
+        let side = 32;
+        let n = side * side;
+        let pts: Vec<[f64; 3]> = (0..n)
+            .map(|i| {
+                let (x, y) = ((i % side) as f64, (i / side) as f64);
+                [x / side as f64, y / side as f64, 0.0]
+            })
+            .collect();
+        let tree = Arc::new(ClusterTree::build(&pts, 64));
+        let part = Arc::new(Partition::build(&tree, Admissibility::Weak));
+        let km = KernelMatrix::new(ExponentialKernel { l: 0.5 }, tree.points.clone());
+        let cfg = SketchConfig {
+            tol: 1e-6,
+            initial_samples: 128,
+            ..Default::default()
+        };
+        let (mut h2, _) = sketch_construct(&km, &km, tree, part, &Runtime::parallel(), &cfg);
+        shift_diag(&mut h2, 2.0);
+        let ulv = UlvFactor::new(&h2).unwrap();
+        let widest = ulv
+            .solve_spec(1)
+            .levels
+            .iter()
+            .flat_map(|l| l.t_row.clone())
+            .max();
+        assert!(
+            widest.unwrap() > h2_dense::qr::NB,
+            "test needs a basis wider than one QR panel, got {widest:?}"
+        );
+
+        let b = gaussian_mat(n, 64, 31);
+        let x = ulv.solve(&b);
+        let mut r = h2.apply_permuted_mat(&x);
+        r.axpy(-1.0, &b);
+        let rel = r.norm_fro() / b.norm_fro();
+        assert!(rel < 1e-10, "ULV representation residual {rel}");
+
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let per_node = UlvFactor::new_per_node(&h2).unwrap();
+        assert_eq!(bits(&x), bits(&per_node.solve(&b)), "batched vs per-node");
+        for c in 0..64 {
+            let xc = ulv.solve(&b.col_block(c, 1).to_mat());
+            assert_eq!(bits(&x.col_block(c, 1).to_mat()), bits(&xc), "column {c}");
         }
     }
 
