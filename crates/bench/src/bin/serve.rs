@@ -7,8 +7,9 @@
 //! * **amortization** — the blocked sweep at k ∈ {1, 2, 4, 8, 16, 32}
 //!   RHS columns for D ∈ {1, 4} devices, synchronous and pipelined, under
 //!   the A100-class and weak-compute device models. Every row asserts the
-//!   PR 2–9 trust invariant (measured fabric bytes exactly equal the
-//!   [`h2_runtime::simulate_solve_prec`] prediction at that k) and the
+//!   trust invariant (measured fabric bytes exactly equal those of the
+//!   [`h2_sched::plan_ulv_solve`] schedule executed at that k, whose
+//!   `Schedule::makespan` is the `sim_makespan_*` column) and the
 //!   blocked correctness claim (the k-column result is **bit-identical**
 //!   to k sequential single-RHS sharded solves). The payoff column is the
 //!   amortized per-RHS modeled makespan: the k = 1 sweep is dominated by
@@ -40,9 +41,7 @@ use h2_dense::{gaussian_mat, Mat};
 use h2_kernels::{ExponentialKernel, KernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_obs::Json;
-use h2_runtime::{
-    simulate_solve_prec, simulate_solve_prec_mode, DeviceModel, PipelineMode, Precision, Runtime,
-};
+use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime};
 use h2_sched::{
     compare_solve_with_simulator, export_chrome_trace_with_spans, shard_ulv_solve_with_report,
     DeviceFabric,
@@ -120,7 +119,7 @@ struct AmortRow {
 }
 
 /// Dedicated traced run: one pipelined D = 4, k = 32 blocked solve with a
-/// live tracer, reconciled against the simulator, exported as a Chrome
+/// live tracer, reconciled against its plan, exported as a Chrome
 /// trace plus the `.expect` byte sidecar for `trace_check`.
 fn write_trace(path: &str, ulv: &UlvFactor, n: usize) {
     let fabric = DeviceFabric::pipelined(4);
@@ -130,10 +129,10 @@ fn write_trace(path: &str, ulv: &UlvFactor, n: usize) {
     let (_, report) = shard_ulv_solve_with_report(&fabric, ulv, &b);
     fabric.set_tracer(None);
     let (a100, _) = models();
-    let cmp = compare_solve_with_simulator(&report, &ulv.solve_spec(32), &a100);
+    let cmp = compare_solve_with_simulator(&report, ulv, 32, &a100);
     assert!(
         cmp.bytes_match(),
-        "traced blocked solve must reconcile with the simulator ({} vs {})",
+        "traced blocked solve must reconcile with its plan ({} vs {})",
         cmp.measured_bytes,
         cmp.predicted_bytes
     );
@@ -171,24 +170,22 @@ fn main() {
     for devices in [1usize, 4] {
         for k in [1usize, 2, 4, 8, 16, 32] {
             let b = gaussian_mat(nn, k, 0xB10C ^ ((devices as u64) << 8) ^ k as u64);
-            let spec = ulv.solve_spec(k);
-
             let fabric = DeviceFabric::new(devices);
             let (x_sync, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-            let cmp = compare_solve_with_simulator(&report, &spec, &a100);
+            let cmp = compare_solve_with_simulator(&report, &ulv, k, &a100);
             assert!(
                 cmp.bytes_match(),
-                "D={devices} k={k}: blocked sweep bytes {} vs simulator {}",
+                "D={devices} k={k}: blocked sweep bytes {} vs plan {}",
                 cmp.measured_bytes,
                 cmp.predicted_bytes
             );
 
             let pipe_fabric = DeviceFabric::pipelined(devices);
             let (x_pipe, pipe_report) = shard_ulv_solve_with_report(&pipe_fabric, &ulv, &b);
-            let pipe_cmp = compare_solve_with_simulator(&pipe_report, &spec, &a100);
+            let pipe_cmp = compare_solve_with_simulator(&pipe_report, &ulv, k, &a100);
             assert!(
                 pipe_cmp.bytes_match(),
-                "D={devices} k={k}: pipelined blocked sweep bytes {} vs simulator {}",
+                "D={devices} k={k}: pipelined blocked sweep bytes {} vs plan {}",
                 pipe_cmp.measured_bytes,
                 pipe_cmp.predicted_bytes
             );
@@ -219,16 +216,8 @@ fn main() {
                 makespan_weak: report.modeled_makespan(&weak),
                 pipe_makespan_a100: pipe_report.modeled_makespan(&a100),
                 pipe_makespan_weak: pipe_report.modeled_makespan(&weak),
-                sim_makespan_a100: simulate_solve_prec(&spec, devices, &a100, Precision::F64)
-                    .makespan,
-                pipe_sim_makespan_a100: simulate_solve_prec_mode(
-                    &spec,
-                    devices,
-                    &a100,
-                    Precision::F64,
-                    PipelineMode::Pipelined,
-                )
-                .makespan,
+                sim_makespan_a100: cmp.predicted_makespan,
+                pipe_sim_makespan_a100: pipe_cmp.predicted_makespan,
                 per_rhs_a100: report.modeled_makespan(&a100) / k as f64,
                 comm_bytes: report.total_comm_bytes(),
                 bytes_equal: cmp.bytes_match() && pipe_cmp.bytes_match(),
@@ -332,7 +321,7 @@ fn main() {
     push(&mut requests, 0, 3.0, 4);
     let (responses, serve) = sim.run(requests);
     assert_eq!(serve.completed, 10);
-    assert!(serve.bytes_equal, "serve batches must match the simulator");
+    assert!(serve.bytes_equal, "serve batches must match their plans");
     assert!(
         serve.batches < serve.completed,
         "burst requests must coalesce ({} batches for {} requests)",

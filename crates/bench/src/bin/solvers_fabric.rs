@@ -18,15 +18,11 @@
 //!   D ∈ {1, 2, 4} under the weak-compute and A100-class device models,
 //!   on both the synchronous and the pipelined schedule (bit-identical
 //!   results asserted; the pipelined columns overlap launch overhead and
-//!   communication behind compute via `h2_runtime::combine_terms`), with
-//!   the transfer byte totals **asserted equal** to the
-//!   [`h2_runtime::simulate_solve_prec`] prediction on both arms (the CI
-//!   smoke run keeps this wired);
-//! * **Krylov residency** — the preconditioned solve through the fabric
-//!   op twice: `Staged` vectors pay a full `VectorStage` round trip per
-//!   apply, `Resident` vectors pin the shards in device arenas and pay
-//!   one `8·(D−1)`-byte scalar allreduce per global reduction; the two
-//!   are asserted bit-identical and the byte collapse is recorded;
+//!   communication behind compute via `h2_runtime::combine_terms`). Each
+//!   arm executes the [`h2_sched::plan_ulv_solve`] schedule, so its
+//!   transfer bytes are **asserted equal** to the plan's and the
+//!   `sim_makespan_*` columns (the plan priced by `Schedule::makespan`)
+//!   equal the measured makespans (the CI smoke run keeps this wired);
 //! * **precision** — with `--precision f32` the construction stores
 //!   norm-aware-demoted blocks (`SketchConfig::storage`) and the fabric
 //!   wire ships every sweep transfer at half width; `--precision both`
@@ -53,17 +49,13 @@ use h2_dense::gaussian_mat;
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_obs::Json;
-use h2_runtime::{
-    simulate_solve_prec, simulate_solve_prec_mode, DeviceModel, PipelineMode, Precision,
-    TransferKind,
-};
+use h2_runtime::{DeviceModel, PipelineMode, Precision};
 use h2_sched::{
-    compare_solve_with_simulator, resident_reduce_hook, shard_ulv_solve_with_report, DeviceFabric,
+    compare_solve_with_simulator, plan_ulv_solve, shard_ulv_solve_with_report, DeviceFabric,
     FabricOp, UlvFabricPrecond,
 };
-use h2_solve::{gmres_with, pcg_with, Identity, IterResult, KrylovWorkspace, UlvFactor};
+use h2_solve::{gmres_with, pcg_with, Identity, KrylovWorkspace, UlvFactor};
 use h2_tree::{Admissibility, ClusterTree, Partition};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -116,16 +108,6 @@ struct KrylovRow {
     precond_residual: f64,
 }
 
-struct ResidencyRow {
-    regime: &'static str,
-    prec: Precision,
-    method: &'static str,
-    iterations: usize,
-    reductions: u64,
-    staged_vector_bytes: u64,
-    resident_vector_bytes: u64,
-}
-
 struct SweepRow {
     regime: &'static str,
     prec: Precision,
@@ -135,7 +117,7 @@ struct SweepRow {
     sim_makespan_weak: f64,
     /// The same sweep on a pipelined fabric: launch overhead and
     /// communication overlap behind compute (`h2_runtime::combine_terms`),
-    /// with the byte totals still asserted equal to the simulator.
+    /// with the byte totals still asserted equal to the plan's.
     pipe_makespan_weak: f64,
     pipe_makespan_a100: f64,
     pipe_sim_makespan_weak: f64,
@@ -160,7 +142,6 @@ fn run_regime(
     factor_rows: &mut Vec<FactorRow>,
     krylov_rows: &mut Vec<KrylovRow>,
     sweep_rows: &mut Vec<SweepRow>,
-    residency_rows: &mut Vec<ResidencyRow>,
 ) {
     let pts = line_points(n);
     let tree = Arc::new(ClusterTree::build(&pts, leaf));
@@ -253,16 +234,15 @@ fn run_regime(
 
     // ---- fabric-sharded sweep: modeled makespan at D ∈ {1, 2, 4} ----
     let (a100, weak) = models();
-    let spec = ulv.solve_spec(rhs);
     for devices in [1usize, 2, 4] {
         let fabric = DeviceFabric::new(devices);
         fabric.set_wire(prec);
         sink.attach(&fabric);
         let (x_sync, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-        let cmp = compare_solve_with_simulator(&report, &spec, &weak);
+        let cmp = compare_solve_with_simulator(&report, &ulv, rhs, &weak);
         assert!(
             cmp.bytes_match(),
-            "{regime} D={devices}: sweep bytes {} vs simulator {}",
+            "{regime} D={devices}: sweep bytes {} vs plan {}",
             cmp.measured_bytes,
             cmp.predicted_bytes
         );
@@ -274,10 +254,10 @@ fn run_regime(
         pipe_fabric.set_wire(prec);
         sink.attach(&pipe_fabric);
         let (x_pipe, pipe_report) = shard_ulv_solve_with_report(&pipe_fabric, &ulv, &b);
-        let pipe_cmp = compare_solve_with_simulator(&pipe_report, &spec, &weak);
+        let pipe_cmp = compare_solve_with_simulator(&pipe_report, &ulv, rhs, &weak);
         assert!(
             pipe_cmp.bytes_match(),
-            "{regime} D={devices}: pipelined sweep bytes {} vs simulator {}",
+            "{regime} D={devices}: pipelined sweep bytes {} vs plan {}",
             pipe_cmp.measured_bytes,
             pipe_cmp.predicted_bytes
         );
@@ -287,8 +267,14 @@ fn run_regime(
             "{regime} D={devices}: pipelined sweep must be bit-identical"
         );
 
-        let sim_f64_bytes =
-            simulate_solve_prec(&spec, devices, &weak, Precision::F64).total_comm_bytes;
+        let f64_bytes = plan_ulv_solve(
+            &ulv,
+            rhs,
+            devices,
+            PipelineMode::Synchronous,
+            Precision::F64,
+        )
+        .total_comm_bytes();
         let measured = report.total_comm_bytes();
         sweep_rows.push(SweepRow {
             regime,
@@ -296,105 +282,18 @@ fn run_regime(
             devices,
             makespan_weak: report.modeled_makespan(&weak),
             makespan_a100: report.modeled_makespan(&a100),
-            sim_makespan_weak: simulate_solve_prec(&spec, devices, &weak, prec).makespan,
+            sim_makespan_weak: cmp.predicted_makespan,
             pipe_makespan_weak: pipe_report.modeled_makespan(&weak),
             pipe_makespan_a100: pipe_report.modeled_makespan(&a100),
-            pipe_sim_makespan_weak: simulate_solve_prec_mode(
-                &spec,
-                devices,
-                &weak,
-                prec,
-                PipelineMode::Pipelined,
-            )
-            .makespan,
+            pipe_sim_makespan_weak: pipe_cmp.predicted_makespan,
             comm_bytes: measured,
-            wire_ratio: if sim_f64_bytes > 0 {
-                measured as f64 / sim_f64_bytes as f64
+            wire_ratio: if f64_bytes > 0 {
+                measured as f64 / f64_bytes as f64
             } else {
                 1.0
             },
             bytes_equal: cmp.bytes_match() && pipe_cmp.bytes_match(),
         });
-    }
-
-    // ---- Krylov vector residency: staged round trips vs device-resident ----
-    // Same preconditioned solve through the fabric op twice: `Staged`
-    // charges a full `VectorStage` round trip per apply, `Resident` pins
-    // the shards and charges one scalar allreduce per global reduction.
-    // The blocked reductions keep the two bit-identical.
-    fn run_krylov(
-        sym: bool,
-        op: &FabricOp,
-        minv: &UlvFabricPrecond,
-        bvec: &[f64],
-        ws: &mut KrylovWorkspace,
-    ) -> IterResult {
-        if sym {
-            pcg_with(op, minv, bvec, 600, 1e-10, ws)
-        } else {
-            gmres_with(op, minv, bvec, 40, 600, 1e-10, ws)
-        }
-    }
-    let staged_fabric = DeviceFabric::new(4);
-    staged_fabric.set_wire(prec);
-    sink.attach(&staged_fabric);
-    let (staged_res, staged_vector_bytes) = {
-        let op = FabricOp::new(&staged_fabric, &h2);
-        let minv = UlvFabricPrecond::new(&staged_fabric, &ulv);
-        let mut ws = KrylovWorkspace::new(n);
-        ws.set_tracer(sink.tracer());
-        let res = run_krylov(sym, &op, &minv, &bvec, &mut ws);
-        let report = staged_fabric.report("krylov staged");
-        (res, report.bytes_of_kind(TransferKind::VectorStage))
-    };
-    let resident_fabric = DeviceFabric::pipelined(4);
-    resident_fabric.set_wire(prec);
-    sink.attach(&resident_fabric);
-    let reductions = Arc::new(AtomicU64::new(0));
-    let (resident_res, resident_vector_bytes) = {
-        let op = FabricOp::resident(&resident_fabric, &h2);
-        let minv = UlvFabricPrecond::resident(&resident_fabric, &ulv);
-        let mut ws = KrylovWorkspace::new(n);
-        ws.set_tracer(sink.tracer());
-        let inner = resident_reduce_hook(&resident_fabric);
-        let count = reductions.clone();
-        ws.set_reduce_hook(Some(Arc::new(move || {
-            count.fetch_add(1, Ordering::Relaxed);
-            inner();
-        })));
-        let res = run_krylov(sym, &op, &minv, &bvec, &mut ws);
-        let report = resident_fabric.report("krylov resident");
-        (res, report.bytes_of_kind(TransferKind::VectorStage))
-    };
-    assert_bit_identical(&staged_res, &resident_res, regime);
-    assert!(
-        resident_vector_bytes < staged_vector_bytes,
-        "{regime}: resident vector traffic must collapse \
-         ({resident_vector_bytes} vs {staged_vector_bytes})"
-    );
-    residency_rows.push(ResidencyRow {
-        regime,
-        prec,
-        method,
-        iterations: staged_res.iterations,
-        reductions: reductions.load(Ordering::Relaxed),
-        staged_vector_bytes,
-        resident_vector_bytes,
-    });
-}
-
-/// Staged and resident solves must agree bit for bit — the blocked
-/// reductions fix the summation tree independently of where the vectors
-/// live, and the fabric kernels are bitwise mode-invariant.
-fn assert_bit_identical(a: &IterResult, b: &IterResult, regime: &str) {
-    assert_eq!(a.iterations, b.iterations, "{regime}: iteration counts");
-    assert_eq!(a.history, b.history, "{regime}: residual histories");
-    for (i, (xa, xb)) in a.x.iter().zip(&b.x).enumerate() {
-        assert_eq!(
-            xa.to_bits(),
-            xb.to_bits(),
-            "{regime}: x[{i}] diverged between staged and resident"
-        );
     }
 }
 
@@ -427,7 +326,6 @@ fn main() {
     let mut factor_rows = Vec::new();
     let mut krylov_rows = Vec::new();
     let mut sweep_rows = Vec::new();
-    let mut residency_rows = Vec::new();
     for &prec in &precisions {
         run_regime(
             "sym",
@@ -439,7 +337,6 @@ fn main() {
             &mut factor_rows,
             &mut krylov_rows,
             &mut sweep_rows,
-            &mut residency_rows,
         );
         run_regime(
             "unsym",
@@ -451,7 +348,6 @@ fn main() {
             &mut factor_rows,
             &mut krylov_rows,
             &mut sweep_rows,
-            &mut residency_rows,
         );
     }
 
@@ -501,7 +397,7 @@ fn main() {
         ]);
     }
 
-    println!("\n## Fabric-sharded solve sweep (modeled makespan, bytes == simulator)\n");
+    println!("\n## Fabric-sharded solve sweep (modeled makespan, bytes == plan)\n");
     h2_bench::header(&[
         "regime",
         "prec",
@@ -526,28 +422,6 @@ fn main() {
             format!("{:.1}", r.comm_bytes as f64 / 1024.0),
             format!("{:.3}", r.wire_ratio),
             r.bytes_equal.to_string(),
-        ]);
-    }
-
-    println!("\n## Krylov vector residency (staged round trips vs device-resident)\n");
-    h2_bench::header(&[
-        "regime",
-        "prec",
-        "method",
-        "iters",
-        "reductions",
-        "staged stage bytes",
-        "resident stage bytes",
-    ]);
-    for r in &residency_rows {
-        h2_bench::row(&[
-            r.regime.to_string(),
-            r.prec.name().to_string(),
-            r.method.to_string(),
-            r.iterations.to_string(),
-            r.reductions.to_string(),
-            r.staged_vector_bytes.to_string(),
-            r.resident_vector_bytes.to_string(),
         ]);
     }
 
@@ -650,25 +524,6 @@ fn main() {
                         ("comm_bytes", Json::u64(r.comm_bytes)),
                         ("wire_ratio", Json::Num(r.wire_ratio)),
                         ("bytes_equal", Json::Bool(r.bytes_equal)),
-                    ])
-                })
-                .collect(),
-        ),
-    );
-    rep.section(
-        "krylov_residency",
-        Json::Arr(
-            residency_rows
-                .iter()
-                .map(|r| {
-                    Json::obj(vec![
-                        ("regime", Json::str(r.regime)),
-                        ("precision", Json::str(r.prec.name())),
-                        ("method", Json::str(r.method)),
-                        ("iterations", Json::u64(r.iterations as u64)),
-                        ("reductions", Json::u64(r.reductions)),
-                        ("staged_vector_bytes", Json::u64(r.staged_vector_bytes)),
-                        ("resident_vector_bytes", Json::u64(r.resident_vector_bytes)),
                     ])
                 })
                 .collect(),

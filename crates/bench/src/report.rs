@@ -35,11 +35,18 @@ use std::sync::Arc;
 /// Bumped whenever the shared envelope changes shape.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// Best-effort short git revision of the working tree ("unknown" outside a
-/// repo or without git on PATH — benches must run anywhere).
+/// Best-effort short git revision of the working tree, suffixed `-dirty`
+/// when tracked files differ from it ("unknown" outside a repo or without
+/// git on PATH — benches must run anywhere).
 pub fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=12",
+            "--exclude=*",
+        ])
         .output()
         .ok()
         .filter(|o| o.status.success())

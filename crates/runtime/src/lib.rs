@@ -39,9 +39,8 @@ pub use h2_dense::Precision;
 // observability layer through the runtime they already depend on.
 pub use h2_obs::{ArgValue, Registry, SpanGuard, Tracer};
 pub use multidev::{
-    combine_terms, epoch_terms, owner, simulate, simulate_prec, simulate_prec_mode, simulate_solve,
-    simulate_solve_prec, simulate_solve_prec_mode, transfer_census, DeviceModel, LevelSpec,
-    Schedule, ScheduleEpoch, SimReport, SolveLevel, SolveSpec, StreamSpec,
+    combine_terms, epoch_terms, owner, simulate, simulate_prec, simulate_prec_mode,
+    transfer_census, DeviceModel, LevelSpec, Schedule, ScheduleEpoch, SimReport, StreamSpec,
 };
 pub use ops::{
     batched_gen, batched_row_id, gather_rows, gemm_at_x, hcat_batches, qr_min_rdiag, rand_mat,

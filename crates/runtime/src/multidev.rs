@@ -1,22 +1,31 @@
-//! Multi-device (multi-GPU) execution model for the batched construction.
+//! Multi-device (multi-GPU) execution model: the device model, the shared
+//! cost formulas, the [`Schedule`] value sharded operations are planned as,
+//! the one epoch-pricing rule, and the closed-form construction simulator.
 //!
 //! The paper's §IV.B sketches the multi-GPU extension of Algorithm 1: the
 //! per-level batch count divides across devices, no batched operation needs
 //! inter-device communication *except* `batchedBSRGemm` (which must fetch
 //! the input vectors `Ω_b` of off-device column partners) and the child
 //! stacking of line 24 (children resident on two devices gathered into one
-//! parent). This module turns those observations into a quantitative model:
-//! given the level structure of a concrete construction (node sizes, BSR
-//! adjacency, ranks, sample count), it computes per-device compute costs,
-//! cross-device traffic, kernel-launch counts and a makespan estimate for
-//! any device count.
+//! parent).
+//!
+//! * The matvec and the ULV solve sweep are planned as a [`Schedule`]
+//!   (`h2_sched::plan_matvec` / `h2_sched::plan_ulv_solve`): per epoch the
+//!   flops, launches and workspace of every device plus the explicit
+//!   transfer list. The fabric executes that value and
+//!   [`Schedule::makespan`] prices it.
+//! * The construction is still modeled separately: given the level
+//!   structure of a concrete construction (node sizes, BSR adjacency,
+//!   ranks, sample count), [`simulate`] computes per-device compute costs,
+//!   cross-device traffic, kernel-launch counts and a makespan estimate for
+//!   any device count.
 //!
 //! Nodes of a level are assigned to devices in contiguous chunks — the
 //! level-contiguous storage layout of §IV.A makes this the natural
 //! decomposition, and it keeps siblings (merged at line 24) on the same
 //! device except at chunk boundaries.
 
-use crate::shard::{PipelineMode, Transfer, TransferKind};
+use crate::shard::{chunk_bounds, PipelineMode, Transfer, TransferKind};
 use h2_dense::Precision;
 
 /// Combine one epoch's `(compute, comm, launch)` terms — the output of
@@ -37,10 +46,10 @@ pub fn combine_terms(mode: PipelineMode, (compute_max, comm, launch): (f64, f64,
 /// The one epoch-pricing rule: the `(compute, comm, launch)` seconds of an
 /// epoch whose busiest device computes for `compute_max` seconds and issues
 /// `launches` kernels while `comm_bytes` in `comm_messages` messages cross
-/// the link. Every projection — [`Schedule::makespan`], the construction and
-/// solve simulators below, `h2_sched`'s `ExecReport` and its drift tables —
-/// prices an epoch here and composes the terms with [`combine_terms`], so
-/// equal counts give bit-equal seconds.
+/// the link. Every projection — [`Schedule::makespan`], the construction
+/// simulator below, `h2_sched`'s `ExecReport` and its drift tables — prices
+/// an epoch here and composes the terms with [`combine_terms`], so equal
+/// counts give bit-equal seconds.
 #[inline]
 pub fn epoch_terms(
     model: &DeviceModel,
@@ -107,8 +116,8 @@ pub mod cost {
     }
 
     // ---- solver-sweep formulas (batched ULV elimination and the
-    // triangular solve sweeps; shared by `simulate_solve`, the batched
-    // primitives in `crate::solve_ops`, and `h2_sched`'s sharded sweep) ----
+    // triangular solve sweeps; shared by the batched primitives in
+    // `crate::solve_ops` and `h2_sched::plan_ulv_solve`) ----
 
     /// LU factorization flops of an `n × n` pivot block (`2n³/3`).
     pub fn lu_flops(n: usize) -> f64 {
@@ -170,10 +179,11 @@ impl Default for DeviceModel {
 
 /// A sharded operation described once, as data: what each device computes,
 /// launches and allocates per epoch, and every cross-device copy. The
-/// planner that emits it (`h2_sched::plan_matvec`) is the only place owners,
-/// guards and [`cost`] formulas are evaluated; the fabric *executes* the
-/// value and [`Schedule::makespan`] *prices* it, so measured and predicted
-/// counts are equal by construction rather than by a second walk.
+/// planner that emits it (`h2_sched::plan_matvec`, `h2_sched::plan_ulv_solve`)
+/// is the only place owners, guards and [`cost`] formulas are evaluated for
+/// its operation; the fabric *executes* the value and [`Schedule::makespan`]
+/// *prices* it, so measured and predicted counts are equal by construction
+/// rather than by a second walk.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     pub devices: usize,
@@ -207,6 +217,29 @@ pub struct ScheduleEpoch {
 }
 
 impl ScheduleEpoch {
+    /// An epoch of `kernel` on `devices` devices with nothing charged yet.
+    pub fn blank(kernel: &'static str, label: impl Into<String>, devices: usize) -> Self {
+        ScheduleEpoch {
+            label: label.into(),
+            kernel,
+            levels: Vec::new(),
+            flops: vec![0.0; devices],
+            launches: vec![0; devices],
+            arena: vec![0; devices],
+            transfers: Vec::new(),
+        }
+    }
+
+    /// Run the epoch's kernel over level `l` of `nodes` nodes: one batched
+    /// launch on every device whose chunk of the level is non-empty.
+    pub fn run_level(&mut self, l: usize, nodes: usize) {
+        self.levels.push(l);
+        let bounds = chunk_bounds(nodes, self.launches.len());
+        for (dev, launches) in self.launches.iter_mut().enumerate() {
+            *launches += usize::from(bounds[dev + 1] > bounds[dev]);
+        }
+    }
+
     pub fn comm_bytes(&self) -> u64 {
         self.transfers.iter().map(|(t, _)| t.bytes).sum()
     }
@@ -699,189 +732,6 @@ pub fn simulate_prec_mode(
     }
 }
 
-/// One elimination level of a ULV solve sweep, in the form the solver
-/// simulator consumes (extracted from a factorization by
-/// `h2_solve::UlvFactor::solve_spec`). Nodes are listed in tree level
-/// order, the same order the sharded executor chunks by
-/// [`owner`]/[`crate::chunk_bounds`].
-#[derive(Clone, Debug, Default)]
-pub struct SolveLevel {
-    /// Per node: reduced diagonal block size `m` (= retained + eliminated).
-    pub m: Vec<usize>,
-    /// Per node: retained (skeleton) size `k`; the forward sweep passes a
-    /// `k × nrhs` block up, the backward sweep distributes one back down.
-    pub k: Vec<usize>,
-    /// Per node: row-side Householder reflector count (the forward-sweep
-    /// rotation cost `Qᵀ b`).
-    pub t_row: Vec<usize>,
-    /// Per node: column-side reflector count (the backward-sweep
-    /// un-rotation cost `P x̃`).
-    pub t_col: Vec<usize>,
-    /// Per parent at the level above, in *its* level order: the local
-    /// indices of the two children whose retained blocks it stacks.
-    pub merges: Vec<(usize, usize)>,
-}
-
-/// Level structure of a ULV triangular solve sweep (leaf level first, root
-/// excluded), plus the dense root system and right-hand-side width.
-#[derive(Clone, Debug, Default)]
-pub struct SolveSpec {
-    pub levels: Vec<SolveLevel>,
-    pub root_size: usize,
-    pub nrhs: usize,
-}
-
-/// Simulate the ULV solve sweep (forward eliminate, root solve, backward
-/// substitute) on `devices` devices — the solver analogue of [`simulate`].
-///
-/// Per forward level, each node costs the rotation `Qᵀ b`
-/// ([`cost::qr_apply_flops`]), the pivot-block solve
-/// ([`cost::lu_solve_flops`] on the `m − k` eliminated rows) and the
-/// retained-block update ([`cost::gemm_flops`]); the pass-up moves a
-/// child's `k × nrhs` block to its parent's device when the contiguous
-/// chunk decompositions of the two levels split the pair. The backward
-/// levels mirror this with the partial-solution distribution in the
-/// opposite direction; the root is one dense LU solve on device 0. The
-/// sharded executor (`h2_sched::shard_ulv_solve`) records exactly these
-/// transfers and flop formulas, so measured byte totals must equal this
-/// model's — the solver extension of the construction/matvec equivalence.
-pub fn simulate_solve(spec: &SolveSpec, devices: usize, model: &DeviceModel) -> SimReport {
-    simulate_solve_prec(spec, devices, model, Precision::F64)
-}
-
-/// [`simulate_solve`] at an explicit wire precision: the pass-up /
-/// distribution blocks ship at `wire` width, the flop model is unchanged.
-pub fn simulate_solve_prec(
-    spec: &SolveSpec,
-    devices: usize,
-    model: &DeviceModel,
-    wire: Precision,
-) -> SimReport {
-    simulate_solve_prec_mode(spec, devices, model, wire, PipelineMode::Synchronous)
-}
-
-/// [`simulate_solve_prec`] under an explicit execution discipline — the
-/// solver analogue of [`simulate_prec_mode`]: populations unchanged, level
-/// term composition per [`combine_terms`].
-pub fn simulate_solve_prec_mode(
-    spec: &SolveSpec,
-    devices: usize,
-    model: &DeviceModel,
-    wire: Precision,
-    mode: PipelineMode,
-) -> SimReport {
-    assert!(devices > 0, "at least one device");
-    let d = spec.nrhs;
-    let mut out_levels: Vec<LevelCost> = Vec::new();
-    let push_level = |compute: Vec<f64>,
-                      comm_bytes: u64,
-                      comm_messages: usize,
-                      launches: usize,
-                      out: &mut Vec<LevelCost>| {
-        let active = compute.iter().filter(|&&c| c > 0.0).count().max(1);
-        let makespan = combine_terms(
-            mode,
-            epoch_terms(
-                model,
-                compute.iter().cloned().fold(0.0, f64::max),
-                comm_bytes,
-                comm_messages,
-                launches as f64 / active as f64,
-            ),
-        );
-        out.push(LevelCost {
-            makespan,
-            compute_total: compute.iter().sum(),
-            compute_per_device: compute,
-            comm_bytes,
-            comm_messages,
-            launches,
-        });
-    };
-
-    // Pass-up / distribution traffic of one level: a child whose owner
-    // differs from its parent's moves its retained k × nrhs block.
-    let level_comm = |li: usize| -> (u64, usize) {
-        let lvl = &spec.levels[li];
-        let nl = lvl.m.len();
-        let np = lvl.merges.len();
-        let (mut bytes, mut msgs) = (0u64, 0usize);
-        for (j, &(a, b)) in lvl.merges.iter().enumerate() {
-            let dev_p = owner(j, np, devices);
-            for c in [a, b] {
-                let kc = lvl.k.get(c).copied().unwrap_or(0);
-                if kc > 0 && owner(c, nl, devices) != dev_p {
-                    bytes += cost::fetch_bytes_p(kc, d, wire);
-                    msgs += 1;
-                }
-            }
-        }
-        (bytes, msgs)
-    };
-
-    // ---- forward sweep, leaf level first ----
-    for (li, lvl) in spec.levels.iter().enumerate() {
-        let nl = lvl.m.len();
-        let mut compute = vec![0.0_f64; devices];
-        for i in 0..nl {
-            let (m, k) = (lvl.m[i], lvl.k[i]);
-            let e = m - k;
-            compute[owner(i, nl, devices)] += (cost::qr_apply_flops(m, lvl.t_row[i], d)
-                + cost::lu_solve_flops(e, d)
-                + cost::gemm_flops(k, e, d))
-                / model.flops_per_sec;
-        }
-        let (bytes, msgs) = level_comm(li);
-        push_level(
-            compute,
-            bytes,
-            msgs,
-            devices.min(nl.max(1)),
-            &mut out_levels,
-        );
-    }
-
-    // ---- root solve on device 0 ----
-    {
-        let mut compute = vec![0.0_f64; devices];
-        compute[0] = cost::lu_solve_flops(spec.root_size, d) / model.flops_per_sec;
-        push_level(compute, 0, 0, 1, &mut out_levels);
-    }
-
-    // ---- backward sweep, root level first ----
-    for (li, lvl) in spec.levels.iter().enumerate().rev() {
-        let nl = lvl.m.len();
-        let mut compute = vec![0.0_f64; devices];
-        for i in 0..nl {
-            let (m, k) = (lvl.m[i], lvl.k[i]);
-            let e = m - k;
-            compute[owner(i, nl, devices)] += (cost::gemm_flops(e, k, d)
-                + cost::lu_solve_flops(e, d)
-                + cost::qr_apply_flops(m, lvl.t_col[i], d))
-                / model.flops_per_sec;
-        }
-        let (bytes, msgs) = level_comm(li);
-        push_level(
-            compute,
-            bytes,
-            msgs,
-            devices.min(nl.max(1)),
-            &mut out_levels,
-        );
-    }
-
-    let makespan = out_levels.iter().map(|l| l.makespan).sum();
-    let total_comm_bytes = out_levels.iter().map(|l| l.comm_bytes).sum();
-    let total_launches = out_levels.iter().map(|l| l.launches).sum();
-    SimReport {
-        devices,
-        levels: out_levels,
-        makespan,
-        total_comm_bytes,
-        total_launches,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1021,70 +871,118 @@ mod tests {
         assert_eq!(rep.total_comm_bytes, 0);
     }
 
-    fn toy_solve_spec() -> SolveSpec {
-        // 8 leaves of 64 rows retaining 16, merged pairwise into 4 nodes of
-        // 32 retaining 8, merged into 2 of 16 retaining 4; root 8.
-        SolveSpec {
-            levels: vec![
-                SolveLevel {
-                    m: vec![16; 2],
-                    k: vec![4; 2],
-                    t_row: vec![16; 2],
-                    t_col: vec![16; 2],
-                    merges: vec![(0, 1)],
-                },
-                SolveLevel {
-                    m: vec![32; 4],
-                    k: vec![8; 4],
-                    t_row: vec![32; 4],
-                    t_col: vec![32; 4],
-                    merges: vec![(0, 1), (2, 3)],
-                },
-                SolveLevel {
-                    m: vec![64; 8],
-                    k: vec![16; 8],
-                    t_row: vec![64; 8],
-                    t_col: vec![64; 8],
-                    merges: vec![(0, 1), (2, 3), (4, 5), (6, 7)],
-                },
-            ]
-            .into_iter()
-            .rev()
-            .collect(),
-            root_size: 8,
-            nrhs: 4,
+    /// A ULV solve sweep over a toy tree, laid out as a [`Schedule`] the way
+    /// `h2_sched::plan_ulv_solve` lays one out: 8 leaves of 64 rows retaining
+    /// 16, merged pairwise into 4 nodes of 32 retaining 8, then 2 of 16
+    /// retaining 4, root 8, 4 right-hand sides. Forward epochs run leaf
+    /// first and gather split children's retained blocks in the parent's
+    /// epoch; the root solves on device 0; backward epochs distribute the
+    /// same blocks back down.
+    fn toy_solve_schedule(devices: usize) -> Schedule {
+        const NRHS: usize = 4;
+        // Per level 1..=3: (nodes, reduced size m, retained k).
+        let shape = [(2, 16, 4), (4, 32, 8), (8, 64, 16)];
+        let leaf_level = shape.len();
+        let wire = Precision::F64;
+        let read = |src, dst, k, kind| Transfer {
+            src,
+            dst,
+            bytes: cost::fetch_bytes_p(k, NRHS, wire),
+            kind,
+            prec: wire,
+        };
+        // Nodes of level `l` whose parent lives on another device:
+        // `(child device, parent device, k)`.
+        let crossings = |l: usize| -> Vec<(usize, usize, usize)> {
+            let (n, _, k) = shape[l - 1];
+            let np = if l == 1 { 1 } else { shape[l - 2].0 };
+            (0..n)
+                .map(|i| (owner(i, n, devices), owner(i / 2, np, devices), k))
+                .filter(|&(c, p, _)| c != p)
+                .collect()
+        };
+        let mut epochs = Vec::new();
+        for l in (1..=leaf_level).rev() {
+            let at = epochs.len();
+            let (n, m, k) = shape[l - 1];
+            let mut e = ScheduleEpoch::blank("fwd", format!("ulv forward L{l}"), devices);
+            for i in 0..n {
+                e.flops[owner(i, n, devices)] += cost::qr_apply_flops(m, m, NRHS)
+                    + cost::lu_solve_flops(m - k, NRHS)
+                    + cost::gemm_flops(k, m - k, NRHS);
+            }
+            if l < leaf_level {
+                for (c, p, kc) in crossings(l + 1) {
+                    e.transfers
+                        .push((read(c, p, kc, TransferKind::ChildGather), at));
+                }
+            }
+            e.run_level(l, n);
+            epochs.push(e);
+        }
+        let at = epochs.len();
+        let mut e = ScheduleEpoch::blank("root", "ulv root", devices);
+        e.flops[0] += cost::lu_solve_flops(8, NRHS);
+        for (c, p, kc) in crossings(1) {
+            e.transfers
+                .push((read(c, p, kc, TransferKind::ChildGather), at));
+        }
+        e.run_level(0, 1);
+        epochs.push(e);
+        for l in 1..=leaf_level {
+            let at = epochs.len();
+            let (n, m, k) = shape[l - 1];
+            let mut e = ScheduleEpoch::blank("bwd", format!("ulv backward L{l}"), devices);
+            for i in 0..n {
+                e.flops[owner(i, n, devices)] += cost::gemm_flops(m - k, k, NRHS)
+                    + cost::lu_solve_flops(m - k, NRHS)
+                    + cost::qr_apply_flops(m, m, NRHS);
+            }
+            for (c, p, kc) in crossings(l) {
+                e.transfers
+                    .push((read(p, c, kc, TransferKind::PartialSum), at));
+            }
+            e.run_level(l, n);
+            epochs.push(e);
+        }
+        Schedule {
+            devices,
+            mode: PipelineMode::Synchronous,
+            wire,
+            epochs,
         }
     }
 
     #[test]
     fn solve_sim_single_device_no_comm_and_work_conserved() {
-        let spec = toy_solve_spec();
         let m = DeviceModel::default();
-        let r1 = simulate_solve(&spec, 1, &m);
-        assert_eq!(r1.total_comm_bytes, 0);
-        assert!(r1.makespan > 0.0);
+        let s1 = toy_solve_schedule(1);
+        assert_eq!(s1.total_comm_bytes(), 0);
+        assert!(s1.makespan(&m) > 0.0);
         // Forward levels + root + backward levels.
-        assert_eq!(r1.levels.len(), 2 * spec.levels.len() + 1);
-        let r4 = simulate_solve(&spec, 4, &m);
+        assert_eq!(s1.epochs.len(), 2 * 3 + 1);
+        let s4 = toy_solve_schedule(4);
         assert!(
-            (r1.compute_total() - r4.compute_total()).abs() < 1e-12 * r1.compute_total(),
+            (s1.total_flops() - s4.total_flops()).abs() < 1e-12 * s1.total_flops(),
             "solve work is conserved across device counts"
         );
+        // One launch per device with a non-empty chunk of the level.
+        let launches: Vec<usize> = s4.epochs.iter().map(|e| e.launches.iter().sum()).collect();
+        assert_eq!(launches, [4, 4, 2, 1, 2, 4, 4]);
     }
 
     #[test]
     fn solve_sim_comm_grows_with_devices() {
-        let spec = toy_solve_spec();
-        let m = DeviceModel::default();
-        let c2 = simulate_solve(&spec, 2, &m).total_comm_bytes;
-        let c8 = simulate_solve(&spec, 8, &m).total_comm_bytes;
+        let c2 = toy_solve_schedule(2).total_comm_bytes();
+        let c8 = toy_solve_schedule(8).total_comm_bytes();
         assert!(c2 > 0, "split sibling pairs must move retained blocks");
         assert!(c8 >= c2);
-        // Forward and backward sweeps mirror each other's traffic.
-        let r = simulate_solve(&spec, 4, &m);
-        let nf = spec.levels.len();
-        let fwd: u64 = r.levels[..nf].iter().map(|l| l.comm_bytes).sum();
-        let bwd: u64 = r.levels[nf + 1..].iter().map(|l| l.comm_bytes).sum();
+        // Forward and backward sweeps mirror each other's traffic; the root
+        // epoch's gathers belong to the forward half.
+        let s = toy_solve_schedule(4);
+        let nf = 3;
+        let fwd: u64 = s.epochs[..=nf].iter().map(|e| e.comm_bytes()).sum();
+        let bwd: u64 = s.epochs[nf + 1..].iter().map(|e| e.comm_bytes()).sum();
         assert_eq!(fwd, bwd);
     }
 

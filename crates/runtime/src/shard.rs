@@ -79,10 +79,9 @@ pub enum TransferKind {
     /// Matvec downsweep/reduction traffic: a device reading a parent's
     /// `ŷ` partial sum owned by another device.
     PartialSum,
-    /// Krylov vector staging: scattering an iterate/basis chunk to a device
-    /// (or gathering it back) when the solver round-trips whole vectors
-    /// through the shared host workspace, plus the boundary slivers and
-    /// scalar reductions that remain once shards are device-resident.
+    /// Krylov vector traffic: the scalar allreduce each global dot or norm
+    /// of a solve with device-resident vector shards costs
+    /// (`h2_sched::resident_reduce_hook`).
     VectorStage,
 }
 
@@ -108,7 +107,7 @@ impl TransferKind {
 }
 
 /// One explicit cross-device copy.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Transfer {
     /// Device the data is resident on.
     pub src: usize,

@@ -15,11 +15,11 @@
 //!   chunking** ([`crate::batch::cost_chunk_bounds`] over the modeled
 //!   flops, so one worker is not stuck behind the few huge top-level
 //!   blocks),
-//! * sharded-mode accounting with the **simulator's own cost formulas**
+//! * sharded-mode accounting with the **shared cost formulas**
 //!   ([`crate::multidev::cost::lu_flops`] and friends, owner-attributed in
-//!   the §IV.A contiguous chunks) — which is what lets
-//!   `h2_sched::compare_solve_with_simulator` assert measured-equals-
-//!   predicted for solver sweeps exactly as it does for construction.
+//!   the §IV.A contiguous chunks) — the same formulas
+//!   `h2_sched::plan_ulv_solve` charges for the solve sweeps, so a factor
+//!   and a sweep are priced in one currency.
 
 use crate::batch::VarBatch;
 use crate::multidev::cost;

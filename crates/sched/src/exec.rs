@@ -18,7 +18,7 @@ use h2_dense::{EntryAccess, LinOp};
 use h2_fault::{FaultPlan, OccurrenceMap};
 use h2_matrix::H2Matrix;
 use h2_runtime::{
-    simulate_prec_mode, transfer_census, DeviceModel, LevelSpec, Runtime, ShardDispatch,
+    simulate_prec_mode, transfer_census, DeviceModel, LevelSpec, Runtime, Schedule, ShardDispatch,
 };
 use h2_tree::{ClusterTree, Partition};
 use std::sync::Arc;
@@ -102,6 +102,19 @@ pub struct SimComparison {
 }
 
 impl SimComparison {
+    /// A run measured against the [`Schedule`] it executed: the plan's
+    /// totals and [`Schedule::makespan`] are the prediction.
+    pub fn of_plan(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -> Self {
+        SimComparison {
+            measured_flop_equiv: report.flop_equiv(model.entry_cost),
+            predicted_flop_equiv: plan.total_flops(),
+            measured_bytes: report.total_comm_bytes(),
+            predicted_bytes: plan.total_comm_bytes(),
+            measured_makespan: report.modeled_makespan(model),
+            predicted_makespan: plan.makespan(model),
+        }
+    }
+
     /// Relative flop-equivalent discrepancy.
     pub fn flops_rel_err(&self) -> f64 {
         let scale = self.predicted_flop_equiv.max(1.0);

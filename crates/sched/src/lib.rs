@@ -29,10 +29,10 @@
 //! [`Schedule`] — epochs × per-device flops / launches / workspace × the
 //! explicit transfer list — that the fabric **executes** and one pricing
 //! rule ([`h2_runtime::epoch_terms`], shared by [`Schedule::makespan`],
-//! [`ExecReport::modeled_makespan`], both closed-form simulators and the
-//! drift tables) **prices**. The matvec is the first kernel on that shape;
-//! the ULV sweep and the construction level loop still pair an executor
-//! with a separately written simulator.
+//! [`ExecReport::modeled_makespan`], the construction simulator and the
+//! drift tables) **prices**. The matvec and the ULV sweep are on that
+//! shape; only the construction level loop still pairs an executor with a
+//! separately written simulator.
 //!
 //! * [`plan_matvec`] → [`shard_matvec`] → [`Schedule::makespan`] — plan,
 //!   execute, price. The plan is the only walk over owners, guards and
@@ -54,11 +54,12 @@
 //!   [`h2_runtime::simulate`] prediction (the equivalence tests assert
 //!   equality for work/traffic and a 3x band for the makespan, where the
 //!   two sides' launch/round-robin details legitimately differ).
-//! * [`shard_ulv_solve`] — the ULV forward/backward triangular sweeps on
-//!   the fabric (upsweep-ordered eliminate, downsweep-ordered substitute)
-//!   over the same `h2_solve::UlvSweep` node kernels, with byte totals
-//!   validated against [`h2_runtime::simulate_solve`] by
-//!   [`compare_solve_with_simulator`]; [`FabricOp`] and
+//! * [`plan_ulv_solve`] → [`shard_ulv_solve`] → [`Schedule::makespan`] —
+//!   the ULV forward/backward triangular sweeps (upsweep-ordered eliminate,
+//!   root solve, downsweep-ordered substitute) planned, executed over the
+//!   same `h2_solve::UlvSweep` node kernels as the in-process solve, and
+//!   priced, exactly like the matvec; [`compare_solve_with_simulator`] and
+//!   [`drift_solve`] report against the plan. [`FabricOp`] and
 //!   [`UlvFabricPrecond`] plug the sharded matvec and sweep into the
 //!   Krylov methods as a `LinOp`/`Preconditioner` pair.
 //!
@@ -120,19 +121,16 @@
 //!
 //! ## Resident Krylov vectors
 //!
-//! [`FabricOp`] / [`UlvFabricPrecond`] carry a [`Residency`]: `Staged`
-//! (default) models the historical dataflow — the iteration vectors live in
-//! the host `KrylovWorkspace` and every apply round-trips their per-device
-//! chunks as [`TransferKind::VectorStage`] traffic — while `Resident` pins
-//! the `x`/`r`/basis shards in the device arenas across iterations, so an
-//! apply moves only the boundary gathers already internal to the sharded
-//! kernels plus one `8·(D−1)`-byte scalar allreduce per global reduction
-//! ([`resident_reduce_hook`]). The blocked reductions
-//! (`h2_solve::blocked_dot`) fix the summation tree independently of the
-//! sharding, which is what keeps the two residencies bit-identical —
-//! `tests/krylov_residency.rs` pins both the bit-identity and the exact
-//! closed-form byte totals ([`staged_apply_bytes`] /
-//! [`resident_reduce_bytes`]).
+//! [`FabricOp`] / [`UlvFabricPrecond`] keep the Krylov `x`/`r`/basis shards
+//! pinned in the device arenas across iterations: an apply charges the
+//! arena for its input and output shards and moves only the boundary
+//! gathers already internal to the sharded kernels, plus one
+//! `8·(D−1)`-byte scalar allreduce per global reduction
+//! ([`resident_reduce_hook`], recorded as [`TransferKind::VectorStage`]).
+//! The blocked reductions (`h2_solve::blocked_dot`) fix the summation tree
+//! independently of the sharding, so the iterates are bit-identical to the
+//! host solve and across pipeline modes — `tests/krylov_residency.rs` pins
+//! that and the exact allreduce byte total ([`resident_reduce_bytes`]).
 //!
 //! ## Resilience
 //!
@@ -199,8 +197,8 @@ pub use matvec::{
     shard_matvec_with_report,
 };
 pub use solve::{
-    compare_solve_with_simulator, resident_reduce_bytes, resident_reduce_hook, shard_ulv_solve,
-    shard_ulv_solve_with_report, staged_apply_bytes, FabricOp, Residency, UlvFabricPrecond,
+    compare_solve_with_simulator, plan_ulv_solve, resident_reduce_bytes, resident_reduce_hook,
+    shard_ulv_solve, shard_ulv_solve_with_report, FabricOp, UlvFabricPrecond,
 };
 pub use trace::{
     drift_construct, drift_matvec, drift_solve, export_chrome_trace, export_chrome_trace_with_spans,

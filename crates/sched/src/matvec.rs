@@ -109,24 +109,6 @@ pub fn plan_matvec(
     let elem = wire.bytes();
     let mut epochs: Vec<ScheduleEpoch> = Vec::new();
 
-    let blank = |kernel: &'static str, label: String| ScheduleEpoch {
-        label,
-        kernel,
-        levels: Vec::new(),
-        flops: vec![0.0; devices],
-        launches: vec![0; devices],
-        arena: vec![0; devices],
-        transfers: Vec::new(),
-    };
-    // The epoch's kernel runs over level `l`: one batched launch on every
-    // device whose chunk of the level is non-empty.
-    let run_level = |e: &mut ScheduleEpoch, l: usize| {
-        e.levels.push(l);
-        let bounds = chunk_bounds(tree.level_len(l), devices);
-        for dev in 0..devices {
-            e.launches[dev] += usize::from(bounds[dev + 1] > bounds[dev]);
-        }
-    };
     // One `rows × d` block read across a device boundary.
     let read = |src: usize, dst: usize, rows: usize, kind: TransferKind| Transfer {
         src,
@@ -167,7 +149,7 @@ pub fn plan_matvec(
     let mut ahead: Option<usize> = None;
     for l in (0..tree.nlevels()).rev() {
         let nl = tree.level_len(l);
-        let mut e = blank(UPSWEEP, format!("matvec upsweep L{l}"));
+        let mut e = ScheduleEpoch::blank(UPSWEEP, format!("matvec upsweep L{l}"), devices);
         let mut any = false;
         for (local, id) in tree.level(l).enumerate() {
             let v = &in_basis[id];
@@ -184,7 +166,7 @@ pub fn plan_matvec(
             // level above issues its own gathers.
             continue;
         }
-        run_level(&mut e, l);
+        e.run_level(l, nl);
         let at = epochs.len();
         if ahead.take() != Some(l) {
             e.transfers.extend(gathers(l).into_iter().map(|t| (t, at)));
@@ -202,11 +184,12 @@ pub fn plan_matvec(
     // ---- coupling: ŷ_s = Σ_t op(B) x̂_t, partner reads deduplicated per
     // (device, partner) per level. Synchronous: one epoch per level.
     // Pipelined: one epoch for all levels, closed unconditionally. ----
-    let mut merged = pipelined.then(|| blank(COUPLING, "matvec coupling (overlapped)".to_string()));
+    let mut merged =
+        pipelined.then(|| ScheduleEpoch::blank(COUPLING, "matvec coupling (overlapped)", devices));
     let mut prev_ws = vec![0usize; devices];
     for l in 0..tree.nlevels() {
         let nl = tree.level_len(l);
-        let mut own = blank(COUPLING, format!("matvec coupling L{l}"));
+        let mut own = ScheduleEpoch::blank(COUPLING, format!("matvec coupling L{l}"), devices);
         let e = merged.as_mut().unwrap_or(&mut own);
         // Level workspace per device: outputs plus landed fetches.
         let mut ws = vec![0usize; devices];
@@ -237,7 +220,7 @@ pub fn plan_matvec(
         if !any {
             continue;
         }
-        run_level(e, l);
+        e.run_level(l, nl);
         // Double-buffered workspace discipline inside a merged epoch: a
         // device's level-l workspace is dead once its level-l job drains,
         // while level l+1's is already marshaled — the live peak is the
@@ -260,7 +243,7 @@ pub fn plan_matvec(
         .collect();
     for l in 1..=leaf_level {
         let (nl, np) = (tree.level_len(l), tree.level_len(l - 1));
-        let mut e = blank(DOWNSWEEP, format!("matvec downsweep L{l}"));
+        let mut e = ScheduleEpoch::blank(DOWNSWEEP, format!("matvec downsweep L{l}"), devices);
         let mut any = false;
         for (local, child) in tree.level(l).enumerate() {
             let parent = tree.nodes[child].parent.expect("non-root node");
@@ -280,14 +263,14 @@ pub fn plan_matvec(
             }
         }
         if any {
-            run_level(&mut e, l);
+            e.run_level(l, nl);
             epochs.push(e);
         }
     }
 
     // ---- leaf expansion + dense near field (no transfers) ----
     let nl = tree.level_len(leaf_level);
-    let mut e = blank(LEAVES, "matvec leaves".to_string());
+    let mut e = ScheduleEpoch::blank(LEAVES, "matvec leaves", devices);
     for (local, s) in tree.level(leaf_level).enumerate() {
         let dev = owner(local, nl, devices);
         let rows = tree.nodes[s].len();
@@ -299,7 +282,7 @@ pub fn plan_matvec(
             e.flops[dev] += cost::bsr_flops(rows, tree.nodes[t].len(), d);
         }
     }
-    run_level(&mut e, leaf_level);
+    e.run_level(leaf_level, nl);
     epochs.push(e);
 
     Schedule {
@@ -447,12 +430,5 @@ pub fn compare_matvec_with_simulator(
     model: &DeviceModel,
 ) -> SimComparison {
     let plan = plan_matvec(h2, d, report.devices, report.mode, report.wire, transpose);
-    SimComparison {
-        measured_flop_equiv: report.flop_equiv(model.entry_cost),
-        predicted_flop_equiv: plan.total_flops(),
-        measured_bytes: report.total_comm_bytes(),
-        predicted_bytes: plan.total_comm_bytes(),
-        measured_makespan: report.modeled_makespan(model),
-        predicted_makespan: plan.makespan(model),
-    }
+    SimComparison::of_plan(report, &plan, model)
 }

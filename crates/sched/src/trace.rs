@@ -25,21 +25,21 @@
 //! [`drift_construct`] / [`drift_matvec`] / [`drift_solve`] join the
 //! measured per-epoch schedule projection
 //! ([`ExecReport::epoch_makespan`]) against the per-level predictions of
-//! `simulate_prec_mode` / [`plan_matvec`](crate::plan_matvec) /
-//! `simulate_solve_prec_mode`, each evaluated under the report's own
-//! pipeline mode. The rows cover *all* measured epochs and *all*
-//! predicted levels, so the table's measured total is exactly
+//! `simulate_prec_mode` (construction) or the per-epoch predictions of the
+//! [`Schedule`] the run executed ([`plan_matvec`](crate::plan_matvec) /
+//! [`plan_ulv_solve`](crate::plan_ulv_solve)), each evaluated under the
+//! report's own pipeline mode. The rows cover *all* measured epochs and
+//! *all* predicted levels, so the table's measured total is exactly
 //! [`ExecReport::modeled_makespan`] and its predicted total exactly the
 //! simulator makespan — which makes the per-row shares sum identically to
-//! the makespan ratio the equivalence suite checks against its 2x/3x
-//! bands. The table answers *which epoch* contributes the gap.
+//! the makespan ratio the equivalence suite checks. For a planned run that
+//! ratio is 1 and every row pairs with its plan epoch; for the construction
+//! the table answers *which epoch* contributes the gap inside the 2x/3x
+//! bands.
 
 use crate::fabric::ExecReport;
 use h2_obs::{ns_to_us, ChromeTrace, DriftPart, DriftRow, DriftTable, Event, Json};
-use h2_runtime::{
-    simulate_prec_mode, simulate_solve_prec_mode, DeviceModel, LevelSpec, Precision, Schedule,
-    SolveSpec,
-};
+use h2_runtime::{simulate_prec_mode, DeviceModel, LevelSpec, Precision, Schedule};
 
 /// Process row for host-thread tracer spans.
 pub const THREAD_PID: u64 = 0;
@@ -292,16 +292,9 @@ pub fn drift_matvec(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -
 }
 
 /// Drift table for a sharded ULV solve sweep: measured epochs (forward
-/// levels, root, backward levels, tail) against `simulate_solve_prec_mode`
-/// on the factorization's own [`SolveSpec`], under the report's own
-/// pipeline mode.
-pub fn drift_solve(report: &ExecReport, spec: &SolveSpec, model: &DeviceModel) -> DriftTable {
-    let sim = simulate_solve_prec_mode(spec, report.devices, model, report.wire, report.mode);
-    let predicted = sim
-        .levels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (format!("sim solve level {i}"), l.makespan))
-        .collect();
-    paired_table(report, model, predicted)
+/// levels, root, backward levels) against the [`Schedule`] the executor ran
+/// ([`plan_ulv_solve`](crate::plan_ulv_solve) for the same width, mode and
+/// wire), epoch by epoch exactly like [`drift_matvec`].
+pub fn drift_solve(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -> DriftTable {
+    drift_matvec(report, plan, model)
 }

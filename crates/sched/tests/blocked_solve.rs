@@ -2,9 +2,9 @@
 //! columns, D ∈ {1, 2, 4} devices, both pipeline modes and both symmetry
 //! regimes, the fabric-sharded blocked solve must be **bit-identical**
 //! per column to a single-RHS solve of that column alone, and its
-//! transfer byte totals must equal the `simulate_solve` prediction at
-//! that k — the multi-RHS extension of the solver-arm simulator
-//! equivalence (`solver_sweep.rs`).
+//! transfer byte totals must equal those of its `plan_ulv_solve` schedule
+//! at that k — the multi-RHS extension of the solver-arm plan equivalence
+//! (`solver_sweep.rs`).
 
 use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig};
 use h2_dense::{gaussian_mat, Mat};
@@ -85,7 +85,6 @@ fn blocked_sweep_grid_bit_identical_and_bytes_equal() {
             let refs: Vec<Mat> = (0..k)
                 .map(|j| ulv.solve(&b.col_block(j, 1).to_mat()))
                 .collect();
-            let spec = ulv.solve_spec(k);
             for devices in [1usize, 2, 4] {
                 for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
                     let fabric = match mode {
@@ -101,11 +100,11 @@ fn blocked_sweep_grid_bit_identical_and_bytes_equal() {
                              from its single-RHS solve"
                         );
                     }
-                    let cmp = compare_solve_with_simulator(&report, &spec, &model);
+                    let cmp = compare_solve_with_simulator(&report, &ulv, k, &model);
                     assert!(
                         cmp.bytes_match(),
                         "{tag} k={k} D={devices} {mode:?}: blocked sweep bytes {} \
-                         vs simulator {}",
+                         vs plan {}",
                         cmp.measured_bytes,
                         cmp.predicted_bytes
                     );

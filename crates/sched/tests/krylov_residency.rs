@@ -1,19 +1,16 @@
-//! Krylov vector-residency acceptance: a fabric-backed solve with
-//! device-resident vectors ([`Residency::Resident`]) must be bit-identical
-//! to the staged round-tripping dataflow ([`Residency::Staged`]) — even
-//! across pipeline modes — while its per-iteration transfer bytes strictly
-//! decrease: the `O(n)` [`TransferKind::VectorStage`] staging per apply
-//! collapses to `8·(D−1)`-byte scalar allreduces per global reduction.
-//! Both sides' `VectorStage` totals are pinned to their closed forms
-//! ([`staged_apply_bytes`] / [`resident_reduce_bytes`]) exactly.
+//! Krylov vector-residency acceptance: a fabric-backed solve keeps its
+//! vectors device-resident, so it must be bit-identical across pipeline
+//! modes, and the only [`TransferKind::VectorStage`] traffic it records is
+//! one scalar allreduce per global reduction — pinned to
+//! [`resident_reduce_bytes`] exactly.
 
 use h2_core::{sketch_construct, SketchConfig};
 use h2_kernels::{ExponentialKernel, KernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_runtime::{Runtime, TransferKind};
 use h2_sched::{
-    resident_reduce_bytes, resident_reduce_hook, staged_apply_bytes, DeviceFabric, FabricOp,
-    Residency, UlvFabricPrecond,
+    resident_reduce_bytes, resident_reduce_hook, DeviceFabric, ExecReport, FabricOp,
+    UlvFabricPrecond,
 };
 use h2_solve::{pcg_with, IterResult, KrylovWorkspace, UlvFactor};
 use h2_tree::{Admissibility, ClusterTree, Partition};
@@ -66,85 +63,58 @@ fn assert_bit_identical(a: &IterResult, b: &IterResult, what: &str) {
     }
 }
 
+/// PCG through the fabric op and sweep preconditioner, counting the global
+/// reductions the allreduce hook charged.
+fn resident_pcg(
+    fabric: &Arc<DeviceFabric>,
+    h2: &H2Matrix,
+    ulv: &UlvFactor,
+    b: &[f64],
+) -> (IterResult, u64, ExecReport) {
+    let op = FabricOp::new(fabric, h2);
+    let prec = UlvFabricPrecond::new(fabric, ulv);
+    let mut ws = KrylovWorkspace::new(b.len());
+    let inner = resident_reduce_hook(fabric);
+    let count = Arc::new(AtomicU64::new(0));
+    let counter = count.clone();
+    ws.set_reduce_hook(Some(Arc::new(move || {
+        counter.fetch_add(1, Ordering::Relaxed);
+        inner();
+    })));
+    let res = pcg_with(&op, &prec, b, 200, 1e-10, &mut ws);
+    let reductions = count.load(Ordering::Relaxed);
+    (res, reductions, fabric.report("krylov"))
+}
+
 #[test]
-fn resident_solve_bit_identical_and_bytes_collapse() {
+fn resident_solve_is_mode_invariant_and_stages_only_allreduces() {
     const N: usize = 640;
     const D: usize = 4;
     let h2 = sym_hss(N, 32);
     let ulv = UlvFactor::new(&h2).unwrap();
     let b: Vec<f64> = (0..N).map(|i| 1.0 + (0.013 * i as f64).sin()).collect();
 
-    // Staged round-tripping on a synchronous fabric: every op and
-    // preconditioner apply pays the O(n) vector staging.
-    let staged_fabric = DeviceFabric::new(D);
-    let (staged, staged_report) = {
-        let op = FabricOp::new(&staged_fabric, &h2);
-        let prec = UlvFabricPrecond::new(&staged_fabric, &ulv);
-        assert_eq!(op.residency(), Residency::Staged);
-        let mut ws = KrylovWorkspace::new(N);
-        let res = pcg_with(&op, &prec, &b, 200, 1e-10, &mut ws);
-        (res, staged_fabric.report("krylov staged"))
-    };
-    assert!(staged.converged, "staged PCG stalled");
+    let (sync, sync_reductions, sync_report) = resident_pcg(&DeviceFabric::new(D), &h2, &ulv, &b);
+    assert!(sync.converged, "resident PCG stalled");
+    let (pipe, pipe_reductions, pipe_report) =
+        resident_pcg(&DeviceFabric::pipelined(D), &h2, &ulv, &b);
 
-    // Device-resident vectors on a *pipelined* fabric: the staging traffic
-    // disappears; each global reduction charges one scalar allreduce.
-    let resident_fabric = DeviceFabric::pipelined(D);
-    let reduce_count = Arc::new(AtomicU64::new(0));
-    let (resident, resident_report) = {
-        let op = FabricOp::resident(&resident_fabric, &h2);
-        let prec = UlvFabricPrecond::resident(&resident_fabric, &ulv);
-        assert_eq!(op.residency(), Residency::Resident);
-        let mut ws = KrylovWorkspace::new(N);
-        let inner = resident_reduce_hook(&resident_fabric);
-        let count = reduce_count.clone();
-        ws.set_reduce_hook(Some(Arc::new(move || {
-            count.fetch_add(1, Ordering::Relaxed);
-            inner();
-        })));
-        let res = pcg_with(&op, &prec, &b, 200, 1e-10, &mut ws);
-        (res, resident_fabric.report("krylov resident"))
-    };
+    // Same arithmetic, bit for bit, across pipeline modes.
+    assert_bit_identical(&sync, &pipe, "synchronous vs pipelined");
 
-    // Same arithmetic, bit for bit — across residency AND pipeline mode.
-    assert_bit_identical(&staged, &resident, "staged vs resident");
+    // The only vector traffic is one scalar allreduce per global reduction.
+    for (reductions, report) in [
+        (sync_reductions, &sync_report),
+        (pipe_reductions, &pipe_report),
+    ] {
+        assert!(reductions > 0);
+        assert_eq!(
+            report.bytes_of_kind(TransferKind::VectorStage),
+            reductions * resident_reduce_bytes(D),
+            "allreduce bytes must equal the closed form exactly"
+        );
+    }
 
-    // Staged VectorStage bytes: one full round trip per apply. PCG performs
-    // `iterations + 1` operator applies (one in the exit residual) and
-    // `iterations + 1` preconditioner applies (one before the loop).
-    let applies = 2 * (staged.iterations as u64 + 1);
-    let per_apply = staged_apply_bytes(N, 1, D, staged_fabric.wire());
-    assert!(per_apply > 0);
-    assert_eq!(
-        staged_report.bytes_of_kind(TransferKind::VectorStage),
-        applies * per_apply,
-        "staged staging bytes must equal the closed form exactly"
-    );
-
-    // Resident VectorStage bytes: one scalar allreduce per global
-    // reduction, nothing else.
-    let reductions = reduce_count.load(Ordering::Relaxed);
-    assert!(reductions > 0);
-    assert_eq!(
-        resident_report.bytes_of_kind(TransferKind::VectorStage),
-        reductions * resident_reduce_bytes(D),
-        "resident allreduce bytes must equal the closed form exactly"
-    );
-
-    // The headline: per-iteration fabric traffic strictly decreases (same
-    // iteration count on both sides, so totals compare directly) — both for
-    // the staging kind alone and for the whole solve.
-    assert!(
-        resident_report.bytes_of_kind(TransferKind::VectorStage)
-            < staged_report.bytes_of_kind(TransferKind::VectorStage),
-        "resident staging bytes must strictly decrease"
-    );
-    assert!(
-        resident_report.total_comm_bytes() < staged_report.total_comm_bytes(),
-        "resident total bytes must strictly decrease"
-    );
-
-    // One device stages nothing and reduces nothing across links.
-    assert_eq!(staged_apply_bytes(N, 1, 1, staged_fabric.wire()), 0);
+    // One device reduces nothing across links.
     assert_eq!(resident_reduce_bytes(1), 0);
 }

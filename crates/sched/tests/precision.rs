@@ -188,7 +188,6 @@ fn solve_bytes_equal_simulator_at_both_widths() {
     let h2 = hss_matrix(640, 32);
     let ulv = UlvFactor::new(&h2).unwrap();
     let b = gaussian_mat(h2.n(), 2, 94);
-    let spec = ulv.solve_spec(2);
     let model = DeviceModel::default();
     for devices in DEVICE_COUNTS {
         let mut totals = Vec::new();
@@ -197,10 +196,10 @@ fn solve_bytes_equal_simulator_at_both_widths() {
             let fabric = DeviceFabric::new(devices);
             fabric.set_wire(wire);
             let (x, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-            let cmp = h2_sched::compare_solve_with_simulator(&report, &spec, &model);
+            let cmp = h2_sched::compare_solve_with_simulator(&report, &ulv, 2, &model);
             assert!(
                 cmp.bytes_match(),
-                "D={devices} wire={wire}: executor {} vs simulator {} bytes",
+                "D={devices} wire={wire}: executor {} vs plan {} bytes",
                 cmp.measured_bytes,
                 cmp.predicted_bytes
             );

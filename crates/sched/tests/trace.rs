@@ -14,7 +14,7 @@ use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime};
 use h2_sched::{
     compare_matvec_with_simulator, compare_solve_with_simulator, compare_with_simulator,
     drift_construct, drift_matvec, drift_solve, export_chrome_trace,
-    export_chrome_trace_with_spans, shard_construct, shard_matvec_with_report,
+    export_chrome_trace_with_spans, plan_ulv_solve, shard_construct, shard_matvec_with_report,
     shard_ulv_solve_with_report, simulate_matvec, DeviceFabric, Tracer,
 };
 use h2_solve::{pcg_with, KrylovWorkspace, UlvFactor};
@@ -228,18 +228,25 @@ fn solve_drift_table_matches_simulator_comparison() {
     let h2 = hss_matrix(640, 32);
     let ulv = UlvFactor::new(&h2).unwrap();
     let b = gaussian_mat(h2.n(), 2, 98);
-    let spec = ulv.solve_spec(2);
     let model = DeviceModel::default();
     let fabric = DeviceFabric::with_config(4, PipelineMode::Pipelined, Default::default());
     let (_, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-    let cmp = compare_solve_with_simulator(&report, &spec, &model);
+    let cmp = compare_solve_with_simulator(&report, &ulv, 2, &model);
     assert!(cmp.bytes_match());
-    let table = drift_solve(&report, &spec, &model);
+    let plan = plan_ulv_solve(&ulv, 2, 4, PipelineMode::Pipelined, report.wire);
+    let table = drift_solve(&report, &plan, &model);
     assert_eq!(table.measured_total(), report.modeled_makespan(&model));
     assert_eq!(table.predicted_total(), cmp.predicted_makespan);
     assert_eq!(table.ratio(), cmp.makespan_ratio());
-    let ratio = cmp.makespan_ratio();
-    assert!((shares_sum(&table) - ratio).abs() <= 1e-12 * ratio.abs().max(1.0));
+    assert_eq!(table.ratio(), 1.0, "the executor ran the plan");
+    assert!((shares_sum(&table) - 1.0).abs() <= 1e-12);
+    // Labels pair up row by row: the same epochs in the same order.
+    assert_eq!(table.rows.len(), report.epochs.len());
+    assert_eq!(table.rows.len(), plan.epochs.len());
+    for ((row, e), p) in table.rows.iter().zip(&report.epochs).zip(&plan.epochs) {
+        assert_eq!(row.label, e.label);
+        assert_eq!(row.label, p.label);
+    }
     // The ranked view orders rows by modeled excess without panicking.
     assert_eq!(table.ranked().len(), table.rows.len());
 }

@@ -29,9 +29,10 @@
 //!   `max_batch` columns, or its oldest request has waited `max_wait`).
 //! * [`server`] — [`ServeSim`]: a deterministic single-server event loop
 //!   that admits a workload, serves each batch with the *real*
-//!   fabric-sharded blocked sweep (`h2_sched::shard_ulv_solve`), asserts
-//!   the measured transfer bytes equal the `simulate_solve` prediction for
-//!   that batch width (the PR 2–9 trust invariant), and reports
+//!   fabric-sharded blocked sweep (`h2_sched::shard_ulv_solve`), checks
+//!   the measured transfer bytes equal those of the
+//!   `h2_sched::plan_ulv_solve` schedule it executed at that batch width
+//!   (the bytes == plan trust invariant), and reports
 //!   throughput and p50/p99 latency in **modeled makespan** under the
 //!   device model — never wall clock, per the ROADMAP's single-core
 //!   container rule.

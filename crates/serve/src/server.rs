@@ -5,8 +5,9 @@
 //! report's modeled makespan under the configured
 //! [`h2_runtime::DeviceModel`], and a cache miss is charged the factor's
 //! modeled (re)build time `factor_flops / flops_per_sec`. Every batch
-//! asserts the trust invariant: measured fabric transfer bytes equal the
-//! `simulate_solve` prediction for that batch's RHS width.
+//! checks the trust invariant: measured fabric transfer bytes equal those
+//! of the `h2_sched::plan_ulv_solve` schedule the sweep executed at that
+//! batch's RHS width.
 
 use crate::cache::{CachedOperator, OpKey, OperatorCache};
 use crate::queue::{AdmissionPolicy, AdmissionQueue, Batch, Request};
@@ -48,9 +49,9 @@ pub struct ServeReport {
     pub cache_evictions: usize,
     /// Summed measured fabric bytes across batches.
     pub solve_bytes: u64,
-    /// Summed `simulate_solve` bytes across batches.
+    /// Summed planned bytes (`h2_sched::plan_ulv_solve`) across batches.
     pub predicted_bytes: u64,
-    /// Whether every batch matched its simulator byte prediction exactly.
+    /// Whether every batch matched its planned bytes exactly.
     pub bytes_equal: bool,
     /// Modeled seconds spent (re)building factors on cache misses.
     pub factor_seconds: f64,
@@ -197,14 +198,13 @@ impl<'a> ServeSim<'a> {
         }
 
         // One blocked sharded sweep for the whole batch, byte-checked
-        // against the simulator at this width.
+        // against its plan at this width.
         let fabric = match self.cfg.mode {
             PipelineMode::Pipelined => DeviceFabric::pipelined(self.cfg.devices),
             _ => DeviceFabric::new(self.cfg.devices),
         };
         let (x, report) = shard_ulv_solve_with_report(&fabric, &op.ulv, &rhs);
-        let spec = op.ulv.solve_spec(width);
-        let cmp = compare_solve_with_simulator(&report, &spec, &self.cfg.model);
+        let cmp = compare_solve_with_simulator(&report, &op.ulv, width, &self.cfg.model);
         let service = report.modeled_makespan(&self.cfg.model);
         *clock += service;
 

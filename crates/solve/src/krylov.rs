@@ -183,9 +183,8 @@ const REDUCE_BLOCK: usize = 256;
 /// combine left to right. Because the grouping is independent of how a
 /// device fabric shards the vectors, a per-device partial reduction that
 /// respects the block boundaries followed by an in-order combine reproduces
-/// this value bit-for-bit — the contract `h2_sched`'s resident-vector mode
-/// (`Residency::Resident`) relies on for its `8·(D−1)`-byte scalar
-/// allreduces.
+/// this value bit-for-bit — the contract `h2_sched`'s device-resident
+/// Krylov vectors rely on for their `8·(D−1)`-byte scalar allreduces.
 pub fn blocked_dot(a: &[f64], b: &[f64]) -> f64 {
     let mut total = 0.0;
     let mut i = 0;

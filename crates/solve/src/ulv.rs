@@ -85,7 +85,7 @@ use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
     batched_apply_qt, batched_lu, batched_lu_solve, batched_qr, batched_transpose, Kernel, Runtime,
-    SolveLevel, SolveSpec, VarBatch,
+    VarBatch,
 };
 use h2_tree::{Admissibility, ClusterTree};
 use std::sync::Arc;
@@ -514,8 +514,8 @@ impl UlvFactor {
     }
 
     /// Modeled flops of the forward sweep at one node for `d` right-hand
-    /// sides (the simulator's formulas; `h2_sched` attributes exactly
-    /// these per device).
+    /// sides, from the shared [`cost`] formulas — `h2_sched::plan_ulv_solve`
+    /// charges exactly this to the device owning the node.
     pub fn forward_flops(&self, id: usize, d: usize) -> f64 {
         let Some(nf) = self.nodes[id].as_ref() else {
             return 0.0;
@@ -536,39 +536,6 @@ impl UlvFactor {
         cost::gemm_flops(nf.e, nf.k, d)
             + cost::lu_solve_flops(nf.e, d)
             + cost::qr_apply_flops(m, nf.col_qr().tau.len(), d)
-    }
-
-    /// The level structure of the solve sweep, in the form
-    /// [`h2_runtime::simulate_solve`] consumes: the byte totals a sharded
-    /// sweep moves must equal that model's exactly.
-    pub fn solve_spec(&self, nrhs: usize) -> SolveSpec {
-        let tree = &self.tree;
-        let leaf_level = tree.leaf_level();
-        let mut levels = Vec::new();
-        if leaf_level > 0 {
-            for l in (1..=leaf_level).rev() {
-                let ids: Vec<usize> = tree.level(l).collect();
-                let mut lvl = SolveLevel::default();
-                for &id in &ids {
-                    let nf = self.nodes[id].as_ref().expect("processed node");
-                    lvl.m.push(nf.k + nf.e);
-                    lvl.k.push(nf.k);
-                    lvl.t_row.push(nf.row_qr.tau.len());
-                    lvl.t_col.push(nf.col_qr().tau.len());
-                }
-                for p in tree.level(l - 1) {
-                    let (c1, c2) = tree.nodes[p].children.unwrap();
-                    lvl.merges
-                        .push((tree.local_index(c1), tree.local_index(c2)));
-                }
-                levels.push(lvl);
-            }
-        }
-        SolveSpec {
-            levels,
-            root_size: self.root_size,
-            nrhs,
-        }
     }
 
     /// Solve `K_H2 X = B` for a block of right-hand sides (tree-permuted
@@ -1288,12 +1255,7 @@ mod tests {
         let (mut h2, _) = sketch_construct(&km, &km, tree, part, &Runtime::parallel(), &cfg);
         shift_diag(&mut h2, 2.0);
         let ulv = UlvFactor::new(&h2).unwrap();
-        let widest = ulv
-            .solve_spec(1)
-            .levels
-            .iter()
-            .flat_map(|l| l.t_row.clone())
-            .max();
+        let widest = h2.basis.iter().map(|u| u.cols()).max();
         assert!(
             widest.unwrap() > h2_dense::qr::NB,
             "test needs a basis wider than one QR panel, got {widest:?}"
@@ -1327,22 +1289,42 @@ mod tests {
         );
     }
 
+    /// The per-node shapes a sweep plan reads line up with the tree: a
+    /// leaf's reduced block is its cluster, an inner node's (and the root
+    /// system) stacks its children's retained blocks, and the forward
+    /// kernel passes up exactly `retained × nrhs`.
     #[test]
     fn solve_spec_shapes_line_up() {
         let (mut h2, _) = hss_1d(512, 1e-9, 30);
         shift_diag(&mut h2, 2.0);
         let ulv = UlvFactor::new(&h2).unwrap();
-        let spec = ulv.solve_spec(3);
-        assert_eq!(spec.nrhs, 3);
-        assert_eq!(spec.root_size, ulv.root_size());
-        assert_eq!(spec.levels.len(), h2.tree.leaf_level());
-        // Leaf level first; node counts follow the tree levels bottom-up.
-        for (i, lvl) in spec.levels.iter().enumerate() {
-            let l = h2.tree.leaf_level() - i;
-            assert_eq!(lvl.m.len(), h2.tree.level_len(l));
-            assert_eq!(lvl.merges.len(), h2.tree.level_len(l - 1));
-            for j in 0..lvl.m.len() {
-                assert!(lvl.k[j] <= lvl.m[j]);
+        let tree = ulv.tree().clone();
+        let leaf_level = tree.leaf_level();
+        assert!(leaf_level > 0);
+        let stacked = |id: usize| {
+            let (c1, c2) = tree.nodes[id].children.unwrap();
+            ulv.retained(c1) + ulv.retained(c2)
+        };
+        assert_eq!(ulv.retained(0), 0);
+        assert_eq!(ulv.root_size(), stacked(0));
+        let sweep = ulv.sweep();
+        for l in (1..=leaf_level).rev() {
+            for id in tree.level(l) {
+                let nf = ulv.nodes[id].as_ref().expect("processed node");
+                let m = nf.k + nf.e;
+                let want = if l == leaf_level {
+                    tree.nodes[id].len()
+                } else {
+                    stacked(id)
+                };
+                assert_eq!(m, want, "reduced block of node {id} at L{l}");
+                assert_eq!(ulv.retained(id), nf.k);
+                assert!(ulv.forward_flops(id, 3) > 0.0 && ulv.backward_flops(id, 3) > 0.0);
+                let (b1, b2) = sweep.forward_node(id, Mat::zeros(m, 3));
+                assert_eq!((b1.rows(), b1.cols()), (nf.k, 3));
+                assert_eq!((b2.rows(), b2.cols()), (nf.e, 3));
+                let x = sweep.backward_node(id, &b1, b2);
+                assert_eq!((x.rows(), x.cols()), (m, 3));
             }
         }
     }
