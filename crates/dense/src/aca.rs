@@ -44,6 +44,10 @@ impl AcaResult {
 /// taken. Exact low-rank matrices terminate early with a zero residual
 /// pivot.
 ///
+/// Pivots are the largest `|x|` in [`f64::total_cmp`] order, where a NaN
+/// ranks above every number: a NaN entry of the block is taken as a pivot
+/// and shows up as NaN in `U` / `V` instead of a panic.
+///
 /// ```
 /// use h2_dense::aca;
 /// // A rank-1 block: ACA recovers it from one cross, plus at most one
@@ -123,7 +127,7 @@ pub fn aca(
         let (j_star, &delta) = v_row
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
+            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
             .unwrap();
 
         // Residual column scaled by the pivot:
@@ -161,7 +165,7 @@ pub fn aca(
             .iter()
             .enumerate()
             .filter(|(i, _)| !used_rows[*i])
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
+            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
             .map(|(i, _)| i)
             .unwrap_or(0);
 
@@ -198,6 +202,41 @@ pub fn aca(
 mod tests {
     use super::*;
     use crate::rand::gaussian_mat;
+
+    #[test]
+    fn nan_in_the_pivot_row_returns_nan_factors() {
+        // The first residual row is row m / 2 = 4: its NaN is the first
+        // pivot search's maximum.
+        let res = aca(
+            8,
+            8,
+            |i, j| {
+                if (i, j) == (4, 2) {
+                    f64::NAN
+                } else {
+                    1.0 / (1 + i + j) as f64
+                }
+            },
+            1e-10,
+            8,
+        );
+        assert!(res.u.as_slice().iter().any(|x| x.is_nan()));
+    }
+
+    #[test]
+    fn nan_in_the_pivot_column_returns_nan_factors() {
+        // Rank one, so row 4's largest entry picks column 7; its NaN in row
+        // 0 reaches the next-row search through the residual column.
+        let f = |i: usize, j: usize| {
+            if (i, j) == (0, 7) {
+                f64::NAN
+            } else {
+                ((i + 1) * (j + 1)) as f64
+            }
+        };
+        let res = aca(8, 8, f, 1e-10, 8);
+        assert!(res.u.as_slice().iter().any(|x| x.is_nan()));
+    }
 
     #[test]
     fn exact_low_rank_recovered() {

@@ -17,8 +17,8 @@
 //! final and no later step touches them, so `skel`, `T` and `U` have the
 //! bits a full factorization truncated afterwards would give.
 
-use crate::mat::Mat;
-use crate::qr::{house_apply, house_gen};
+use crate::mat::{Mat, MatMut};
+use crate::qr::{apply_reflector, house_gen};
 use crate::tri::{solve_triangular_left, Diag, Triangle};
 
 /// Result of a column-pivoted QR: packed factor, `tau`, and pivot order
@@ -91,9 +91,8 @@ fn cpqr_truncated(mut a: Mat, rule: Truncation) -> (Cpqr, Vec<f64>) {
 
         // Apply to trailing columns and downdate their norms.
         if t != 0.0 {
-            for cj in trail.chunks_exact_mut(m) {
-                house_apply(&vk[1..], t, &mut cj[k..]);
-            }
+            let mut c = MatMut::from_parts(m, trail.len() / m, m, &mut *trail);
+            apply_reflector(&vk[1..], t, k, &mut c);
         }
         vk[0] = beta;
 
@@ -427,6 +426,59 @@ mod tests {
                 let what = format!("{}x{} {rule:?}", a.rows(), a.cols());
                 assert_eq!(id.skel, skel, "skel {what}");
                 assert_eq!(bits(id.u.as_slice()), bits(u.as_slice()), "U {what}");
+            }
+        }
+    }
+
+    /// The seed's back-substitution `R1⁻¹ R2`, one column at a time.
+    fn upper_solve_ref(r1: &Mat, r2: &mut Mat) {
+        let k = r1.rows();
+        for j in 0..r2.cols() {
+            for i in (0..k).rev() {
+                let mut s = r2[(i, j)];
+                for l in (i + 1)..k {
+                    s -= r1[(i, l)] * r2[(l, j)];
+                }
+                r2[(i, j)] = s / r1[(i, i)];
+            }
+        }
+    }
+
+    #[test]
+    fn column_groups_are_bitwise_the_column_loop() {
+        // The trailing update runs four columns per pass: across these
+        // widths the trailing-column count n − k − 1 meets every residue
+        // mod 4 at the same step k.
+        let mut cases: Vec<Mat> = (8..12).map(|n| gaussian_mat(13, n, n as u64)).collect();
+        // Rows 3.. exactly zero: every step from 3 on has tau = 0.
+        let mut z = gaussian_mat(9, 11, 31);
+        for j in 0..11 {
+            z.col_mut(j)[3..].fill(0.0);
+        }
+        cases.push(z);
+        for a in cases {
+            let (m, n) = (a.rows(), a.cols());
+            let (wa, wtau, wpvt, wrd) = cpqr_factor_ref(a.clone());
+            let (f, jpvt, _) = cpqr_factor(a.clone());
+            assert_eq!(bits(f.a.as_slice()), bits(wa.as_slice()), "a {m}x{n}");
+            assert_eq!((bits(&f.tau), jpvt), (bits(&wtau), wpvt.clone()), "{m}x{n}");
+            if m == 9 {
+                assert!(f.tau[3..].iter().all(|&t| t == 0.0), "tau = 0 steps");
+            }
+            for rule in [Truncation::Relative(1e-12), Truncation::Rank(5)] {
+                let k = select_rank(&wrd, rule);
+                let r1 = Mat::from_fn(k, k, |i, j| if j >= i { wa[(i, j)] } else { 0.0 });
+                let mut t = Mat::from_fn(k, n - k, |i, j| wa[(i, j + k)]);
+                upper_solve_ref(&r1, &mut t);
+                let id = col_id(a.clone(), rule);
+                assert_eq!(id.skel, wpvt[..k], "skel {m}x{n} {rule:?}");
+                // The early stop leaves the redundant columns unpivoted:
+                // match them by original index.
+                for (p, col) in wpvt.iter().enumerate().skip(k) {
+                    let q = id.jpvt.iter().position(|c| c == col).unwrap();
+                    let (got, want) = (id.t.col(q - k), t.col(p - k));
+                    assert_eq!(bits(got), bits(want), "T {m}x{n} {rule:?} col {col}");
+                }
             }
         }
     }

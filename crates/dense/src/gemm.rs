@@ -693,7 +693,8 @@ fn run_micro(mrt: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR512]; NR]) {
     if mrt == MR512 {
         #[cfg(target_arch = "x86_64")]
         if simd_tier() == SimdTier::Avx512 {
-            // SAFETY: guarded by the runtime tier check above.
+            // SAFETY: `micro_accumulate_avx512` only needs the CPU to
+            // support AVX-512F, which the runtime tier check above confirmed.
             *acc = unsafe { micro_accumulate_avx512(ap, bp) };
             return;
         }
@@ -704,7 +705,9 @@ fn run_micro(mrt: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; MR512]; NR]) {
     if simd_tier() != SimdTier::Baseline {
         // AVX-512 hosts also take this arm for narrow (m < MR512) calls:
         // the AVX2 tile is the better fit there and zmm warm-up is avoided.
-        // SAFETY: Avx2Fma/Avx512 both imply avx2+fma support.
+        // SAFETY: `micro_accumulate_fma` only needs AVX2 and FMA: the
+        // Avx2Fma tier is detected with both, and the Avx512 tier with
+        // AVX-512F, which implies them.
         let t = unsafe { micro_accumulate_fma(ap, bp) };
         for j in 0..NR {
             acc[j][..MR].copy_from_slice(&t[j]);
@@ -928,9 +931,13 @@ pub fn par_gemm(
 /// express as disjoint subslices.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut f64);
-// SAFETY: every task writes only its own `MC`-row band (disjoint row
-// ranges), so concurrent access never aliases an element.
+// SAFETY: the pointer targets C, which `par_gemm_shared_b` borrows mutably
+// for the whole parallel loop, and every task writes only its own `MC`-row
+// band (disjoint row ranges), so moving it to a task never aliases an
+// element.
 unsafe impl Send for SendPtr {}
+// SAFETY: shared between tasks for the same reason: no two tasks touch the
+// same element, and nothing reads C through another path meanwhile.
 unsafe impl Sync for SendPtr {}
 
 /// The shared-B parallel macro loop: `jc`/`pc` sweeps are serial, each
@@ -983,12 +990,17 @@ fn par_gemm_shared_b(
                             let mut acc = [[0.0f64; MR512]; NR];
                             run_micro(mrt, ap, bp, &mut acc);
                             for j in 0..nr {
-                                // SAFETY: this band owns rows ic..ic+mc of
-                                // every column; tiles of one band are
-                                // visited serially.
+                                // SAFETY: `jc + jr + j < n` and `ic + ir < m`,
+                                // so the offset stays inside C's storage
+                                // (entry `(i, j)` at `i + j * ld`).
                                 let col = unsafe { cp.0.add((jc + jr + j) * ld + ic + ir) };
                                 let accj = &acc[j];
                                 for (i, &v) in accj.iter().take(mr).enumerate() {
+                                    // SAFETY: row `ic + ir + i < m` of a live
+                                    // column of C; this band owns rows
+                                    // `ic..ic + mc` of every column and visits
+                                    // its tiles serially, so no other task
+                                    // writes this element.
                                     unsafe { *col.add(i) += alpha * v };
                                 }
                             }

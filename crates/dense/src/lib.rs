@@ -16,16 +16,27 @@
 //!   level-2 [`QrFactor::apply_q`] / [`QrFactor::apply_qt`] whose result
 //!   per column is bit-identical at every right-hand-side width (the
 //!   solve-sweep kernel, as [`gemm_rhs`] is to [`gemm`](gemm::gemm)),
+//! * column-group right-hand-side kernels: the Householder reflector
+//!   application (level-2 `Q` / `Qᵀ`, the QR panel and CPQR trailing
+//!   updates) and the left triangular solves (and so
+//!   [`LuFactor::solve_in_place`]) work on four columns per pass, each
+//!   column's floating-point operations and their order unchanged,
 //! * column-pivoted QR and interpolative decompositions ([`cpqr`]) — the
 //!   skeletonization step; the factorization stops at the rank the
 //!   truncation rule keeps,
-//! * triangular solves, LU, Cholesky, one-sided Jacobi SVD,
+//! * triangular solves, LU, Cholesky, one-sided Jacobi SVD (NaN inputs give
+//!   NaN results, never a panic: comparisons use [`f64::total_cmp`] or a
+//!   documented NaN rule),
+//! * every `unsafe` block and impl carries a `// SAFETY:` invariant
+//!   (`clippy::undocumented_unsafe_blocks` is denied),
 //! * the [`LinOp`] / [`EntryAccess`] traits — the
 //!   paper's two black-box inputs — plus power-iteration norm estimation,
 //! * the storage/wire precision tier ([`prec`]): [`Precision`], the f32
 //!   storage type [`Mat32`] with demote/promote conversion kernels, and the
 //!   mixed-precision [`gemm_mixed`] whose f32 operand is
 //!   promoted at the packing stage while every accumulation stays f64.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aca;
 pub mod cpqr;

@@ -1,8 +1,12 @@
 //! LU with partial pivoting and dense Cholesky.
 //!
-//! LU backs the dense linear solves in tests and the Gaussian-process
+//! LU backs the ULV's pivot-block and root solves, the block-Jacobi
+//! preconditioner, the dense linear solves in tests and the Gaussian-process
 //! example; Cholesky is the pivot-block factorization inside the
-//! multifrontal solver (`h2-frontal`).
+//! multifrontal solver (`h2-frontal`). [`LuFactor::solve_in_place`] swaps
+//! the pivot rows and runs the two column-group triangular solves of
+//! [`crate::tri`], so column `j` of a solve is bit-identical at every
+//! right-hand-side width.
 
 use crate::mat::{Mat, MatMut, MatRef};
 use crate::tri::{solve_triangular_left, solve_triangular_left_transposed, Diag, Triangle};

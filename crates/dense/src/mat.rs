@@ -9,6 +9,14 @@
 
 use std::fmt;
 
+/// Columns per pass of the right-hand-side kernels
+/// ([`MatMut::for_column_groups`]): the Householder reflector application
+/// and the triangular solves load each factor entry once for `W` columns
+/// and run `W` independent add chains. Four measured fastest on an x86-64
+/// baseline (SSE2) build: ahead of two and eight for the reflector kernel,
+/// ahead of eight for the triangular one.
+pub(crate) const W: usize = 4;
+
 /// An owning, column-major, `f64` matrix with `ld == rows`.
 #[derive(Clone, PartialEq)]
 pub struct Mat {
@@ -543,6 +551,44 @@ impl<'a> MatMut<'a> {
         )
     }
 
+    /// Columns `j0..j0 + G` as `G` disjoint mutable slices of length `rows`
+    /// (split off the storage with `split_at_mut`).
+    pub(crate) fn cols_mut<const G: usize>(&mut self, j0: usize) -> [&mut [f64]; G] {
+        assert!(j0 + G <= self.cols, "cols_mut out of bounds");
+        let (rows, ld) = (self.rows, self.ld);
+        let mut rest: &mut [f64] = if rows == 0 {
+            &mut []
+        } else {
+            &mut self.data[j0 * ld..]
+        };
+        std::array::from_fn(|_| {
+            // The last column of a sub-view ends short of a full stride.
+            let cur = std::mem::take(&mut rest);
+            let (col, tail) = cur.split_at_mut(ld.min(cur.len()));
+            rest = tail;
+            &mut col[..rows]
+        })
+    }
+
+    /// Run a column-group kernel over every column: `group` on each run of
+    /// [`W`] consecutive columns, then `single` on each of the last
+    /// `cols % W` columns alone. Both are meant to be the same kernel at two
+    /// widths, whose arithmetic per column does not depend on the width.
+    pub(crate) fn for_column_groups(
+        &mut self,
+        mut group: impl FnMut([&mut [f64]; W]),
+        mut single: impl FnMut([&mut [f64]; 1]),
+    ) {
+        let n = self.cols;
+        let full = n - n % W;
+        for j0 in (0..full).step_by(W) {
+            group(self.cols_mut(j0));
+        }
+        for j in full..n {
+            single(self.cols_mut(j));
+        }
+    }
+
     /// Copy entries from a same-shape source view.
     pub fn copy_from(&mut self, src: MatRef<'_>) {
         assert_eq!(
@@ -586,13 +632,45 @@ impl<'a> MatMut<'a> {
     }
 }
 
-// SAFETY: views only expose &f64/&mut f64 access to disjoint data.
-unsafe impl Send for MatMut<'_> {}
-unsafe impl Sync for MatRef<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn views_cross_threads_without_unsafe_impls() {
+        // A view is a slice borrow plus integers, so the auto traits apply.
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<MatRef<'_>>();
+        send_sync::<MatMut<'_>>();
+    }
+
+    #[test]
+    fn column_groups_cover_every_column_once() {
+        // A sub-view with ld > rows whose last column ends short of a stride.
+        for n in [0, 1, 3, 4, 5, 9] {
+            let mut m = Mat::zeros(5, n + 2);
+            let mut v = m.view_mut(1, 1, 3, n);
+            let (mut groups, mut singles) = (0, 0);
+            v.for_column_groups(
+                |cols| {
+                    groups += 1;
+                    cols.into_iter()
+                        .for_each(|c| c.iter_mut().for_each(|x| *x += 1.0));
+                },
+                |[c]| {
+                    singles += 1;
+                    c.iter_mut().for_each(|x| *x += 1.0);
+                },
+            );
+            assert_eq!((groups, singles), (n / W, n % W), "n = {n}");
+            for j in 0..n + 2 {
+                for i in 0..5 {
+                    let inside = (1..4).contains(&i) && (1..=n).contains(&j);
+                    assert_eq!(m[(i, j)], if inside { 1.0 } else { 0.0 }, "({i}, {j})");
+                }
+            }
+        }
+    }
 
     #[test]
     fn construct_and_index() {

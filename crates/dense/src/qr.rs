@@ -10,8 +10,8 @@
 //! # Two levels
 //!
 //! * **Panel kernel** (`house_gen` + `house_apply`, one reflector at a
-//!   time over contiguous column slices). [`qr_in_place`] is this kernel
-//!   alone when `min(m, n) ≤ NB`.
+//!   time, applied to the columns on its right four at a time).
+//!   [`qr_in_place`] is this kernel alone when `min(m, n) ≤ NB`.
 //! * **Block reflector.** Above that, `NB` columns at a time are factored
 //!   by the panel kernel, the panel's reflectors are aggregated into
 //!   `Q_p = I − V T Vᵀ` (`V` unit lower trapezoidal, `T` upper triangular,
@@ -32,12 +32,17 @@
 //! shape of the block, so column `j` of the result may depend in the last
 //! bits on how many columns ride along. The level-2
 //! [`QrFactor::apply_q`] / [`QrFactor::apply_qt`] sweep the reflectors one
-//! at a time over each column independently: **column `j` of their result
-//! is bit-identical at every right-hand-side width**, which is the contract
-//! the blocked ULV solve sweep (`UlvSweep`, `shard_ulv_solve`) pins its
-//! blocked == sequential identity on. They are the right-hand-side kernel;
-//! the block form is the factorization kernel — the same split as
-//! [`gemm`] / [`gemm_rhs`](crate::gemm::gemm_rhs).
+//! at a time and apply each to `W = 4` columns per pass: the group shares
+//! every load of the reflector and runs four independent dot-product
+//! chains, while each column's operation sequence (`s = c₀`,
+//! `s += vᵢ·xᵢ` in `i` order, `s *= τ`, `c₀ −= s`, `xᵢ −= s·vᵢ`) is the one
+//! it has alone; the `cols % 4` columns after the last group run the same
+//! kernel one at a time. So **column `j` of their result is bit-identical at
+//! every right-hand-side width**, which is the contract the blocked ULV
+//! solve sweep (`UlvSweep`, `shard_ulv_solve`) pins its blocked ==
+//! sequential identity on. They are the right-hand-side kernel; the block
+//! form is the factorization kernel — the same split as [`gemm`] /
+//! [`gemm_rhs`](crate::gemm::gemm_rhs).
 
 use crate::gemm::{gemm, Op};
 use crate::mat::{Mat, MatMut, MatRef};
@@ -83,19 +88,25 @@ pub fn qr_in_place(a: &mut MatMut<'_>) -> Vec<f64> {
 /// Unblocked Householder QR of `tau.len()` columns of `a`, each reflector
 /// applied to every column to its right.
 fn qr_panel(a: &mut MatMut<'_>, tau: &mut [f64]) {
-    let n = a.cols();
     for k in 0..tau.len() {
         let (mut head, mut trail) = a.rb_mut().split_cols(k + 1);
         let vk = &mut head.col_mut(k)[k..];
         let (t, beta) = house_gen(vk);
         tau[k] = t;
         if t != 0.0 {
-            for j in 0..n - k - 1 {
-                house_apply(&vk[1..], t, &mut trail.col_mut(j)[k..]);
-            }
+            apply_reflector(&vk[1..], t, k, &mut trail);
         }
         vk[0] = beta;
     }
+}
+
+/// Apply the reflector `(v_tail, tau)` acting on rows `k..` to every column
+/// of `c`, four columns per pass (the level-2 right-hand-side kernel).
+pub(crate) fn apply_reflector(v_tail: &[f64], tau: f64, k: usize, c: &mut MatMut<'_>) {
+    c.for_column_groups(
+        |g| house_apply(v_tail, tau, k, g),
+        |g| house_apply(v_tail, tau, k, g),
+    );
 }
 
 /// Generate the Householder reflector annihilating `x[1..]`: overwrites
@@ -122,19 +133,37 @@ pub(crate) fn house_gen(x: &mut [f64]) -> (f64, f64) {
     (tau, beta)
 }
 
-/// `c ← (I − tau v vᵀ) c` for `v = [1; v_tail]`, `c.len() == v_tail.len() + 1`.
-#[inline]
-pub(crate) fn house_apply(v_tail: &[f64], tau: f64, c: &mut [f64]) {
-    let (c0, ct) = c.split_first_mut().expect("house_apply: empty column");
-    debug_assert_eq!(ct.len(), v_tail.len());
-    let mut s = *c0;
-    for (v, x) in v_tail.iter().zip(ct.iter()) {
-        s += v * x;
+/// `c ← (I − tau v vᵀ) c` for `v = [1; v_tail]` on each of the `G` columns
+/// `c[g][r0..]` (each `v_tail.len() + 1` long). Per column the sequence is
+/// fixed — `s = c₀; s += vᵢ·xᵢ` in `i` order, `s *= tau`, `c₀ −= s`,
+/// `xᵢ −= s·vᵢ` — so its bits do not depend on `G`; the group shares each
+/// `vᵢ` load and runs `G` independent add chains.
+#[inline(always)]
+pub(crate) fn house_apply<const G: usize>(v_tail: &[f64], tau: f64, r0: usize, c: [&mut [f64]; G]) {
+    let n = v_tail.len();
+    let c = c.map(|col| &mut col[r0..r0 + n + 1]);
+    let mut s: [f64; G] = std::array::from_fn(|g| c[g][0]);
+    if G == 1 {
+        // The same chain; zipped, it keeps the one-column path (PCG's
+        // preconditioner solve) free of the bounds check the indexed form
+        // leaves in the loop, which costs a single chain ~5 %.
+        for (v, x) in v_tail.iter().zip(&c[0][1..]) {
+            s[0] += v * x;
+        }
+    } else {
+        for (i, &v) in v_tail.iter().enumerate() {
+            for g in 0..G {
+                s[g] += v * c[g][i + 1];
+            }
+        }
     }
-    s *= tau;
-    *c0 -= s;
-    for (v, x) in v_tail.iter().zip(ct.iter_mut()) {
-        *x -= s * v;
+    for (g, col) in c.into_iter().enumerate() {
+        let s = s[g] * tau;
+        let (c0, ct) = col.split_first_mut().expect("house_apply: empty column");
+        *c0 -= s;
+        for (v, x) in v_tail.iter().zip(ct.iter_mut()) {
+            *x -= s * v;
+        }
     }
 }
 
@@ -217,10 +246,17 @@ impl QrFactor {
     }
 
     /// Smallest `|R_ii|`; `None` for an empty factor.
+    ///
+    /// A NaN on the diagonal (a poisoned input) makes the result `+∞`: such
+    /// a factor says nothing about rank, and a caller that reads
+    /// `min > threshold` as "not yet converged" (`baselines::peel`) must
+    /// keep sampling rather than accept it.
     pub fn min_r_diag_abs(&self) -> Option<f64> {
-        self.r_diag_abs()
-            .into_iter()
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
+        let d = self.r_diag_abs();
+        if d.iter().any(|x| x.is_nan()) {
+            return Some(f64::INFINITY);
+        }
+        d.into_iter().min_by(f64::total_cmp)
     }
 
     /// The upper-triangular factor R (`min(m,n) x n`).
@@ -269,12 +305,8 @@ impl QrFactor {
 
     fn apply_reflector(&self, k: usize, c: &mut MatMut<'_>) {
         let t = self.tau[k];
-        if t == 0.0 {
-            return;
-        }
-        let v_tail = &self.a.col(k)[k + 1..];
-        for j in 0..c.cols() {
-            house_apply(v_tail, t, &mut c.col_mut(j)[k..]);
+        if t != 0.0 {
+            apply_reflector(&self.a.col(k)[k + 1..], t, k, c);
         }
     }
 
@@ -499,5 +531,17 @@ mod tests {
         let a = Mat::zeros(5, 3);
         let f = qr_factor(a);
         assert_eq!(f.min_r_diag_abs().unwrap(), 0.0);
+    }
+
+    #[test]
+    fn nan_diagonal_reads_as_unconverged() {
+        let mut a = gaussian_mat(12, 6, 18);
+        a[(7, 4)] = f64::NAN;
+        let f = qr_factor(a);
+        assert!(f.r_diag_abs()[4].is_nan());
+        let min = f.min_r_diag_abs().unwrap();
+        assert_eq!(min, f64::INFINITY);
+        // The convergence reading of `baselines::peel`: not converged.
+        assert!(min > 1e-8);
     }
 }

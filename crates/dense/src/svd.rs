@@ -95,9 +95,10 @@ fn svd_tall(mut u: Mat) -> Svd {
         }
     }
 
-    // Sort by descending singular value.
+    // Sort by descending singular value, in `f64::total_cmp` order: a NaN
+    // (from a NaN input) sorts as larger than every number.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| s[j].partial_cmp(&s[i]).unwrap());
+    order.sort_by(|&i, &j| s[j].total_cmp(&s[i]));
     let u = u.select_cols(&order);
     let v = v.select_cols(&order);
     s = order.iter().map(|&i| s[i]).collect();
@@ -170,6 +171,15 @@ mod tests {
         for w in f.s.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
         }
+    }
+
+    #[test]
+    fn nan_input_returns_instead_of_panicking() {
+        let mut a = gaussian_mat(6, 4, 19);
+        a[(2, 1)] = f64::NAN;
+        let f = svd(&a);
+        assert_eq!(f.s.len(), 4);
+        assert!(f.s.iter().any(|x| x.is_nan()));
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! Triangular solves (BLAS `trsm`-style) for the handful of variants the
 //! workspace needs: interpolation-matrix computation (`R1^{-1} R2`),
 //! Cholesky-based frontal elimination, and LU back-substitution.
+//!
+//! The left solves ([`solve_triangular_left`],
+//! [`solve_triangular_left_transposed`]) substitute four right-hand-side
+//! columns per pass: each entry of `T` is loaded once for the group and the
+//! four columns' dot products run as independent chains.
+//! Every column keeps its own operation sequence (rows in substitution
+//! order, each row's sum in ascending `l`), so column `j` of the result is
+//! bit-identical at every width and equal to the column-at-a-time loop.
 
 use crate::mat::{MatMut, MatRef};
 
@@ -23,34 +31,47 @@ pub fn solve_triangular_left(tri: Triangle, diag: Diag, t: MatRef<'_>, b: &mut M
     let n = t.rows();
     assert_eq!(t.cols(), n, "triangular matrix must be square");
     assert_eq!(b.rows(), n, "rhs row mismatch");
-    match tri {
-        Triangle::Upper => {
-            for j in 0..b.cols() {
-                for i in (0..n).rev() {
-                    let mut s = b.at(i, j);
-                    for l in (i + 1)..n {
-                        s -= t.at(i, l) * b.at(l, j);
-                    }
-                    if diag == Diag::NonUnit {
-                        s /= t.at(i, i);
-                    }
-                    *b.at_mut(i, j) = s;
-                }
+    let forward = tri == Triangle::Lower;
+    let coef = |i: usize, l: usize| t.at(i, l);
+    b.for_column_groups(
+        |g| substitute(n, forward, diag, coef, g),
+        |g| substitute(n, forward, diag, coef, g),
+    );
+}
+
+/// Substitution on the `G` right-hand-side columns `b`, `T` given by
+/// `coef(i, l)`: row `i` (ascending when `forward`, else descending)
+/// becomes `(bᵢ − Σₗ coef(i, l)·bₗ) / coef(i, i)` over the rows `l` solved
+/// before it, in ascending `l` order (no division for a unit diagonal). Each
+/// column's operation sequence is fixed, so its bits do not depend on `G`;
+/// the group loads each `T` entry once and runs `G` independent chains.
+#[inline(always)]
+fn substitute<const G: usize>(
+    n: usize,
+    forward: bool,
+    diag: Diag,
+    coef: impl Fn(usize, usize) -> f64,
+    b: [&mut [f64]; G],
+) {
+    let b = b.map(|col| &mut col[..n]);
+    for step in 0..n {
+        let i = if forward { step } else { n - 1 - step };
+        let solved = if forward { 0..i } else { i + 1..n };
+        let mut s: [f64; G] = std::array::from_fn(|g| b[g][i]);
+        for l in solved {
+            let tv = coef(i, l);
+            for g in 0..G {
+                s[g] -= tv * b[g][l];
             }
         }
-        Triangle::Lower => {
-            for j in 0..b.cols() {
-                for i in 0..n {
-                    let mut s = b.at(i, j);
-                    for l in 0..i {
-                        s -= t.at(i, l) * b.at(l, j);
-                    }
-                    if diag == Diag::NonUnit {
-                        s /= t.at(i, i);
-                    }
-                    *b.at_mut(i, j) = s;
-                }
+        if diag == Diag::NonUnit {
+            let d = coef(i, i);
+            for v in &mut s {
+                *v /= d;
             }
+        }
+        for g in 0..G {
+            b[g][i] = s[g];
         }
     }
 }
@@ -114,38 +135,13 @@ pub fn solve_triangular_left_transposed(
     let n = t.rows();
     assert_eq!(t.cols(), n);
     assert_eq!(b.rows(), n);
-    match tri {
-        // U^T is lower triangular.
-        Triangle::Upper => {
-            for j in 0..b.cols() {
-                for i in 0..n {
-                    let mut s = b.at(i, j);
-                    for l in 0..i {
-                        s -= t.at(l, i) * b.at(l, j);
-                    }
-                    if diag == Diag::NonUnit {
-                        s /= t.at(i, i);
-                    }
-                    *b.at_mut(i, j) = s;
-                }
-            }
-        }
-        // L^T is upper triangular.
-        Triangle::Lower => {
-            for j in 0..b.cols() {
-                for i in (0..n).rev() {
-                    let mut s = b.at(i, j);
-                    for l in (i + 1)..n {
-                        s -= t.at(l, i) * b.at(l, j);
-                    }
-                    if diag == Diag::NonUnit {
-                        s /= t.at(i, i);
-                    }
-                    *b.at_mut(i, j) = s;
-                }
-            }
-        }
-    }
+    // U^T is lower triangular, L^T upper.
+    let forward = tri == Triangle::Upper;
+    let coef = |i: usize, l: usize| t.at(l, i);
+    b.for_column_groups(
+        |g| substitute(n, forward, diag, coef, g),
+        |g| substitute(n, forward, diag, coef, g),
+    );
 }
 
 #[cfg(test)]

@@ -108,33 +108,59 @@ fn q_thin_is_the_block_form_of_q() {
     }
 }
 
+/// Widths around the column group of the level-2 kernel (`W = 4`): single
+/// columns, partial groups, exact groups and groups plus leftovers.
+const WIDTHS: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 64, 67];
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 #[test]
 fn level2_apply_is_column_invariant() {
     // The contract that keeps the solve sweep on the level-2 kernel: column
     // j of a wide application equals the single-column application, bit for
-    // bit, at every width.
+    // bit, at every width — whether the column rides in a group or is left
+    // over after the last one.
     let f = qr_factor(gaussian_mat(150, 97, 41));
-    let c0 = gaussian_mat(150, 64, 42);
-    for transpose in [true, false] {
-        let mut wide = c0.clone();
+    let c0 = gaussian_mat(150, 67, 42);
+    let apply = |c: &mut h2_dense::MatMut<'_>, transpose: bool| {
         if transpose {
-            f.apply_qt(&mut wide.rm());
+            f.apply_qt(c);
         } else {
-            f.apply_q(&mut wide.rm());
+            f.apply_q(c);
         }
-        for j in 0..64 {
-            let mut one = c0.view(0, j, 150, 1).to_mat();
-            if transpose {
-                f.apply_qt(&mut one.rm());
-            } else {
-                f.apply_q(&mut one.rm());
+    };
+    for transpose in [true, false] {
+        let singles: Vec<Mat> = (0..67)
+            .map(|j| {
+                let mut one = c0.view(0, j, 150, 1).to_mat();
+                apply(&mut one.rm(), transpose);
+                one
+            })
+            .collect();
+        for d in WIDTHS {
+            let mut wide = c0.view(0, 0, 150, d).to_mat();
+            apply(&mut wide.rm(), transpose);
+            for j in 0..d {
+                let same = same_bits(singles[j].col(0), wide.col(j));
+                assert!(same, "width {d}, column {j}, transpose {transpose}");
             }
-            let same = one
-                .col(0)
-                .iter()
-                .zip(wide.col(j))
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "column {j}, transpose {transpose}");
         }
+        // A sub-view with ld > rows: the columns of a taller block.
+        let mut tall = Mat::zeros(157, 13);
+        tall.view_mut(3, 2, 150, 9).copy_from(c0.view(0, 0, 150, 9));
+        apply(&mut tall.view_mut(3, 2, 150, 9), transpose);
+        for j in 0..9 {
+            let col = &tall.col(j + 2)[3..153];
+            assert!(same_bits(singles[j].col(0), col), "sub-view column {j}");
+        }
+        let outside = (0..13).all(|j| {
+            let c = tall.col(j);
+            let inside = (2..11).contains(&j);
+            c[..3].iter().chain(&c[153..]).all(|&x| x == 0.0)
+                && (inside || c.iter().all(|&x| x == 0.0))
+        });
+        assert!(outside, "entries outside the sub-view changed");
     }
 }

@@ -1,4 +1,4 @@
-//! Blocked multi-RHS sweep acceptance grid: for k ∈ {1, 3, 8, 32} RHS
+//! Blocked multi-RHS sweep acceptance grid: for k ∈ {1, 3, 5, 8, 32, 67} RHS
 //! columns, D ∈ {1, 2, 4} devices, both pipeline modes and both symmetry
 //! regimes, the fabric-sharded blocked solve must be **bit-identical**
 //! per column to a single-RHS solve of that column alone, and its
@@ -80,7 +80,7 @@ fn blocked_sweep_grid_bit_identical_and_bytes_equal() {
     let model = DeviceModel::default();
     for (h2, n, tag) in [(&sym, 640usize, "sym"), (&unsym, 512usize, "unsym")] {
         let ulv = UlvFactor::new(h2).unwrap();
-        for k in [1usize, 3, 8, 32] {
+        for k in [1usize, 3, 5, 8, 32, 67] {
             let b = gaussian_mat(n, k, 0xB0 + k as u64);
             let refs: Vec<Mat> = (0..k)
                 .map(|j| ulv.solve(&b.col_block(j, 1).to_mat()))
