@@ -1,17 +1,16 @@
-//! Multi-device scaling: §IV.B simulated *and* executed.
+//! Multi-device scaling: §IV.B planned *and* executed.
 //!
 //! The paper evaluates on a single A100 and sketches the multi-GPU
 //! extension in §IV.B: per-level batches divide across devices, and only
 //! `batchedBSRGemm` (Ω fetches) and the line-24 child gather communicate.
 //! This harness grounds that discussion two ways on one problem:
 //!
-//! 1. **Projection** — extract the construction's per-level execution
-//!    structure (`level_specs`) and run the closed-form `DeviceModel`
-//!    simulator across device counts;
+//! 1. **Projection** — plan the construction on each device count
+//!    (`plan_construct`) and price the plan with the `DeviceModel`;
 //! 2. **Execution** — run the same construction *for real* on the
 //!    `h2_sched::DeviceFabric` (one worker thread + arena + account per
 //!    virtual device), then compare the measured work/traffic/makespan
-//!    against the projection, and time the sharded matvec.
+//!    against its plan, and time the sharded matvec.
 //!
 //! Usage: `cargo run --release -p h2_bench --bin ablation_multidevice --
 //!         [--n 32768] [--samples 256] [--skip-real] [--pipeline on|off|both]
@@ -23,8 +22,8 @@
 //! both curves land in one run.
 
 use h2_bench::{build_problem, header, reference_h2, row, App, Args, TraceSink};
-use h2_core::{level_specs, sketch_construct, SketchConfig};
-use h2_runtime::{simulate, DeviceModel, PipelineMode, TransferKind};
+use h2_core::{plan_construct, sketch_construct, SketchConfig};
+use h2_runtime::{DeviceModel, PipelineMode, Precision, TransferKind};
 use h2_sched::{compare_with_simulator, shard_construct, shard_matvec_with_report, DeviceFabric};
 
 fn main() {
@@ -59,15 +58,16 @@ fn main() {
         &rt,
         &cfg,
     );
-    let specs = level_specs(&h2);
+    let plan = |devices| plan_construct(&h2, d, devices, PipelineMode::Synchronous, Precision::F64);
+    let levels = plan(1).epochs.len();
     assert!(
-        !specs.is_empty(),
+        levels > 0,
         "partition is all-dense at N={n}, leaf={leaf}: no batched levels to \
          shard — rerun with a larger --n or smaller --leaf"
     );
     println!(
         "# Multi-device projection (covariance, N={n}, d={d}, {} processed levels, ranks {:?})\n",
-        specs.len(),
+        levels,
         h2.rank_range()
     );
     println!(
@@ -88,7 +88,7 @@ fn main() {
             },
         ),
     ] {
-        println!("## Simulated: {name}\n");
+        println!("## Planned: {name}\n");
         header(&[
             "devices",
             "makespan (ms)",
@@ -97,16 +97,17 @@ fn main() {
             "comm (MiB)",
             "launches",
         ]);
-        let base = simulate(&specs, d, 1, &model).makespan;
+        let base = plan(1).makespan(&model);
         for devices in [1usize, 2, 4, 8, 16] {
-            let rep = simulate(&specs, d, devices, &model);
+            let p = plan(devices);
+            let makespan = p.makespan(&model);
             row(&[
                 devices.to_string(),
-                format!("{:.3}", rep.makespan * 1e3),
-                format!("{:.2}x", base / rep.makespan),
-                format!("{:.2}", rep.efficiency()),
-                format!("{:.2}", rep.total_comm_bytes as f64 / (1 << 20) as f64),
-                rep.total_launches.to_string(),
+                format!("{:.3}", makespan * 1e3),
+                format!("{:.2}x", base / makespan),
+                format!("{:.2}", p.efficiency(&model)),
+                format!("{:.2}", p.total_comm_bytes() as f64 / (1 << 20) as f64),
+                p.total_launches().to_string(),
             ]);
         }
         println!();
@@ -114,10 +115,10 @@ fn main() {
 
     if !skip_real {
         // ---- the real sharded executor on the same problem ----
-        // The construction reruns on the fabric per device count (the specs
-        // above describe its final kernel populations); work and traffic
-        // totals must line up with the simulated columns, the makespan
-        // within the documented scheduling band (see h2_sched::exec).
+        // The construction reruns on the fabric per device count and is
+        // compared with its own plan: with no extra sampling round the
+        // modeled makespan equals the planned one (ratio 1) and the work
+        // totals agree exactly.
         let model = DeviceModel::default();
         for &mode in &exec_modes {
             let mode_name = match mode {
@@ -131,7 +132,7 @@ fn main() {
                 "busy max/dev (ms)",
                 "Ω-fetch (MiB)",
                 "gather (MiB)",
-                "modeled/sim makespan",
+                "modeled/planned makespan",
                 "work rel err",
             ]);
             for devices in [1usize, 2, 4, 8] {
@@ -146,8 +147,7 @@ fn main() {
                     problem.partition.clone(),
                     &cfg,
                 );
-                let cmp =
-                    compare_with_simulator(&report, &level_specs(&h2s), st.total_samples, &model);
+                let cmp = compare_with_simulator(&report, &h2s, st.total_samples, &model);
                 let busy_max = report
                     .busy_per_device()
                     .into_iter()
@@ -198,8 +198,8 @@ fn main() {
     println!("Interpretation: the batched construction is compute-bound at the leaves");
     println!("and latency/traffic-bound at the top levels; speedup saturates once the");
     println!("per-device level chunks stop amortizing Ω fetches — the §IV.B tradeoff.");
-    println!("The executed rows validate the projection: identical work and byte");
-    println!("totals, makespan agreeing within the scheduling band; wall times on");
-    println!("CPU worker threads show the decomposition, not A100 throughput.");
+    println!("The executed rows validate the projection: each run's work, bytes and");
+    println!("modeled makespan equal its plan's; wall times on CPU worker threads");
+    println!("show the decomposition, not A100 throughput.");
     sink.finish();
 }

@@ -21,11 +21,13 @@
 //!   serviced inline and pipelined ones ride the copy engine;
 //! * **busy / stall / overlap / idle** — the per-device breakdown summed
 //!   over devices, attributing where the time went;
-//! * **sim ratio** — pipelined measured makespan over the closed-form
-//!   simulator prediction: [`h2_runtime::simulate_prec`] for construction
-//!   (the tightened 2x band, bytes asserted exactly equal when the run was
-//!   non-adaptive) and [`h2_sched::simulate_matvec`] for the matvec (exact
-//!   epoch-for-epoch replay, so the ratio is 1.0 and bytes always match);
+//! * **sim ratio** — pipelined measured makespan over the makespan of the
+//!   [`h2_runtime::Schedule`] the run was planned as:
+//!   [`h2_core::plan_construct`] for the construction and
+//!   [`h2_sched::simulate_matvec`] for the matvec. Both runs execute their
+//!   plans, so the ratio is 1 and the bytes match (asserted here for every
+//!   construction that converged without an extra sampling round, and
+//!   re-checked by `bench_check`);
 //! * **precision** — with `--precision f32` the fabric wire is demoted and
 //!   block storage is norm-aware-demoted (`SketchConfig::storage`), so
 //!   every transfer ships half the bytes while accumulation stays f64;
@@ -35,8 +37,9 @@
 //! * **`--faults`** — the resilience sweep: for every `FaultKind` chaos
 //!   preset at D = 4 in both modes, the faulted construction must stay
 //!   **bit-identical** to the fault-free run and its measured bytes
-//!   (charged retries included) must equal the extended simulator
-//!   ([`h2_sched::compare_with_simulator_faulted`]); emitted as the
+//!   (charged retries included) must equal the plan's bytes plus the fault
+//!   plan replayed over it ([`h2_sched::compare_with_simulator_faulted`]);
+//!   emitted as the
 //!   `resilience` section of the envelope (validated by `bench_check`),
 //!   and the `--trace` run then executes under a drop plan so the trace
 //!   carries paired fault/retry instants for `trace_check`.
@@ -58,7 +61,7 @@
 //!     --trace trace.json --expect-bytes $(cat trace.json.expect)
 //! ```
 
-use h2_core::{level_specs, sketch_construct_unsym, SketchConfig};
+use h2_core::{sketch_construct_unsym, SketchConfig};
 use h2_dense::LinOp;
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::{direct_construct, DirectConfig};
@@ -149,8 +152,8 @@ fn fabric_for(devices: usize, mode: PipelineMode, prec: Precision) -> Arc<Device
 }
 
 /// Dedicated traced run backing `--trace`: a pipelined D=4 symmetric
-/// construction with non-adaptive sampling (byte totals provably equal to
-/// the simulator prediction), a live tracer attached to the fabric, and
+/// construction with non-adaptive sampling (byte totals equal to its
+/// plan's), a live tracer attached to the fabric, and
 /// the merged Chrome trace written to `path`. A `<path>.expect` sidecar
 /// holds the exact cross-device byte total so `trace_check` can validate
 /// the trace against an independently recorded number.
@@ -185,10 +188,10 @@ fn write_trace(path: &str, smoke: bool, faults: bool) {
     fabric.set_tracer(None);
     let (_, weak) = models();
     if let Some(plan) = &plan {
-        let cmp = compare_with_simulator_faulted(&report, &level_specs(&h2), 64, &weak, plan);
+        let cmp = compare_with_simulator_faulted(&report, &h2, 64, &weak, plan);
         assert!(
             cmp.bytes_match(),
-            "traced chaos run must reconcile with the extended simulator ({} vs {})",
+            "traced chaos run must reconcile with its plan and replayed retries ({} vs {})",
             cmp.base.measured_bytes,
             cmp.predicted_bytes()
         );
@@ -197,10 +200,10 @@ fn write_trace(path: &str, smoke: bool, faults: bool) {
             "traced chaos run produced no retries to validate"
         );
     } else {
-        let cmp = compare_with_simulator(&report, &level_specs(&h2), 64, &weak);
+        let cmp = compare_with_simulator(&report, &h2, 64, &weak);
         assert!(
             cmp.bytes_match(),
-            "traced run must reconcile with the simulator ({} vs {})",
+            "traced run must reconcile with its plan ({} vs {})",
             cmp.measured_bytes,
             cmp.predicted_bytes
         );
@@ -236,8 +239,8 @@ struct FaultRow {
 /// The resilience sweep backing `--faults`: every chaos preset at D = 4
 /// in both modes against a fault-free baseline of the same mode. The
 /// headline claims are asserted here at generation time (bit-identity,
-/// extended-simulator byte equality) and re-checked from the envelope by
-/// `bench_check`.
+/// byte equality with the plan plus replayed retries) and re-checked from
+/// the envelope by `bench_check`.
 fn run_faults(smoke: bool) -> Vec<FaultRow> {
     let n = if smoke { 1400 } else { 3000 };
     let devices = 4;
@@ -293,16 +296,11 @@ fn run_faults(smoke: bool) -> Vec<FaultRow> {
                 "{} / {mode_name}: faulted construction must be bit-identical",
                 kind.name()
             );
-            let cmp = compare_with_simulator_faulted(
-                &report,
-                &level_specs(&h2),
-                stats.total_samples,
-                &weak,
-                &plan,
-            );
+            let cmp =
+                compare_with_simulator_faulted(&report, &h2, stats.total_samples, &weak, &plan);
             assert!(
                 cmp.bytes_match(),
-                "{} / {mode_name}: measured {} bytes vs extended simulator {}",
+                "{} / {mode_name}: measured {} bytes vs plan + retries {}",
                 kind.name(),
                 cmp.base.measured_bytes,
                 cmp.predicted_bytes()
@@ -441,15 +439,16 @@ fn run_regime(
             let (sync_rep, pipe_rep) = (&reports[0], &reports[1]);
             let h2 = h2_last.unwrap();
             let stats = stats_last.unwrap();
-            let cmp =
-                compare_with_simulator(pipe_rep, &level_specs(&h2), stats.total_samples, &weak);
+            let cmp = compare_with_simulator(pipe_rep, &h2, stats.total_samples, &weak);
             let bytes_equal = cmp.bytes_match();
             if stats.rounds == 0 {
                 assert!(
-                    bytes_equal,
-                    "{regime} D={devices}: non-adaptive run must match simulator bytes \
-                     ({} vs {})",
-                    cmp.measured_bytes, cmp.predicted_bytes
+                    bytes_equal && cmp.measured_makespan == cmp.predicted_makespan,
+                    "{regime} D={devices}: a one-pass run must execute its plan \
+                     (bytes {} vs {}, makespan ratio {})",
+                    cmp.measured_bytes,
+                    cmp.predicted_bytes,
+                    cmp.makespan_ratio()
                 );
             }
             let row = BenchRow {
@@ -503,12 +502,12 @@ fn run_regime(
                 reports.push(report);
             }
             let (sync_rep, pipe_rep) = (&reports[0], &reports[1]);
-            // The matvec simulator replays the executor's epoch structure
-            // exactly, so bytes must always match (no adaptive caveat).
+            // The matvec executes its plan epoch for epoch, so bytes must
+            // always match (no adaptive caveat).
             let cmp = compare_matvec_with_simulator(pipe_rep, &h2, x.cols(), false, &weak);
             assert!(
                 cmp.bytes_match(),
-                "{regime} D={devices}: matvec bytes {} vs simulator {}",
+                "{regime} D={devices}: matvec bytes {} vs plan {}",
                 cmp.measured_bytes,
                 cmp.predicted_bytes
             );

@@ -80,7 +80,7 @@ impl Side {
     }
 
     /// Stream tag keying the pipelined fabric's prefetch hints.
-    fn stream_tag(self) -> u8 {
+    pub(crate) fn stream_tag(self) -> u8 {
         match self {
             Side::Row => 0,
             Side::Col => 1,
@@ -97,17 +97,17 @@ struct SketchStream {
 }
 
 /// The shared per-level BSR subtraction/stacking structure (identical for
-/// every stream of a level).
-struct LevelStructure {
+/// every stream of a level, and read by [`crate::plan_construct`]).
+pub(crate) struct LevelStructure {
     /// BSR subtraction pattern. Rows = leaf nodes (leaf level) or child
     /// nodes (inner levels).
-    pattern: BsrPattern,
+    pub(crate) pattern: BsrPattern,
     /// Ordered `(row_node, col_node)` per BSR position.
     pairs: Vec<(usize, usize)>,
     source: BlockSource,
     /// For inner levels: per-parent local child indices (stacking map).
     /// Empty at the leaf level.
-    children_local: Vec<Vec<usize>>,
+    pub(crate) children_local: Vec<Vec<usize>>,
 }
 
 /// Frozen per-level data used to sweep later sample batches up the tree.
@@ -586,7 +586,7 @@ fn sketch_construct_engine(
 
         // Close the device fabric's accounting epoch for this level (no-op
         // off the sharded backend): per-epoch stats then line up one-to-one
-        // with the `level_specs` the multi-device simulator consumes.
+        // with the epochs of `plan_construct`.
         rt.shard_epoch(&format!("construct L{l}"));
 
         // Seal this level's checkpoint only after the epoch boundary — the
@@ -627,7 +627,7 @@ fn set_side_basis(h2: &mut H2Matrix, side: Side, id: usize, u: Mat, skel: Vec<us
 }
 
 /// The skeleton lists of a stream's own side.
-fn side_skel(h2: &H2Matrix, side: Side) -> &[Vec<usize>] {
+pub(crate) fn side_skel(h2: &H2Matrix, side: Side) -> &[Vec<usize>] {
     match side {
         Side::Row => &h2.skel,
         Side::Col => h2.col_skel(),
@@ -636,7 +636,7 @@ fn side_skel(h2: &H2Matrix, side: Side) -> &[Vec<usize>] {
 
 /// The basis compressing a stream's random inputs: the *opposite* side
 /// (`Ω ← VᵀΩ`, `Ψ ← UᵀΨ`), which is the stream's own side when symmetric.
-fn input_basis(h2: &H2Matrix, side: Side) -> &[Mat] {
+pub(crate) fn input_basis(h2: &H2Matrix, side: Side) -> &[Mat] {
     match side {
         Side::Row => h2.col_basis(),
         Side::Col => &h2.basis,
@@ -669,7 +669,7 @@ fn draw_global_samples(
 }
 
 /// Build the shared BSR subtraction/stacking structure of a level.
-fn level_structure(
+pub(crate) fn level_structure(
     tree: &ClusterTree,
     partition: &Partition,
     node_ids: &[usize],

@@ -28,7 +28,7 @@ pub mod multidev;
 
 pub use config::{SketchConfig, SketchStats, TolSchedule};
 pub use construct::{sketch_construct, sketch_construct_unsym, Side};
-pub use multidev::level_specs;
+pub use multidev::plan_construct;
 
 #[cfg(test)]
 mod tests {

@@ -4,12 +4,12 @@
 //! device fabric (`h2_sched::DeviceFabric`) and the construction level
 //! loop (`h2_core::construct`).
 //!
-//! The fabric/simulator pair of PRs 2–8 assumes a perfect machine: every
-//! `Transfer` is serviced, every prefetch ticket completes, every device
-//! survives the run, and every kernel output is finite. This crate is the
-//! resilience layer that drops those assumptions *without giving up the
-//! trust invariant* — measured bytes (now including retry traffic) stay
-//! exactly equal to an extended simulator prediction, and faulted runs
+//! A fault-free fabric assumes a perfect machine: every `Transfer` is
+//! serviced, every prefetch ticket completes, every device survives the
+//! run, and every kernel output is finite. This crate is the resilience
+//! layer that drops those assumptions *without giving up the trust
+//! invariant* — measured bytes (now including retry traffic) stay exactly
+//! equal to the plan's bytes plus the replayed retries, and faulted runs
 //! stay bit-identical to fault-free ones.
 //!
 //! ## Fault taxonomy
@@ -38,10 +38,10 @@
 //! given schedule (pinned by the equivalence tests), the multiset of
 //! `(fingerprint, occurrence)` pairs — and therefore the multiset of
 //! injected faults and charged retries — is identical between the
-//! synchronous and pipelined executors *and* reproducible by a closed-form
-//! enumeration of the same transfers (`h2_runtime::transfer_census`).
-//! That is what lets the extended simulator predict faulted byte totals
-//! exactly.
+//! synchronous and pipelined executors *and* reproducible from the
+//! transfer list of the run's plan (`h2_core::plan_construct`, replayed by
+//! `h2_sched::predicted_fault_traffic`). That is what lets the plan predict
+//! faulted byte totals exactly.
 //!
 //! ## Recovery invariants
 //!
@@ -305,7 +305,7 @@ impl FaultPlan {
     }
 
     /// Extra bytes the retries of `(fp, occ)` re-ship for a transfer of
-    /// `bytes` — the closed-form mirror the extended simulator sums.
+    /// `bytes` — what the plan replay charges for that occurrence.
     pub fn retry_bytes(&self, fp: u64, occ: u32, bytes: u64) -> u64 {
         self.failed_attempts(fp, occ) as u64 * bytes
     }
@@ -332,8 +332,8 @@ impl FaultPlan {
 // ---------------------------------------------------------------------------
 
 /// Per-fingerprint occurrence counters — the replay clock of the
-/// determinism contract. The executor and the extended simulator each walk
-/// their transfer multiset through one of these; identical multisets give
+/// determinism contract. The executor and the plan replay each walk their
+/// transfer multiset through one of these; identical multisets give
 /// identical `(fingerprint, occurrence)` streams.
 #[derive(Debug, Default)]
 pub struct OccurrenceMap {

@@ -1,16 +1,15 @@
-//! Sim-drift attribution: pair measured per-epoch costs with a
-//! simulator's per-epoch predictions and decompose the makespan-ratio gap
-//! into per-epoch (and per-term) contributions.
+//! Drift attribution: pair measured per-epoch costs with a plan's
+//! per-epoch predictions and decompose the makespan ratio into per-epoch
+//! (and per-term) contributions.
 //!
 //! The invariant that makes the table trustworthy: when the rows cover
 //! exactly the measured epochs (their `measured` values summing to the
-//! projected makespan) and exactly the predicted epochs (their
-//! `predicted` values summing to the simulator makespan), then the
-//! per-row shares `measured_e / predicted_total` sum *identically* to the
-//! observed makespan ratio — the documented 2x/3x tolerance band becomes
-//! an explained decomposition instead of a blind tolerance. The
-//! constructors in `h2_sched::trace` build tables with that coverage, and
-//! the `sched` acceptance tests assert the sum.
+//! projected makespan) and exactly the planned epochs (their `predicted`
+//! values summing to the planned makespan), then the per-row shares
+//! `measured_e / predicted_total` sum *identically* to the observed
+//! makespan ratio, and a gap reads off the table as the epoch and term that
+//! moved. `h2_sched::drift` builds tables with that coverage, and the
+//! `sched` acceptance tests assert the sum.
 
 use crate::json::Json;
 
@@ -24,14 +23,14 @@ pub struct DriftPart {
     pub predicted: f64,
 }
 
-/// One epoch (or simulator level) of the pairing.
+/// One epoch of the pairing.
 #[derive(Clone, Debug)]
 pub struct DriftRow {
     pub label: String,
     /// Measured (projected) seconds this epoch contributes.
     pub measured: f64,
-    /// Simulator-predicted seconds for the paired epoch (0 when the
-    /// executor epoch has no simulator counterpart, e.g. a tail epoch).
+    /// Planned seconds for the paired epoch (0 when the executor epoch has
+    /// no planned counterpart, e.g. a tail epoch).
     pub predicted: f64,
     pub parts: Vec<DriftPart>,
 }

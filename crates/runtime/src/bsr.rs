@@ -12,12 +12,13 @@
 //! that decomposition, and [`bsr_gemm`] issues one launch per slot.
 
 use crate::batch::VarBatch;
-use crate::multidev::{cost, owner};
+use crate::multidev::cost;
 use crate::profile::Kernel;
 use crate::runtime::Runtime;
-use crate::shard::{chunk_bounds, FetchPlanner, PipelineMode, ShardJob, Transfer, TransferKind};
+use crate::shard::{
+    chunk_bounds, FetchKey, FetchPlanner, PipelineMode, ShardDispatch, ShardJob, Transfer,
+};
 use h2_dense::{gemm, Mat, MatMut, Op};
-use std::collections::HashSet;
 
 /// Sparsity pattern of a level's block-sparse matrix, pre-split into
 /// conflict-free slots.
@@ -204,11 +205,56 @@ pub fn bsr_gemm_stream(
     }
 }
 
+/// The owner-attributed plan of one sharded `batchedBSRGemm`: per-row
+/// modeled flops (also the execution-cost estimate) and the deduplicated
+/// `Ω_b` fetches of [`FetchPlanner`], in its first-need order — the same
+/// visit `h2_core::plan_construct` makes, so the records match its plan.
+fn plan_rows(
+    pattern: &BsrPattern,
+    x: &VarBatch,
+    y: &VarBatch,
+    stream: u8,
+    disp: &dyn ShardDispatch,
+) -> (Vec<f64>, Vec<(FetchKey, Transfer)>) {
+    let n = pattern.nrows();
+    let mut planner = FetchPlanner::new(stream, n, x.count(), disp.devices(), disp.wire());
+    let mut row_flops = vec![0.0f64; n];
+    for (r, fl) in row_flops.iter_mut().enumerate() {
+        let (b0, b1) = pattern.row_range(r);
+        for p in b0..b1 {
+            let col = pattern.col_of(p);
+            let (mb, d) = (x.rows_of(col), x.cols_of(col));
+            *fl += cost::bsr_flops(y.rows_of(r), mb, d);
+            planner.visit(r, col, mb, d);
+        }
+    }
+    (row_flops, planner.into_plan())
+}
+
+/// Owner-attributed accounting of one sharded call: each device's chunk of
+/// row flops (§IV.A contiguous chunks) and one launch per slot on every
+/// device whose chunk is non-empty.
+fn charge_rows(disp: &dyn ShardDispatch, row_flops: &[f64], csp: usize) {
+    let devices = disp.devices();
+    let bounds = chunk_bounds(row_flops.len(), devices);
+    for dev in 0..devices {
+        let (b, e) = (bounds[dev], bounds[dev + 1]);
+        if e == b {
+            continue;
+        }
+        let fl: f64 = row_flops[b..e].iter().sum();
+        if fl > 0.0 {
+            disp.add_flops(dev, fl);
+        }
+        disp.add_launches(dev, csp);
+    }
+}
+
 /// The device-sharded `batchedBSRGemm`: block rows are divided into the
 /// contiguous chunks of §IV.A, each slot launch runs one job per device over
 /// its chunk, and the input block `Ω_b` of every off-device partner is
-/// fetched once per `(device, partner)` pair for the whole call — exactly
-/// the traffic [`crate::multidev::simulate`] models for the level.
+/// fetched once per `(device, partner)` pair for the whole call — the
+/// fetches [`plan_rows`] lists, issued inline in its order.
 fn bsr_gemm_sharded(
     rt: &Runtime,
     pattern: &BsrPattern,
@@ -216,49 +262,16 @@ fn bsr_gemm_sharded(
     x: &VarBatch,
     y: &mut VarBatch,
     alpha: f64,
-    disp: &dyn crate::shard::ShardDispatch,
+    disp: &dyn ShardDispatch,
 ) {
     let devices = disp.devices();
     let n = pattern.nrows();
-    let bounds = chunk_bounds(n, devices);
-
-    // Accounting pass: per-device flops (2 m_r m_b d per block) and the
-    // deduplicated Ω fetches, both with the simulator's formulas and
-    // owner-attributed (the simulator's §IV.A chunks), independent of how
-    // execution is chunked below. The per-row totals double as the
-    // execution cost estimate.
-    let mut flops = vec![0.0f64; devices];
-    let mut row_flops = vec![0.0f64; n];
-    let mut fetched: HashSet<(usize, usize)> = HashSet::new();
-    for r in 0..n {
-        let dev = owner(r, n, devices);
-        let (b0, b1) = pattern.row_range(r);
-        for p in b0..b1 {
-            let col = pattern.col_of(p);
-            let (mb, d) = (x.rows_of(col), x.cols_of(col));
-            let fl = cost::bsr_flops(y.rows_of(r), mb, d);
-            flops[dev] += fl;
-            row_flops[r] += fl;
-            let dev_b = owner(col, x.count().max(n), devices);
-            if dev_b != dev && fetched.insert((dev, col)) {
-                let wire = disp.wire();
-                let bytes = cost::fetch_bytes_p(mb, d, wire);
-                disp.push_transfer(Transfer {
-                    src: dev_b,
-                    dst: dev,
-                    bytes,
-                    kind: TransferKind::OmegaFetch,
-                    prec: wire,
-                });
-                disp.arena_alloc(dev, bytes as usize);
-            }
-        }
+    let (row_flops, fetches) = plan_rows(pattern, x, y, 0, disp);
+    for (_, t) in fetches {
+        disp.push_transfer(t);
+        disp.arena_alloc(t.dst, t.bytes as usize);
     }
-    for (dev, fl) in flops.into_iter().enumerate() {
-        if fl > 0.0 {
-            disp.add_flops(dev, fl);
-        }
-    }
+    charge_rows(disp, &row_flops, pattern.csp());
 
     // Execution chunking: contiguous row runs of ~equal modeled flops,
     // shared by every slot launch of the call.
@@ -273,10 +286,6 @@ fn bsr_gemm_sharded(
                 .by_ref()
                 .take(exec_bounds[dev + 1] - exec_bounds[dev])
                 .collect();
-            // Launch accounting keeps the simulator's owner chunks.
-            if bounds[dev + 1] > bounds[dev] {
-                disp.add_launches(dev, 1);
-            }
             let start = exec_bounds[dev];
             jobs.push(Box::new(move || {
                 for (k, m) in chunk.into_iter().enumerate() {
@@ -296,15 +305,14 @@ fn bsr_gemm_sharded(
 }
 
 /// The pipelined `batchedBSRGemm`: identical arithmetic and accounting to
-/// [`bsr_gemm_sharded`], different schedule. The `Ω_b` fetch descriptors are
-/// planned first (via the shared [`FetchPlanner`], so the byte totals stay
-/// the simulator's) and either **claimed** from the construction's early
-/// prefetch hints or issued as fresh prefetches on the copy engine; each
-/// device then receives **one** queued job chaining all `Csp` slot launches
-/// in slot order — per-row accumulation order is exactly the synchronous
-/// path's, so results are bit-identical, but the `Csp − 1` global joins
-/// between slots are gone and the owner-attributed work accounting runs on
-/// the issuing thread while the devices compute.
+/// [`bsr_gemm_sharded`], different schedule. The [`plan_rows`] fetches are
+/// either **claimed** from the construction's early prefetch hints or issued
+/// as fresh prefetches on the copy engine; each device then receives
+/// **one** queued job chaining all `Csp` slot launches in slot order —
+/// per-row accumulation order is exactly the synchronous path's, so results
+/// are bit-identical, but the `Csp − 1` global joins between slots are gone
+/// and the owner-attributed work accounting runs on the issuing thread
+/// while the devices compute.
 #[allow(clippy::too_many_arguments)]
 fn bsr_gemm_pipelined(
     rt: &Runtime,
@@ -314,33 +322,18 @@ fn bsr_gemm_pipelined(
     y: &mut VarBatch,
     alpha: f64,
     stream: u8,
-    disp: &dyn crate::shard::ShardDispatch,
+    disp: &dyn ShardDispatch,
 ) {
     let devices = disp.devices();
     let n = pattern.nrows();
-    let bounds = chunk_bounds(n, devices);
-
-    // Plan the deduplicated fetches and the per-row flop estimate in one
-    // cheap pass, then issue/claim the prefetch tickets before any compute
-    // is enqueued.
-    let mut planner = FetchPlanner::new(stream, n, x.count(), devices, disp.wire());
-    let mut row_flops = vec![0.0f64; n];
-    for r in 0..n {
-        let (b0, b1) = pattern.row_range(r);
-        for p in b0..b1 {
-            let col = pattern.col_of(p);
-            let (mb, d) = (x.rows_of(col), x.cols_of(col));
-            row_flops[r] += cost::bsr_flops(y.rows_of(r), mb, d);
-            planner.visit(r, col, mb, d);
-        }
-    }
+    let (row_flops, fetches) = plan_rows(pattern, x, y, stream, disp);
     // Tickets are grouped by destination device so a device whose chunk
     // needs no remote partner never stalls behind another device's fetch.
     // (Execution chunks are cost-balanced approximations of the owner
     // chunks the destinations refer to — gating is a timing model, the
     // data never moves, so the approximation cannot affect results.)
     let mut tickets_by_dev: Vec<Vec<u64>> = vec![Vec::new(); devices];
-    for (key, t) in planner.into_plan() {
+    for (key, t) in fetches {
         let tk = disp.claim_or_fetch(key, t);
         if tk != 0 {
             tickets_by_dev[key.dst].push(tk);
@@ -376,20 +369,9 @@ fn bsr_gemm_pipelined(
         unsafe { disp.enqueue(dev, &tickets_by_dev[dev], job) };
     }
 
-    // Owner-attributed accounting (the simulator's chunks and formulas),
-    // overlapped with the queued compute.
+    // Owner-attributed accounting, overlapped with the queued compute.
     rt.launches(Kernel::BsrGemm, pattern.csp());
-    for dev in 0..devices {
-        let (b, e) = (bounds[dev], bounds[dev + 1]);
-        if e == b {
-            continue;
-        }
-        let fl: f64 = row_flops[b..e].iter().sum();
-        if fl > 0.0 {
-            disp.add_flops(dev, fl);
-        }
-        disp.add_launches(dev, pattern.csp());
-    }
+    charge_rows(disp, &row_flops, pattern.csp());
     disp.flush();
 }
 

@@ -21,7 +21,9 @@
 //!   conflict-free decomposition,
 //! * [`solve_ops`] — the batched *solver* primitives (variable-size QR/LU,
 //!   triangular and LU solves, Q application) the per-level ULV elimination
-//!   is built from, accounted with the same simulator formulas.
+//!   is built from, accounted with the same [`multidev::cost`] formulas.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod batch;
 pub mod bsr;
@@ -38,10 +40,7 @@ pub use h2_dense::Precision;
 // Re-exported so downstream crates (core, solve, sched) reach the
 // observability layer through the runtime they already depend on.
 pub use h2_obs::{ArgValue, Registry, SpanGuard, Tracer};
-pub use multidev::{
-    combine_terms, epoch_terms, owner, simulate, simulate_prec, simulate_prec_mode,
-    transfer_census, DeviceModel, LevelSpec, Schedule, ScheduleEpoch, SimReport, StreamSpec,
-};
+pub use multidev::{combine_terms, epoch_terms, owner, DeviceModel, Schedule, ScheduleEpoch};
 pub use ops::{
     batched_gen, batched_row_id, gather_rows, gemm_at_x, hcat_batches, qr_min_rdiag, rand_mat,
     shrink_rows, stack_children, GenBlock,
@@ -49,8 +48,8 @@ pub use ops::{
 pub use profile::{Kernel, Phase, Profile, KERNEL_COUNT, PHASE_COUNT};
 pub use runtime::{Backend, Runtime};
 pub use shard::{
-    chunk_bounds, FetchKey, FetchPlanner, PipelineMode, ShardDispatch, ShardJob, Transfer,
-    TransferKind,
+    child_gathers, chunk_bounds, FetchKey, FetchPlanner, PipelineMode, ShardDispatch, ShardJob,
+    Transfer, TransferKind,
 };
 pub use solve_ops::{
     batched_apply_qt, batched_lu, batched_lu_solve, batched_qr, batched_transpose, batched_trsm,

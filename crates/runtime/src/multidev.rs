@@ -1,6 +1,6 @@
 //! Multi-device (multi-GPU) execution model: the device model, the shared
 //! cost formulas, the [`Schedule`] value sharded operations are planned as,
-//! the one epoch-pricing rule, and the closed-form construction simulator.
+//! and the one epoch-pricing rule.
 //!
 //! The paper's §IV.B sketches the multi-GPU extension of Algorithm 1: the
 //! per-level batch count divides across devices, no batched operation needs
@@ -9,23 +9,22 @@
 //! stacking of line 24 (children resident on two devices gathered into one
 //! parent).
 //!
-//! * The matvec and the ULV solve sweep are planned as a [`Schedule`]
-//!   (`h2_sched::plan_matvec` / `h2_sched::plan_ulv_solve`): per epoch the
-//!   flops, launches and workspace of every device plus the explicit
-//!   transfer list. The fabric executes that value and
-//!   [`Schedule::makespan`] prices it.
-//! * The construction is still modeled separately: given the level
-//!   structure of a concrete construction (node sizes, BSR adjacency,
-//!   ranks, sample count), [`simulate`] computes per-device compute costs,
-//!   cross-device traffic, kernel-launch counts and a makespan estimate for
-//!   any device count.
+//! Every sharded operation — the construction, the matvec and the ULV
+//! solve sweep — is **planned** once as a [`Schedule`]
+//! (`h2_core::plan_construct`, `h2_sched::plan_matvec`,
+//! `h2_sched::plan_ulv_solve`): per epoch the flops, generator entries,
+//! launches and workspace of every device plus the explicit transfer list.
+//! The fabric **executes** the operation and records the same counts, and
+//! [`Schedule::makespan`] **prices** the plan with the rule
+//! ([`epoch_terms`] + [`combine_terms`]) the executor's report is priced
+//! with, so a run's measured makespan equals its planned one.
 //!
 //! Nodes of a level are assigned to devices in contiguous chunks — the
 //! level-contiguous storage layout of §IV.A makes this the natural
 //! decomposition, and it keeps siblings (merged at line 24) on the same
 //! device except at chunk boundaries.
 
-use crate::shard::{chunk_bounds, PipelineMode, Transfer, TransferKind};
+use crate::shard::{chunk_bounds, PipelineMode, Transfer};
 use h2_dense::Precision;
 
 /// Combine one epoch's `(compute, comm, launch)` terms — the output of
@@ -46,10 +45,10 @@ pub fn combine_terms(mode: PipelineMode, (compute_max, comm, launch): (f64, f64,
 /// The one epoch-pricing rule: the `(compute, comm, launch)` seconds of an
 /// epoch whose busiest device computes for `compute_max` seconds and issues
 /// `launches` kernels while `comm_bytes` in `comm_messages` messages cross
-/// the link. Every projection — [`Schedule::makespan`], the construction
-/// simulator below, `h2_sched`'s `ExecReport` and its drift tables — prices
-/// an epoch here and composes the terms with [`combine_terms`], so equal
-/// counts give bit-equal seconds.
+/// the link. Every projection — [`Schedule::makespan`], `h2_sched`'s
+/// `ExecReport` and its drift tables — prices an epoch here and composes
+/// the terms with [`combine_terms`], so equal counts give bit-equal
+/// seconds.
 #[inline]
 pub fn epoch_terms(
     model: &DeviceModel,
@@ -65,10 +64,10 @@ pub fn epoch_terms(
     )
 }
 
-/// The work/traffic formulas shared by the closed-form simulator and the
-/// sharded executor's accounting ([`crate::ops`], [`crate::bsr`],
+/// The work/traffic formulas shared by the planners and the sharded
+/// executor's accounting ([`crate::ops`], [`crate::bsr`], `h2_core`,
 /// `h2_sched`). One definition per kernel, so "measured totals equal
-/// predicted totals" is structural rather than a comment-level promise.
+/// planned totals" is structural rather than a comment-level promise.
 pub mod cost {
     use h2_dense::Precision;
 
@@ -101,18 +100,11 @@ pub mod cost {
     }
 
     /// Bytes of one fetched `rows × d` block (an Ω/Ψ partner fetch, or one
-    /// half of a sibling merge) at wire precision `prec` — the element
-    /// width is the only thing the precision tier changes in the transfer
-    /// model, so every byte formula is linear in it.
+    /// child block of a line-24 merge) at wire precision `prec` — the
+    /// element width is the only thing the precision tier changes in the
+    /// transfer model, so every byte formula is linear in it.
     pub fn fetch_bytes_p(rows: usize, d: usize, prec: Precision) -> u64 {
         (rows * d * prec.bytes()) as u64
-    }
-
-    /// Bytes of a line-24 boundary sibling merge: the moved child's samples
-    /// *and* inputs — twice [`fetch_bytes_p`] (the executor records the two
-    /// halves as separate `stack_children` transfers).
-    pub fn merge_bytes_p(rows: usize, d: usize, prec: Precision) -> u64 {
-        2 * fetch_bytes_p(rows, d, prec)
     }
 
     // ---- solver-sweep formulas (batched ULV elimination and the
@@ -178,12 +170,13 @@ impl Default for DeviceModel {
 }
 
 /// A sharded operation described once, as data: what each device computes,
-/// launches and allocates per epoch, and every cross-device copy. The
-/// planner that emits it (`h2_sched::plan_matvec`, `h2_sched::plan_ulv_solve`)
-/// is the only place owners, guards and [`cost`] formulas are evaluated for
-/// its operation; the fabric *executes* the value and [`Schedule::makespan`]
-/// *prices* it, so measured and predicted counts are equal by construction
-/// rather than by a second walk.
+/// evaluates, launches and allocates per epoch, and every cross-device copy.
+/// The planner that emits it (`h2_core::plan_construct`,
+/// `h2_sched::plan_matvec`, `h2_sched::plan_ulv_solve`) is the only place
+/// owners, guards and [`cost`] formulas are evaluated for its operation; the
+/// fabric *executes* the operation and [`Schedule::makespan`] *prices* the
+/// plan, so measured and planned counts are equal by construction rather
+/// than by a second walk.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     pub devices: usize,
@@ -203,9 +196,14 @@ pub struct ScheduleEpoch {
     pub kernel: &'static str,
     /// Tree levels the kernel runs over, in per-device queue order: one
     /// launch per listed level on every device owning a non-empty chunk.
+    /// Empty for a plan whose executor does not read it (the construction,
+    /// whose epochs run a whole level of Algorithm 1 each).
     pub levels: Vec<usize>,
     /// Modeled flops per device.
     pub flops: Vec<f64>,
+    /// `batchedGen` entry evaluations per device (priced at
+    /// [`DeviceModel::entry_cost`] flop-equivalents each).
+    pub entries: Vec<f64>,
     /// Kernel launches per device.
     pub launches: Vec<usize>,
     /// Workspace bytes per device (live peak over the epoch).
@@ -224,6 +222,7 @@ impl ScheduleEpoch {
             kernel,
             levels: Vec::new(),
             flops: vec![0.0; devices],
+            entries: vec![0.0; devices],
             launches: vec![0; devices],
             arena: vec![0; devices],
             transfers: Vec::new(),
@@ -234,7 +233,13 @@ impl ScheduleEpoch {
     /// launch on every device whose chunk of the level is non-empty.
     pub fn run_level(&mut self, l: usize, nodes: usize) {
         self.levels.push(l);
-        let bounds = chunk_bounds(nodes, self.launches.len());
+        self.launch(nodes);
+    }
+
+    /// One batched launch over `items` entries in contiguous chunks: a
+    /// launch on every device whose chunk is non-empty.
+    pub fn launch(&mut self, items: usize) {
+        let bounds = chunk_bounds(items, self.launches.len());
         for (dev, launches) in self.launches.iter_mut().enumerate() {
             *launches += usize::from(bounds[dev + 1] > bounds[dev]);
         }
@@ -254,31 +259,65 @@ impl Schedule {
         self.epochs.iter().map(|e| e.comm_bytes()).sum()
     }
 
+    /// Modeled flops summed over devices and epochs (excluding generator
+    /// entries).
     pub fn total_flops(&self) -> f64 {
         self.epochs.iter().flat_map(|e| e.flops.iter()).sum()
     }
 
-    /// Modeled critical-path seconds of epoch `i`: the busiest device's
-    /// compute, the epoch's link traffic and the busiest device's launches,
-    /// priced by [`epoch_terms`] and combined under the schedule's mode.
-    pub fn epoch_makespan(&self, i: usize, model: &DeviceModel) -> f64 {
+    /// Total work in flop-equivalents at `entry_cost` flops per generated
+    /// entry (the currency of `ExecReport::flop_equiv`).
+    pub fn flop_equiv(&self, entry_cost: f64) -> f64 {
+        let entries: f64 = self.epochs.iter().flat_map(|e| e.entries.iter()).sum();
+        self.total_flops() + entry_cost * entries
+    }
+
+    pub fn total_launches(&self) -> usize {
+        self.epochs.iter().flat_map(|e| e.launches.iter()).sum()
+    }
+
+    /// Modeled compute seconds summed over devices: device-count invariant,
+    /// since a plan only redistributes its work.
+    pub fn compute_total(&self, model: &DeviceModel) -> f64 {
+        self.flop_equiv(model.entry_cost) / model.flops_per_sec
+    }
+
+    /// Parallel efficiency against an ideal single device:
+    /// `compute_total / (devices · makespan)`.
+    pub fn efficiency(&self, model: &DeviceModel) -> f64 {
+        let makespan = self.makespan(model);
+        if makespan == 0.0 {
+            return 1.0;
+        }
+        self.compute_total(model) / (self.devices as f64 * makespan)
+    }
+
+    /// The `(compute, comm, launch)` seconds of epoch `i`: the busiest
+    /// device's flops plus priced entries, the epoch's link traffic and the
+    /// busiest device's launches, priced by [`epoch_terms`] exactly as
+    /// `ExecReport::epoch_terms` prices a measured epoch.
+    pub fn epoch_terms(&self, i: usize, model: &DeviceModel) -> (f64, f64, f64) {
         let e = &self.epochs[i];
         let compute_max = e
             .flops
             .iter()
-            .map(|f| f / model.flops_per_sec)
+            .zip(&e.entries)
+            .map(|(f, g)| (f + model.entry_cost * g) / model.flops_per_sec)
             .fold(0.0, f64::max);
         let launches_max = e.launches.iter().copied().max().unwrap_or(0);
-        combine_terms(
-            self.mode,
-            epoch_terms(
-                model,
-                compute_max,
-                e.comm_bytes(),
-                e.comm_messages(),
-                launches_max as f64,
-            ),
+        epoch_terms(
+            model,
+            compute_max,
+            e.comm_bytes(),
+            e.comm_messages(),
+            launches_max as f64,
         )
+    }
+
+    /// Modeled critical-path seconds of epoch `i`: [`Schedule::epoch_terms`]
+    /// combined under the schedule's mode.
+    pub fn epoch_makespan(&self, i: usize, model: &DeviceModel) -> f64 {
+        combine_terms(self.mode, self.epoch_terms(i, model))
     }
 
     /// Sum of the epoch makespans (epochs are sequential).
@@ -287,269 +326,6 @@ impl Schedule {
             .map(|i| self.epoch_makespan(i, model))
             .sum()
     }
-}
-
-/// Execution structure of one processed level of Algorithm 1, in the form
-/// the simulator consumes (extracted from a constructed H2 matrix by
-/// `h2_core::multidev::level_specs`).
-///
-/// Two node populations appear at inner levels: the **BSR population**
-/// (the *children*, whose samples are subtracted against coupling blocks,
-/// lines 26-28) and the **ID population** (the level's own nodes, whose
-/// stacked samples are skeletonized, line 34). At the leaf level the two
-/// coincide.
-#[derive(Clone, Debug, Default)]
-pub struct LevelSpec {
-    /// BSR population: per row-node, rows of its local sample block
-    /// (cluster size at the leaf level; node rank at inner levels).
-    pub rows: Vec<usize>,
-    /// BSR adjacency of the subtraction: per row-node, local indices of its
-    /// column partners in the same population.
-    pub adj: Vec<Vec<usize>>,
-    /// Per column-partner node (same local indexing as `adj` targets): rows
-    /// of its input-vector block `Ω_b`.
-    pub col_rows: Vec<usize>,
-    /// `batchedGen` blocks issued at this level: `(rows, cols)` dimensions.
-    /// For an unsymmetric instance this holds every *ordered* pair (the two
-    /// orientations are disjoint entry sets); both streams' generation work
-    /// is therefore covered by this one list.
-    pub gen_blocks: Vec<(usize, usize)>,
-    /// ID population: per node processed at this level, rows of the stacked
-    /// sample block fed to the QR convergence test and the row ID.
-    pub id_rows: Vec<usize>,
-    /// Post-ID rank per ID-population node.
-    pub ranks: Vec<usize>,
-    /// Pairs of BSR-population local indices merged into one ID-population
-    /// node (line 24). Empty at the leaf level.
-    pub merges: Vec<(usize, usize)>,
-    /// Column-stream populations of the unsymmetric two-stream engine
-    /// (`Z = Kᵀ Ψ`): `None` for the symmetric one-stream instance. The
-    /// stream shares the level's `adj` and `merges` structure (the block
-    /// partition is symmetric as a pattern) but carries its own sizes and
-    /// ranks.
-    pub col_stream: Option<StreamSpec>,
-}
-
-/// Per-side kernel populations of one additional sketch stream at a level
-/// (the column stream of the unsymmetric engine). Structure (`adj`,
-/// `merges`) is shared with the owning [`LevelSpec`].
-#[derive(Clone, Debug, Default)]
-pub struct StreamSpec {
-    /// BSR population: per node, rows of its local `Z`/`Ψ` block.
-    pub rows: Vec<usize>,
-    /// ID population: rows of the stacked sample block per processed node.
-    pub id_rows: Vec<usize>,
-    /// Post-ID column rank per ID-population node.
-    pub ranks: Vec<usize>,
-}
-
-/// Cost breakdown of one level at a given device count.
-#[derive(Clone, Debug)]
-pub struct LevelCost {
-    /// Wall-clock estimate: max per-device compute + comm + launch overhead.
-    pub makespan: f64,
-    /// Total compute time summed over devices (s).
-    pub compute_total: f64,
-    /// Per-device compute seconds.
-    pub compute_per_device: Vec<f64>,
-    /// Cross-device traffic in bytes (Ω fetches + child gathers).
-    pub comm_bytes: u64,
-    /// Cross-device messages.
-    pub comm_messages: usize,
-    /// Kernel launches across all devices at this level.
-    pub launches: usize,
-}
-
-/// Simulation result over all levels.
-#[derive(Clone, Debug)]
-pub struct SimReport {
-    pub devices: usize,
-    pub levels: Vec<LevelCost>,
-    /// Sum of level makespans (levels are sequential in Algorithm 1).
-    pub makespan: f64,
-    pub total_comm_bytes: u64,
-    pub total_launches: usize,
-}
-
-impl SimReport {
-    /// Total compute time aggregated over devices and levels.
-    pub fn compute_total(&self) -> f64 {
-        self.levels.iter().map(|l| l.compute_total).sum()
-    }
-
-    /// Parallel efficiency relative to an ideal single device:
-    /// `T_compute / (devices · makespan)`.
-    pub fn efficiency(&self) -> f64 {
-        if self.makespan == 0.0 {
-            return 1.0;
-        }
-        self.compute_total() / (self.devices as f64 * self.makespan)
-    }
-}
-
-/// Per-stream cost accumulation for one level: the BSR subtraction with its
-/// deduplicated off-device Ω fetches, the node-local QR/ID/upsweep chain
-/// over the ID population (the upsweep GEMM is skipped at the topmost
-/// level, which has no parent), and the line-24 boundary sibling merges.
-#[allow(clippy::too_many_arguments)]
-fn stream_cost(
-    rows: &[usize],
-    adj: &[Vec<usize>],
-    col_rows: &[usize],
-    id_rows: &[usize],
-    ranks: &[usize],
-    merges: &[(usize, usize)],
-    d_samples: usize,
-    devices: usize,
-    model: &DeviceModel,
-    is_top: bool,
-    wire: Precision,
-    compute: &mut [f64],
-    comm_bytes: &mut u64,
-    comm_messages: &mut usize,
-) {
-    let n = rows.len();
-
-    // batchedBSRGemm: 2·m_s·m_b·d flops per block; fetch Ω_b when the
-    // partner lives on another device (once per (device, partner)).
-    let mut fetched: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    for (i, partners) in adj.iter().enumerate() {
-        let dev = owner(i, n, devices);
-        for &b in partners {
-            let mb = col_rows.get(b).copied().unwrap_or(0);
-            compute[dev] += cost::bsr_flops(rows[i], mb, d_samples) / model.flops_per_sec;
-            let dev_b = owner(b, col_rows.len().max(n), devices);
-            if dev_b != dev && fetched.insert((dev, b)) {
-                *comm_bytes += cost::fetch_bytes_p(mb, d_samples, wire);
-                *comm_messages += 1;
-            }
-        }
-    }
-
-    // Convergence QR + row ID + upsweep GEMM (skipped at the top), all
-    // node-local, over the ID population.
-    let n_id = id_rows.len();
-    for i in 0..n_id {
-        let m = id_rows[i];
-        let k = if is_top {
-            0
-        } else {
-            ranks.get(i).copied().unwrap_or(0)
-        };
-        let dev = owner(i, n_id, devices);
-        compute[dev] += (cost::qr_flops(m, d_samples)
-            + cost::id_flops(m, d_samples)
-            + cost::upsweep_flops(m, k, d_samples))
-            / model.flops_per_sec;
-    }
-
-    // Line-24 gather: a merge whose children live on different devices
-    // moves one child's samples + inputs (rows × d × 2 × 8B).
-    for &(a, b) in merges {
-        let (da, db) = (owner(a, n, devices), owner(b, n, devices));
-        if da != db {
-            let moved = rows.get(b).copied().unwrap_or(0);
-            *comm_bytes += cost::merge_bytes_p(moved, d_samples, wire);
-            *comm_messages += 1;
-        }
-    }
-}
-
-/// Executor-granularity enumeration of one stream's cross-device
-/// transfers: the same dedup/owner/byte logic as [`stream_cost`], but
-/// emitting one [`Transfer`] descriptor per copy the fabric actually
-/// issues instead of accumulating totals. Line-24 merges emit **two**
-/// descriptors (the straddling sibling's samples and its inputs are
-/// stacked by separate `stack_children` calls), matching the executor's
-/// record stream where the simulator folds both into one
-/// `merge_bytes_p` message.
-#[allow(clippy::too_many_arguments)]
-fn stream_census(
-    rows: &[usize],
-    adj: &[Vec<usize>],
-    col_rows: &[usize],
-    merges: &[(usize, usize)],
-    d_samples: usize,
-    devices: usize,
-    wire: Precision,
-    out: &mut Vec<Transfer>,
-) {
-    let n = rows.len();
-    let mut fetched: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    for (i, partners) in adj.iter().enumerate() {
-        let dev = owner(i, n, devices);
-        for &b in partners {
-            let mb = col_rows.get(b).copied().unwrap_or(0);
-            let dev_b = owner(b, col_rows.len().max(n), devices);
-            if dev_b != dev && fetched.insert((dev, b)) {
-                out.push(Transfer {
-                    src: dev_b,
-                    dst: dev,
-                    bytes: cost::fetch_bytes_p(mb, d_samples, wire),
-                    kind: TransferKind::OmegaFetch,
-                    prec: wire,
-                });
-            }
-        }
-    }
-    for &(a, b) in merges {
-        let (da, db) = (owner(a, n, devices), owner(b, n, devices));
-        if da != db {
-            let moved = rows.get(b).copied().unwrap_or(0);
-            let t = Transfer {
-                src: db,
-                dst: da,
-                bytes: cost::fetch_bytes_p(moved, d_samples, wire),
-                kind: TransferKind::ChildGather,
-                prec: wire,
-            };
-            out.push(t);
-            out.push(t);
-        }
-    }
-}
-
-/// Closed-form enumeration of every cross-device [`Transfer`] a
-/// non-adaptive construction issues — the extended simulator's input for
-/// predicting *faulted* byte totals. The multiset returned here equals the
-/// executor's transfer record multiset exactly (same owner mapping, same
-/// dedup, same byte formulas as [`simulate_prec_mode`], whose totals the
-/// equivalence tests pin to the executor), so replaying a seeded
-/// [`h2_fault::FaultPlan`] over it — fingerprint plus occurrence index per
-/// descriptor — reproduces the executor's exact retry stream, and
-/// therefore its retry bytes, without running anything.
-pub fn transfer_census(
-    levels: &[LevelSpec],
-    d_samples: usize,
-    devices: usize,
-    wire: Precision,
-) -> Vec<Transfer> {
-    let mut out = Vec::new();
-    for spec in levels {
-        stream_census(
-            &spec.rows,
-            &spec.adj,
-            &spec.col_rows,
-            &spec.merges,
-            d_samples,
-            devices,
-            wire,
-            &mut out,
-        );
-        if let Some(cs) = &spec.col_stream {
-            stream_census(
-                &cs.rows,
-                &spec.adj,
-                &spec.rows,
-                &spec.merges,
-                d_samples,
-                devices,
-                wire,
-                &mut out,
-            );
-        }
-    }
-    out
 }
 
 /// Contiguous-chunk owner of local node `i` among `n` nodes on `d` devices.
@@ -561,208 +337,109 @@ pub fn owner(i: usize, n: usize, d: usize) -> usize {
     (i * d / n).min(d - 1)
 }
 
-/// Simulate the construction's batched execution on `devices` devices.
-///
-/// `d_samples` is the sample block width (paper: 256 initial). The per-level
-/// costs follow Algorithm 1's kernel sequence: `batchedGen`,
-/// `batchedBSRGemm` (the only op with Ω traffic), convergence QR,
-/// `batchedID`, and the upsweep GEMM, plus the line-24 child gather.
-///
-/// ```
-/// use h2_runtime::{simulate, DeviceModel, LevelSpec};
-/// let leaf = LevelSpec {
-///     rows: vec![64; 8],
-///     adj: (0..8).map(|i| vec![i]).collect(),
-///     col_rows: vec![64; 8],
-///     gen_blocks: vec![(64, 64); 8],
-///     id_rows: vec![64; 8],
-///     ranks: vec![16; 8],
-///     merges: vec![],
-///     ..Default::default()
-/// };
-/// let rep = simulate(&[leaf], 128, 1, &DeviceModel::default());
-/// assert_eq!(rep.total_comm_bytes, 0); // one device never communicates
-/// assert!(rep.makespan > 0.0);
-/// ```
-pub fn simulate(
-    levels: &[LevelSpec],
-    d_samples: usize,
-    devices: usize,
-    model: &DeviceModel,
-) -> SimReport {
-    simulate_prec(levels, d_samples, devices, model, Precision::F64)
-}
-
-/// [`simulate`] at an explicit wire precision: every transfer byte count
-/// (`Ω`/`Ψ` fetches, line-24 merges) scales by the element width while the
-/// flop and launch model is untouched — arithmetic always accumulates in
-/// f64, only the shipped representation narrows.
-pub fn simulate_prec(
-    levels: &[LevelSpec],
-    d_samples: usize,
-    devices: usize,
-    model: &DeviceModel,
-    wire: Precision,
-) -> SimReport {
-    simulate_prec_mode(
-        levels,
-        d_samples,
-        devices,
-        model,
-        wire,
-        PipelineMode::Synchronous,
-    )
-}
-
-/// [`simulate_prec`] under an explicit execution discipline: the per-level
-/// byte/flop/launch populations are identical (the trust contract's
-/// equality invariants are mode-independent); only how the three schedule
-/// terms combine into the level makespan changes — see [`combine_terms`].
-pub fn simulate_prec_mode(
-    levels: &[LevelSpec],
-    d_samples: usize,
-    devices: usize,
-    model: &DeviceModel,
-    wire: Precision,
-    mode: PipelineMode,
-) -> SimReport {
-    assert!(devices > 0, "at least one device");
-    let mut out_levels = Vec::with_capacity(levels.len());
-    let mut makespan = 0.0;
-    let mut total_comm = 0u64;
-    let mut total_launches = 0usize;
-
-    for (lvl, spec) in levels.iter().enumerate() {
-        // The topmost processed level has no parent to sweep into: the
-        // construction skips the shrink/compress GEMM there, so the model
-        // does too.
-        let is_top = lvl + 1 == levels.len();
-        let n = spec.rows.len();
-        let mut compute = vec![0.0_f64; devices];
-        let mut comm_bytes = 0u64;
-        let mut comm_messages = 0usize;
-
-        // batchedGen: entry evaluation, no communication (generator is
-        // device-resident, §IV.A). Blocks are distributed like their row
-        // nodes; approximate with round-robin over devices.
-        for (i, &(r, c)) in spec.gen_blocks.iter().enumerate() {
-            let dev = if devices > 1 { i % devices } else { 0 };
-            compute[dev] += cost::gen_entries(r, c) * model.entry_cost / model.flops_per_sec;
-        }
-
-        // Row stream: BSR subtraction, QR/ID/upsweep, boundary merges.
-        stream_cost(
-            &spec.rows,
-            &spec.adj,
-            &spec.col_rows,
-            &spec.id_rows,
-            &spec.ranks,
-            &spec.merges,
-            d_samples,
-            devices,
-            model,
-            is_top,
-            wire,
-            &mut compute,
-            &mut comm_bytes,
-            &mut comm_messages,
-        );
-
-        // Column stream (unsymmetric two-stream engine): same structure,
-        // its own sizes/ranks, its own Ψ traffic. Its partner inputs `Ψ_b`
-        // were compressed by the *row* basis (`Ψ ← Uᵀ Ψ`), so their row
-        // counts are the row-side ranks (`spec.rows`).
-        if let Some(cs) = &spec.col_stream {
-            stream_cost(
-                &cs.rows,
-                &spec.adj,
-                &spec.rows,
-                &cs.id_rows,
-                &cs.ranks,
-                &spec.merges,
-                d_samples,
-                devices,
-                model,
-                is_top,
-                wire,
-                &mut compute,
-                &mut comm_bytes,
-                &mut comm_messages,
-            );
-        }
-
-        // Launches: each device launches each of the ~6 per-level batched
-        // kernels over its chunk, plus one BSR launch per Csp slot (§IV.A),
-        // once per stream.
-        let csp = spec.adj.iter().map(|a| a.len()).max().unwrap_or(0);
-        let nstreams = 1 + spec.col_stream.is_some() as usize;
-        let active = devices.min(n.max(1));
-        let launches = active * (6 + csp) * nstreams;
-
-        let level_makespan = combine_terms(
-            mode,
-            epoch_terms(
-                model,
-                compute.iter().cloned().fold(0.0, f64::max),
-                comm_bytes,
-                comm_messages,
-                launches as f64 / active.max(1) as f64,
-            ),
-        );
-
-        makespan += level_makespan;
-        total_comm += comm_bytes;
-        total_launches += launches;
-        out_levels.push(LevelCost {
-            makespan: level_makespan,
-            compute_total: compute.iter().sum(),
-            compute_per_device: compute,
-            comm_bytes,
-            comm_messages,
-            launches,
-        });
-    }
-
-    SimReport {
-        devices,
-        levels: out_levels,
-        makespan,
-        total_comm_bytes: total_comm,
-        total_launches,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{child_gathers, FetchPlanner, TransferKind};
 
-    fn toy_levels() -> Vec<LevelSpec> {
+    /// One level of a toy construction: the BSR population's block heights
+    /// and adjacency, its stacking into the level's nodes (empty at the
+    /// leaf, where the two populations coincide), the nodes' ranks and the
+    /// level's `batchedGen` block shapes.
+    struct ToyLevel {
+        rows: Vec<usize>,
+        adj: Vec<Vec<usize>>,
+        children: Vec<Vec<usize>>,
+        ranks: Vec<usize>,
+        gen: Vec<(usize, usize)>,
+    }
+
+    /// A one-stream construction over `levels` (leaf first) at sample width
+    /// `d`, laid out as a synchronous [`Schedule`] the way
+    /// `h2_core::plan_construct` lays one out: per level the BSR subtraction
+    /// with its Ω fetches ([`FetchPlanner`]), the line-24 stacking of samples
+    /// and inputs ([`child_gathers`]), the convergence QR, row ID and (below
+    /// the top) upsweep over the level's nodes, and `batchedGen` round-robin.
+    fn toy_construct_schedule(levels: &[ToyLevel], d: usize, devices: usize) -> Schedule {
+        let wire = Precision::F64;
+        let mut epochs = Vec::new();
+        for (i, lv) in levels.iter().enumerate() {
+            let at = epochs.len();
+            let mut e = ScheduleEpoch::blank("construct", format!("construct L{i}"), devices);
+            let nr = lv.rows.len();
+            let mut planner = FetchPlanner::new(0, nr, nr, devices, wire);
+            for (r, partners) in lv.adj.iter().enumerate() {
+                for &b in partners {
+                    e.flops[owner(r, nr, devices)] += cost::bsr_flops(lv.rows[r], lv.rows[b], d);
+                    planner.visit(r, b, lv.rows[b], d);
+                }
+            }
+            e.transfers
+                .extend(planner.into_plan().into_iter().map(|(_, t)| (t, at)));
+            for _ in 0..lv.adj.iter().map(Vec::len).max().unwrap_or(0) {
+                e.launch(nr);
+            }
+            let stacked: Vec<usize> = if lv.children.is_empty() {
+                lv.rows.clone()
+            } else {
+                // Samples, then inputs: one stacking kernel each.
+                for _ in 0..2 {
+                    let moved = child_gathers(&lv.children, &lv.rows, d, devices, wire);
+                    e.transfers.extend(moved.into_iter().map(|t| (t, at)));
+                    e.launch(lv.children.len());
+                }
+                lv.children
+                    .iter()
+                    .map(|cs| cs.iter().map(|&c| lv.rows[c]).sum())
+                    .collect()
+            };
+            let n = stacked.len();
+            let top = i + 1 == levels.len();
+            for (j, &m) in stacked.iter().enumerate() {
+                let k = if top { 0 } else { lv.ranks[j] };
+                e.flops[owner(j, n, devices)] +=
+                    cost::qr_flops(m, d) + cost::id_flops(m, d) + cost::upsweep_flops(m, k, d);
+            }
+            for _ in 0..if top { 2 } else { 4 } {
+                e.launch(n);
+            }
+            for (j, &(r, c)) in lv.gen.iter().enumerate() {
+                e.entries[j % devices] += cost::gen_entries(r, c);
+            }
+            for launches in e.launches.iter_mut().take(lv.gen.len()) {
+                *launches += 1;
+            }
+            epochs.push(e);
+        }
+        Schedule {
+            devices,
+            mode: PipelineMode::Synchronous,
+            wire,
+            epochs,
+        }
+    }
+
+    fn toy_levels() -> Vec<ToyLevel> {
         // Leaf level: 8 nodes of 64 rows, ring adjacency, rank 16; the BSR
         // and ID populations coincide.
         let n = 8;
-        let leaf = LevelSpec {
+        let leaf = ToyLevel {
             rows: vec![64; n],
             adj: (0..n)
                 .map(|i| vec![i, (i + 1) % n, (i + n - 1) % n])
                 .collect(),
-            col_rows: vec![64; n],
-            gen_blocks: (0..n).map(|_| (64, 64)).collect(),
-            id_rows: vec![64; n],
+            children: Vec::new(),
             ranks: vec![16; n],
-            merges: vec![],
-            ..Default::default()
+            gen: vec![(64, 64); n],
         };
-        // Inner level: BSR over the 8 children (rank 16 each), merged in
-        // sibling pairs into 4 ID nodes of 32 stacked rows.
-        let inner = LevelSpec {
+        // Inner level: BSR over the 8 children (rank 16 each), stacked in
+        // sibling pairs into 4 nodes of 32 rows.
+        let inner = ToyLevel {
             rows: vec![16; n],
             adj: (0..n).map(|i| vec![(i + 2) % n]).collect(),
-            col_rows: vec![16; n],
-            gen_blocks: (0..4).map(|_| (16, 16)).collect(),
-            id_rows: vec![32; 4],
-            ranks: vec![12; 4],
-            merges: (0..n / 2).map(|p| (2 * p, 2 * p + 1)).collect(),
-            ..Default::default()
+            children: (0..n / 2).map(|p| vec![2 * p, 2 * p + 1]).collect(),
+            ranks: vec![12; n / 2],
+            gen: vec![(16, 16); n / 2],
         };
         vec![leaf, inner]
     }
@@ -785,42 +462,34 @@ mod tests {
 
     #[test]
     fn single_device_has_no_communication() {
-        let rep = simulate(&toy_levels(), 128, 1, &DeviceModel::default());
-        assert_eq!(rep.total_comm_bytes, 0);
-        assert!(rep.makespan > 0.0);
+        let s = toy_construct_schedule(&toy_levels(), 128, 1);
+        assert_eq!(s.total_comm_bytes(), 0);
+        assert!(s.makespan(&DeviceModel::default()) > 0.0);
     }
 
     #[test]
     fn multi_device_reduces_makespan_on_large_levels() {
         // A wide leaf level with enough work for parallelism to win.
         let n = 256;
-        let level = LevelSpec {
+        let level = ToyLevel {
             rows: vec![256; n],
             adj: (0..n).map(|i| vec![i]).collect(),
-            col_rows: vec![256; n],
-            gen_blocks: (0..n).map(|_| (256, 256)).collect(),
-            id_rows: vec![256; n],
+            children: Vec::new(),
             ranks: vec![32; n],
-            merges: vec![],
-            ..Default::default()
+            gen: vec![(256, 256); n],
         };
         let m = DeviceModel::default();
-        let r1 = simulate(std::slice::from_ref(&level), 256, 1, &m);
-        let r4 = simulate(&[level], 256, 4, &m);
-        assert!(
-            r4.makespan < r1.makespan / 2.0,
-            "4 devices {} vs 1 device {}",
-            r4.makespan,
-            r1.makespan
-        );
+        let levels = [level];
+        let t1 = toy_construct_schedule(&levels, 256, 1).makespan(&m);
+        let t4 = toy_construct_schedule(&levels, 256, 4).makespan(&m);
+        assert!(t4 < t1 / 2.0, "4 devices {t4} vs 1 device {t1}");
     }
 
     #[test]
     fn communication_grows_with_devices() {
         let levels = toy_levels();
-        let m = DeviceModel::default();
-        let c2 = simulate(&levels, 128, 2, &m).total_comm_bytes;
-        let c8 = simulate(&levels, 128, 8, &m).total_comm_bytes;
+        let c2 = toy_construct_schedule(&levels, 128, 2).total_comm_bytes();
+        let c8 = toy_construct_schedule(&levels, 128, 8).total_comm_bytes();
         assert!(c2 > 0, "cross-device partners must appear at D=2");
         assert!(c8 >= c2, "more devices cannot reduce traffic: {c2} -> {c8}");
     }
@@ -829,8 +498,8 @@ mod tests {
     fn compute_total_is_device_invariant() {
         let levels = toy_levels();
         let m = DeviceModel::default();
-        let t1 = simulate(&levels, 64, 1, &m).compute_total();
-        let t4 = simulate(&levels, 64, 4, &m).compute_total();
+        let t1 = toy_construct_schedule(&levels, 64, 1).compute_total(&m);
+        let t4 = toy_construct_schedule(&levels, 64, 4).compute_total(&m);
         assert!((t1 - t4).abs() < 1e-12 * t1.max(1e-30), "work is conserved");
     }
 
@@ -839,7 +508,7 @@ mod tests {
         let levels = toy_levels();
         let m = DeviceModel::default();
         for d in [1, 2, 4, 8] {
-            let e = simulate(&levels, 64, d, &m).efficiency();
+            let e = toy_construct_schedule(&levels, 64, d).efficiency(&m);
             assert!(e > 0.0 && e <= 1.0 + 1e-9, "efficiency {e} at D={d}");
         }
     }
@@ -847,28 +516,25 @@ mod tests {
     #[test]
     fn launches_scale_with_active_devices_not_nodes() {
         let n = 1024;
-        let level = LevelSpec {
+        let level = ToyLevel {
             rows: vec![64; n],
             adj: (0..n).map(|i| vec![i]).collect(),
-            col_rows: vec![64; n],
-            gen_blocks: vec![],
-            id_rows: vec![64; n],
+            children: Vec::new(),
             ranks: vec![8; n],
-            merges: vec![],
-            ..Default::default()
+            gen: Vec::new(),
         };
-        let rep = simulate(&[level], 64, 4, &DeviceModel::default());
+        let s = toy_construct_schedule(&[level], 64, 4);
         assert!(
-            rep.total_launches < 64,
+            s.total_launches() < 64,
             "launches must not scale with node count"
         );
     }
 
     #[test]
     fn empty_levels_cost_nothing() {
-        let rep = simulate(&[], 64, 4, &DeviceModel::default());
-        assert_eq!(rep.makespan, 0.0);
-        assert_eq!(rep.total_comm_bytes, 0);
+        let s = toy_construct_schedule(&[], 64, 4);
+        assert_eq!(s.makespan(&DeviceModel::default()), 0.0);
+        assert_eq!(s.total_comm_bytes(), 0);
     }
 
     /// A ULV solve sweep over a toy tree, laid out as a [`Schedule`] the way
@@ -990,19 +656,16 @@ mod tests {
     fn latency_dominates_tiny_levels() {
         // A level with 2 tiny nodes on 8 devices: makespan should be close
         // to pure overhead (launch + latency), not compute.
-        let level = LevelSpec {
+        let level = ToyLevel {
             rows: vec![4, 4],
             adj: vec![vec![1], vec![0]],
-            col_rows: vec![4, 4],
-            gen_blocks: vec![(4, 4)],
-            id_rows: vec![8],
+            children: vec![vec![0, 1]],
             ranks: vec![2],
-            merges: vec![(0, 1)],
-            ..Default::default()
+            gen: vec![(4, 4)],
         };
         let m = DeviceModel::default();
-        let rep = simulate(&[level], 16, 8, &m);
+        let s = toy_construct_schedule(&[level], 16, 8);
         let overhead = m.launch_overhead + m.link_latency;
-        assert!(rep.makespan >= overhead, "tiny levels are overhead-bound");
+        assert!(s.makespan(&m) >= overhead, "tiny levels are overhead-bound");
     }
 }

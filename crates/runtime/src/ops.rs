@@ -6,10 +6,10 @@
 //! work on the runtime's backend.
 
 use crate::batch::{cost_chunk_bounds, VarBatch};
-use crate::multidev::{cost, owner};
+use crate::multidev::cost;
 use crate::profile::Kernel;
 use crate::runtime::Runtime;
-use crate::shard::{chunk_bounds, ShardDispatch, ShardJob, Transfer, TransferKind};
+use crate::shard::{child_gathers, chunk_bounds, ShardDispatch, ShardJob};
 use h2_dense::cpqr::{row_id, RowId, Truncation};
 use h2_dense::qr::qr_in_place;
 use h2_dense::{gemm, EntryAccess, Mat, MatMut, MatRef, Op};
@@ -55,13 +55,14 @@ fn exec_cost(flops: f64, elems: usize) -> f64 {
 /// Work *accounting* on the sharded backend follows the §IV.A contiguous
 /// chunk decomposition ([`chunk_bounds`]): each entry's output bytes and
 /// `flops_of(i)` are charged to its [`crate::multidev::owner`] device with
-/// the *simulator's* formulas — which is what keeps the executor's measured
-/// totals bit-identical to [`crate::multidev::simulate`] predictions. Work
-/// *execution* is chunked separately and cost-aware: contiguous runs of
-/// roughly equal estimated cost ([`crate::batch::cost_chunk_bounds`]) go to
-/// the worker threads, so one device is no longer stuck with the handful of
-/// huge top-level entries while the rest idle over leaves. On the threaded
-/// backend the same cost chunking feeds the work-stealing pool.
+/// the [`crate::multidev::cost`] formulas, one launch per device with a
+/// non-empty chunk — the counts `h2_core::plan_construct` plans, so a run's
+/// measured epochs equal its planned ones. Work *execution* is chunked
+/// separately and cost-aware: contiguous runs of roughly equal estimated
+/// cost ([`crate::batch::cost_chunk_bounds`]) go to the worker threads, so
+/// one device is not stuck with the handful of huge top-level entries while
+/// the rest idle over leaves. On the threaded backend the same cost
+/// chunking feeds the work-stealing pool.
 pub(crate) fn batch_for_each_mut<F, C>(rt: &Runtime, out: &mut VarBatch, flops_of: C, f: F)
 where
     F: Fn(usize, MatMut<'_>) + Sync + Send,
@@ -142,8 +143,8 @@ pub(crate) fn batch_for_each_mut_deps<F, C>(
 
 /// Per-entry map over a batch on the runtime's backend, with sharded-mode
 /// work accounting like [`batch_for_each_mut`] (owner-attributed, the
-/// simulator's chunks) and cost-aware execution chunking on the parallel
-/// and sharded backends.
+/// planned chunks) and cost-aware execution chunking on the parallel and
+/// sharded backends.
 pub(crate) fn batch_map<R, F, C>(rt: &Runtime, batch: &VarBatch, flops_of: C, f: F) -> Vec<R>
 where
     R: Send,
@@ -294,38 +295,21 @@ pub fn stack_children(rt: &Runtime, child: &VarBatch, children: &[Vec<usize>]) -
     let mut out = VarBatch::zeros_uniform_cols(rows, d);
     let mut deps: Vec<u64> = Vec::new();
     if let Some(disp) = rt.shard_dispatch() {
-        // Line-24 boundary gathers: a child owned by a different device than
-        // its parent is copied over (the simulator's sibling-merge traffic).
-        // On the pipelined fabric these become prefetch descriptors issued
-        // ahead of the stacking jobs, which are then gated on the tickets.
+        // Line-24 boundary gathers ([`child_gathers`]). On the pipelined
+        // fabric these become prefetch descriptors issued ahead of the
+        // stacking jobs, which are then gated on the tickets.
         let pipelined = disp.mode() == crate::shard::PipelineMode::Pipelined;
-        let devices = disp.devices();
-        let (np, nc) = (children.len(), child.count());
-        for (p, cs) in children.iter().enumerate() {
-            let dp = owner(p, np, devices);
-            for &c in cs {
-                let dc = owner(c, nc, devices);
-                if dc != dp {
-                    let wire = disp.wire();
-                    let bytes = cost::fetch_bytes_p(child.rows_of(c), d, wire);
-                    let t = Transfer {
-                        src: dc,
-                        dst: dp,
-                        bytes,
-                        kind: TransferKind::ChildGather,
-                        prec: wire,
-                    };
-                    if pipelined {
-                        let ticket = disp.prefetch(t);
-                        if ticket != 0 {
-                            deps.push(ticket);
-                        }
-                    } else {
-                        disp.push_transfer(t);
-                    }
-                    disp.arena_alloc(dp, bytes as usize);
+        let child_rows: Vec<usize> = (0..child.count()).map(|c| child.rows_of(c)).collect();
+        for t in child_gathers(children, &child_rows, d, disp.devices(), disp.wire()) {
+            if pipelined {
+                let ticket = disp.prefetch(t);
+                if ticket != 0 {
+                    deps.push(ticket);
                 }
+            } else {
+                disp.push_transfer(t);
             }
+            disp.arena_alloc(t.dst, t.bytes as usize);
         }
     }
     batch_for_each_mut_deps(
@@ -487,7 +471,7 @@ pub fn batched_gen(rt: &Runtime, gen: &dyn EntryAccess, blocks: &[GenBlock]) -> 
             gen.block_mat(&blocks[i].rows, &blocks[i].cols)
         });
     };
-    // Generator blocks are distributed round-robin like the simulator (the
+    // Generator blocks are distributed round-robin in block order (the
     // generator itself is device-resident, §IV.A — no communication).
     let devices = disp.devices();
     for (i, b) in blocks.iter().enumerate() {

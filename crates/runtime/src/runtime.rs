@@ -120,7 +120,7 @@ impl Runtime {
 
     /// Close the fabric's current accounting epoch (no-op unless sharded).
     /// The construction level loop calls this once per processed level so
-    /// per-epoch stats line up with the simulator's per-level costs.
+    /// per-epoch stats line up with the epochs of `h2_core::plan_construct`.
     pub fn shard_epoch(&self, label: &str) {
         if let Some(d) = &self.shard {
             d.epoch(label);

@@ -13,11 +13,14 @@
 //!   implements (the real fabric of worker threads lives in the `h2_sched`
 //!   crate; this crate only needs to *drive* it). The batched kernels in
 //!   [`crate::ops`] and [`crate::bsr`] shard their per-entry work through
-//!   it and account modeled work/traffic with the *same formulas* as the
-//!   [`crate::multidev`] simulator, which is what makes measured and
-//!   simulated totals directly comparable;
+//!   it and account modeled work/traffic with the [`crate::multidev::cost`]
+//!   formulas the construction planner (`h2_core::plan_construct`) uses,
+//!   which is what makes measured and planned counts equal;
 //! * [`Transfer`] — one explicit cross-device copy (what a real multi-GPU
-//!   build would issue as a peer-to-peer `cudaMemcpyAsync`);
+//!   build would issue as a peer-to-peer `cudaMemcpyAsync`), and the two
+//!   rules that decide them: [`FetchPlanner`] (the `Ω_b` fetches) and
+//!   [`child_gathers`] (the line-24 merges), each written once and read by
+//!   both the kernels and the planner;
 //! * [`chunk_bounds`] — the contiguous chunk decomposition consistent with
 //!   [`crate::multidev::owner`].
 //!
@@ -47,10 +50,9 @@
 //! hinted tickets with [`ShardDispatch::claim_or_fetch`], so the copies run
 //! behind the current level's `batchedGen`/ID compute. Hints and claims are
 //! keyed by [`FetchKey`] and deduplicated per `(device, partner)` by
-//! [`FetchPlanner`] — the *same* planner both sides drive, which is what
-//! keeps the recorded byte totals exactly equal to the
-//! [`crate::multidev::simulate`] prediction whether or not a descriptor was
-//! prefetched early.
+//! [`FetchPlanner`] — the *same* planner the synchronous kernel and the
+//! construction plan drive, so a descriptor is the same record whether it
+//! was prefetched early, claimed late or issued inline.
 
 use crate::multidev::{cost, owner};
 use h2_dense::Precision;
@@ -164,8 +166,8 @@ pub struct FetchKey {
 
 /// Deduplicated `(device, partner)` fetch planning for one `batchedBSRGemm`
 /// call — the single source of the Ω/Ψ transfer descriptors, driven
-/// identically by the kernel itself and by the construction's early
-/// prefetch hint, with the simulator's own owner mapping and byte formula.
+/// identically by the kernel (both disciplines), the construction's early
+/// prefetch hint and `h2_core::plan_construct`.
 pub struct FetchPlanner {
     stream: u8,
     n_rows: usize,
@@ -195,7 +197,7 @@ impl FetchPlanner {
         }
     }
 
-    /// Owner device of BSR row `row` (the simulator's contiguous chunks).
+    /// Owner device of BSR row `row` (the contiguous chunks of §IV.A).
     pub fn owner_of_row(&self, row: usize) -> usize {
         owner(row, self.n_rows, self.devices)
     }
@@ -231,6 +233,41 @@ impl FetchPlanner {
     }
 }
 
+/// The line-24 boundary gathers of one child stacking — the single
+/// statement of the merge rule, read by `stack_children` and by
+/// `h2_core::plan_construct`. `children[p]` lists the child entries stacked
+/// into parent `p`, and `child_rows[c]` is child `c`'s block height. Parents
+/// and children are each owned in contiguous chunks of their own population;
+/// every child owned by another device than its parent is copied to the
+/// parent's device as one `rows × d` [`TransferKind::ChildGather`], in
+/// parent-then-child order.
+pub fn child_gathers(
+    children: &[Vec<usize>],
+    child_rows: &[usize],
+    d: usize,
+    devices: usize,
+    wire: Precision,
+) -> Vec<Transfer> {
+    let (np, nc) = (children.len(), child_rows.len());
+    let mut out = Vec::new();
+    for (p, cs) in children.iter().enumerate() {
+        let dp = owner(p, np, devices);
+        for &c in cs {
+            let dc = owner(c, nc, devices);
+            if dc != dp {
+                out.push(Transfer {
+                    src: dc,
+                    dst: dp,
+                    bytes: cost::fetch_bytes_p(child_rows[c], d, wire),
+                    kind: TransferKind::ChildGather,
+                    prec: wire,
+                });
+            }
+        }
+    }
+    out
+}
+
 /// The interface of a device fabric: N virtual devices, each with a worker
 /// thread, a memory arena and a work/traffic account. Implemented by
 /// `h2_sched::DeviceFabric`; consumed by the batched kernels.
@@ -246,7 +283,7 @@ pub trait ShardDispatch: Send + Sync {
     fn push_transfer(&self, t: Transfer);
 
     /// Attribute `flops` of modeled batched-kernel work to device `dev`
-    /// (the simulator's flop formulas, so totals are comparable).
+    /// (the [`crate::multidev::cost`] formulas, so totals are comparable).
     fn add_flops(&self, dev: usize, flops: f64);
 
     /// Attribute `entries` of `batchedGen` entry evaluations to device

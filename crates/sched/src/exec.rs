@@ -1,4 +1,4 @@
-//! Sharded construction drivers and the simulator cross-validation.
+//! Sharded construction drivers and the plan cross-check.
 //!
 //! [`shard_construct`] / [`shard_construct_unsym`] run Algorithm 1 on a
 //! [`DeviceFabric`]-backed [`Runtime`]: every batched kernel of the level
@@ -6,20 +6,21 @@
 //! contiguous per-device chunks on the fabric's worker threads, with the
 //! `Ω_b` fetches and boundary sibling merges of §IV.B recorded on the
 //! explicit transfer queue. The construction's level markers close one
-//! accounting epoch per processed level, so the returned [`ExecReport`]
-//! lines up one-to-one with the `LevelSpec`s of
-//! [`h2_core::level_specs`] — [`compare_with_simulator`] checks that the
-//! executor moved exactly the work and bytes the closed-form
-//! [`h2_runtime::simulate`] model predicts.
+//! accounting epoch per processed level. **Plan → execute → price**:
+//! [`h2_core::plan_construct`] lays the same pass out as a [`Schedule`],
+//! the fabric executes the construction and records, epoch by epoch, the
+//! plan's counts and transfer records, and [`Schedule::makespan`] prices
+//! the plan with the rule [`ExecReport::modeled_makespan`] prices the run
+//! with — [`compare_with_simulator`] checks the two agree.
 
 use crate::fabric::{DeviceFabric, ExecReport};
-use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig, SketchStats};
+use h2_core::{
+    plan_construct, sketch_construct, sketch_construct_unsym, SketchConfig, SketchStats,
+};
 use h2_dense::{EntryAccess, LinOp};
 use h2_fault::{FaultPlan, OccurrenceMap};
 use h2_matrix::H2Matrix;
-use h2_runtime::{
-    simulate_prec_mode, transfer_census, DeviceModel, LevelSpec, Runtime, Schedule, ShardDispatch,
-};
+use h2_runtime::{DeviceModel, Runtime, Schedule, ShardDispatch};
 use h2_tree::{ClusterTree, Partition};
 use std::sync::Arc;
 
@@ -65,39 +66,25 @@ pub fn shard_construct_unsym(
     (h2, stats, fabric.report("construct tail"))
 }
 
-/// Measured-vs-simulated comparison of one construction run on the same
-/// [`LevelSpec`]s.
-///
-/// With a non-adaptive pass (no extra sampling rounds, which is the regime
-/// `level_specs` describes) the executor performs *exactly* the kernel
-/// populations of the specs, so the modeled work and traffic totals agree
-/// to rounding — in **both** fabric modes: the pipelined executor issues
-/// the same transfer descriptors (early, as prefetches) and attributes the
-/// same owner-chunk flops, so `bytes_match` holds exactly regardless of
-/// overlap. The makespans agree only up to scheduling detail — the
-/// simulator round-robins generator blocks over one concatenated per-level
-/// list and charges `active·(6 + Csp)` launches, while the executor issues
-/// its real launch pattern — so [`SimComparison::makespan_ratio`] is
-/// checked against a documented factor rather than equality: **3x** for
-/// the synchronous fabric (exposed per-batch communication and join
-/// pattern differences), tightened to **2x** for the pipelined fabric,
-/// whose overlap-aware projection ([`ExecReport::modeled_makespan`])
-/// hides transfer time behind compute exactly the way the simulator's
-/// serialized formula cannot exceed.
+/// A sharded run measured against the [`Schedule`] it executed: work,
+/// traffic and makespan, each on both sides. For every planned operation —
+/// the construction ([`compare_with_simulator`]), the matvec and the ULV
+/// sweep — the executor records the plan's counts, so `bytes_match` holds,
+/// the work totals agree and [`SimComparison::makespan_ratio`] is exactly 1.
 #[derive(Clone, Debug)]
 pub struct SimComparison {
     /// Executor work total, in flop-equivalents under the model.
     pub measured_flop_equiv: f64,
-    /// Simulator work total (compute seconds × flop rate).
+    /// Planned work total, in the same currency.
     pub predicted_flop_equiv: f64,
     /// Executor bytes on the transfer queue.
     pub measured_bytes: u64,
-    /// Simulator cross-device traffic.
+    /// Planned cross-device traffic.
     pub predicted_bytes: u64,
     /// Executor counts projected through the model (see
     /// [`ExecReport::modeled_makespan`]).
     pub measured_makespan: f64,
-    /// Simulator makespan.
+    /// [`Schedule::makespan`] of the plan.
     pub predicted_makespan: f64,
 }
 
@@ -107,7 +94,7 @@ impl SimComparison {
     pub fn of_plan(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -> Self {
         SimComparison {
             measured_flop_equiv: report.flop_equiv(model.entry_cost),
-            predicted_flop_equiv: plan.total_flops(),
+            predicted_flop_equiv: plan.flop_equiv(model.entry_cost),
             measured_bytes: report.total_comm_bytes(),
             predicted_bytes: plan.total_comm_bytes(),
             measured_makespan: report.modeled_makespan(model),
@@ -135,57 +122,33 @@ impl SimComparison {
     }
 }
 
-/// Compare an execution report against the simulator's prediction for the
-/// same level specs, sample width and device count. The simulator runs
-/// under the report's own execution discipline
-/// ([`h2_runtime::simulate_prec_mode`]), so both sides compose their
-/// per-level compute/comm/launch terms the same way and the makespan band
-/// measures population drift, not mode mismatch.
+/// Compare a sharded construction's report against
+/// [`h2_core::plan_construct`] for the constructed matrix at sample width
+/// `d` and the report's own device count, mode and wire.
 pub fn compare_with_simulator(
     report: &ExecReport,
-    specs: &[LevelSpec],
-    d_samples: usize,
+    h2: &H2Matrix,
+    d: usize,
     model: &DeviceModel,
 ) -> SimComparison {
-    let sim = simulate_prec_mode(
-        specs,
-        d_samples,
-        report.devices,
-        model,
-        report.wire,
-        report.mode,
-    );
-    SimComparison {
-        measured_flop_equiv: report.flop_equiv(model.entry_cost),
-        predicted_flop_equiv: sim.compute_total() * model.flops_per_sec,
-        measured_bytes: report.total_comm_bytes(),
-        predicted_bytes: sim.total_comm_bytes,
-        measured_makespan: report.modeled_makespan(model),
-        predicted_makespan: sim.makespan,
-    }
+    let plan = plan_construct(h2, d, report.devices, report.mode, report.wire);
+    SimComparison::of_plan(report, &plan, model)
 }
 
-/// Predicted retry traffic of one faulted construction:
-/// `(retry_bytes, retry_messages)` over the executor-granularity transfer
-/// multiset of [`h2_runtime::transfer_census`], replaying the plan's
-/// per-fingerprint occurrence draws exactly as the fabric does. Because
-/// fault decisions are pure functions of `(seed, fingerprint, occurrence,
-/// attempt)` and the census enumerates the same multiset of fingerprints
-/// the executor issues, the predicted retry bytes equal the fabric's
-/// charged re-transfer bytes *exactly* — the faulted extension of the
-/// byte-equality trust invariant.
-pub fn predicted_fault_traffic(
-    specs: &[LevelSpec],
-    d_samples: usize,
-    devices: usize,
-    wire: h2_runtime::Precision,
-    plan: &FaultPlan,
-) -> (u64, usize) {
+/// Predicted retry traffic of one faulted run of `plan`:
+/// `(retry_bytes, retry_messages)` from replaying the fault plan over the
+/// plan's transfers in issue order, drawing per-fingerprint occurrences
+/// exactly as the fabric does. Fault decisions are pure functions of
+/// `(seed, fingerprint, occurrence, attempt)` and the plan lists the
+/// executor's transfer records, so the prediction equals the fabric's
+/// charged re-transfers *exactly* — the faulted extension of the
+/// byte-equality invariant.
+pub fn predicted_fault_traffic(plan: &Schedule, faults: &FaultPlan) -> (u64, usize) {
     let mut occ = OccurrenceMap::new();
     let (mut bytes, mut msgs) = (0u64, 0usize);
-    for t in transfer_census(specs, d_samples, devices, wire) {
+    for (t, _) in plan.epochs.iter().flat_map(|e| &e.transfers) {
         let fp = t.fingerprint();
-        let failures = plan.failed_attempts(fp, occ.next(fp));
+        let failures = faults.failed_attempts(fp, occ.next(fp));
         bytes += failures as u64 * t.bytes;
         msgs += failures as usize;
     }
@@ -194,14 +157,14 @@ pub fn predicted_fault_traffic(
 
 /// [`SimComparison`] extended with the fault plan's predicted retry
 /// traffic: the executor's measured bytes (which include every charged
-/// re-transfer) are checked against `sim + retries` instead of `sim`.
+/// re-transfer) are checked against `plan + retries` instead of `plan`.
 #[derive(Clone, Debug)]
 pub struct FaultComparison {
     /// The fault-free comparison (its `predicted_bytes` excludes retries).
     pub base: SimComparison,
-    /// Retry bytes the plan predicts over the transfer census.
+    /// Retry bytes [`predicted_fault_traffic`] predicts.
     pub predicted_retry_bytes: u64,
-    /// Retry messages the plan predicts over the transfer census.
+    /// Retry messages [`predicted_fault_traffic`] predicts.
     pub predicted_retry_messages: usize,
 }
 
@@ -212,29 +175,25 @@ impl FaultComparison {
     }
 
     /// Whether the executor's byte total (retries included) exactly equals
-    /// the extended simulator's prediction.
+    /// the plan's bytes plus the predicted retries.
     pub fn bytes_match(&self) -> bool {
         self.base.measured_bytes == self.predicted_bytes()
     }
 }
 
-/// Compare a faulted execution report against the simulator's prediction
-/// extended with `plan`'s deterministic retry traffic. The base
-/// comparison is [`compare_with_simulator`] unchanged; on top of it the
-/// census replay predicts exactly which transfers fail how many attempts
-/// and therefore how many re-transfer bytes the fabric charged.
+/// [`compare_with_simulator`] for a run under the fault plan `faults`, with
+/// the retry traffic [`predicted_fault_traffic`] replays over the same plan.
 pub fn compare_with_simulator_faulted(
     report: &ExecReport,
-    specs: &[LevelSpec],
-    d_samples: usize,
+    h2: &H2Matrix,
+    d: usize,
     model: &DeviceModel,
-    plan: &FaultPlan,
+    faults: &FaultPlan,
 ) -> FaultComparison {
-    let base = compare_with_simulator(report, specs, d_samples, model);
-    let (predicted_retry_bytes, predicted_retry_messages) =
-        predicted_fault_traffic(specs, d_samples, report.devices, report.wire, plan);
+    let plan = plan_construct(h2, d, report.devices, report.mode, report.wire);
+    let (predicted_retry_bytes, predicted_retry_messages) = predicted_fault_traffic(&plan, faults);
     FaultComparison {
-        base,
+        base: SimComparison::of_plan(report, &plan, model),
         predicted_retry_bytes,
         predicted_retry_messages,
     }

@@ -27,9 +27,9 @@
 //!   jobs depend on the previous kernel's tickets on other devices instead
 //!   of a global barrier, the CUDA-graph shape of back-to-back batched
 //!   launches in §IV.B;
-//! * an **epoch** is one processed level (or matvec phase): the per-epoch
-//!   per-device stats line up one-to-one with the per-level costs of the
-//!   [`h2_runtime::multidev`] simulator, which is what
+//! * an **epoch** is one processed level (or matvec / sweep phase): the
+//!   per-epoch per-device stats line up one-to-one with the epochs of the
+//!   [`h2_runtime::Schedule`] the operation was planned as, which is what
 //!   [`crate::SimComparison`] validates.
 //!
 //! ## Issue-epoch accounting
@@ -39,7 +39,8 @@
 //! section, so a concurrent `close_epoch` can never mis-attribute a
 //! record). Under overlap this means a prefetch for level *l+1* issued
 //! during level *l*'s compute is charged to epoch *l* — totals across
-//! epochs are invariant, which is what the simulator cross-check asserts.
+//! epochs are invariant, and the plans place such prefetches in the issuing
+//! epoch too.
 //! Measured *busy* time is snapshotted at close time, so a job still
 //! draining when an overlapped phase group closes its epoch lands in the
 //! following epoch; [`DeviceEpochStats`] therefore reports, per device:
@@ -132,8 +133,8 @@ pub type TransferDelay = Arc<dyn Fn(&Transfer) -> Duration + Send + Sync>;
 /// Snapshot of one device's counters over one epoch.
 #[derive(Clone, Debug, Default)]
 pub struct DeviceEpochStats {
-    /// Modeled batched-kernel flops (the simulator's formulas), tagged by
-    /// issuing epoch.
+    /// Modeled batched-kernel flops (the `h2_runtime::multidev::cost`
+    /// formulas), tagged by issuing epoch.
     pub flops: f64,
     /// `batchedGen` entry evaluations (flop-equivalents are
     /// `entry_cost × gen_entries`).
@@ -733,8 +734,8 @@ impl DeviceFabric {
     /// Set the wire precision: the element width every cross-device block
     /// ships at (and the width transfer-landing arena charges use). The
     /// sharded drivers read it through [`ShardDispatch::wire`] when sizing
-    /// their transfer descriptors, and the simulator cross-checks use the
-    /// same width — so byte totals stay exactly equal at either setting.
+    /// their transfer descriptors, and the plan cross-checks use the same
+    /// width — so byte totals stay exactly equal at either setting.
     /// Configuration rather than accounting: preserved across
     /// [`DeviceFabric::reset`].
     pub fn set_wire(&self, prec: Precision) {
@@ -873,6 +874,10 @@ impl DeviceFabric {
     /// scoped-threadpool lifetime erasure, with the scope-end moved to the
     /// explicit barrier.
     pub unsafe fn enqueue<'a>(&self, dev: usize, deps: &[u64], job: ShardJob<'a>) -> u64 {
+        // SAFETY: only the lifetime is erased — `ShardJob<'a>` and the
+        // `'static` box have the same layout — and the caller's contract
+        // (flush or `chain_end` before any captured borrow ends) keeps every
+        // borrow alive until the worker has run the job.
         let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
         let (gen, ticket) = self.shared.alloc_job_ticket();
         let mut all_deps = deps.to_vec();
@@ -889,8 +894,8 @@ impl DeviceFabric {
         }
         // Device loss: `dev` stays the *logical* device (ownership,
         // accounting and transfer endpoints are unchanged, so byte totals
-        // still match the simulator); only the physical worker executing
-        // the queue moves to the adopter.
+        // still match the plan); only the physical worker executing the
+        // queue moves to the adopter.
         let phys = self.route_of(dev);
         self.workers[phys].submitted.fetch_add(1, Ordering::SeqCst);
         self.workers[phys]
@@ -1105,8 +1110,8 @@ impl DeviceFabric {
 
     /// Charge the fault plan's consequences for one issued transfer: one
     /// extra [`TransferRecord`] per failed attempt (same bytes, same
-    /// parent ticket — the re-transfer traffic the accounts and the
-    /// extended simulator both count), a fault instant per injected
+    /// parent ticket — the re-transfer traffic the accounts and
+    /// `predicted_fault_traffic` both count), a fault instant per injected
     /// event, and the retry/fault counters. The landing checksum of the
     /// synthetic payload is exercised in debug builds: a corrupted
     /// attempt must be *detectable* and the final attempt must verify.
@@ -1261,7 +1266,7 @@ impl DeviceFabric {
 
     /// Drop unclaimed hints of one stream, removing their transfer records
     /// (and best-effort un-charging the standby banks) so a stale hint
-    /// never double-counts bytes against the simulator.
+    /// never double-counts bytes against the plan.
     pub fn cancel_hints(&self, stream: u8) {
         let stale: Vec<(FetchKey, u64)> = {
             let mut hints = self.shared.hints.plock();
@@ -1292,11 +1297,11 @@ impl DeviceFabric {
                 keep
             });
         }
-        // A canceled hint never happened as far as the simulator census is
-        // concerned: rewind its fingerprint's occurrence counter (retry
+        // A canceled hint never happened as far as the plan's fault replay
+        // is concerned: rewind its fingerprint's occurrence counter (retry
         // records rode the parent's draw, so only the parent rewinds) so a
         // later re-issue of the same transfer replays the same fault
-        // decision the census predicts for it.
+        // decision the replay predicts for it.
         if !removed_fps.is_empty() && self.shared.faulty.load(Ordering::Relaxed) {
             let mut fs = self.shared.fault.plock();
             for fp in removed_fps {
@@ -1437,7 +1442,7 @@ impl DeviceFabric {
     /// lost device's queue routing moves to the lowest surviving device,
     /// which adopts the shard's jobs from the next enqueue on. Ownership,
     /// accounting and transfer endpoints stay *logical* — byte totals and
-    /// simulator comparisons are untouched; what changes is which
+    /// plan comparisons are untouched; what changes is which
     /// physical worker drains the queue, which is the point of the
     /// recovery. Skipped on single-device fabrics (nothing to adopt).
     fn maybe_fail_stop(&self, closed_epoch: usize) {
@@ -1683,15 +1688,15 @@ impl ShardDispatch for DeviceFabric {
 
 /// Everything a sharded run recorded: per-epoch per-device timing and
 /// modeled work, the full transfer queue, arena peaks, mode and wall time.
-/// The measured totals are validated against [`h2_runtime::simulate`] by
-/// [`crate::compare_with_simulator`].
+/// The measured epochs are checked against the [`h2_runtime::Schedule`] the
+/// run was planned as ([`crate::SimComparison`], [`crate::drift`]).
 #[derive(Clone, Debug)]
 pub struct ExecReport {
     pub devices: usize,
     /// Execution discipline the run used (affects the makespan projection).
     pub mode: PipelineMode,
     /// Wire precision the run shipped blocks at (the width behind every
-    /// transfer's `bytes`); the simulator cross-checks re-use it.
+    /// transfer's `bytes`); the plan cross-checks re-use it.
     pub wire: Precision,
     pub epochs: Vec<Epoch>,
     /// `(issuing epoch index, transfer, is_retry)` in queue order; retry
@@ -1724,7 +1729,7 @@ impl ExecReport {
     }
 
     /// Total work in flop-equivalents under a device model's per-entry
-    /// generation cost — the simulator's compute currency.
+    /// generation cost (the currency of `Schedule::flop_equiv`).
     pub fn flop_equiv(&self, entry_cost: f64) -> f64 {
         self.total_flops() + entry_cost * self.total_gen_entries()
     }
@@ -1808,8 +1813,8 @@ impl ExecReport {
             .sum()
     }
 
-    /// Project the *measured* counts through a [`DeviceModel`] the way the
-    /// simulator projects a `LevelSpec`, honoring the run's execution
+    /// Project the *measured* counts through a [`DeviceModel`] the way
+    /// `Schedule::makespan` projects a plan, honoring the run's execution
     /// discipline. Per epoch: the busiest device's modeled compute time,
     /// communication, and per-device launch overhead — with communication
     /// **serialized after compute** for a synchronous run (every copy was
@@ -1855,8 +1860,8 @@ impl ExecReport {
     /// overhead also hides behind whichever of compute or communication
     /// dominates ([`h2_runtime::combine_terms`]).
     /// [`ExecReport::modeled_makespan`] is exactly the sum of this over all
-    /// epochs — the sim-drift attributor relies on that identity to make
-    /// per-epoch shares sum to the whole.
+    /// epochs — [`crate::drift`] relies on that identity to make per-epoch
+    /// shares sum to the whole.
     pub fn epoch_makespan(&self, i: usize, model: &DeviceModel) -> f64 {
         h2_runtime::combine_terms(self.mode, self.epoch_terms(i, model))
     }

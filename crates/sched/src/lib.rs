@@ -1,16 +1,14 @@
 //! # h2-sched
 //!
-//! A real device-sharded executor for the batched H2 construction and
-//! matvec — the multi-GPU decomposition of the paper's §IV.B, *executed*
-//! rather than only simulated.
+//! A real device-sharded executor for the batched H2 construction, matvec
+//! and ULV sweep — the multi-GPU decomposition of the paper's §IV.B,
+//! *executed* rather than only modeled.
 //!
-//! The repo previously modeled multi-device execution with the closed-form
-//! cost simulator in [`h2_runtime::multidev`]. This crate adds the other
-//! half: a [`DeviceFabric`] of N virtual devices that actually runs the
-//! construction level loop and the three-pass matvec sharded, measures
+//! A [`DeviceFabric`] of N virtual devices runs the construction level
+//! loop, the three-pass matvec and the ULV sweeps sharded, measures
 //! per-device timing, and records every cross-device byte on an explicit
-//! transfer queue — so the simulator's predictions can be validated against
-//! a real execution of the same schedule.
+//! transfer queue — so each run can be checked against the [`Schedule`] it
+//! was planned as.
 //!
 //! ## Paper mapping
 //!
@@ -25,15 +23,23 @@
 //!
 //! ## Entry points
 //!
-//! A sharded operation is meant to be written once, as a
-//! [`Schedule`] — epochs × per-device flops / launches / workspace × the
+//! Every sharded operation is written once, as a [`Schedule`] — epochs ×
+//! per-device flops / generator entries / launches / workspace × the
 //! explicit transfer list — that the fabric **executes** and one pricing
 //! rule ([`h2_runtime::epoch_terms`], shared by [`Schedule::makespan`],
-//! [`ExecReport::modeled_makespan`], the construction simulator and the
-//! drift tables) **prices**. The matvec and the ULV sweep are on that
-//! shape; only the construction level loop still pairs an executor with a
-//! separately written simulator.
+//! [`ExecReport::modeled_makespan`] and [`drift`]) **prices**. A run's
+//! measured makespan therefore equals its planned one.
 //!
+//! * [`plan_construct`] → [`shard_construct`] / [`shard_construct_unsym`]
+//!   → [`Schedule::makespan`] — Algorithm 1 on the fabric, via the
+//!   stream-generic engine of `h2_core::construct`: the symmetric
+//!   one-stream and unsymmetric two-stream instances shard through the same
+//!   `Runtime::sharded` backend, whose kernels read the plan's rules
+//!   ([`h2_runtime::FetchPlanner`], [`h2_runtime::child_gathers`], the
+//!   `cost` formulas). For a pass with no extra sampling round the report
+//!   equals the plan epoch by epoch — bytes, messages, transfer records,
+//!   launches, flops and entries — which [`compare_with_simulator`]
+//!   packages.
 //! * [`plan_matvec`] → [`shard_matvec`] → [`Schedule::makespan`] — plan,
 //!   execute, price. The plan is the only walk over owners, guards and
 //!   cost formulas; the executor charges the plan's counts, issues its
@@ -42,24 +48,14 @@
 //!   in-process product, different scheduling), so bytes, flops and
 //!   modeled makespan equal the plan's by construction.
 //!   [`simulate_matvec`] is the same function under the name the
-//!   cross-checks use; [`compare_matvec_with_simulator`] and
-//!   [`drift_matvec`] report against it.
-//! * [`shard_construct`] / [`shard_construct_unsym`] — Algorithm 1 on the
-//!   fabric, via the stream-generic engine of `h2_core::construct`: the
-//!   symmetric one-stream and unsymmetric two-stream instances shard
-//!   through the same `Runtime::sharded` backend.
-//!   [`compare_with_simulator`] cross-validates a non-adaptive pass: the
-//!   executor performs exactly the kernel populations of
-//!   [`h2_core::level_specs`], so its flop and byte totals must equal the
-//!   [`h2_runtime::simulate`] prediction (the equivalence tests assert
-//!   equality for work/traffic and a 3x band for the makespan, where the
-//!   two sides' launch/round-robin details legitimately differ).
+//!   cross-checks use; [`compare_matvec_with_simulator`] and [`drift`]
+//!   report against it.
 //! * [`plan_ulv_solve`] → [`shard_ulv_solve`] → [`Schedule::makespan`] —
 //!   the ULV forward/backward triangular sweeps (upsweep-ordered eliminate,
 //!   root solve, downsweep-ordered substitute) planned, executed over the
 //!   same `h2_solve::UlvSweep` node kernels as the in-process solve, and
 //!   priced, exactly like the matvec; [`compare_solve_with_simulator`] and
-//!   [`drift_solve`] report against the plan. [`FabricOp`] and
+//!   [`drift`] report against the plan. [`FabricOp`] and
 //!   [`UlvFabricPrecond`] plug the sharded matvec and sweep into the
 //!   Krylov methods as a `LinOp`/`Preconditioner` pair.
 //!
@@ -113,7 +109,8 @@
 //! communication *and launch overhead* overlapped against compute for
 //! pipelined runs ([`h2_runtime::combine_terms`]: job-level dependency
 //! chaining hides launch gaps behind whichever of compute or communication
-//! dominates) — which is what tightens the simulator band from 3x to 2x.
+//! dominates) — the same combination [`Schedule::makespan`] applies to a
+//! pipelined plan.
 //! The pipeline tests in `tests/pipeline.rs` assert bit-identical outputs
 //! against the synchronous schedule in both symmetry regimes, including
 //! under an injected transfer-delay hook that randomizes prefetch
@@ -149,10 +146,11 @@
 //!   plan's detection timeout, a corrupted one at the landing checksum;
 //!   each failed attempt is retried after exponential backoff, with its
 //!   re-transfer bytes recorded on the same queue the accounts and
-//!   simulator comparison read. [`compare_with_simulator_faulted`]
-//!   extends the byte-equality invariant: measured bytes (retries
-//!   included) must equal the census prediction of
-//!   [`predicted_fault_traffic`] *exactly*, in both fabric modes.
+//!   plan comparison read. [`compare_with_simulator_faulted`] extends the
+//!   byte-equality invariant: measured bytes (retries included) must equal
+//!   the plan's bytes plus [`predicted_fault_traffic`], the fault plan
+//!   replayed over the plan's transfer list, *exactly*, in both fabric
+//!   modes.
 //! * **Typed failures instead of hangs** —
 //!   [`DeviceFabric::set_ticket_deadline`] turns a dependency that never
 //!   completes into a [`FabricError::TransferTimeout`] raised at the next
@@ -171,8 +169,10 @@
 //!
 //! Under every seeded plan of the chaos grid in `tests/faults.rs`, the
 //! constructed `H2Matrix` is **bit-identical** to the fault-free run and
-//! the measured bytes equal the extended simulator — faults change the
-//! schedule and the traffic, never the numerics.
+//! the measured bytes equal the plan plus its replayed retries — faults
+//! change the schedule and the traffic, never the numerics.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod exec;
 pub mod fabric;
@@ -187,6 +187,7 @@ pub use exec::{
 pub use fabric::{
     DeviceEpochStats, DeviceFabric, Epoch, ExecReport, FaultCounters, LinkModel, TransferDelay,
 };
+pub use h2_core::plan_construct;
 pub use h2_fault::{FabricError, FailStop, FaultKind, FaultPlan, OccurrenceMap};
 pub use h2_obs::{ChromeTrace, DriftTable, Registry, Tracer};
 pub use h2_runtime::{PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer, TransferKind};
@@ -200,6 +201,4 @@ pub use solve::{
     compare_solve_with_simulator, plan_ulv_solve, resident_reduce_bytes, resident_reduce_hook,
     shard_ulv_solve, shard_ulv_solve_with_report, FabricOp, UlvFabricPrecond,
 };
-pub use trace::{
-    drift_construct, drift_matvec, drift_solve, export_chrome_trace, export_chrome_trace_with_spans,
-};
+pub use trace::{drift, export_chrome_trace, export_chrome_trace_with_spans};

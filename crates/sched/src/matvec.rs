@@ -34,7 +34,8 @@
 //!   sibling merge);
 //! * **coupling** — reading the `x̂_t` of an off-device partner is a
 //!   [`TransferKind::OmegaFetch`], deduplicated per `(device, partner)`
-//!   per level exactly like the construction's `Ω_b` fetches;
+//!   per level by the [`FetchPlanner`] the construction's `Ω_b` fetches
+//!   use;
 //! * **downsweep** — a child on a different device than its parent reads
 //!   the parent's `ŷ` partial sum ([`TransferKind::PartialSum`]). `ŷ`
 //!   activity is structural: `ŷ_s` is live iff the node has far-field rank
@@ -67,9 +68,9 @@
 //! pipeline tests assert.
 //!
 //! The global input `x` (and the stored blocks) are treated as
-//! device-resident, consistent with the construction simulator treating
-//! the generator and initial sample scatter as free — only `x̂`/`ŷ`
-//! movement counts.
+//! device-resident, consistent with the construction plan treating the
+//! generator and initial sample scatter as free — only `x̂`/`ŷ` movement
+//! counts.
 
 use crate::exec::SimComparison;
 use crate::fabric::{DeviceFabric, ExecReport};
@@ -77,10 +78,9 @@ use h2_dense::Mat;
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
-    chunk_bounds, owner, DeviceModel, PipelineMode, Precision, Schedule, ScheduleEpoch, ShardJob,
-    Transfer, TransferKind,
+    chunk_bounds, owner, DeviceModel, FetchPlanner, PipelineMode, Precision, Schedule,
+    ScheduleEpoch, ShardJob, Transfer, TransferKind,
 };
-use std::collections::HashSet;
 
 /// [`ScheduleEpoch::kernel`] names of the four passes.
 const UPSWEEP: &str = "upsweep";
@@ -193,7 +193,7 @@ pub fn plan_matvec(
         let e = merged.as_mut().unwrap_or(&mut own);
         // Level workspace per device: outputs plus landed fetches.
         let mut ws = vec![0usize; devices];
-        let mut fetched: HashSet<(usize, usize)> = HashSet::new();
+        let mut fetches = FetchPlanner::new(0, nl, nl, devices, wire);
         let mut any = false;
         for (local, s) in tree.level(l).enumerate() {
             if far_of[s].is_empty() {
@@ -209,16 +209,15 @@ pub fn plan_matvec(
                     continue;
                 }
                 e.flops[dev] += cost::bsr_flops(ks, kt, d);
-                let tdev = owner(tree.local_index(t), nl, devices);
-                if tdev != dev && fetched.insert((dev, t)) {
-                    let fetch = read(tdev, dev, kt, TransferKind::OmegaFetch);
-                    ws[dev] += fetch.bytes as usize;
-                    e.transfers.push((fetch, epochs.len()));
-                }
+                fetches.visit(local, tree.local_index(t), kt, d);
             }
         }
         if !any {
             continue;
+        }
+        for (_, fetch) in fetches.into_plan() {
+            ws[fetch.dst] += fetch.bytes as usize;
+            e.transfers.push((fetch, epochs.len()));
         }
         e.run_level(l, nl);
         // Double-buffered workspace discipline inside a merged epoch: a
@@ -420,7 +419,7 @@ pub fn shard_matvec_with_report(
 
 /// Measured-vs-planned comparison of one sharded matvec against
 /// [`plan_matvec`] for the report's own device count, mode and wire — the
-/// matvec arm of the simulator-equivalence suite. The executor ran that
+/// matvec arm of the plan-equivalence suite. The executor ran that
 /// plan, so byte and flop totals are equal and the makespan ratio is 1.
 pub fn compare_matvec_with_simulator(
     report: &ExecReport,

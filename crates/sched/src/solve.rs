@@ -24,7 +24,7 @@
 //!
 //! So executor bytes == plan bytes, flops == plan flops and makespan ratio
 //! == 1 hold by construction; [`compare_solve_with_simulator`] and
-//! [`crate::drift_solve`] report against the plan.
+//! [`crate::drift`] report against the plan.
 //!
 //! ## The plan
 //!
@@ -441,7 +441,7 @@ pub fn shard_ulv_solve_with_report(
 
 /// Measured-vs-planned comparison of one sharded solve sweep against
 /// [`plan_ulv_solve`] for `nrhs` columns and the report's own device count,
-/// mode and wire — the solver arm of the simulator-equivalence suite. The
+/// mode and wire — the solver arm of the plan-equivalence suite. The
 /// executor ran that plan, so byte and flop totals are equal and the
 /// makespan ratio is 1.
 pub fn compare_solve_with_simulator(

@@ -1,6 +1,6 @@
 //! Observability exporters for sharded runs: Chrome-trace timelines built
-//! from an [`ExecReport`]'s epoch records, and sim-drift attribution
-//! tables pairing measured epochs with the closed-form simulators.
+//! from an [`ExecReport`]'s epoch records, and drift tables pairing measured
+//! epochs with the epochs of the plan the run executed.
 //!
 //! ## Timeline export
 //!
@@ -22,24 +22,22 @@
 //!
 //! ## Drift attribution
 //!
-//! [`drift_construct`] / [`drift_matvec`] / [`drift_solve`] join the
-//! measured per-epoch schedule projection
-//! ([`ExecReport::epoch_makespan`]) against the per-level predictions of
-//! `simulate_prec_mode` (construction) or the per-epoch predictions of the
-//! [`Schedule`] the run executed ([`plan_matvec`](crate::plan_matvec) /
-//! [`plan_ulv_solve`](crate::plan_ulv_solve)), each evaluated under the
-//! report's own pipeline mode. The rows cover *all* measured epochs and
-//! *all* predicted levels, so the table's measured total is exactly
-//! [`ExecReport::modeled_makespan`] and its predicted total exactly the
-//! simulator makespan — which makes the per-row shares sum identically to
-//! the makespan ratio the equivalence suite checks. For a planned run that
-//! ratio is 1 and every row pairs with its plan epoch; for the construction
-//! the table answers *which epoch* contributes the gap inside the 2x/3x
-//! bands.
+//! [`drift`] joins a run's measured per-epoch projection
+//! ([`ExecReport::epoch_terms`] / [`ExecReport::epoch_makespan`]) with the
+//! per-epoch pricing of the [`Schedule`] it executed
+//! ([`Schedule::epoch_terms`] / [`Schedule::epoch_makespan`]) — the
+//! construction's [`h2_core::plan_construct`], the matvec's
+//! [`plan_matvec`](crate::plan_matvec), the sweep's
+//! [`plan_ulv_solve`](crate::plan_ulv_solve) — with the compute / comm /
+//! launch terms of both sides per row. The rows cover *all* measured and
+//! planned epochs, so the table's totals are exactly
+//! [`ExecReport::modeled_makespan`] and [`Schedule::makespan`] and the
+//! per-row shares sum to the makespan ratio — 1 for a run that executed its
+//! plan, each row pairing an epoch with its plan epoch by label.
 
 use crate::fabric::ExecReport;
 use h2_obs::{ns_to_us, ChromeTrace, DriftPart, DriftRow, DriftTable, Event, Json};
-use h2_runtime::{simulate_prec_mode, DeviceModel, LevelSpec, Precision, Schedule};
+use h2_runtime::{DeviceModel, Precision, Schedule};
 
 /// Process row for host-thread tracer spans.
 pub const THREAD_PID: u64 = 0;
@@ -189,112 +187,52 @@ pub fn export_chrome_trace_with_spans(report: &ExecReport, events: &[Event]) -> 
     tr
 }
 
-/// Pair each measured epoch with a predicted `(label, seconds)` level by
-/// index; rows cover the longer of the two sides so the totals are exact.
-fn paired_table(
-    report: &ExecReport,
-    model: &DeviceModel,
-    predicted: Vec<(String, f64)>,
-) -> DriftTable {
-    let n = report.epochs.len().max(predicted.len());
+/// Drift table of a sharded run against the [`Schedule`] it executed
+/// (planned for the run's width, device count, mode and wire): row `i` pairs
+/// measured epoch `i` with plan epoch `i` — label, makespan and the
+/// compute / comm / launch terms of each side. Rows cover the longer of the
+/// two epoch lists, so [`DriftTable::measured_total`] is exactly
+/// [`ExecReport::modeled_makespan`], [`DriftTable::predicted_total`] exactly
+/// [`Schedule::makespan`], and [`DriftTable::ratio`] exactly
+/// [`crate::SimComparison::makespan_ratio`].
+pub fn drift(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -> DriftTable {
+    let terms = |(compute, comm, launch): (f64, f64, f64)| [compute, comm, launch];
+    let n = report.epochs.len().max(plan.epochs.len());
     let rows = (0..n)
         .map(|i| {
-            let (measured, label_m, parts) = if i < report.epochs.len() {
-                let (compute, comm, launch) = report.epoch_terms(i, model);
-                (
-                    report.epoch_makespan(i, model),
-                    Some(report.epochs[i].label.clone()),
-                    vec![
-                        DriftPart {
-                            name: "compute",
-                            measured: compute,
-                            predicted: 0.0,
-                        },
-                        DriftPart {
-                            name: "comm",
-                            measured: comm,
-                            predicted: 0.0,
-                        },
-                        DriftPart {
-                            name: "launch",
-                            measured: launch,
-                            predicted: 0.0,
-                        },
-                    ],
-                )
-            } else {
-                (0.0, None, Vec::new())
+            let measured = report.epochs.get(i).map(|e| {
+                let t = terms(report.epoch_terms(i, model));
+                (e.label.clone(), report.epoch_makespan(i, model), t)
+            });
+            let predicted = plan.epochs.get(i).map(|e| {
+                let t = terms(plan.epoch_terms(i, model));
+                (e.label.clone(), plan.epoch_makespan(i, model), t)
+            });
+            let label = match (&measured, &predicted) {
+                (Some((m, ..)), Some((p, ..))) if m == p => m.clone(),
+                (Some((m, ..)), Some((p, ..))) => format!("{m} / {p}"),
+                (Some((m, ..)), None) => m.clone(),
+                (None, Some((p, ..))) => format!("{p} (unmeasured)"),
+                (None, None) => unreachable!("row {i} is within one of the lists"),
             };
-            let (pred, label_p) = predicted
-                .get(i)
-                .map(|(l, v)| (*v, Some(l.clone())))
-                .unwrap_or((0.0, None));
-            let label = match (label_m, label_p) {
-                (Some(m), Some(p)) if m == p => m,
-                (Some(m), Some(p)) => format!("{m} / {p}"),
-                (Some(m), None) => m,
-                (None, Some(p)) => format!("{p} (unmeasured)"),
-                (None, None) => format!("epoch {i}"),
-            };
+            let (m_total, m_terms) = measured.map_or((0.0, [0.0; 3]), |(_, v, t)| (v, t));
+            let (p_total, p_terms) = predicted.map_or((0.0, [0.0; 3]), |(_, v, t)| (v, t));
+            let parts = ["compute", "comm", "launch"]
+                .into_iter()
+                .zip(m_terms.into_iter().zip(p_terms))
+                .map(|(name, (measured, predicted))| DriftPart {
+                    name,
+                    measured,
+                    predicted,
+                })
+                .collect();
             DriftRow {
                 label,
-                measured,
-                predicted: pred,
+                measured: m_total,
+                predicted: p_total,
                 parts,
             }
         })
         .collect();
     DriftTable { rows }
-}
-
-/// Drift table for a construction run: measured epochs (one per processed
-/// level plus any tail) against `simulate_prec_mode` on the same level
-/// specs, device count, wire precision *and* pipeline mode — the mode
-/// decides how each level's three schedule terms combine
-/// ([`h2_runtime::combine_terms`]). The measured total equals
-/// [`ExecReport::modeled_makespan`] and the predicted total equals the
-/// simulator's makespan (the sum of its sequential level makespans), so
-/// [`DriftTable::ratio`] is exactly
-/// [`crate::SimComparison::makespan_ratio`].
-pub fn drift_construct(
-    report: &ExecReport,
-    specs: &[LevelSpec],
-    d_samples: usize,
-    model: &DeviceModel,
-) -> DriftTable {
-    let sim = simulate_prec_mode(
-        specs,
-        d_samples,
-        report.devices,
-        model,
-        report.wire,
-        report.mode,
-    );
-    let predicted = sim
-        .levels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (format!("sim level {i}"), l.makespan))
-        .collect();
-    paired_table(report, model, predicted)
-}
-
-/// Drift table for a sharded matvec: measured epochs against the
-/// [`Schedule`] the executor ran ([`plan_matvec`](crate::plan_matvec) for
-/// the same mode/wire), epoch by epoch — same labels, same order, and the
-/// predicted column is [`Schedule::epoch_makespan`], so it sums to
-/// [`Schedule::makespan`] exactly.
-pub fn drift_matvec(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -> DriftTable {
-    let predicted = (0..plan.epochs.len())
-        .map(|i| (plan.epochs[i].label.clone(), plan.epoch_makespan(i, model)))
-        .collect();
-    paired_table(report, model, predicted)
-}
-
-/// Drift table for a sharded ULV solve sweep: measured epochs (forward
-/// levels, root, backward levels) against the [`Schedule`] the executor ran
-/// ([`plan_ulv_solve`](crate::plan_ulv_solve) for the same width, mode and
-/// wire), epoch by epoch exactly like [`drift_matvec`].
-pub fn drift_solve(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -> DriftTable {
-    drift_matvec(report, plan, model)
 }

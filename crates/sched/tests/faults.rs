@@ -2,18 +2,20 @@
 //! [`FaultPlan`] of the grid (each fault kind × device counts × both
 //! pipeline modes) the construction must complete **bit-identical** to
 //! the fault-free run, with measured bytes — retry traffic included —
-//! exactly equal to the extended simulator's prediction. Plus the typed
+//! exactly equal to the plan's bytes plus the fault plan's replayed
+//! retries. Plus the typed
 //! timeout path, the panic-safety regression (fabric reusable after a
 //! propagated job panic), deterministic replay, and exact retry
 //! accounting at rate 1.0.
 
-use h2_core::{level_specs, SketchConfig};
+use h2_core::{plan_construct, SketchConfig};
 use h2_dense::gaussian_mat;
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
+use h2_matrix::H2Matrix;
 use h2_runtime::{DeviceModel, PipelineMode, Precision, Transfer, TransferKind};
 use h2_sched::{
-    compare_with_simulator_faulted, shard_construct, shard_construct_unsym, DeviceFabric,
-    FabricError, FaultKind, FaultPlan,
+    compare_with_simulator_faulted, predicted_fault_traffic, shard_construct,
+    shard_construct_unsym, DeviceFabric, ExecReport, FabricError, FaultKind, FaultPlan,
 };
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,6 +55,26 @@ fn fabric_for(devices: usize, mode: PipelineMode) -> Arc<DeviceFabric> {
     }
 }
 
+/// The fault plan replayed over the run's `plan_construct` schedule
+/// predicts exactly the retry records the fabric charged: their bytes and
+/// their count.
+fn assert_retries_replayed(
+    report: &ExecReport,
+    h2: &H2Matrix,
+    d: usize,
+    faults: &FaultPlan,
+    ctx: &str,
+) {
+    let plan = plan_construct(h2, d, report.devices, report.mode, report.wire);
+    let retries = report.transfers.iter().filter(|(_, _, retry)| *retry);
+    let measured = retries.fold((0u64, 0usize), |(b, n), (_, t, _)| (b + t.bytes, n + 1));
+    assert_eq!(
+        predicted_fault_traffic(&plan, faults),
+        measured,
+        "{ctx}: retries"
+    );
+}
+
 /// The acceptance grid: every fault kind × D ∈ {1, 2, 4} × both modes.
 /// One fault-free baseline (results are already pinned identical across
 /// device counts and modes by `tests/pipeline.rs`) anchors bit-identity.
@@ -86,14 +108,15 @@ fn chaos_grid_bit_identical_and_bytes_exact() {
 
                 let cmp = compare_with_simulator_faulted(
                     &report,
-                    &level_specs(&h2),
+                    &h2,
                     stats.total_samples,
                     &model,
                     &plan,
                 );
+                assert_retries_replayed(&report, &h2, stats.total_samples, &plan, &ctx);
                 assert!(
                     cmp.bytes_match(),
-                    "{ctx}: measured {} bytes vs extended simulator {} (base {} + retries {})",
+                    "{ctx}: measured {} bytes vs plan + retries {} (base {} + retries {})",
                     cmp.base.measured_bytes,
                     cmp.predicted_bytes(),
                     cmp.base.predicted_bytes,
@@ -109,7 +132,7 @@ fn chaos_grid_bit_identical_and_bytes_exact() {
                         );
                         assert!(
                             cmp.predicted_retry_bytes > 0,
-                            "{ctx}: the census must predict the same nonzero retry traffic"
+                            "{ctx}: the replay must predict the same nonzero retry traffic"
                         );
                     }
                     FaultKind::DeviceFailStop if devices > 1 => {
@@ -163,12 +186,13 @@ fn chaos_unsym_drop_bit_identical() {
         let (h2, stats, report) =
             shard_construct_unsym(&fabric, &km, &km, tree.clone(), part.clone(), &cfg());
         assert_eq!(h2.apply_permuted_mat(&probe), want, "mode={mode:?}");
-        let cmp = compare_with_simulator_faulted(
+        let cmp = compare_with_simulator_faulted(&report, &h2, stats.total_samples, &model, &plan);
+        assert_retries_replayed(
             &report,
-            &level_specs(&h2),
+            &h2,
             stats.total_samples,
-            &model,
             &plan,
+            &format!("{mode:?}"),
         );
         assert!(
             cmp.bytes_match(),

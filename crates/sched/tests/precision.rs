@@ -1,12 +1,11 @@
 //! Wire-precision acceptance tests: with the fabric set to f32 wire
 //! precision every cross-device byte total must (a) still exactly equal
-//! the extended simulator's prediction at the reduced width, per epoch and
-//! in total, and (b) be exactly half of the f64 baseline — the byte
+//! the plan's at the reduced width, per epoch and in total, and (b) be exactly half of the f64 baseline — the byte
 //! formulas are linear in the element width and every count is even. The
 //! arithmetic is untouched by the wire setting, so outputs stay bitwise
 //! identical across widths.
 
-use h2_core::{level_specs, SketchConfig};
+use h2_core::SketchConfig;
 use h2_dense::gaussian_mat;
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
@@ -85,11 +84,10 @@ fn construct_bytes_equal_simulator_at_both_widths() {
             let (h2, _, report) =
                 shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &cfg());
             assert_eq!(report.wire, wire);
-            let specs = level_specs(&h2);
-            let cmp = compare_with_simulator(&report, &specs, 64, &model);
+            let cmp = compare_with_simulator(&report, &h2, 64, &model);
             assert!(
                 cmp.bytes_match(),
-                "D={devices} wire={wire}: executor {} vs simulator {} bytes",
+                "D={devices} wire={wire}: executor {} vs plan {} bytes",
                 cmp.measured_bytes,
                 cmp.predicted_bytes
             );

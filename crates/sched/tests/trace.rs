@@ -1,21 +1,22 @@
 //! Observability acceptance tests: the Chrome-trace export of a pipelined
 //! D=4 construction carries exactly [`ExecReport::total_comm_bytes`] in
-//! its transfer events (equal to the simulator's byte prediction) at both
-//! wire precisions, per-track timestamps are monotone, the sim-drift
-//! tables' per-epoch shares sum to the observed makespan ratio, and live
+//! its transfer events (equal to the plan's bytes) at both wire
+//! precisions, per-track timestamps are monotone, the drift tables pair
+//! every epoch with its plan epoch and their shares sum to the makespan
+//! ratio, and live
 //! tracer spans merge into the trace without double-counting transfers.
 
-use h2_core::{level_specs, SketchConfig};
+use h2_core::SketchConfig;
 use h2_dense::gaussian_mat;
 use h2_kernels::{ExponentialKernel, KernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_obs::Json;
 use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime};
 use h2_sched::{
-    compare_matvec_with_simulator, compare_solve_with_simulator, compare_with_simulator,
-    drift_construct, drift_matvec, drift_solve, export_chrome_trace,
-    export_chrome_trace_with_spans, plan_ulv_solve, shard_construct, shard_matvec_with_report,
-    shard_ulv_solve_with_report, simulate_matvec, DeviceFabric, Tracer,
+    compare_matvec_with_simulator, compare_solve_with_simulator, compare_with_simulator, drift,
+    export_chrome_trace, export_chrome_trace_with_spans, plan_construct, plan_ulv_solve,
+    shard_construct, shard_matvec_with_report, shard_ulv_solve_with_report, simulate_matvec,
+    DeviceFabric, Tracer,
 };
 use h2_solve::{pcg_with, KrylovWorkspace, UlvFactor};
 use h2_tree::{Admissibility, ClusterTree, Partition};
@@ -132,17 +133,20 @@ fn shares_sum(table: &h2_sched::DriftTable) -> f64 {
 fn chrome_trace_bytes_reconcile_exactly_at_both_wires() {
     let (tree, part, km) = sym_problem(1200, 16, 95);
     let model = DeviceModel::default();
+    // The plan describes a pass that runs the convergence test once and
+    // passes it: the adaptive default, converging without an extra round.
+    let one_pass = SketchConfig {
+        adaptive: true,
+        ..cfg()
+    };
     for wire in [Precision::F64, Precision::F32] {
         let fabric = DeviceFabric::with_config(4, PipelineMode::Pipelined, Default::default());
         fabric.set_wire(wire);
-        let (h2, _, report) =
-            shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &cfg());
-        let specs = level_specs(&h2);
-        let cmp = compare_with_simulator(&report, &specs, 64, &model);
-        assert!(
-            cmp.bytes_match(),
-            "wire={wire}: executor vs simulator bytes"
-        );
+        let (h2, stats, report) =
+            shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &one_pass);
+        assert_eq!(stats.rounds, 0, "wire={wire}: one pass");
+        let cmp = compare_with_simulator(&report, &h2, 64, &model);
+        assert!(cmp.bytes_match(), "wire={wire}: executor vs plan bytes");
 
         let trace = export_chrome_trace(&report);
         let events = parse_events(&trace);
@@ -165,7 +169,8 @@ fn chrome_trace_bytes_reconcile_exactly_at_both_wires() {
             .count();
         assert_eq!(n_transfers, report.total_comm_messages());
 
-        let table = drift_construct(&report, &specs, 64, &model);
+        let plan = plan_construct(&h2, 64, 4, PipelineMode::Pipelined, wire);
+        let table = drift(&report, &plan, &model);
         assert_eq!(
             table.measured_total(),
             report.modeled_makespan(&model),
@@ -174,14 +179,25 @@ fn chrome_trace_bytes_reconcile_exactly_at_both_wires() {
         assert_eq!(
             table.predicted_total(),
             cmp.predicted_makespan,
-            "wire={wire}: drift predicted total must be the simulator makespan"
+            "wire={wire}: drift predicted total must be the planned makespan"
         );
         assert_eq!(table.ratio(), cmp.makespan_ratio(), "wire={wire}");
-        let ratio = cmp.makespan_ratio();
+        assert_eq!(table.ratio(), 1.0, "wire={wire}: the executor ran the plan");
         assert!(
-            (shares_sum(&table) - ratio).abs() <= 1e-12 * ratio.abs().max(1.0),
+            (shares_sum(&table) - 1.0).abs() <= 1e-12,
             "wire={wire}: per-epoch shares must sum to the makespan ratio"
         );
+        // Every row pairs an epoch with its plan epoch, term by term.
+        for row in &table.rows {
+            assert!(!row.label.contains(" / "), "{}", row.label);
+            for part in &row.parts {
+                assert_eq!(
+                    part.measured, part.predicted,
+                    "{}: {}",
+                    row.label, part.name
+                );
+            }
+        }
         assert!(!table.render().is_empty());
     }
 }
@@ -198,7 +214,7 @@ fn matvec_drift_table_matches_simulator_comparison() {
         let (_, report) = shard_matvec_with_report(&fabric, &h2, &x, false);
         let cmp = compare_matvec_with_simulator(&report, &h2, 4, false, &model);
         let sim = simulate_matvec(&h2, 4, 4, mode, report.wire, false);
-        let table = drift_matvec(&report, &sim, &model);
+        let table = drift(&report, &sim, &model);
         assert_eq!(table.measured_total(), report.modeled_makespan(&model));
         assert_eq!(
             table.predicted_total(),
@@ -234,7 +250,7 @@ fn solve_drift_table_matches_simulator_comparison() {
     let cmp = compare_solve_with_simulator(&report, &ulv, 2, &model);
     assert!(cmp.bytes_match());
     let plan = plan_ulv_solve(&ulv, 2, 4, PipelineMode::Pipelined, report.wire);
-    let table = drift_solve(&report, &plan, &model);
+    let table = drift(&report, &plan, &model);
     assert_eq!(table.measured_total(), report.modeled_makespan(&model));
     assert_eq!(table.predicted_total(), cmp.predicted_makespan);
     assert_eq!(table.ratio(), cmp.makespan_ratio());
