@@ -16,8 +16,8 @@
 //!   (Fig. 6(b) comparator).
 //!
 //! HODBF (butterfly-compressed HODLR) is **not** reproduced; a full
-//! butterfly factorization is outside this reproduction's scope (see
-//! DESIGN.md §2 and EXPERIMENTS.md).
+//! butterfly factorization is outside this reproduction's scope. This
+//! module doc is the record of that omission.
 
 pub mod aca;
 pub mod hmatrix;

@@ -1,4 +1,5 @@
-//! Ablation study over the design choices DESIGN.md calls out:
+//! Ablation study over the design choices documented on the fields of
+//! `h2_core::SketchConfig`:
 //!
 //! * the **safety factor** on the absolute truncation threshold (our
 //!   calibration knob for "measured error lands at or below ε", §III.B),

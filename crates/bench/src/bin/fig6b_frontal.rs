@@ -1,6 +1,6 @@
 //! Fig. 6(b): memory of compressed Poisson frontal matrices — H2
 //! (Algorithm 1, strong admissibility) vs the weak-admissibility formats
-//! HSS and HODLR. (HODBF is not reproduced; see EXPERIMENTS.md.)
+//! HSS and HODLR. (HODBF is not reproduced; see the `h2_baselines` crate docs.)
 //!
 //! Fronts: exact multifrontal Schur complements for small grids
 //! (`--exact-grids 12,16,24`, front size = n²) and the Green's-function
@@ -154,6 +154,6 @@ fn main() {
         );
     }
 
-    println!("\n(The weak-admissibility formats' memory grows superlinearly on plane-separator fronts\n while H2 stays close to linear — the Fig. 6(b) separation. HODBF omitted, see EXPERIMENTS.md.)");
+    println!("\n(The weak-admissibility formats' memory grows superlinearly on plane-separator fronts\n while H2 stays close to linear — the Fig. 6(b) separation. HODBF omitted, see the h2_baselines crate docs.)");
     sink.finish();
 }

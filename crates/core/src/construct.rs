@@ -46,9 +46,9 @@ use h2_dense::cpqr::Truncation;
 use h2_dense::{estimate_norm_2, EntryAccess, LinOp, Mat};
 use h2_matrix::H2Matrix;
 use h2_runtime::{
-    batched_gen, batched_row_id, bsr_gemm_stream, gather_rows, gemm_at_x, hcat_batches,
-    hint_bsr_fetches, qr_min_rdiag, rand_mat, shrink_rows, stack_children, BsrBlock, BsrPattern,
-    GenBlock, Phase, Runtime, VarBatch,
+    batched_gen, batched_row_id, bsr_gemm, gather_rows, gemm_at_x, hcat_batches, issue_bsr_fetches,
+    qr_min_rdiag, rand_mat, shrink_rows, stack_children, BsrBlock, BsrPattern, GenBlock, Phase,
+    PipelineMode, Runtime, VarBatch,
 };
 use h2_tree::{ClusterTree, Partition};
 use std::sync::Arc;
@@ -78,22 +78,17 @@ impl Side {
             Side::Col => 0xA5A5_5A5A,
         }
     }
-
-    /// Stream tag keying the pipelined fabric's prefetch hints.
-    pub(crate) fn stream_tag(self) -> u8 {
-        match self {
-            Side::Row => 0,
-            Side::Col => 1,
-        }
-    }
 }
 
 /// One sketch stream: a basis side plus its current per-node sample batches
-/// (`y` — the sketched output samples, `omega` — the random inputs).
+/// (`y` — the sketched output samples, `omega` — the random inputs), and on
+/// a pipelined fabric the per-device tickets of the `Ω_b` fetches issued
+/// ahead for the next level's `batchedBSRGemm`.
 struct SketchStream {
     side: Side,
     y: VarBatch,
     omega: VarBatch,
+    fetched: Option<Vec<Vec<u64>>>,
 }
 
 /// The shared per-level BSR subtraction/stacking structure (identical for
@@ -321,7 +316,12 @@ fn sketch_construct_engine(
                 side,
                 &leaf_ranges,
             );
-            SketchStream { side, y, omega }
+            SketchStream {
+                side,
+                y,
+                omega,
+                fetched: None,
+            }
         })
         .collect();
     stats.total_samples = d0;
@@ -361,7 +361,7 @@ fn sketch_construct_engine(
         // (lines 9 / 24+27), per stream.
         let mut locals: Vec<(VarBatch, VarBatch)> = streams
             .drain(..)
-            .map(|s| advance_level(rt, &h2, &structure, s.side, s.y, s.omega))
+            .map(|s| advance_level(rt, &h2, &structure, s.side, s.y, s.omega, s.fetched))
             .collect();
 
         // ---- adaptive sampling loop (lines 11-14 / 29-32): every stream
@@ -458,14 +458,19 @@ fn sketch_construct_engine(
             skels_local.push(side_skels);
         }
 
-        // ---- prefetch the next level's Ω/Ψ fetches (pipelined fabric) ----
+        // ---- issue the next level's Ω/Ψ fetches (pipelined fabric) ----
         // Everything the next processed level's `batchedBSRGemm` will fetch
         // is determined right here: its BSR rows are this level's nodes
         // (far-field adjacency), and the partner block heights are the
-        // opposite side's just-computed ranks (`Ω ← VᵀΩ`, `Ψ ← UᵀΨ`). Emit
-        // the descriptors now so the virtual copies run behind the coupling
-        // generation and upsweep below instead of stalling the next level.
-        if l > top && rt.shard_is_pipelined() {
+        // opposite side's just-computed ranks (`Ω ← VᵀΩ`, `Ψ ← UᵀΨ`). Issue
+        // the transfers now so the virtual copies run behind the coupling
+        // generation and upsweep below; each stream carries its tickets to
+        // the next level's first `advance_level`.
+        let mut fetched: Vec<Option<Vec<Vec<u64>>>> = vec![None; sides.len()];
+        let ahead = rt
+            .shard_dispatch()
+            .filter(|disp| l > top && disp.mode() == PipelineMode::Pipelined);
+        if let Some(disp) = ahead {
             let d_cur = if locals[0].0.count() > 0 {
                 locals[0].0.cols_of(0)
             } else {
@@ -481,12 +486,17 @@ fn sketch_construct_engine(
                             .collect()
                     })
                     .collect();
-                for &side in sides {
-                    let x_rows: Vec<usize> = {
-                        let b = input_basis(&h2, side);
-                        node_ids.iter().map(|&id| b[id].cols()).collect()
-                    };
-                    hint_bsr_fetches(rt, side.stream_tag(), &adj, &x_rows, d_cur);
+                let pattern = BsrPattern::from_rows(&adj);
+                for (slot, &side) in fetched.iter_mut().zip(sides) {
+                    let b = input_basis(&h2, side);
+                    let x_rows: Vec<usize> = node_ids.iter().map(|&id| b[id].cols()).collect();
+                    *slot = Some(issue_bsr_fetches(
+                        disp.as_ref(),
+                        &pattern,
+                        &x_rows,
+                        d_cur,
+                        true,
+                    ));
                 }
             }
         }
@@ -564,12 +574,18 @@ fn sketch_construct_engine(
                         });
                         let omega =
                             rt.phase(Phase::Upsweep, || gemm_at_x(rt, &bases_per[idx], omega_l));
-                        SketchStream { side, y, omega }
+                        SketchStream {
+                            side,
+                            y,
+                            omega,
+                            fetched: fetched[idx].take(),
+                        }
                     } else {
                         SketchStream {
                             side,
                             y: VarBatch::zeros_uniform_cols(Vec::new(), 0),
                             omega: VarBatch::zeros_uniform_cols(Vec::new(), 0),
+                            fetched: None,
                         }
                     }
                 })
@@ -759,7 +775,9 @@ fn resolve_blocks<'a>(
 
 /// Subtract the level's known contributions from one stream's samples and
 /// stack child entries onto this level's nodes. Consumes the child-level
-/// batches and returns `(Y_loc, Ω_l)`.
+/// batches and returns `(Y_loc, Ω_l)`. `fetched` holds the tickets of the
+/// `Ω_b` fetches issued ahead for this subtraction (`None`: it issues its
+/// own).
 fn advance_level(
     rt: &Runtime,
     h2: &H2Matrix,
@@ -767,6 +785,7 @@ fn advance_level(
     side: Side,
     mut y: VarBatch,
     omega: VarBatch,
+    fetched: Option<Vec<Vec<u64>>>,
 ) -> (VarBatch, VarBatch) {
     // On the pipelined fabric the subtraction and the child stacking run in
     // one chain scope: each kernel's closing flush records a dependency
@@ -778,14 +797,14 @@ fn advance_level(
     let blocks = resolve_blocks(h2, &structure.pairs, structure.source, side);
     rt.shard_chain_begin();
     rt.phase(Phase::BsrGemm, || {
-        bsr_gemm_stream(
+        bsr_gemm(
             rt,
             &structure.pattern,
             &blocks,
             &omega,
             &mut y,
             -1.0,
-            side.stream_tag(),
+            fetched,
         );
     });
     let stacked = if structure.children_local.is_empty() {
@@ -826,7 +845,7 @@ fn sweep_new_samples(
 
     for rec in records {
         // Subtract + stack with the recorded structure.
-        let (yl, ol) = advance_level(rt, h2, &rec.structure, side, yv, om);
+        let (yl, ol) = advance_level(rt, h2, &rec.structure, side, yv, om, None);
         // Apply the frozen skeletonization: shrink the samples by this
         // stream's skeletons, compress the inputs by the opposite side.
         let skel_refs: Vec<&[usize]> = rec.skels_local[stream_idx]
@@ -842,5 +861,5 @@ fn sweep_new_samples(
     }
 
     // Advance through the current (not yet skeletonized) level.
-    advance_level(rt, h2, cur_structure, side, yv, om)
+    advance_level(rt, h2, cur_structure, side, yv, om, None)
 }

@@ -37,8 +37,8 @@ const CONSTRUCT: &str = "construct";
 /// non-empty chunk, the BSR product once per slot). Transfers are listed in
 /// the order the executor issues them: per stream (row, then column when
 /// unsymmetric) the level's `Ω_b` fetches, then the line-24 gathers of the
-/// stacked samples and of the stacked inputs. On a pipelined fabric an
-/// inner level's fetches are *hinted* by the level below once its IDs fix
+/// stacked samples and of the stacked inputs. On a pipelined fabric the engine
+/// issues an inner level's fetches during the level below, once its IDs fix
 /// the block sizes, so they are accounted to the previous epoch and gate
 /// their own.
 ///
@@ -139,7 +139,7 @@ pub fn plan_construct(
                     .map(|&id| (skel[id].len(), basis[id].cols()))
                     .unzip()
             };
-            let mut planner = FetchPlanner::new(side.stream_tag(), nr, nr, devices, wire);
+            let mut planner = FetchPlanner::new(nr, nr, devices, wire);
             for (r, &rows) in y_rows.iter().enumerate() {
                 let (b0, b1) = pattern.row_range(r);
                 for p in b0..b1 {
@@ -148,7 +148,7 @@ pub fn plan_construct(
                     planner.visit(r, c, x_rows[c], d);
                 }
             }
-            let fetches = planner.into_plan().into_iter().map(|(_, t)| (t, at));
+            let fetches = planner.into_plan().into_iter().map(|t| (t, at));
             if pipelined && !is_leaf {
                 epochs[at - 1].transfers.extend(fetches);
             } else {
@@ -242,7 +242,7 @@ mod tests {
     use h2_kernels::{ExponentialKernel, KernelMatrix};
     use h2_runtime::{DeviceModel, Runtime, TransferKind};
     use h2_tree::{Admissibility, ClusterTree, Partition};
-    use std::sync::Arc;
+    use std::sync::{Arc, OnceLock};
 
     fn built(n: usize, seed: u64) -> H2Matrix {
         let pts = h2_tree::uniform_cube(n, seed);
@@ -255,6 +255,34 @@ mod tests {
             ..Default::default()
         };
         sketch_construct(&km, &km, tree, part, &rt, &cfg).0
+    }
+
+    // Shared constructions, each built once per test binary: the plans
+    // under test are pure functions of the finished matrix.
+    fn sym_2000() -> &'static H2Matrix {
+        static H2: OnceLock<H2Matrix> = OnceLock::new();
+        H2.get_or_init(|| built(2000, 601))
+    }
+
+    fn sym_4000() -> &'static H2Matrix {
+        static H2: OnceLock<H2Matrix> = OnceLock::new();
+        H2.get_or_init(|| built(4000, 605))
+    }
+
+    fn unsym_2000() -> &'static H2Matrix {
+        static H2: OnceLock<H2Matrix> = OnceLock::new();
+        H2.get_or_init(|| built_unsym(2000, 610))
+    }
+
+    /// The row stream of `h2` alone: everything `plan_construct` reads,
+    /// with the column side dropped.
+    fn row_side_only(h2: &H2Matrix) -> H2Matrix {
+        H2Matrix {
+            basis: h2.basis.clone(),
+            skel: h2.skel.clone(),
+            basis_prec: h2.basis_prec.clone(),
+            ..H2Matrix::new_shell(h2.tree.clone(), h2.partition.clone())
+        }
     }
 
     fn plan(h2: &H2Matrix, d: usize, devices: usize) -> Schedule {
@@ -276,9 +304,9 @@ mod tests {
 
     #[test]
     fn specs_cover_processed_levels() {
-        let h2 = built(2000, 601);
+        let h2 = sym_2000();
         // Three devices: chunk boundaries then split some sibling pairs.
-        let p = plan(&h2, 48, 3);
+        let p = plan(h2, 48, 3);
         let top = h2.partition.top_far_level(&h2.tree).unwrap();
         let leaf = h2.tree.leaf_level();
         assert_eq!(p.epochs.len(), leaf - top + 1);
@@ -299,9 +327,9 @@ mod tests {
 
     #[test]
     fn adjacency_indices_in_range() {
-        let h2 = built(2000, 602);
+        let h2 = sym_2000();
         for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
-            let p = plan_construct(&h2, 48, 3, mode, Precision::F64);
+            let p = plan_construct(h2, 48, 3, mode, Precision::F64);
             for (i, e) in p.epochs.iter().enumerate() {
                 for &(t, gates) in &e.transfers {
                     assert!(t.src < 3 && t.dst < 3 && t.src != t.dst, "{t:?}");
@@ -317,9 +345,9 @@ mod tests {
         // Symmetric: a straddling child moves its samples and its inputs,
         // both `rank × d` blocks, so each epoch's gathers come as two equal
         // halves sized by the children's ranks.
-        let h2 = built(2000, 603);
+        let h2 = sym_2000();
         let tree = &h2.tree;
-        for e in &plan(&h2, 48, 7).epochs[1..] {
+        for e in &plan(h2, 48, 7).epochs[1..] {
             let l: usize = e.label["construct L".len()..].parse().unwrap();
             let gathers: Vec<_> = e
                 .transfers
@@ -361,19 +389,19 @@ mod tests {
 
     #[test]
     fn symmetric_specs_have_no_col_stream() {
-        let h2 = built(2000, 609);
-        let p = plan(&h2, 48, 1);
-        assert_eq!(p.epochs[0].launches[0], one_device_leaf_launches(&h2, 1));
+        let h2 = sym_2000();
+        let p = plan(h2, 48, 1);
+        assert_eq!(p.epochs[0].launches[0], one_device_leaf_launches(h2, 1));
     }
 
     #[test]
     fn unsym_specs_carry_col_stream_populations() {
-        let h2 = built_unsym(2000, 610);
-        let p = plan(&h2, 48, 1);
+        let h2 = unsym_2000();
+        let p = plan(h2, 48, 1);
         assert!(!p.epochs.is_empty());
-        assert_eq!(p.epochs[0].launches[0], one_device_leaf_launches(&h2, 2));
+        assert_eq!(p.epochs[0].launches[0], one_device_leaf_launches(h2, 2));
         // Every inner epoch runs both streams' QR, ID and stacking kernels.
-        let one_stream = plan(&H2Matrix { col: None, ..h2 }, 48, 1);
+        let one_stream = plan(&row_side_only(h2), 48, 1);
         for (two, one) in p.epochs.iter().zip(&one_stream.epochs).skip(1) {
             assert!(two.launches[0] > one.launches[0], "{}", two.label);
         }
@@ -381,7 +409,7 @@ mod tests {
 
     #[test]
     fn unsym_gen_blocks_enumerate_ordered_pairs() {
-        let h2 = built_unsym(1500, 611);
+        let h2 = unsym_2000();
         let tree = &h2.tree;
         let part = &h2.partition;
         let leaf = tree.leaf_level();
@@ -404,7 +432,7 @@ mod tests {
                 }
             }
         }
-        let leaf_epoch = &plan(&h2, 48, 3).epochs[0];
+        let leaf_epoch = &plan(h2, 48, 3).epochs[0];
         assert_eq!(
             leaf_epoch.entries.iter().sum::<f64>(),
             entries as f64,
@@ -421,10 +449,10 @@ mod tests {
         // Two streams cost more than one on the same structure: drop the
         // column side of a real unsymmetric matrix and the planned work must
         // fall.
-        let h2 = built_unsym(2000, 612);
+        let h2 = unsym_2000();
         let m = DeviceModel::default();
-        let full = plan(&h2, 48, 2);
-        let half = plan(&H2Matrix { col: None, ..h2 }, 48, 2);
+        let full = plan(h2, 48, 2);
+        let half = plan(&row_side_only(h2), 48, 2);
         assert!(
             full.compute_total(&m) > half.compute_total(&m),
             "col stream must add compute"
@@ -439,7 +467,7 @@ mod tests {
     fn simulated_speedup_in_compute_bound_regime() {
         // With a compute-bound device model (weak compute, fast links) the
         // level-parallel decomposition must scale.
-        let h2 = built(4000, 605);
+        let h2 = sym_4000();
         let m = DeviceModel {
             flops_per_sec: 1.0e10,
             link_bandwidth: 1.0e12,
@@ -447,9 +475,9 @@ mod tests {
             launch_overhead: 1.0e-7,
             entry_cost: 20.0,
         };
-        let t1 = plan(&h2, 256, 1).makespan(&m);
-        let t2 = plan(&h2, 256, 2).makespan(&m);
-        let t4 = plan(&h2, 256, 4).makespan(&m);
+        let t1 = plan(h2, 256, 1).makespan(&m);
+        let t2 = plan(h2, 256, 2).makespan(&m);
+        let t4 = plan(h2, 256, 4).makespan(&m);
         assert!(t2 < t1, "2 devices must beat 1: {t2} vs {t1}");
         assert!(t4 < t2, "4 devices must beat 2: {t4} vs {t2}");
     }
@@ -459,10 +487,10 @@ mod tests {
         // The flip side (and the reason the paper's evaluation is
         // single-GPU at these sizes): with A100-class compute, an N=4000
         // problem gains nothing from a second device.
-        let h2 = built(4000, 608);
+        let h2 = sym_4000();
         let m = DeviceModel::default();
-        let t1 = plan(&h2, 256, 1).makespan(&m);
-        let t2 = plan(&h2, 256, 2).makespan(&m);
+        let t1 = plan(h2, 256, 1).makespan(&m);
+        let t2 = plan(h2, 256, 2).makespan(&m);
         assert!(
             t2 > 0.9 * t1,
             "tiny problems must not show fake multi-GPU wins"
@@ -471,15 +499,15 @@ mod tests {
 
     #[test]
     fn single_device_no_comm_for_real_problem() {
-        let h2 = built(3000, 606);
-        assert_eq!(plan(&h2, 256, 1).total_comm_bytes(), 0);
+        let h2 = sym_2000();
+        assert_eq!(plan(h2, 256, 1).total_comm_bytes(), 0);
     }
 
     #[test]
     fn comm_appears_with_multiple_devices() {
-        let h2 = built(3000, 607);
+        let h2 = sym_2000();
         assert!(
-            plan(&h2, 256, 4).total_comm_bytes() > 0,
+            plan(h2, 256, 4).total_comm_bytes() > 0,
             "BSR Ω traffic must appear at D=4"
         );
     }

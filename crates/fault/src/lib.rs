@@ -354,14 +354,6 @@ impl OccurrenceMap {
         occ
     }
 
-    /// Roll back one occurrence of `fp` (a canceled speculative transfer
-    /// never happened, so its fault draw must be re-usable).
-    pub fn unwind(&mut self, fp: u64) {
-        if let Some(c) = self.counts.get_mut(&fp) {
-            *c = c.saturating_sub(1);
-        }
-    }
-
     /// Reset all counters.
     pub fn clear(&mut self) {
         self.counts.clear();
@@ -524,12 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_map_advances_and_unwinds() {
+    fn occurrence_map_advances_and_clears() {
         let mut m = OccurrenceMap::new();
         assert_eq!(m.next(5), 0);
         assert_eq!(m.next(5), 1);
-        m.unwind(5);
-        assert_eq!(m.next(5), 1);
+        assert_eq!(m.next(5), 2);
         assert_eq!(m.next(9), 0);
         m.clear();
         assert_eq!(m.next(5), 0);

@@ -8,7 +8,7 @@
 //!   multifrontal Cholesky with extend-add ([`multifrontal`]) — exact top
 //!   fronts for small grids,
 //! * a Green's-function surrogate for paper-scale separator sizes
-//!   ([`surrogate`], substitution documented in DESIGN.md §2).
+//!   (substitution documented in the [`surrogate`] module docs).
 
 pub mod multifrontal;
 pub mod sparse;

@@ -7,8 +7,8 @@
 //! boundary-integral operator whose kernel behaves like the free-space
 //! Green's function `1/(4π r)` near the plane; its hierarchical rank
 //! structure — the only thing Fig. 6(b) measures — is the same. The
-//! surrogate evaluates exactly that kernel on the separator grid points
-//! (documented substitution, DESIGN.md §2).
+//! surrogate evaluates exactly that kernel on the separator grid points;
+//! this module doc is the record of that substitution.
 
 use h2_kernels::{KernelMatrix, LaplaceKernel};
 use h2_tree::{grid_plane, Point};

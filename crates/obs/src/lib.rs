@@ -58,6 +58,8 @@
 //! ratio is the leaf level's launch overhead", mapped one-to-one onto
 //! the cost model's vocabulary.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod chrome;
 pub mod drift;
 pub mod json;

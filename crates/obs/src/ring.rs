@@ -24,6 +24,8 @@ pub struct Ring<T> {
 
 // SAFETY: slots hand values across threads, protected by the seq protocol.
 unsafe impl<T: Send> Send for Ring<T> {}
+// SAFETY: shared access only moves values through slots whose sole owner
+// (producer or consumer) the seq protocol's CAS establishes.
 unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {

@@ -15,9 +15,7 @@ use crate::batch::VarBatch;
 use crate::multidev::cost;
 use crate::profile::Kernel;
 use crate::runtime::Runtime;
-use crate::shard::{
-    chunk_bounds, FetchKey, FetchPlanner, PipelineMode, ShardDispatch, ShardJob, Transfer,
-};
+use crate::shard::{chunk_bounds, FetchPlanner, ShardDispatch, ShardJob};
 use h2_dense::{gemm, Mat, MatMut, Op};
 
 /// Sparsity pattern of a level's block-sparse matrix, pre-split into
@@ -132,7 +130,10 @@ impl<'a> BsrBlock<'a> {
 /// block positions `p` in row `r`, issued as `Csp` conflict-free batched
 /// launches.
 ///
-/// `op(blocks[p])` must have shape `(Y_r.rows, X_col.rows)`.
+/// `op(blocks[p])` must have shape `(Y_r.rows, X_col.rows)`. On a sharded
+/// runtime, `fetched` carries the per-device tickets of the `Ω_b` fetches
+/// [`issue_bsr_fetches`] issued ahead for this call; `None` makes the call
+/// issue its own. Off the sharded backend it is ignored.
 pub fn bsr_gemm(
     rt: &Runtime,
     pattern: &BsrPattern,
@@ -140,21 +141,7 @@ pub fn bsr_gemm(
     x: &VarBatch,
     y: &mut VarBatch,
     alpha: f64,
-) {
-    bsr_gemm_stream(rt, pattern, blocks, x, y, alpha, 0)
-}
-
-/// [`bsr_gemm`] with an explicit sketch-stream tag (0 = row `Ω`, 1 = column
-/// `Ψ`). The tag keys the pipelined fabric's early prefetch hints, so the
-/// two streams of the unsymmetric engine never claim each other's fetches.
-pub fn bsr_gemm_stream(
-    rt: &Runtime,
-    pattern: &BsrPattern,
-    blocks: &[BsrBlock<'_>],
-    x: &VarBatch,
-    y: &mut VarBatch,
-    alpha: f64,
-    stream: u8,
+    fetched: Option<Vec<Vec<u64>>>,
 ) {
     assert_eq!(
         blocks.len(),
@@ -163,11 +150,7 @@ pub fn bsr_gemm_stream(
     );
     assert_eq!(y.count(), pattern.nrows(), "bsr_gemm: y batch mismatch");
     if let Some(disp) = rt.shard_dispatch() {
-        if disp.mode() == PipelineMode::Pipelined {
-            bsr_gemm_pipelined(rt, pattern, blocks, x, y, alpha, stream, disp.as_ref());
-        } else {
-            bsr_gemm_sharded(rt, pattern, blocks, x, y, alpha, disp.as_ref());
-        }
+        bsr_gemm_on_fabric(rt, pattern, blocks, x, y, alpha, fetched, disp.as_ref());
         return;
     }
     let par = rt.is_parallel();
@@ -205,144 +188,81 @@ pub fn bsr_gemm_stream(
     }
 }
 
-/// The owner-attributed plan of one sharded `batchedBSRGemm`: per-row
-/// modeled flops (also the execution-cost estimate) and the deduplicated
-/// `Ω_b` fetches of [`FetchPlanner`], in its first-need order — the same
-/// visit `h2_core::plan_construct` makes, so the records match its plan.
-fn plan_rows(
-    pattern: &BsrPattern,
-    x: &VarBatch,
-    y: &VarBatch,
-    stream: u8,
+/// Issue the `Ω_b` fetches of one `batchedBSRGemm` over `pattern`, whose
+/// partner `c` is an `x_rows[c] × d` block: [`FetchPlanner`]'s deduplicated
+/// `(device, partner)` transfers in its first-need order, each landing in
+/// its destination's arena — the standby bank when `ahead` (issued during
+/// the level before the one that consumes them), the current bank
+/// otherwise. Returns the tickets per destination device, the `fetched`
+/// argument of [`bsr_gemm`].
+pub fn issue_bsr_fetches(
     disp: &dyn ShardDispatch,
-) -> (Vec<f64>, Vec<(FetchKey, Transfer)>) {
-    let n = pattern.nrows();
-    let mut planner = FetchPlanner::new(stream, n, x.count(), disp.devices(), disp.wire());
-    let mut row_flops = vec![0.0f64; n];
-    for (r, fl) in row_flops.iter_mut().enumerate() {
-        let (b0, b1) = pattern.row_range(r);
-        for p in b0..b1 {
-            let col = pattern.col_of(p);
-            let (mb, d) = (x.rows_of(col), x.cols_of(col));
-            *fl += cost::bsr_flops(y.rows_of(r), mb, d);
-            planner.visit(r, col, mb, d);
-        }
-    }
-    (row_flops, planner.into_plan())
-}
-
-/// Owner-attributed accounting of one sharded call: each device's chunk of
-/// row flops (§IV.A contiguous chunks) and one launch per slot on every
-/// device whose chunk is non-empty.
-fn charge_rows(disp: &dyn ShardDispatch, row_flops: &[f64], csp: usize) {
-    let devices = disp.devices();
-    let bounds = chunk_bounds(row_flops.len(), devices);
-    for dev in 0..devices {
-        let (b, e) = (bounds[dev], bounds[dev + 1]);
-        if e == b {
-            continue;
-        }
-        let fl: f64 = row_flops[b..e].iter().sum();
-        if fl > 0.0 {
-            disp.add_flops(dev, fl);
-        }
-        disp.add_launches(dev, csp);
-    }
-}
-
-/// The device-sharded `batchedBSRGemm`: block rows are divided into the
-/// contiguous chunks of §IV.A, each slot launch runs one job per device over
-/// its chunk, and the input block `Ω_b` of every off-device partner is
-/// fetched once per `(device, partner)` pair for the whole call — the
-/// fetches [`plan_rows`] lists, issued inline in its order.
-fn bsr_gemm_sharded(
-    rt: &Runtime,
     pattern: &BsrPattern,
-    blocks: &[BsrBlock<'_>],
-    x: &VarBatch,
-    y: &mut VarBatch,
-    alpha: f64,
-    disp: &dyn ShardDispatch,
-) {
-    let devices = disp.devices();
+    x_rows: &[usize],
+    d: usize,
+    ahead: bool,
+) -> Vec<Vec<u64>> {
     let n = pattern.nrows();
-    let (row_flops, fetches) = plan_rows(pattern, x, y, 0, disp);
-    for (_, t) in fetches {
-        disp.push_transfer(t);
-        disp.arena_alloc(t.dst, t.bytes as usize);
-    }
-    charge_rows(disp, &row_flops, pattern.csp());
-
-    // Execution chunking: contiguous row runs of ~equal modeled flops,
-    // shared by every slot launch of the call.
-    let exec_bounds = crate::batch::cost_chunk_bounds(n, devices, |r| row_flops[r]);
-    for slot in &pattern.slots {
-        // One launch per device per slot, each over its contiguous chunk.
-        rt.launch(Kernel::BsrGemm);
-        let mut rows = y.split_mut().into_iter();
-        let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(devices);
-        for dev in 0..devices {
-            let chunk: Vec<MatMut<'_>> = rows
-                .by_ref()
-                .take(exec_bounds[dev + 1] - exec_bounds[dev])
-                .collect();
-            let start = exec_bounds[dev];
-            jobs.push(Box::new(move || {
-                for (k, m) in chunk.into_iter().enumerate() {
-                    let p = slot[start + k];
-                    if p == usize::MAX {
-                        continue;
-                    }
-                    let xb = x.mat(pattern.col_of(p));
-                    let b = blocks[p];
-                    let op = if b.transposed { Op::Trans } else { Op::NoTrans };
-                    gemm(op, Op::NoTrans, alpha, b.mat.rf(), xb, 1.0, m);
-                }
-            }));
+    let mut planner = FetchPlanner::new(n, x_rows.len(), disp.devices(), disp.wire());
+    for r in 0..n {
+        for &c in pattern.row_blocks(r) {
+            planner.visit(r, c, x_rows[c], d);
         }
-        disp.run(jobs);
     }
+    let mut tickets = vec![Vec::new(); disp.devices()];
+    for t in planner.into_plan() {
+        let ticket = disp.issue(t);
+        if ticket != 0 {
+            tickets[t.dst].push(ticket);
+        }
+        if ahead {
+            disp.arena_alloc_ahead(t.dst, t.bytes as usize);
+        } else {
+            disp.arena_alloc(t.dst, t.bytes as usize);
+        }
+    }
+    tickets
 }
 
-/// The pipelined `batchedBSRGemm`: identical arithmetic and accounting to
-/// [`bsr_gemm_sharded`], different schedule. The [`plan_rows`] fetches are
-/// either **claimed** from the construction's early prefetch hints or issued
-/// as fresh prefetches on the copy engine; each device then receives
-/// **one** queued job chaining all `Csp` slot launches in slot order —
-/// per-row accumulation order is exactly the synchronous path's, so results
-/// are bit-identical, but the `Csp − 1` global joins between slots are gone
-/// and the owner-attributed work accounting runs on the issuing thread
-/// while the devices compute.
+/// The device-sharded `batchedBSRGemm`. Block rows are divided into the
+/// contiguous chunks of §IV.A for accounting (per-row modeled flops, one
+/// launch per slot on every device with a non-empty chunk — the counts
+/// `h2_core::plan_construct` plans) and into cost-balanced chunks for
+/// execution. Each device receives **one** queued job chaining all `Csp`
+/// slot launches in slot order over its chunk, gated on its own fetch
+/// tickets, so per-row accumulation order is the sequential path's and the
+/// results are bit-identical on either discipline; the accounting runs on
+/// the issuing thread while the devices compute.
 #[allow(clippy::too_many_arguments)]
-fn bsr_gemm_pipelined(
+fn bsr_gemm_on_fabric(
     rt: &Runtime,
     pattern: &BsrPattern,
     blocks: &[BsrBlock<'_>],
     x: &VarBatch,
     y: &mut VarBatch,
     alpha: f64,
-    stream: u8,
+    fetched: Option<Vec<Vec<u64>>>,
     disp: &dyn ShardDispatch,
 ) {
     let devices = disp.devices();
     let n = pattern.nrows();
-    let (row_flops, fetches) = plan_rows(pattern, x, y, stream, disp);
-    // Tickets are grouped by destination device so a device whose chunk
-    // needs no remote partner never stalls behind another device's fetch.
-    // (Execution chunks are cost-balanced approximations of the owner
-    // chunks the destinations refer to — gating is a timing model, the
-    // data never moves, so the approximation cannot affect results.)
-    let mut tickets_by_dev: Vec<Vec<u64>> = vec![Vec::new(); devices];
-    for (key, t) in fetches {
-        let tk = disp.claim_or_fetch(key, t);
-        if tk != 0 {
-            tickets_by_dev[key.dst].push(tk);
-        }
-    }
-    disp.cancel_hints(stream);
+    let tickets = fetched.unwrap_or_else(|| {
+        let x_rows: Vec<usize> = (0..x.count()).map(|c| x.rows_of(c)).collect();
+        let d = if x.count() > 0 { x.cols_of(0) } else { 0 };
+        issue_bsr_fetches(disp, pattern, &x_rows, d, false)
+    });
+    let row_flops: Vec<f64> = (0..n)
+        .map(|r| {
+            pattern.row_blocks(r).iter().fold(0.0, |fl, &c| {
+                fl + cost::bsr_flops(y.rows_of(r), x.rows_of(c), x.cols_of(c))
+            })
+        })
+        .collect();
 
     // One queued job per device, chaining every slot over its contiguous
-    // cost-balanced chunk, gated on its own fetch tickets.
+    // cost-balanced chunk. (Execution chunks approximate the owner chunks
+    // the tickets are filed under — gating is a timing model, the data
+    // never moves, so the approximation cannot affect results.)
     let exec_bounds = crate::batch::cost_chunk_bounds(n, devices, |r| row_flops[r]);
     let mut rows = y.split_mut().into_iter();
     for dev in 0..devices {
@@ -366,39 +286,24 @@ fn bsr_gemm_pipelined(
             }
         });
         // SAFETY: flushed below, before `y`/`x`/`blocks` borrows end.
-        unsafe { disp.enqueue(dev, &tickets_by_dev[dev], job) };
+        unsafe { disp.enqueue(dev, &tickets[dev], job) };
     }
 
     // Owner-attributed accounting, overlapped with the queued compute.
     rt.launches(Kernel::BsrGemm, pattern.csp());
-    charge_rows(disp, &row_flops, pattern.csp());
-    disp.flush();
-}
-
-/// Early prefetch hint for the *next* level's `batchedBSRGemm`: the
-/// construction engine calls this as soon as the current level's IDs fix
-/// the partner block sizes, so the `Ω_b`/`Ψ_b` copies run on the fabric's
-/// copy engine behind the current level's `batchedGen`/upsweep compute.
-/// Drives the same [`FetchPlanner`] as the kernel itself, so the hinted
-/// descriptors match the claims exactly (byte totals unchanged). No-op off
-/// the pipelined sharded backend.
-pub fn hint_bsr_fetches(rt: &Runtime, stream: u8, adj: &[Vec<usize>], x_rows: &[usize], d: usize) {
-    let Some(disp) = rt.shard_dispatch() else {
-        return;
-    };
-    if disp.mode() != PipelineMode::Pipelined {
-        return;
-    }
-    let n = adj.len();
-    let mut planner = FetchPlanner::new(stream, n, x_rows.len(), disp.devices(), disp.wire());
-    for (r, partners) in adj.iter().enumerate() {
-        for &b in partners {
-            planner.visit(r, b, x_rows[b], d);
+    let bounds = chunk_bounds(n, devices);
+    for dev in 0..devices {
+        let (b, e) = (bounds[dev], bounds[dev + 1]);
+        if e == b {
+            continue;
         }
+        let fl: f64 = row_flops[b..e].iter().sum();
+        if fl > 0.0 {
+            disp.add_flops(dev, fl);
+        }
+        disp.add_launches(dev, pattern.csp());
     }
-    for (key, t) in planner.into_plan() {
-        disp.hint_prefetch(key, t);
-    }
+    disp.flush();
 }
 
 #[cfg(test)]
@@ -459,7 +364,7 @@ mod tests {
                 .collect();
             let x = gather_rows(&rt, &xg, &ranges);
             let mut y = VarBatch::zeros_uniform_cols(sizes.to_vec(), d);
-            bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, -1.0);
+            bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, -1.0, None);
 
             let want = matmul(Op::NoTrans, Op::NoTrans, dense.rf(), xg.rf());
             for (r, &(s, _)) in ranges.iter().enumerate() {
@@ -488,7 +393,7 @@ mod tests {
         let x = gather_rows(&rt, &xg, &[(0, 2)]);
         let mut y = VarBatch::zeros_uniform_cols(vec![2], 2);
         y.for_each_mut(false, |_, mut m| m.fill(1.0));
-        bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, 2.0);
+        bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, 2.0, None);
         let got = y.to_mat(0);
         assert!((got[(0, 0)] - (1.0 + 2.0 * xg[(0, 0)])).abs() < 1e-14);
     }

@@ -35,7 +35,7 @@ pub mod shard;
 pub mod solve_ops;
 
 pub use batch::{cost_chunk_bounds, VarBatch};
-pub use bsr::{bsr_gemm, bsr_gemm_stream, hint_bsr_fetches, BsrBlock, BsrPattern};
+pub use bsr::{bsr_gemm, issue_bsr_fetches, BsrBlock, BsrPattern};
 pub use h2_dense::Precision;
 // Re-exported so downstream crates (core, solve, sched) reach the
 // observability layer through the runtime they already depend on.
@@ -48,8 +48,8 @@ pub use ops::{
 pub use profile::{Kernel, Phase, Profile, KERNEL_COUNT, PHASE_COUNT};
 pub use runtime::{Backend, Runtime};
 pub use shard::{
-    child_gathers, chunk_bounds, FetchKey, FetchPlanner, PipelineMode, ShardDispatch, ShardJob,
-    Transfer, TransferKind,
+    child_gathers, chunk_bounds, FetchPlanner, PipelineMode, ShardDispatch, ShardJob, Transfer,
+    TransferKind,
 };
 pub use solve_ops::{
     batched_apply_qt, batched_lu, batched_lu_solve, batched_qr, batched_transpose, batched_trsm,

@@ -367,7 +367,7 @@ mod tests {
             let at = epochs.len();
             let mut e = ScheduleEpoch::blank("construct", format!("construct L{i}"), devices);
             let nr = lv.rows.len();
-            let mut planner = FetchPlanner::new(0, nr, nr, devices, wire);
+            let mut planner = FetchPlanner::new(nr, nr, devices, wire);
             for (r, partners) in lv.adj.iter().enumerate() {
                 for &b in partners {
                     e.flops[owner(r, nr, devices)] += cost::bsr_flops(lv.rows[r], lv.rows[b], d);
@@ -375,7 +375,7 @@ mod tests {
                 }
             }
             e.transfers
-                .extend(planner.into_plan().into_iter().map(|(_, t)| (t, at)));
+                .extend(planner.into_plan().into_iter().map(|t| (t, at)));
             for _ in 0..lv.adj.iter().map(Vec::len).max().unwrap_or(0) {
                 e.launch(nr);
             }

@@ -295,19 +295,13 @@ pub fn stack_children(rt: &Runtime, child: &VarBatch, children: &[Vec<usize>]) -
     let mut out = VarBatch::zeros_uniform_cols(rows, d);
     let mut deps: Vec<u64> = Vec::new();
     if let Some(disp) = rt.shard_dispatch() {
-        // Line-24 boundary gathers ([`child_gathers`]). On the pipelined
-        // fabric these become prefetch descriptors issued ahead of the
-        // stacking jobs, which are then gated on the tickets.
-        let pipelined = disp.mode() == crate::shard::PipelineMode::Pipelined;
+        // Line-24 boundary gathers ([`child_gathers`]), issued ahead of the
+        // stacking jobs, which are gated on their tickets.
         let child_rows: Vec<usize> = (0..child.count()).map(|c| child.rows_of(c)).collect();
         for t in child_gathers(children, &child_rows, d, disp.devices(), disp.wire()) {
-            if pipelined {
-                let ticket = disp.prefetch(t);
-                if ticket != 0 {
-                    deps.push(ticket);
-                }
-            } else {
-                disp.push_transfer(t);
+            let ticket = disp.issue(t);
+            if ticket != 0 {
+                deps.push(ticket);
             }
             disp.arena_alloc(t.dst, t.bytes as usize);
         }

@@ -109,15 +109,6 @@ impl Runtime {
         self.shard.as_ref()
     }
 
-    /// Whether the runtime executes on a fabric running in
-    /// [`crate::PipelineMode::Pipelined`] — gates the construction engine's
-    /// early prefetch hints so other backends pay nothing for them.
-    pub fn shard_is_pipelined(&self) -> bool {
-        self.shard
-            .as_ref()
-            .is_some_and(|d| d.mode() == crate::PipelineMode::Pipelined)
-    }
-
     /// Close the fabric's current accounting epoch (no-op unless sharded).
     /// The construction level loop calls this once per processed level so
     /// per-epoch stats line up with the epochs of `h2_core::plan_construct`.

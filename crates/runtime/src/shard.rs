@@ -26,33 +26,30 @@
 //!
 //! ## Pipelined dispatch
 //!
-//! A dispatcher may run in one of two [`PipelineMode`]s. In
-//! [`PipelineMode::Synchronous`] every batched kernel is fork-join:
-//! [`ShardDispatch::run`] blocks until all per-device jobs complete, and
-//! [`ShardDispatch::push_transfer`] services the copy inline (the transfer
-//! is *exposed* on the critical path). In [`PipelineMode::Pipelined`] the
-//! kernels instead use the ordered per-device queues directly:
+//! A fabric runs in one of two [`PipelineMode`]s, and the discipline lives
+//! in the fabric, not in the kernels. Every batched kernel makes the same
+//! three calls:
 //!
-//! * [`ShardDispatch::prefetch`] issues a transfer descriptor *ahead* of the
-//!   compute that consumes it and returns a ticket; the copy proceeds
-//!   asynchronously (a virtual copy engine / DMA stream);
+//! * [`ShardDispatch::issue`] hands the fabric a transfer descriptor and
+//!   returns a completion ticket. A pipelined fabric starts the copy on its
+//!   virtual copy engine (a DMA stream) and returns a live ticket; a
+//!   synchronous one services the copy inline (the transfer is *exposed*)
+//!   and returns 0, the ticket that is already complete;
 //! * [`ShardDispatch::enqueue`] submits a job to one device's ordered queue
-//!   without blocking, gated on a set of prefetch tickets — the device
-//!   stalls only if the copy has not landed by the time the job reaches the
-//!   head of its queue;
-//! * [`ShardDispatch::flush`] is the explicit barrier, issued once per
-//!   kernel call (or once per overlapped phase group) instead of once per
-//!   launch.
+//!   without blocking, gated on a set of tickets — the device stalls only
+//!   if a copy has not landed by the time the job reaches the head of its
+//!   queue;
+//! * [`ShardDispatch::flush`] is the barrier, issued once per kernel call
+//!   (or once per chain scope of kernels).
 //!
-//! The construction level loop additionally *hints* the next level's
-//! `Ω_b`-fetch descriptors as soon as the current level's IDs fix the block
-//! sizes ([`ShardDispatch::hint_prefetch`]); `batchedBSRGemm` claims the
-//! hinted tickets with [`ShardDispatch::claim_or_fetch`], so the copies run
-//! behind the current level's `batchedGen`/ID compute. Hints and claims are
-//! keyed by [`FetchKey`] and deduplicated per `(device, partner)` by
-//! [`FetchPlanner`] — the *same* planner the synchronous kernel and the
-//! construction plan drive, so a descriptor is the same record whether it
-//! was prefetched early, claimed late or issued inline.
+//! On a pipelined fabric the construction engine issues the next level's
+//! `Ω_b` fetches as soon as the current level's IDs fix the block sizes
+//! ([`crate::issue_bsr_fetches`]), keeps the returned tickets with the
+//! stream, and hands them to that level's `batchedBSRGemm`, so the copies
+//! run behind the current level's `batchedGen`/upsweep compute. Every other
+//! call issues its own fetches. Both go through the one [`FetchPlanner`]
+//! the construction plan reads, so a descriptor is the same record whether
+//! it was issued a level early or by the kernel itself.
 
 use crate::multidev::{cost, owner};
 use h2_dense::Precision;
@@ -148,46 +145,21 @@ impl Transfer {
 /// the `unsafe` contract of that method).
 pub type ShardJob<'a> = Box<dyn FnOnce() + Send + 'a>;
 
-/// Identity of one deduplicated partner fetch, shared between the
-/// construction's early *hint* and `batchedBSRGemm`'s *claim*. Including the
-/// byte count makes a stale hint (e.g. after an adaptive sampling round
-/// changed the block width) miss instead of mis-matching.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FetchKey {
-    /// Sketch stream the fetch serves (0 = row `Ω`, 1 = column `Ψ`).
-    pub stream: u8,
-    /// Destination device.
-    pub dst: usize,
-    /// Local index of the fetched partner in the level's column population.
-    pub partner: usize,
-    /// Size of the fetched block.
-    pub bytes: u64,
-}
-
 /// Deduplicated `(device, partner)` fetch planning for one `batchedBSRGemm`
-/// call — the single source of the Ω/Ψ transfer descriptors, driven
-/// identically by the kernel (both disciplines), the construction's early
-/// prefetch hint and `h2_core::plan_construct`.
+/// call — the single source of the Ω/Ψ transfer descriptors, driven by
+/// [`crate::issue_bsr_fetches`] and by `h2_core::plan_construct`.
 pub struct FetchPlanner {
-    stream: u8,
     n_rows: usize,
     n_partners: usize,
     devices: usize,
     wire: Precision,
     seen: HashSet<(usize, usize)>,
-    plan: Vec<(FetchKey, Transfer)>,
+    plan: Vec<Transfer>,
 }
 
 impl FetchPlanner {
-    pub fn new(
-        stream: u8,
-        n_rows: usize,
-        n_partners: usize,
-        devices: usize,
-        wire: Precision,
-    ) -> Self {
+    pub fn new(n_rows: usize, n_partners: usize, devices: usize, wire: Precision) -> Self {
         FetchPlanner {
-            stream,
             n_rows,
             n_partners,
             devices,
@@ -208,27 +180,18 @@ impl FetchPlanner {
         let dev = self.owner_of_row(row);
         let dev_b = owner(partner, self.n_partners.max(self.n_rows), self.devices);
         if dev_b != dev && self.seen.insert((dev, partner)) {
-            let bytes = cost::fetch_bytes_p(partner_rows, partner_cols, self.wire);
-            self.plan.push((
-                FetchKey {
-                    stream: self.stream,
-                    dst: dev,
-                    partner,
-                    bytes,
-                },
-                Transfer {
-                    src: dev_b,
-                    dst: dev,
-                    bytes,
-                    kind: TransferKind::OmegaFetch,
-                    prec: self.wire,
-                },
-            ));
+            self.plan.push(Transfer {
+                src: dev_b,
+                dst: dev,
+                bytes: cost::fetch_bytes_p(partner_rows, partner_cols, self.wire),
+                kind: TransferKind::OmegaFetch,
+                prec: self.wire,
+            });
         }
     }
 
     /// The deduplicated fetch plan, in first-need order.
-    pub fn into_plan(self) -> Vec<(FetchKey, Transfer)> {
+    pub fn into_plan(self) -> Vec<Transfer> {
         self.plan
     }
 }
@@ -279,9 +242,6 @@ pub trait ShardDispatch: Send + Sync {
     /// [`ShardDispatch::devices`] jobs) and block until all complete.
     fn run<'a>(&self, jobs: Vec<ShardJob<'a>>);
 
-    /// Enqueue an explicit cross-device transfer on the fabric's queue.
-    fn push_transfer(&self, t: Transfer);
-
     /// Attribute `flops` of modeled batched-kernel work to device `dev`
     /// (the [`crate::multidev::cost`] formulas, so totals are comparable).
     fn add_flops(&self, dev: usize, flops: f64);
@@ -297,37 +257,32 @@ pub trait ShardDispatch: Send + Sync {
     /// next epoch boundary, mirroring the per-level single allocation).
     fn arena_alloc(&self, dev: usize, bytes: usize);
 
+    /// Charge `bytes` to device `dev`'s *standby* arena bank: the next
+    /// epoch's workspace, filled by transfers issued a level early and
+    /// rotated into the current bank at the next epoch boundary.
+    fn arena_alloc_ahead(&self, dev: usize, bytes: usize);
+
     /// Close the current accounting epoch (one construction level / matvec
     /// phase) under `label`, snapshotting per-device counters.
     fn epoch(&self, label: &str);
 
     /// Wire precision every cross-device block ships at (and the width the
-    /// transfer-landing arena charges use). Defaults to the historical f64
-    /// so fabrics that predate the precision tier keep their byte totals.
-    fn wire(&self) -> Precision {
-        Precision::F64
-    }
-
-    // ---- pipelined dispatch (defaults degrade to the synchronous path,
-    // so a fork-join-only fabric keeps working unchanged) ----
+    /// transfer-landing arena charges use).
+    fn wire(&self) -> Precision;
 
     /// The fabric's execution discipline.
-    fn mode(&self) -> PipelineMode {
-        PipelineMode::Synchronous
-    }
+    fn mode(&self) -> PipelineMode;
 
-    /// Issue a transfer descriptor ahead of the compute consuming it and
-    /// return a completion ticket for [`ShardDispatch::enqueue`] deps
-    /// (0 = already complete). The synchronous default services it inline.
-    fn prefetch(&self, t: Transfer) -> u64 {
-        self.push_transfer(t);
-        0
-    }
+    /// Issue one transfer under the fabric's discipline and return the
+    /// completion ticket for [`ShardDispatch::enqueue`] deps: a prefetch
+    /// on the copy engine when pipelined, an inline (exposed) copy
+    /// returning 0 — already complete — when synchronous.
+    fn issue(&self, t: Transfer) -> u64;
 
     /// Submit `job` to device `dev`'s ordered queue without blocking, gated
-    /// on the tickets in `deps` (prefetch tickets and/or prior jobs'
+    /// on the tickets in `deps` (transfer tickets and/or prior jobs'
     /// completion tickets — both live on one board). Returns the job's own
-    /// completion ticket (0 when the dispatcher ran it inline).
+    /// completion ticket.
     ///
     /// # Safety
     ///
@@ -337,94 +292,47 @@ pub trait ShardDispatch: Send + Sync {
     /// the worker thread. Every batched kernel upholds this by flushing
     /// before it returns (or before the borrowed buffers of an overlapped
     /// phase group go out of scope).
-    ///
-    /// The synchronous default runs the job inline on the calling thread,
-    /// which trivially satisfies the contract.
-    unsafe fn enqueue<'a>(&self, dev: usize, deps: &[u64], job: ShardJob<'a>) -> u64 {
-        let _ = (dev, deps);
-        job();
-        0
-    }
+    unsafe fn enqueue<'a>(&self, dev: usize, deps: &[u64], job: ShardJob<'a>) -> u64;
 
     /// Kernel-boundary synchronization: a barrier that blocks until every
     /// enqueued job has completed (and propagates any worker panic) —
-    /// except inside an open chain scope, where a chaining fabric records a
+    /// except inside an open chain scope, where the fabric records a
     /// dependency boundary instead and returns immediately.
-    fn flush(&self) {}
+    fn flush(&self);
 
     /// Open a cross-kernel chain scope: until [`ShardDispatch::chain_end`],
     /// `flush` records kernel boundaries (the finished kernel's job tickets
     /// become automatic dependencies for the next kernel's jobs on other
-    /// devices) instead of blocking the host. No-op by default and on
-    /// synchronous fabrics, where every kernel stays fork-join.
-    fn chain_begin(&self) {}
+    /// devices) instead of blocking the host. A no-op on synchronous
+    /// fabrics, where every kernel stays fork-join.
+    fn chain_begin(&self);
 
     /// Close the chain scope and run the real barrier, discharging the
-    /// borrow contract of every `enqueue` issued inside the scope. The
-    /// default is a plain flush.
-    fn chain_end(&self) {
-        self.flush();
-    }
+    /// borrow contract of every `enqueue` issued inside the scope.
+    fn chain_end(&self);
 
-    /// Early prefetch hint: start the copy for `key` now (tagged to the
-    /// issuing epoch, charged to the destination's *standby* arena bank) so
-    /// a later [`ShardDispatch::claim_or_fetch`] with the same key finds it
-    /// done. No-op by default.
-    fn hint_prefetch(&self, key: FetchKey, t: Transfer) {
-        let _ = (key, t);
-    }
-
-    /// Claim a previously hinted prefetch, or — on a miss — record the
-    /// transfer and charge the destination arena as a fresh fetch. Returns
-    /// the completion ticket (0 = complete).
-    fn claim_or_fetch(&self, key: FetchKey, t: Transfer) -> u64 {
-        let _ = key;
-        self.push_transfer(t);
-        self.arena_alloc(t.dst, t.bytes as usize);
-        0
-    }
-
-    /// Drop all unclaimed hints of `stream`, removing their transfer
-    /// records so a stale hint (adaptive round changed the sample width)
-    /// can never double-count bytes. No-op by default.
-    fn cancel_hints(&self, stream: u8) {
-        let _ = stream;
-    }
-
-    // ---- resilience (defaults describe a fault-free, statically-routed
-    // fabric, so existing dispatchers keep working unchanged) ----
+    // ---- resilience ----
 
     /// The active fault-injection plan, if the fabric is running a seeded
     /// chaos schedule ([`h2_fault::FaultPlan`]). Kernels consult this to
-    /// inject/detect output poison at the producing site. Default: none.
-    fn fault_plan(&self) -> Option<Arc<h2_fault::FaultPlan>> {
-        None
-    }
+    /// inject/detect output poison at the producing site.
+    fn fault_plan(&self) -> Option<Arc<h2_fault::FaultPlan>>;
 
     /// Advance and return the occurrence index of fault site `site`
     /// (a fingerprint from [`h2_fault::poison_site`] or
     /// [`Transfer::fingerprint`]) — the deterministic replay clock.
-    /// Default: always 0 (no occurrence tracking).
-    fn fault_occurrence(&self, site: u64) -> u32 {
-        let _ = site;
-        0
-    }
+    fn fault_occurrence(&self, site: u64) -> u32;
 
     /// Version of the logical-to-physical reshard map. Bumps when a device
     /// fail-stop makes survivors adopt the lost shard's node ownership;
     /// the construction level loop observes a change and replays only the
-    /// in-flight level from its last sealed checkpoint. Default: 0
-    /// (static map, never resharded).
-    fn reshard_version(&self) -> u64 {
-        0
-    }
+    /// in-flight level from its last sealed checkpoint.
+    fn reshard_version(&self) -> u64;
 
     /// Record one bounded-recovery event at a named site (poison
     /// recompute, shard adoption) for the fabric's fault counters and
-    /// trace stream. No-op by default.
-    fn note_recovery(&self, site: &str) {
-        let _ = site;
-    }
+    /// trace stream.
+    fn note_recovery(&self, site: &str);
 }
 
 /// Contiguous per-device chunk bounds for `n` items over `devices` devices:

@@ -93,7 +93,7 @@ fn run_case(case: &Case, rt: &Runtime) -> (VarBatch, VarBatch) {
     }
     let y0 = y.clone_like();
 
-    bsr_gemm(rt, &pattern, &blocks, &x, &mut y, -1.0);
+    bsr_gemm(rt, &pattern, &blocks, &x, &mut y, -1.0, None);
 
     // Dense reference.
     let mut want = y0;
@@ -184,8 +184,8 @@ fn alpha_linearity() {
     x.set(1, gaussian_mat(4, 3, 5).rf());
     let mut y = VarBatch::zeros_uniform_cols(vec![3, 2], 3);
     let rt = Runtime::sequential();
-    bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, 2.5);
-    bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, -2.5);
+    bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, 2.5, None);
+    bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, -2.5, None);
     for i in 0..2 {
         assert!(y.to_mat(i).norm_max() < 1e-12);
     }

@@ -10,16 +10,18 @@
 //!   the device at every level, in queue order;
 //! * the **arena** mirrors §IV.A's per-level single workspace allocation
 //!   (prefix sum + one `cudaMalloc`), *double-buffered*: charges land in
-//!   the current bank, prefetch-stage charges for the next level land in
-//!   the standby bank, and the banks rotate at the epoch boundary — so the
-//!   peak reflects two live level workspaces exactly when marshaling for
-//!   level *l+1* overlaps level *l*'s compute;
+//!   the current bank, the fetches the construction engine issues for the
+//!   next level land in the standby bank, and the banks rotate at the
+//!   epoch boundary — so the peak reflects two live level workspaces
+//!   exactly when marshaling for level *l+1* overlaps level *l*'s compute;
 //! * the **transfer queue** holds the only two communication patterns of
 //!   §IV.B (`Ω_b` partner fetches in `batchedBSRGemm`, boundary sibling
-//!   merges at line 24) plus the matvec's partial-sum reads. In
-//!   [`PipelineMode::Pipelined`] transfers are issued as *prefetches* on a
-//!   virtual copy engine and compute jobs are gated on their tickets; in
-//!   [`PipelineMode::Synchronous`] they are serviced inline (exposed);
+//!   merges at line 24) plus the matvec's partial-sum reads. Every
+//!   transfer goes through [`DeviceFabric::issue`], which holds the
+//!   discipline: in [`PipelineMode::Pipelined`] it issues a *prefetch* on a
+//!   virtual copy engine and returns the ticket compute jobs are gated on;
+//!   in [`PipelineMode::Synchronous`] it services the copy inline
+//!   (exposed);
 //! * **job-level dependencies**: every queued job owns a completion ticket
 //!   on the same board as transfer tickets, and a **chain scope**
 //!   ([`DeviceFabric::chain_begin`] … [`DeviceFabric::chain_end`]) turns
@@ -55,9 +57,8 @@
 use h2_fault::{FabricError, FaultKind, FaultPlan, OccurrenceMap};
 use h2_obs::{ArgValue, Tracer};
 use h2_runtime::{
-    DeviceModel, FetchKey, PipelineMode, Precision, ShardDispatch, ShardJob, Transfer, TransferKind,
+    DeviceModel, PipelineMode, Precision, ShardDispatch, ShardJob, Transfer, TransferKind,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -202,17 +203,13 @@ impl Arena {
 /// flight time (service on the virtual link + any injected delay).
 #[derive(Clone, Debug)]
 struct TransferRecord {
-    /// Prefetch ticket (0 for synchronously serviced transfers). Retry
-    /// records share their parent's ticket so hint cancellation removes
-    /// the whole attempt group.
-    ticket: u64,
     epoch: usize,
     t: Transfer,
     flight_nanos: u64,
     prefetched: bool,
     /// `true` for a charged re-transfer attempt injected by the fault
-    /// plan: same bytes as the parent, but it must not advance or unwind
-    /// occurrence counters (the parent's fingerprint owns those).
+    /// plan: same bytes as the parent, but it must not advance occurrence
+    /// counters (the parent's fingerprint owns those).
     retry: bool,
 }
 
@@ -302,7 +299,6 @@ struct Shared {
     log: Mutex<EpochLog>,
     tickets: TicketBoard,
     progress: Vec<Progress>,
-    hints: Mutex<HashMap<FetchKey, u64>>,
     chain: Mutex<Option<ChainState>>,
     panicked: Mutex<Option<String>>,
     copy: Mutex<CopyQueue>,
@@ -339,22 +335,10 @@ impl Shared {
 impl Shared {
     /// Append a transfer record under the single log lock (issue-epoch
     /// tagging is atomic with the epoch index read).
-    fn log_transfer(&self, ticket: u64, t: Transfer, flight: Duration, prefetched: bool) {
-        self.log_transfer_full(ticket, t, flight, prefetched, false)
-    }
-
-    fn log_transfer_full(
-        &self,
-        ticket: u64,
-        t: Transfer,
-        flight: Duration,
-        prefetched: bool,
-        retry: bool,
-    ) {
+    fn log_transfer(&self, t: Transfer, flight: Duration, prefetched: bool, retry: bool) {
         let mut log = self.log.plock();
         let epoch = log.epochs.len();
         log.records.push(TransferRecord {
-            ticket,
             epoch,
             t,
             flight_nanos: flight.as_nanos() as u64,
@@ -599,7 +583,6 @@ impl DeviceFabric {
                     cv: Condvar::new(),
                 })
                 .collect(),
-            hints: Mutex::new(HashMap::new()),
             chain: Mutex::new(None),
             panicked: Mutex::new(None),
             copy: Mutex::new(CopyQueue {
@@ -1050,10 +1033,10 @@ impl DeviceFabric {
             .unwrap_or(Duration::ZERO);
         let service = base + extra;
         let ticket = self.shared.alloc_ticket(service.is_zero());
-        self.shared.log_transfer(ticket, t, service, true);
+        self.shared.log_transfer(t, service, true, false);
         self.trace_transfer(&t, true, service);
         if let Some((plan, fp, occ)) = fault {
-            self.charge_fault_retries(ticket, &t, base, true, &plan, fp, occ);
+            self.charge_fault_retries(&t, base, true, &plan, fp, occ);
         }
         if !service.is_zero() {
             let gen = self.shared.tickets.state.plock().gen;
@@ -1081,10 +1064,10 @@ impl DeviceFabric {
             .map(|(plan, fp, occ)| fault_flight(plan, *fp, *occ, base))
             .unwrap_or(Duration::ZERO);
         let service = base + extra;
-        self.shared.log_transfer(0, t, service, false);
+        self.shared.log_transfer(t, service, false, false);
         self.trace_transfer(&t, false, service);
         if let Some((plan, fp, occ)) = fault {
-            self.charge_fault_retries(0, &t, base, false, &plan, fp, occ);
+            self.charge_fault_retries(&t, base, false, &plan, fp, occ);
         }
         if !service.is_zero() {
             virtual_wait(service);
@@ -1092,32 +1075,30 @@ impl DeviceFabric {
         }
     }
 
-    /// Issue one transfer of a plan under the fabric's discipline:
-    /// prefetched on a pipelined fabric, its ticket filed under the
-    /// destination device in `tickets` for that device's consuming job to
-    /// wait on; recorded and serviced inline on a synchronous one.
-    pub fn issue(&self, t: Transfer, tickets: &mut [Vec<u64>]) {
+    /// Issue one transfer under the fabric's discipline and return the
+    /// ticket its consuming job waits on: prefetched on a pipelined fabric,
+    /// recorded and serviced inline on a synchronous one (ticket 0, already
+    /// complete). The one transfer-issue call of the batched kernels and of
+    /// the plan executors.
+    pub fn issue(&self, t: Transfer) -> u64 {
         match self.shared.mode {
-            PipelineMode::Pipelined => {
-                let ticket = self.prefetch_transfer(t);
-                if ticket != 0 {
-                    tickets[t.dst].push(ticket);
-                }
+            PipelineMode::Pipelined => self.prefetch_transfer(t),
+            PipelineMode::Synchronous => {
+                self.record_transfer(t);
+                0
             }
-            PipelineMode::Synchronous => self.record_transfer(t),
         }
     }
 
     /// Charge the fault plan's consequences for one issued transfer: one
-    /// extra [`TransferRecord`] per failed attempt (same bytes, same
-    /// parent ticket — the re-transfer traffic the accounts and
+    /// extra [`TransferRecord`] per failed attempt (same bytes as the
+    /// parent — the re-transfer traffic the accounts and
     /// `predicted_fault_traffic` both count), a fault instant per injected
     /// event, and the retry/fault counters. The landing checksum of the
     /// synthetic payload is exercised in debug builds: a corrupted
     /// attempt must be *detectable* and the final attempt must verify.
     fn charge_fault_retries(
         &self,
-        ticket: u64,
         t: &Transfer,
         base: Duration,
         prefetched: bool,
@@ -1139,8 +1120,7 @@ impl DeviceFabric {
                     "corrupted landing must fail its checksum"
                 );
             }
-            self.shared
-                .log_transfer_full(ticket, *t, base, prefetched, true);
+            self.shared.log_transfer(*t, base, prefetched, true);
             self.note_fault(kind, t, attempt);
             self.trace_retry(t, attempt, base);
         }
@@ -1236,82 +1216,6 @@ impl DeviceFabric {
             .map(|h| h(t))
             .unwrap_or(Duration::ZERO);
         base + extra
-    }
-
-    /// Early prefetch of a keyed `Ω`/`Ψ` fetch descriptor: starts the copy
-    /// now, charges the destination's *standby* arena bank (it is the next
-    /// level's workspace), and parks the ticket for a later
-    /// [`DeviceFabric::claim_or_fetch`] with the same key.
-    pub fn hint_prefetch(&self, key: FetchKey, t: Transfer) {
-        let ticket = self.prefetch_transfer(t);
-        {
-            let mut a = self.shared.arenas[t.dst].plock();
-            a.ahead += t.bytes as usize;
-            a.allocated_total += t.bytes as usize;
-            a.bump_peaks();
-        }
-        self.shared.hints.plock().insert(key, ticket);
-    }
-
-    /// Claim a hinted prefetch (already recorded and arena-charged), or
-    /// issue a fresh one on a miss.
-    pub fn claim_or_fetch(&self, key: FetchKey, t: Transfer) -> u64 {
-        if let Some(ticket) = self.shared.hints.plock().remove(&key) {
-            return ticket;
-        }
-        let ticket = self.prefetch_transfer(t);
-        self.arena_charge(t.dst, t.bytes as usize);
-        ticket
-    }
-
-    /// Drop unclaimed hints of one stream, removing their transfer records
-    /// (and best-effort un-charging the standby banks) so a stale hint
-    /// never double-counts bytes against the plan.
-    pub fn cancel_hints(&self, stream: u8) {
-        let stale: Vec<(FetchKey, u64)> = {
-            let mut hints = self.shared.hints.plock();
-            let keys: Vec<FetchKey> = hints
-                .keys()
-                .filter(|k| k.stream == stream)
-                .copied()
-                .collect();
-            keys.into_iter()
-                .map(|k| {
-                    let t = hints.remove(&k).unwrap();
-                    (k, t)
-                })
-                .collect()
-        };
-        if stale.is_empty() {
-            return;
-        }
-        let tickets: Vec<u64> = stale.iter().map(|&(_, t)| t).collect();
-        let mut removed_fps = Vec::new();
-        {
-            let mut log = self.shared.log.plock();
-            log.records.retain(|r| {
-                let keep = r.ticket == 0 || !tickets.contains(&r.ticket);
-                if !keep && !r.retry {
-                    removed_fps.push(r.t.fingerprint());
-                }
-                keep
-            });
-        }
-        // A canceled hint never happened as far as the plan's fault replay
-        // is concerned: rewind its fingerprint's occurrence counter (retry
-        // records rode the parent's draw, so only the parent rewinds) so a
-        // later re-issue of the same transfer replays the same fault
-        // decision the replay predicts for it.
-        if !removed_fps.is_empty() && self.shared.faulty.load(Ordering::Relaxed) {
-            let mut fs = self.shared.fault.plock();
-            for fp in removed_fps {
-                fs.occ.unwind(fp);
-            }
-        }
-        for (k, _) in &stale {
-            let mut a = self.shared.arenas[k.dst].plock();
-            a.ahead = a.ahead.saturating_sub(k.bytes as usize);
-        }
     }
 
     pub fn record_flops(&self, dev: usize, flops: f64) {
@@ -1556,7 +1460,6 @@ impl DeviceFabric {
             st.done.clear();
             st.inflight = 0;
         }
-        self.shared.hints.plock().clear();
         {
             // Accounting-scope fault state restarts with the run (the plan
             // and ticket deadline are configuration and survive, like the
@@ -1604,10 +1507,6 @@ impl ShardDispatch for DeviceFabric {
         self.run_jobs(jobs)
     }
 
-    fn push_transfer(&self, t: Transfer) {
-        self.record_transfer(t)
-    }
-
     fn add_flops(&self, dev: usize, flops: f64) {
         self.record_flops(dev, flops)
     }
@@ -1624,6 +1523,10 @@ impl ShardDispatch for DeviceFabric {
         self.arena_charge(dev, bytes)
     }
 
+    fn arena_alloc_ahead(&self, dev: usize, bytes: usize) {
+        self.arena_charge_ahead(dev, bytes)
+    }
+
     fn epoch(&self, label: &str) {
         self.close_epoch(label)
     }
@@ -1636,8 +1539,8 @@ impl ShardDispatch for DeviceFabric {
         DeviceFabric::wire(self)
     }
 
-    fn prefetch(&self, t: Transfer) -> u64 {
-        self.prefetch_transfer(t)
+    fn issue(&self, t: Transfer) -> u64 {
+        DeviceFabric::issue(self, t)
     }
 
     unsafe fn enqueue<'a>(&self, dev: usize, deps: &[u64], job: ShardJob<'a>) -> u64 {
@@ -1655,18 +1558,6 @@ impl ShardDispatch for DeviceFabric {
 
     fn chain_end(&self) {
         DeviceFabric::chain_end(self)
-    }
-
-    fn hint_prefetch(&self, key: FetchKey, t: Transfer) {
-        DeviceFabric::hint_prefetch(self, key, t)
-    }
-
-    fn claim_or_fetch(&self, key: FetchKey, t: Transfer) -> u64 {
-        DeviceFabric::claim_or_fetch(self, key, t)
-    }
-
-    fn cancel_hints(&self, stream: u8) {
-        DeviceFabric::cancel_hints(self, stream)
     }
 
     fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
@@ -2191,49 +2082,44 @@ mod tests {
     }
 
     #[test]
-    fn hint_claim_and_cancel_keep_byte_totals_exact() {
+    fn fetch_issued_ahead_is_recorded_once_on_the_standby_bank_and_gates_its_job() {
+        use h2_runtime::{bsr_gemm, issue_bsr_fetches, BsrBlock, BsrPattern, Runtime, VarBatch};
         let fabric = DeviceFabric::pipelined(2);
-        let key = FetchKey {
-            stream: 0,
-            dst: 1,
-            partner: 3,
-            bytes: 256,
-        };
-        let t = Transfer {
-            src: 0,
-            dst: 1,
-            bytes: 256,
-            kind: TransferKind::OmegaFetch,
-            prec: Precision::F64,
-        };
-        fabric.hint_prefetch(key, t);
-        // Claim consumes the hint without recording a second transfer.
-        let ticket = fabric.claim_or_fetch(key, t);
-        assert_ne!(ticket, 0);
-        fabric.record_flops(0, 1.0);
-        let rep = fabric.report("tail");
-        assert_eq!(rep.total_comm_bytes(), 256, "claimed hint counts once");
-        // A stale hint is cancelled and leaves no bytes behind.
-        fabric.reset();
-        fabric.hint_prefetch(
-            FetchKey {
-                stream: 1,
-                dst: 0,
-                partner: 0,
-                bytes: 64,
-            },
-            Transfer {
-                src: 1,
-                dst: 0,
-                bytes: 64,
-                kind: TransferKind::OmegaFetch,
-                prec: Precision::F64,
-            },
+        fabric.set_transfer_delay(Some(Arc::new(|_| Duration::from_millis(20))));
+        let rt = Runtime::sharded(fabric.clone());
+        // Two BSR rows, one per device, both reading partner 0: device 1
+        // fetches it from device 0, device 0 reads its own.
+        let pattern = BsrPattern::from_rows(&[vec![0], vec![0]]);
+        let tickets = issue_bsr_fetches(fabric.as_ref(), &pattern, &[4, 4], 3, true);
+        assert!(tickets[0].is_empty());
+        assert_eq!(tickets[1].len(), 1);
+        fabric.close_epoch("issue");
+
+        let eye = h2_dense::Mat::eye(4);
+        let blocks = vec![BsrBlock::plain(&eye); 2];
+        let mut x = VarBatch::zeros_uniform_cols(vec![4, 4], 3);
+        x.for_each_mut(false, |i, mut m| m.fill(1.0 + i as f64));
+        let mut y = VarBatch::zeros_uniform_cols(vec![4, 4], 3);
+        bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, 1.0, Some(tickets));
+        assert_eq!(y.to_mat(1), x.to_mat(0));
+        let rep = fabric.report("consume");
+
+        // Recorded once, by the issue, in the issuing epoch.
+        let bytes = 4 * 3 * 8;
+        assert_eq!(rep.transfers.len(), 1);
+        let (epoch, t, retry) = rep.transfers[0];
+        assert_eq!(
+            (epoch, t.src, t.dst, t.bytes, retry),
+            (0, 0, 1, bytes, false)
         );
-        fabric.cancel_hints(1);
-        fabric.record_flops(0, 1.0);
-        let rep = fabric.report("tail");
-        assert_eq!(rep.total_comm_bytes(), 0, "cancelled hint leaves nothing");
+        // Charged to the standby bank: it rotates into the consuming
+        // epoch's workspace, which the consuming call adds nothing to.
+        assert_eq!(rep.epochs[0].per_device[1].arena_peak, bytes as usize);
+        assert_eq!(rep.epochs[1].per_device[1].arena_peak, bytes as usize);
+        assert_eq!(rep.epochs[1].per_device[0].arena_peak, 0);
+        // The consuming job on device 1 waited for the delayed copy.
+        assert!(rep.epochs[1].per_device[1].stall >= Duration::from_millis(10));
+        assert_eq!(rep.epochs[1].per_device[0].stall, Duration::ZERO);
     }
 
     #[test]
@@ -2283,12 +2169,7 @@ mod tests {
                 kind: TransferKind::OmegaFetch,
                 prec: Precision::F64,
             };
-            match fabric.mode() {
-                PipelineMode::Synchronous => fabric.record_transfer(t),
-                PipelineMode::Pipelined => {
-                    fabric.prefetch_transfer(t);
-                }
-            }
+            fabric.issue(t);
             fabric.close_epoch("lvl");
             fabric.report("tail").modeled_makespan(&model)
         };

@@ -91,16 +91,20 @@
 //!    scope. Everything a chained job borrows must outlive `chain_end`, and
 //!    host code inside a scope may plan from shapes but never read
 //!    job-written data.
-//! 3. **Asynchronous prefetch stage** — transfers are issued as
-//!    descriptors on a virtual copy engine ([`DeviceFabric::prefetch_transfer`])
-//!    and compute jobs are gated on completion tickets; the construction
-//!    level loop *hints* the next level's `Ω_b`/`Ψ_b` fetches as soon as
-//!    the current level's IDs fix the block sizes, so the copies run behind
-//!    `batchedGen`/upsweep compute. Synchronous mode services the same
-//!    descriptors inline (exposed).
-//! 4. **Double-buffered arenas** — prefetch-stage charges land in a standby
-//!    bank that rotates in at the epoch boundary, modeling level *l+1*'s
-//!    workspace being marshaled while level *l*'s is still live.
+//! 3. **Asynchronous prefetch stage** — every kernel and plan executor
+//!    issues its transfers through one call, [`DeviceFabric::issue`]: a
+//!    pipelined fabric starts the copy on a virtual copy engine and returns
+//!    a ticket the consuming jobs are gated on, a synchronous one services
+//!    the same descriptor inline (exposed) and returns the completed ticket
+//!    0. The construction engine issues the next level's `Ω_b`/`Ψ_b`
+//!    fetches ([`h2_runtime::issue_bsr_fetches`]) as soon as the current
+//!    level's IDs fix the block sizes and hands their tickets to that
+//!    level's `batchedBSRGemm`, so the copies run behind
+//!    `batchedGen`/upsweep compute.
+//! 4. **Double-buffered arenas** — fetches the engine issues for the next
+//!    level land in a standby bank that rotates in at the epoch boundary,
+//!    modeling level *l+1*'s workspace being marshaled while level *l*'s is
+//!    still live.
 //!
 //! Accounting is **issue-epoch tagged** (transfers and flops are charged to
 //! the epoch that issued them, under a single lock), per-device stats grow

@@ -193,7 +193,7 @@ pub fn plan_matvec(
         let e = merged.as_mut().unwrap_or(&mut own);
         // Level workspace per device: outputs plus landed fetches.
         let mut ws = vec![0usize; devices];
-        let mut fetches = FetchPlanner::new(0, nl, nl, devices, wire);
+        let mut fetches = FetchPlanner::new(nl, nl, devices, wire);
         let mut any = false;
         for (local, s) in tree.level(l).enumerate() {
             if far_of[s].is_empty() {
@@ -215,7 +215,7 @@ pub fn plan_matvec(
         if !any {
             continue;
         }
-        for (_, fetch) in fetches.into_plan() {
+        for fetch in fetches.into_plan() {
             ws[fetch.dst] += fetch.bytes as usize;
             e.transfers.push((fetch, epochs.len()));
         }
@@ -374,7 +374,10 @@ pub fn shard_matvec(fabric: &DeviceFabric, h2: &H2Matrix, x: &Mat, transpose: bo
             fabric.arena_charge(dev, epoch.arena[dev]);
         }
         for &(t, gates) in &epoch.transfers {
-            fabric.issue(t, &mut tickets[gates]);
+            let ticket = fabric.issue(t);
+            if ticket != 0 {
+                tickets[gates][t.dst].push(ticket);
+            }
         }
         for &l in &epoch.levels {
             let first = tree.level(l).start;

@@ -322,7 +322,10 @@ pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
             fabric.arena_charge(dev, epoch.arena[dev]);
         }
         for &(t, gates) in &epoch.transfers {
-            fabric.issue(t, &mut tickets[gates]);
+            let ticket = fabric.issue(t);
+            if ticket != 0 {
+                tickets[gates][t.dst].push(ticket);
+            }
         }
         let l = epoch.levels[0];
         let first = tree.level(l).start;

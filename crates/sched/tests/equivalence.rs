@@ -255,7 +255,7 @@ fn executor_accounting_matches_simulator_unsym() {
 #[test]
 fn sharded_construct_executes_its_plan() {
     // N ≤ 1000 at leaf 16: η = 1.5 gives the strong partitions an inner
-    // processed level (stacking and hinted fetches); the weak one reaches
+    // processed level (stacking and fetches issued ahead); the weak one reaches
     // the two-node level, narrower than seven devices.
     // Each sampler is the assembled dense operator: one GEMM per product.
     let build = |n: usize, seed: u64, adm: Admissibility| {

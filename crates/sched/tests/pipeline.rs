@@ -11,10 +11,10 @@
 use h2_core::SketchConfig;
 use h2_dense::{gaussian_mat, Mat};
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
-use h2_runtime::DeviceModel;
+use h2_runtime::{bsr_gemm, BsrBlock, BsrPattern, DeviceModel, FetchPlanner, Runtime, VarBatch};
 use h2_sched::{
-    compare_with_simulator, shard_construct, shard_construct_unsym, shard_matvec, DeviceFabric,
-    ExecReport, TransferKind,
+    compare_with_simulator, shard_construct, shard_construct_unsym, shard_matvec, sharded_runtime,
+    DeviceFabric, ExecReport, LinkModel, PipelineMode, Precision, TransferKind,
 };
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
@@ -187,7 +187,10 @@ fn pipelined_zero_node_devices_are_harmless() {
     let sync = DeviceFabric::new(7);
     let (h2s, _, _) = shard_construct(&sync, &km, &km, tree.clone(), part.clone(), &cfg());
     let pipe = DeviceFabric::pipelined(7);
-    let (h2p, _, _) = shard_construct(&pipe, &km, &km, tree, part, &cfg());
+    let (h2p, stats, _) = shard_construct(&pipe, &km, &km, tree, part, &cfg());
+    // Adaptive rounds issue their own fetches after the level's first
+    // subtraction consumed the ones issued a level early.
+    assert!(stats.rounds > 0, "weak geometry must take a sampling round");
     assert_h2_identical(&h2s, &h2p, 450, 100);
     let x = gaussian_mat(450, 2, 101);
     assert_eq!(
@@ -280,4 +283,72 @@ fn pipelined_projection_beats_synchronous_when_comm_matters() {
         rep_s.total_comm_bytes() > 0,
         "test geometry must communicate at D=4"
     );
+}
+
+/// The sharded `batchedBSRGemm` on both disciplines, D ∈ {1, 2, 3, 7} and
+/// both wire widths: bit-identical to the sequential backend, and its
+/// transfer records are exactly [`FetchPlanner`]'s list, in its order.
+#[test]
+fn sharded_bsr_gemm_is_bit_identical_and_fetches_what_the_planner_lists() {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |m: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % m as u64) as usize
+    };
+    for case in 0..6u64 {
+        let n = 3 + next(10);
+        let d = 1 + next(4);
+        let sizes: Vec<usize> = (0..n).map(|_| 1 + next(6)).collect();
+        let adj: Vec<Vec<usize>> = (0..n)
+            .map(|_| {
+                let mut a: Vec<usize> = (0..next(n + 1)).map(|_| next(n)).collect();
+                a.sort_unstable();
+                a.dedup();
+                a
+            })
+            .collect();
+        let pattern = BsrPattern::from_rows(&adj);
+        let mats: Vec<Mat> = adj
+            .iter()
+            .enumerate()
+            .flat_map(|(r, a)| a.iter().map(move |&c| (r, c)))
+            .enumerate()
+            .map(|(k, (r, c))| gaussian_mat(sizes[r], sizes[c], case * 1000 + k as u64))
+            .collect();
+        let blocks: Vec<BsrBlock<'_>> = mats.iter().map(BsrBlock::plain).collect();
+        let mut x = VarBatch::zeros_uniform_cols(sizes.clone(), d);
+        for (i, &rows) in sizes.iter().enumerate() {
+            x.set(i, gaussian_mat(rows, d, case * 77 + i as u64).rf());
+        }
+        let run = |rt: &Runtime| {
+            let mut y = VarBatch::zeros_uniform_cols(sizes.clone(), d);
+            bsr_gemm(rt, &pattern, &blocks, &x, &mut y, -1.0, None);
+            (0..n).map(|i| y.to_mat(i)).collect::<Vec<Mat>>()
+        };
+        let want = run(&Runtime::sequential());
+        for devices in DEVICE_COUNTS {
+            for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
+                for wire in [Precision::F64, Precision::F32] {
+                    let fabric = DeviceFabric::with_config(devices, mode, LinkModel::default());
+                    fabric.set_wire(wire);
+                    let got = run(&sharded_runtime(&fabric));
+                    assert_eq!(got, want, "case {case}: D={devices} {mode:?} {wire:?}");
+                    let mut planner = FetchPlanner::new(n, n, devices, wire);
+                    for (r, a) in adj.iter().enumerate() {
+                        for &c in a {
+                            planner.visit(r, c, sizes[c], d);
+                        }
+                    }
+                    let listed: Vec<_> = planner
+                        .into_plan()
+                        .into_iter()
+                        .map(|t| (0, t, false))
+                        .collect();
+                    assert_eq!(fabric.report("bsr").transfers, listed);
+                }
+            }
+        }
+    }
 }

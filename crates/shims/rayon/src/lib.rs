@@ -20,6 +20,8 @@
 //! the typical H2 level workload) therefore no longer serialize behind the
 //! largest chunk.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::thread;
 
 /// Number of worker threads used for parallel execution (pool workers plus
