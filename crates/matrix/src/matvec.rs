@@ -29,19 +29,17 @@
 //!
 //! # Why the bits do not change
 //!
-//! The row-owned kernels [`ApplyPhases::coupling_node`] and
-//! [`ApplyPhases::leaf_node`] accumulate row `t` over its adjacency list in
-//! list order. That list is **strictly ascending** and the relation is
-//! symmetric (`h2_tree::Partition::validate` checks both; the argument
-//! depends on it), so row `t`'s order is: every partner `s < t` ascending,
-//! then every `t' ≥ t` ascending. The traversal reaches rows in ascending
-//! order, so row `t` receives its mirrored contributions from `s < t` in
-//! ascending `s` — each the very GEMM call the row-owned kernel makes, on an
+//! A row-by-row product accumulates row `t` over its adjacency list in list
+//! order. That list is **strictly ascending** and the relation is symmetric
+//! (`h2_tree::Partition::validate` checks both; the argument depends on
+//! it), so row `t`'s order is: every partner `s < t` ascending, then every
+//! `t' ≥ t` ascending. The traversal reaches rows in ascending order, so
+//! row `t` receives its mirrored contributions from `s < t` in ascending
+//! `s` — each the very GEMM call the row-by-row product makes, on an
 //! accumulator holding the very same partial sum — before its own turn adds
 //! `t' ≥ t` ascending. Same calls, same operands, same order: the result is
-//! bit-identical to the row-owned kernels, which stay as the form the
-//! device-sharded executor of `h2_sched` needs (a device owns rows) and as
-//! the oracle of `tests/apply_onepass.rs`.
+//! bit-identical to the row-by-row product, which `tests/apply_onepass.rs`
+//! keeps as its oracle.
 //!
 //! # Chunks
 //!
@@ -55,10 +53,11 @@
 //! one chunk is the plain sequential traversal.
 //!
 //! The per-node work of each pass is factored into [`ApplyPhases`] so that
-//! two executors can drive the same numerics: the in-process path below and
-//! the device-sharded executor of the `h2_sched` crate, which runs the
-//! row-owned phase kernels level by level over contiguous node chunks with
-//! explicit cross-device transfers.
+//! two executors drive the same numerics: the in-process path below and the
+//! device-sharded executor of the `h2_sched` crate. A device there owns a
+//! contiguous node chunk of each level and runs the same chunk kernel,
+//! [`ApplyPhases::traverse_chunk`], over it — so its product is
+//! bit-identical to this one whatever the device count.
 
 use crate::format::{BlockOp, BlockStore, H2Matrix, StoreLayout};
 use h2_dense::{gemm, gemm_mixed, Mat, MatMut, MatRef, Op};
@@ -68,7 +67,8 @@ use rayon::prelude::*;
 ///
 /// Holds the input/output basis resolution for a forward (`K x`) or
 /// transposed (`Kᵀ x`) product; each method is the body of one batched
-/// kernel of one pass, operating on a single node. The caller owns the
+/// kernel of one pass, operating on a single node or, for the coupling and
+/// near-field passes, on a contiguous chunk of rows. The caller owns the
 /// `x̂`/`ŷ` arrays and the scheduling (rayon, sequential, or sharded).
 pub struct ApplyPhases<'a> {
     h2: &'a H2Matrix,
@@ -152,27 +152,14 @@ impl<'a> ApplyPhases<'a> {
         Some(out)
     }
 
-    /// Coupling kernel for one node: `ŷ_s = Σ_t op(B_{s,t}) x̂_t` over the
-    /// far field of `s`. `None` when `s` has no admissible partners.
-    /// Rank-0 partners contribute nothing (zero-dimensional blocks).
-    pub fn coupling_node(&self, s: usize, xhat: &[Mat], d: usize) -> Option<Mat> {
+    /// The zeroed `ŷ_s` accumulator of the coupling pass: `k_s × d` when `s`
+    /// has admissible partners, empty otherwise.
+    pub fn coupling_acc(&self, s: usize, d: usize) -> Mat {
         if self.h2.partition.far_of[s].is_empty() {
-            return None;
+            Mat::zeros(0, 0)
+        } else {
+            Mat::zeros(self.out_basis[s].cols(), d)
         }
-        let ks = self.out_basis[s].cols();
-        let mut acc = Mat::zeros(ks, d);
-        for &t in &self.h2.partition.far_of[s] {
-            if ks == 0 || self.in_basis[t].cols() == 0 {
-                continue;
-            }
-            let blk = self
-                .h2
-                .coupling
-                .lookup_op(s, t, self.transpose)
-                .expect("coupling block");
-            accumulate(blk, xhat[t].rf(), acc.rm());
-        }
-        Some(acc)
     }
 
     /// Downsweep kernel for one child: its transfer slice applied to the
@@ -206,9 +193,10 @@ impl<'a> ApplyPhases<'a> {
         Some(out)
     }
 
-    /// `U_s ŷ_s`: the output rows of leaf `s` before any near-field block
-    /// lands on them (zero where the leaf carries no basis).
-    fn expand_leaf(&self, s: usize, yhat: &[Mat], d: usize) -> Mat {
+    /// Leaf expansion kernel: `U_s ŷ_s`, the output rows of leaf `s` before
+    /// any near-field block lands on them (zero where the leaf carries no
+    /// basis).
+    pub fn expand_leaf(&self, s: usize, yhat: &[Mat], d: usize) -> Mat {
         let mut out = Mat::zeros(self.h2.tree.nodes[s].len(), d);
         if yhat[s].rows() > 0 && self.out_basis[s].cols() > 0 {
             gemm(
@@ -222,26 +210,6 @@ impl<'a> ApplyPhases<'a> {
             );
         }
         out
-    }
-
-    /// Leaf kernel: the output rows owned by leaf `s` — basis expansion of
-    /// `ŷ_s` plus the dense near-field products. Returns
-    /// `(row_start, block)`; leaf row ranges are disjoint, so per-device
-    /// partial outputs assemble without reduction conflicts.
-    pub fn leaf_node(&self, s: usize, x: MatRef<'_>, yhat: &[Mat]) -> (usize, Mat) {
-        let tree = &self.h2.tree;
-        let d = x.cols();
-        let mut out = self.expand_leaf(s, yhat, d);
-        for &t in &self.h2.partition.near_of[s] {
-            let (tb, te) = tree.range(t);
-            let blk = self
-                .h2
-                .dense
-                .lookup_op(s, t, self.transpose)
-                .expect("dense block");
-            accumulate(blk, x.view(tb, 0, te - tb, d), out.rm());
-        }
-        (tree.range(s).0, out)
     }
 
     /// One traversal of the stored blocks of `store` (see the module docs):
@@ -269,10 +237,15 @@ impl<'a> ApplyPhases<'a> {
             .for_each(|(lo, rows)| self.traverse_chunk(store, adj, input, lo, rows));
     }
 
-    /// The rows `lo .. lo + acc.len()` of [`ApplyPhases::traverse`]. Rows and
-    /// inputs of rank 0 take part in nothing (zero-dimensional blocks, which
-    /// a store need not hold).
-    fn traverse_chunk<'x>(
+    /// The chunk kernel of the coupling and near-field passes: the rows
+    /// `lo .. lo + acc.len()` of one traversal of `store`'s stored blocks,
+    /// `acc[s - lo] += Σ_{t ∈ adj[s]} op(block(s, t)) · input(t)`, reading
+    /// each block with both rows in the chunk once (module docs). Every row
+    /// ends bit-identical to accumulating it over `adj[s]` in list order,
+    /// wherever the chunk starts and ends. Rows and inputs of rank 0 take
+    /// part in nothing (zero-dimensional blocks, which a store need not
+    /// hold).
+    pub fn traverse_chunk<'x>(
         &self,
         store: &BlockStore,
         adj: &[Vec<usize>],
@@ -386,15 +359,7 @@ impl H2Matrix {
 
         // ---- coupling products: ŷ_s = Σ_t op(B) x̂_t, by stored block ----
         let far_of = &self.partition.far_of;
-        let mut yhat: Vec<Mat> = (0..nnodes)
-            .map(|s| {
-                if far_of[s].is_empty() {
-                    Mat::zeros(0, 0)
-                } else {
-                    Mat::zeros(ph.out_basis[s].cols(), d)
-                }
-            })
-            .collect();
+        let mut yhat: Vec<Mat> = (0..nnodes).map(|s| ph.coupling_acc(s, d)).collect();
         ph.traverse(
             &self.coupling,
             far_of,

@@ -1,21 +1,57 @@
 //! The in-process H2 product visits every *stored* block once
 //! (`h2_matrix::matvec`, "One traversal of the stored blocks"). These tests
-//! hold it, bit for bit, to a reference assembled from the row-owned phase
-//! kernels of [`ApplyPhases`] — the form `h2_sched` executes — across the
-//! storage layouts, precisions and shapes the traversal branches on, and
-//! check that the row-chunk count leaves the bits alone.
+//! hold it, bit for bit, to a row-by-row reference — every output row
+//! accumulated over its own adjacency list — across the storage layouts,
+//! precisions and shapes the traversal branches on, and check that the
+//! row-chunk count leaves the bits alone.
 
-use h2_dense::{gaussian_mat, Mat, Precision};
+use h2_dense::{gaussian_mat, gemm, gemm_mixed, Mat, MatMut, MatRef, Op, Precision};
 use h2_kernels::{ExponentialKernel, KernelMatrix};
-use h2_matrix::{direct_construct, ApplyPhases, DirectConfig, H2Matrix, StoreLayout};
+use h2_matrix::{
+    direct_construct, ApplyPhases, BlockOp, BlockStore, DirectConfig, H2Matrix, StoreLayout,
+};
 use h2_tree::{grid_plane, uniform_cube, Admissibility, ClusterTree, Partition, Point};
 use std::sync::Arc;
 
 const WIDTHS: [usize; 3] = [1, 3, 64];
 const CHUNKS: [usize; 3] = [1, 2, 5];
 
+/// `acc += op(block) · input`, through the GEMM the product's storage
+/// precision selects.
+fn accumulate(blk: BlockOp<'_>, input: MatRef<'_>, acc: MatMut<'_>) {
+    let op = if blk.transposed {
+        Op::Trans
+    } else {
+        Op::NoTrans
+    };
+    match blk.mat32 {
+        Some(b32) => gemm_mixed(op, Op::NoTrans, 1.0, b32, input, 1.0, acc),
+        None => gemm(op, Op::NoTrans, 1.0, blk.mat.rf(), input, 1.0, acc),
+    }
+}
+
+/// Row `s` of one field, owned by its row: `acc += Σ_{t ∈ adj[s]}
+/// op(block(s, t)) · input(t)` in list order, skipping rank-0 rows and
+/// inputs.
+fn row<'x>(
+    store: &BlockStore,
+    adj: &[usize],
+    transpose: bool,
+    s: usize,
+    input: impl Fn(usize) -> MatRef<'x>,
+    acc: &mut Mat,
+) {
+    for &t in adj {
+        if acc.rows() == 0 || input(t).rows() == 0 {
+            continue;
+        }
+        let blk = store.lookup_op(s, t, transpose).expect("stored block");
+        accumulate(blk, input(t), acc.rm());
+    }
+}
+
 /// The three-pass product, row by row: every output row accumulates over
-/// its own `far_of` / `near_of` list through the row-owned kernels.
+/// its own `far_of` / `near_of` list.
 fn reference(h2: &H2Matrix, x: &Mat, transpose: bool) -> Mat {
     let ph: ApplyPhases<'_> = h2.apply_phases(transpose);
     let tree = &h2.tree;
@@ -26,11 +62,10 @@ fn reference(h2: &H2Matrix, x: &Mat, transpose: bool) -> Mat {
             xhat[id] = m;
         }
     }
-    let mut yhat = vec![Mat::zeros(0, 0); nnodes];
-    for (s, slot) in yhat.iter_mut().enumerate() {
-        if let Some(m) = ph.coupling_node(s, &xhat, d) {
-            *slot = m;
-        }
+    let mut yhat: Vec<Mat> = (0..nnodes).map(|s| ph.coupling_acc(s, d)).collect();
+    for (s, acc) in yhat.iter_mut().enumerate() {
+        let far = &h2.partition.far_of[s];
+        row(&h2.coupling, far, transpose, s, |t| xhat[t].rf(), acc);
     }
     for child in 1..nnodes {
         if let Some(m) = ph.downsweep_child(child, &yhat, d) {
@@ -43,8 +78,15 @@ fn reference(h2: &H2Matrix, x: &Mat, transpose: bool) -> Mat {
     }
     let mut y = Mat::zeros(h2.n(), d);
     for s in tree.level(tree.leaf_level()) {
-        let (b, m) = ph.leaf_node(s, x.rf(), &yhat);
-        y.view_mut(b, 0, m.rows(), d).copy_from(m.rf());
+        let mut acc = ph.expand_leaf(s, &yhat, d);
+        let rows_of = |t: usize| {
+            let (b, e) = tree.range(t);
+            x.view(b, 0, e - b, d)
+        };
+        let near = &h2.partition.near_of[s];
+        row(&h2.dense, near, transpose, s, rows_of, &mut acc);
+        y.view_mut(tree.range(s).0, 0, acc.rows(), d)
+            .copy_from(acc.rf());
     }
     y
 }

@@ -57,8 +57,11 @@
 use h2_fault::{FabricError, FaultKind, FaultPlan, OccurrenceMap};
 use h2_obs::{ArgValue, Tracer};
 use h2_runtime::{
-    DeviceModel, PipelineMode, Precision, ShardDispatch, ShardJob, Transfer, TransferKind,
+    chunk_bounds, DeviceModel, PipelineMode, Precision, Schedule, ScheduleEpoch, ShardDispatch,
+    ShardJob, Transfer, TransferKind,
 };
+use h2_tree::ClusterTree;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -131,7 +134,8 @@ impl LinkModel {
 /// completion order through this hook).
 pub type TransferDelay = Arc<dyn Fn(&Transfer) -> Duration + Send + Sync>;
 
-/// Snapshot of one device's counters over one epoch.
+/// Snapshot of one device's counters over one epoch. The four durations
+/// tile the epoch span exactly: `busy + stall + overlapped + idle == span`.
 #[derive(Clone, Debug, Default)]
 pub struct DeviceEpochStats {
     /// Modeled batched-kernel flops (the `h2_runtime::multidev::cost`
@@ -330,9 +334,7 @@ impl Shared {
         }
         self.tracer.plock().clone()
     }
-}
 
-impl Shared {
     /// Append a transfer record under the single log lock (issue-epoch
     /// tagging is atomic with the epoch index read).
     fn log_transfer(&self, t: Transfer, flight: Duration, prefetched: bool, retry: bool) {
@@ -752,16 +754,23 @@ impl DeviceFabric {
     /// [`DeviceFabric::reset`] (counters and routing do not).
     pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
         let on = plan.as_ref().is_some_and(|p| p.is_active());
-        {
-            let mut fs = self.shared.fault.plock();
-            fs.plan = plan;
-            fs.occ.clear();
-            fs.route = (0..self.shared.devices).collect();
-            fs.error = None;
-            fs.counters = FaultCounters::default();
-        }
-        self.shared.reshard.store(0, Ordering::SeqCst);
+        self.shared.fault.plock().plan = plan;
+        self.restart_faults();
         self.shared.faulty.store(on, Ordering::Relaxed);
+    }
+
+    /// Restart the accounting-scope fault state — occurrence counters,
+    /// routing, first error, event counters and the reshard version — so
+    /// the next run replays the identical fault sequence from occurrence
+    /// zero.
+    fn restart_faults(&self) {
+        let mut fs = self.shared.fault.plock();
+        fs.occ.clear();
+        fs.route = (0..self.shared.devices).collect();
+        fs.error = None;
+        fs.counters = FaultCounters::default();
+        drop(fs);
+        self.shared.reshard.store(0, Ordering::SeqCst);
     }
 
     /// The installed fault plan, if any.
@@ -974,6 +983,14 @@ impl DeviceFabric {
     /// The unconditional barrier behind [`DeviceFabric::flush`] /
     /// [`DeviceFabric::chain_end`].
     fn barrier(&self) {
+        self.wait_idle();
+        if let Some(msg) = self.shared.panicked.plock().take() {
+            panic!("a device job panicked on its worker thread: {msg}");
+        }
+    }
+
+    /// Wait until every enqueued job has run.
+    fn wait_idle(&self) {
         let tracer = self.shared.tracer();
         let _span = tracer.as_ref().map(|t| t.span("fabric", "flush"));
         for (dev, w) in self.workers.iter().enumerate() {
@@ -985,9 +1002,6 @@ impl DeviceFabric {
                     .wait(done)
                     .unwrap_or_else(|e| e.into_inner());
             }
-        }
-        if let Some(msg) = self.shared.panicked.plock().take() {
-            panic!("a device job panicked on its worker thread: {msg}");
         }
     }
 
@@ -1019,25 +1033,73 @@ impl DeviceFabric {
         self.barrier();
     }
 
-    /// Issue a transfer as an asynchronous prefetch on the virtual copy
-    /// engine and return its completion ticket. The record is tagged with
-    /// the issuing epoch; the flight time is the link service time plus
-    /// any injected delay, widened by the fault plan's detection and
-    /// backoff latencies when the plan fails attempts of this transfer.
-    pub fn prefetch_transfer(&self, t: Transfer) -> u64 {
-        let base = self.service_time(&t);
-        let fault = self.shared.begin_fault(&t);
-        let extra = fault
-            .as_ref()
-            .map(|(plan, fp, occ)| fault_flight(plan, *fp, *occ, base))
-            .unwrap_or(Duration::ZERO);
-        let service = base + extra;
-        let ticket = self.shared.alloc_ticket(service.is_zero());
-        self.shared.log_transfer(t, service, true, false);
-        self.trace_transfer(&t, true, service);
-        if let Some((plan, fp, occ)) = fault {
-            self.charge_fault_retries(&t, base, true, &plan, fp, occ);
+    /// Run `plan`, the one executor of the sharded matvec and ULV sweep. Per
+    /// epoch: charge each device the plan's counts, issue its transfers
+    /// (each ticket filed under the epoch and device it gates), then per
+    /// listed level enqueue `job(kernel, ids)` on every device with a
+    /// non-empty [`chunk_bounds`] chunk `ids` of the level's node ids,
+    /// gated on its tickets, and flush; close the epoch. Consecutive epochs
+    /// where `chained` holds share one chain scope
+    /// ([`DeviceFabric::chain_begin`]). Every job has run on return.
+    pub(crate) fn execute<F>(
+        &self,
+        plan: &Schedule,
+        tree: &ClusterTree,
+        chained: impl Fn(&ScheduleEpoch) -> bool,
+        job: F,
+    ) where
+        F: Fn(&'static str, Range<usize>) + Sync,
+    {
+        let devices = self.shared.devices;
+        assert_eq!(plan.devices, devices, "execute: plan for another width");
+        let _settle = Settle(self);
+        let job = &job;
+        let mut tickets = vec![vec![Vec::new(); devices]; plan.epochs.len()];
+        for (i, epoch) in plan.epochs.iter().enumerate() {
+            for dev in 0..devices {
+                self.record_flops(dev, epoch.flops[dev]);
+                self.record_gen_entries(dev, epoch.entries[dev]);
+                self.record_launches(dev, epoch.launches[dev]);
+                self.arena_charge(dev, epoch.arena[dev]);
+            }
+            for &(t, gates) in &epoch.transfers {
+                let ticket = self.issue(t);
+                if ticket != 0 {
+                    tickets[gates][t.dst].push(ticket);
+                }
+            }
+            let chain = chained(epoch);
+            if chain && !(i > 0 && chained(&plan.epochs[i - 1])) {
+                self.chain_begin();
+            }
+            for &l in &epoch.levels {
+                let first = tree.level(l).start;
+                let bounds = chunk_bounds(tree.level_len(l), devices);
+                for (dev, gate) in tickets[i].iter().enumerate() {
+                    let ids = first + bounds[dev]..first + bounds[dev + 1];
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    // SAFETY: the job borrows `job` and `plan`, which
+                    // outlive this call, and has run before it returns: at
+                    // the flush below, at the scope's `chain_end`, or in
+                    // `Settle::drop` if the host unwinds.
+                    unsafe { self.enqueue(dev, gate, Box::new(move || job(epoch.kernel, ids))) };
+                }
+                self.flush();
+            }
+            if chain && !plan.epochs.get(i + 1).is_some_and(&chained) {
+                self.chain_end();
+            }
+            self.close_epoch(&epoch.label);
         }
+    }
+
+    /// Issue a transfer as an asynchronous prefetch on the virtual copy
+    /// engine and return its completion ticket.
+    pub fn prefetch_transfer(&self, t: Transfer) -> u64 {
+        let service = self.log_issued(t, true);
+        let ticket = self.shared.alloc_ticket(service.is_zero());
         if !service.is_zero() {
             let gen = self.shared.tickets.state.plock().gen;
             let deadline = Instant::now() + service;
@@ -1053,10 +1115,22 @@ impl DeviceFabric {
 
     /// Record a cross-device transfer on the explicit queue and service it
     /// inline (synchronous semantics: the copy is exposed; the wait is
-    /// charged to the destination device as stall). Fault-plan detection
-    /// and backoff latencies extend the exposed wait the same way they
-    /// extend a prefetch's flight.
+    /// charged to the destination device as stall).
     pub fn record_transfer(&self, t: Transfer) {
+        let service = self.log_issued(t, false);
+        if !service.is_zero() {
+            virtual_wait(service);
+            self.shared.accounts[t.dst].plock().stall_nanos += service.as_nanos() as u64;
+        }
+    }
+
+    /// Log one issued transfer under the issuing epoch — with the fault
+    /// plan's charged retries and the trace instants — and return its
+    /// flight time: the link service time plus any injected delay, widened
+    /// by the fault plan's detection and backoff latencies when the plan
+    /// fails attempts of this transfer (a prefetch flies that long, an
+    /// inline copy exposes it).
+    fn log_issued(&self, t: Transfer, prefetched: bool) -> Duration {
         let base = self.service_time(&t);
         let fault = self.shared.begin_fault(&t);
         let extra = fault
@@ -1064,22 +1138,20 @@ impl DeviceFabric {
             .map(|(plan, fp, occ)| fault_flight(plan, *fp, *occ, base))
             .unwrap_or(Duration::ZERO);
         let service = base + extra;
-        self.shared.log_transfer(t, service, false, false);
-        self.trace_transfer(&t, false, service);
+        self.shared.log_transfer(t, service, prefetched, false);
+        let stage = if prefetched { "prefetch" } else { "inline" };
+        self.trace_transfer(&t, stage, service, None);
         if let Some((plan, fp, occ)) = fault {
-            self.charge_fault_retries(&t, base, false, &plan, fp, occ);
+            self.charge_fault_retries(&t, base, prefetched, &plan, fp, occ);
         }
-        if !service.is_zero() {
-            virtual_wait(service);
-            self.shared.accounts[t.dst].plock().stall_nanos += service.as_nanos() as u64;
-        }
+        service
     }
 
     /// Issue one transfer under the fabric's discipline and return the
     /// ticket its consuming job waits on: prefetched on a pipelined fabric,
     /// recorded and serviced inline on a synchronous one (ticket 0, already
     /// complete). The one transfer-issue call of the batched kernels and of
-    /// the plan executors.
+    /// the plan executor (`DeviceFabric::execute`).
     pub fn issue(&self, t: Transfer) -> u64 {
         match self.shared.mode {
             PipelineMode::Pipelined => self.prefetch_transfer(t),
@@ -1122,7 +1194,7 @@ impl DeviceFabric {
             }
             self.shared.log_transfer(*t, base, prefetched, true);
             self.note_fault(kind, t, attempt);
-            self.trace_retry(t, attempt, base);
+            self.trace_transfer(t, "retry", base, Some(attempt + 1));
         }
         debug_assert!(
             h2_fault::verify_landing(fp, false),
@@ -1151,58 +1223,32 @@ impl DeviceFabric {
         }
     }
 
-    /// Emit one re-transfer instant (category `transfer`, like every
-    /// charged copy, so trace byte reconciliation keeps summing to the
-    /// counter — distinguished by `stage: "retry"`).
-    fn trace_retry(&self, t: &Transfer, attempt: u32, service: Duration) {
-        if let Some(tracer) = self.shared.tracer() {
-            tracer.instant_on_device(
-                "transfer",
-                t.kind.name(),
-                t.dst,
-                vec![
-                    ("bytes", ArgValue::U64(t.bytes)),
-                    ("src", ArgValue::U64(t.src as u64)),
-                    (
-                        "prec",
-                        ArgValue::Str(match t.prec {
-                            Precision::F64 => "f64",
-                            Precision::F32 => "f32",
-                        }),
-                    ),
-                    ("stage", ArgValue::Str("retry")),
-                    ("flight_ns", ArgValue::U64(service.as_nanos() as u64)),
-                    ("retry", ArgValue::U64(attempt as u64 + 1)),
-                ],
-            );
-        }
-    }
-
     /// Emit one transfer instant on the destination device's track (no-op
-    /// without a tracer).
-    fn trace_transfer(&self, t: &Transfer, prefetched: bool, service: Duration) {
+    /// without a tracer). A charged re-transfer attempt is one too
+    /// (category `transfer`, like every charged copy, so trace byte
+    /// reconciliation keeps summing to the counter), distinguished by
+    /// `stage: "retry"` and its `retry` number.
+    fn trace_transfer(
+        &self,
+        t: &Transfer,
+        stage: &'static str,
+        flight: Duration,
+        retry: Option<u32>,
+    ) {
         if let Some(tracer) = self.shared.tracer() {
-            tracer.instant_on_device(
-                "transfer",
-                t.kind.name(),
-                t.dst,
-                vec![
-                    ("bytes", ArgValue::U64(t.bytes)),
-                    ("src", ArgValue::U64(t.src as u64)),
-                    (
-                        "prec",
-                        ArgValue::Str(match t.prec {
-                            Precision::F64 => "f64",
-                            Precision::F32 => "f32",
-                        }),
-                    ),
-                    (
-                        "stage",
-                        ArgValue::Str(if prefetched { "prefetch" } else { "inline" }),
-                    ),
-                    ("flight_ns", ArgValue::U64(service.as_nanos() as u64)),
-                ],
-            );
+            let prec = match t.prec {
+                Precision::F64 => "f64",
+                Precision::F32 => "f32",
+            };
+            let mut args = vec![
+                ("bytes", ArgValue::U64(t.bytes)),
+                ("src", ArgValue::U64(t.src as u64)),
+                ("prec", ArgValue::Str(prec)),
+                ("stage", ArgValue::Str(stage)),
+                ("flight_ns", ArgValue::U64(flight.as_nanos() as u64)),
+            ];
+            args.extend(retry.map(|r| ("retry", ArgValue::U64(r as u64))));
+            tracer.instant_on_device("transfer", t.kind.name(), t.dst, args);
         }
     }
 
@@ -1218,15 +1264,15 @@ impl DeviceFabric {
         base + extra
     }
 
-    pub fn record_flops(&self, dev: usize, flops: f64) {
+    fn record_flops(&self, dev: usize, flops: f64) {
         self.shared.accounts[dev].plock().flops += flops;
     }
 
-    pub fn record_gen_entries(&self, dev: usize, entries: f64) {
+    fn record_gen_entries(&self, dev: usize, entries: f64) {
         self.shared.accounts[dev].plock().gen_entries += entries;
     }
 
-    pub fn record_launches(&self, dev: usize, n: usize) {
+    fn record_launches(&self, dev: usize, n: usize) {
         self.shared.accounts[dev].plock().launches += n;
     }
 
@@ -1261,7 +1307,7 @@ impl DeviceFabric {
     /// elapsed. Hidden communication (`overlapped`) is the prefetch flight
     /// time that did not expose as a stall, clipped to the device's
     /// non-working remainder so the tiling is an identity, not a bound.
-    pub fn close_epoch(&self, label: &str) {
+    fn close_epoch(&self, label: &str) {
         let mut log = self.shared.log.plock();
         let idx = log.epochs.len();
         let window = log.window_start.elapsed();
@@ -1460,23 +1506,27 @@ impl DeviceFabric {
             st.done.clear();
             st.inflight = 0;
         }
-        {
-            // Accounting-scope fault state restarts with the run (the plan
-            // and ticket deadline are configuration and survive, like the
-            // wire precision), so the next run replays the identical fault
-            // sequence from occurrence zero.
-            let mut fs = self.shared.fault.plock();
-            fs.occ.clear();
-            fs.route = (0..self.shared.devices).collect();
-            fs.error = None;
-            fs.counters = FaultCounters::default();
-        }
-        self.shared.reshard.store(0, Ordering::SeqCst);
+        // The fault plan and ticket deadline are configuration and survive,
+        // like the wire precision.
+        self.restart_faults();
         let mut log = self.shared.log.plock();
         log.epochs.clear();
         log.records.clear();
         log.window_start = Instant::now();
         log.run_start = log.window_start;
+    }
+}
+
+/// Waits out every queued job when the host unwinds out of
+/// [`DeviceFabric::execute`], so no job outlives the borrows it holds.
+struct Settle<'f>(&'f DeviceFabric);
+
+impl Drop for Settle<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            *self.0.shared.chain.plock() = None;
+            self.0.wait_idle();
+        }
     }
 }
 
@@ -2120,6 +2170,72 @@ mod tests {
         // The consuming job on device 1 waited for the delayed copy.
         assert!(rep.epochs[1].per_device[1].stall >= Duration::from_millis(10));
         assert_eq!(rep.epochs[1].per_device[0].stall, Duration::ZERO);
+    }
+
+    #[test]
+    fn execute_routes_each_ticket_to_the_epoch_and_device_it_gates() {
+        const DELAY: Duration = Duration::from_millis(40);
+        let fabric = DeviceFabric::pipelined(2);
+        fabric.set_transfer_delay(Some(Arc::new(|_| DELAY)));
+        let tree = ClusterTree::build(&h2_tree::uniform_cube(64, 1), 16);
+        let (l, nl) = (tree.leaf_level(), tree.level_len(tree.leaf_level()));
+        // Epoch 0 issues a copy to device 1 that only epoch 1 reads.
+        let t = Transfer {
+            src: 0,
+            dst: 1,
+            bytes: 256,
+            kind: TransferKind::ChildGather,
+            prec: Precision::F64,
+        };
+        let mut epochs = vec![
+            ScheduleEpoch::blank("produce", "e0", 2),
+            ScheduleEpoch::blank("consume", "e1", 2),
+        ];
+        epochs[0].transfers.push((t, 1));
+        for e in &mut epochs {
+            e.run_level(l, nl);
+        }
+        let plan = Schedule {
+            devices: 2,
+            mode: PipelineMode::Pipelined,
+            wire: Precision::F64,
+            epochs,
+        };
+        let on_dev1 = tree.level(l).start + chunk_bounds(nl, 2)[1];
+        let started = Mutex::new(Vec::new());
+        let t0 = Instant::now();
+        fabric.execute(
+            &plan,
+            &tree,
+            |_| false,
+            |kernel, ids| {
+                started.plock().push((kernel, ids.start, t0.elapsed()));
+            },
+        );
+        let rep = fabric.report("tail");
+
+        let started = started.into_inner().unwrap();
+        assert_eq!(started.len(), 4, "one job per device and epoch");
+        let (_, _, consumed) = started
+            .iter()
+            .find(|&&(k, lo, _)| k == "consume" && lo == on_dev1)
+            .unwrap();
+        assert!(*consumed >= DELAY, "the consumer starts after the landing");
+        for (e, epoch) in rep.epochs.iter().enumerate() {
+            for (dev, stats) in epoch.per_device.iter().enumerate() {
+                if (e, dev) != (1, 1) {
+                    assert_eq!(stats.stall, Duration::ZERO, "epoch {e} device {dev}");
+                }
+            }
+        }
+        assert!(rep.epochs[1].per_device[1].stall > Duration::ZERO);
+        assert_eq!(
+            rep.transfers,
+            vec![(0, t, false)],
+            "logged once, in epoch 0"
+        );
+        assert_eq!(rep.epochs[0].comm_bytes, 256);
+        assert_eq!(rep.epochs[1].comm_bytes, 0);
     }
 
     #[test]

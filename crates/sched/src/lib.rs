@@ -40,24 +40,20 @@
 //!   equals the plan epoch by epoch — bytes, messages, transfer records,
 //!   launches, flops and entries — which [`compare_with_simulator`]
 //!   packages.
-//! * [`plan_matvec`] → [`shard_matvec`] → [`Schedule::makespan`] — plan,
-//!   execute, price. The plan is the only walk over owners, guards and
-//!   cost formulas; the executor charges the plan's counts, issues its
-//!   transfers ([`DeviceFabric::issue`]) and runs `h2_matrix`'s
-//!   [`h2_matrix::ApplyPhases`] node kernels (identical numerics to the
-//!   in-process product, different scheduling), so bytes, flops and
-//!   modeled makespan equal the plan's by construction.
-//!   [`simulate_matvec`] is the same function under the name the
-//!   cross-checks use; [`compare_matvec_with_simulator`] and [`drift`]
-//!   report against it.
-//! * [`plan_ulv_solve`] → [`shard_ulv_solve`] → [`Schedule::makespan`] —
-//!   the ULV forward/backward triangular sweeps (upsweep-ordered eliminate,
-//!   root solve, downsweep-ordered substitute) planned, executed over the
-//!   same `h2_solve::UlvSweep` node kernels as the in-process solve, and
-//!   priced, exactly like the matvec; [`compare_solve_with_simulator`] and
-//!   [`drift`] report against the plan. [`FabricOp`] and
-//!   [`UlvFabricPrecond`] plug the sharded matvec and sweep into the
-//!   Krylov methods as a `LinOp`/`Preconditioner` pair.
+//! * [`plan_matvec`] → [`shard_matvec`] → [`Schedule::makespan`] and
+//!   [`plan_ulv_solve`] → [`shard_ulv_solve`] → [`Schedule::makespan`] —
+//!   the three-pass matvec and the ULV sweeps (upsweep-ordered eliminate,
+//!   root solve, downsweep-ordered substitute) planned, run by the one plan
+//!   executor `DeviceFabric::execute` over the in-process node kernels
+//!   (the matvec's device chunks run `h2_matrix`'s chunk kernel
+//!   [`h2_matrix::ApplyPhases::traverse_chunk`], the sweep
+//!   `h2_solve::UlvSweep`), so outputs are bit-identical to the in-process
+//!   product and solve, and priced. [`simulate_matvec`] is the matvec plan
+//!   under the name the cross-checks use;
+//!   [`compare_matvec_with_simulator`], [`compare_solve_with_simulator`]
+//!   and [`drift`] report against the plans. [`FabricOp`] and
+//!   [`UlvFabricPrecond`] plug the sharded matvec and sweep into the Krylov
+//!   methods as a `LinOp`/`Preconditioner` pair.
 //!
 //! Results are bitwise-deterministic: every batched kernel computes
 //! identical per-entry arithmetic regardless of the device count, so a
@@ -67,71 +63,39 @@
 //! ## Pipelined execution
 //!
 //! [`DeviceFabric::pipelined`] switches the fabric from fork-join-per-batch
-//! to an overlapped schedule built from three pieces:
+//! to an overlapped schedule, each piece described in the [`fabric`] module
+//! docs: ordered per-device queues whose jobs carry completion tickets
+//! ([`DeviceFabric::enqueue`]; [`DeviceFabric::flush`] is the only
+//! barrier); chain scopes ([`DeviceFabric::chain_begin`]) that turn a
+//! sequence of kernels — the construction level's `bsr_gemm →
+//! stack_children` and `shrink_rows → gemm_at_x`, the matvec's
+//! upsweep→coupling handoff — into one flush scope with one real barrier
+//! (everything a chained job borrows must outlive `chain_end`, and host
+//! code inside a scope may plan from shapes but never read job-written
+//! data); an asynchronous prefetch stage behind the one transfer-issue call
+//! [`DeviceFabric::issue`], through which the construction engine issues
+//! the next level's `Ω_b`/`Ψ_b` fetches ([`h2_runtime::issue_bsr_fetches`])
+//! as soon as the current level's IDs fix their sizes; and double-buffered
+//! arenas whose standby bank holds those fetches. Per-device queue order
+//! and per-row arithmetic are the same in both modes, so outputs are
+//! bit-identical — `tests/pipeline.rs` asserts it, also under an injected
+//! transfer-delay hook that randomizes prefetch completion order.
 //!
-//! 1. **Ordered per-device queues with job tickets** — [`DeviceFabric::enqueue`]
-//!    submits a job without blocking and [`DeviceFabric::flush`] is the only
-//!    barrier. Every queued job also gets a **completion ticket** on the
-//!    same board the transfer stage uses, so later jobs can be gated on
-//!    *jobs*, not only on copies. `batchedBSRGemm` chains all `Csp` slot
-//!    launches per device in one queued job (per-row accumulation order
-//!    unchanged ⇒ bit-identical results, `Csp − 1` global joins removed),
-//!    and the matvec's coupling phase runs every level in one flush scope,
-//!    so a device finishing a narrow level immediately starts the next
-//!    instead of idling at a per-level join.
-//! 2. **Chain scopes** — [`DeviceFabric::chain_begin`] /
-//!    [`DeviceFabric::chain_end`] turn a *sequence of kernels* into one
-//!    flush scope: inside the scope each kernel's closing `flush` records a
-//!    per-device dependency boundary instead of blocking, and the next
-//!    kernel's jobs wait on the previous kernel's completion tickets from
-//!    *other* devices (same-device ordering is the FIFO queue). The
-//!    construction level's `bsr_gemm → stack_children` and
-//!    `shrink_rows → gemm_at_x` sequences and the matvec's whole
-//!    upsweep→coupling handoff run as such chains — one real barrier per
-//!    scope. Everything a chained job borrows must outlive `chain_end`, and
-//!    host code inside a scope may plan from shapes but never read
-//!    job-written data.
-//! 3. **Asynchronous prefetch stage** — every kernel and plan executor
-//!    issues its transfers through one call, [`DeviceFabric::issue`]: a
-//!    pipelined fabric starts the copy on a virtual copy engine and returns
-//!    a ticket the consuming jobs are gated on, a synchronous one services
-//!    the same descriptor inline (exposed) and returns the completed ticket
-//!    0. The construction engine issues the next level's `Ω_b`/`Ψ_b`
-//!    fetches ([`h2_runtime::issue_bsr_fetches`]) as soon as the current
-//!    level's IDs fix the block sizes and hands their tickets to that
-//!    level's `batchedBSRGemm`, so the copies run behind
-//!    `batchedGen`/upsweep compute.
-//! 4. **Double-buffered arenas** — fetches the engine issues for the next
-//!    level land in a standby bank that rotates in at the epoch boundary,
-//!    modeling level *l+1*'s workspace being marshaled while level *l*'s is
-//!    still live.
-//!
-//! Accounting is **issue-epoch tagged** (transfers and flops are charged to
-//! the epoch that issued them, under a single lock), per-device stats grow
-//! busy/stall/overlapped/idle durations, and
-//! [`ExecReport::modeled_makespan`] projects the measured counters with
-//! communication *and launch overhead* overlapped against compute for
-//! pipelined runs ([`h2_runtime::combine_terms`]: job-level dependency
-//! chaining hides launch gaps behind whichever of compute or communication
-//! dominates) — the same combination [`Schedule::makespan`] applies to a
-//! pipelined plan.
-//! The pipeline tests in `tests/pipeline.rs` assert bit-identical outputs
-//! against the synchronous schedule in both symmetry regimes, including
-//! under an injected transfer-delay hook that randomizes prefetch
-//! completion order.
+//! Accounting is issue-epoch tagged, and [`ExecReport::modeled_makespan`]
+//! projects the measured counters with communication and launch overhead
+//! overlapped against compute for pipelined runs
+//! ([`h2_runtime::combine_terms`]) — the combination [`Schedule::makespan`]
+//! applies to a pipelined plan.
 //!
 //! ## Resident Krylov vectors
 //!
-//! [`FabricOp`] / [`UlvFabricPrecond`] keep the Krylov `x`/`r`/basis shards
-//! pinned in the device arenas across iterations: an apply charges the
-//! arena for its input and output shards and moves only the boundary
-//! gathers already internal to the sharded kernels, plus one
+//! [`FabricOp`] / [`UlvFabricPrecond`] keep the Krylov vector shards pinned
+//! in the device arenas across iterations ([`solve`] module docs): only one
 //! `8·(D−1)`-byte scalar allreduce per global reduction
-//! ([`resident_reduce_hook`], recorded as [`TransferKind::VectorStage`]).
-//! The blocked reductions (`h2_solve::blocked_dot`) fix the summation tree
-//! independently of the sharding, so the iterates are bit-identical to the
-//! host solve and across pipeline modes — `tests/krylov_residency.rs` pins
-//! that and the exact allreduce byte total ([`resident_reduce_bytes`]).
+//! ([`resident_reduce_hook`], recorded as [`TransferKind::VectorStage`])
+//! leaves the devices, and `tests/krylov_residency.rs` pins the iterates
+//! bit-identical to the host solve and the exact allreduce byte total
+//! ([`resident_reduce_bytes`]).
 //!
 //! ## Resilience
 //!

@@ -9,19 +9,15 @@
 //!   the explicit [`Transfer`] list. It is the only function that evaluates
 //!   [`h2_runtime::owner`], the activity guards and the
 //!   [`h2_runtime::multidev::cost`] formulas.
-//! * [`shard_matvec`] **executes** that value on the fabric: per epoch it
-//!   charges the plan's counts, issues the plan's transfers
-//!   ([`DeviceFabric::issue`]), enqueues one job per device and level over
-//!   the same [`h2_matrix::ApplyPhases`] node kernels the in-process
-//!   product runs, and closes the epoch.
-//! * [`Schedule::makespan`] **prices** it with the epoch-pricing rule
-//!   ([`h2_runtime::epoch_terms`]) that [`ExecReport::modeled_makespan`]
-//!   applies to the measured counts.
-//!
-//! So executor bytes == plan bytes, flops == plan flops and makespan ratio
-//! == 1 hold by construction; [`compare_matvec_with_simulator`] packages
-//! the cross-check, and `simulate_matvec` is this crate's name for the plan
-//! seen as a prediction.
+//! * [`shard_matvec`] **executes** it through `DeviceFabric::execute`,
+//!   whose jobs run the in-process product's [`h2_matrix::ApplyPhases`]
+//!   kernels over each device's node chunk.
+//! * [`Schedule::makespan`] **prices** it with the rule
+//!   [`ExecReport::modeled_makespan`] applies to the measured counts, so
+//!   bytes, flops and makespan agree by construction;
+//!   [`compare_matvec_with_simulator`] packages the cross-check, and
+//!   `simulate_matvec` is this crate's name for the plan seen as a
+//!   prediction.
 //!
 //! ## The plan
 //!
@@ -58,14 +54,17 @@
 //! ## The execution
 //!
 //! `x̂`, `ŷ` and the leaf output blocks live in slot tables the jobs write
-//! directly. On a pipelined fabric the upsweep and coupling epochs run in
-//! one chain scope ([`DeviceFabric::chain_begin`]): each level's flush
-//! records a dependency boundary instead of blocking, the next level's jobs
-//! are gated on its completion tickets across devices (per-device FIFO
-//! order covers the same-device edges), and one real barrier closes the
-//! scope. Per-device queue order and per-node arithmetic are the same under
-//! both disciplines, so outputs are bit-identical — the property the
-//! pipeline tests assert.
+//! directly. A device's coupling and leaf jobs run the in-process product's
+//! chunk kernel ([`h2_matrix::ApplyPhases::traverse_chunk`]) over its
+//! contiguous node chunk of the level, so each stored symmetric block is
+//! read once per chunk, and the bits do not depend on where chunks start:
+//! the sharded product equals [`H2Matrix::apply_permuted`] bit for bit at
+//! every device count, in both disciplines. On a pipelined fabric the
+//! upsweep and coupling epochs run in one chain scope of
+//! `DeviceFabric::execute`: each level's flush records a dependency
+//! boundary instead of blocking, the next level's jobs are gated on its
+//! completion tickets across devices (per-device FIFO order covers the
+//! same-device edges), and one real barrier closes the scope.
 //!
 //! The global input `x` (and the stored blocks) are treated as
 //! device-resident, consistent with the construction plan treating the
@@ -78,8 +77,8 @@ use h2_dense::Mat;
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
-    chunk_bounds, owner, DeviceModel, FetchPlanner, PipelineMode, Precision, Schedule,
-    ScheduleEpoch, ShardJob, Transfer, TransferKind,
+    owner, DeviceModel, FetchPlanner, PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer,
+    TransferKind,
 };
 
 /// [`ScheduleEpoch::kernel`] names of the four passes.
@@ -294,9 +293,10 @@ pub fn plan_matvec(
 
 /// `y = K x` (or `Kᵀ x`) executed sharded on the fabric, in tree-permuted
 /// coordinates: [`plan_matvec`] for the fabric's device count, mode and
-/// wire precision, executed epoch by epoch. Numerically identical to
-/// [`H2Matrix::apply_permuted`] / `apply_transpose_permuted` — the same
-/// [`h2_matrix::ApplyPhases`] kernels run, only the scheduling differs.
+/// wire precision, run by `DeviceFabric::execute`. Bit-identical to
+/// [`H2Matrix::apply_permuted`] / `apply_transpose_permuted` — each device
+/// runs the same [`h2_matrix::ApplyPhases`] kernels over its node chunks,
+/// only the scheduling differs.
 pub fn shard_matvec(fabric: &DeviceFabric, h2: &H2Matrix, x: &Mat, transpose: bool) -> Mat {
     let n = h2.n();
     assert_eq!(x.rows(), n, "shard_matvec: x rows");
@@ -306,9 +306,13 @@ pub fn shard_matvec(fabric: &DeviceFabric, h2: &H2Matrix, x: &Mat, transpose: bo
     let ph = h2.apply_phases(transpose);
     let tree = &h2.tree;
     let nnodes = tree.nodes.len();
+    let rows_of = |t: usize| {
+        let (b, e) = tree.range(t);
+        x.view(b, 0, e - b, d)
+    };
 
-    // Slot tables the jobs write directly (no host-side assembly between
-    // epochs): x̂, ŷ, and the output rows of each leaf.
+    // Slot tables the jobs write directly: x̂, ŷ, and the output rows of
+    // each leaf.
     let mut xhat: Vec<Mat> = vec![Mat::zeros(0, 0); nnodes];
     let mut yhat = xhat.clone();
     let mut rows_out = xhat.clone();
@@ -317,87 +321,56 @@ pub fn shard_matvec(fabric: &DeviceFabric, h2: &H2Matrix, x: &Mat, transpose: bo
         yhat.as_mut_ptr() as usize,
         rows_out.as_mut_ptr() as usize,
     );
-    // One kernel application; the caller is a job that owns node `id`.
-    let ph_ref = &ph;
-    let node = move |kernel: &str, id: usize| {
-        // SAFETY: every slot has one writer — the job owning the node in
-        // the one pass that produces it — and its readers are jobs of later
-        // levels or passes, ordered behind the writer by a barrier, by the
-        // chain scope's completion tickets (other devices) or by queue
-        // order (same device). The host touches the tables only after the
-        // last barrier.
-        let (xh, yh, out) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(xhat_addr as *mut Mat, nnodes),
-                std::slice::from_raw_parts_mut(yhat_addr as *mut Mat, nnodes),
-                std::slice::from_raw_parts_mut(out_addr as *mut Mat, nnodes),
-            )
-        };
+    // Upsweep and coupling — the leading epochs — hand off inside one
+    // chain scope (module docs).
+    let chained = |e: &ScheduleEpoch| e.kernel == UPSWEEP || e.kernel == COUPLING;
+    fabric.execute(&plan, tree, chained, |kernel, ids| {
+        // SAFETY: a job writes only the slots of its own chunk — x̂ and ŷ of
+        // the level's nodes it owns, the output of its leaves — and every
+        // slot it reads was written by a job of an earlier level or pass,
+        // ordered before it by a barrier, by the chain scope's completion
+        // tickets (other devices) or by queue order (same device). The host
+        // touches the tables only after `execute` returns.
+        let table =
+            |addr: usize| unsafe { std::slice::from_raw_parts_mut(addr as *mut Mat, nnodes) };
+        let (xh, yh, out) = (table(xhat_addr), table(yhat_addr), table(out_addr));
+        let lo = ids.start;
         match kernel {
             UPSWEEP => {
-                if let Some(m) = ph_ref.upsweep_node(id, x.rf(), xh) {
-                    xh[id] = m;
-                }
-            }
-            COUPLING => {
-                if let Some(m) = ph_ref.coupling_node(id, xh, d) {
-                    yh[id] = m;
-                }
-            }
-            DOWNSWEEP => {
-                if let Some(m) = ph_ref.downsweep_child(id, yh, d) {
-                    if yh[id].rows() == 0 {
-                        yh[id] = m;
-                    } else {
-                        yh[id].axpy(1.0, &m);
+                for id in ids {
+                    if let Some(m) = ph.upsweep_node(id, x.rf(), xh) {
+                        xh[id] = m;
                     }
                 }
             }
-            LEAVES => out[id] = ph_ref.leaf_node(id, x.rf(), yh).1,
+            COUPLING => {
+                for s in ids.clone() {
+                    yh[s] = ph.coupling_acc(s, d);
+                }
+                let far_of = &h2.partition.far_of;
+                ph.traverse_chunk(&h2.coupling, far_of, &|t| xh[t].rf(), lo, &mut yh[ids]);
+            }
+            DOWNSWEEP => {
+                for id in ids {
+                    if let Some(m) = ph.downsweep_child(id, yh, d) {
+                        if yh[id].rows() == 0 {
+                            yh[id] = m;
+                        } else {
+                            yh[id].axpy(1.0, &m);
+                        }
+                    }
+                }
+            }
+            LEAVES => {
+                for s in ids.clone() {
+                    out[s] = ph.expand_leaf(s, yh, d);
+                }
+                let near_of = &h2.partition.near_of;
+                ph.traverse_chunk(&h2.dense, near_of, &rows_of, lo, &mut out[ids]);
+            }
             other => unreachable!("matvec plan names kernel {other}"),
         }
-    };
-
-    // Upsweep and coupling — the leading epochs — hand off inside one chain
-    // scope (a no-op on a synchronous fabric, where every flush is the
-    // barrier), closed with the last of them.
-    let chained = |e: &ScheduleEpoch| e.kernel == UPSWEEP || e.kernel == COUPLING;
-    if plan.epochs.first().is_some_and(chained) {
-        fabric.chain_begin();
-    }
-    // Tickets of issued transfers, by gated epoch and destination device.
-    let mut tickets: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); devices]; plan.epochs.len()];
-    for (i, epoch) in plan.epochs.iter().enumerate() {
-        for dev in 0..devices {
-            fabric.record_flops(dev, epoch.flops[dev]);
-            fabric.record_launches(dev, epoch.launches[dev]);
-            fabric.arena_charge(dev, epoch.arena[dev]);
-        }
-        for &(t, gates) in &epoch.transfers {
-            let ticket = fabric.issue(t);
-            if ticket != 0 {
-                tickets[gates][t.dst].push(ticket);
-            }
-        }
-        for &l in &epoch.levels {
-            let first = tree.level(l).start;
-            let bounds = chunk_bounds(tree.level_len(l), devices);
-            for dev in 0..devices {
-                let chunk = first + bounds[dev]..first + bounds[dev + 1];
-                let kernel = epoch.kernel;
-                let job: ShardJob<'_> = Box::new(move || chunk.for_each(|id| node(kernel, id)));
-                // SAFETY: everything the job borrows outlives the barrier
-                // that follows it — this flush, or inside the chain scope
-                // the `chain_end` below.
-                unsafe { fabric.enqueue(dev, &tickets[i][dev], job) };
-            }
-            fabric.flush();
-        }
-        if chained(epoch) && !plan.epochs.get(i + 1).is_some_and(chained) {
-            fabric.chain_end();
-        }
-        fabric.close_epoch(&epoch.label);
-    }
+    });
 
     let mut y = Mat::zeros(n, d);
     for s in tree.level(tree.leaf_level()) {

@@ -12,19 +12,15 @@
 //!   [`h2_runtime::owner`], the `k > 0 && owner(child) != owner(parent)`
 //!   guard, the per-node flop counts ([`UlvFactor::forward_flops`] /
 //!   [`UlvFactor::backward_flops`]) and the workspace formula.
-//! * [`shard_ulv_solve`] **executes** that value on the fabric: per epoch it
-//!   charges the plan's counts, issues the plan's transfers
-//!   ([`DeviceFabric::issue`]), enqueues one job per device over its chunk
-//!   of the level, flushes and closes the epoch. The jobs run the
-//!   [`h2_solve::UlvSweep`] node kernels of the in-process
-//!   [`UlvFactor::solve`], so the solution is bit-identical to it.
-//! * [`Schedule::makespan`] **prices** it with the epoch-pricing rule
-//!   ([`h2_runtime::epoch_terms`]) that [`ExecReport::modeled_makespan`]
-//!   applies to the measured counts.
-//!
-//! So executor bytes == plan bytes, flops == plan flops and makespan ratio
-//! == 1 hold by construction; [`compare_solve_with_simulator`] and
-//! [`crate::drift`] report against the plan.
+//! * [`shard_ulv_solve`] **executes** it through `DeviceFabric::execute`,
+//!   whose jobs run the [`h2_solve::UlvSweep`] node kernels of the
+//!   in-process [`UlvFactor::solve`] into per-node slots — so the solution
+//!   is bit-identical to it.
+//! * [`Schedule::makespan`] **prices** it with the rule
+//!   [`ExecReport::modeled_makespan`] applies to the measured counts, so
+//!   bytes, flops and makespan agree by construction;
+//!   [`compare_solve_with_simulator`] and [`crate::drift`] report against
+//!   the plan.
 //!
 //! ## The plan
 //!
@@ -69,11 +65,11 @@ use h2_dense::{LinOp, Mat, MatMut, MatRef};
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
-    chunk_bounds, owner, DeviceModel, PipelineMode, Precision, Schedule, ScheduleEpoch, ShardJob,
-    Transfer, TransferKind,
+    chunk_bounds, owner, DeviceModel, PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer,
+    TransferKind,
 };
 use h2_solve::{Preconditioner, UlvFactor};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// [`ScheduleEpoch::kernel`] names of the three sweep phases.
 const FORWARD: &str = "ulv forward";
@@ -281,151 +277,85 @@ pub fn plan_ulv_solve(
     }
 }
 
-/// Enqueue `jobs[dev]` on device `dev`, gated on that device's transfer
-/// tickets, and wait for all of them.
-fn run_per_device(fabric: &DeviceFabric, jobs: Vec<ShardJob<'_>>, tickets: &[Vec<u64>]) {
-    for (dev, job) in jobs.into_iter().enumerate() {
-        // SAFETY: the sweep opens no chain scope, so the flush below is a
-        // barrier: every borrow a job holds outlives its execution.
-        unsafe { fabric.enqueue(dev, &tickets[dev], job) };
-    }
-    fabric.flush();
-}
-
 /// `x = K_H2⁻¹ b` through the ULV sweeps executed sharded on the fabric
 /// (tree-permuted coordinates): [`plan_ulv_solve`] for the fabric's device
-/// count, mode and wire precision, executed epoch by epoch. Numerically
-/// identical to [`UlvFactor::solve`] — the same per-node sweep kernels run,
-/// only the scheduling differs.
+/// count, mode and wire precision, run by `DeviceFabric::execute`.
+/// Numerically identical to [`UlvFactor::solve`] — the same per-node sweep
+/// kernels run, only the scheduling differs.
 pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
     let n = ulv.n();
     assert_eq!(b.rows(), n, "shard_ulv_solve: rhs rows");
     let d = b.cols();
-    let devices = fabric.devices();
-    let plan = plan_ulv_solve(ulv, d, devices, fabric.mode(), fabric.wire());
+    let plan = plan_ulv_solve(ulv, d, fabric.devices(), fabric.mode(), fabric.wire());
     let tree = &**ulv.tree();
-    let leaf_level = tree.leaf_level();
     let sweep = &ulv.sweep();
 
-    // Per node: the reduced rhs passed up (`b1`), the eliminated part kept
-    // for the backward sweep (`b2`) and the partial solution passed down.
-    let slots = || -> Vec<Option<Mat>> { (0..tree.nodes.len()).map(|_| None).collect() };
-    let (mut b1s, mut b2s, mut xts) = (slots(), slots(), slots());
-    let mut x = Mat::zeros(n, d);
+    // Per node: the reduced rhs passed up (`b1`), the eliminated part the
+    // backward sweep takes (`b2`) and the partial solution passed down
+    // (at a leaf, its rows of `x`).
+    let nnodes = tree.nodes.len();
+    let b1s: Vec<OnceLock<Mat>> = (0..nnodes).map(|_| OnceLock::new()).collect();
+    let b2s: Vec<Mutex<Option<Mat>>> = (0..nnodes).map(|_| Mutex::new(None)).collect();
+    let xts: Vec<OnceLock<Mat>> = (0..nnodes).map(|_| OnceLock::new()).collect();
+    let written = |slot: &OnceLock<Mat>, m: Mat| assert!(slot.set(m).is_ok(), "slot set twice");
+    // Node `id`'s children's reduced right-hand sides, stacked.
+    let stacked = |id: usize| {
+        let (c1, c2) = tree.nodes[id].children.expect("inner node");
+        let reduced = |c: usize| b1s[c].get().expect("child reduced rhs");
+        reduced(c1).vcat(reduced(c2))
+    };
 
-    // Tickets of issued transfers, by gated epoch and destination device.
-    let mut tickets: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); devices]; plan.epochs.len()];
-    for (i, epoch) in plan.epochs.iter().enumerate() {
-        for dev in 0..devices {
-            fabric.record_flops(dev, epoch.flops[dev]);
-            fabric.record_launches(dev, epoch.launches[dev]);
-            fabric.arena_charge(dev, epoch.arena[dev]);
-        }
-        for &(t, gates) in &epoch.transfers {
-            let ticket = fabric.issue(t);
-            if ticket != 0 {
-                tickets[gates][t.dst].push(ticket);
-            }
-        }
-        let l = epoch.levels[0];
-        let first = tree.level(l).start;
-        let bounds = chunk_bounds(tree.level_len(l), devices);
-        let chunk = |dev: usize| first + bounds[dev]..first + bounds[dev + 1];
-        match epoch.kernel {
+    fabric.execute(
+        &plan,
+        tree,
+        |_| false,
+        |kernel, ids| match kernel {
             FORWARD => {
-                let mut out: Vec<Vec<(usize, Mat, Mat)>> =
-                    (0..devices).map(|_| Vec::new()).collect();
-                let b1s_ref = &b1s;
-                let jobs = out
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(dev, slot)| -> ShardJob<'_> {
-                        let ids = chunk(dev);
-                        Box::new(move || {
-                            for id in ids {
-                                let bl = if l == leaf_level {
-                                    let (a, e) = tree.range(id);
-                                    b.view(a, 0, e - a, d).to_mat()
-                                } else {
-                                    let (c1, c2) = tree.nodes[id].children.expect("inner node");
-                                    let t1 = b1s_ref[c1].as_ref().expect("child reduced rhs");
-                                    let t2 = b1s_ref[c2].as_ref().expect("child reduced rhs");
-                                    t1.vcat(t2)
-                                };
-                                let (b1, b2) = sweep.forward_node(id, bl);
-                                slot.push((id, b1, b2));
-                            }
-                        })
-                    })
-                    .collect();
-                run_per_device(fabric, jobs, &tickets[i]);
-                for (id, b1, b2) in out.into_iter().flatten() {
-                    b1s[id] = Some(b1);
-                    b2s[id] = Some(b2);
+                for id in ids {
+                    let bl = if tree.nodes[id].children.is_none() {
+                        let (lo, hi) = tree.range(id);
+                        b.view(lo, 0, hi - lo, d).to_mat()
+                    } else {
+                        stacked(id)
+                    };
+                    let (b1, b2) = sweep.forward_node(id, bl);
+                    written(&b1s[id], b1);
+                    *b2s[id].lock().expect("no sweep job panicked") = Some(b2);
                 }
             }
             ROOT => {
-                let mut root = None;
-                let job: ShardJob<'_> = Box::new(|| {
-                    root = Some(match tree.nodes[0].children {
-                        None => sweep.root_solve(b),
-                        Some((c1, c2)) => {
-                            let r1 = b1s[c1].as_ref().expect("root child rhs");
-                            let r2 = b1s[c2].as_ref().expect("root child rhs");
-                            sweep.root_solve(&r1.vcat(r2))
-                        }
-                    });
-                });
-                run_per_device(fabric, vec![job], &tickets[i]);
-                let root = root.expect("root solution");
-                if leaf_level == 0 {
-                    x = root;
+                let root = if tree.nodes[0].children.is_none() {
+                    sweep.root_solve(b)
                 } else {
-                    xts[0] = Some(root);
-                }
+                    sweep.root_solve(&stacked(0))
+                };
+                written(&xts[0], root);
             }
             BACKWARD => {
-                let mut out: Vec<Vec<(usize, Mat)>> = (0..devices).map(|_| Vec::new()).collect();
-                let xts_ref = &xts;
-                let jobs = out
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(dev, slot)| -> ShardJob<'_> {
-                        let ids = chunk(dev);
-                        // Each node's cached b2 is consumed exactly once:
-                        // the job takes ownership instead of cloning every
-                        // `e × nrhs` block.
-                        let b2: Vec<Mat> = ids
-                            .clone()
-                            .map(|id| b2s[id].take().expect("cached b2"))
-                            .collect();
-                        Box::new(move || {
-                            for (id, b2) in ids.zip(b2) {
-                                let parent = tree.nodes[id].parent.expect("non-root node");
-                                let (c1, _) = tree.nodes[parent].children.expect("inner node");
-                                let off = if id == c1 { 0 } else { ulv.retained(c1) };
-                                let k = ulv.retained(id);
-                                let px = xts_ref[parent].as_ref().expect("parent solution");
-                                let x1 = px.view(off, 0, k, d).to_mat();
-                                slot.push((id, sweep.backward_node(id, &x1, b2)));
-                            }
-                        })
-                    })
-                    .collect();
-                run_per_device(fabric, jobs, &tickets[i]);
-                for (id, xt) in out.into_iter().flatten() {
-                    if l == leaf_level {
-                        let (lo, hi) = tree.range(id);
-                        x.view_mut(lo, 0, hi - lo, d)
-                            .copy_from(xt.view(0, 0, hi - lo, d));
-                    } else {
-                        xts[id] = Some(xt);
-                    }
+                for id in ids {
+                    let parent = tree.nodes[id].parent.expect("non-root node");
+                    let (c1, _) = tree.nodes[parent].children.expect("inner node");
+                    let off = if id == c1 { 0 } else { ulv.retained(c1) };
+                    let px = xts[parent].get().expect("parent solution");
+                    let x1 = px.view(off, 0, ulv.retained(id), d).to_mat();
+                    // Each node's b2 is consumed exactly once: taken, not
+                    // cloned.
+                    let b2 = b2s[id].lock().expect("no sweep job panicked").take();
+                    let b2 = b2.expect("cached b2");
+                    written(&xts[id], sweep.backward_node(id, &x1, b2));
                 }
             }
             other => unreachable!("ulv plan names kernel {other}"),
-        }
-        fabric.close_epoch(&epoch.label);
+        },
+    );
+
+    // Leaf row ranges tile `0..n`.
+    let mut x = Mat::zeros(n, d);
+    for id in tree.level(tree.leaf_level()) {
+        let (lo, hi) = tree.range(id);
+        let xt = xts[id].get().expect("leaf solution");
+        x.view_mut(lo, 0, hi - lo, d)
+            .copy_from(xt.view(0, 0, hi - lo, d));
     }
     x
 }

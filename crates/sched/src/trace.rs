@@ -7,7 +7,7 @@
 //! [`export_chrome_trace`] renders the per-device timeline the fabric
 //! accounted: for every epoch, each device's busy / stall / overlapped /
 //! idle slices (which tile the epoch span exactly — see
-//! [`DeviceFabric::close_epoch`](crate::DeviceFabric::close_epoch)), each
+//! [`DeviceEpochStats`](crate::DeviceEpochStats)), each
 //! issued transfer as an instant on a per-destination "link" row carrying
 //! its byte/precision payload, arena-rotation marks, and one labeled slice
 //! per epoch. Summing the `bytes` argument over the link rows recovers

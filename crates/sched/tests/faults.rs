@@ -80,7 +80,9 @@ fn assert_retries_replayed(
 /// device counts and modes by `tests/pipeline.rs`) anchors bit-identity.
 #[test]
 fn chaos_grid_bit_identical_and_bytes_exact() {
-    let n = 1400;
+    // Small, but still with an inner processed level that fetches
+    // off-device `Ω_b` blocks, so every fault kind's branch below fires.
+    let n = 600;
     let (tree, part, km) = sym_problem(n, 16, 107);
     let model = DeviceModel::default();
     let clean = DeviceFabric::new(1);

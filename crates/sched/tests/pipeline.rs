@@ -106,7 +106,9 @@ fn assert_h2_identical(a: &h2_matrix::H2Matrix, b: &h2_matrix::H2Matrix, n: usiz
 
 #[test]
 fn pipelined_construction_bit_identical_sym() {
-    let (tree, part, km) = sym_problem(1400, 16, 91);
+    // Small, but still with an inner processed level that fetches, and with
+    // sibling pairs split across chunks at D = 3 and 7.
+    let (tree, part, km) = sym_problem(560, 16, 91);
     for devices in DEVICE_COUNTS {
         let sync = DeviceFabric::new(devices);
         let (h2s, st_s, rep_s) =
@@ -116,14 +118,16 @@ fn pipelined_construction_bit_identical_sym() {
             shard_construct(&pipe, &km, &km, tree.clone(), part.clone(), &cfg());
         assert_eq!(st_s.total_samples, st_p.total_samples);
         assert_eq!(st_s.rounds, st_p.rounds);
-        assert_h2_identical(&h2s, &h2p, 1400, 92);
+        assert_h2_identical(&h2s, &h2p, 560, 92);
         assert_same_traffic(&rep_s, &rep_p);
     }
 }
 
 #[test]
 fn pipelined_construction_bit_identical_unsym() {
-    let (tree, part, km) = unsym_problem(1200, 16, 93);
+    // As for the symmetric test: small, with an inner fetching level and
+    // chunk-straddling sibling pairs.
+    let (tree, part, km) = unsym_problem(700, 16, 93);
     for devices in DEVICE_COUNTS {
         let sync = DeviceFabric::new(devices);
         let (h2s, _, rep_s) =
@@ -131,9 +135,9 @@ fn pipelined_construction_bit_identical_unsym() {
         let pipe = DeviceFabric::pipelined(devices);
         let (h2p, _, rep_p) =
             shard_construct_unsym(&pipe, &km, &km, tree.clone(), part.clone(), &cfg());
-        assert_h2_identical(&h2s, &h2p, 1200, 94);
+        assert_h2_identical(&h2s, &h2p, 700, 94);
         // The transpose product must also coincide exactly.
-        let x = gaussian_mat(1200, 2, 95);
+        let x = gaussian_mat(700, 2, 95);
         assert_eq!(
             h2s.apply_transpose_permuted_mat(&x),
             h2p.apply_transpose_permuted_mat(&x)
