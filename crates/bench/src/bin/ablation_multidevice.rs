@@ -24,7 +24,7 @@
 use h2_bench::{build_problem, header, reference_h2, row, App, Args, TraceSink};
 use h2_core::{plan_construct, sketch_construct, SketchConfig};
 use h2_runtime::{DeviceModel, PipelineMode, Precision, TransferKind};
-use h2_sched::{compare_with_simulator, shard_construct, shard_matvec_with_report, DeviceFabric};
+use h2_sched::{shard_construct, shard_matvec_with_report, DeviceFabric};
 
 fn main() {
     let args = Args::parse();
@@ -58,8 +58,17 @@ fn main() {
         &rt,
         &cfg,
     );
-    let plan = |devices| plan_construct(&h2, d, devices, PipelineMode::Synchronous, Precision::F64);
-    let levels = plan(1).epochs.len();
+    let plan = |devices| {
+        plan_construct(
+            &h2,
+            &cfg,
+            &stats,
+            devices,
+            PipelineMode::Synchronous,
+            Precision::F64,
+        )
+    };
+    let levels = stats.rounds_per_level.len();
     assert!(
         levels > 0,
         "partition is all-dense at N={n}, leaf={leaf}: no batched levels to \
@@ -116,9 +125,8 @@ fn main() {
     if !skip_real {
         // ---- the real sharded executor on the same problem ----
         // The construction reruns on the fabric per device count and is
-        // compared with its own plan: with no extra sampling round the
-        // modeled makespan equals the planned one (ratio 1) and the work
-        // totals agree exactly.
+        // checked against its own plan, adaptive rounds included: the
+        // modeled makespan equals the planned one (ratio 1).
         let model = DeviceModel::default();
         for &mode in &exec_modes {
             let mode_name = match mode {
@@ -133,7 +141,6 @@ fn main() {
                 "Ω-fetch (MiB)",
                 "gather (MiB)",
                 "modeled/planned makespan",
-                "work rel err",
             ]);
             for devices in [1usize, 2, 4, 8] {
                 let fabric =
@@ -147,7 +154,10 @@ fn main() {
                     problem.partition.clone(),
                     &cfg,
                 );
-                let cmp = compare_with_simulator(&report, &h2s, st.total_samples, &model);
+                let planned = plan_construct(&h2s, &cfg, &st, devices, mode, report.wire);
+                if let Err(e) = report.check(&planned, None) {
+                    panic!("D={devices} {mode_name}: the run must be its plan: {e}");
+                }
                 let busy_max = report
                     .busy_per_device()
                     .into_iter()
@@ -165,8 +175,10 @@ fn main() {
                         "{:.2}",
                         report.bytes_of_kind(TransferKind::ChildGather) as f64 / (1 << 20) as f64
                     ),
-                    format!("{:.2}", cmp.makespan_ratio()),
-                    format!("{:.1e}", cmp.flops_rel_err()),
+                    format!(
+                        "{:.2}",
+                        report.modeled_makespan(&model) / planned.makespan(&model)
+                    ),
                 ]);
             }
             println!();

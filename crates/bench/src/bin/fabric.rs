@@ -24,10 +24,9 @@
 //! * **sim ratio** — pipelined measured makespan over the makespan of the
 //!   [`h2_runtime::Schedule`] the run was planned as:
 //!   [`h2_core::plan_construct`] for the construction and
-//!   [`h2_sched::simulate_matvec`] for the matvec. Both runs execute their
-//!   plans, so the ratio is 1 and the bytes match (asserted here for every
-//!   construction that converged without an extra sampling round, and
-//!   re-checked by `bench_check`);
+//!   [`h2_sched::simulate_matvec`] for the matvec. Every run is its plan
+//!   ([`h2_sched::ExecReport::check`], asserted here; `bytes ==` records
+//!   it), so the ratio is 1 — re-checked by `bench_check`;
 //! * **precision** — with `--precision f32` the fabric wire is demoted and
 //!   block storage is norm-aware-demoted (`SketchConfig::storage`), so
 //!   every transfer ships half the bytes while accumulation stays f64;
@@ -36,9 +35,9 @@
 //!
 //! * **`--faults`** — the resilience sweep: for every `FaultKind` chaos
 //!   preset at D = 4 in both modes, the faulted construction must stay
-//!   **bit-identical** to the fault-free run and its measured bytes
-//!   (charged retries included) must equal the plan's bytes plus the fault
-//!   plan replayed over it ([`h2_sched::compare_with_simulator_faulted`]);
+//!   **bit-identical** to the fault-free run and its report must be its
+//!   plan with the fault plan's retries replayed
+//!   ([`h2_sched::ExecReport::check`]);
 //!   emitted as the
 //!   `resilience` section of the envelope (validated by `bench_check`),
 //!   and the `--trace` run then executes under a drop plan so the trace
@@ -68,9 +67,9 @@ use h2_matrix::{direct_construct, DirectConfig};
 use h2_obs::Json;
 use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime};
 use h2_sched::{
-    compare_matvec_with_simulator, compare_with_simulator, compare_with_simulator_faulted,
-    export_chrome_trace_with_spans, shard_construct, shard_construct_unsym,
-    shard_matvec_with_report, DeviceFabric, ExecReport, FaultKind, FaultPlan, LinkModel,
+    export_chrome_trace_with_spans, plan_construct, plan_matvec, shard_construct,
+    shard_construct_unsym, shard_matvec_with_report, DeviceFabric, ExecReport, FaultKind,
+    FaultPlan, LinkModel,
 };
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
@@ -152,8 +151,8 @@ fn fabric_for(devices: usize, mode: PipelineMode, prec: Precision) -> Arc<Device
 }
 
 /// Dedicated traced run backing `--trace`: a pipelined D=4 symmetric
-/// construction with non-adaptive sampling (byte totals equal to its
-/// plan's), a live tracer attached to the fabric, and
+/// construction with non-adaptive sampling (checked against its plan), a
+/// live tracer attached to the fabric, and
 /// the merged Chrome trace written to `path`. A `<path>.expect` sidecar
 /// holds the exact cross-device byte total so `trace_check` can validate
 /// the trace against an independently recorded number.
@@ -184,30 +183,16 @@ fn write_trace(path: &str, smoke: bool, faults: bool) {
     }
     let tracer = h2_obs::Tracer::new(1 << 20);
     fabric.set_tracer(Some(tracer.clone()));
-    let (h2, _, report) = shard_construct(&fabric, &sampler, &km, tree, part, &cfg);
+    let (h2, stats, report) = shard_construct(&fabric, &sampler, &km, tree, part, &cfg);
     fabric.set_tracer(None);
-    let (_, weak) = models();
-    if let Some(plan) = &plan {
-        let cmp = compare_with_simulator_faulted(&report, &h2, 64, &weak, plan);
-        assert!(
-            cmp.bytes_match(),
-            "traced chaos run must reconcile with its plan and replayed retries ({} vs {})",
-            cmp.base.measured_bytes,
-            cmp.predicted_bytes()
-        );
-        assert!(
-            fabric.fault_counters().retries > 0,
-            "traced chaos run produced no retries to validate"
-        );
-    } else {
-        let cmp = compare_with_simulator(&report, &h2, 64, &weak);
-        assert!(
-            cmp.bytes_match(),
-            "traced run must reconcile with its plan ({} vs {})",
-            cmp.measured_bytes,
-            cmp.predicted_bytes
-        );
+    let schedule = plan_construct(&h2, &cfg, &stats, 4, report.mode, report.wire);
+    if let Err(e) = report.check(&schedule, plan.as_deref()) {
+        panic!("traced run must be its plan, fault-plan retries replayed: {e}");
     }
+    assert!(
+        plan.is_none() || fabric.fault_counters().retries > 0,
+        "traced chaos run produced no retries to validate"
+    );
     let events = tracer.drain();
     let trace = export_chrome_trace_with_spans(&report, &events);
     trace.write(path).expect("write chrome trace");
@@ -239,8 +224,8 @@ struct FaultRow {
 /// The resilience sweep backing `--faults`: every chaos preset at D = 4
 /// in both modes against a fault-free baseline of the same mode. The
 /// headline claims are asserted here at generation time (bit-identity,
-/// byte equality with the plan plus replayed retries) and re-checked from
-/// the envelope by `bench_check`.
+/// the run equal to its plan with the retries replayed) and re-checked
+/// from the envelope by `bench_check`.
 fn run_faults(smoke: bool) -> Vec<FaultRow> {
     let n = if smoke { 1400 } else { 3000 };
     let devices = 4;
@@ -296,21 +281,20 @@ fn run_faults(smoke: bool) -> Vec<FaultRow> {
                 "{} / {mode_name}: faulted construction must be bit-identical",
                 kind.name()
             );
-            let cmp =
-                compare_with_simulator_faulted(&report, &h2, stats.total_samples, &weak, &plan);
-            assert!(
-                cmp.bytes_match(),
-                "{} / {mode_name}: measured {} bytes vs plan + retries {}",
-                kind.name(),
-                cmp.base.measured_bytes,
-                cmp.predicted_bytes()
-            );
+            let schedule = plan_construct(&h2, &cfg, &stats, devices, mode, report.wire);
+            let exact = report.check(&schedule, Some(&plan));
+            if let Err(e) = &exact {
+                panic!(
+                    "{} / {mode_name}: the run must be its plan: {e}",
+                    kind.name()
+                );
+            }
             let counters = fabric.fault_counters();
             let row = FaultRow {
                 kind: kind.name(),
                 devices,
                 mode: mode_name,
-                bytes_equal: cmp.bytes_match(),
+                bytes_equal: exact.is_ok(),
                 makespan_ratio: if base_makespan > 0.0 {
                     report.modeled_makespan(&weak) / base_makespan
                 } else {
@@ -439,17 +423,10 @@ fn run_regime(
             let (sync_rep, pipe_rep) = (&reports[0], &reports[1]);
             let h2 = h2_last.unwrap();
             let stats = stats_last.unwrap();
-            let cmp = compare_with_simulator(pipe_rep, &h2, stats.total_samples, &weak);
-            let bytes_equal = cmp.bytes_match();
-            if stats.rounds == 0 {
-                assert!(
-                    bytes_equal && cmp.measured_makespan == cmp.predicted_makespan,
-                    "{regime} D={devices}: a one-pass run must execute its plan \
-                     (bytes {} vs {}, makespan ratio {})",
-                    cmp.measured_bytes,
-                    cmp.predicted_bytes,
-                    cmp.makespan_ratio()
-                );
+            let plan = plan_construct(&h2, &cfg, &stats, devices, pipe_rep.mode, prec);
+            let exact = pipe_rep.check(&plan, None);
+            if let Err(e) = &exact {
+                panic!("{regime} D={devices}: the run must execute its plan: {e}");
             }
             let row = BenchRow {
                 regime,
@@ -459,8 +436,8 @@ fn run_regime(
                 sync: mode_row(sync_rep),
                 pipe: mode_row(pipe_rep),
                 comm_bytes: pipe_rep.total_comm_bytes(),
-                sim_ratio: cmp.makespan_ratio(),
-                bytes_equal,
+                sim_ratio: pipe_rep.modeled_makespan(&weak) / plan.makespan(&weak),
+                bytes_equal: exact.is_ok(),
             };
             h2_bench::row(&[
                 devices.to_string(),
@@ -502,15 +479,11 @@ fn run_regime(
                 reports.push(report);
             }
             let (sync_rep, pipe_rep) = (&reports[0], &reports[1]);
-            // The matvec executes its plan epoch for epoch, so bytes must
-            // always match (no adaptive caveat).
-            let cmp = compare_matvec_with_simulator(pipe_rep, &h2, x.cols(), false, &weak);
-            assert!(
-                cmp.bytes_match(),
-                "{regime} D={devices}: matvec bytes {} vs plan {}",
-                cmp.measured_bytes,
-                cmp.predicted_bytes
-            );
+            let plan = plan_matvec(&h2, x.cols(), devices, pipe_rep.mode, prec, false);
+            let exact = pipe_rep.check(&plan, None);
+            if let Err(e) = &exact {
+                panic!("{regime} D={devices}: the matvec must execute its plan: {e}");
+            }
             let row = BenchRow {
                 regime,
                 phase: "matvec",
@@ -519,8 +492,8 @@ fn run_regime(
                 sync: mode_row(sync_rep),
                 pipe: mode_row(pipe_rep),
                 comm_bytes: pipe_rep.total_comm_bytes(),
-                sim_ratio: cmp.makespan_ratio(),
-                bytes_equal: cmp.bytes_match(),
+                sim_ratio: pipe_rep.modeled_makespan(&weak) / plan.makespan(&weak),
+                bytes_equal: exact.is_ok(),
             };
             h2_bench::row(&[
                 devices.to_string(),

@@ -43,8 +43,7 @@ use h2_matrix::H2Matrix;
 use h2_obs::Json;
 use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime};
 use h2_sched::{
-    compare_solve_with_simulator, export_chrome_trace_with_spans, shard_ulv_solve_with_report,
-    DeviceFabric,
+    export_chrome_trace_with_spans, plan_ulv_solve, shard_ulv_solve_with_report, DeviceFabric,
 };
 use h2_serve::{AdmissionPolicy, CachedOperator, OpKey, Request, ServeConfig, ServeSim};
 use h2_solve::UlvFactor;
@@ -128,14 +127,10 @@ fn write_trace(path: &str, ulv: &UlvFactor, n: usize) {
     let b = gaussian_mat(n, 32, 0x7ACE);
     let (_, report) = shard_ulv_solve_with_report(&fabric, ulv, &b);
     fabric.set_tracer(None);
-    let (a100, _) = models();
-    let cmp = compare_solve_with_simulator(&report, ulv, 32, &a100);
-    assert!(
-        cmp.bytes_match(),
-        "traced blocked solve must reconcile with its plan ({} vs {})",
-        cmp.measured_bytes,
-        cmp.predicted_bytes
-    );
+    let plan = plan_ulv_solve(ulv, 32, 4, report.mode, report.wire);
+    if let Err(e) = report.check(&plan, None) {
+        panic!("traced blocked solve must be its plan: {e}");
+    }
     let events = tracer.drain();
     let trace = export_chrome_trace_with_spans(&report, &events);
     trace.write(path).expect("write chrome trace");
@@ -172,23 +167,16 @@ fn main() {
             let b = gaussian_mat(nn, k, 0xB10C ^ ((devices as u64) << 8) ^ k as u64);
             let fabric = DeviceFabric::new(devices);
             let (x_sync, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-            let cmp = compare_solve_with_simulator(&report, &ulv, k, &a100);
-            assert!(
-                cmp.bytes_match(),
-                "D={devices} k={k}: blocked sweep bytes {} vs plan {}",
-                cmp.measured_bytes,
-                cmp.predicted_bytes
-            );
-
             let pipe_fabric = DeviceFabric::pipelined(devices);
             let (x_pipe, pipe_report) = shard_ulv_solve_with_report(&pipe_fabric, &ulv, &b);
-            let pipe_cmp = compare_solve_with_simulator(&pipe_report, &ulv, k, &a100);
-            assert!(
-                pipe_cmp.bytes_match(),
-                "D={devices} k={k}: pipelined blocked sweep bytes {} vs plan {}",
-                pipe_cmp.measured_bytes,
-                pipe_cmp.predicted_bytes
-            );
+            let [plan, pipe_plan] =
+                [&report, &pipe_report].map(|r| plan_ulv_solve(&ulv, k, devices, r.mode, r.wire));
+            let exact = report
+                .check(&plan, None)
+                .and(pipe_report.check(&pipe_plan, None));
+            if let Err(e) = &exact {
+                panic!("D={devices} k={k}: blocked sweeps must be their plans: {e}");
+            }
             assert_eq!(
                 x_sync.as_slice(),
                 x_pipe.as_slice(),
@@ -216,11 +204,11 @@ fn main() {
                 makespan_weak: report.modeled_makespan(&weak),
                 pipe_makespan_a100: pipe_report.modeled_makespan(&a100),
                 pipe_makespan_weak: pipe_report.modeled_makespan(&weak),
-                sim_makespan_a100: cmp.predicted_makespan,
-                pipe_sim_makespan_a100: pipe_cmp.predicted_makespan,
+                sim_makespan_a100: plan.makespan(&a100),
+                pipe_sim_makespan_a100: pipe_plan.makespan(&a100),
                 per_rhs_a100: report.modeled_makespan(&a100) / k as f64,
                 comm_bytes: report.total_comm_bytes(),
-                bytes_equal: cmp.bytes_match() && pipe_cmp.bytes_match(),
+                bytes_equal: exact.is_ok(),
             });
         }
     }

@@ -51,8 +51,7 @@ use h2_matrix::H2Matrix;
 use h2_obs::Json;
 use h2_runtime::{DeviceModel, PipelineMode, Precision};
 use h2_sched::{
-    compare_solve_with_simulator, plan_ulv_solve, shard_ulv_solve_with_report, DeviceFabric,
-    FabricOp, UlvFabricPrecond,
+    plan_ulv_solve, shard_ulv_solve_with_report, DeviceFabric, FabricOp, UlvFabricPrecond,
 };
 use h2_solve::{gmres_with, pcg_with, Identity, KrylovWorkspace, UlvFactor};
 use h2_tree::{Admissibility, ClusterTree, Partition};
@@ -239,13 +238,6 @@ fn run_regime(
         fabric.set_wire(prec);
         sink.attach(&fabric);
         let (x_sync, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-        let cmp = compare_solve_with_simulator(&report, &ulv, rhs, &weak);
-        assert!(
-            cmp.bytes_match(),
-            "{regime} D={devices}: sweep bytes {} vs plan {}",
-            cmp.measured_bytes,
-            cmp.predicted_bytes
-        );
 
         // The same sweep, pipelined: identical arithmetic and identical
         // bytes, but launch gaps and transfers overlap behind compute in
@@ -254,13 +246,14 @@ fn run_regime(
         pipe_fabric.set_wire(prec);
         sink.attach(&pipe_fabric);
         let (x_pipe, pipe_report) = shard_ulv_solve_with_report(&pipe_fabric, &ulv, &b);
-        let pipe_cmp = compare_solve_with_simulator(&pipe_report, &ulv, rhs, &weak);
-        assert!(
-            pipe_cmp.bytes_match(),
-            "{regime} D={devices}: pipelined sweep bytes {} vs plan {}",
-            pipe_cmp.measured_bytes,
-            pipe_cmp.predicted_bytes
-        );
+        let [plan, pipe_plan] =
+            [&report, &pipe_report].map(|r| plan_ulv_solve(&ulv, rhs, devices, r.mode, prec));
+        let exact = report
+            .check(&plan, None)
+            .and(pipe_report.check(&pipe_plan, None));
+        if let Err(e) = &exact {
+            panic!("{regime} D={devices}: sweeps must be their plans: {e}");
+        }
         assert_eq!(
             x_sync.as_slice(),
             x_pipe.as_slice(),
@@ -282,17 +275,17 @@ fn run_regime(
             devices,
             makespan_weak: report.modeled_makespan(&weak),
             makespan_a100: report.modeled_makespan(&a100),
-            sim_makespan_weak: cmp.predicted_makespan,
+            sim_makespan_weak: plan.makespan(&weak),
             pipe_makespan_weak: pipe_report.modeled_makespan(&weak),
             pipe_makespan_a100: pipe_report.modeled_makespan(&a100),
-            pipe_sim_makespan_weak: pipe_cmp.predicted_makespan,
+            pipe_sim_makespan_weak: pipe_plan.makespan(&weak),
             comm_bytes: measured,
             wire_ratio: if f64_bytes > 0 {
                 measured as f64 / f64_bytes as f64
             } else {
                 1.0
             },
-            bytes_equal: cmp.bytes_match() && pipe_cmp.bytes_match(),
+            bytes_equal: exact.is_ok(),
         });
     }
 }

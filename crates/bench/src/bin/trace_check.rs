@@ -17,7 +17,7 @@
 //! 4. with `--expect-bytes N` (the `<path>.expect` sidecar written by
 //!    `fabric --trace`), the transfer-byte sum must equal `N` exactly —
 //!    the `ExecReport::total_comm_bytes` of the run that produced the
-//!    trace, itself asserted equal to the simulator prediction;
+//!    trace, a run itself checked against its plan;
 //! 5. fault/retry pairing: every retry-staged transfer instant
 //!    (`args.stage == "retry"`) must pair one-to-one with a detected
 //!    retryable-fault instant (`cat == "fault"` named `transfer-drop` or

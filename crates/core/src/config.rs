@@ -86,6 +86,13 @@ impl Default for SketchConfig {
 }
 
 impl SketchConfig {
+    /// Width of the initial sample batch (line 1): `initial_samples`
+    /// within the `max_samples` cap, at least one column. The engine draws
+    /// it and the planner starts from it.
+    pub(crate) fn initial_width(&self) -> usize {
+        self.initial_samples.min(self.max_samples).max(1)
+    }
+
     /// The paper's headline configuration (Fig. 5): ε=1e-6, 256 initial
     /// samples.
     pub fn paper() -> Self {

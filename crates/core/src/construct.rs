@@ -296,7 +296,7 @@ fn sketch_construct_engine(
     }
 
     // ---- initial sampling (line 1), one batch per stream ----
-    let d0 = cfg.initial_samples.min(cfg.max_samples).max(1);
+    let d0 = cfg.initial_width();
     let leaf_ranges: Vec<(usize, usize)> =
         tree.level(leaf_level).map(|id| tree.range(id)).collect();
     let sides: &[Side] = if symmetric {

@@ -1,54 +1,55 @@
-//! The sharded construction planned once: [`plan_construct`] lays a pass of
-//! Algorithm 1 on `devices` devices out as the [`Schedule`] the device
-//! fabric executes and prices.
-//!
-//! §IV.B of the paper splits each level's batches across devices; only
-//! `batchedBSRGemm`'s `Ω_b` fetches and the line-24 child stacking
-//! communicate. The sharded kernels of `h2_runtime` record what the plan
-//! lists because both read the same rules — owners from
-//! [`h2_runtime::owner`] / [`h2_runtime::chunk_bounds`], fetches from
-//! [`FetchPlanner`], merges from [`child_gathers`], work from
-//! [`h2_runtime::multidev::cost`] — over the level structure the engine
-//! itself builds. A construction on the fabric therefore reports, epoch by
-//! epoch, the plan's bytes, messages, transfer records, launches, flops and
-//! entries, and its measured makespan equals [`Schedule::makespan`].
+//! The sharded construction planned once: [`plan_construct`] lays the run
+//! of Algorithm 1 that built a matrix out as the [`Schedule`] the device
+//! fabric executes and prices (§IV.B: only `batchedBSRGemm`'s `Ω_b` fetches
+//! and the line-24 stacking communicate). The sharded kernels of
+//! `h2_runtime` record what the plan lists because both read the same
+//! rules — owners ([`h2_runtime::owner`], [`h2_runtime::chunk_bounds`]),
+//! fetches ([`FetchPlanner`]), merges ([`child_gathers`]) and work
+//! ([`h2_runtime::multidev::cost`]) — over the level structure the engine
+//! builds.
 
-use crate::construct::{input_basis, level_structure, side_skel, Side};
+use crate::config::{SketchConfig, SketchStats};
+use crate::construct::{input_basis, level_structure, side_skel, LevelStructure, Side};
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
-    child_gathers, owner, FetchPlanner, PipelineMode, Precision, Schedule, ScheduleEpoch,
+    child_gathers, chunk_bounds, BsrPattern, FetchPlanner, PipelineMode, Precision, Schedule,
+    ScheduleEpoch, Transfer,
 };
 
 /// [`ScheduleEpoch::kernel`] of every construction epoch.
 const CONSTRUCT: &str = "construct";
 
-/// The sharded construction that produced `h2` as a [`Schedule`]: one pass
-/// of Algorithm 1 at sample width `d` whose convergence test passes without
-/// an extra sampling round, so every kernel population follows from the
-/// finished matrix (cluster sizes, skeletons, bases and the partition).
+/// The sharded run of Algorithm 1 that produced `h2` under `cfg` as a
+/// [`Schedule`]: kernel populations follow from the finished matrix, sample
+/// widths from `cfg` and `stats.rounds_per_level` (a level past its end
+/// takes no round).
 ///
-/// One epoch per processed level, labelled `construct L{l}`, leaf first —
-/// the epochs the engine closes. Each carries, per device, the executor's
-/// flops (BSR subtraction, convergence QR, row ID, upsweep GEMM), its
-/// `batchedGen` entries (round-robin within each generator call: the near
-/// field in the leaf epoch, each level's coupling blocks in its own) and its
-/// launches (every batched kernel launches once on each device with a
-/// non-empty chunk, the BSR product once per slot). Transfers are listed in
-/// the order the executor issues them: per stream (row, then column when
-/// unsymmetric) the level's `Ω_b` fetches, then the line-24 gathers of the
-/// stacked samples and of the stacked inputs. On a pipelined fabric the engine
-/// issues an inner level's fetches during the level below, once its IDs fix
-/// the block sizes, so they are accounted to the previous epoch and gate
-/// their own.
+/// One epoch per processed level, `construct L{l}`, leaf first. A level
+/// entered at width `w` (the initial width plus `sample_block` per round
+/// taken below it) runs, per stream and in the engine's order:
 ///
-/// Not planned: workspace (`arena`, the executor's double-banked
-/// bookkeeping, which no makespan term reads). A run with
-/// `SketchConfig::adaptive` off skips the convergence QR — its transfers are
-/// still exactly the plan's, its flops and launches fall short by that
-/// kernel — and a run that drew extra samples executes kernels one pass
-/// does not describe. An all-dense partition processes no level: the plan
-/// is empty.
+/// 1. at the leaves, after the near-field `batchedGen`: `batchedRand` and
+///    the two leaf gathers at width `w`;
+/// 2. the BSR subtraction with its `Ω_b` fetches, then above the leaves
+///    the line-24 stacking of samples and inputs with its gathers;
+/// 3. with `cfg.adaptive`, the convergence QR at each width the level
+///    reaches; between two, one round: `batchedRand` and the leaf gathers
+///    at width `sample_block`, every frozen level's BSR (own fetches),
+///    stacking, shrink and upsweep GEMM leaf first, this level's BSR and
+///    stacking, and the two `hcat` copies;
+/// 4. at the final width: the row ID, on a pipelined fabric the next
+///    level's `Ω_b` fetches (landing in the standby arena bank and gating
+///    the next epoch, whose first pass then issues none), the coupling
+///    `batchedGen`, and below the top the shrink and upsweep GEMM.
+///
+/// Per device, each epoch carries the executor's flops (summed per kernel
+/// over the contiguous chunk, in the engine's order), generator entries
+/// (round-robin per call), launches (one per kernel on every device with a
+/// non-empty chunk, the BSR product one per slot) and workspace peak (the
+/// standby bank carried in plus every output batch, generated block and
+/// landed transfer). An all-dense partition processes no level: its
+/// near-field `batchedGen` is the trailing `construct tail` epoch.
 ///
 /// ```
 /// use h2_core::{plan_construct, sketch_construct, SketchConfig};
@@ -62,15 +63,16 @@ const CONSTRUCT: &str = "construct";
 /// let part = Arc::new(Partition::build(&tree, Admissibility::Strong { eta: 0.7 }));
 /// let km = KernelMatrix::new(ExponentialKernel::default(), tree.points.clone());
 /// let cfg = SketchConfig { initial_samples: 48, ..Default::default() };
-/// let (h2, _) = sketch_construct(&km, &km, tree, part, &Runtime::sequential(), &cfg);
+/// let (h2, stats) = sketch_construct(&km, &km, tree, part, &Runtime::sequential(), &cfg);
 ///
-/// let plan = plan_construct(&h2, 48, 1, PipelineMode::Synchronous, Precision::F64);
+/// let plan = plan_construct(&h2, &cfg, &stats, 1, PipelineMode::Synchronous, Precision::F64);
 /// assert_eq!(plan.total_comm_bytes(), 0); // one device never communicates
 /// assert!(plan.makespan(&DeviceModel::default()) > 0.0);
 /// ```
 pub fn plan_construct(
     h2: &H2Matrix,
-    d: usize,
+    cfg: &SketchConfig,
+    stats: &SketchStats,
     devices: usize,
     mode: PipelineMode,
     wire: Precision,
@@ -87,131 +89,99 @@ pub fn plan_construct(
     };
     // Symmetric stores hold one block per unordered pair.
     let stored = |s: usize, t: usize| !symmetric || s <= t;
+    let near = tree.level(leaf_level).flat_map(|s| {
+        partition.near_of[s]
+            .iter()
+            .filter(move |&&t| stored(s, t))
+            .map(move |&t| (tree.nodes[s].len(), tree.nodes[t].len()))
+    });
     let top = partition.top_far_level(tree).unwrap_or(leaf_level + 1);
-    let mut epochs: Vec<ScheduleEpoch> = Vec::new();
+    let levels: Vec<LevelShape> = (top..=leaf_level)
+        .rev()
+        .map(|l| LevelShape::of(h2, sides, l))
+        .collect();
+    let leaves: Vec<usize> = tree
+        .level(leaf_level)
+        .map(|id| tree.nodes[id].len())
+        .collect();
+    let sb = cfg.sample_block;
+    let mut w = cfg.initial_width();
+    let mut standby = vec![0; devices];
+    let mut epochs = Vec::with_capacity(levels.len());
 
-    for l in (top..=leaf_level).rev() {
-        let at = epochs.len();
-        let is_leaf = l == leaf_level;
-        let node_ids: Vec<usize> = tree.level(l).collect();
-        let n = node_ids.len();
-        let structure = level_structure(tree, partition, &node_ids, is_leaf);
-        let pattern = &structure.pattern;
-        let mut e = ScheduleEpoch::blank(CONSTRUCT, format!("construct L{l}"), devices);
-
-        if is_leaf {
-            // Dense near field (line 8), then per stream the initial
-            // sampling: `batchedRand` over the d columns and the two leaf
-            // gathers of samples and inputs.
-            let near = node_ids.iter().flat_map(|&s| {
-                partition.near_of[s]
-                    .iter()
-                    .filter(move |&&t| stored(s, t))
-                    .map(move |&t| (tree.nodes[s].len(), tree.nodes[t].len()))
-            });
-            charge_gen(&mut e, near);
+    for (at, lv) in levels.iter().enumerate() {
+        let mut e = ScheduleEpoch::blank(CONSTRUCT, format!("construct L{}", lv.l), devices);
+        e.arena = std::mem::replace(&mut standby, vec![0; devices]);
+        if at == 0 {
+            charge_gen(&mut e, near.clone());
             for _ in sides {
-                e.launch(d);
-                e.launch(n);
-                e.launch(n);
+                draw(&mut e, &leaves, w);
             }
         }
+        // On a pipelined fabric the level below issued these fetches.
+        let fetch = !(pipelined && at > 0);
+        for s in &lv.streams {
+            advance(&mut e, at, lv, s, w, fetch, wire);
+        }
 
-        // BSR subtraction (lines 9 / 26) and line-24 stacking, per stream.
-        // The BSR population is the leaves, or this level's children, whose
-        // samples were shrunk to the stream's own skeletons and whose inputs
-        // were compressed by the opposite side's basis.
-        let bsr_ids: Vec<usize> = if is_leaf {
-            node_ids.clone()
-        } else {
-            tree.level(l + 1).collect()
-        };
-        let nr = bsr_ids.len();
-        let mut id_rows: Vec<Vec<usize>> = Vec::with_capacity(sides.len());
-        for &side in sides {
-            let (y_rows, x_rows): (Vec<usize>, Vec<usize>) = if is_leaf {
-                let sizes: Vec<usize> = bsr_ids.iter().map(|&id| tree.nodes[id].len()).collect();
-                (sizes.clone(), sizes)
-            } else {
-                let (skel, basis) = (side_skel(h2, side), input_basis(h2, side));
-                bsr_ids
-                    .iter()
-                    .map(|&id| (skel[id].len(), basis[id].cols()))
-                    .unzip()
-            };
-            let mut planner = FetchPlanner::new(nr, nr, devices, wire);
-            for (r, &rows) in y_rows.iter().enumerate() {
-                let (b0, b1) = pattern.row_range(r);
-                for p in b0..b1 {
-                    let c = pattern.col_of(p);
-                    e.flops[owner(r, nr, devices)] += cost::bsr_flops(rows, x_rows[c], d);
-                    planner.visit(r, c, x_rows[c], d);
+        let rounds = stats.rounds_per_level.get(at).copied().unwrap_or(0);
+        for round in 0..=rounds {
+            if cfg.adaptive {
+                for s in &lv.streams {
+                    kernel(&mut e, &s.ys, 0, 1, |j| cost::qr_flops(s.ys[j], w));
                 }
             }
-            let fetches = planner.into_plan().into_iter().map(|t| (t, at));
-            if pipelined && !is_leaf {
-                epochs[at - 1].transfers.extend(fetches);
-            } else {
-                e.transfers.extend(fetches);
+            if round == rounds {
+                break;
             }
-            for _ in 0..pattern.csp() {
-                e.launch(nr);
-            }
-            if is_leaf {
-                id_rows.push(y_rows);
-                continue;
-            }
-            let children = &structure.children_local;
-            for rows in [&y_rows, &x_rows] {
-                let gathers = child_gathers(children, rows, d, devices, wire);
-                e.transfers.extend(gathers.into_iter().map(|t| (t, at)));
-                e.launch(n);
-            }
-            id_rows.push(
-                children
-                    .iter()
-                    .map(|cs| cs.iter().map(|&c| y_rows[c]).sum())
-                    .collect(),
-            );
-        }
-
-        // Convergence QR (lines 11 / 29), then the batched row ID (lines
-        // 16 / 34), over every stream's stacked samples.
-        for flops in [cost::qr_flops, cost::id_flops] {
-            for rows in &id_rows {
-                for (j, &m) in rows.iter().enumerate() {
-                    e.flops[owner(j, n, devices)] += flops(m, d);
+            // updateSamples: fresh columns swept up through the frozen
+            // levels, advanced through this one, and appended.
+            for (k, s) in lv.streams.iter().enumerate() {
+                draw(&mut e, &leaves, sb);
+                for frozen in &levels[..at] {
+                    advance(&mut e, at, frozen, &frozen.streams[k], sb, true, wire);
+                    upsweep(&mut e, &frozen.streams[k], sb);
                 }
-                e.launch(n);
+                advance(&mut e, at, lv, s, sb, true, wire);
+                kernel(&mut e, &s.ys, w + sb, 1, |_| 0.0);
+                kernel(&mut e, &s.xs, w + sb, 1, |_| 0.0);
             }
+            w += sb;
         }
 
+        for s in &lv.streams {
+            kernel(&mut e, &s.ys, 0, 1, |j| cost::id_flops(s.ys[j], w));
+        }
+        if let Some(next) = levels.get(at + 1).filter(|_| pipelined) {
+            for s in &next.streams {
+                let ahead = fetches(&next.structure.pattern, &s.x_rows, w, devices, wire);
+                for t in &ahead {
+                    standby[t.dst] += t.bytes as usize;
+                }
+                land(&mut e, at + 1, ahead);
+            }
+        }
         // Coupling blocks B_{s,t} = K(Ĩ^r_s, Ĩ^c_t) (line 41).
         let col_skel = h2.col_skel();
-        let coupling = node_ids.iter().flat_map(|&s| {
+        let coupling = tree.level(lv.l).flat_map(|s| {
             partition.far_of[s]
                 .iter()
                 .filter(move |&&t| stored(s, t))
                 .map(move |&t| (h2.skel[s].len(), col_skel[t].len()))
         });
         charge_gen(&mut e, coupling);
-
-        // Upsweep below the top (lines 17-18 / 35-36): shrink the samples,
-        // compress the inputs by the opposite side's basis.
-        if l > top {
-            for &side in sides {
-                e.launch(n);
-                let basis = input_basis(h2, side);
-                for (j, &id) in node_ids.iter().enumerate() {
-                    let a = &basis[id];
-                    e.flops[owner(j, n, devices)] += cost::upsweep_flops(a.rows(), a.cols(), d);
-                }
-                e.launch(n);
+        if lv.l > top {
+            for s in &lv.streams {
+                upsweep(&mut e, s, w);
             }
         }
         epochs.push(e);
     }
-
+    if epochs.is_empty() {
+        // An all-dense partition: the near field is the trailing work.
+        epochs.push(ScheduleEpoch::blank(CONSTRUCT, "construct tail", devices));
+        charge_gen(&mut epochs[0], near);
+    }
     Schedule {
         devices,
         mode,
@@ -220,14 +190,184 @@ pub fn plan_construct(
     }
 }
 
-/// One `batchedGen` call over blocks of the given shapes: entries
-/// round-robin over the devices in block order, one launch on every device
-/// that receives a block.
+/// One processed level as the engine's kernels see it.
+struct LevelShape {
+    l: usize,
+    structure: LevelStructure,
+    /// Per stream, in the engine's order.
+    streams: Vec<StreamShape>,
+}
+
+/// One stream's batch heights at one level: samples (`y`) and inputs (`x`)
+/// of the BSR population (the leaves, or the level's children after their
+/// upsweep), the same stacked onto the level's nodes (line 24), and per
+/// node the upsweep's outputs — skeleton size and compressed input height.
+struct StreamShape {
+    y_rows: Vec<usize>,
+    x_rows: Vec<usize>,
+    ys: Vec<usize>,
+    xs: Vec<usize>,
+    ranks: Vec<usize>,
+    compressed: Vec<usize>,
+}
+
+impl LevelShape {
+    fn of(h2: &H2Matrix, sides: &[Side], l: usize) -> Self {
+        let tree = &h2.tree;
+        let is_leaf = l == tree.leaf_level();
+        let node_ids: Vec<usize> = tree.level(l).collect();
+        let structure = level_structure(tree, &h2.partition, &node_ids, is_leaf);
+        let streams = sides
+            .iter()
+            .map(|&side| {
+                let (skel, basis) = (side_skel(h2, side), input_basis(h2, side));
+                let (y_rows, x_rows): (Vec<usize>, Vec<usize>) = if is_leaf {
+                    node_ids
+                        .iter()
+                        .map(|&id| (tree.nodes[id].len(), tree.nodes[id].len()))
+                        .unzip()
+                } else {
+                    tree.level(l + 1)
+                        .map(|id| (skel[id].len(), basis[id].cols()))
+                        .unzip()
+                };
+                let stack = |rows: &[usize]| -> Vec<usize> {
+                    if is_leaf {
+                        return rows.to_vec();
+                    }
+                    let children = &structure.children_local;
+                    children
+                        .iter()
+                        .map(|cs| cs.iter().map(|&c| rows[c]).sum())
+                        .collect()
+                };
+                StreamShape {
+                    ys: stack(&y_rows),
+                    xs: stack(&x_rows),
+                    y_rows,
+                    x_rows,
+                    ranks: node_ids.iter().map(|&id| skel[id].len()).collect(),
+                    compressed: node_ids.iter().map(|&id| basis[id].cols()).collect(),
+                }
+            })
+            .collect();
+        LevelShape {
+            l,
+            structure,
+            streams,
+        }
+    }
+}
+
+/// One batched kernel over entries of heights `rows`, charged as the
+/// sharded kernels charge it: on every device with a non-empty contiguous
+/// chunk, `launches` launches, the chunk's `flops` summed in entry order,
+/// and its `rows × cols` f64 output batch (`cols = 0`: none).
+fn kernel(
+    e: &mut ScheduleEpoch,
+    rows: &[usize],
+    cols: usize,
+    launches: usize,
+    flops: impl Fn(usize) -> f64,
+) {
+    let bounds = chunk_bounds(rows.len(), e.launches.len());
+    for dev in 0..e.launches.len() {
+        let (b, end) = (bounds[dev], bounds[dev + 1]);
+        if end == b {
+            continue;
+        }
+        e.arena[dev] += rows[b..end].iter().map(|r| r * cols * 8).sum::<usize>();
+        e.flops[dev] += (b..end).map(&flops).sum::<f64>();
+        e.launches[dev] += launches;
+    }
+}
+
+/// `draw_global_samples` at width `d`: `batchedRand` over the columns, then
+/// the leaf gathers of inputs and samples.
+fn draw(e: &mut ScheduleEpoch, leaves: &[usize], d: usize) {
+    e.launch(d);
+    kernel(e, leaves, d, 1, |_| 0.0);
+    kernel(e, leaves, d, 1, |_| 0.0);
+}
+
+/// `advance_level` for one stream at width `d`: the BSR subtraction over
+/// `lv`'s pattern (issuing its `Ω_b` fetches when `fetch`), then above the
+/// leaves the line-24 stacking of samples and inputs with their boundary
+/// gathers, every transfer gating epoch `at`.
+fn advance(
+    e: &mut ScheduleEpoch,
+    at: usize,
+    lv: &LevelShape,
+    s: &StreamShape,
+    d: usize,
+    fetch: bool,
+    wire: Precision,
+) {
+    let devices = e.launches.len();
+    let pattern = &lv.structure.pattern;
+    if fetch {
+        land(e, at, fetches(pattern, &s.x_rows, d, devices, wire));
+    }
+    kernel(e, &s.y_rows, 0, pattern.csp(), |r| {
+        pattern.row_blocks(r).iter().fold(0.0, |fl, &c| {
+            fl + cost::bsr_flops(s.y_rows[r], s.x_rows[c], d)
+        })
+    });
+    let children = &lv.structure.children_local;
+    if children.is_empty() {
+        return;
+    }
+    for (rows, stacked) in [(&s.y_rows, &s.ys), (&s.x_rows, &s.xs)] {
+        land(e, at, child_gathers(children, rows, d, devices, wire));
+        kernel(e, stacked, d, 1, |_| 0.0);
+    }
+}
+
+/// Issue `moved` in the epoch, gating epoch `gates`: each transfer lands in
+/// its destination's arena.
+fn land(e: &mut ScheduleEpoch, gates: usize, moved: Vec<Transfer>) {
+    for t in moved {
+        e.arena[t.dst] += t.bytes as usize;
+        e.transfers.push((t, gates));
+    }
+}
+
+/// The upsweep at width `d` (lines 17-18 / 35-36): shrink the samples to
+/// the skeleton rows, compress the `xs`-row inputs by the opposite side's
+/// basis.
+fn upsweep(e: &mut ScheduleEpoch, s: &StreamShape, d: usize) {
+    kernel(e, &s.ranks, d, 1, |_| 0.0);
+    let flops = |j: usize| cost::upsweep_flops(s.xs[j], s.compressed[j], d);
+    kernel(e, &s.compressed, d, 1, flops);
+}
+
+/// `issue_bsr_fetches`: the deduplicated `Ω_b` fetches of one BSR product
+/// over `pattern` whose partner `c` is an `x_rows[c] × d` block.
+fn fetches(
+    pattern: &BsrPattern,
+    x_rows: &[usize],
+    d: usize,
+    devices: usize,
+    wire: Precision,
+) -> Vec<Transfer> {
+    let mut planner = FetchPlanner::new(pattern.nrows(), x_rows.len(), devices, wire);
+    for r in 0..pattern.nrows() {
+        for &c in pattern.row_blocks(r) {
+            planner.visit(r, c, x_rows[c], d);
+        }
+    }
+    planner.into_plan()
+}
+
+/// One `batchedGen` call over blocks of the given shapes: entries and
+/// output bytes round-robin over the devices in block order, one launch on
+/// every device that receives a block.
 fn charge_gen(e: &mut ScheduleEpoch, blocks: impl Iterator<Item = (usize, usize)>) {
     let devices = e.entries.len();
     let mut count = 0;
     for (i, (r, c)) in blocks.enumerate() {
         e.entries[i % devices] += cost::gen_entries(r, c);
+        e.arena[i % devices] += r * c * 8;
         count = i + 1;
     }
     for launches in e.launches.iter_mut().take(count) {
@@ -238,7 +378,7 @@ fn charge_gen(e: &mut ScheduleEpoch, blocks: impl Iterator<Item = (usize, usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{sketch_construct, SketchConfig};
+    use crate::sketch_construct;
     use h2_kernels::{ExponentialKernel, KernelMatrix};
     use h2_runtime::{DeviceModel, Runtime, TransferKind};
     use h2_tree::{Admissibility, ClusterTree, Partition};
@@ -285,8 +425,24 @@ mod tests {
         }
     }
 
+    /// A one-pass run at width `d` that converges without a round.
+    fn one_pass(d: usize) -> SketchConfig {
+        SketchConfig {
+            initial_samples: d,
+            ..Default::default()
+        }
+    }
+
     fn plan(h2: &H2Matrix, d: usize, devices: usize) -> Schedule {
-        plan_construct(h2, d, devices, PipelineMode::Synchronous, Precision::F64)
+        let stats = SketchStats::default();
+        plan_construct(
+            h2,
+            &one_pass(d),
+            &stats,
+            devices,
+            PipelineMode::Synchronous,
+            Precision::F64,
+        )
     }
 
     /// Leaf-epoch launches of a one-device plan: the near-field generator,
@@ -329,7 +485,8 @@ mod tests {
     fn adjacency_indices_in_range() {
         let h2 = sym_2000();
         for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
-            let p = plan_construct(h2, 48, 3, mode, Precision::F64);
+            let stats = SketchStats::default();
+            let p = plan_construct(h2, &one_pass(48), &stats, 3, mode, Precision::F64);
             for (i, e) in p.epochs.iter().enumerate() {
                 for &(t, gates) in &e.transfers {
                     assert!(t.src < 3 && t.dst < 3 && t.src != t.dst, "{t:?}");
@@ -367,8 +524,14 @@ mod tests {
 
     #[test]
     fn all_dense_partition_has_no_specs() {
+        // No processed level: the near-field generator is the whole run.
         let h2 = built(40, 604);
-        assert!(plan(&h2, 48, 2).epochs.is_empty());
+        let p = plan(&h2, 48, 2);
+        assert_eq!(p.epochs.len(), 1);
+        assert_eq!(p.epochs[0].label, "construct tail");
+        let stored: usize = h2.dense.blocks.iter().map(|b| b.rows() * b.cols()).sum();
+        assert_eq!(p.epochs[0].entries.iter().sum::<f64>(), stored as f64);
+        assert_eq!(p.total_comm_bytes(), 0);
     }
 
     fn built_unsym(n: usize, seed: u64) -> H2Matrix {

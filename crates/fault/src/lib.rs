@@ -40,8 +40,9 @@
 //! injected faults and charged retries — is identical between the
 //! synchronous and pipelined executors *and* reproducible from the
 //! transfer list of the run's plan (`h2_core::plan_construct`, replayed by
-//! `h2_sched::predicted_fault_traffic`). That is what lets the plan predict
-//! faulted byte totals exactly.
+//! `h2_sched::ExecReport::check`, which expects each charged retry right
+//! after its parent transfer). That is what lets the plan predict a
+//! faulted run's transfer records exactly.
 //!
 //! ## Recovery invariants
 //!

@@ -32,7 +32,7 @@
 //! * an **epoch** is one processed level (or matvec / sweep phase): the
 //!   per-epoch per-device stats line up one-to-one with the epochs of the
 //!   [`h2_runtime::Schedule`] the operation was planned as, which is what
-//!   [`crate::SimComparison`] validates.
+//!   [`ExecReport::check`] compares.
 //!
 //! ## Issue-epoch accounting
 //!
@@ -1164,8 +1164,8 @@ impl DeviceFabric {
 
     /// Charge the fault plan's consequences for one issued transfer: one
     /// extra [`TransferRecord`] per failed attempt (same bytes as the
-    /// parent — the re-transfer traffic the accounts and
-    /// `predicted_fault_traffic` both count), a fault instant per injected
+    /// parent, logged right after it — the re-transfer traffic the
+    /// accounts count and [`ExecReport::check`] replays), a fault instant per injected
     /// event, and the retry/fault counters. The landing checksum of the
     /// synthetic payload is exercised in debug builds: a corrupted
     /// attempt must be *detectable* and the final attempt must verify.
@@ -1630,7 +1630,7 @@ impl ShardDispatch for DeviceFabric {
 /// Everything a sharded run recorded: per-epoch per-device timing and
 /// modeled work, the full transfer queue, arena peaks, mode and wall time.
 /// The measured epochs are checked against the [`h2_runtime::Schedule`] the
-/// run was planned as ([`crate::SimComparison`], [`crate::drift`]).
+/// run was planned as ([`ExecReport::check`], [`crate::drift`]).
 #[derive(Clone, Debug)]
 pub struct ExecReport {
     pub devices: usize,
@@ -1866,6 +1866,67 @@ impl ExecReport {
     /// Modeled total compute seconds (device-invariant work currency).
     pub fn modeled_compute_total(&self, model: &DeviceModel) -> f64 {
         self.flop_equiv(model.entry_cost) / model.flops_per_sec
+    }
+
+    /// Whether this run executed `plan` exactly, under `faults` when the
+    /// fabric had that fault plan installed; `Err` names the first
+    /// mismatch. Compared: devices, mode, wire and epoch count; per epoch
+    /// the label, bytes and messages, and every device's flops and
+    /// generator entries (bit for bit), launches and arena peak; and the
+    /// ordered transfer records — each planned transfer under the epoch
+    /// that issues it, followed by the retries `faults` charges for it
+    /// (occurrences drawn per fingerprint in issue order, as the fabric
+    /// draws them). Equal counts price to equal seconds: a passing run's
+    /// [`ExecReport::modeled_makespan`] is the plan's [`Schedule::makespan`].
+    pub fn check(&self, plan: &Schedule, faults: Option<&FaultPlan>) -> Result<(), String> {
+        let run = (self.devices, self.mode, self.wire, self.epochs.len());
+        let planned = (plan.devices, plan.mode, plan.wire, plan.epochs.len());
+        if run != planned {
+            return Err(format!(
+                "(devices, mode, wire, epochs) {run:?}, planned {planned:?}"
+            ));
+        }
+        let mut occ = OccurrenceMap::new();
+        let mut records = Vec::new();
+        for (i, p) in plan.epochs.iter().enumerate() {
+            for &(t, _) in &p.transfers {
+                let fp = t.fingerprint();
+                let retries = faults.map_or(0, |f| f.failed_attempts(fp, occ.next(fp)));
+                records.extend((0..=retries).map(|k| (i, t, k > 0)));
+            }
+        }
+        for (i, (m, p)) in self.epochs.iter().zip(&plan.epochs).enumerate() {
+            let sent = records.iter().filter(|r| r.0 == i);
+            let (bytes, messages) = sent.fold((0, 0), |(b, n), r| (b + r.1.bytes, n + 1));
+            let (got, want) = (
+                (&m.label, m.comm_bytes, m.comm_messages),
+                (&p.label, bytes, messages),
+            );
+            if got != want {
+                return Err(format!(
+                    "epoch {i}: (label, bytes, messages) {got:?}, planned {want:?}"
+                ));
+            }
+            for (dev, d) in m.per_device.iter().enumerate() {
+                let got = (d.flops, d.gen_entries, d.launches, d.arena_peak);
+                let want = (p.flops[dev], p.entries[dev], p.launches[dev], p.arena[dev]);
+                let bits =
+                    |(f, g, l, a): (f64, f64, usize, usize)| (f.to_bits(), g.to_bits(), l, a);
+                if bits(got) != bits(want) {
+                    return Err(format!(
+                        "epoch {i} {:?} device {dev}: (flops, entries, launches, arena) {got:?}, \
+                         planned {want:?}",
+                        p.label
+                    ));
+                }
+            }
+        }
+        let n = self.transfers.len().max(records.len());
+        let first = (0..n).find(|&k| self.transfers.get(k) != records.get(k));
+        first.map_or(Ok(()), |k| {
+            let (got, want) = (self.transfers.get(k), records.get(k));
+            Err(format!("transfer record {k}: {got:?}, planned {want:?}"))
+        })
     }
 }
 

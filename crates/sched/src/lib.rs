@@ -27,21 +27,17 @@
 //! per-device flops / generator entries / launches / workspace × the
 //! explicit transfer list — that the fabric **executes** and one pricing
 //! rule ([`h2_runtime::epoch_terms`], shared by [`Schedule::makespan`],
-//! [`ExecReport::modeled_makespan`] and [`drift`]) **prices**. A run's
-//! measured makespan therefore equals its planned one.
+//! [`ExecReport::modeled_makespan`] and [`drift`]) **prices**. Every run is
+//! its plan: [`ExecReport::check`] compares the two exactly, fault-plan
+//! retries included, so a run's measured makespan equals its planned one.
 //!
 //! * [`plan_construct`] → [`shard_construct`] / [`shard_construct_unsym`]
-//!   → [`Schedule::makespan`] — Algorithm 1 on the fabric, via the
-//!   stream-generic engine of `h2_core::construct`: the symmetric
-//!   one-stream and unsymmetric two-stream instances shard through the same
-//!   `Runtime::sharded` backend, whose kernels read the plan's rules
-//!   ([`h2_runtime::FetchPlanner`], [`h2_runtime::child_gathers`], the
-//!   `cost` formulas). For a pass with no extra sampling round the report
-//!   equals the plan epoch by epoch — bytes, messages, transfer records,
-//!   launches, flops and entries — which [`compare_with_simulator`]
-//!   packages.
-//! * [`plan_matvec`] → [`shard_matvec`] → [`Schedule::makespan`] and
-//!   [`plan_ulv_solve`] → [`shard_ulv_solve`] → [`Schedule::makespan`] —
+//!   — Algorithm 1 on the fabric through the `Runtime::sharded` backend,
+//!   whose kernels read the plan's rules ([`h2_runtime::FetchPlanner`],
+//!   [`h2_runtime::child_gathers`], the `cost` formulas); the plan reads
+//!   the run's configuration and statistics, adaptive rounds included.
+//! * [`plan_matvec`] → [`shard_matvec`] and [`plan_ulv_solve`] →
+//!   [`shard_ulv_solve`] —
 //!   the three-pass matvec and the ULV sweeps (upsweep-ordered eliminate,
 //!   root solve, downsweep-ordered substitute) planned, run by the one plan
 //!   executor `DeviceFabric::execute` over the in-process node kernels
@@ -49,9 +45,8 @@
 //!   [`h2_matrix::ApplyPhases::traverse_chunk`], the sweep
 //!   `h2_solve::UlvSweep`), so outputs are bit-identical to the in-process
 //!   product and solve, and priced. [`simulate_matvec`] is the matvec plan
-//!   under the name the cross-checks use;
-//!   [`compare_matvec_with_simulator`], [`compare_solve_with_simulator`]
-//!   and [`drift`] report against the plans. [`FabricOp`] and
+//!   under the name the end-to-end benchmark uses; [`drift`] reports
+//!   per-epoch terms against the plans. [`FabricOp`] and
 //!   [`UlvFabricPrecond`] plug the sharded matvec and sweep into the Krylov
 //!   methods as a `LinOp`/`Preconditioner` pair.
 //!
@@ -112,13 +107,9 @@
 //!   sequence, run after run.
 //! * **Bounded, charged retries** — a dropped attempt surfaces at the
 //!   plan's detection timeout, a corrupted one at the landing checksum;
-//!   each failed attempt is retried after exponential backoff, with its
-//!   re-transfer bytes recorded on the same queue the accounts and
-//!   plan comparison read. [`compare_with_simulator_faulted`] extends the
-//!   byte-equality invariant: measured bytes (retries included) must equal
-//!   the plan's bytes plus [`predicted_fault_traffic`], the fault plan
-//!   replayed over the plan's transfer list, *exactly*, in both fabric
-//!   modes.
+//!   each is retried after exponential backoff and recorded right after
+//!   its parent transfer, so [`ExecReport::check`] with the [`FaultPlan`]
+//!   replays every retry in place, in both fabric modes.
 //! * **Typed failures instead of hangs** —
 //!   [`DeviceFabric::set_ticket_deadline`] turns a dependency that never
 //!   completes into a [`FabricError::TransferTimeout`] raised at the next
@@ -137,7 +128,7 @@
 //!
 //! Under every seeded plan of the chaos grid in `tests/faults.rs`, the
 //! constructed `H2Matrix` is **bit-identical** to the fault-free run and
-//! the measured bytes equal the plan plus its replayed retries — faults
+//! the run checks against its plan with the retries replayed — faults
 //! change the schedule and the traffic, never the numerics.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -148,10 +139,7 @@ pub mod matvec;
 pub mod solve;
 pub mod trace;
 
-pub use exec::{
-    compare_with_simulator, compare_with_simulator_faulted, predicted_fault_traffic,
-    shard_construct, shard_construct_unsym, sharded_runtime, FaultComparison, SimComparison,
-};
+pub use exec::{shard_construct, shard_construct_unsym, sharded_runtime};
 pub use fabric::{
     DeviceEpochStats, DeviceFabric, Epoch, ExecReport, FaultCounters, LinkModel, TransferDelay,
 };
@@ -162,11 +150,10 @@ pub use h2_runtime::{PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer,
 // `simulate_matvec` is the plan read as a prediction; the end-to-end
 // benchmark's adapter calls it by that name.
 pub use matvec::{
-    compare_matvec_with_simulator, plan_matvec, plan_matvec as simulate_matvec, shard_matvec,
-    shard_matvec_with_report,
+    plan_matvec, plan_matvec as simulate_matvec, shard_matvec, shard_matvec_with_report,
 };
 pub use solve::{
-    compare_solve_with_simulator, plan_ulv_solve, resident_reduce_bytes, resident_reduce_hook,
-    shard_ulv_solve, shard_ulv_solve_with_report, FabricOp, UlvFabricPrecond,
+    plan_ulv_solve, resident_reduce_bytes, resident_reduce_hook, shard_ulv_solve,
+    shard_ulv_solve_with_report, FabricOp, UlvFabricPrecond,
 };
 pub use trace::{drift, export_chrome_trace, export_chrome_trace_with_spans};

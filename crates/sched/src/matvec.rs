@@ -15,7 +15,7 @@
 //! * [`Schedule::makespan`] **prices** it with the rule
 //!   [`ExecReport::modeled_makespan`] applies to the measured counts, so
 //!   bytes, flops and makespan agree by construction;
-//!   [`compare_matvec_with_simulator`] packages the cross-check, and
+//!   [`ExecReport::check`] compares a run with its plan exactly, and
 //!   `simulate_matvec` is this crate's name for the plan seen as a
 //!   prediction.
 //!
@@ -71,14 +71,12 @@
 //! generator and initial sample scatter as free — only `x̂`/`ŷ` movement
 //! counts.
 
-use crate::exec::SimComparison;
 use crate::fabric::{DeviceFabric, ExecReport};
 use h2_dense::Mat;
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
-    owner, DeviceModel, FetchPlanner, PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer,
-    TransferKind,
+    owner, FetchPlanner, PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer, TransferKind,
 };
 
 /// [`ScheduleEpoch::kernel`] names of the four passes.
@@ -391,19 +389,4 @@ pub fn shard_matvec_with_report(
     fabric.reset();
     let y = shard_matvec(fabric, h2, x, transpose);
     (y, fabric.report("matvec tail"))
-}
-
-/// Measured-vs-planned comparison of one sharded matvec against
-/// [`plan_matvec`] for the report's own device count, mode and wire — the
-/// matvec arm of the plan-equivalence suite. The executor ran that
-/// plan, so byte and flop totals are equal and the makespan ratio is 1.
-pub fn compare_matvec_with_simulator(
-    report: &ExecReport,
-    h2: &H2Matrix,
-    d: usize,
-    transpose: bool,
-    model: &DeviceModel,
-) -> SimComparison {
-    let plan = plan_matvec(h2, d, report.devices, report.mode, report.wire, transpose);
-    SimComparison::of_plan(report, &plan, model)
 }

@@ -19,8 +19,7 @@
 //! * [`Schedule::makespan`] **prices** it with the rule
 //!   [`ExecReport::modeled_makespan`] applies to the measured counts, so
 //!   bytes, flops and makespan agree by construction;
-//!   [`compare_solve_with_simulator`] and [`crate::drift`] report against
-//!   the plan.
+//!   [`ExecReport::check`] and [`crate::drift`] report against the plan.
 //!
 //! ## The plan
 //!
@@ -59,14 +58,12 @@
 //! ([`h2_solve::blocked_dot`]) make the per-device partial combine bit-equal
 //! to the host arithmetic.
 
-use crate::exec::SimComparison;
 use crate::fabric::{DeviceFabric, ExecReport};
 use h2_dense::{LinOp, Mat, MatMut, MatRef};
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
-    chunk_bounds, owner, DeviceModel, PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer,
-    TransferKind,
+    chunk_bounds, owner, PipelineMode, Precision, Schedule, ScheduleEpoch, Transfer, TransferKind,
 };
 use h2_solve::{Preconditioner, UlvFactor};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -370,19 +367,4 @@ pub fn shard_ulv_solve_with_report(
     fabric.reset();
     let x = shard_ulv_solve(fabric, ulv, b);
     (x, fabric.report("ulv solve tail"))
-}
-
-/// Measured-vs-planned comparison of one sharded solve sweep against
-/// [`plan_ulv_solve`] for `nrhs` columns and the report's own device count,
-/// mode and wire — the solver arm of the plan-equivalence suite. The
-/// executor ran that plan, so byte and flop totals are equal and the
-/// makespan ratio is 1.
-pub fn compare_solve_with_simulator(
-    report: &ExecReport,
-    ulv: &UlvFactor,
-    nrhs: usize,
-    model: &DeviceModel,
-) -> SimComparison {
-    let plan = plan_ulv_solve(ulv, nrhs, report.devices, report.mode, report.wire);
-    SimComparison::of_plan(report, &plan, model)
 }

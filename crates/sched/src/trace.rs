@@ -193,8 +193,8 @@ pub fn export_chrome_trace_with_spans(report: &ExecReport, events: &[Event]) -> 
 /// compute / comm / launch terms of each side. Rows cover the longer of the
 /// two epoch lists, so [`DriftTable::measured_total`] is exactly
 /// [`ExecReport::modeled_makespan`], [`DriftTable::predicted_total`] exactly
-/// [`Schedule::makespan`], and [`DriftTable::ratio`] exactly
-/// [`crate::SimComparison::makespan_ratio`].
+/// [`Schedule::makespan`], and [`DriftTable::ratio`] is their quotient —
+/// exactly 1 for a run that is its plan ([`ExecReport::check`]).
 pub fn drift(report: &ExecReport, plan: &Schedule, model: &DeviceModel) -> DriftTable {
     let terms = |(compute, comm, launch): (f64, f64, f64)| [compute, comm, launch];
     let n = report.epochs.len().max(plan.epochs.len());

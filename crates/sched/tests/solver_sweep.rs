@@ -4,16 +4,16 @@
 //! must *be* its `plan_ulv_solve` schedule — every epoch's label, per-device
 //! flops, launches, arena, bytes and transfer records — so bytes, flops and
 //! the priced makespan equal the plan's exactly: the solver arm of the
-//! simulator-equivalence suite (asserted in CI like construction/matvec).
+//! plan-equivalence suite (asserted in CI like construction/matvec).
 
 use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig};
 use h2_dense::gaussian_mat;
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
-use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime, Schedule, TransferKind};
+use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime, TransferKind};
 use h2_sched::{
-    compare_solve_with_simulator, plan_ulv_solve, shard_ulv_solve, shard_ulv_solve_with_report,
-    DeviceFabric, ExecReport, FabricOp, LinkModel, UlvFabricPrecond,
+    plan_ulv_solve, shard_ulv_solve, shard_ulv_solve_with_report, DeviceFabric, ExecReport,
+    FabricOp, LinkModel, UlvFabricPrecond,
 };
 use h2_solve::{gmres, pcg, Identity, UlvFactor};
 use h2_tree::{Admissibility, ClusterTree, Partition};
@@ -111,44 +111,25 @@ fn sharded_sweep_matches_inprocess_sym_and_unsym() {
     }
 }
 
-/// Everything an executed sweep records is what its plan says, epoch by
-/// epoch: label, per-device flops (bitwise), launches and arena peak, bytes,
-/// messages and the transfer records in issue order — so the priced
-/// makespans are equal, not merely close.
-fn assert_report_is_plan(report: &ExecReport, plan: &Schedule, model: &DeviceModel, what: &str) {
-    assert_eq!(
-        report.epochs.len(),
-        plan.epochs.len(),
-        "{what}: epoch count"
-    );
-    let mut records = report.transfers.iter();
-    for (i, (e, p)) in report.epochs.iter().zip(&plan.epochs).enumerate() {
-        let at = format!("{what} epoch {i} '{}'", p.label);
-        assert_eq!(e.label, p.label, "{at}: label");
-        for (dev, d) in e.per_device.iter().enumerate() {
-            assert_eq!(
-                d.flops.to_bits(),
-                p.flops[dev].to_bits(),
-                "{at}: dev {dev} flops"
-            );
-            assert_eq!(d.launches, p.launches[dev], "{at}: dev {dev} launches");
-            assert_eq!(d.arena_peak, p.arena[dev], "{at}: dev {dev} arena");
-        }
-        assert_eq!(e.comm_bytes, p.comm_bytes(), "{at}: bytes");
-        assert_eq!(e.comm_messages, p.comm_messages(), "{at}: messages");
-        for (t, gates) in &p.transfers {
-            assert_eq!(*gates, i, "{at}: every sweep transfer is read where issued");
-            assert_eq!(
-                records.next(),
-                Some(&(i, *t, false)),
-                "{at}: transfer record"
-            );
-        }
+/// Everything an executed sweep records is what its plan says
+/// ([`ExecReport::check`]), every sweep transfer is read in the epoch that
+/// issues it, and the priced makespans are equal, not merely close.
+fn assert_report_is_plan(report: &ExecReport, ulv: &UlvFactor, nrhs: usize, what: &str) {
+    let plan = plan_ulv_solve(ulv, nrhs, report.devices, report.mode, report.wire);
+    if let Err(e) = report.check(&plan, None) {
+        panic!("{what}: {e}");
     }
-    assert_eq!(records.next(), None, "{what}: unplanned transfer");
+    for (i, e) in plan.epochs.iter().enumerate() {
+        assert!(
+            e.transfers.iter().all(|&(_, gates)| gates == i),
+            "{what} '{}': every sweep transfer is read where issued",
+            e.label
+        );
+    }
+    let model = DeviceModel::default();
     assert_eq!(
-        plan.makespan(model),
-        report.modeled_makespan(model),
+        plan.makespan(&model),
+        report.modeled_makespan(&model),
         "{what}: makespan"
     );
 }
@@ -157,7 +138,6 @@ fn assert_report_is_plan(report: &ExecReport, plan: &Schedule, model: &DeviceMod
 /// wire widths × nrhs ∈ {1, 3}: every run is bit-identical to the
 /// in-process solve and its report is its plan.
 fn assert_sweeps_execute_their_plans(tag: &str, h2: &H2Matrix) {
-    let model = DeviceModel::default();
     let ulv = UlvFactor::new(h2).unwrap();
     for nrhs in [1usize, 3] {
         let b = gaussian_mat(h2.n(), nrhs, 70 + nrhs as u64);
@@ -170,11 +150,7 @@ fn assert_sweeps_execute_their_plans(tag: &str, h2: &H2Matrix) {
                     fabric.set_wire(wire);
                     let (got, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
                     assert_bitwise_equal(&got, &want, &what);
-                    let plan = plan_ulv_solve(&ulv, nrhs, devices, mode, wire);
-                    assert_report_is_plan(&report, &plan, &model, &what);
-                    let cmp = compare_solve_with_simulator(&report, &ulv, nrhs, &model);
-                    assert!(cmp.bytes_match(), "{what}: bytes");
-                    assert_eq!(cmp.makespan_ratio(), 1.0, "{what}: makespan ratio");
+                    assert_report_is_plan(&report, &ulv, nrhs, &what);
                 }
             }
         }
@@ -206,26 +182,13 @@ fn single_leaf_sweep_is_one_root_epoch() {
 fn sharded_sweep_bytes_equal_simulator() {
     let sym = sym_hss(640, 32);
     let unsym = unsym_hss(512, 32);
-    let model = DeviceModel::default();
     for (h2, n, tag) in [(&sym, 640usize, "sym"), (&unsym, 512usize, "unsym")] {
         let ulv = UlvFactor::new(h2).unwrap();
         let b = gaussian_mat(n, 4, 72);
         for devices in DEVICE_COUNTS {
             let fabric = DeviceFabric::new(devices);
             let (_, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-            let cmp = compare_solve_with_simulator(&report, &ulv, 4, &model);
-            assert!(
-                cmp.bytes_match(),
-                "{tag} D={devices}: solve traffic diverges: measured {} vs planned {}",
-                cmp.measured_bytes,
-                cmp.predicted_bytes
-            );
-            assert_eq!(
-                cmp.measured_flop_equiv.to_bits(),
-                cmp.predicted_flop_equiv.to_bits(),
-                "{tag} D={devices}: solve work diverges"
-            );
-            assert_eq!(cmp.makespan_ratio(), 1.0, "{tag} D={devices}");
+            assert_report_is_plan(&report, &ulv, 4, &format!("{tag} D={devices}"));
             if devices == 1 {
                 assert_eq!(
                     report.total_comm_bytes(),
@@ -302,19 +265,13 @@ fn pipelined_sweep_is_bit_identical_and_bytes_equal() {
     let ulv = UlvFactor::new(&h2).unwrap();
     let b = gaussian_mat(640, 2, 73);
     let want = ulv.solve(&b);
-    let model = DeviceModel::default();
     for devices in [2usize, 7] {
         let fabric =
             DeviceFabric::with_config(devices, PipelineMode::Pipelined, LinkModel::default());
         let (got, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-        assert_bitwise_equal(&got, &want, &format!("pipelined D={devices}"));
-        let cmp = compare_solve_with_simulator(&report, &ulv, 2, &model);
-        assert!(
-            cmp.bytes_match(),
-            "pipelined D={devices}: bytes {} vs {}",
-            cmp.measured_bytes,
-            cmp.predicted_bytes
-        );
+        let what = format!("pipelined D={devices}");
+        assert_bitwise_equal(&got, &want, &what);
+        assert_report_is_plan(&report, &ulv, 2, &what);
     }
 }
 

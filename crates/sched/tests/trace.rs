@@ -13,8 +13,7 @@ use h2_matrix::H2Matrix;
 use h2_obs::Json;
 use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime};
 use h2_sched::{
-    compare_matvec_with_simulator, compare_solve_with_simulator, compare_with_simulator, drift,
-    export_chrome_trace, export_chrome_trace_with_spans, plan_construct, plan_ulv_solve,
+    drift, export_chrome_trace, export_chrome_trace_with_spans, plan_construct, plan_ulv_solve,
     shard_construct, shard_matvec_with_report, shard_ulv_solve_with_report, simulate_matvec,
     DeviceFabric, Tracer,
 };
@@ -125,28 +124,23 @@ fn shares_sum(table: &h2_sched::DriftTable) -> f64 {
     table.shares().iter().sum()
 }
 
-/// The PR's acceptance bar: a pipelined 4-device construction's exported
+/// The acceptance bar: a pipelined 4-device construction's exported
 /// Chrome trace sums its transfer-event bytes to exactly the report total
-/// and the simulator prediction, at both wire precisions — and the drift
-/// table's shares sum to the observed makespan ratio.
+/// and the plan's, at both wire precisions — and the drift table's shares
+/// sum to the observed makespan ratio.
 #[test]
 fn chrome_trace_bytes_reconcile_exactly_at_both_wires() {
     let (tree, part, km) = sym_problem(1200, 16, 95);
     let model = DeviceModel::default();
-    // The plan describes a pass that runs the convergence test once and
-    // passes it: the adaptive default, converging without an extra round.
-    let one_pass = SketchConfig {
-        adaptive: true,
-        ..cfg()
-    };
     for wire in [Precision::F64, Precision::F32] {
         let fabric = DeviceFabric::with_config(4, PipelineMode::Pipelined, Default::default());
         fabric.set_wire(wire);
         let (h2, stats, report) =
-            shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &one_pass);
-        assert_eq!(stats.rounds, 0, "wire={wire}: one pass");
-        let cmp = compare_with_simulator(&report, &h2, 64, &model);
-        assert!(cmp.bytes_match(), "wire={wire}: executor vs plan bytes");
+            shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &cfg());
+        let plan = plan_construct(&h2, &cfg(), &stats, 4, PipelineMode::Pipelined, wire);
+        if let Err(e) = report.check(&plan, None) {
+            panic!("wire={wire}: {e}");
+        }
 
         let trace = export_chrome_trace(&report);
         let events = parse_events(&trace);
@@ -159,8 +153,9 @@ fn chrome_trace_bytes_reconcile_exactly_at_both_wires() {
             "wire={wire}: trace bytes vs report"
         );
         assert_eq!(
-            summed, cmp.predicted_bytes,
-            "wire={wire}: trace bytes vs simulator"
+            summed,
+            plan.total_comm_bytes(),
+            "wire={wire}: trace bytes vs plan"
         );
         // One transfer event per recorded message.
         let n_transfers = events
@@ -169,7 +164,6 @@ fn chrome_trace_bytes_reconcile_exactly_at_both_wires() {
             .count();
         assert_eq!(n_transfers, report.total_comm_messages());
 
-        let plan = plan_construct(&h2, 64, 4, PipelineMode::Pipelined, wire);
         let table = drift(&report, &plan, &model);
         assert_eq!(
             table.measured_total(),
@@ -178,10 +172,9 @@ fn chrome_trace_bytes_reconcile_exactly_at_both_wires() {
         );
         assert_eq!(
             table.predicted_total(),
-            cmp.predicted_makespan,
+            plan.makespan(&model),
             "wire={wire}: drift predicted total must be the planned makespan"
         );
-        assert_eq!(table.ratio(), cmp.makespan_ratio(), "wire={wire}");
         assert_eq!(table.ratio(), 1.0, "wire={wire}: the executor ran the plan");
         assert!(
             (shares_sum(&table) - 1.0).abs() <= 1e-12,
@@ -212,8 +205,10 @@ fn matvec_drift_table_matches_simulator_comparison() {
     for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
         let fabric = DeviceFabric::with_config(4, mode, Default::default());
         let (_, report) = shard_matvec_with_report(&fabric, &h2, &x, false);
-        let cmp = compare_matvec_with_simulator(&report, &h2, 4, false, &model);
         let sim = simulate_matvec(&h2, 4, 4, mode, report.wire, false);
+        if let Err(e) = report.check(&sim, None) {
+            panic!("{mode:?}: {e}");
+        }
         let table = drift(&report, &sim, &model);
         assert_eq!(table.measured_total(), report.modeled_makespan(&model));
         assert_eq!(
@@ -221,10 +216,10 @@ fn matvec_drift_table_matches_simulator_comparison() {
             sim.makespan(&model),
             "{mode:?}: per-epoch predictions must decompose the sim makespan"
         );
-        assert_eq!(table.ratio(), cmp.makespan_ratio(), "{mode:?}");
-        assert!(
-            (table.ratio() - 1.0).abs() < 1e-9,
-            "{mode:?}: executor and simulator model the same schedule"
+        assert_eq!(
+            table.ratio(),
+            1.0,
+            "{mode:?}: executor and plan model the same schedule"
         );
         // Labels pair up row by row (same epoch order on both sides).
         assert_eq!(table.rows.len(), report.epochs.len().max(sim.epochs.len()));
@@ -247,13 +242,11 @@ fn solve_drift_table_matches_simulator_comparison() {
     let model = DeviceModel::default();
     let fabric = DeviceFabric::with_config(4, PipelineMode::Pipelined, Default::default());
     let (_, report) = shard_ulv_solve_with_report(&fabric, &ulv, &b);
-    let cmp = compare_solve_with_simulator(&report, &ulv, 2, &model);
-    assert!(cmp.bytes_match());
     let plan = plan_ulv_solve(&ulv, 2, 4, PipelineMode::Pipelined, report.wire);
+    report.check(&plan, None).unwrap();
     let table = drift(&report, &plan, &model);
     assert_eq!(table.measured_total(), report.modeled_makespan(&model));
-    assert_eq!(table.predicted_total(), cmp.predicted_makespan);
-    assert_eq!(table.ratio(), cmp.makespan_ratio());
+    assert_eq!(table.predicted_total(), plan.makespan(&model));
     assert_eq!(table.ratio(), 1.0, "the executor ran the plan");
     assert!((shares_sum(&table) - 1.0).abs() <= 1e-12);
     // Labels pair up row by row: the same epochs in the same order.

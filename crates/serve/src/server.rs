@@ -13,7 +13,7 @@ use crate::cache::{CachedOperator, OpKey, OperatorCache};
 use crate::queue::{AdmissionPolicy, AdmissionQueue, Batch, Request};
 use h2_dense::Mat;
 use h2_runtime::{DeviceModel, PipelineMode};
-use h2_sched::{compare_solve_with_simulator, shard_ulv_solve_with_report, DeviceFabric};
+use h2_sched::{plan_ulv_solve, shard_ulv_solve_with_report, DeviceFabric};
 
 /// Service configuration: device fabric shape, device model, admission
 /// policy and cache budget.
@@ -51,7 +51,8 @@ pub struct ServeReport {
     pub solve_bytes: u64,
     /// Summed planned bytes (`h2_sched::plan_ulv_solve`) across batches.
     pub predicted_bytes: u64,
-    /// Whether every batch matched its planned bytes exactly.
+    /// Whether every batch executed its plan exactly
+    /// ([`h2_sched::ExecReport::check`]).
     pub bytes_equal: bool,
     /// Modeled seconds spent (re)building factors on cache misses.
     pub factor_seconds: f64,
@@ -123,7 +124,7 @@ impl<'a> ServeSim<'a> {
                 let done = self.serve_batch(&b, &mut clock, &mut factor_seconds);
                 solve_bytes += done.measured_bytes;
                 predicted_bytes += done.predicted_bytes;
-                bytes_equal &= done.measured_bytes == done.predicted_bytes;
+                bytes_equal &= done.exact;
                 for resp in done.responses {
                     latencies.push(resp.latency);
                     responses.push(resp);
@@ -197,14 +198,14 @@ impl<'a> ServeSim<'a> {
             c0 += req.width();
         }
 
-        // One blocked sharded sweep for the whole batch, byte-checked
-        // against its plan at this width.
+        // One blocked sharded sweep for the whole batch, checked against
+        // its plan at this width.
         let fabric = match self.cfg.mode {
             PipelineMode::Pipelined => DeviceFabric::pipelined(self.cfg.devices),
             _ => DeviceFabric::new(self.cfg.devices),
         };
         let (x, report) = shard_ulv_solve_with_report(&fabric, &op.ulv, &rhs);
-        let cmp = compare_solve_with_simulator(&report, &op.ulv, width, &self.cfg.model);
+        let plan = plan_ulv_solve(&op.ulv, width, report.devices, report.mode, report.wire);
         let service = report.modeled_makespan(&self.cfg.model);
         *clock += service;
 
@@ -220,8 +221,9 @@ impl<'a> ServeSim<'a> {
             c0 += req.width();
         }
         Served {
-            measured_bytes: cmp.measured_bytes,
-            predicted_bytes: cmp.predicted_bytes,
+            measured_bytes: report.total_comm_bytes(),
+            predicted_bytes: plan.total_comm_bytes(),
+            exact: report.check(&plan, None).is_ok(),
             responses,
         }
     }
@@ -230,5 +232,7 @@ impl<'a> ServeSim<'a> {
 struct Served {
     measured_bytes: u64,
     predicted_bytes: u64,
+    /// The sweep executed its plan ([`h2_sched::ExecReport::check`]).
+    exact: bool,
     responses: Vec<Response>,
 }
