@@ -42,6 +42,7 @@
 //! attributed to the Fig.-7 phase it belongs to.
 
 use crate::config::{SketchConfig, SketchStats};
+use crate::multidev::ConstructPlanner;
 use h2_dense::cpqr::Truncation;
 use h2_dense::{estimate_norm_2, EntryAccess, LinOp, Mat};
 use h2_matrix::H2Matrix;
@@ -220,6 +221,10 @@ fn sketch_construct_engine(
     };
     let mut stats = SketchStats::default();
     let leaf_level = tree.leaf_level();
+    // On a fabric, every closed epoch is charged from this planner's step.
+    let mut planner = rt
+        .shard_dispatch()
+        .map(|d| ConstructPlanner::new(&h2, cfg, d.devices(), d.mode(), d.wire()));
 
     // ---- dense near-field blocks (batchedGen, line 8) ----
     // Symmetric: once per unordered pair. Unsymmetric: every ordered pair —
@@ -249,6 +254,9 @@ fn sketch_construct_engine(
 
     // Entirely dense partition (tiny N): done.
     let Some(top) = partition.top_far_level(&tree) else {
+        if let Some(planner) = &planner {
+            rt.shard_epoch(&planner.tail(&h2));
+        }
         stats.elapsed = t0.elapsed();
         stats.capture_profile(rt.profile());
         return (h2, stats);
@@ -490,13 +498,7 @@ fn sketch_construct_engine(
                 for (slot, &side) in fetched.iter_mut().zip(sides) {
                     let b = input_basis(&h2, side);
                     let x_rows: Vec<usize> = node_ids.iter().map(|&id| b[id].cols()).collect();
-                    *slot = Some(issue_bsr_fetches(
-                        disp.as_ref(),
-                        &pattern,
-                        &x_rows,
-                        d_cur,
-                        true,
-                    ));
+                    *slot = Some(issue_bsr_fetches(disp.as_ref(), &pattern, &x_rows, d_cur));
                 }
             }
         }
@@ -600,15 +602,14 @@ fn sketch_construct_engine(
             skels_local,
         });
 
-        // Close the device fabric's accounting epoch for this level (no-op
-        // off the sharded backend): per-epoch stats then line up one-to-one
-        // with the epochs of `plan_construct`.
-        rt.shard_epoch(&format!("construct L{l}"));
-
-        // Seal this level's checkpoint only after the epoch boundary — the
-        // point where a scheduled device fail-stop takes effect — so the
-        // ledger never contains a level the loss could have interrupted.
-        if rt.shard_dispatch().is_some() {
+        if let Some(planner) = &mut planner {
+            // Charge the fabric this level's epoch of `plan_construct` and
+            // close it.
+            rt.shard_epoch(&planner.level(&h2, l, level_rounds));
+            // Seal this level's checkpoint only after the epoch boundary —
+            // the point where a scheduled device fail-stop takes effect — so
+            // the ledger never contains a level the loss could have
+            // interrupted.
             let rec = records.last().expect("level record just pushed");
             checkpoints.push(LevelCheckpoint::seal(l, &rec.node_ids, &h2, symmetric));
             stats.checkpoints += 1;

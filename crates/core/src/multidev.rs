@@ -1,12 +1,12 @@
 //! The sharded construction planned once: [`plan_construct`] lays the run
 //! of Algorithm 1 that built a matrix out as the [`Schedule`] the device
 //! fabric executes and prices (§IV.B: only `batchedBSRGemm`'s `Ω_b` fetches
-//! and the line-24 stacking communicate). The sharded kernels of
-//! `h2_runtime` record what the plan lists because both read the same
-//! rules — owners ([`h2_runtime::owner`], [`h2_runtime::chunk_bounds`]),
-//! fetches ([`FetchPlanner`]), merges ([`child_gathers`]) and work
-//! ([`h2_runtime::multidev::cost`]) — over the level structure the engine
-//! builds.
+//! and the line-24 stacking communicate). A sharded run is charged from
+//! the plan: the engine calls [`plan_construct`]'s per-level step at each
+//! level's close and the fabric charges the epoch it returns. The kernels
+//! of `h2_runtime` count nothing; they issue their transfers live, from
+//! the rules the plan reads too — fetches ([`FetchPlanner`]) and merges
+//! ([`child_gathers`]) over the level structure the engine builds.
 
 use crate::config::{SketchConfig, SketchStats};
 use crate::construct::{input_basis, level_structure, side_skel, LevelStructure, Side};
@@ -39,16 +39,16 @@ const CONSTRUCT: &str = "construct";
 ///    stacking, shrink and upsweep GEMM leaf first, this level's BSR and
 ///    stacking, and the two `hcat` copies;
 /// 4. at the final width: the row ID, on a pipelined fabric the next
-///    level's `Ω_b` fetches (landing in the standby arena bank and gating
-///    the next epoch, whose first pass then issues none), the coupling
+///    level's `Ω_b` fetches (gating the next epoch, whose first pass then
+///    issues none, and held in both epochs' workspace), the coupling
 ///    `batchedGen`, and below the top the shrink and upsweep GEMM.
 ///
 /// Per device, each epoch carries the executor's flops (summed per kernel
 /// over the contiguous chunk, in the engine's order), generator entries
 /// (round-robin per call), launches (one per kernel on every device with a
 /// non-empty chunk, the BSR product one per slot) and workspace peak (the
-/// standby bank carried in plus every output batch, generated block and
-/// landed transfer). An all-dense partition processes no level: its
+/// fetches issued ahead into it plus every output batch, generated block
+/// and landed transfer). An all-dense partition processes no level: its
 /// near-field `batchedGen` is the trailing `construct tail` epoch.
 ///
 /// ```
@@ -77,110 +77,16 @@ pub fn plan_construct(
     mode: PipelineMode,
     wire: Precision,
 ) -> Schedule {
-    let tree = &h2.tree;
-    let partition = &h2.partition;
-    let symmetric = h2.is_symmetric();
-    let pipelined = mode == PipelineMode::Pipelined;
-    let leaf_level = tree.leaf_level();
-    let sides: &[Side] = if symmetric {
-        &[Side::Row]
-    } else {
-        &[Side::Row, Side::Col]
-    };
-    // Symmetric stores hold one block per unordered pair.
-    let stored = |s: usize, t: usize| !symmetric || s <= t;
-    let near = tree.level(leaf_level).flat_map(|s| {
-        partition.near_of[s]
-            .iter()
-            .filter(move |&&t| stored(s, t))
-            .map(move |&t| (tree.nodes[s].len(), tree.nodes[t].len()))
-    });
-    let top = partition.top_far_level(tree).unwrap_or(leaf_level + 1);
-    let levels: Vec<LevelShape> = (top..=leaf_level)
-        .rev()
-        .map(|l| LevelShape::of(h2, sides, l))
+    let mut planner = ConstructPlanner::new(h2, cfg, devices, mode, wire);
+    let levels = (planner.top..=h2.tree.leaf_level()).rev().enumerate();
+    let mut epochs: Vec<ScheduleEpoch> = levels
+        .map(|(at, l)| {
+            let rounds = stats.rounds_per_level.get(at).copied().unwrap_or(0);
+            planner.level(h2, l, rounds)
+        })
         .collect();
-    let leaves: Vec<usize> = tree
-        .level(leaf_level)
-        .map(|id| tree.nodes[id].len())
-        .collect();
-    let sb = cfg.sample_block;
-    let mut w = cfg.initial_width();
-    let mut standby = vec![0; devices];
-    let mut epochs = Vec::with_capacity(levels.len());
-
-    for (at, lv) in levels.iter().enumerate() {
-        let mut e = ScheduleEpoch::blank(CONSTRUCT, format!("construct L{}", lv.l), devices);
-        e.arena = std::mem::replace(&mut standby, vec![0; devices]);
-        if at == 0 {
-            charge_gen(&mut e, near.clone());
-            for _ in sides {
-                draw(&mut e, &leaves, w);
-            }
-        }
-        // On a pipelined fabric the level below issued these fetches.
-        let fetch = !(pipelined && at > 0);
-        for s in &lv.streams {
-            advance(&mut e, at, lv, s, w, fetch, wire);
-        }
-
-        let rounds = stats.rounds_per_level.get(at).copied().unwrap_or(0);
-        for round in 0..=rounds {
-            if cfg.adaptive {
-                for s in &lv.streams {
-                    kernel(&mut e, &s.ys, 0, 1, |j| cost::qr_flops(s.ys[j], w));
-                }
-            }
-            if round == rounds {
-                break;
-            }
-            // updateSamples: fresh columns swept up through the frozen
-            // levels, advanced through this one, and appended.
-            for (k, s) in lv.streams.iter().enumerate() {
-                draw(&mut e, &leaves, sb);
-                for frozen in &levels[..at] {
-                    advance(&mut e, at, frozen, &frozen.streams[k], sb, true, wire);
-                    upsweep(&mut e, &frozen.streams[k], sb);
-                }
-                advance(&mut e, at, lv, s, sb, true, wire);
-                kernel(&mut e, &s.ys, w + sb, 1, |_| 0.0);
-                kernel(&mut e, &s.xs, w + sb, 1, |_| 0.0);
-            }
-            w += sb;
-        }
-
-        for s in &lv.streams {
-            kernel(&mut e, &s.ys, 0, 1, |j| cost::id_flops(s.ys[j], w));
-        }
-        if let Some(next) = levels.get(at + 1).filter(|_| pipelined) {
-            for s in &next.streams {
-                let ahead = fetches(&next.structure.pattern, &s.x_rows, w, devices, wire);
-                for t in &ahead {
-                    standby[t.dst] += t.bytes as usize;
-                }
-                land(&mut e, at + 1, ahead);
-            }
-        }
-        // Coupling blocks B_{s,t} = K(Ĩ^r_s, Ĩ^c_t) (line 41).
-        let col_skel = h2.col_skel();
-        let coupling = tree.level(lv.l).flat_map(|s| {
-            partition.far_of[s]
-                .iter()
-                .filter(move |&&t| stored(s, t))
-                .map(move |&t| (h2.skel[s].len(), col_skel[t].len()))
-        });
-        charge_gen(&mut e, coupling);
-        if lv.l > top {
-            for s in &lv.streams {
-                upsweep(&mut e, s, w);
-            }
-        }
-        epochs.push(e);
-    }
     if epochs.is_empty() {
-        // An all-dense partition: the near field is the trailing work.
-        epochs.push(ScheduleEpoch::blank(CONSTRUCT, "construct tail", devices));
-        charge_gen(&mut epochs[0], near);
+        epochs.push(planner.tail(h2));
     }
     Schedule {
         devices,
@@ -190,9 +96,169 @@ pub fn plan_construct(
     }
 }
 
+/// The construction planner between levels: the frozen level shapes a
+/// round sweeps through, the running sample width and the standby bytes the
+/// last level's ahead-issued fetches carry into the next epoch.
+/// [`plan_construct`] folds [`ConstructPlanner::level`] over the processed
+/// levels; a sharded engine calls the same step at each level's close and
+/// hands the epoch to the fabric to charge.
+pub(crate) struct ConstructPlanner {
+    devices: usize,
+    pipelined: bool,
+    wire: Precision,
+    sides: &'static [Side],
+    /// The top processed level (one past the leaf level when none is).
+    top: usize,
+    sample_block: usize,
+    adaptive: bool,
+    leaves: Vec<usize>,
+    levels: Vec<LevelShape>,
+    w: usize,
+    standby: Vec<usize>,
+}
+
+impl ConstructPlanner {
+    /// The planner before the leaf level, for a run of `cfg` on `devices`
+    /// devices building `h2`'s tree and partition.
+    pub(crate) fn new(
+        h2: &H2Matrix,
+        cfg: &SketchConfig,
+        devices: usize,
+        mode: PipelineMode,
+        wire: Precision,
+    ) -> Self {
+        let tree = &h2.tree;
+        let leaf_level = tree.leaf_level();
+        ConstructPlanner {
+            devices,
+            pipelined: mode == PipelineMode::Pipelined,
+            wire,
+            sides: if h2.is_symmetric() {
+                &[Side::Row]
+            } else {
+                &[Side::Row, Side::Col]
+            },
+            top: h2.partition.top_far_level(tree).unwrap_or(leaf_level + 1),
+            sample_block: cfg.sample_block,
+            adaptive: cfg.adaptive,
+            leaves: tree
+                .level(leaf_level)
+                .map(|id| tree.nodes[id].len())
+                .collect(),
+            levels: Vec::new(),
+            w: cfg.initial_width(),
+            standby: vec![0; devices],
+        }
+    }
+
+    /// The epoch of processed level `l`, which took `rounds` adaptive
+    /// rounds, given `h2` built through that level; the level then freezes.
+    pub(crate) fn level(&mut self, h2: &H2Matrix, l: usize, rounds: usize) -> ScheduleEpoch {
+        let (devices, wire, sb) = (self.devices, self.wire, self.sample_block);
+        let at = self.levels.len();
+        let lv = LevelShape::of(h2, self.sides, l);
+        let mut e = ScheduleEpoch::blank(CONSTRUCT, format!("construct L{l}"), devices);
+        e.arena = std::mem::replace(&mut self.standby, vec![0; devices]);
+        if at == 0 {
+            charge_gen(&mut e, near_blocks(h2));
+            for _ in self.sides {
+                draw(&mut e, &self.leaves, self.w);
+            }
+        }
+        // On a pipelined fabric the level below issued these fetches.
+        let fetch = !(self.pipelined && at > 0);
+        for s in &lv.streams {
+            advance(&mut e, at, &lv, s, self.w, fetch, wire);
+        }
+
+        for round in 0..=rounds {
+            if self.adaptive {
+                for s in &lv.streams {
+                    kernel(&mut e, &s.ys, 0, 1, |j| cost::qr_flops(s.ys[j], self.w));
+                }
+            }
+            if round == rounds {
+                break;
+            }
+            // updateSamples: fresh columns swept up through the frozen
+            // levels, advanced through this one, and appended.
+            for (k, s) in lv.streams.iter().enumerate() {
+                draw(&mut e, &self.leaves, sb);
+                for frozen in &self.levels {
+                    advance(&mut e, at, frozen, &frozen.streams[k], sb, true, wire);
+                    upsweep(&mut e, &frozen.streams[k], sb);
+                }
+                advance(&mut e, at, &lv, s, sb, true, wire);
+                kernel(&mut e, &s.ys, self.w + sb, 1, |_| 0.0);
+                kernel(&mut e, &s.xs, self.w + sb, 1, |_| 0.0);
+            }
+            self.w += sb;
+        }
+
+        let w = self.w;
+        for s in &lv.streams {
+            kernel(&mut e, &s.ys, 0, 1, |j| cost::id_flops(s.ys[j], w));
+        }
+        if self.pipelined && l > self.top {
+            // The next level's BSR rows are this level's nodes, its
+            // partners' heights this level's compressed inputs.
+            let tree = &h2.tree;
+            let next: Vec<usize> = tree.level(l - 1).collect();
+            let pattern = level_structure(tree, &h2.partition, &next, false).pattern;
+            for s in &lv.streams {
+                let ahead = fetches(&pattern, &s.compressed, w, devices, wire);
+                for t in &ahead {
+                    self.standby[t.dst] += t.bytes as usize;
+                }
+                land(&mut e, at + 1, ahead);
+            }
+        }
+        // Coupling blocks B_{s,t} = K(Ĩ^r_s, Ĩ^c_t) (line 41).
+        let (tree, col_skel) = (&h2.tree, h2.col_skel());
+        let coupling = tree.level(l).flat_map(|s| {
+            h2.partition.far_of[s]
+                .iter()
+                .filter(move |&&t| stored(h2, s, t))
+                .map(move |&t| (h2.skel[s].len(), col_skel[t].len()))
+        });
+        charge_gen(&mut e, coupling);
+        if l > self.top {
+            for s in &lv.streams {
+                upsweep(&mut e, s, w);
+            }
+        }
+        self.levels.push(lv);
+        e
+    }
+
+    /// The epoch of an all-dense partition, which processes no level: its
+    /// near-field `batchedGen` is the trailing `construct tail` epoch.
+    pub(crate) fn tail(&self, h2: &H2Matrix) -> ScheduleEpoch {
+        let mut e = ScheduleEpoch::blank(CONSTRUCT, "construct tail", self.devices);
+        charge_gen(&mut e, near_blocks(h2));
+        e
+    }
+}
+
+/// Whether `h2`'s block stores hold the pair `(s, t)`: symmetric stores
+/// hold one block per unordered pair.
+fn stored(h2: &H2Matrix, s: usize, t: usize) -> bool {
+    !h2.is_symmetric() || s <= t
+}
+
+/// The near-field blocks' shapes, in the engine's `batchedGen` order.
+fn near_blocks(h2: &H2Matrix) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let tree = &h2.tree;
+    tree.level(tree.leaf_level()).flat_map(move |s| {
+        h2.partition.near_of[s]
+            .iter()
+            .filter(move |&&t| stored(h2, s, t))
+            .map(move |&t| (tree.nodes[s].len(), tree.nodes[t].len()))
+    })
+}
+
 /// One processed level as the engine's kernels see it.
 struct LevelShape {
-    l: usize,
     structure: LevelStructure,
     /// Per stream, in the engine's order.
     streams: Vec<StreamShape>,
@@ -251,11 +317,7 @@ impl LevelShape {
                 }
             })
             .collect();
-        LevelShape {
-            l,
-            structure,
-            streams,
-        }
+        LevelShape { structure, streams }
     }
 }
 
@@ -350,7 +412,7 @@ fn fetches(
     devices: usize,
     wire: Precision,
 ) -> Vec<Transfer> {
-    let mut planner = FetchPlanner::new(pattern.nrows(), x_rows.len(), devices, wire);
+    let mut planner = FetchPlanner::new(pattern.nrows(), devices, wire);
     for r in 0..pattern.nrows() {
         for &c in pattern.row_blocks(r) {
             planner.visit(r, c, x_rows[c], d);
@@ -398,20 +460,17 @@ mod tests {
     }
 
     // Shared constructions, each built once per test binary: the plans
-    // under test are pure functions of the finished matrix.
-    fn sym_2000() -> &'static H2Matrix {
+    // under test are pure functions of the finished matrix. N = 520 is the
+    // smallest size whose partition has an inner processed level that
+    // fetches at D = 3.
+    fn sym() -> &'static H2Matrix {
         static H2: OnceLock<H2Matrix> = OnceLock::new();
-        H2.get_or_init(|| built(2000, 601))
+        H2.get_or_init(|| built(520, 601))
     }
 
-    fn sym_4000() -> &'static H2Matrix {
+    fn unsym() -> &'static H2Matrix {
         static H2: OnceLock<H2Matrix> = OnceLock::new();
-        H2.get_or_init(|| built(4000, 605))
-    }
-
-    fn unsym_2000() -> &'static H2Matrix {
-        static H2: OnceLock<H2Matrix> = OnceLock::new();
-        H2.get_or_init(|| built_unsym(2000, 610))
+        H2.get_or_init(|| built_unsym(520, 610))
     }
 
     /// The row stream of `h2` alone: everything `plan_construct` reads,
@@ -460,7 +519,7 @@ mod tests {
 
     #[test]
     fn specs_cover_processed_levels() {
-        let h2 = sym_2000();
+        let h2 = sym();
         // Three devices: chunk boundaries then split some sibling pairs.
         let p = plan(h2, 48, 3);
         let top = h2.partition.top_far_level(&h2.tree).unwrap();
@@ -483,15 +542,33 @@ mod tests {
 
     #[test]
     fn adjacency_indices_in_range() {
-        let h2 = sym_2000();
+        let h2 = sym();
+        let stats = SketchStats::default();
+        let plan = |mode| plan_construct(h2, &one_pass(48), &stats, 3, mode, Precision::F64);
+        let sync = plan(PipelineMode::Synchronous);
         for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
-            let stats = SketchStats::default();
-            let p = plan_construct(h2, &one_pass(48), &stats, 3, mode, Precision::F64);
+            let p = plan(mode);
             for (i, e) in p.epochs.iter().enumerate() {
                 for &(t, gates) in &e.transfers {
                     assert!(t.src < 3 && t.dst < 3 && t.src != t.dst, "{t:?}");
                     assert!(gates == i || gates == i + 1, "epoch {i} gates {gates}");
                     assert!(gates < p.epochs.len());
+                }
+                // A fetch issued a level early replaces the next level's
+                // own: the issuing epoch's arena holds it on top of the
+                // synchronous workspace.
+                for dev in 0..3 {
+                    let ahead: u64 = e
+                        .transfers
+                        .iter()
+                        .filter(|(t, gates)| *gates == i + 1 && t.dst == dev)
+                        .map(|(t, _)| t.bytes)
+                        .sum();
+                    assert_eq!(
+                        e.arena[dev],
+                        sync.epochs[i].arena[dev] + ahead as usize,
+                        "{mode:?} epoch {i} device {dev}"
+                    );
                 }
             }
         }
@@ -502,7 +579,7 @@ mod tests {
         // Symmetric: a straddling child moves its samples and its inputs,
         // both `rank × d` blocks, so each epoch's gathers come as two equal
         // halves sized by the children's ranks.
-        let h2 = sym_2000();
+        let h2 = sym();
         let tree = &h2.tree;
         for e in &plan(h2, 48, 7).epochs[1..] {
             let l: usize = e.label["construct L".len()..].parse().unwrap();
@@ -552,14 +629,14 @@ mod tests {
 
     #[test]
     fn symmetric_specs_have_no_col_stream() {
-        let h2 = sym_2000();
+        let h2 = sym();
         let p = plan(h2, 48, 1);
         assert_eq!(p.epochs[0].launches[0], one_device_leaf_launches(h2, 1));
     }
 
     #[test]
     fn unsym_specs_carry_col_stream_populations() {
-        let h2 = unsym_2000();
+        let h2 = unsym();
         let p = plan(h2, 48, 1);
         assert!(!p.epochs.is_empty());
         assert_eq!(p.epochs[0].launches[0], one_device_leaf_launches(h2, 2));
@@ -572,7 +649,7 @@ mod tests {
 
     #[test]
     fn unsym_gen_blocks_enumerate_ordered_pairs() {
-        let h2 = unsym_2000();
+        let h2 = unsym();
         let tree = &h2.tree;
         let part = &h2.partition;
         let leaf = tree.leaf_level();
@@ -612,7 +689,7 @@ mod tests {
         // Two streams cost more than one on the same structure: drop the
         // column side of a real unsymmetric matrix and the planned work must
         // fall.
-        let h2 = unsym_2000();
+        let h2 = unsym();
         let m = DeviceModel::default();
         let full = plan(h2, 48, 2);
         let half = plan(&row_side_only(h2), 48, 2);
@@ -630,7 +707,7 @@ mod tests {
     fn simulated_speedup_in_compute_bound_regime() {
         // With a compute-bound device model (weak compute, fast links) the
         // level-parallel decomposition must scale.
-        let h2 = sym_4000();
+        let h2 = sym();
         let m = DeviceModel {
             flops_per_sec: 1.0e10,
             link_bandwidth: 1.0e12,
@@ -648,9 +725,9 @@ mod tests {
     #[test]
     fn small_problems_are_comm_bound_on_fast_devices() {
         // The flip side (and the reason the paper's evaluation is
-        // single-GPU at these sizes): with A100-class compute, an N=4000
+        // single-GPU at these sizes): with A100-class compute, an N=520
         // problem gains nothing from a second device.
-        let h2 = sym_4000();
+        let h2 = sym();
         let m = DeviceModel::default();
         let t1 = plan(h2, 256, 1).makespan(&m);
         let t2 = plan(h2, 256, 2).makespan(&m);
@@ -662,13 +739,13 @@ mod tests {
 
     #[test]
     fn single_device_no_comm_for_real_problem() {
-        let h2 = sym_2000();
+        let h2 = sym();
         assert_eq!(plan(h2, 256, 1).total_comm_bytes(), 0);
     }
 
     #[test]
     fn comm_appears_with_multiple_devices() {
-        let h2 = sym_2000();
+        let h2 = sym();
         assert!(
             plan(h2, 256, 4).total_comm_bytes() > 0,
             "BSR Ω traffic must appear at D=4"

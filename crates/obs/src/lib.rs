@@ -27,7 +27,7 @@
 //! | `job` | fabric workers | one enqueued job on a device track (wait + run) |
 //! | `fabric` | fabric control path | enqueue/flush/epoch-close instants |
 //! | `transfer` | fabric transfer paths | one cross-device copy (bytes, kind, precision) |
-//! | `arena` | fabric epoch boundary | standby-bank rotation instants |
+//! | `arena` | fabric epoch boundary | per-epoch workspace release instants |
 //!
 //! Thread-track spans nest through a thread-local scope stack; the parent
 //! span id is preserved in the export (`args.parent`).

@@ -15,7 +15,7 @@ use crate::batch::VarBatch;
 use crate::multidev::cost;
 use crate::profile::Kernel;
 use crate::runtime::Runtime;
-use crate::shard::{chunk_bounds, FetchPlanner, ShardDispatch, ShardJob};
+use crate::shard::{FetchPlanner, ShardDispatch, ShardJob};
 use h2_dense::{gemm, Mat, MatMut, Op};
 
 /// Sparsity pattern of a level's block-sparse matrix, pre-split into
@@ -190,20 +190,18 @@ pub fn bsr_gemm(
 
 /// Issue the `Ω_b` fetches of one `batchedBSRGemm` over `pattern`, whose
 /// partner `c` is an `x_rows[c] × d` block: [`FetchPlanner`]'s deduplicated
-/// `(device, partner)` transfers in its first-need order, each landing in
-/// its destination's arena — the standby bank when `ahead` (issued during
-/// the level before the one that consumes them), the current bank
-/// otherwise. Returns the tickets per destination device, the `fetched`
-/// argument of [`bsr_gemm`].
+/// `(device, partner)` transfers in its first-need order. Returns the
+/// tickets per destination device, the `fetched` argument of [`bsr_gemm`].
+/// The landed bytes are charged from the plan with the rest of the epoch.
 pub fn issue_bsr_fetches(
     disp: &dyn ShardDispatch,
     pattern: &BsrPattern,
     x_rows: &[usize],
     d: usize,
-    ahead: bool,
 ) -> Vec<Vec<u64>> {
     let n = pattern.nrows();
-    let mut planner = FetchPlanner::new(n, x_rows.len(), disp.devices(), disp.wire());
+    debug_assert_eq!(x_rows.len(), n, "rows and partners are one population");
+    let mut planner = FetchPlanner::new(n, disp.devices(), disp.wire());
     for r in 0..n {
         for &c in pattern.row_blocks(r) {
             planner.visit(r, c, x_rows[c], d);
@@ -215,24 +213,16 @@ pub fn issue_bsr_fetches(
         if ticket != 0 {
             tickets[t.dst].push(ticket);
         }
-        if ahead {
-            disp.arena_alloc_ahead(t.dst, t.bytes as usize);
-        } else {
-            disp.arena_alloc(t.dst, t.bytes as usize);
-        }
     }
     tickets
 }
 
-/// The device-sharded `batchedBSRGemm`. Block rows are divided into the
-/// contiguous chunks of §IV.A for accounting (per-row modeled flops, one
-/// launch per slot on every device with a non-empty chunk — the counts
-/// `h2_core::plan_construct` plans) and into cost-balanced chunks for
-/// execution. Each device receives **one** queued job chaining all `Csp`
-/// slot launches in slot order over its chunk, gated on its own fetch
-/// tickets, so per-row accumulation order is the sequential path's and the
-/// results are bit-identical on either discipline; the accounting runs on
-/// the issuing thread while the devices compute.
+/// The device-sharded `batchedBSRGemm`. Block rows are divided into
+/// cost-balanced chunks by their modeled flops. Each device receives
+/// **one** queued job chaining all `Csp` slot launches in slot order over
+/// its chunk, gated on its own fetch tickets, so per-row accumulation order
+/// is the sequential path's and the results are bit-identical on either
+/// discipline. Its counts are charged from the plan.
 #[allow(clippy::too_many_arguments)]
 fn bsr_gemm_on_fabric(
     rt: &Runtime,
@@ -249,21 +239,19 @@ fn bsr_gemm_on_fabric(
     let tickets = fetched.unwrap_or_else(|| {
         let x_rows: Vec<usize> = (0..x.count()).map(|c| x.rows_of(c)).collect();
         let d = if x.count() > 0 { x.cols_of(0) } else { 0 };
-        issue_bsr_fetches(disp, pattern, &x_rows, d, false)
+        issue_bsr_fetches(disp, pattern, &x_rows, d)
     });
-    let row_flops: Vec<f64> = (0..n)
-        .map(|r| {
-            pattern.row_blocks(r).iter().fold(0.0, |fl, &c| {
-                fl + cost::bsr_flops(y.rows_of(r), x.rows_of(c), x.cols_of(c))
-            })
+    let row_flops = |r: usize| {
+        pattern.row_blocks(r).iter().fold(0.0, |fl, &c| {
+            fl + cost::bsr_flops(y.rows_of(r), x.rows_of(c), x.cols_of(c))
         })
-        .collect();
+    };
 
     // One queued job per device, chaining every slot over its contiguous
     // cost-balanced chunk. (Execution chunks approximate the owner chunks
     // the tickets are filed under — gating is a timing model, the data
     // never moves, so the approximation cannot affect results.)
-    let exec_bounds = crate::batch::cost_chunk_bounds(n, devices, |r| row_flops[r]);
+    let exec_bounds = crate::batch::cost_chunk_bounds(n, devices, row_flops);
     let mut rows = y.split_mut().into_iter();
     for dev in 0..devices {
         let mut chunk: Vec<MatMut<'_>> = rows
@@ -288,21 +276,7 @@ fn bsr_gemm_on_fabric(
         // SAFETY: flushed below, before `y`/`x`/`blocks` borrows end.
         unsafe { disp.enqueue(dev, &tickets[dev], job) };
     }
-
-    // Owner-attributed accounting, overlapped with the queued compute.
     rt.launches(Kernel::BsrGemm, pattern.csp());
-    let bounds = chunk_bounds(n, devices);
-    for dev in 0..devices {
-        let (b, e) = (bounds[dev], bounds[dev + 1]);
-        if e == b {
-            continue;
-        }
-        let fl: f64 = row_flops[b..e].iter().sum();
-        if fl > 0.0 {
-            disp.add_flops(dev, fl);
-        }
-        disp.add_launches(dev, pattern.csp());
-    }
     disp.flush();
 }
 

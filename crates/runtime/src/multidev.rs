@@ -14,10 +14,11 @@
 //! (`h2_core::plan_construct`, `h2_sched::plan_matvec`,
 //! `h2_sched::plan_ulv_solve`): per epoch the flops, generator entries,
 //! launches and workspace of every device plus the explicit transfer list.
-//! The fabric **executes** the operation and records the same counts, and
-//! [`Schedule::makespan`] **prices** the plan with the rule
-//! ([`epoch_terms`] + [`combine_terms`]) the executor's report is priced
-//! with, so a run's measured makespan equals its planned one.
+//! The fabric **executes** the operation, issuing the transfers live, and
+//! is charged each epoch's counts from the plan; [`Schedule::makespan`]
+//! **prices** the plan with the rule ([`epoch_terms`] + [`combine_terms`])
+//! the executor's report is priced with, so a run's measured makespan
+//! equals its planned one.
 //!
 //! Nodes of a level are assigned to devices in contiguous chunks — the
 //! level-contiguous storage layout of §IV.A makes this the natural
@@ -64,10 +65,9 @@ pub fn epoch_terms(
     )
 }
 
-/// The work/traffic formulas shared by the planners and the sharded
-/// executor's accounting ([`crate::ops`], [`crate::bsr`], `h2_core`,
-/// `h2_sched`). One definition per kernel, so "measured totals equal
-/// planned totals" is structural rather than a comment-level promise.
+/// The work/traffic formulas of the planners (`h2_core`, `h2_sched`), also
+/// read by the kernels of [`crate::ops`] and [`crate::bsr`] to balance
+/// their execution chunks. One definition per kernel.
 pub mod cost {
     use h2_dense::Precision;
 
@@ -266,7 +266,7 @@ impl Schedule {
     }
 
     /// Total work in flop-equivalents at `entry_cost` flops per generated
-    /// entry (the currency of `ExecReport::flop_equiv`).
+    /// entry (the currency of [`Schedule::compute_total`]).
     pub fn flop_equiv(&self, entry_cost: f64) -> f64 {
         let entries: f64 = self.epochs.iter().flat_map(|e| e.entries.iter()).sum();
         self.total_flops() + entry_cost * entries
@@ -367,7 +367,7 @@ mod tests {
             let at = epochs.len();
             let mut e = ScheduleEpoch::blank("construct", format!("construct L{i}"), devices);
             let nr = lv.rows.len();
-            let mut planner = FetchPlanner::new(nr, nr, devices, wire);
+            let mut planner = FetchPlanner::new(nr, devices, wire);
             for (r, partners) in lv.adj.iter().enumerate() {
                 for &b in partners {
                     e.flops[owner(r, nr, devices)] += cost::bsr_flops(lv.rows[r], lv.rows[b], d);

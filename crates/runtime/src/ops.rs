@@ -52,17 +52,12 @@ fn exec_cost(flops: f64, elems: usize) -> f64 {
 
 /// Run a per-entry mutation over `out` on the runtime's backend.
 ///
-/// Work *accounting* on the sharded backend follows the §IV.A contiguous
-/// chunk decomposition ([`chunk_bounds`]): each entry's output bytes and
-/// `flops_of(i)` are charged to its [`crate::multidev::owner`] device with
-/// the [`crate::multidev::cost`] formulas, one launch per device with a
-/// non-empty chunk — the counts `h2_core::plan_construct` plans, so a run's
-/// measured epochs equal its planned ones. Work *execution* is chunked
-/// separately and cost-aware: contiguous runs of roughly equal estimated
-/// cost ([`crate::batch::cost_chunk_bounds`]) go to the worker threads, so
-/// one device is not stuck with the handful of huge top-level entries while
-/// the rest idle over leaves. On the threaded backend the same cost
-/// chunking feeds the work-stealing pool.
+/// Work is chunked cost-aware: contiguous runs of roughly equal estimated
+/// cost `flops_of` ([`crate::batch::cost_chunk_bounds`]) go to the worker
+/// threads, so one device is not stuck with the handful of huge top-level
+/// entries while the rest idle over leaves. On the threaded backend the
+/// same cost chunking feeds the work-stealing pool. A sharded run's counts
+/// are charged from its plan, not here.
 pub(crate) fn batch_for_each_mut<F, C>(rt: &Runtime, out: &mut VarBatch, flops_of: C, f: F)
 where
     F: Fn(usize, MatMut<'_>) + Sync + Send,
@@ -98,22 +93,7 @@ pub(crate) fn batch_for_each_mut_deps<F, C>(
         return;
     };
     let devices = disp.devices();
-    let n = out.count();
-    let bounds = chunk_bounds(n, devices);
-    for dev in 0..devices {
-        let (b, e) = (bounds[dev], bounds[dev + 1]);
-        if e == b {
-            continue;
-        }
-        let bytes: usize = (b..e).map(|i| out.rows_of(i) * out.cols_of(i) * 8).sum();
-        disp.arena_alloc(dev, bytes);
-        let fl: f64 = (b..e).map(&flops_of).sum();
-        if fl > 0.0 {
-            disp.add_flops(dev, fl);
-        }
-        disp.add_launches(dev, 1);
-    }
-    let exec_bounds = cost_chunk_bounds(n, devices, |i| {
+    let exec_bounds = cost_chunk_bounds(out.count(), devices, |i| {
         exec_cost(flops_of(i), out.rows_of(i) * out.cols_of(i))
     });
     // Jobs share ownership of the kernel body: inside a chain scope the
@@ -141,10 +121,8 @@ pub(crate) fn batch_for_each_mut_deps<F, C>(
     disp.flush();
 }
 
-/// Per-entry map over a batch on the runtime's backend, with sharded-mode
-/// work accounting like [`batch_for_each_mut`] (owner-attributed, the
-/// planned chunks) and cost-aware execution chunking on the parallel and
-/// sharded backends.
+/// Per-entry map over a batch on the runtime's backend, with cost-aware
+/// execution chunking on the parallel and sharded backends.
 pub(crate) fn batch_map<R, F, C>(rt: &Runtime, batch: &VarBatch, flops_of: C, f: F) -> Vec<R>
 where
     R: Send,
@@ -152,24 +130,6 @@ where
     C: Fn(usize) -> f64,
 {
     let cost = |i: usize| exec_cost(flops_of(i), batch.rows_of(i) * batch.cols_of(i));
-    let Some(disp) = rt.shard_dispatch() else {
-        return rt.map_index_costed(batch.count(), cost, |i| f(i, batch.mat(i)));
-    };
-    let devices = disp.devices();
-    let bounds = chunk_bounds(batch.count(), devices);
-    for dev in 0..devices {
-        let (b, e) = (bounds[dev], bounds[dev + 1]);
-        if e == b {
-            continue;
-        }
-        let fl: f64 = (b..e).map(&flops_of).sum();
-        if fl > 0.0 {
-            disp.add_flops(dev, fl);
-        }
-        disp.add_launches(dev, 1);
-    }
-    // map_index_costed shards its jobs over equal-cost chunks; the owner
-    // accounting above is untouched by the execution chunking.
     rt.map_index_costed(batch.count(), cost, |i| f(i, batch.mat(i)))
 }
 
@@ -199,9 +159,6 @@ pub fn rand_mat(rt: &Runtime, n: usize, d: usize, seed: u64) -> Mat {
         for dev in 0..devices {
             let chunk: Vec<(usize, &mut [f64])> =
                 iter.by_ref().take(bounds[dev + 1] - bounds[dev]).collect();
-            if !chunk.is_empty() {
-                disp.add_launches(dev, 1);
-            }
             jobs.push(Box::new(move || chunk.into_iter().for_each(run)));
         }
         disp.run(jobs);
@@ -223,9 +180,9 @@ pub fn rand_mat(rt: &Runtime, n: usize, d: usize, seed: u64) -> Mat {
 /// seeding makes the recompute *exact*, so the healed block is bit-
 /// identical to a fault-free run (the acceptance contract of the chaos
 /// tests; a production system would instead draw replacement columns
-/// through the adaptive incremental-sampling path). The recompute's cost
-/// is not re-charged to the accounts — recovery compute is treated as
-/// off-schedule, like the detection scans (a documented modeling
+/// through the adaptive incremental-sampling path). The accounts are
+/// charged from the plan, which has no recompute in it — recovery compute
+/// is off-schedule, like the detection scans (a documented modeling
 /// simplification; the re-transfer traffic of the fabric layer *is*
 /// charged, because bytes are the trust invariant).
 fn poison_and_heal_rand(disp: &dyn ShardDispatch, y: &mut Mat, n: usize, seed: u64) {
@@ -303,7 +260,6 @@ pub fn stack_children(rt: &Runtime, child: &VarBatch, children: &[Vec<usize>]) -
             if ticket != 0 {
                 deps.push(ticket);
             }
-            disp.arena_alloc(t.dst, t.bytes as usize);
         }
     }
     batch_for_each_mut_deps(
@@ -468,18 +424,10 @@ pub fn batched_gen(rt: &Runtime, gen: &dyn EntryAccess, blocks: &[GenBlock]) -> 
     // Generator blocks are distributed round-robin in block order (the
     // generator itself is device-resident, §IV.A — no communication).
     let devices = disp.devices();
-    for (i, b) in blocks.iter().enumerate() {
-        let dev = i % devices;
-        disp.add_gen_entries(dev, cost::gen_entries(b.rows.len(), b.cols.len()));
-        disp.arena_alloc(dev, b.rows.len() * b.cols.len() * 8);
-    }
     let mut results: Vec<Vec<(usize, Mat)>> = (0..devices).map(|_| Vec::new()).collect();
     {
         let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(devices);
         for (dev, slot) in results.iter_mut().enumerate() {
-            if dev < blocks.len() {
-                disp.add_launches(dev, 1);
-            }
             jobs.push(Box::new(move || {
                 let mut i = dev;
                 while i < blocks.len() {
@@ -507,7 +455,7 @@ pub fn batched_gen(rt: &Runtime, gen: &dyn EntryAccess, blocks: &[GenBlock]) -> 
 /// the plan, detected by a finite scan, and healed by re-evaluating the
 /// block's entries — the generator is pure, so the recompute is exact and
 /// the healed batch is bit-identical to a fault-free run. Recovery
-/// compute is off-schedule (not re-charged as `gen_entries`).
+/// compute is off-schedule (the plan charges each block's entries once).
 fn poison_and_heal_gen(
     disp: &dyn ShardDispatch,
     gen: &dyn EntryAccess,

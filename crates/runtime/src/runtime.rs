@@ -7,6 +7,7 @@
 //! batch entries ([`Backend::Parallel`], the "GPU" configuration — batch
 //! entries play the role of thread blocks).
 
+use crate::multidev::ScheduleEpoch;
 use crate::profile::{Kernel, Phase, Profile};
 use crate::shard::{chunk_bounds, ShardDispatch, ShardJob};
 use rayon::prelude::*;
@@ -109,12 +110,12 @@ impl Runtime {
         self.shard.as_ref()
     }
 
-    /// Close the fabric's current accounting epoch (no-op unless sharded).
-    /// The construction level loop calls this once per processed level so
-    /// per-epoch stats line up with the epochs of `h2_core::plan_construct`.
-    pub fn shard_epoch(&self, label: &str) {
+    /// Charge the fabric `epoch`'s planned counts and close it (no-op unless
+    /// sharded). The construction level loop calls this once per processed
+    /// level with that level's epoch of `h2_core::plan_construct`.
+    pub fn shard_epoch(&self, epoch: &ScheduleEpoch) {
         if let Some(d) = &self.shard {
-            d.epoch(label);
+            d.epoch(epoch);
         }
     }
 

@@ -12,10 +12,10 @@
 //! * [`ShardDispatch`] — the object-safe interface a device fabric
 //!   implements (the real fabric of worker threads lives in the `h2_sched`
 //!   crate; this crate only needs to *drive* it). The batched kernels in
-//!   [`crate::ops`] and [`crate::bsr`] shard their per-entry work through
-//!   it and account modeled work/traffic with the [`crate::multidev::cost`]
-//!   formulas the construction planner (`h2_core::plan_construct`) uses,
-//!   which is what makes measured and planned counts equal;
+//!   [`crate::ops`] and [`crate::bsr`] shard their per-entry work and issue
+//!   their transfers through it, but count nothing: each closed epoch is
+//!   charged from the plan ([`ShardDispatch::epoch`]), so measured and
+//!   planned counts have one source;
 //! * [`Transfer`] — one explicit cross-device copy (what a real multi-GPU
 //!   build would issue as a peer-to-peer `cudaMemcpyAsync`), and the two
 //!   rules that decide them: [`FetchPlanner`] (the `Ω_b` fetches) and
@@ -51,7 +51,7 @@
 //! the construction plan reads, so a descriptor is the same record whether
 //! it was issued a level early or by the kernel itself.
 
-use crate::multidev::{cost, owner};
+use crate::multidev::{cost, owner, ScheduleEpoch};
 use h2_dense::Precision;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -147,10 +147,11 @@ pub type ShardJob<'a> = Box<dyn FnOnce() + Send + 'a>;
 
 /// Deduplicated `(device, partner)` fetch planning for one `batchedBSRGemm`
 /// call — the single source of the Ω/Ψ transfer descriptors, driven by
-/// [`crate::issue_bsr_fetches`] and by `h2_core::plan_construct`.
+/// [`crate::issue_bsr_fetches`] and by `h2_core::plan_construct`. BSR rows
+/// and their partners are one population of `n` blocks, owned in
+/// contiguous chunks.
 pub struct FetchPlanner {
-    n_rows: usize,
-    n_partners: usize,
+    n: usize,
     devices: usize,
     wire: Precision,
     seen: HashSet<(usize, usize)>,
@@ -158,10 +159,9 @@ pub struct FetchPlanner {
 }
 
 impl FetchPlanner {
-    pub fn new(n_rows: usize, n_partners: usize, devices: usize, wire: Precision) -> Self {
+    pub fn new(n: usize, devices: usize, wire: Precision) -> Self {
         FetchPlanner {
-            n_rows,
-            n_partners,
+            n,
             devices,
             wire,
             seen: HashSet::new(),
@@ -169,16 +169,11 @@ impl FetchPlanner {
         }
     }
 
-    /// Owner device of BSR row `row` (the contiguous chunks of §IV.A).
-    pub fn owner_of_row(&self, row: usize) -> usize {
-        owner(row, self.n_rows, self.devices)
-    }
-
     /// Visit one `(row, partner)` block: records a fetch descriptor the
     /// first time an off-device partner is needed by a device.
     pub fn visit(&mut self, row: usize, partner: usize, partner_rows: usize, partner_cols: usize) {
-        let dev = self.owner_of_row(row);
-        let dev_b = owner(partner, self.n_partners.max(self.n_rows), self.devices);
+        let dev = owner(row, self.n, self.devices);
+        let dev_b = owner(partner, self.n, self.devices);
         if dev_b != dev && self.seen.insert((dev, partner)) {
             self.plan.push(Transfer {
                 src: dev_b,
@@ -232,7 +227,9 @@ pub fn child_gathers(
 }
 
 /// The interface of a device fabric: N virtual devices, each with a worker
-/// thread, a memory arena and a work/traffic account. Implemented by
+/// thread, a memory arena and a work/traffic account. The kernels run jobs
+/// and issue transfers through it; the accounts are charged from the plan,
+/// one [`ScheduleEpoch`] per closed epoch. Implemented by
 /// `h2_sched::DeviceFabric`; consumed by the batched kernels.
 pub trait ShardDispatch: Send + Sync {
     /// Number of virtual devices.
@@ -242,32 +239,13 @@ pub trait ShardDispatch: Send + Sync {
     /// [`ShardDispatch::devices`] jobs) and block until all complete.
     fn run<'a>(&self, jobs: Vec<ShardJob<'a>>);
 
-    /// Attribute `flops` of modeled batched-kernel work to device `dev`
-    /// (the [`crate::multidev::cost`] formulas, so totals are comparable).
-    fn add_flops(&self, dev: usize, flops: f64);
+    /// Charge `epoch`'s planned per-device flops, generator entries,
+    /// launches and workspace, then close the fabric's current accounting
+    /// epoch (one construction level) under `epoch.label`. The kernels
+    /// count nothing: every sharded operation is charged from its plan.
+    fn epoch(&self, epoch: &ScheduleEpoch);
 
-    /// Attribute `entries` of `batchedGen` entry evaluations to device
-    /// `dev` (converted to flop-equivalents by `DeviceModel::entry_cost`).
-    fn add_gen_entries(&self, dev: usize, entries: f64);
-
-    /// Record `n` kernel launches on device `dev`.
-    fn add_launches(&self, dev: usize, n: usize);
-
-    /// Charge `bytes` of workspace to device `dev`'s arena (freed at the
-    /// next epoch boundary, mirroring the per-level single allocation).
-    fn arena_alloc(&self, dev: usize, bytes: usize);
-
-    /// Charge `bytes` to device `dev`'s *standby* arena bank: the next
-    /// epoch's workspace, filled by transfers issued a level early and
-    /// rotated into the current bank at the next epoch boundary.
-    fn arena_alloc_ahead(&self, dev: usize, bytes: usize);
-
-    /// Close the current accounting epoch (one construction level / matvec
-    /// phase) under `label`, snapshotting per-device counters.
-    fn epoch(&self, label: &str);
-
-    /// Wire precision every cross-device block ships at (and the width the
-    /// transfer-landing arena charges use).
+    /// Wire precision every cross-device block ships at.
     fn wire(&self) -> Precision;
 
     /// The fabric's execution discipline.

@@ -4,9 +4,11 @@
 //! when unsymmetric) executes its contiguous per-device chunks on the
 //! fabric's workers, the `Ω_b` fetches and boundary sibling merges of
 //! §IV.B go on the explicit transfer queue, and each processed level closes
-//! one accounting epoch. Every run is its plan: [`h2_core::plan_construct`]
-//! lays the run out — its configuration and the adaptive rounds its
-//! statistics record — and [`ExecReport::check`] compares the two exactly.
+//! one accounting epoch, charged from the plan. Every run is its plan:
+//! [`h2_core::plan_construct`] lays the run out — its configuration and the
+//! adaptive rounds its statistics record — with the per-level step the
+//! engine charges each epoch from, and [`ExecReport::check`] compares the
+//! two exactly, the transfers the kernels issued live included.
 
 use crate::fabric::{DeviceFabric, ExecReport};
 use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig, SketchStats};

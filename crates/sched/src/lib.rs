@@ -33,9 +33,11 @@
 //!
 //! * [`plan_construct`] → [`shard_construct`] / [`shard_construct_unsym`]
 //!   — Algorithm 1 on the fabric through the `Runtime::sharded` backend,
-//!   whose kernels read the plan's rules ([`h2_runtime::FetchPlanner`],
-//!   [`h2_runtime::child_gathers`], the `cost` formulas); the plan reads
-//!   the run's configuration and statistics, adaptive rounds included.
+//!   whose kernels issue their transfers by the plan's rules
+//!   ([`h2_runtime::FetchPlanner`], [`h2_runtime::child_gathers`]) and
+//!   count nothing: each level's epoch is charged from the plan's
+//!   per-level step, which reads the run's configuration and statistics,
+//!   adaptive rounds included.
 //! * [`plan_matvec`] → [`shard_matvec`] and [`plan_ulv_solve`] →
 //!   [`shard_ulv_solve`] —
 //!   the three-pass matvec and the ULV sweeps (upsweep-ordered eliminate,
@@ -70,8 +72,8 @@
 //! data); an asynchronous prefetch stage behind the one transfer-issue call
 //! [`DeviceFabric::issue`], through which the construction engine issues
 //! the next level's `Ω_b`/`Ψ_b` fetches ([`h2_runtime::issue_bsr_fetches`])
-//! as soon as the current level's IDs fix their sizes; and double-buffered
-//! arenas whose standby bank holds those fetches. Per-device queue order
+//! as soon as the current level's IDs fix their sizes, their bytes held in
+//! the arena of both the issuing and the consuming epoch. Per-device queue order
 //! and per-row arithmetic are the same in both modes, so outputs are
 //! bit-identical — `tests/pipeline.rs` asserts it, also under an injected
 //! transfer-delay hook that randomizes prefetch completion order.

@@ -190,7 +190,7 @@ pub fn plan_matvec(
         let e = merged.as_mut().unwrap_or(&mut own);
         // Level workspace per device: outputs plus landed fetches.
         let mut ws = vec![0usize; devices];
-        let mut fetches = FetchPlanner::new(nl, nl, devices, wire);
+        let mut fetches = FetchPlanner::new(nl, devices, wire);
         let mut any = false;
         for (local, s) in tree.level(l).enumerate() {
             if far_of[s].is_empty() {

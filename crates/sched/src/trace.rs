@@ -120,7 +120,7 @@ pub fn export_chrome_trace(report: &ExecReport) -> ChromeTrace {
                 DEVICE_PID,
                 dev as u64,
                 "arena",
-                "arena rotate",
+                "arena release",
                 ns_to_us(cursor_ns + span_ns),
                 Json::obj(vec![("peak_bytes", Json::u64(d.arena_peak as u64))]),
             );

@@ -12,7 +12,7 @@ use h2_core::{
 use h2_dense::{gaussian_mat, DenseOp, EntryAccess, Mat};
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
-use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime, TransferKind};
+use h2_runtime::{DeviceModel, Kernel, PipelineMode, Precision, Runtime, TransferKind};
 use h2_sched::{
     shard_construct, shard_construct_unsym, shard_matvec, shard_matvec_with_report, DeviceFabric,
     ExecReport,
@@ -255,7 +255,8 @@ fn executor_accounting_matches_simulator_unsym() {
 /// a weak partition whose adaptive loop takes two rounds on some level, and
 /// an all-dense partition — × device count × discipline × wire width,
 /// [`ExecReport::check`] finds the report equal to its `plan_construct`
-/// schedule, and the measured makespan equals the planned one.
+/// schedule, the measured makespan equals the planned one, and a one-device
+/// plan's launches equal the kernel launches the runtime profile recorded.
 #[test]
 fn sharded_construct_executes_its_plan() {
     // N ≤ 1000 at leaf 16: η = 1.5 gives the strong partitions an inner
@@ -350,6 +351,20 @@ fn sharded_construct_executes_its_plan() {
                         report.modeled_makespan(&model),
                         plan.makespan(&model),
                         "{ctx}: makespan"
+                    );
+                    // The kernel sequence, pinned by the runtime profile every
+                    // backend records: a one-device plan launches each kernel
+                    // the engine did, less the prefix sums and transposes.
+                    let launched = |k: Kernel| {
+                        let named = stats.launches.iter().find(|(name, _)| *name == k.name());
+                        named.map_or(0, |&(_, n)| n)
+                    };
+                    assert_eq!(
+                        plan_construct(&h2, &cfg, &stats, 1, mode, wire).total_launches(),
+                        stats.total_launches()
+                            - launched(Kernel::PrefixSum)
+                            - launched(Kernel::Transpose),
+                        "{ctx}: planned vs profiled launches"
                     );
                 }
             }

@@ -344,7 +344,7 @@ fn sharded_bsr_gemm_is_bit_identical_and_fetches_what_the_planner_lists() {
                     fabric.set_wire(wire);
                     let got = run(&sharded_runtime(&fabric));
                     assert_eq!(got, want, "case {case}: D={devices} {mode:?} {wire:?}");
-                    let mut planner = FetchPlanner::new(n, n, devices, wire);
+                    let mut planner = FetchPlanner::new(n, devices, wire);
                     for (r, a) in adj.iter().enumerate() {
                         for &c in a {
                             planner.visit(r, c, sizes[c], d);
