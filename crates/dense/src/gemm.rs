@@ -114,97 +114,78 @@ const KC: usize = 256;
 /// Columns of C per packed-B block.
 const NC: usize = 512;
 
-/// Process-wide counters for the dense-kernel activity the batched runtime
-/// cannot see from the outside: packed-GEMM invocations, bytes staged
-/// through the packing buffers, and `gemv` calls. `h2_runtime::Runtime`
-/// drains them into its launch/phase profile so the Fig. 7 breakdown
-/// reflects the blocked kernel structure.
+/// Counters for the dense-kernel activity the batched runtime cannot see
+/// from the outside: packed-GEMM invocations, bytes staged through the
+/// packing buffers, and `gemv` calls.
 ///
-/// Because the counters are process-wide, *draining* them is gated behind
-/// an exclusive [`stats::StatsClaim`] handle: exactly one profile at a time
-/// may swap the counters to zero, so two concurrent profiles (parallel
-/// tests, a multi-tenant server) can no longer silently steal each other's
-/// pack/gemv counts. [`stats::snapshot`] stays available to everyone —
-/// reading without resetting is race-free by nature.
+/// Each call is counted into the runtime the call runs under: a caller
+/// installs a [`stats::DenseCounters`] sink with [`stats::counting`] for
+/// the duration of a closure (`h2_runtime::Runtime::phase` installs its
+/// profile's), and every dense call inside it — on this thread, or on the
+/// pool tasks and device jobs it submits, which inherit the sink through
+/// [`rayon::inherit`] — adds to that sink. With no sink installed, nothing
+/// is counted.
 pub mod stats {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    static PACK_CALLS: AtomicU64 = AtomicU64::new(0);
-    static PACK_BYTES: AtomicU64 = AtomicU64::new(0);
-    static GEMV_CALLS: AtomicU64 = AtomicU64::new(0);
+    /// One owner's dense-layer counters.
+    #[derive(Debug, Default)]
+    pub struct DenseCounters {
+        pack_calls: AtomicU64,
+        pack_bytes: AtomicU64,
+        gemv_calls: AtomicU64,
+    }
 
-    /// Snapshot of the dense-kernel counters.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct GemmStats {
+    impl DenseCounters {
         /// Packed-kernel invocations (each packs at least one block pair).
-        pub pack_calls: u64,
+        pub fn pack_calls(&self) -> u64 {
+            self.pack_calls.load(Ordering::Relaxed)
+        }
+
         /// Bytes written into packing buffers (A and B panels).
-        pub pack_bytes: u64,
+        pub fn pack_bytes(&self) -> u64 {
+            self.pack_bytes.load(Ordering::Relaxed)
+        }
+
         /// `gemv` invocations.
-        pub gemv_calls: u64,
+        pub fn gemv_calls(&self) -> u64 {
+            self.gemv_calls.load(Ordering::Relaxed)
+        }
+
+        /// Zero every counter.
+        pub fn reset(&self) {
+            self.pack_calls.store(0, Ordering::Relaxed);
+            self.pack_bytes.store(0, Ordering::Relaxed);
+            self.gemv_calls.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Run `f` with `sink` as this thread's current sink, restoring the
+    /// previous one afterwards (also when `f` panics).
+    pub fn counting<R>(sink: &Arc<DenseCounters>, f: impl FnOnce() -> R) -> R {
+        rayon::inherit::scoped(Some(sink.clone()), f)
+    }
+
+    /// `job` bound to this thread's current sink, for a thread hand-off
+    /// the pool does not see (the device fabric's job queues).
+    pub use rayon::inherit::inheriting;
+
+    fn add(f: impl FnOnce(&DenseCounters)) {
+        rayon::inherit::with::<DenseCounters, _>(|sink| sink.map(f));
     }
 
     pub(super) fn add_pack(calls: u64, bytes: u64) {
-        PACK_CALLS.fetch_add(calls, Ordering::Relaxed);
-        PACK_BYTES.fetch_add(bytes, Ordering::Relaxed);
+        add(|c| {
+            c.pack_calls.fetch_add(calls, Ordering::Relaxed);
+            c.pack_bytes.fetch_add(bytes, Ordering::Relaxed);
+        });
     }
 
     pub(super) fn add_gemv() {
-        GEMV_CALLS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Read the counters without resetting them.
-    pub fn snapshot() -> GemmStats {
-        GemmStats {
-            pack_calls: PACK_CALLS.load(Ordering::Relaxed),
-            pack_bytes: PACK_BYTES.load(Ordering::Relaxed),
-            gemv_calls: GEMV_CALLS.load(Ordering::Relaxed),
-        }
-    }
-
-    static CLAIMED: AtomicBool = AtomicBool::new(false);
-
-    /// Exclusive right to drain the process-wide counters. Held by at most
-    /// one owner at a time; dropping it releases the gate. While a claim
-    /// is live, every other would-be drainer observes [`claim`] returning
-    /// `None` and must fall back to attribution-free [`snapshot`]s.
-    #[derive(Debug)]
-    pub struct StatsClaim(());
-
-    impl StatsClaim {
-        /// Read and zero the counters (the profile-drain primitive). Only
-        /// the claim holder can reset, so drained deltas are attributable
-        /// to the holder's measurement window.
-        pub fn take(&self) -> GemmStats {
-            GemmStats {
-                pack_calls: PACK_CALLS.swap(0, Ordering::Relaxed),
-                pack_bytes: PACK_BYTES.swap(0, Ordering::Relaxed),
-                gemv_calls: GEMV_CALLS.swap(0, Ordering::Relaxed),
-            }
-        }
-    }
-
-    impl Drop for StatsClaim {
-        fn drop(&mut self) {
-            CLAIMED.store(false, Ordering::Release);
-        }
-    }
-
-    /// Try to acquire the exclusive drain handle. On success the counters
-    /// are swapped to zero first (leftovers from unclaimed work are
-    /// discarded), so the new holder starts from a clean window. Returns
-    /// `None` while another claim is live.
-    pub fn claim() -> Option<StatsClaim> {
-        if CLAIMED
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Acquire)
-            .is_ok()
-        {
-            let handle = StatsClaim(());
-            let _ = handle.take();
-            Some(handle)
-        } else {
-            None
-        }
+        add(|c| {
+            c.gemv_calls.fetch_add(1, Ordering::Relaxed);
+        });
     }
 }
 
@@ -1064,6 +1045,7 @@ pub fn gemv(ta: Op, alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f6
 mod tests {
     use super::*;
     use crate::rand::gaussian_mat;
+    use std::sync::Arc;
 
     fn naive(ta: Op, tb: Op, a: &Mat, b: &Mat) -> Mat {
         let ar = ta.rows_of(a.rf());
@@ -1242,18 +1224,129 @@ mod tests {
         }
     }
 
+    /// `(pack calls, pack bytes, gemv calls)` of a sink.
+    fn counts(c: &stats::DenseCounters) -> (u64, u64, u64) {
+        (c.pack_calls(), c.pack_bytes(), c.gemv_calls())
+    }
+
     #[test]
     fn packed_path_records_pack_traffic() {
-        let a = gaussian_mat(96, 96, 21);
-        let b = gaussian_mat(96, 96, 22);
-        let before = stats::snapshot();
-        let _ = matmul(Op::NoTrans, Op::NoTrans, a.rf(), b.rf());
-        let after = stats::snapshot();
-        assert!(
-            after.pack_calls > before.pack_calls,
-            "a 96^3 product must take the packed path"
+        let (m, k, n) = (96, 96, 96);
+        let a = gaussian_mat(m, k, 21);
+        let b = gaussian_mat(k, n, 22);
+        let sink = Arc::new(stats::DenseCounters::default());
+        stats::counting(&sink, || matmul(Op::NoTrans, Op::NoTrans, a.rf(), b.rf()));
+        // One block pair (m ≤ MC, k ≤ KC, n ≤ NC): A packs into
+        // ceil(m/mr) row panels, B into ceil(n/NR) column panels, both kc deep.
+        let mr = dispatched_mr(m);
+        let bytes = 8 * (m.div_ceil(mr) * mr * k + n.div_ceil(NR) * NR * k) as u64;
+        assert_eq!(counts(&sink), (1, bytes, 0));
+    }
+
+    #[test]
+    fn gemv_records_one_call() {
+        let a = gaussian_mat(7, 5, 23);
+        let mut y = vec![0.0; 7];
+        let sink = Arc::new(stats::DenseCounters::default());
+        stats::counting(&sink, || {
+            gemv(Op::NoTrans, 1.0, a.rf(), &[1.0; 5], 0.0, &mut y)
+        });
+        assert_eq!(counts(&sink), (0, 0, 1));
+    }
+
+    #[test]
+    fn nested_sink_restores_the_outer_one() {
+        let a = gaussian_mat(4, 4, 24);
+        let mut y = vec![0.0; 4];
+        let mut call = || gemv(Op::NoTrans, 1.0, a.rf(), &[1.0; 4], 0.0, &mut y);
+        let (outer, inner) = (
+            Arc::new(stats::DenseCounters::default()),
+            Arc::new(stats::DenseCounters::default()),
         );
-        assert!(after.pack_bytes > before.pack_bytes);
+        stats::counting(&outer, || {
+            call();
+            stats::counting(&inner, &mut call);
+            call();
+        });
+        assert_eq!((outer.gemv_calls(), inner.gemv_calls()), (2, 1));
+    }
+
+    #[test]
+    fn panic_inside_a_sink_restores_the_previous_one() {
+        let a = gaussian_mat(4, 4, 25);
+        let mut y = vec![0.0; 4];
+        let (outer, inner) = (
+            Arc::new(stats::DenseCounters::default()),
+            Arc::new(stats::DenseCounters::default()),
+        );
+        stats::counting(&outer, || {
+            let unwound = std::panic::catch_unwind(|| {
+                stats::counting(&inner, || panic!("injected fault inside the scope"))
+            });
+            assert!(unwound.is_err());
+            gemv(Op::NoTrans, 1.0, a.rf(), &[1.0; 4], 0.0, &mut y);
+        });
+        assert_eq!((outer.gemv_calls(), inner.gemv_calls()), (1, 0));
+    }
+
+    #[test]
+    fn nothing_is_counted_without_a_sink() {
+        let a = gaussian_mat(96, 96, 26);
+        let sink = Arc::new(stats::DenseCounters::default());
+        stats::counting(&sink, || {});
+        let _ = matmul(Op::NoTrans, Op::NoTrans, a.rf(), a.rf());
+        let mut y = vec![0.0; 96];
+        gemv(Op::NoTrans, 1.0, a.rf(), &[1.0; 96], 0.0, &mut y);
+        rayon::inherit::with::<stats::DenseCounters, _>(|c| assert!(c.is_none()));
+        assert_eq!(counts(&sink), (0, 0, 0));
+    }
+
+    /// Two submitters, each under its own sink, run GEMM batches on the
+    /// shared pool at once. A waiting submitter executes queued jobs of the
+    /// other batch too; each job still counts into its own submitter's sink.
+    #[test]
+    fn pool_tasks_count_into_their_submitters_sink() {
+        use std::sync::{Barrier, Mutex};
+        use std::thread::{self, ThreadId};
+        let a = gaussian_mat(32, 32, 27);
+        let jobs = 8;
+        let barrier = Barrier::new(2);
+        for _round in 0..200 {
+            let sinks: [Arc<stats::DenseCounters>; 2] = Default::default();
+            // (batch, thread that ran the job) of every job.
+            let ran: Mutex<Vec<(usize, ThreadId)>> = Mutex::default();
+            let submitters: Vec<ThreadId> = thread::scope(|s| {
+                let handles: Vec<_> = (0..2)
+                    .map(|t| {
+                        let (a, sink, barrier, ran) = (&a, &sinks[t], &barrier, &ran);
+                        s.spawn(move || {
+                            stats::counting(sink, || {
+                                let tasks = (0..jobs)
+                                    .map(|_| {
+                                        Box::new(move || {
+                                            ran.lock().unwrap().push((t, thread::current().id()));
+                                            let _ = matmul(Op::NoTrans, Op::Trans, a.rf(), a.rf());
+                                        })
+                                            as Box<dyn FnOnce() + Send + '_>
+                                    })
+                                    .collect();
+                                barrier.wait();
+                                rayon::pool::run_tasks(tasks);
+                            })
+                        })
+                    })
+                    .collect();
+                handles.iter().map(|h| h.thread().id()).collect()
+            });
+            for sink in &sinks {
+                assert_eq!(sink.pack_calls(), jobs as u64);
+            }
+            let ran = ran.into_inner().unwrap();
+            if ran.iter().any(|&(t, id)| id == submitters[1 - t]) {
+                return;
+            }
+        }
+        panic!("no submitter ran a job of the other batch in 200 rounds");
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //!
 //! The stack previously measured itself through four disconnected
 //! surfaces: `h2_runtime::Profile` launch/phase counters, the fabric's
-//! `EpochLog`, the process-global `h2_dense::gemm::stats`, and per-binary
-//! printing. This crate is the one place they reconcile: the same
-//! accounting records that back the simulator-equality tests render as a
-//! per-device timeline, and the metric totals are **exact** (u64 sums),
+//! `EpochLog`, the dense layer's `h2_dense::gemm::stats` counters (counted
+//! into the runtime each call runs under), and per-binary printing. This
+//! crate is the one place they reconcile: the same accounting records
+//! that back the simulator-equality tests render as a per-device
+//! timeline, and the metric totals are **exact** (u64 sums),
 //! so `metrics.counter("fabric.comm_bytes") == ExecReport::total_comm_bytes()`
 //! is an equality, not an approximation.
 //!

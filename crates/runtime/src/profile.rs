@@ -6,9 +6,9 @@
 //! phases (Fig. 7: sampling, BSR product, entry generation, convergence
 //! test, ID, and miscellaneous/marshaling).
 
-use h2_dense::gemm::stats::StatsClaim;
+use h2_dense::gemm::stats::DenseCounters;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The batched kernels of the implementation (comments in Algorithm 1).
@@ -37,9 +37,9 @@ pub enum Kernel {
     PrefixSum,
     /// Dense matrix-vector products (solver inner products, samplers).
     Gemv,
-    /// Blocked-GEMM packing passes (A/B panel staging of the microkernel;
-    /// the byte traffic is tracked separately via
-    /// [`Profile::pack_bytes`]).
+    /// Blocked-GEMM packing passes (A/B panel staging of the microkernel),
+    /// counted into the runtime the call runs under; the byte traffic is
+    /// [`Profile::pack_bytes`].
     Pack,
     /// Batched LU factorization (ULV pivot blocks, `batchedGETRF`).
     Lu,
@@ -187,96 +187,38 @@ impl Phase {
 pub struct Profile {
     launches: [AtomicUsize; KERNEL_COUNT],
     phase_nanos: [AtomicU64; PHASE_COUNT],
-    /// Bytes staged through the blocked-GEMM packing buffers (the
-    /// [`Kernel::Pack`] traffic; launches count invocations, this counts
-    /// the moved data).
-    pack_bytes: AtomicU64,
-    /// Exclusive handle on the process-wide dense counters
-    /// ([`h2_dense::gemm::stats`]). Held by at most one profile in the
-    /// process: acquiring it discards pre-existing counts, and only the
-    /// holder's [`Profile::drain_dense_stats`] resets the counters — so
-    /// two concurrent profiles can never steal each other's pack/gemv
-    /// counts (the non-holder simply records none).
-    dense_claim: Mutex<Option<StatsClaim>>,
+    /// The dense layer's [`Kernel::Pack`] / [`Kernel::Gemv`] calls and
+    /// packing bytes, counted into the runtime the call runs under
+    /// (`Runtime::phase` installs this sink with
+    /// [`h2_dense::gemm::stats::counting`]).
+    pub(crate) dense: Arc<DenseCounters>,
 }
 
 impl Profile {
     pub fn new() -> Self {
-        let p = Self::default();
-        // Claim the process-wide dense counters if no other live profile
-        // holds them; claiming discards whatever accumulated before this
-        // profile existed (e.g. a dense reference build ahead of the
-        // profiled construction), so the first drain only sees work
-        // performed during this profile's lifetime.
-        p.try_claim_dense_stats();
-        p
-    }
-
-    /// Try to acquire the exclusive dense-counter handle (a later retry
-    /// for a profile constructed while another held it). Returns whether
-    /// this profile now holds the claim.
-    pub fn try_claim_dense_stats(&self) -> bool {
-        let mut guard = self.dense_claim.lock().unwrap();
-        if guard.is_none() {
-            *guard = h2_dense::gemm::stats::claim();
-        }
-        guard.is_some()
-    }
-
-    /// Whether this profile holds the exclusive dense-counter handle (and
-    /// therefore attributes pack/gemv counts).
-    pub fn has_dense_claim(&self) -> bool {
-        self.dense_claim.lock().unwrap().is_some()
-    }
-
-    /// Credit `bytes` of blocked-GEMM packing traffic.
-    pub fn record_pack_bytes(&self, bytes: u64) {
-        self.pack_bytes.fetch_add(bytes, Ordering::Relaxed);
+        Self::default()
     }
 
     /// Total bytes staged through packing buffers.
     pub fn pack_bytes(&self) -> u64 {
-        self.pack_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Drain the process-wide dense-kernel counters
-    /// ([`h2_dense::gemm::stats`]) into this profile: packed-GEMM
-    /// invocations become [`Kernel::Pack`] launches, `gemv` calls become
-    /// [`Kernel::Gemv`] launches, and the staged bytes accumulate in
-    /// [`Profile::pack_bytes`]. Called at every phase boundary by
-    /// `Runtime::phase`, so the Fig. 7 breakdown sees the blocked kernel
-    /// structure without the dense crate knowing about profiles.
-    ///
-    /// Draining requires the exclusive [`StatsClaim`]; a profile that
-    /// failed to claim (another profile was live first) records nothing
-    /// here instead of stealing the holder's counts.
-    pub fn drain_dense_stats(&self) {
-        let guard = self.dense_claim.lock().unwrap();
-        let Some(claim) = guard.as_ref() else {
-            return;
-        };
-        let s = claim.take();
-        if s.pack_calls > 0 {
-            self.launches[Kernel::Pack.index()].fetch_add(s.pack_calls as usize, Ordering::Relaxed);
-        }
-        if s.gemv_calls > 0 {
-            self.launches[Kernel::Gemv.index()].fetch_add(s.gemv_calls as usize, Ordering::Relaxed);
-        }
-        if s.pack_bytes > 0 {
-            self.record_pack_bytes(s.pack_bytes);
-        }
+        self.dense.pack_bytes()
     }
 
     pub fn record_launch(&self, k: Kernel) {
-        self.launches[k.index()].fetch_add(1, Ordering::Relaxed);
+        self.record_launches(k, 1);
     }
 
     pub fn record_launches(&self, k: Kernel, n: usize) {
+        debug_assert!(k.device_launch(), "the dense layer counts {k:?} itself");
         self.launches[k.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn launches(&self, k: Kernel) -> usize {
-        self.launches[k.index()].load(Ordering::Relaxed)
+        match k {
+            Kernel::Pack => self.dense.pack_calls() as usize,
+            Kernel::Gemv => self.dense.gemv_calls() as usize,
+            _ => self.launches[k.index()].load(Ordering::Relaxed),
+        }
     }
 
     /// Total *batched device* launches — the §IV.B O(L·Csp) currency.
@@ -318,12 +260,7 @@ impl Profile {
         for a in &self.phase_nanos {
             a.store(0, Ordering::Relaxed);
         }
-        self.pack_bytes.store(0, Ordering::Relaxed);
-        // Pending dense-layer counts belong to the discarded measurements
-        // (only the claim holder may reset the process-wide counters).
-        if let Some(claim) = self.dense_claim.lock().unwrap().as_ref() {
-            let _ = claim.take();
-        }
+        self.dense.reset();
     }
 
     /// Per-phase percentages of the total (Fig. 7 rows).

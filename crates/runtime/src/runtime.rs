@@ -152,15 +152,14 @@ impl Runtime {
         self.profile.record_launches(k, n);
     }
 
-    /// Time a phase of the construction. Each phase boundary also drains
-    /// the dense layer's packing/gemv counters into the profile, so the
-    /// blocked-GEMM structure shows up in the launch accounting without the
-    /// dense crate depending on this one.
+    /// Time a phase of the construction. Every dense-layer packing/gemv
+    /// call inside `f` — on this thread or on the pool tasks and device
+    /// jobs it submits — is counted into the runtime the call runs under,
+    /// this one's profile, so the blocked-GEMM structure shows up in the
+    /// launch accounting without the dense crate depending on this one.
     pub fn phase<R>(&self, p: Phase, f: impl FnOnce() -> R) -> R {
         let _span = self.tracer.as_ref().map(|t| t.span("phase", p.name()));
-        let r = self.profile.time(p, f);
-        self.profile.drain_dense_stats();
-        r
+        h2_dense::gemm::stats::counting(&self.profile.dense, || self.profile.time(p, f))
     }
 
     /// Run an indexed loop on the chosen backend (generic batched "kernel

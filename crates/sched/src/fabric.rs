@@ -846,6 +846,9 @@ impl DeviceFabric {
     /// scoped-threadpool lifetime erasure, with the scope-end moved to the
     /// explicit barrier.
     pub unsafe fn enqueue<'a>(&self, dev: usize, deps: &[u64], job: ShardJob<'a>) -> u64 {
+        // The job runs under the submitter's inherited value (its dense
+        // counter sink), like a pool task.
+        let job: ShardJob<'a> = Box::new(h2_dense::gemm::stats::inheriting(job));
         // SAFETY: only the lifetime is erased — `ShardJob<'a>` and the
         // `'static` box have the same layout — and the caller's contract
         // (flush or `chain_end` before any captured borrow ends) keeps every

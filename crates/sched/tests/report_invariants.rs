@@ -4,16 +4,21 @@
 //! max-over-devices schedule-aware projection — in both fabric modes at
 //! D ∈ {1, 2, 4}. Also pins the metrics-export reconciliation: the
 //! observability counters equal the report accessors byte-for-byte and
-//! launch-for-launch.
+//! launch-for-launch, and that the dense layer's pack/gemv counts belong to
+//! the runtime that ran them.
 
-use h2_core::SketchConfig;
+use h2_core::{sketch_construct, SketchConfig, SketchStats};
 use h2_kernels::{ExponentialKernel, KernelMatrix};
-use h2_runtime::{DeviceModel, PipelineMode, Registry};
+use h2_runtime::{DeviceModel, PipelineMode, Registry, Runtime};
 use h2_sched::{shard_construct, DeviceFabric, ExecReport, LinkModel};
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
 
 const DEVICE_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The invariants hold at any size. N = 513 is the smallest whose partition
+/// has an inner processed level that fetches at D = 4.
+const N: usize = 513;
 
 fn sym_problem(
     n: usize,
@@ -41,7 +46,7 @@ fn cfg() -> SketchConfig {
 }
 
 fn run_construct(devices: usize, mode: PipelineMode) -> ExecReport {
-    let (tree, part, km) = sym_problem(1200, 16, 181);
+    let (tree, part, km) = sym_problem(N, 16, 181);
     // A CPU-scale link so transfers take visible time: stall (sync) and
     // overlapped (pipelined) durations are exercised, not just zeros.
     let fabric = DeviceFabric::with_config(devices, mode, LinkModel::cpu_scale());
@@ -184,4 +189,50 @@ fn exported_metrics_reconcile_with_report_totals() {
         })
         .sum();
     assert_eq!(stall_sum, report.stall_total().as_nanos() as u64);
+}
+
+/// Every construction reports exactly the dense-layer counts of a solo
+/// sequential one: a second runtime alive at the same time, a concurrent
+/// construction on another thread, the parallel backend (pool tasks) and
+/// the fabric (device jobs) each count into the runtime the calls ran under.
+#[test]
+fn dense_counts_belong_to_their_runtime() {
+    let (tree, part, km) = sym_problem(N, 16, 181);
+    let counts = |stats: &SketchStats| {
+        let launches = |name| {
+            stats
+                .launches
+                .iter()
+                .find(|(k, _)| *k == name)
+                .map_or(0, |(_, c)| *c)
+        };
+        (launches("gemmPack"), launches("gemv"), stats.pack_bytes)
+    };
+    let construct = |rt: &Runtime| {
+        counts(&sketch_construct(&km, &km, tree.clone(), part.clone(), rt, &cfg()).1)
+    };
+    let solo = construct(&Runtime::sequential());
+    assert!(solo.0 > 0 && solo.2 > 0, "the construction packs: {solo:?}");
+
+    let (first, second) = (Runtime::sequential(), Runtime::sequential());
+    assert_eq!(construct(&first), solo, "first of two live runtimes");
+    assert_eq!(construct(&second), solo, "second of two live runtimes");
+
+    std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| construct(&Runtime::sequential())))
+            .collect();
+        for run in runs {
+            assert_eq!(run.join().unwrap(), solo, "concurrent construction");
+        }
+    });
+
+    assert_eq!(construct(&Runtime::parallel()), solo, "parallel backend");
+
+    for devices in [1, 3] {
+        let fabric =
+            DeviceFabric::with_config(devices, PipelineMode::Pipelined, LinkModel::cpu_scale());
+        let (_, stats, _) = shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &cfg());
+        assert_eq!(counts(&stats), solo, "shard_construct at D={devices}");
+    }
 }

@@ -53,6 +53,56 @@ pub mod iter {
     pub use crate::prelude::*;
 }
 
+/// One opaque value a submitting thread hands to the work it sends
+/// elsewhere. Every [`pool::run_tasks`] task runs under the value that was
+/// current on its submitter when the batch was submitted, and restores the
+/// value of the thread that runs it afterwards — so a waiting submitter that
+/// executes another batch's job lends that job the other submitter's value,
+/// not its own. Crates above the shim give the value a type (the dense
+/// layer keeps its counter sink here) and propagate it across their own
+/// thread hand-offs with [`inherit::inheriting`].
+pub mod inherit {
+    use std::any::Any;
+    use std::cell::RefCell;
+    use std::sync::Arc;
+
+    /// The inherited value.
+    pub type Value = Arc<dyn Any + Send + Sync>;
+
+    thread_local! {
+        static CURRENT: RefCell<Option<Value>> = const { RefCell::new(None) };
+    }
+
+    /// Restores the previous value when dropped, including on unwind.
+    struct Restore(Option<Value>);
+
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.with(|c| c.replace(self.0.take()));
+        }
+    }
+
+    /// Run `f` with `value` current on this thread, then restore the
+    /// previous value (also when `f` panics).
+    pub fn scoped<R>(value: Option<Value>, f: impl FnOnce() -> R) -> R {
+        let _restore = Restore(CURRENT.with(|c| c.replace(value)));
+        f()
+    }
+
+    /// Call `f` with the current value if it is a `T`.
+    pub fn with<T: Any, R>(f: impl FnOnce(Option<&T>) -> R) -> R {
+        CURRENT.with(|c| f(c.borrow().as_deref().and_then(|v| v.downcast_ref())))
+    }
+
+    /// `job` bound to the value current here, to run on another thread.
+    pub fn inheriting<'a, R>(
+        job: impl FnOnce() -> R + Send + 'a,
+    ) -> impl FnOnce() -> R + Send + 'a {
+        let value = CURRENT.with(|c| c.borrow().clone());
+        move || scoped(value, job)
+    }
+}
+
 /// The work-stealing deque pool backing every parallel adapter.
 pub mod pool {
     use std::collections::VecDeque;
@@ -185,6 +235,7 @@ pub mod pool {
     /// participates (executes queued jobs) while waiting, which both speeds
     /// up the tail and makes nested `run_tasks` calls from inside a task
     /// deadlock-free. Panics from any task are re-raised on the caller.
+    /// Every task runs under the caller's [`crate::inherit`] value.
     pub fn run_tasks<'a>(tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
         if tasks.is_empty() {
             return;
@@ -201,6 +252,7 @@ pub mod pool {
             let mut wrapped: Vec<Job> = Vec::with_capacity(n);
             for task in tasks {
                 let b = batch.clone();
+                let task = crate::inherit::inheriting(task);
                 let job: Box<dyn FnOnce() + Send + 'a> = Box::new(move || {
                     if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
                         *b.panic.lock().unwrap() = Some(payload);
