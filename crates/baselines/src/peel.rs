@@ -17,7 +17,7 @@
 
 use crate::hmatrix::{HMatrix, LowRankBlock};
 use h2_dense::cpqr::{row_id, Truncation};
-use h2_dense::{estimate_norm_2, EntryAccess, LinOp, Mat};
+use h2_dense::{norm_2_gkl, EntryAccess, LinOp, Mat};
 use h2_tree::{ClusterTree, Partition};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -38,7 +38,8 @@ pub struct PeelConfig {
     pub max_samples: usize,
     /// Safety factor on the absolute threshold (see `SketchConfig::safety`).
     pub safety: f64,
-    /// Power iterations for the norm estimate.
+    /// Cap of the norm estimate: at most `2·norm_est_iters + 1` sampler
+    /// products (see `SketchConfig::norm_est_iters`).
     pub norm_est_iters: usize,
     pub seed: u64,
 }
@@ -126,7 +127,8 @@ pub fn topdown_peel(
     let mut h = HMatrix::new(tree.clone(), partition.clone());
     let mut stats = PeelStats::default();
 
-    let norm_est = estimate_norm_2(sampler, cfg.norm_est_iters, cfg.seed ^ 0xA5A5);
+    let start = h2_dense::gaussian_mat(sampler.nrows(), 1, cfg.seed ^ 0xA5A5);
+    let (norm_est, _) = norm_2_gkl(sampler, &start, 2 * cfg.norm_est_iters + 1, cfg.tol);
     let eps_abs = cfg.safety * cfg.tol * norm_est.max(f64::MIN_POSITIVE);
 
     let top = partition.top_far_level(&tree);

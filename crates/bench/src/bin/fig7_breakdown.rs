@@ -3,7 +3,7 @@
 //!
 //! Phases match the paper's categories: sampling (`Kblk`), BSR product,
 //! entry generation, convergence test (batched QR), ID, upsweep, random
-//! generation, the `‖K‖₂` power iteration (single-vector sampler products,
+//! generation, the `‖K‖₂` estimate (single-vector sampler products,
 //! which the paper folds into its set-up), and miscellaneous (marshaling +
 //! workspace allocation).
 //! A second table reports the kernel structure underneath the phases —

@@ -45,8 +45,11 @@ pub struct SketchConfig {
     pub max_samples: usize,
     /// Hard cap on per-node rank.
     pub max_rank: usize,
-    /// Power-iteration count for the `‖K‖₂` estimate backing the relative
-    /// threshold (§III.B).
+    /// Cap of the `‖K‖₂` estimate backing the relative threshold (§III.B):
+    /// at most `2·norm_est_iters + 1` sampler products, the cost of that
+    /// many power iterations on `KᵀK`. The estimate
+    /// (`h2_dense::norm_2_gkl`, started from the first sample block) stops
+    /// earlier, once a product moves it by at most `tol` relative.
     pub norm_est_iters: usize,
     /// Per-level ID tolerance schedule.
     pub schedule: TolSchedule,
@@ -123,6 +126,9 @@ pub struct SketchStats {
     pub rank_cap_hits: usize,
     /// Estimated `‖K‖₂` backing the relative threshold.
     pub norm_estimate: f64,
+    /// Sampler products (`K x` or `Kᵀ x`) the `‖K‖₂` estimate used, at most
+    /// `2·norm_est_iters + 1`.
+    pub norm_products: usize,
     /// Wall-clock construction time.
     pub elapsed: Duration,
     /// Per-phase timing snapshot (Fig. 7).

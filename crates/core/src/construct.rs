@@ -44,7 +44,7 @@
 use crate::config::{SketchConfig, SketchStats};
 use crate::multidev::ConstructPlanner;
 use h2_dense::cpqr::Truncation;
-use h2_dense::{estimate_norm_2, EntryAccess, LinOp, Mat};
+use h2_dense::{norm_2_gkl, EntryAccess, LinOp, Mat};
 use h2_matrix::H2Matrix;
 use h2_runtime::{
     batched_gen, batched_row_id, bsr_gemm, gather_rows, gemm_at_x, hcat_batches, issue_bsr_fetches,
@@ -262,12 +262,49 @@ fn sketch_construct_engine(
         return (h2, stats);
     };
 
-    // ---- norm estimate backing the relative threshold (§III.B; power
-    // iteration on KᵀK, so unsymmetry is handled) ----
-    let norm_est = rt.phase(Phase::NormEst, || {
-        estimate_norm_2(sampler, cfg.norm_est_iters, cfg.seed ^ 0x5A5A_5A5A)
+    // ---- initial sampling (line 1), one batch per stream ----
+    let d0 = cfg.initial_width();
+    let leaf_ranges: Vec<(usize, usize)> =
+        tree.level(leaf_level).map(|id| tree.range(id)).collect();
+    let sides: &[Side] = if symmetric {
+        &[Side::Row]
+    } else {
+        &[Side::Row, Side::Col]
+    };
+    let mut norm_start = None;
+    let mut streams: Vec<SketchStream> = sides
+        .iter()
+        .map(|&side| {
+            let (y, omega, start) = draw_global_samples(
+                rt,
+                sampler,
+                n,
+                d0,
+                cfg.seed ^ side.seed_salt(),
+                side,
+                &leaf_ranges,
+                side == Side::Row,
+            );
+            norm_start = norm_start.take().or(start);
+            SketchStream {
+                side,
+                y,
+                omega,
+                fetched: None,
+            }
+        })
+        .collect();
+    stats.total_samples = d0;
+
+    // ---- norm estimate backing the relative threshold (§III.B):
+    // Golub–Kahan–Lanczos from the row samples' dominant direction, which
+    // alternates K and Kᵀ, so unsymmetry is handled ----
+    let start = norm_start.expect("the row stream yields the estimate's start");
+    let (norm_est, norm_products) = rt.phase(Phase::NormEst, || {
+        norm_2_gkl(sampler, &start, 2 * cfg.norm_est_iters + 1, cfg.tol)
     });
     stats.norm_estimate = norm_est;
+    stats.norm_products = norm_products;
     let eps_abs = cfg.safety * cfg.tol * norm_est.max(f64::MIN_POSITIVE);
 
     // ---- storage demotion of the finished near-field (norm-aware) ----
@@ -302,37 +339,6 @@ fn sketch_construct_engine(
             );
         });
     }
-
-    // ---- initial sampling (line 1), one batch per stream ----
-    let d0 = cfg.initial_width();
-    let leaf_ranges: Vec<(usize, usize)> =
-        tree.level(leaf_level).map(|id| tree.range(id)).collect();
-    let sides: &[Side] = if symmetric {
-        &[Side::Row]
-    } else {
-        &[Side::Row, Side::Col]
-    };
-    let mut streams: Vec<SketchStream> = sides
-        .iter()
-        .map(|&side| {
-            let (y, omega) = draw_global_samples(
-                rt,
-                sampler,
-                n,
-                d0,
-                cfg.seed ^ side.seed_salt(),
-                side,
-                &leaf_ranges,
-            );
-            SketchStream {
-                side,
-                y,
-                omega,
-                fetched: None,
-            }
-        })
-        .collect();
-    stats.total_samples = d0;
 
     let mut records: Vec<LevelRecord> = Vec::new();
     let mut round_seed = cfg.seed.wrapping_add(0x1234_5678);
@@ -662,6 +668,12 @@ pub(crate) fn input_basis(h2: &H2Matrix, side: Side) -> &[Mat] {
 
 /// Draw `d` fresh global samples for one stream: random inputs, the
 /// side-matching sampler product (`K Ω` or `Kᵀ Ψ`), gathered to leaf rows.
+///
+/// With `norm_start`, also the start of the `‖K‖₂` estimate: `Y v₁`,
+/// where `v₁` is the dominant eigenvector of the Gram `YᵀY` from a few
+/// power steps, the block's best single direction in the range of the
+/// product. It is formed before the `n x d` product is dropped.
+#[allow(clippy::too_many_arguments)]
 fn draw_global_samples(
     rt: &Runtime,
     sampler: &dyn LinOp,
@@ -670,7 +682,8 @@ fn draw_global_samples(
     seed: u64,
     side: Side,
     leaf_ranges: &[(usize, usize)],
-) -> (VarBatch, VarBatch) {
+    norm_start: bool,
+) -> (VarBatch, VarBatch, Option<Mat>) {
     let omega = rt.phase(Phase::Rand, || rand_mat(rt, n, d, seed));
     let y = rt.phase(Phase::Sampling, || match side {
         Side::Row => sampler.apply_mat(&omega),
@@ -680,9 +693,36 @@ fn draw_global_samples(
             z
         }
     });
+    let start = norm_start.then(|| rt.phase(Phase::NormEst, || dominant_direction(&y)));
     let ob = rt.phase(Phase::Misc, || gather_rows(rt, &omega, leaf_ranges));
     let yb = rt.phase(Phase::Misc, || gather_rows(rt, &y, leaf_ranges));
-    (yb, ob)
+    (yb, ob, start)
+}
+
+/// Power steps on the Gram `YᵀY` behind [`draw_global_samples`]' start
+/// vector: enough to pick the dominant direction out of a sample block,
+/// whose leading singular values separate like `K`'s.
+const GRAM_POWER_STEPS: usize = 8;
+
+/// `Y v₁` for the dominant eigenvector `v₁` of `YᵀY` (power iteration
+/// from the all-ones vector); `norm_2_gkl` normalises it. A zero or
+/// non-finite `Y` gives a non-finite vector, which `norm_2_gkl` replaces
+/// by its Gaussian start.
+fn dominant_direction(y: &Mat) -> Mat {
+    use h2_dense::{gemm, gemv, Op};
+    let d = y.cols();
+    let mut gram = Mat::zeros(d, d);
+    gemm(Op::Trans, Op::NoTrans, 1.0, y.rf(), y.rf(), 0.0, gram.rm());
+    let mut v = vec![1.0; d];
+    let mut w = vec![0.0; d];
+    for _ in 0..GRAM_POWER_STEPS {
+        gemv(Op::NoTrans, 1.0, gram.rf(), &v, 0.0, &mut w);
+        let norm = w.iter().map(|x| x * x).sum::<f64>().sqrt();
+        v.iter_mut().zip(&w).for_each(|(vi, wi)| *vi = wi / norm);
+    }
+    let mut u = Mat::zeros(y.rows(), 1);
+    gemv(Op::NoTrans, 1.0, y.rf(), &v, 0.0, u.col_mut(0));
+    u
 }
 
 /// Build the shared BSR subtraction/stacking structure of a level.
@@ -842,7 +882,8 @@ fn sweep_new_samples(
     seed: u64,
 ) -> (VarBatch, VarBatch) {
     let n = tree.npoints();
-    let (mut yv, mut om) = draw_global_samples(rt, sampler, n, d, seed, side, leaf_ranges);
+    let (mut yv, mut om, _) =
+        draw_global_samples(rt, sampler, n, d, seed, side, leaf_ranges, false);
 
     for rec in records {
         // Subtract + stack with the recorded structure.

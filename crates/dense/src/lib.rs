@@ -30,7 +30,8 @@
 //! * every `unsafe` block and impl carries a `// SAFETY:` invariant
 //!   (`clippy::undocumented_unsafe_blocks` is denied),
 //! * the [`LinOp`] / [`EntryAccess`] traits — the
-//!   paper's two black-box inputs — plus power-iteration norm estimation,
+//!   paper's two black-box inputs — plus spectral-norm estimation by power
+//!   iteration and by Golub–Kahan–Lanczos bidiagonalisation,
 //! * the storage/wire precision tier ([`prec`]): [`Precision`], the f32
 //!   storage type [`Mat32`] with demote/promote conversion kernels, and the
 //!   mixed-precision [`gemm_mixed`] whose f32 operand is
@@ -60,7 +61,7 @@ pub use gemm::{
 pub use krylov::hutchinson_trace;
 pub use lu::{cholesky_in_place, cholesky_solve, lu_factor, LuFactor};
 pub use mat::{Mat, MatMut, MatRef};
-pub use op::{estimate_norm_2, relative_error_2, DenseOp, DiffOp, EntryAccess, LinOp};
+pub use op::{estimate_norm_2, norm_2_gkl, relative_error_2, DenseOp, DiffOp, EntryAccess, LinOp};
 pub use prec::{demote_roundtrip, Mat32, Precision};
 pub use qr::{orthonormalize, qr_factor, qr_in_place, QrFactor};
 pub use rand::{fill_gaussian, gaussian_mat, random_low_rank, standard_normal};

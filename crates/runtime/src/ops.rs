@@ -133,19 +133,28 @@ where
     rt.map_index_costed(batch.count(), cost, |i| f(i, batch.mat(i)))
 }
 
+/// Seed of column `j`'s stream in [`rand_mat`]: `(seed, j)` hashed.
+///
+/// The SplitMix64 generator's state *is* its seed and advances by a fixed
+/// stride, so seeds that differ by a multiple of that stride give streams
+/// that are shifted copies of each other. Hashing keeps nearby column
+/// seeds far apart on the generator's orbit.
+fn column_seed(seed: u64, j: usize) -> u64 {
+    h2_fault::mix(seed, j as u64)
+}
+
 /// `batchedRand`: generate a global `n x d` standard-normal block.
 ///
-/// Columns are generated from independent seed-derived streams so the result
-/// is identical on both backends (the parallel-safe analogue of cuRAND's
-/// counter-based generators).
+/// Columns are generated from independent streams, each seeded by a hash of
+/// `(seed, column)`, so the result is identical on both backends (the
+/// parallel-safe analogue of cuRAND's counter-based generators).
 pub fn rand_mat(rt: &Runtime, n: usize, d: usize, seed: u64) -> Mat {
     rt.launch(Kernel::Rand);
     let mut y = Mat::zeros(n, d);
     // Split into per-column tasks with deterministic seeds.
     let cols: Vec<&mut [f64]> = y.as_mut_slice().chunks_mut(n.max(1)).collect();
     let run = |(j, col): (usize, &mut [f64])| {
-        let mut rng =
-            SmallRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(j as u64 + 1)));
+        let mut rng = SmallRng::seed_from_u64(column_seed(seed, j));
         h2_dense::rand::fill_gaussian_slice(col, &mut rng);
     };
     if let Some(disp) = rt.shard_dispatch() {
@@ -204,8 +213,7 @@ fn poison_and_heal_rand(disp: &dyn ShardDispatch, y: &mut Mat, n: usize, seed: u
         if col.iter().all(|v| v.is_finite()) {
             continue;
         }
-        let mut rng =
-            SmallRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(j as u64 + 1)));
+        let mut rng = SmallRng::seed_from_u64(column_seed(seed, j));
         h2_dense::rand::fill_gaussian_slice(col, &mut rng);
         debug_assert!(col.iter().all(|v| v.is_finite()));
         disp.note_recovery("rand_mat");

@@ -131,8 +131,9 @@ pub enum Phase {
     Id,
     /// Sample/ Ω upsweep (shrink + GEMM).
     Upsweep,
-    /// Power iteration for the `‖K‖₂` estimate behind the relative
-    /// threshold (§III.B): `2·iters + 1` single-vector sampler products.
+    /// The `‖K‖₂` estimate behind the relative threshold (§III.B): its
+    /// start vector from the first sample block, then at most
+    /// `2·iters + 1` single-vector sampler products.
     NormEst,
     /// Marshaling, workspace allocation, bookkeeping.
     Misc,

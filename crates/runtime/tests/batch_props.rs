@@ -106,3 +106,62 @@ proptest! {
         prop_assert_eq!(counts(&Runtime::sequential()), counts(&Runtime::parallel()));
     }
 }
+
+/// `batchedRand` columns are independent streams: no column repeats
+/// another at a small row shift, and no two columns are correlated. Seeds
+/// derived by adding or XOR-ing multiples of the generator's stride give
+/// shifted copies of one stream (the small seeds below are where that
+/// shows).
+#[test]
+fn rand_mat_columns_are_independent_streams() {
+    use std::collections::HashMap;
+    let (n, d, max_shift) = (1024usize, 128usize, 64isize);
+    let rt = Runtime::sequential();
+    for seed in 1..=16u64 {
+        let y = rand_mat(&rt, n, d, seed);
+        // Exact repeats: every value's (column, row) positions, then the
+        // number of rows each (column, column, shift) triple shares.
+        let mut seen: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
+        for j in 0..d {
+            for (i, v) in y.col(j).iter().enumerate() {
+                seen.entry(v.to_bits()).or_default().push((j, i));
+            }
+        }
+        let mut shared: HashMap<(usize, usize, isize), usize> = HashMap::new();
+        for at in seen.values() {
+            for (k, &(a, ia)) in at.iter().enumerate() {
+                for &(b, ib) in &at[k + 1..] {
+                    let s = ib as isize - ia as isize;
+                    if a != b && s.abs() <= max_shift {
+                        *shared.entry((a, b, s)).or_default() += 1;
+                    }
+                }
+            }
+        }
+        if let Some((&(a, b, s), &rows)) = shared.iter().max_by_key(|(_, &r)| r) {
+            assert!(
+                rows <= n / 2,
+                "seed {seed}: column {b} is column {a} shifted by {s} on {rows} of {n} rows"
+            );
+        }
+        // Pairwise Pearson correlation.
+        let centred: Vec<Vec<f64>> = (0..d)
+            .map(|j| {
+                let c = y.col(j);
+                let mean = c.iter().sum::<f64>() / n as f64;
+                let dev: Vec<f64> = c.iter().map(|v| v - mean).collect();
+                let norm = dev.iter().map(|v| v * v).sum::<f64>().sqrt();
+                dev.into_iter().map(|v| v / norm).collect()
+            })
+            .collect();
+        for a in 0..d {
+            for b in a + 1..d {
+                let r: f64 = centred[a].iter().zip(&centred[b]).map(|(x, y)| x * y).sum();
+                assert!(
+                    r.abs() < 0.2,
+                    "seed {seed}: columns {a} and {b} have correlation {r:.3}"
+                );
+            }
+        }
+    }
+}

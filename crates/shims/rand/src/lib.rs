@@ -23,6 +23,12 @@ pub trait SeedableRng: Sized {
 }
 
 impl SeedableRng for SmallRng {
+    /// The state *is* the seed, and every draw advances it by the fixed
+    /// SplitMix64 stride `0x9E37_79B9_7F4A_7C15`. Two seeds that differ by
+    /// `k` strides therefore give the same stream shifted by `k` draws.
+    /// Callers deriving many streams from one base seed (one per column,
+    /// say) must hash the pair rather than add or XOR a multiple of the
+    /// stride: for small seeds an XOR acts like an addition.
     fn seed_from_u64(seed: u64) -> Self {
         SmallRng { state: seed }
     }
