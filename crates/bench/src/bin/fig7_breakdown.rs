@@ -50,7 +50,7 @@ fn main() {
         for &n in &sizes {
             let problem = build_problem(App::Covariance, n, leaf, 0.7, 0xF7);
             let reference = reference_h2(&problem, tol * 1e-2);
-            let rt = Runtime::new(backend);
+            let rt = Runtime::new(backend.clone());
             let cfg = SketchConfig {
                 tol,
                 initial_samples: 128,

@@ -166,7 +166,7 @@ fn bench_batched_apply(rt: &Runtime, entries: usize, d: usize, min_secs: f64) ->
         .map(|(i, &m)| gaussian_mat(m, (m / 2).max(8), 100 + i as u64))
         .collect();
     let mut x = VarBatch::zeros_uniform_cols(rows.clone(), d);
-    x.for_each_mut(false, |i, mut m| {
+    x.for_each_mut(|i, mut m| {
         let g = gaussian_mat(m.rows(), d, 500 + i as u64);
         m.copy_from(g.rf());
     });

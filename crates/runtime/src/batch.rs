@@ -7,13 +7,12 @@
 //! shapes `(rows[i], cols[i])`, with offsets from the prefix sum.
 
 use h2_dense::{Mat, MatMut, MatRef};
-use rayon::prelude::*;
 
 /// Contiguous chunk bounds over `n` batch entries such that every chunk
 /// carries roughly the same total `cost` — the cost-aware analogue of
-/// [`crate::shard::chunk_bounds`], used by every threaded and sharded batch
-/// path to size its *execution* chunks by estimated flops instead of entry
-/// count. A prefix sum over the per-entry costs is cut at the `parts`
+/// [`crate::shard::chunk_bounds`], with which the parallel backend of the
+/// chunk runner ([`crate::Runtime::for_each_entry`]) sizes its chunks by
+/// estimated flops instead of entry count. A prefix sum over the per-entry costs is cut at the `parts`
 /// equal-cost quantiles, so a handful of huge top-level blocks no longer
 /// land in one chunk with a thousand leaves in another.
 ///
@@ -135,139 +134,37 @@ impl VarBatch {
         self.mat_mut(i).copy_from(src);
     }
 
-    /// Visit every entry mutably, in parallel when `parallel` is set.
-    ///
-    /// The entries occupy disjoint sub-slices of the shared buffer (strictly
-    /// increasing offsets), so handing each worker its own `MatMut` is safe;
-    /// we materialize that disjointness with `split_at_mut` chains.
-    pub fn for_each_mut<F>(&mut self, parallel: bool, f: F)
+    /// Visit every entry mutably, in order, on the calling thread (host
+    /// set-up and tests; batched kernels go through the chunk runner).
+    pub fn for_each_mut<F>(&mut self, mut f: F)
     where
-        F: Fn(usize, MatMut<'_>) + Sync + Send,
+        F: FnMut(usize, MatMut<'_>),
     {
-        let slices = split_disjoint(&mut self.buf, &self.offsets);
-        let rows = &self.rows;
-        let cols = &self.cols;
-        let run = |(i, s): (usize, &mut [f64])| {
-            let m = MatMut::from_parts(rows[i], cols[i], rows[i].max(1), s);
+        for (i, m) in self.split_mut().into_iter().enumerate() {
             f(i, m);
-        };
-        if parallel {
-            slices.into_par_iter().enumerate().for_each(run);
-        } else {
-            slices.into_iter().enumerate().for_each(run);
         }
-    }
-
-    /// Visit every entry immutably with an index, in parallel when requested,
-    /// collecting results in entry order.
-    pub fn map<R, F>(&self, parallel: bool, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, MatRef<'_>) -> R + Sync + Send,
-    {
-        if parallel {
-            (0..self.count())
-                .into_par_iter()
-                .map(|i| f(i, self.mat(i)))
-                .collect()
-        } else {
-            (0..self.count()).map(|i| f(i, self.mat(i))).collect()
-        }
-    }
-
-    /// Cost-aware variant of [`VarBatch::for_each_mut`]: entries are
-    /// grouped into contiguous chunks of roughly equal total `cost`
-    /// ([`cost_chunk_bounds`], ~4 chunks per thread so the work-stealing
-    /// pool can balance the residual skew), and each chunk runs as one
-    /// parallel task. Entry visit order within a chunk is ascending, so
-    /// side effects on disjoint targets behave exactly like `for_each_mut`.
-    pub fn for_each_mut_costed<F, C>(&mut self, parallel: bool, cost: C, f: F)
-    where
-        F: Fn(usize, MatMut<'_>) + Sync + Send,
-        C: Fn(usize) -> f64,
-    {
-        if !parallel || self.count() < 2 {
-            self.for_each_mut(false, f);
-            return;
-        }
-        let n = self.count();
-        let parts = (rayon::current_num_threads() * 4).min(n);
-        let bounds = cost_chunk_bounds(n, parts, cost);
-        let rows = &self.rows;
-        let cols = &self.cols;
-        let mut slices = split_disjoint(&mut self.buf, &self.offsets).into_iter();
-        let mut chunks: Vec<(usize, Vec<&mut [f64]>)> = Vec::with_capacity(parts);
-        for d in 0..parts {
-            let (b, e) = (bounds[d], bounds[d + 1]);
-            if e > b {
-                chunks.push((b, slices.by_ref().take(e - b).collect()));
-            }
-        }
-        let f = &f;
-        chunks.into_par_iter().for_each(move |(start, chunk)| {
-            for (k, s) in chunk.into_iter().enumerate() {
-                let i = start + k;
-                f(i, MatMut::from_parts(rows[i], cols[i], rows[i].max(1), s));
-            }
-        });
     }
 
     /// Split the batch into one mutable matrix view per entry. The views
     /// alias disjoint sub-slices of the shared buffer, so they can be moved
-    /// to different worker threads — the handle the sharded dispatch path
-    /// uses to give each virtual device its contiguous chunk of entries.
-    pub fn split_mut(&mut self) -> Vec<MatMut<'_>> {
-        let rows = &self.rows;
-        let cols = &self.cols;
-        split_disjoint(&mut self.buf, &self.offsets)
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| MatMut::from_parts(rows[i], cols[i], rows[i].max(1), s))
-            .collect()
-    }
-
-    /// Zip two batches (same count) and visit `(i, a_i, b_i_mut)`.
-    pub fn zip_for_each_mut<F>(&mut self, other: &VarBatch, parallel: bool, f: F)
-    where
-        F: Fn(usize, MatRef<'_>, MatMut<'_>) + Sync + Send,
-    {
-        assert_eq!(self.count(), other.count(), "zip: batch count mismatch");
-        let slices = split_disjoint(&mut self.buf, &self.offsets);
-        let rows = &self.rows;
-        let cols = &self.cols;
-        let run = |(i, s): (usize, &mut [f64])| {
-            let m = MatMut::from_parts(rows[i], cols[i], rows[i].max(1), s);
-            f(i, other.mat(i), m);
-        };
-        if parallel {
-            slices.into_par_iter().enumerate().for_each(run);
-        } else {
-            slices.into_iter().enumerate().for_each(run);
+    /// to different worker threads — the handle the chunk runner uses to
+    /// give each pool task or virtual device its chunk of entries.
+    pub(crate) fn split_mut(&mut self) -> Vec<MatMut<'_>> {
+        let mut rest: &mut [f64] = &mut self.buf;
+        let mut views = Vec::with_capacity(self.rows.len());
+        for (&r, &c) in self.rows.iter().zip(&self.cols) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(r * c);
+            rest = tail;
+            views.push(MatMut::from_parts(r, c, r.max(1), head));
         }
+        views
     }
-}
-
-/// Split `buf` into the disjoint per-entry sub-slices described by
-/// `offsets` (exclusive prefix sum, last element = total length).
-fn split_disjoint<'a>(buf: &'a mut [f64], offsets: &[usize]) -> Vec<&'a mut [f64]> {
-    let count = offsets.len() - 1;
-    let mut out = Vec::with_capacity(count);
-    let mut rest = buf;
-    let mut consumed = 0usize;
-    for i in 0..count {
-        let len = offsets[i + 1] - offsets[i];
-        let (head, tail) = rest.split_at_mut(len);
-        debug_assert_eq!(offsets[i], consumed);
-        consumed += len;
-        out.push(head);
-        rest = tail;
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Runtime;
 
     #[test]
     fn layout_matches_prefix_sum() {
@@ -290,7 +187,7 @@ mod tests {
     #[test]
     fn parallel_for_each_writes_all() {
         let mut b = VarBatch::zeros_uniform_cols(vec![3; 64], 2);
-        b.for_each_mut(true, |i, mut m| m.fill(i as f64));
+        Runtime::parallel().for_each_entry(&mut b, &[], |_| 0.0, |i, mut m| m.fill(i as f64));
         for i in 0..64 {
             assert_eq!(b.mat(i).at(2, 1), i as f64);
         }
@@ -299,19 +196,19 @@ mod tests {
     #[test]
     fn map_collects_in_order() {
         let mut b = VarBatch::zeros_uniform_cols(vec![1, 2, 3], 1);
-        b.for_each_mut(false, |i, mut m| m.fill((i + 1) as f64));
-        let sums: Vec<f64> = b.map(true, |_, m| m.col(0).iter().sum());
+        b.for_each_mut(|i, mut m| m.fill((i + 1) as f64));
+        let sums: Vec<f64> =
+            Runtime::parallel().map_entries(&b, |_| 0.0, |_, m| m.col(0).iter().sum());
         assert_eq!(sums, vec![1.0, 4.0, 9.0]);
     }
 
     #[test]
     fn zero_sized_entries_ok() {
         let mut b = VarBatch::zeros(vec![0, 2, 0], vec![3, 2, 0]);
-        b.for_each_mut(true, |_, mut m| m.fill(7.0));
+        Runtime::parallel().for_each_entry(&mut b, &[], |_| 0.0, |_, mut m| m.fill(7.0));
         assert_eq!(b.mat(0).rows(), 0);
         assert_eq!(b.mat(1).at(0, 0), 7.0);
     }
-
     #[test]
     fn cost_bounds_cover_and_balance() {
         // Uniform costs reduce to near-count chunking.
@@ -347,9 +244,10 @@ mod tests {
     fn costed_for_each_visits_every_entry() {
         let rows: Vec<usize> = (0..97).map(|i| 1 + (i * 13) % 40).collect();
         let mut b = VarBatch::zeros_uniform_cols(rows.clone(), 2);
-        b.for_each_mut_costed(
-            true,
-            |i| (rows[i] * 2) as f64,
+        Runtime::parallel().for_each_entry(
+            &mut b,
+            &[],
+            |i| (rows[i] * rows[i]) as f64,
             |i, mut m| m.fill(i as f64 + 1.0),
         );
         for i in 0..97 {
@@ -361,10 +259,16 @@ mod tests {
     fn zip_reads_other_batch() {
         let mut a = VarBatch::zeros_uniform_cols(vec![2, 2], 2);
         let mut b = VarBatch::zeros_uniform_cols(vec![2, 2], 2);
-        a.for_each_mut(false, |i, mut m| m.fill((i + 1) as f64));
-        b.zip_for_each_mut(&a, false, |_, src, mut dst| {
-            dst.axpy(2.0, src);
-        });
+        a.for_each_mut(|i, mut m| m.fill((i + 1) as f64));
+        let a = &a;
+        Runtime::parallel().for_each_entry(
+            &mut b,
+            &[],
+            |_| 0.0,
+            |i, mut dst| {
+                dst.axpy(2.0, a.mat(i));
+            },
+        );
         assert_eq!(b.mat(1).at(0, 0), 4.0);
     }
 }

@@ -12,10 +12,10 @@
 //! that decomposition, and [`bsr_gemm`] issues one launch per slot.
 
 use crate::batch::VarBatch;
-use crate::multidev::cost;
+use crate::multidev::{cost, owner};
 use crate::profile::Kernel;
 use crate::runtime::Runtime;
-use crate::shard::{FetchPlanner, ShardDispatch, ShardJob};
+use crate::shard::{FetchPlanner, ShardDispatch};
 use h2_dense::{gemm, Mat, MatMut, Op};
 
 /// Sparsity pattern of a level's block-sparse matrix, pre-split into
@@ -130,10 +130,15 @@ impl<'a> BsrBlock<'a> {
 /// block positions `p` in row `r`, issued as `Csp` conflict-free batched
 /// launches.
 ///
-/// `op(blocks[p])` must have shape `(Y_r.rows, X_col.rows)`. On a sharded
-/// runtime, `fetched` carries the per-device tickets of the `Ω_b` fetches
-/// [`issue_bsr_fetches`] issued ahead for this call; `None` makes the call
-/// issue its own. Off the sharded backend it is ignored.
+/// `op(blocks[p])` must have shape `(Y_r.rows, X_col.rows)`. The body is
+/// slot-major over a chunk of block rows — every slot's launch over the
+/// chunk before the next slot's — so each row accumulates its blocks in
+/// slot order on every backend, and a sharded device runs all `Csp`
+/// launches over its owner chunk as one queued job. On a sharded runtime,
+/// `fetched` carries the per-device tickets of the `Ω_b` fetches
+/// [`issue_bsr_fetches`] issued ahead for this call, and each device's job
+/// waits for its own; `None` makes the call issue its own. Off the sharded
+/// backend it is ignored.
 pub fn bsr_gemm(
     rt: &Runtime,
     pattern: &BsrPattern,
@@ -149,43 +154,44 @@ pub fn bsr_gemm(
         "bsr_gemm: block array mismatch"
     );
     assert_eq!(y.count(), pattern.nrows(), "bsr_gemm: y batch mismatch");
-    if let Some(disp) = rt.shard_dispatch() {
-        bsr_gemm_on_fabric(rt, pattern, blocks, x, y, alpha, fetched, disp.as_ref());
-        return;
-    }
-    let par = rt.is_parallel();
-    // Only the parallel path reads the cost closure (for_each_mut_costed
-    // falls through to the plain serial loop otherwise).
-    let y_rows: Vec<usize> = if par {
-        (0..y.count()).map(|r| y.rows_of(r)).collect()
-    } else {
-        Vec::new()
+    let tickets = fetched
+        .or_else(|| {
+            let disp = rt.shard_dispatch()?;
+            let x_rows: Vec<usize> = (0..x.count()).map(|c| x.rows_of(c)).collect();
+            let d = if x.count() > 0 { x.cols_of(0) } else { 0 };
+            Some(issue_bsr_fetches(disp.as_ref(), pattern, &x_rows, d))
+        })
+        .unwrap_or_default();
+    // One batched-GEMM launch per slot (paper §IV.A: "at most Csp kernels
+    // ... only one block from each row in each launch").
+    rt.launches(Kernel::BsrGemm, pattern.csp());
+    // A row's cost is its modeled flops: idle slots are free, and the few
+    // huge coupling blocks stop pinning one parallel chunk.
+    let row_flops = |r: usize, m: &MatMut<'_>| {
+        pattern.row_blocks(r).iter().fold(0.0, |fl, &c| {
+            fl + cost::bsr_flops(m.rows(), x.rows_of(c), x.cols_of(c))
+        })
     };
-    for slot in &pattern.slots {
-        // One batched-GEMM launch per slot (paper §IV.A: "at most Csp
-        // kernels ... only one block from each row in each launch").
-        rt.launch(Kernel::BsrGemm);
-        // Chunk rows by this slot's modeled flops: idle rows are free, and
-        // the few huge coupling blocks stop pinning one chunk.
-        let slot_cost = |row: usize| {
-            let p = slot[row];
-            if p == usize::MAX {
-                return 0.0;
+    rt.run_chunks(
+        y.split_mut(),
+        owner,
+        row_flops,
+        Some(&tickets),
+        move |mut rows| {
+            for slot in &pattern.slots {
+                for (r, m) in rows.iter_mut() {
+                    let p = slot[*r];
+                    if p == usize::MAX {
+                        continue;
+                    }
+                    let xb = x.mat(pattern.col_of(p));
+                    let b = blocks[p];
+                    let op = if b.transposed { Op::Trans } else { Op::NoTrans };
+                    gemm(op, Op::NoTrans, alpha, b.mat.rf(), xb, 1.0, m.rb_mut());
+                }
             }
-            let col = pattern.col_of(p);
-            cost::bsr_flops(y_rows[row], x.rows_of(col), x.cols_of(col))
-        };
-        y.for_each_mut_costed(par, slot_cost, |row, m| {
-            let p = slot[row];
-            if p == usize::MAX {
-                return;
-            }
-            let xb = x.mat(pattern.col_of(p));
-            let b = blocks[p];
-            let op = if b.transposed { Op::Trans } else { Op::NoTrans };
-            gemm(op, Op::NoTrans, alpha, b.mat.rf(), xb, 1.0, m);
-        });
-    }
+        },
+    );
 }
 
 /// Issue the `Ω_b` fetches of one `batchedBSRGemm` over `pattern`, whose
@@ -215,69 +221,6 @@ pub fn issue_bsr_fetches(
         }
     }
     tickets
-}
-
-/// The device-sharded `batchedBSRGemm`. Block rows are divided into
-/// cost-balanced chunks by their modeled flops. Each device receives
-/// **one** queued job chaining all `Csp` slot launches in slot order over
-/// its chunk, gated on its own fetch tickets, so per-row accumulation order
-/// is the sequential path's and the results are bit-identical on either
-/// discipline. Its counts are charged from the plan.
-#[allow(clippy::too_many_arguments)]
-fn bsr_gemm_on_fabric(
-    rt: &Runtime,
-    pattern: &BsrPattern,
-    blocks: &[BsrBlock<'_>],
-    x: &VarBatch,
-    y: &mut VarBatch,
-    alpha: f64,
-    fetched: Option<Vec<Vec<u64>>>,
-    disp: &dyn ShardDispatch,
-) {
-    let devices = disp.devices();
-    let n = pattern.nrows();
-    let tickets = fetched.unwrap_or_else(|| {
-        let x_rows: Vec<usize> = (0..x.count()).map(|c| x.rows_of(c)).collect();
-        let d = if x.count() > 0 { x.cols_of(0) } else { 0 };
-        issue_bsr_fetches(disp, pattern, &x_rows, d)
-    });
-    let row_flops = |r: usize| {
-        pattern.row_blocks(r).iter().fold(0.0, |fl, &c| {
-            fl + cost::bsr_flops(y.rows_of(r), x.rows_of(c), x.cols_of(c))
-        })
-    };
-
-    // One queued job per device, chaining every slot over its contiguous
-    // cost-balanced chunk. (Execution chunks approximate the owner chunks
-    // the tickets are filed under — gating is a timing model, the data
-    // never moves, so the approximation cannot affect results.)
-    let exec_bounds = crate::batch::cost_chunk_bounds(n, devices, row_flops);
-    let mut rows = y.split_mut().into_iter();
-    for dev in 0..devices {
-        let mut chunk: Vec<MatMut<'_>> = rows
-            .by_ref()
-            .take(exec_bounds[dev + 1] - exec_bounds[dev])
-            .collect();
-        let start = exec_bounds[dev];
-        let job: ShardJob<'_> = Box::new(move || {
-            for slot in &pattern.slots {
-                for (k, m) in chunk.iter_mut().enumerate() {
-                    let p = slot[start + k];
-                    if p == usize::MAX {
-                        continue;
-                    }
-                    let xb = x.mat(pattern.col_of(p));
-                    let b = blocks[p];
-                    let op = if b.transposed { Op::Trans } else { Op::NoTrans };
-                    gemm(op, Op::NoTrans, alpha, b.mat.rf(), xb, 1.0, m.rb_mut());
-                }
-            }
-        });
-        // SAFETY: flushed below, before `y`/`x`/`blocks` borrows end.
-        unsafe { disp.enqueue(dev, &tickets[dev], job) };
-    }
-    rt.launches(Kernel::BsrGemm, pattern.csp());
-    disp.flush();
 }
 
 #[cfg(test)]
@@ -366,7 +309,7 @@ mod tests {
         let xg = gaussian_mat(2, 2, 1);
         let x = gather_rows(&rt, &xg, &[(0, 2)]);
         let mut y = VarBatch::zeros_uniform_cols(vec![2], 2);
-        y.for_each_mut(false, |_, mut m| m.fill(1.0));
+        y.for_each_mut(|_, mut m| m.fill(1.0));
         bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, 2.0, None);
         let got = y.to_mat(0);
         assert!((got[(0, 0)] - (1.0 + 2.0 * xg[(0, 0)])).abs() < 1e-14);

@@ -11,7 +11,9 @@
 //! kernel launch per level per operation (at most `Csp` for the BSR
 //! product). This crate reproduces that model:
 //!
-//! * [`Runtime`] — backend switch (sequential "CPU" vs parallel "GPU") plus
+//! * [`Runtime`] — the backend (sequential "CPU", parallel "GPU", or
+//!   sharded across the virtual devices of a [`ShardDispatch`] fabric), the
+//!   one chunk runner every batched kernel's per-entry body goes through,
 //!   kernel-launch accounting and Fig.-7 phase timers,
 //! * [`VarBatch`] — one-allocation variable-size batched workspaces,
 //! * [`ops`] — the batched kernels annotated in Algorithm 1
@@ -21,7 +23,7 @@
 //!   conflict-free decomposition,
 //! * [`solve_ops`] — the batched *solver* primitives (variable-size QR/LU,
 //!   triangular and LU solves, Q application) the per-level ULV elimination
-//!   is built from, accounted with the same [`multidev::cost`] formulas.
+//!   is built from, costed with the same [`multidev::cost`] formulas.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 

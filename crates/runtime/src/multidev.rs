@@ -66,8 +66,8 @@ pub fn epoch_terms(
 }
 
 /// The work/traffic formulas of the planners (`h2_core`, `h2_sched`), also
-/// read by the kernels of [`crate::ops`] and [`crate::bsr`] to balance
-/// their execution chunks. One definition per kernel.
+/// read by the kernels of [`crate::ops`] and [`crate::bsr`] to balance the
+/// parallel backend's chunks. One definition per kernel.
 pub mod cost {
     use h2_dense::Precision;
 

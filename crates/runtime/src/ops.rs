@@ -2,17 +2,18 @@
 //!
 //! Each function is the Rust analogue of one blue-green comment in
 //! Algorithm 1 of the paper: it records exactly the kernel launches the GPU
-//! implementation would issue, marshals its operands, and runs the per-entry
-//! work on the runtime's backend.
+//! implementation would issue, marshals its operands, and states its
+//! per-entry work once, as a body the runtime's chunk runner
+//! ([`Runtime::for_each_entry`] / [`Runtime::map`]) lays out on the backend.
 
-use crate::batch::{cost_chunk_bounds, VarBatch};
-use crate::multidev::cost;
+use crate::batch::VarBatch;
+use crate::multidev::{cost, owner};
 use crate::profile::Kernel;
 use crate::runtime::Runtime;
-use crate::shard::{child_gathers, chunk_bounds, ShardDispatch, ShardJob};
+use crate::shard::{child_gathers, ShardDispatch};
 use h2_dense::cpqr::{row_id, RowId, Truncation};
 use h2_dense::qr::qr_in_place;
-use h2_dense::{gemm, EntryAccess, Mat, MatMut, MatRef, Op};
+use h2_dense::{gemm, EntryAccess, Mat, Op};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -43,96 +44,6 @@ pub(crate) fn debug_assert_batch_finite(out: &VarBatch, ctx: &str) {
     }
 }
 
-/// Execution-cost estimate for chunking entry `i`: the kernel's modeled
-/// flops when it has any, otherwise the entry's scalar footprint (the
-/// bandwidth proxy for marshaling kernels, whose flop formula is zero).
-fn exec_cost(flops: f64, elems: usize) -> f64 {
-    flops.max(elems as f64)
-}
-
-/// Run a per-entry mutation over `out` on the runtime's backend.
-///
-/// Work is chunked cost-aware: contiguous runs of roughly equal estimated
-/// cost `flops_of` ([`crate::batch::cost_chunk_bounds`]) go to the worker
-/// threads, so one device is not stuck with the handful of huge top-level
-/// entries while the rest idle over leaves. On the threaded backend the
-/// same cost chunking feeds the work-stealing pool. A sharded run's counts
-/// are charged from its plan, not here.
-pub(crate) fn batch_for_each_mut<F, C>(rt: &Runtime, out: &mut VarBatch, flops_of: C, f: F)
-where
-    F: Fn(usize, MatMut<'_>) + Sync + Send,
-    C: Fn(usize) -> f64,
-{
-    batch_for_each_mut_deps(rt, out, &[], flops_of, f)
-}
-
-/// [`batch_for_each_mut`] with prefetch-ticket dependencies: on a pipelined
-/// sharded backend the per-device jobs are gated on `deps` (transfers
-/// issued ahead of this kernel), so a marshaling job stalls only if its
-/// inputs' virtual copies have not landed yet.
-pub(crate) fn batch_for_each_mut_deps<F, C>(
-    rt: &Runtime,
-    out: &mut VarBatch,
-    deps: &[u64],
-    flops_of: C,
-    f: F,
-) where
-    F: Fn(usize, MatMut<'_>) + Sync + Send,
-    C: Fn(usize) -> f64,
-{
-    let Some(disp) = rt.shard_dispatch() else {
-        if !rt.is_parallel() || out.count() < 2 {
-            // Sequential (or trivial) path: no chunking, no cost vector.
-            out.for_each_mut(false, f);
-            return;
-        }
-        let costs: Vec<f64> = (0..out.count())
-            .map(|i| exec_cost(flops_of(i), out.rows_of(i) * out.cols_of(i)))
-            .collect();
-        out.for_each_mut_costed(true, |i| costs[i], f);
-        return;
-    };
-    let devices = disp.devices();
-    let exec_bounds = cost_chunk_bounds(out.count(), devices, |i| {
-        exec_cost(flops_of(i), out.rows_of(i) * out.cols_of(i))
-    });
-    // Jobs share ownership of the kernel body: inside a chain scope the
-    // closing `flush` records a boundary instead of blocking, so the jobs
-    // may outlive this frame — `f` must live on the heap, not here.
-    let f = std::sync::Arc::new(f);
-    let mut entries = out.split_mut().into_iter();
-    for dev in 0..devices {
-        let chunk: Vec<MatMut<'_>> = entries
-            .by_ref()
-            .take(exec_bounds[dev + 1] - exec_bounds[dev])
-            .collect();
-        let start = exec_bounds[dev];
-        let f = f.clone();
-        let job: ShardJob<'_> = Box::new(move || {
-            for (k, m) in chunk.into_iter().enumerate() {
-                f(start + k, m);
-            }
-        });
-        // SAFETY: barriered by the flush below — or, inside a chain scope,
-        // by `chain_end` — before the borrows captured by `f`/`chunk` end
-        // (the chain caller keeps them alive past `chain_end`).
-        unsafe { disp.enqueue(dev, deps, job) };
-    }
-    disp.flush();
-}
-
-/// Per-entry map over a batch on the runtime's backend, with cost-aware
-/// execution chunking on the parallel and sharded backends.
-pub(crate) fn batch_map<R, F, C>(rt: &Runtime, batch: &VarBatch, flops_of: C, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, MatRef<'_>) -> R + Sync + Send,
-    C: Fn(usize) -> f64,
-{
-    let cost = |i: usize| exec_cost(flops_of(i), batch.rows_of(i) * batch.cols_of(i));
-    rt.map_index_costed(batch.count(), cost, |i| f(i, batch.mat(i)))
-}
-
 /// Seed of column `j`'s stream in [`rand_mat`]: `(seed, j)` hashed.
 ///
 /// The SplitMix64 generator's state *is* its seed and advances by a fixed
@@ -146,37 +57,26 @@ fn column_seed(seed: u64, j: usize) -> u64 {
 /// `batchedRand`: generate a global `n x d` standard-normal block.
 ///
 /// Columns are generated from independent streams, each seeded by a hash of
-/// `(seed, column)`, so the result is identical on both backends (the
+/// `(seed, column)`, so the result is identical on every backend (the
 /// parallel-safe analogue of cuRAND's counter-based generators).
 pub fn rand_mat(rt: &Runtime, n: usize, d: usize, seed: u64) -> Mat {
     rt.launch(Kernel::Rand);
     let mut y = Mat::zeros(n, d);
-    // Split into per-column tasks with deterministic seeds.
     let cols: Vec<&mut [f64]> = y.as_mut_slice().chunks_mut(n.max(1)).collect();
-    let run = |(j, col): (usize, &mut [f64])| {
-        let mut rng = SmallRng::seed_from_u64(column_seed(seed, j));
-        h2_dense::rand::fill_gaussian_slice(col, &mut rng);
-    };
+    rt.run_chunks(
+        cols,
+        owner,
+        |_, _| 0.0,
+        None,
+        |chunk| {
+            for (j, col) in chunk {
+                let mut rng = SmallRng::seed_from_u64(column_seed(seed, j));
+                h2_dense::rand::fill_gaussian_slice(col, &mut rng);
+            }
+        },
+    );
     if let Some(disp) = rt.shard_dispatch() {
-        // Shard columns in contiguous chunks; per-column seeds keep the
-        // result identical to the other backends whatever the chunking.
-        let devices = disp.devices();
-        let bounds = chunk_bounds(cols.len(), devices);
-        let run = &run;
-        let mut iter = cols.into_iter().enumerate();
-        let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(devices);
-        for dev in 0..devices {
-            let chunk: Vec<(usize, &mut [f64])> =
-                iter.by_ref().take(bounds[dev + 1] - bounds[dev]).collect();
-            jobs.push(Box::new(move || chunk.into_iter().for_each(run)));
-        }
-        disp.run(jobs);
         poison_and_heal_rand(disp.as_ref(), &mut y, n, seed);
-    } else if rt.is_parallel() {
-        use rayon::prelude::*;
-        cols.into_par_iter().enumerate().for_each(run);
-    } else {
-        cols.into_iter().enumerate().for_each(run);
     }
     y
 }
@@ -230,13 +130,12 @@ pub fn gather_rows(rt: &Runtime, src: &Mat, ranges: &[(usize, usize)]) -> VarBat
     let rows: Vec<usize> = ranges.iter().map(|&(b, e)| e - b).collect();
     let d = src.cols();
     let mut out = VarBatch::zeros_uniform_cols(rows, d);
-    batch_for_each_mut(
-        rt,
+    rt.for_each_entry(
         &mut out,
+        &[],
         |_| 0.0,
         move |i, mut m| {
-            let (b, _e) = ranges[i];
-            m.copy_from(src.view(b, 0, m.rows(), d));
+            m.copy_from(src.view(ranges[i].0, 0, m.rows(), d));
         },
     );
     out
@@ -258,20 +157,20 @@ pub fn stack_children(rt: &Runtime, child: &VarBatch, children: &[Vec<usize>]) -
         .map(|cs| cs.iter().map(|&c| child.rows_of(c)).sum())
         .collect();
     let mut out = VarBatch::zeros_uniform_cols(rows, d);
-    let mut deps: Vec<u64> = Vec::new();
+    let mut deps: Vec<Vec<u64>> = Vec::new();
     if let Some(disp) = rt.shard_dispatch() {
         // Line-24 boundary gathers ([`child_gathers`]), issued ahead of the
-        // stacking jobs, which are gated on their tickets.
+        // stacking jobs; each device's job waits for the copies it receives.
+        deps.resize(disp.devices(), Vec::new());
         let child_rows: Vec<usize> = (0..child.count()).map(|c| child.rows_of(c)).collect();
         for t in child_gathers(children, &child_rows, d, disp.devices(), disp.wire()) {
             let ticket = disp.issue(t);
             if ticket != 0 {
-                deps.push(ticket);
+                deps[t.dst].push(ticket);
             }
         }
     }
-    batch_for_each_mut_deps(
-        rt,
+    rt.for_each_entry(
         &mut out,
         &deps,
         |_| 0.0,
@@ -299,7 +198,7 @@ pub fn qr_min_rdiag(rt: &Runtime, batch: &VarBatch) -> Vec<f64> {
     rt.launch(Kernel::Qr);
     // The shared convergence-QR cost formula.
     let flops = |i: usize| cost::qr_flops(batch.rows_of(i), batch.cols_of(i));
-    batch_map(rt, batch, flops, |_, m| {
+    rt.map_entries(batch, flops, |_, m| {
         if m.cols() == 0 || m.cols() >= m.rows() {
             return 0.0;
         }
@@ -321,7 +220,7 @@ pub fn batched_row_id(rt: &Runtime, batch: &VarBatch, rule: Truncation) -> Vec<R
     rt.launch(Kernel::Id);
     // The shared batched-ID cost formula.
     let flops = |i: usize| cost::id_flops(batch.rows_of(i), batch.cols_of(i));
-    batch_map(rt, batch, flops, |_, m| row_id(&m.to_mat(), rule))
+    rt.map_entries(batch, flops, |_, m| row_id(&m.to_mat(), rule))
 }
 
 /// `batchedShrink`: gather skeleton rows, `Y^{l+1}_τ = Y^loc_τ(J_τ, :)`
@@ -338,9 +237,9 @@ pub fn shrink_rows(rt: &Runtime, batch: &VarBatch, skels: &[&[usize]]) -> VarBat
     };
     let rows: Vec<usize> = skels.iter().map(|s| s.len()).collect();
     let mut out = VarBatch::zeros_uniform_cols(rows, d);
-    batch_for_each_mut(
-        rt,
+    rt.for_each_entry(
         &mut out,
+        &[],
         |_| 0.0,
         move |i, mut m| {
             let src = batch.mat(i);
@@ -364,7 +263,7 @@ pub fn gemm_at_x(rt: &Runtime, a: &[Mat], x: &VarBatch) -> VarBatch {
     let mut out = VarBatch::zeros_uniform_cols(rows, d);
     // The shared upsweep-GEMM cost formula.
     let flops = |i: usize| cost::upsweep_flops(a[i].rows(), a[i].cols(), d);
-    batch_for_each_mut(rt, &mut out, flops, move |i, m| {
+    rt.for_each_entry(&mut out, &[], flops, move |i, m| {
         gemm(Op::Trans, Op::NoTrans, 1.0, a[i].rf(), x.mat(i), 0.0, m);
     });
     // Phase-boundary tripwire: upsweep outputs feed the next level's
@@ -388,9 +287,9 @@ pub fn hcat_batches(rt: &Runtime, a: &VarBatch, b: &VarBatch) -> VarBatch {
         .map(|i| a.cols_of(i) + b.cols_of(i))
         .collect();
     let mut out = VarBatch::zeros(rows, cols);
-    batch_for_each_mut(
-        rt,
+    rt.for_each_entry(
         &mut out,
+        &[],
         |_| 0.0,
         move |i, mut m| {
             assert_eq!(a.rows_of(i), b.rows_of(i), "hcat: entry {i} row mismatch");
@@ -424,37 +323,18 @@ pub struct GenBlock {
 /// launch (Algorithm 1 lines 8/41).
 pub fn batched_gen(rt: &Runtime, gen: &dyn EntryAccess, blocks: &[GenBlock]) -> Vec<Mat> {
     rt.launch(Kernel::Gen);
-    let Some(disp) = rt.shard_dispatch() else {
-        return rt.map_index(blocks.len(), |i| {
-            gen.block_mat(&blocks[i].rows, &blocks[i].cols)
-        });
-    };
-    // Generator blocks are distributed round-robin in block order (the
-    // generator itself is device-resident, §IV.A — no communication).
-    let devices = disp.devices();
-    let mut results: Vec<Vec<(usize, Mat)>> = (0..devices).map(|_| Vec::new()).collect();
-    {
-        let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(devices);
-        for (dev, slot) in results.iter_mut().enumerate() {
-            jobs.push(Box::new(move || {
-                let mut i = dev;
-                while i < blocks.len() {
-                    slot.push((i, gen.block_mat(&blocks[i].rows, &blocks[i].cols)));
-                    i += devices;
-                }
-            }));
-        }
-        disp.run(jobs);
+    // Block `i` runs on device `i mod D` (the generator itself is
+    // device-resident, §IV.A — no communication).
+    let entries = |i: usize| cost::gen_entries(blocks[i].rows.len(), blocks[i].cols.len());
+    let mut mats = rt.map_placed(
+        blocks.len(),
+        |i, _, devices| i % devices,
+        entries,
+        |i| gen.block_mat(&blocks[i].rows, &blocks[i].cols),
+    );
+    if let Some(disp) = rt.shard_dispatch() {
+        poison_and_heal_gen(disp.as_ref(), gen, blocks, &mut mats);
     }
-    let mut out: Vec<Option<Mat>> = (0..blocks.len()).map(|_| None).collect();
-    for (i, m) in results.into_iter().flatten() {
-        out[i] = Some(m);
-    }
-    let mut mats: Vec<Mat> = out
-        .into_iter()
-        .map(|o| o.expect("every block generated"))
-        .collect();
-    poison_and_heal_gen(disp.as_ref(), gen, blocks, &mut mats);
     mats
 }
 
@@ -500,14 +380,10 @@ fn poison_and_heal_gen(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::Backend;
     use h2_dense::{gaussian_mat, DenseOp};
 
     fn rts() -> [Runtime; 2] {
-        [
-            Runtime::new(Backend::Sequential),
-            Runtime::new(Backend::Parallel),
-        ]
+        [Runtime::sequential(), Runtime::parallel()]
     }
 
     #[test]
@@ -612,8 +488,8 @@ mod tests {
         for rt in rts() {
             let mut a = VarBatch::zeros_uniform_cols(vec![3, 2], 2);
             let mut b = VarBatch::zeros_uniform_cols(vec![3, 2], 1);
-            a.for_each_mut(false, |_, mut m| m.fill(1.0));
-            b.for_each_mut(false, |_, mut m| m.fill(2.0));
+            a.for_each_mut(|_, mut m| m.fill(1.0));
+            b.for_each_mut(|_, mut m| m.fill(2.0));
             let c = hcat_batches(&rt, &a, &b);
             assert_eq!(c.cols_of(0), 3);
             assert_eq!(c.mat(0).at(0, 1), 1.0);

@@ -1,51 +1,57 @@
-//! The device runtime: backend selection plus profiling.
+//! The device runtime: backend selection, the chunk runner and profiling.
 //!
 //! The paper runs one code base on both CPU and GPU (Thrust backends).
 //! [`Runtime`] mirrors that: every batched kernel takes a `&Runtime` and
-//! executes its per-entry work either sequentially ([`Backend::Sequential`],
-//! the paper's "CPU" configuration) or with work-stealing parallelism across
-//! batch entries ([`Backend::Parallel`], the "GPU" configuration — batch
-//! entries play the role of thread blocks).
+//! states its per-entry work once, as a body over a chunk of batch entries.
+//! The chunk runner ([`Runtime::for_each_entry`], [`Runtime::map`]) is the
+//! only code that reads the [`Backend`], and all it decides is which entries
+//! form a chunk and where the chunk runs:
+//!
+//! * [`Backend::Sequential`] (the paper's "CPU" reference): one chunk of
+//!   every entry, in index order, on the calling thread;
+//! * [`Backend::Parallel`] (the "GPU" configuration, batch entries playing
+//!   thread blocks): contiguous chunks of roughly equal estimated cost
+//!   ([`cost_chunk_bounds`], ~4 per pool thread) on the work-stealing pool;
+//! * [`Backend::Sharded`] (the §IV.B multi-GPU decomposition): one job per
+//!   virtual device over its [`owner`] chunk — exactly the chunk the
+//!   construction plan charges it and the chunk its fetch tickets are filed
+//!   under (`batchedGen` deals its blocks round-robin, as the plan charges
+//!   them).
 
-use crate::multidev::ScheduleEpoch;
+use crate::batch::{cost_chunk_bounds, VarBatch};
+use crate::multidev::{owner, ScheduleEpoch};
 use crate::profile::{Kernel, Phase, Profile};
-use crate::shard::{chunk_bounds, ShardDispatch, ShardJob};
+use crate::shard::{ShardDispatch, ShardJob};
+use h2_dense::{MatMut, MatRef};
 use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Execution backend for batched kernels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone)]
 pub enum Backend {
-    /// One thread, entries processed in order (paper's CPU baseline used
-    /// OpenMP loops; use `Parallel` for that — `Sequential` is the
-    /// single-thread reference).
+    /// One thread, entries processed in order (the single-thread
+    /// reference; the paper's OpenMP CPU baseline is `Parallel`).
     Sequential,
     /// Entries processed by the rayon pool (paper's GPU batched execution).
     Parallel,
-    /// Entries sharded in contiguous chunks across the virtual devices of a
-    /// [`ShardDispatch`] fabric (the §IV.B multi-GPU decomposition). Use
-    /// [`Runtime::sharded`] — this backend needs a dispatcher.
-    Sharded,
+    /// Entries sharded in contiguous owner chunks across the virtual
+    /// devices of a [`ShardDispatch`] fabric (the §IV.B multi-GPU
+    /// decomposition).
+    Sharded(Arc<dyn ShardDispatch>),
 }
 
 /// Shared handle passed to every batched operation.
 pub struct Runtime {
     backend: Backend,
     profile: Profile,
-    shard: Option<Arc<dyn ShardDispatch>>,
     tracer: Option<Arc<h2_obs::Tracer>>,
 }
 
 impl Runtime {
     pub fn new(backend: Backend) -> Self {
-        assert!(
-            backend != Backend::Sharded,
-            "Backend::Sharded needs a device fabric; use Runtime::sharded"
-        );
         Runtime {
             backend,
             profile: Profile::new(),
-            shard: None,
             tracer: None,
         }
     }
@@ -61,12 +67,7 @@ impl Runtime {
     /// A runtime executing every batched kernel sharded across the virtual
     /// devices of `dispatch` (implemented by `h2_sched::DeviceFabric`).
     pub fn sharded(dispatch: Arc<dyn ShardDispatch>) -> Self {
-        Runtime {
-            backend: Backend::Sharded,
-            profile: Profile::new(),
-            shard: Some(dispatch),
-            tracer: None,
-        }
+        Runtime::new(Backend::Sharded(dispatch))
     }
 
     /// Attach an observability tracer: [`Runtime::phase`] and the batched
@@ -97,24 +98,19 @@ impl Runtime {
         self.tracer.as_ref().map(|t| t.span(cat, name()))
     }
 
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    pub fn is_parallel(&self) -> bool {
-        self.backend == Backend::Parallel
-    }
-
     /// The device fabric of a sharded runtime (`None` otherwise).
     pub fn shard_dispatch(&self) -> Option<&Arc<dyn ShardDispatch>> {
-        self.shard.as_ref()
+        match &self.backend {
+            Backend::Sharded(d) => Some(d),
+            _ => None,
+        }
     }
 
     /// Charge the fabric `epoch`'s planned counts and close it (no-op unless
     /// sharded). The construction level loop calls this once per processed
     /// level with that level's epoch of `h2_core::plan_construct`.
     pub fn shard_epoch(&self, epoch: &ScheduleEpoch) {
-        if let Some(d) = &self.shard {
+        if let Some(d) = self.shard_dispatch() {
             d.epoch(epoch);
         }
     }
@@ -125,7 +121,7 @@ impl Runtime {
     /// so consecutive batched kernels run back-to-back per device, ordered
     /// by job-completion tickets across devices.
     pub fn shard_chain_begin(&self) {
-        if let Some(d) = &self.shard {
+        if let Some(d) = self.shard_dispatch() {
             d.chain_begin();
         }
     }
@@ -134,7 +130,7 @@ impl Runtime {
     /// sharded). Every host-side read of job-produced data must sit after
     /// this point.
     pub fn shard_chain_end(&self) {
-        if let Some(d) = &self.shard {
+        if let Some(d) = self.shard_dispatch() {
             d.chain_end();
         }
     }
@@ -162,114 +158,147 @@ impl Runtime {
         h2_dense::gemm::stats::counting(&self.profile.dense, || self.profile.time(p, f))
     }
 
-    /// Run an indexed loop on the chosen backend (generic batched "kernel
-    /// body"; the caller records the launch).
-    pub fn for_each_index<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync + Send,
+    /// The chunk runner: hand `body` the entries of `items` as chunks of
+    /// `(index, item)` pairs in ascending index order, laid out by the
+    /// backend (see the module docs). `cost(i, &items[i])` sizes the
+    /// parallel chunks and is read nowhere else. A sharded run gives device
+    /// `dev` one job over the entries `i` with `device_of(i, n, devices) ==
+    /// dev`. With `deps = Some(tickets)` that job is gated on `tickets[dev]`
+    /// and the call closes with [`ShardDispatch::flush`], so inside a chain
+    /// scope the jobs may still be running when it returns (`body` lives on
+    /// the heap for that reason, and whatever it borrows must outlive the
+    /// scope). With `deps = None` every job has run on return.
+    pub(crate) fn run_chunks<T, C, F>(
+        &self,
+        items: Vec<T>,
+        device_of: fn(usize, usize, usize) -> usize,
+        cost: C,
+        deps: Option<&[Vec<u64>]>,
+        body: F,
+    ) where
+        T: Send,
+        C: Fn(usize, &T) -> f64,
+        F: Fn(Vec<(usize, T)>) + Send + Sync,
     {
-        match self.backend {
-            Backend::Sequential => (0..n).for_each(f),
-            Backend::Parallel => (0..n).into_par_iter().for_each(f),
-            Backend::Sharded => {
-                let disp = self.shard.as_ref().expect("sharded runtime has a fabric");
-                let bounds = chunk_bounds(n, disp.devices());
-                let f = &f;
-                let jobs: Vec<ShardJob<'_>> = (0..disp.devices())
-                    .map(|dev| {
-                        let (b, e) = (bounds[dev], bounds[dev + 1]);
-                        Box::new(move || (b..e).for_each(f)) as ShardJob<'_>
-                    })
+        let n = items.len();
+        match &self.backend {
+            Backend::Sequential => body(items.into_iter().enumerate().collect()),
+            Backend::Parallel => {
+                let parts = (rayon::current_num_threads() * 4).min(n);
+                if parts < 2 {
+                    return body(items.into_iter().enumerate().collect());
+                }
+                let bounds = cost_chunk_bounds(n, parts, |i| cost(i, &items[i]));
+                let mut entries = items.into_iter().enumerate();
+                let chunks: Vec<Vec<(usize, T)>> = bounds
+                    .windows(2)
+                    .map(|w| entries.by_ref().take(w[1] - w[0]).collect())
+                    .filter(|c: &Vec<(usize, T)>| !c.is_empty())
                     .collect();
-                disp.run(jobs);
+                chunks.into_par_iter().for_each(&body);
+            }
+            Backend::Sharded(disp) => {
+                let devices = disp.devices();
+                let mut chunks: Vec<Vec<(usize, T)>> = (0..devices).map(|_| Vec::new()).collect();
+                for (i, t) in items.into_iter().enumerate() {
+                    chunks[device_of(i, n, devices)].push((i, t));
+                }
+                let body = Arc::new(body);
+                let jobs = chunks.into_iter().map(|chunk| {
+                    let body = body.clone();
+                    Box::new(move || body(chunk)) as ShardJob<'_>
+                });
+                let Some(deps) = deps else {
+                    return disp.run(jobs.collect());
+                };
+                for (dev, job) in jobs.enumerate() {
+                    let gate = deps.get(dev).map_or(&[][..], Vec::as_slice);
+                    // SAFETY: barriered by the flush below — or, inside a
+                    // chain scope, by `chain_end` — before the borrows
+                    // captured by `body`/`items` end (a chain caller keeps
+                    // them alive past `chain_end`).
+                    unsafe { disp.enqueue(dev, gate, job) };
+                }
+                disp.flush();
             }
         }
     }
 
-    /// Cost-aware indexed map: like [`Runtime::map_index`], but the
-    /// parallel and sharded backends cut the index range into contiguous
-    /// chunks of ~equal estimated `cost` ([`crate::batch::cost_chunk_bounds`])
-    /// instead of equal count, so skewed per-entry work (top-level blocks
-    /// vs. leaves) stops serializing behind the biggest chunk. Results come
-    /// back in index order on every backend.
-    pub fn map_index_costed<R, F, C>(&self, n: usize, cost: C, f: F) -> Vec<R>
+    /// Run `f(i, entry_i)` over every entry of `batch` on the backend, the
+    /// per-entry form of the chunk runner that mutation kernels use.
+    /// `flops_of(i)` is entry `i`'s modeled work; an entry's scalar
+    /// footprint stands in where that is smaller (the bandwidth proxy of
+    /// marshaling kernels, whose flop formula is zero). On a sharded
+    /// backend device `dev`'s job waits for `deps[dev]` (transfer tickets
+    /// issued ahead of the kernel, or none), and the call is chain-capable
+    /// as described at [`Runtime::shard_chain_begin`].
+    pub fn for_each_entry<F, C>(&self, batch: &mut VarBatch, deps: &[Vec<u64>], flops_of: C, f: F)
     where
-        R: Send,
-        F: Fn(usize) -> R + Sync + Send,
+        F: Fn(usize, MatMut<'_>) + Send + Sync,
         C: Fn(usize) -> f64,
     {
-        match self.backend {
-            Backend::Sequential => (0..n).map(f).collect(),
-            Backend::Parallel => {
-                let parts = (rayon::current_num_threads() * 4).min(n.max(1));
-                let bounds = crate::batch::cost_chunk_bounds(n, parts, cost);
-                let chunks: Vec<(usize, usize)> = (0..parts)
-                    .map(|d| (bounds[d], bounds[d + 1]))
-                    .filter(|&(b, e)| e > b)
-                    .collect();
-                let f = &f;
-                chunks
-                    .into_par_iter()
-                    .map(|(b, e)| (b..e).map(f).collect::<Vec<R>>())
-                    .collect::<Vec<Vec<R>>>()
-                    .into_iter()
-                    .flatten()
-                    .collect()
+        let cost = |i: usize, m: &MatMut<'_>| flops_of(i).max((m.rows() * m.cols()) as f64);
+        self.run_chunks(batch.split_mut(), owner, cost, Some(deps), move |chunk| {
+            for (i, m) in chunk {
+                f(i, m);
             }
-            Backend::Sharded => {
-                let disp = self.shard.as_ref().expect("sharded runtime has a fabric");
-                let bounds = crate::batch::cost_chunk_bounds(n, disp.devices(), cost);
-                self.map_with_bounds(n, &bounds, f)
-            }
-        }
+        });
     }
 
-    /// Sharded slot-filling map over explicit chunk bounds (shared by
-    /// [`Runtime::map_index`] and [`Runtime::map_index_costed`]).
-    fn map_with_bounds<R, F>(&self, n: usize, bounds: &[usize], f: F) -> Vec<R>
+    /// `f(i)` for every `i < n` on the backend, results in index order and
+    /// on the host when the call returns (also inside a chain scope).
+    /// `cost(i)` sizes the parallel chunks.
+    pub fn map<R, C, F>(&self, n: usize, cost: C, f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize) -> R + Sync + Send,
+        C: Fn(usize) -> f64,
+        F: Fn(usize) -> R + Send + Sync,
     {
-        let disp = self.shard.as_ref().expect("sharded runtime has a fabric");
+        self.map_placed(n, owner, cost, f)
+    }
+
+    /// [`Runtime::map`] over the entries of `batch`, costed like
+    /// [`Runtime::for_each_entry`].
+    pub(crate) fn map_entries<R, C, F>(&self, batch: &VarBatch, flops_of: C, f: F) -> Vec<R>
+    where
+        R: Send,
+        C: Fn(usize) -> f64,
+        F: Fn(usize, MatRef<'_>) -> R + Send + Sync,
+    {
+        let cost = |i: usize| flops_of(i).max((batch.rows_of(i) * batch.cols_of(i)) as f64);
+        self.map(batch.count(), cost, |i| f(i, batch.mat(i)))
+    }
+
+    /// [`Runtime::map`] with a sharded placement other than the owner
+    /// chunks (`batchedGen`'s round-robin).
+    pub(crate) fn map_placed<R, C, F>(
+        &self,
+        n: usize,
+        device_of: fn(usize, usize, usize) -> usize,
+        cost: C,
+        f: F,
+    ) -> Vec<R>
+    where
+        R: Send,
+        C: Fn(usize) -> f64,
+        F: Fn(usize) -> R + Send + Sync,
+    {
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        {
-            let f = &f;
-            let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(disp.devices());
-            let mut rest: &mut [Option<R>] = &mut out;
-            for dev in 0..disp.devices() {
-                let len = bounds[dev + 1] - bounds[dev];
-                let (head, tail) = rest.split_at_mut(len);
-                rest = tail;
-                let start = bounds[dev];
-                jobs.push(Box::new(move || {
-                    for (k, slot) in head.iter_mut().enumerate() {
-                        *slot = Some(f(start + k));
-                    }
-                }));
-            }
-            disp.run(jobs);
-        }
+        let slots: Vec<&mut Option<R>> = out.iter_mut().collect();
+        self.run_chunks(
+            slots,
+            device_of,
+            |i, _| cost(i),
+            None,
+            |chunk| {
+                for (i, slot) in chunk {
+                    *slot = Some(f(i));
+                }
+            },
+        );
         out.into_iter()
-            .map(|o| o.expect("every chunk filled its slots"))
+            .map(|r| r.expect("every chunk filled its slots"))
             .collect()
-    }
-
-    /// Indexed map on the chosen backend, preserving order.
-    pub fn map_index<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync + Send,
-    {
-        match self.backend {
-            Backend::Sequential => (0..n).map(f).collect(),
-            Backend::Parallel => (0..n).into_par_iter().map(f).collect(),
-            Backend::Sharded => {
-                let disp = self.shard.as_ref().expect("sharded runtime has a fabric");
-                let bounds = chunk_bounds(n, disp.devices());
-                self.map_with_bounds(n, &bounds, f)
-            }
-        }
     }
 }
 
@@ -280,22 +309,33 @@ mod tests {
 
     #[test]
     fn both_backends_cover_all_indices() {
-        for backend in [Backend::Sequential, Backend::Parallel] {
-            let rt = Runtime::new(backend);
+        for rt in [Runtime::sequential(), Runtime::parallel()] {
             let hits = AtomicUsize::new(0);
-            rt.for_each_index(100, |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
+            let mut b = VarBatch::zeros_uniform_cols((0..100).map(|i| i % 3).collect(), 2);
+            rt.for_each_entry(
+                &mut b,
+                &[],
+                |_| 0.0,
+                |i, mut m| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    m.fill(i as f64);
+                },
+            );
             assert_eq!(hits.load(Ordering::Relaxed), 100);
+            for i in (0..100).filter(|i| i % 3 > 0) {
+                assert_eq!(b.mat(i).at(0, 1), i as f64);
+            }
         }
     }
 
     #[test]
     fn map_preserves_order() {
-        let rt = Runtime::parallel();
-        let v = rt.map_index(50, |i| i * i);
-        assert_eq!(v[7], 49);
-        assert_eq!(v.len(), 50);
+        for rt in [Runtime::sequential(), Runtime::parallel()] {
+            // Skewed costs cut the parallel range unevenly; order holds.
+            let v = rt.map(50, |i| (i * i * i) as f64, |i| i * i);
+            assert_eq!(v, (0..50).map(|i| i * i).collect::<Vec<_>>());
+            assert!(rt.map(0, |_| 1.0, |i| i).is_empty());
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!
 //! * [`ShardDispatch`] — the object-safe interface a device fabric
 //!   implements (the real fabric of worker threads lives in the `h2_sched`
-//!   crate; this crate only needs to *drive* it). The batched kernels in
-//!   [`crate::ops`] and [`crate::bsr`] shard their per-entry work and issue
-//!   their transfers through it, but count nothing: each closed epoch is
+//!   crate; this crate only needs to *drive* it). The runtime's chunk
+//!   runner queues each device's chunk of a batched kernel on it, and the
+//!   kernels in [`crate::ops`] and [`crate::bsr`] issue their transfers
+//!   through it, but nothing counts: each closed epoch is
 //!   charged from the plan ([`ShardDispatch::epoch`]), so measured and
 //!   planned counts have one source;
 //! * [`Transfer`] — one explicit cross-device copy (what a real multi-GPU
@@ -327,10 +328,6 @@ pub fn chunk_bounds(n: usize, devices: usize) -> Vec<usize> {
     }
     (0..=d).map(|dev| (dev * n).div_ceil(d)).collect()
 }
-
-/// Shorthand used by the kernels: the dispatcher when the runtime is
-/// sharded.
-pub type SharedDispatch = Arc<dyn ShardDispatch>;
 
 #[cfg(test)]
 mod tests {

@@ -11,19 +11,17 @@
 //! * one launch recorded per call ([`crate::Kernel::Qr`] /
 //!   [`crate::Kernel::Lu`] / [`crate::Kernel::Trsm`] /
 //!   [`crate::Kernel::Gemm`]),
-//! * per-entry work executed on the runtime's backend with **cost-aware
-//!   chunking** ([`crate::batch::cost_chunk_bounds`] over the modeled
-//!   flops, so one worker is not stuck behind the few huge top-level
-//!   blocks),
-//! * sharded-mode accounting with the **shared cost formulas**
-//!   ([`crate::multidev::cost::lu_flops`] and friends, owner-attributed in
-//!   the §IV.A contiguous chunks) — the same formulas
+//! * the per-entry body stated once and run by the chunk runner
+//!   ([`Runtime::for_each_entry`] / [`Runtime::map`]),
+//! * entries costed with the **shared cost formulas**
+//!   ([`crate::multidev::cost::lu_flops`] and friends) — the formulas
 //!   `h2_sched::plan_ulv_solve` charges for the solve sweeps, so a factor
-//!   and a sweep are priced in one currency.
+//!   and a sweep are priced in one currency. They size the parallel
+//!   backend's chunks, so one worker is not stuck behind the few huge
+//!   top-level blocks.
 
 use crate::batch::VarBatch;
 use crate::multidev::cost;
-use crate::ops::{batch_for_each_mut, batch_map};
 use crate::profile::Kernel;
 use crate::runtime::Runtime;
 use h2_dense::{
@@ -35,7 +33,7 @@ use h2_dense::{
 pub fn batched_qr(rt: &Runtime, batch: &VarBatch) -> Vec<QrFactor> {
     rt.launch(Kernel::Qr);
     let flops = |i: usize| cost::qr_flops(batch.rows_of(i), batch.cols_of(i));
-    batch_map(rt, batch, flops, |_, m| qr_factor(m.to_mat()))
+    rt.map_entries(batch, flops, |_, m| qr_factor(m.to_mat()))
 }
 
 /// Batched LU with partial pivoting of square entries. `None` marks an
@@ -43,7 +41,7 @@ pub fn batched_qr(rt: &Runtime, batch: &VarBatch) -> Vec<QrFactor> {
 pub fn batched_lu(rt: &Runtime, batch: &VarBatch) -> Vec<Option<LuFactor>> {
     rt.launch(Kernel::Lu);
     let flops = |i: usize| cost::lu_flops(batch.rows_of(i));
-    batch_map(rt, batch, flops, |_, m| lu_factor(m.to_mat()))
+    rt.map_entries(batch, flops, |_, m| lu_factor(m.to_mat()))
 }
 
 /// Batched triangular solve: entry `i` of `b` is overwritten by
@@ -53,7 +51,7 @@ pub fn batched_trsm(rt: &Runtime, tri: Triangle, diag: Diag, tris: &[Mat], b: &m
     rt.launch(Kernel::Trsm);
     let cols: Vec<usize> = (0..b.count()).map(|i| b.cols_of(i)).collect();
     let flops = |i: usize| cost::trsm_flops(tris[i].rows(), cols[i]);
-    batch_for_each_mut(rt, b, flops, |i, mut m| {
+    rt.for_each_entry(b, &[], flops, |i, mut m| {
         solve_triangular_left(tri, diag, tris[i].rf(), &mut m);
     });
 }
@@ -67,7 +65,7 @@ pub fn batched_lu_solve(rt: &Runtime, lus: &[LuFactor], b: &mut VarBatch) {
     rt.launch(Kernel::Trsm);
     let cols: Vec<usize> = (0..b.count()).map(|i| b.cols_of(i)).collect();
     let flops = |i: usize| cost::lu_solve_flops(lus[i].a.rows(), cols[i]);
-    batch_for_each_mut(rt, b, flops, |i, mut m| {
+    rt.for_each_entry(b, &[], flops, |i, mut m| {
         lus[i].solve_in_place(&mut m);
     });
 }
@@ -80,7 +78,7 @@ pub fn batched_apply_qt(rt: &Runtime, qrs: &[QrFactor], b: &mut VarBatch) {
     rt.launch(Kernel::Gemm);
     let cols: Vec<usize> = (0..b.count()).map(|i| b.cols_of(i)).collect();
     let flops = |i: usize| cost::qr_apply_flops(qrs[i].rows(), qrs[i].tau.len(), cols[i]);
-    batch_for_each_mut(rt, b, flops, |i, mut m| {
+    rt.for_each_entry(b, &[], flops, |i, mut m| {
         qrs[i].apply_qt_block(&mut m);
     });
 }
@@ -92,9 +90,9 @@ pub fn batched_transpose(rt: &Runtime, batch: &VarBatch) -> VarBatch {
     let rows: Vec<usize> = (0..batch.count()).map(|i| batch.cols_of(i)).collect();
     let cols: Vec<usize> = (0..batch.count()).map(|i| batch.rows_of(i)).collect();
     let mut out = VarBatch::zeros(rows, cols);
-    batch_for_each_mut(
-        rt,
+    rt.for_each_entry(
         &mut out,
+        &[],
         |_| 0.0,
         |i, mut m| {
             let src = batch.mat(i);
@@ -111,14 +109,10 @@ pub fn batched_transpose(rt: &Runtime, batch: &VarBatch) -> VarBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::Backend;
     use h2_dense::{gaussian_mat, matmul, Op};
 
     fn rts() -> [Runtime; 2] {
-        [
-            Runtime::new(Backend::Sequential),
-            Runtime::new(Backend::Parallel),
-        ]
+        [Runtime::sequential(), Runtime::parallel()]
     }
 
     fn fill_batch(shapes: &[(usize, usize)], seed: u64) -> (VarBatch, Vec<Mat>) {

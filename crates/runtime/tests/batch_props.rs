@@ -18,7 +18,7 @@ proptest! {
         let mut b = VarBatch::zeros(rows.clone(), cols.clone());
         prop_assert_eq!(b.total_len(), total);
         // Write a distinct constant into each entry; verify no overlap.
-        b.for_each_mut(true, |i, mut m| m.fill((i + 1) as f64));
+        b.for_each_mut(|i, mut m| m.fill((i + 1) as f64));
         for i in 0..b.count() {
             let m = b.mat(i);
             for j in 0..m.cols() {
@@ -52,7 +52,7 @@ proptest! {
             prop_assert!(m1.iter().chain(&m2).all(|&v| v == 0.0));
         }
         for (a, b) in m1.iter().zip(&m2) {
-            prop_assert!((a - b).abs() < 1e-14);
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
         for (a, b) in y1.iter().zip(&y2) {
             let mut d = a.clone();

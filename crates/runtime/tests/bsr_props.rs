@@ -138,7 +138,7 @@ proptest! {
     /// and any mix of stored orientations.
     #[test]
     fn bsr_matches_dense_reference(case in case_strategy()) {
-        for rt in [Runtime::sequential(), Runtime::parallel()] {
+        for (rt, backend) in [(Runtime::sequential(), "sequential"), (Runtime::parallel(), "parallel")] {
             let (got, want) = run_case(&case, &rt);
             for i in 0..got.count() {
                 let g = got.to_mat(i);
@@ -146,7 +146,7 @@ proptest! {
                 let mut d = g;
                 d.axpy(-1.0, &w);
                 prop_assert!(d.norm_max() < 1e-11,
-                    "row {i} mismatch {} on {:?}", d.norm_max(), rt.backend());
+                    "row {i} mismatch {} on {backend}", d.norm_max());
             }
         }
     }

@@ -2158,7 +2158,7 @@ mod tests {
         let eye = h2_dense::Mat::eye(4);
         let blocks = vec![BsrBlock::plain(&eye); 2];
         let mut x = VarBatch::zeros_uniform_cols(vec![4, 4], 3);
-        x.for_each_mut(false, |i, mut m| m.fill(1.0 + i as f64));
+        x.for_each_mut(|i, mut m| m.fill(1.0 + i as f64));
         let mut y = VarBatch::zeros_uniform_cols(vec![4, 4], 3);
         bsr_gemm(&rt, &pattern, &blocks, &x, &mut y, 1.0, Some(tickets));
         assert_eq!(y.to_mat(1), x.to_mat(0));

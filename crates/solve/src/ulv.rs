@@ -457,9 +457,6 @@ impl UlvFactor {
                 UlvSchedule::Batched => {
                     rt.launch(Kernel::Marshal);
                     rt.launch(Kernel::Gemm);
-                    let nodes_ref = &nodes;
-                    let schur_ref = &schur;
-                    let parents_ref = &parents;
                     let cost_of = |j: usize| {
                         let (c1, c2) = tree.nodes[parents[j]].children.unwrap();
                         let k1 = nodes[c1].as_ref().map(|n| n.k).unwrap_or(0);
@@ -467,8 +464,8 @@ impl UlvFactor {
                         let k = k1 + k2;
                         (k * k) as f64
                     };
-                    rt.map_index_costed(parents.len(), cost_of, |j| {
-                        assemble_parent(h2, nodes_ref, schur_ref, parents_ref[j])
+                    rt.map(parents.len(), cost_of, |j| {
+                        assemble_parent(h2, &nodes, &schur, parents[j])
                     })
                 }
             };
@@ -691,9 +688,14 @@ fn eliminate_level_batched(
     let mut wrow = VarBatch::zeros(ms.clone(), kr.clone());
     {
         let nodes_ref: &[Option<NodeFactor>] = nodes;
-        wrow.for_each_mut(rt.is_parallel(), |i, m| {
-            fill_reduced_basis(h2, nodes_ref, l, leaf_level, ids[i], false, m);
-        });
+        rt.for_each_entry(
+            &mut wrow,
+            &[],
+            |_| 0.0,
+            |i, m| {
+                fill_reduced_basis(h2, nodes_ref, l, leaf_level, ids[i], false, m);
+            },
+        );
     }
     let row_qrs = batched_qr(rt, &wrow);
     drop(wrow);
@@ -705,9 +707,14 @@ fn eliminate_level_batched(
         let mut wcol = VarBatch::zeros(ms.clone(), kc.clone());
         {
             let nodes_ref: &[Option<NodeFactor>] = nodes;
-            wcol.for_each_mut(rt.is_parallel(), |i, m| {
-                fill_reduced_basis(h2, nodes_ref, l, leaf_level, ids[i], true, m);
-            });
+            rt.for_each_entry(
+                &mut wcol,
+                &[],
+                |_| 0.0,
+                |i, m| {
+                    fill_reduced_basis(h2, nodes_ref, l, leaf_level, ids[i], true, m);
+                },
+            );
         }
         (kc, Some(batched_qr(rt, &wcol)))
     };
@@ -731,14 +738,14 @@ fn eliminate_level_batched(
     let es: Vec<usize> = (0..n).map(|i| ms[i] - ks[i]).collect();
     rt.launch(Kernel::Marshal);
     let mut d22 = VarBatch::zeros(es.clone(), es.clone());
-    {
-        let drot_ref = &drot;
-        let ks_ref = &ks;
-        d22.for_each_mut(rt.is_parallel(), |i, mut m| {
-            let k = ks_ref[i];
-            m.copy_from(drot_ref.mat(i).view(k, k, m.rows(), m.cols()));
-        });
-    }
+    rt.for_each_entry(
+        &mut d22,
+        &[],
+        |_| 0.0,
+        |i, mut m| {
+            m.copy_from(drot.mat(i).view(ks[i], ks[i], m.rows(), m.cols()));
+        },
+    );
     let lus = batched_lu(rt, &d22);
     drop(d22);
     let mut lu22s: Vec<LuFactor> = Vec::with_capacity(n);
@@ -748,41 +755,38 @@ fn eliminate_level_batched(
 
     rt.launch(Kernel::Marshal);
     let mut z = VarBatch::zeros(es.clone(), ks.clone());
-    {
-        let drot_ref = &drot;
-        let ks_ref = &ks;
-        z.for_each_mut(rt.is_parallel(), |i, mut m| {
-            m.copy_from(drot_ref.mat(i).view(ks_ref[i], 0, m.rows(), m.cols()));
-        });
-    }
+    rt.for_each_entry(
+        &mut z,
+        &[],
+        |_| 0.0,
+        |i, mut m| {
+            m.copy_from(drot.mat(i).view(ks[i], 0, m.rows(), m.cols()));
+        },
+    );
     batched_lu_solve(rt, &lu22s, &mut z);
 
     rt.launch(Kernel::Gemm);
     let mut sb = VarBatch::zeros(ks.clone(), ks.clone());
-    {
-        let drot_ref = &drot;
-        let z_ref = &z;
-        let (ks_ref, es_ref) = (&ks, &es);
-        sb.for_each_mut_costed(
-            rt.is_parallel(),
-            |i| cost::gemm_flops(ks[i], es[i], ks[i]).max(1.0),
-            |i, mut m| {
-                let (k, e) = (ks_ref[i], es_ref[i]);
-                m.copy_from(drot_ref.mat(i).view(0, 0, k, k));
-                if e > 0 && k > 0 {
-                    h2_dense::gemm(
-                        Op::NoTrans,
-                        Op::NoTrans,
-                        -1.0,
-                        drot_ref.mat(i).view(0, k, k, e),
-                        z_ref.mat(i),
-                        1.0,
-                        m,
-                    );
-                }
-            },
-        );
-    }
+    rt.for_each_entry(
+        &mut sb,
+        &[],
+        |i| cost::gemm_flops(ks[i], es[i], ks[i]),
+        |i, mut m| {
+            let (k, e) = (ks[i], es[i]);
+            m.copy_from(drot.mat(i).view(0, 0, k, k));
+            if e > 0 && k > 0 {
+                h2_dense::gemm(
+                    Op::NoTrans,
+                    Op::NoTrans,
+                    -1.0,
+                    drot.mat(i).view(0, k, k, e),
+                    z.mat(i),
+                    1.0,
+                    m,
+                );
+            }
+        },
+    );
 
     // ---- pack the per-node factors ----
     let mut col_iter = col_qrs.map(|v| v.into_iter());
