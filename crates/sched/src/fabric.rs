@@ -655,10 +655,17 @@ impl DeviceFabric {
                                         a.busy_nanos += busy.as_nanos() as u64;
                                         a.stall_nanos += stall.as_nanos() as u64;
                                     }
-                                    if result.is_err() {
+                                    if let Err(payload) = result {
+                                        let why = payload
+                                            .downcast_ref::<&str>()
+                                            .copied()
+                                            .or_else(|| {
+                                                payload.downcast_ref::<String>().map(|s| s.as_str())
+                                            })
+                                            .unwrap_or("non-string payload");
                                         let mut p = sh.panicked.plock();
                                         if p.is_none() {
-                                            *p = Some(format!("device {dev} job panicked"));
+                                            *p = Some(format!("device {dev} job panicked: {why}"));
                                         }
                                     }
                                     // Complete even on panic so dependents
@@ -1915,7 +1922,14 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fabric.run_jobs(jobs);
         }));
-        assert!(result.is_err(), "the worker panic must reach the caller");
+        let payload = result.expect_err("the worker panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("the fabric re-raises with a message");
+        assert!(
+            msg.contains("device 1 job panicked: injected device fault"),
+            "the host panic must carry the job's own message: {msg}"
+        );
     }
 
     #[test]

@@ -172,9 +172,9 @@ impl Preconditioner for UlvFabricPrecond<'_> {
         self.ulv.n()
     }
 
-    fn apply_inv(&self, r: &Mat) -> Mat {
+    fn apply_inv_into(&self, r: MatRef<'_>, mut z: MatMut<'_>) {
         charge_resident_arena(self.fabric, self.ulv.n(), 2 * r.cols());
-        shard_ulv_solve(self.fabric, self.ulv, r)
+        z.copy_from(shard_ulv_solve(self.fabric, self.ulv, &r.to_mat()).rf());
     }
 }
 

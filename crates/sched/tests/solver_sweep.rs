@@ -15,7 +15,7 @@ use h2_sched::{
     plan_ulv_solve, shard_ulv_solve, shard_ulv_solve_with_report, DeviceFabric, ExecReport,
     FabricOp, LinkModel, UlvFabricPrecond,
 };
-use h2_solve::{gmres, pcg, Identity, UlvFactor};
+use h2_solve::{gmres_with, pcg_with, Identity, KrylovWorkspace, UlvFactor};
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
 
@@ -303,7 +303,8 @@ fn fabric_op_routes_krylov_matvecs_and_sweep_preconditions() {
     let op = FabricOp::new(&matvec_fabric, &h2);
     let prec = UlvFabricPrecond::new(&sweep_fabric, &ulv);
     let b: Vec<f64> = (0..512).map(|i| (0.02 * i as f64).cos()).collect();
-    let res = gmres(&op, &prec, &b, 30, 200, 1e-10);
+    let mut ws = KrylovWorkspace::new(512);
+    let res = gmres_with(&op, &prec, &b, 30, 200, 1e-10, &mut ws);
     assert!(
         res.converged,
         "fabric GMRES residual {}",
@@ -320,7 +321,7 @@ fn fabric_op_routes_krylov_matvecs_and_sweep_preconditions() {
 
     // And a plain identity-preconditioned run agrees with the in-process
     // operator's solution.
-    let res_plain = gmres(&h2, &Identity { n: 512 }, &b, 30, 400, 1e-10);
+    let res_plain = gmres_with(&h2, &Identity { n: 512 }, &b, 30, 400, 1e-10, &mut ws);
     let mut d = 0.0f64;
     for i in 0..512 {
         d = d.max((res.x[i] - res_plain.x[i]).abs());
@@ -335,8 +336,9 @@ fn sweep_preconditioner_in_pcg_on_symmetric_operator() {
     let fabric = DeviceFabric::new(2);
     let prec = UlvFabricPrecond::new(&fabric, &ulv);
     let b: Vec<f64> = (0..512).map(|i| (0.01 * i as f64).sin()).collect();
-    let plain = pcg(&h2, &Identity { n: 512 }, &b, 400, 1e-10);
-    let fast = pcg(&h2, &prec, &b, 400, 1e-10);
+    let mut ws = KrylovWorkspace::new(512);
+    let plain = pcg_with(&h2, &Identity { n: 512 }, &b, 400, 1e-10, &mut ws);
+    let fast = pcg_with(&h2, &prec, &b, 400, 1e-10, &mut ws);
     assert!(fast.converged);
     assert!(
         fast.iterations < plain.iterations.max(2),

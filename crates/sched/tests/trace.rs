@@ -312,7 +312,8 @@ fn krylov_iterations_are_traced() {
     let pre = h2_sched::UlvFabricPrecond::new(&fabric, &ulv);
     let b = vec![1.0; h2.n()];
     let tracer = Tracer::new(1 << 14);
-    let mut ws = KrylovWorkspace::new(h2.n()).with_tracer(tracer.clone());
+    let mut ws = KrylovWorkspace::new(h2.n());
+    ws.set_tracer(Some(tracer.clone()));
     let res = pcg_with(&op, &pre, &b, 50, 1e-10, &mut ws);
     assert!(res.converged, "pcg must converge on the shifted HSS matrix");
     let events = tracer.drain();

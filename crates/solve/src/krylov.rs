@@ -1,18 +1,19 @@
 //! Preconditioned Krylov methods on abstract operators.
 //!
-//! All methods take the operator as an [`h2_dense::LinOp`] — a compressed H2
-//! matrix, a kernel matrix, a fabric-sharded operator, or any other black
+//! Each method takes the operator as an [`h2_dense::LinOp`] — a compressed
+//! H2 matrix, a kernel matrix, a fabric-sharded operator, or any other black
 //! box — and a [`Preconditioner`]. Residual histories are returned so
 //! convergence behaviour (e.g. preconditioner quality) can be asserted in
 //! tests and reported by the benchmark harness.
 //!
-//! Every method threads a [`KrylovWorkspace`] through its iteration: the
-//! `*_with` variants reuse a caller-owned workspace across solves (no
-//! per-iteration vector allocation — operator and preconditioner
-//! applications write into preallocated buffers through zero-copy
-//! [`h2_dense::MatRef`] views), and the plain entry points allocate one
-//! workspace per call. The GMRES Krylov basis lives in the workspace as one
-//! `n × (restart+1)` block, so a fabric-backed operator
+//! There is one entry point per method: [`pcg_with`] (CG for SPD systems),
+//! [`block_pcg_with`] (CG on a block of right-hand sides) and [`gmres_with`]
+//! (restarted GMRES for unsymmetric ones). Each takes a caller-owned
+//! workspace and threads it through its iteration, so a workspace reused
+//! across solves pays no per-iteration vector allocation — operator and
+//! preconditioner applications write into preallocated buffers through
+//! zero-copy [`h2_dense::MatRef`] views. The GMRES Krylov basis lives in the
+//! workspace as one `n × (restart+1)` block, so a fabric-backed operator
 //! (`h2_sched::FabricOp`) shards each basis-vector product over its
 //! devices — the ROADMAP's per-device Krylov decomposition.
 
@@ -40,11 +41,10 @@ pub struct IterResult {
     pub history: Vec<f64>,
 }
 
-/// Preallocated iteration state shared by all four iterative methods
-/// (PCG, GMRES, BiCGStab, CGS). Reusing one workspace across solves —
-/// e.g. across the right-hand sides of a multi-solve, or across outer
-/// Newton steps — eliminates the per-iteration `Vec` churn the methods
-/// previously paid for every operator and preconditioner application.
+/// Preallocated iteration state of [`pcg_with`] and [`gmres_with`]. Reusing
+/// one workspace across solves — e.g. across the right-hand sides of a
+/// multi-solve, or across outer Newton steps — means no method allocates an
+/// n-vector per operator or preconditioner application.
 pub struct KrylovWorkspace {
     n: usize,
     /// General-purpose n-vectors (apply targets, directions, residuals).
@@ -52,10 +52,7 @@ pub struct KrylovWorkspace {
     z: Vec<f64>,
     p: Vec<f64>,
     q: Vec<f64>,
-    s: Vec<f64>,
-    t: Vec<f64>,
     u: Vec<f64>,
-    v: Vec<f64>,
     w: Vec<f64>,
     /// GMRES Krylov basis, one `n × (restart+1)` block.
     basis: Mat,
@@ -80,10 +77,7 @@ impl KrylovWorkspace {
             z: vec![0.0; n],
             p: vec![0.0; n],
             q: vec![0.0; n],
-            s: vec![0.0; n],
-            t: vec![0.0; n],
             u: vec![0.0; n],
-            v: vec![0.0; n],
             w: vec![0.0; n],
             basis: Mat::zeros(0, 0),
             hess: Mat::zeros(0, 0),
@@ -104,12 +98,6 @@ impl KrylovWorkspace {
     /// resizes.
     pub fn set_tracer(&mut self, tracer: Option<Arc<Tracer>>) {
         self.tracer = tracer;
-    }
-
-    /// Builder form of [`KrylovWorkspace::set_tracer`].
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
     }
 
     /// Attach (or detach) a global-reduction observer: every dot product
@@ -206,14 +194,6 @@ pub fn blocked_norm(a: &[f64]) -> f64 {
     blocked_dot(a, a).sqrt()
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    blocked_dot(a, b)
-}
-
-fn norm(a: &[f64]) -> f64 {
-    blocked_norm(a)
-}
-
 /// Pass a reduction result through the workspace's observer: `h2_sched`
 /// wires this to the fabric so each global dot/norm charges its scalar
 /// allreduce when the Krylov vectors are device-resident.
@@ -236,32 +216,23 @@ fn true_residual(
     for i in 0..b.len() {
         scratch[i] = b[i] - scratch[i];
     }
-    counted(hook, norm(scratch)) / counted(hook, norm(b)).max(f64::MIN_POSITIVE)
+    counted(hook, blocked_norm(scratch)) / counted(hook, blocked_norm(b)).max(f64::MIN_POSITIVE)
 }
 
-/// Preconditioned conjugate gradients for SPD `A` and SPD `M`.
+/// Preconditioned conjugate gradients for SPD `A` and SPD `M`, iterating in
+/// the caller-owned workspace `ws` (resized to `b.len()` if needed).
 ///
 /// ```
 /// use h2_dense::{DenseOp, Mat};
-/// use h2_solve::{pcg, Identity};
+/// use h2_solve::{pcg_with, Identity, KrylovWorkspace};
 /// // A 2x2 SPD system.
 /// let a = Mat::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
 /// let op = DenseOp::new(a);
-/// let res = pcg(&op, &Identity { n: 2 }, &[1.0, 2.0], 50, 1e-12);
+/// let mut ws = KrylovWorkspace::new(2);
+/// let res = pcg_with(&op, &Identity { n: 2 }, &[1.0, 2.0], 50, 1e-12, &mut ws);
 /// assert!(res.converged);
 /// assert!((4.0 * res.x[0] + res.x[1] - 1.0).abs() < 1e-10);
 /// ```
-pub fn pcg(
-    a: &dyn LinOp,
-    m: &dyn Preconditioner,
-    b: &[f64],
-    max_iters: usize,
-    rtol: f64,
-) -> IterResult {
-    pcg_with(a, m, b, max_iters, rtol, &mut KrylovWorkspace::new(b.len()))
-}
-
-/// [`pcg`] reusing a caller-owned workspace.
 pub fn pcg_with(
     a: &dyn LinOp,
     m: &dyn Preconditioner,
@@ -277,19 +248,19 @@ pub fn pcg_with(
     let tracer = ws.tracer.clone();
     let hook = ws.reduce_hook.clone();
     let _solve_span = tracer.as_ref().map(|t| t.span("krylov", "pcg"));
-    let b_norm = counted(&hook, norm(b)).max(f64::MIN_POSITIVE);
+    let b_norm = counted(&hook, blocked_norm(b)).max(f64::MIN_POSITIVE);
 
     let mut x = vec![0.0; n];
     let KrylovWorkspace { r, z, p, q: ap, .. } = ws;
     r.copy_from_slice(b);
     apply_prec_into(m, r, z);
     p.copy_from_slice(z);
-    let mut rz = counted(&hook, dot(r, z));
+    let mut rz = counted(&hook, blocked_dot(r, z));
     let mut history = Vec::new();
     let mut iterations = 0;
 
     for _ in 0..max_iters {
-        let rn = counted(&hook, norm(r)) / b_norm;
+        let rn = counted(&hook, blocked_norm(r)) / b_norm;
         history.push(rn);
         if rn <= rtol {
             break;
@@ -297,7 +268,7 @@ pub fn pcg_with(
         iterations += 1;
         KrylovWorkspace::trace_iter(&tracer, "pcg iter", iterations, rn);
         apply_op_into(a, p, ap);
-        let denom = counted(&hook, dot(p, ap));
+        let denom = counted(&hook, blocked_dot(p, ap));
         if denom <= 0.0 {
             break; // not SPD (numerically): bail with best effort
         }
@@ -307,7 +278,7 @@ pub fn pcg_with(
             r[i] -= alpha * ap[i];
         }
         apply_prec_into(m, r, z);
-        let rz_new = counted(&hook, dot(r, z));
+        let rz_new = counted(&hook, blocked_dot(r, z));
         let beta = rz_new / rz;
         for i in 0..n {
             p[i] = z[i] + beta * p[i];
@@ -327,7 +298,7 @@ pub fn pcg_with(
 
 /// Result of a blocked iterative solve: the solution block plus per-column
 /// iteration counts, residuals, convergence flags and histories — one entry
-/// per right-hand side, exactly what [`pcg`] would have reported for that
+/// per right-hand side, exactly what [`pcg_with`] would have reported for that
 /// column alone.
 #[derive(Clone, Debug)]
 pub struct BlockIterResult {
@@ -414,25 +385,7 @@ impl BlockKrylovWorkspace {
 /// operator and preconditioner apply each column independently of its
 /// neighbours — the `gemm_rhs` dispatch contract, satisfied by
 /// `UlvFactor`'s solve path — column `j` of the blocked solve is
-/// **bit-identical** to `pcg(a, m, b.col(j), …)`.
-pub fn block_pcg(
-    a: &dyn LinOp,
-    m: &dyn Preconditioner,
-    b: &Mat,
-    max_iters: usize,
-    rtol: f64,
-) -> BlockIterResult {
-    block_pcg_with(
-        a,
-        m,
-        b,
-        max_iters,
-        rtol,
-        &mut BlockKrylovWorkspace::new(b.rows(), b.cols()),
-    )
-}
-
-/// [`block_pcg`] reusing a caller-owned workspace.
+/// **bit-identical** to `pcg_with(a, m, b.col(j), …)`.
 pub fn block_pcg_with(
     a: &dyn LinOp,
     m: &dyn Preconditioner,
@@ -449,7 +402,7 @@ pub fn block_pcg_with(
     let hook = ws.reduce_hook.clone();
     let _solve_span = tracer.as_ref().map(|t| t.span("krylov", "block_pcg"));
     let b_norms: Vec<f64> = (0..k)
-        .map(|j| counted(&hook, norm(b.col(j))).max(f64::MIN_POSITIVE))
+        .map(|j| counted(&hook, blocked_norm(b.col(j))).max(f64::MIN_POSITIVE))
         .collect();
 
     let mut x = Mat::zeros(n, k);
@@ -465,7 +418,7 @@ pub fn block_pcg_with(
     m.apply_inv_into(r.rf(), z.rm());
     p.rm().copy_from(z.rf());
     let mut rz: Vec<f64> = (0..k)
-        .map(|j| counted(&hook, dot(r.col(j), z.col(j))))
+        .map(|j| counted(&hook, blocked_dot(r.col(j), z.col(j))))
         .collect();
     let mut history: Vec<Vec<f64>> = vec![Vec::new(); k];
     let mut iterations = vec![0usize; k];
@@ -480,7 +433,7 @@ pub fn block_pcg_with(
             if !active[j] {
                 continue;
             }
-            let rn = counted(&hook, norm(r.col(j))) / b_norms[j];
+            let rn = counted(&hook, blocked_norm(r.col(j))) / b_norms[j];
             history[j].push(rn);
             if rn <= rtol {
                 active[j] = false;
@@ -505,7 +458,7 @@ pub fn block_pcg_with(
             if !active[j] {
                 continue;
             }
-            let denom = counted(&hook, dot(p.col(j), ap.col(j)));
+            let denom = counted(&hook, blocked_dot(p.col(j), ap.col(j)));
             if denom <= 0.0 {
                 active[j] = false; // not SPD (numerically): freeze best effort
                 continue;
@@ -529,7 +482,7 @@ pub fn block_pcg_with(
             if !active[j] {
                 continue;
             }
-            let rz_new = counted(&hook, dot(r.col(j), z.col(j)));
+            let rz_new = counted(&hook, blocked_dot(r.col(j), z.col(j)));
             let beta = rz_new / rz[j];
             let pc = p.col_mut(j);
             let zc = z.col(j);
@@ -556,28 +509,9 @@ pub fn block_pcg_with(
 }
 
 /// Restarted GMRES(m) with *right* preconditioning: solves `A M⁻¹ u = b`,
-/// `x = M⁻¹ u`, so the preconditioner need not be symmetric.
-pub fn gmres(
-    a: &dyn LinOp,
-    m: &dyn Preconditioner,
-    b: &[f64],
-    restart: usize,
-    max_iters: usize,
-    rtol: f64,
-) -> IterResult {
-    gmres_with(
-        a,
-        m,
-        b,
-        restart,
-        max_iters,
-        rtol,
-        &mut KrylovWorkspace::new(b.len()),
-    )
-}
-
-/// [`gmres`] reusing a caller-owned workspace (the Krylov basis block is
-/// allocated once and persists across restarts and calls).
+/// `x = M⁻¹ u`, so the preconditioner need not be symmetric. The Krylov
+/// basis block lives in `ws`, allocated once and reused across restarts
+/// and calls.
 pub fn gmres_with(
     a: &dyn LinOp,
     m: &dyn Preconditioner,
@@ -589,13 +523,14 @@ pub fn gmres_with(
 ) -> IterResult {
     let n = b.len();
     assert_eq!(a.nrows(), n, "gmres: dimension mismatch");
+    assert_eq!(m.n(), n, "gmres: preconditioner dimension mismatch");
     let restart = restart.max(1);
     ws.ensure(n);
     ws.ensure_gmres(restart);
     let tracer = ws.tracer.clone();
     let hook = ws.reduce_hook.clone();
     let _solve_span = tracer.as_ref().map(|t| t.span("krylov", "gmres"));
-    let b_norm = counted(&hook, norm(b)).max(f64::MIN_POSITIVE);
+    let b_norm = counted(&hook, blocked_norm(b)).max(f64::MIN_POSITIVE);
 
     let mut x = vec![0.0; n];
     let mut history = Vec::new();
@@ -619,7 +554,7 @@ pub fn gmres_with(
         for i in 0..n {
             r[i] = b[i] - r[i];
         }
-        let beta = counted(&hook, norm(r));
+        let beta = counted(&hook, blocked_norm(r));
         history.push(beta / b_norm);
         if beta / b_norm <= rtol {
             break;
@@ -653,13 +588,13 @@ pub fn gmres_with(
             // Modified Gram-Schmidt against the stored basis.
             for i in 0..n_cols {
                 let vi = basis.col(i);
-                let hik = counted(&hook, dot(w, vi));
+                let hik = counted(&hook, blocked_dot(w, vi));
                 hess[(i, k)] = hik;
                 for j in 0..n {
                     w[j] -= hik * vi[j];
                 }
             }
-            let wn = counted(&hook, norm(w));
+            let wn = counted(&hook, blocked_norm(w));
             hess[(k + 1, k)] = wn;
 
             // Apply existing Givens rotations to the new column.
@@ -745,215 +680,6 @@ fn givens(a: f64, b: f64) -> (f64, f64) {
     }
 }
 
-/// BiCGStab with right preconditioning — unsymmetric systems where GMRES
-/// restarts stall or memory for the Krylov basis is a concern.
-pub fn bicgstab(
-    a: &dyn LinOp,
-    m: &dyn Preconditioner,
-    b: &[f64],
-    max_iters: usize,
-    rtol: f64,
-) -> IterResult {
-    bicgstab_with(a, m, b, max_iters, rtol, &mut KrylovWorkspace::new(b.len()))
-}
-
-/// [`bicgstab`] reusing a caller-owned workspace.
-pub fn bicgstab_with(
-    a: &dyn LinOp,
-    m: &dyn Preconditioner,
-    b: &[f64],
-    max_iters: usize,
-    rtol: f64,
-    ws: &mut KrylovWorkspace,
-) -> IterResult {
-    let n = b.len();
-    assert_eq!(a.nrows(), n, "bicgstab: dimension mismatch");
-    ws.ensure(n);
-    let tracer = ws.tracer.clone();
-    let hook = ws.reduce_hook.clone();
-    let _solve_span = tracer.as_ref().map(|t| t.span("krylov", "bicgstab"));
-    let b_norm = counted(&hook, norm(b)).max(f64::MIN_POSITIVE);
-
-    let mut x = vec![0.0; n];
-    let KrylovWorkspace {
-        r,
-        z: r0,
-        v,
-        p,
-        q: phat,
-        s,
-        u: shat,
-        t,
-        ..
-    } = ws;
-    r.copy_from_slice(b);
-    r0.copy_from_slice(b);
-    let mut rho = 1.0_f64;
-    let mut alpha = 1.0_f64;
-    let mut omega = 1.0_f64;
-    v.iter_mut().for_each(|x| *x = 0.0);
-    p.iter_mut().for_each(|x| *x = 0.0);
-    let mut history = Vec::new();
-    let mut iterations = 0;
-
-    for _ in 0..max_iters {
-        let rn = counted(&hook, norm(r)) / b_norm;
-        history.push(rn);
-        if rn <= rtol {
-            break;
-        }
-        iterations += 1;
-        KrylovWorkspace::trace_iter(&tracer, "bicgstab iter", iterations, rn);
-        let rho_new = counted(&hook, dot(r0, r));
-        if rho_new == 0.0 {
-            break; // breakdown
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        apply_prec_into(m, p, phat);
-        apply_op_into(a, phat, v);
-        let r0v = counted(&hook, dot(r0, v));
-        if r0v == 0.0 {
-            break;
-        }
-        alpha = rho_new / r0v;
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        if counted(&hook, norm(s)) / b_norm <= rtol {
-            for i in 0..n {
-                x[i] += alpha * phat[i];
-            }
-            r.copy_from_slice(s);
-            continue;
-        }
-        apply_prec_into(m, s, shat);
-        apply_op_into(a, shat, t);
-        let tt = counted(&hook, dot(t, t));
-        if tt == 0.0 {
-            break;
-        }
-        omega = counted(&hook, dot(t, s)) / tt;
-        for i in 0..n {
-            x[i] += alpha * phat[i] + omega * shat[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        if omega == 0.0 {
-            break;
-        }
-        rho = rho_new;
-    }
-
-    let relative_residual = true_residual(a, &x, b, t, &hook);
-    IterResult {
-        x,
-        iterations,
-        relative_residual,
-        converged: relative_residual <= 10.0 * rtol,
-        history,
-    }
-}
-
-/// CGS (conjugate gradient squared) with right preconditioning — the
-/// transpose-free BiCG square, two operator applications per iteration
-/// with no `Aᵀ` and no Krylov basis storage.
-pub fn cgs(
-    a: &dyn LinOp,
-    m: &dyn Preconditioner,
-    b: &[f64],
-    max_iters: usize,
-    rtol: f64,
-) -> IterResult {
-    cgs_with(a, m, b, max_iters, rtol, &mut KrylovWorkspace::new(b.len()))
-}
-
-/// [`cgs`] reusing a caller-owned workspace.
-pub fn cgs_with(
-    a: &dyn LinOp,
-    m: &dyn Preconditioner,
-    b: &[f64],
-    max_iters: usize,
-    rtol: f64,
-    ws: &mut KrylovWorkspace,
-) -> IterResult {
-    let n = b.len();
-    assert_eq!(a.nrows(), n, "cgs: dimension mismatch");
-    ws.ensure(n);
-    let tracer = ws.tracer.clone();
-    let hook = ws.reduce_hook.clone();
-    let _solve_span = tracer.as_ref().map(|t| t.span("krylov", "cgs"));
-    let b_norm = counted(&hook, norm(b)).max(f64::MIN_POSITIVE);
-
-    let mut x = vec![0.0; n];
-    let KrylovWorkspace {
-        r,
-        z: r0,
-        p,
-        q,
-        u,
-        v,
-        s: hat,
-        t: av,
-        w: uq,
-        ..
-    } = ws;
-    r.copy_from_slice(b);
-    r0.copy_from_slice(b);
-    p.iter_mut().for_each(|x| *x = 0.0);
-    q.iter_mut().for_each(|x| *x = 0.0);
-    let mut rho = 1.0_f64;
-    let mut history = Vec::new();
-    let mut iterations = 0;
-
-    for it in 0..max_iters {
-        let rn = counted(&hook, norm(r)) / b_norm;
-        history.push(rn);
-        if rn <= rtol {
-            break;
-        }
-        iterations += 1;
-        KrylovWorkspace::trace_iter(&tracer, "cgs iter", iterations, rn);
-        let rho_new = counted(&hook, dot(r0, r));
-        if rho_new == 0.0 {
-            break; // breakdown
-        }
-        let beta = if it == 0 { 0.0 } else { rho_new / rho };
-        for i in 0..n {
-            u[i] = r[i] + beta * q[i];
-            p[i] = u[i] + beta * (q[i] + beta * p[i]);
-        }
-        apply_prec_into(m, p, hat);
-        apply_op_into(a, hat, v);
-        let sigma = counted(&hook, dot(r0, v));
-        if sigma == 0.0 {
-            break;
-        }
-        let alpha = rho_new / sigma;
-        for i in 0..n {
-            q[i] = u[i] - alpha * v[i];
-            uq[i] = u[i] + q[i];
-        }
-        apply_prec_into(m, uq, hat);
-        apply_op_into(a, hat, av);
-        for i in 0..n {
-            x[i] += alpha * hat[i];
-            r[i] -= alpha * av[i];
-        }
-        rho = rho_new;
-    }
-
-    let relative_residual = true_residual(a, &x, b, av, &hook);
-    IterResult {
-        x,
-        iterations,
-        relative_residual,
-        converged: relative_residual <= 10.0 * rtol,
-        history,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -985,7 +711,14 @@ mod tests {
     #[test]
     fn pcg_converges_on_spd() {
         let (op, b) = spd_problem(80, 11);
-        let res = pcg(&op, &Identity { n: 80 }, &b, 200, 1e-10);
+        let res = pcg_with(
+            &op,
+            &Identity { n: 80 },
+            &b,
+            200,
+            1e-10,
+            &mut KrylovWorkspace::new(80),
+        );
         assert!(res.converged, "residual {}", res.relative_residual);
         assert!(res.relative_residual < 1e-9);
     }
@@ -993,7 +726,14 @@ mod tests {
     #[test]
     fn pcg_history_is_recorded_and_decreases() {
         let (op, b) = spd_problem(60, 12);
-        let res = pcg(&op, &Identity { n: 60 }, &b, 200, 1e-10);
+        let res = pcg_with(
+            &op,
+            &Identity { n: 60 },
+            &b,
+            200,
+            1e-10,
+            &mut KrylovWorkspace::new(60),
+        );
         assert!(res.history.len() >= 2);
         assert!(res.history.last().unwrap() < &res.history[0]);
     }
@@ -1018,8 +758,9 @@ mod tests {
         }
         let op = DenseOp::new(a.clone());
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let plain = pcg(&op, &Identity { n }, &b, 3000, 1e-8);
-        let jac = pcg(&op, &DiagJacobi::new(&op, n), &b, 3000, 1e-8);
+        let mut ws = KrylovWorkspace::new(n);
+        let plain = pcg_with(&op, &Identity { n }, &b, 3000, 1e-8, &mut ws);
+        let jac = pcg_with(&op, &DiagJacobi::new(&op, n), &b, 3000, 1e-8, &mut ws);
         assert!(jac.converged);
         assert!(
             jac.iterations * 2 < plain.iterations.max(1),
@@ -1032,14 +773,16 @@ mod tests {
     #[test]
     fn gmres_converges_on_unsymmetric() {
         let (op, b) = unsym_problem(90, 14);
-        let res = gmres(&op, &Identity { n: 90 }, &b, 30, 400, 1e-10);
+        let mut ws = KrylovWorkspace::new(90);
+        let res = gmres_with(&op, &Identity { n: 90 }, &b, 30, 400, 1e-10, &mut ws);
         assert!(res.converged, "residual {}", res.relative_residual);
     }
 
     #[test]
     fn gmres_with_restart_shorter_than_problem() {
         let (op, b) = unsym_problem(100, 15);
-        let res = gmres(&op, &Identity { n: 100 }, &b, 10, 2000, 1e-8);
+        let mut ws = KrylovWorkspace::new(100);
+        let res = gmres_with(&op, &Identity { n: 100 }, &b, 10, 2000, 1e-8, &mut ws);
         assert!(
             res.converged,
             "restarted GMRES residual {}",
@@ -1048,58 +791,54 @@ mod tests {
     }
 
     #[test]
-    fn bicgstab_converges_on_unsymmetric() {
-        let (op, b) = unsym_problem(90, 16);
-        let res = bicgstab(&op, &Identity { n: 90 }, &b, 400, 1e-10);
-        assert!(res.converged, "residual {}", res.relative_residual);
+    #[should_panic(expected = "gmres: preconditioner dimension mismatch")]
+    fn gmres_rejects_preconditioner_of_another_size() {
+        // A diagonal preconditioner longer than b would otherwise run,
+        // silently reading only the first b.len() entries of its diagonal.
+        let (op, b) = unsym_problem(30, 21);
+        let big = unsym_problem(40, 21).0;
+        let m = DiagJacobi::new(&big, 40);
+        gmres_with(&op, &m, &b, 10, 50, 1e-10, &mut KrylovWorkspace::new(30));
     }
 
-    #[test]
-    fn cgs_converges_on_unsymmetric() {
-        let (op, b) = unsym_problem(90, 19);
-        let res = cgs(&op, &Identity { n: 90 }, &b, 400, 1e-10);
-        assert!(res.converged, "residual {}", res.relative_residual);
-        // And agrees with GMRES on the solution.
-        let g = gmres(&op, &Identity { n: 90 }, &b, 45, 400, 1e-12);
-        let mut d = 0.0_f64;
-        for i in 0..90 {
-            d = d.max((g.x[i] - res.x[i]).abs());
-        }
-        assert!(d < 1e-7, "cgs and gmres disagree by {d}");
-    }
-
-    #[test]
-    fn solvers_agree_on_the_solution() {
-        let (op, b) = unsym_problem(64, 17);
-        let g = gmres(&op, &Identity { n: 64 }, &b, 32, 400, 1e-12);
-        let s = bicgstab(&op, &Identity { n: 64 }, &b, 400, 1e-12);
-        let mut d = 0.0_f64;
-        for i in 0..64 {
-            d = d.max((g.x[i] - s.x[i]).abs());
-        }
-        assert!(d < 1e-8, "gmres and bicgstab disagree by {d}");
+    fn assert_same_bits(a: &IterResult, b: &IterResult, what: &str) {
+        assert_eq!(a.iterations, b.iterations, "{what}: iterations");
+        assert_eq!(a.history, b.history, "{what}: residual history");
+        let bits = |r: &IterResult| r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: solution bits");
+        assert_eq!(
+            a.relative_residual.to_bits(),
+            b.relative_residual.to_bits(),
+            "{what}: true residual"
+        );
     }
 
     #[test]
     fn workspace_reuse_is_identical_to_fresh() {
-        // One workspace threaded through all four methods, twice each:
-        // results must be bitwise identical to fresh-workspace runs.
-        let (op, b) = unsym_problem(70, 18);
-        let (spd, bs) = spd_problem(70, 18);
-        let mut ws = KrylovWorkspace::new(70);
-        for _ in 0..2 {
-            let a1 = pcg_with(&spd, &Identity { n: 70 }, &bs, 200, 1e-10, &mut ws);
-            let a2 = pcg(&spd, &Identity { n: 70 }, &bs, 200, 1e-10);
-            assert_eq!(a1.x, a2.x);
-            let g1 = gmres_with(&op, &Identity { n: 70 }, &b, 20, 300, 1e-10, &mut ws);
-            let g2 = gmres(&op, &Identity { n: 70 }, &b, 20, 300, 1e-10);
-            assert_eq!(g1.x, g2.x);
-            let s1 = bicgstab_with(&op, &Identity { n: 70 }, &b, 300, 1e-10, &mut ws);
-            let s2 = bicgstab(&op, &Identity { n: 70 }, &b, 300, 1e-10);
-            assert_eq!(s1.x, s2.x);
-            let c1 = cgs_with(&op, &Identity { n: 70 }, &b, 300, 1e-10, &mut ws);
-            let c2 = cgs(&op, &Identity { n: 70 }, &b, 300, 1e-10);
-            assert_eq!(c1.x, c2.x);
+        // One workspace threaded through pcg -> gmres -> pcg, twice: every
+        // result must match a fresh-workspace run bit for bit, so no stale
+        // vector or basis column leaks from one solve into the next.
+        let n = 70;
+        let (op, b) = unsym_problem(n, 18);
+        let (spd, bs) = spd_problem(n, 18);
+        let m = DiagJacobi::new(&op, n);
+        let fresh_pcg = pcg_with(
+            &spd,
+            &Identity { n },
+            &bs,
+            200,
+            1e-10,
+            &mut KrylovWorkspace::new(n),
+        );
+        let fresh_gmres = gmres_with(&op, &m, &b, 20, 300, 1e-10, &mut KrylovWorkspace::new(n));
+        let mut ws = KrylovWorkspace::new(n);
+        for round in 0..2 {
+            let a = pcg_with(&spd, &Identity { n }, &bs, 200, 1e-10, &mut ws);
+            assert_same_bits(&a, &fresh_pcg, &format!("round {round}, first pcg"));
+            let g = gmres_with(&op, &m, &b, 20, 300, 1e-10, &mut ws);
+            assert_same_bits(&g, &fresh_gmres, &format!("round {round}, gmres"));
+            let a = pcg_with(&spd, &Identity { n }, &bs, 200, 1e-10, &mut ws);
+            assert_same_bits(&a, &fresh_pcg, &format!("round {round}, second pcg"));
         }
     }
 
@@ -1130,9 +869,10 @@ mod tests {
         }
         let op = DenseOp::new(a);
         let b: Vec<f64> = (0..n).map(|i| (0.05 * i as f64).sin()).collect();
-        let plain = pcg(&op, &Identity { n }, &b, 500, 1e-10);
+        let mut ws = KrylovWorkspace::new(n);
+        let plain = pcg_with(&op, &Identity { n }, &b, 500, 1e-10, &mut ws);
         let bj = BlockJacobi::from_entry(&op, &tree).unwrap();
-        let prec = pcg(&op, &bj, &b, 500, 1e-10);
+        let prec = pcg_with(&op, &bj, &b, 500, 1e-10, &mut ws);
         assert!(prec.converged);
         assert!(
             prec.iterations < plain.iterations,
@@ -1144,7 +884,7 @@ mod tests {
 
     /// A dense operator whose kernel choice ignores the RHS width
     /// (`gemm_rhs`), so each column's product is bitwise independent of its
-    /// neighbours — the operator contract `block_pcg`'s bit-identity claim
+    /// neighbours — the operator contract `block_pcg_with`'s bit-identity claim
     /// rests on. (`DenseOp` uses `par_gemm`, whose dispatch reads the
     /// column count.)
     struct ColInvariantOp {
@@ -1200,9 +940,11 @@ mod tests {
             &Identity { n } as &dyn crate::Preconditioner,
             &DiagJacobi::new(&DenseOp::new(a.clone()), n),
         ] {
-            let blocked = block_pcg(&op, m, &b, 200, 1e-10);
+            let mut bws = BlockKrylovWorkspace::new(n, 8);
+            let blocked = block_pcg_with(&op, m, &b, 200, 1e-10, &mut bws);
             for j in 0..8 {
-                let single = pcg(&op, m, b.col(j), 200, 1e-10);
+                let mut ws = KrylovWorkspace::new(n);
+                let single = pcg_with(&op, m, b.col(j), 200, 1e-10, &mut ws);
                 assert_eq!(
                     blocked.x.col(j),
                     single.x.as_slice(),
@@ -1224,7 +966,8 @@ mod tests {
         let mut ws = BlockKrylovWorkspace::new(n, 5);
         for _ in 0..2 {
             let r1 = block_pcg_with(&op, &Identity { n }, &b, 200, 1e-10, &mut ws);
-            let r2 = block_pcg(&op, &Identity { n }, &b, 200, 1e-10);
+            let mut fresh = BlockKrylovWorkspace::new(n, 5);
+            let r2 = block_pcg_with(&op, &Identity { n }, &b, 200, 1e-10, &mut fresh);
             assert_eq!(r1.x, r2.x);
         }
         // Resize across widths.
@@ -1238,11 +981,10 @@ mod tests {
     fn zero_rhs_returns_zero() {
         let (op, _) = spd_problem(20, 18);
         let b = vec![0.0; 20];
-        let res = pcg(&op, &Identity { n: 20 }, &b, 50, 1e-10);
+        let mut ws = KrylovWorkspace::new(20);
+        let res = pcg_with(&op, &Identity { n: 20 }, &b, 50, 1e-10, &mut ws);
         assert!(res.x.iter().all(|&v| v == 0.0));
-        let res = gmres(&op, &Identity { n: 20 }, &b, 10, 50, 1e-10);
-        assert!(res.x.iter().all(|&v| v == 0.0));
-        let res = cgs(&op, &Identity { n: 20 }, &b, 50, 1e-10);
+        let res = gmres_with(&op, &Identity { n: 20 }, &b, 10, 50, 1e-10, &mut ws);
         assert!(res.x.iter().all(|&v| v == 0.0));
     }
 }

@@ -5,10 +5,11 @@
 //! multifrontal solvers or Schur complement-based updates", §I; H2
 //! inversion is the paper's stated follow-up work).
 //!
-//! Three layers:
+//! Four layers:
 //!
-//! * [`krylov`] — preconditioned iterative methods on [`h2_dense::LinOp`]:
-//!   CG for SPD systems, restarted GMRES and BiCGStab for unsymmetric ones.
+//! * [`krylov`] — preconditioned iterative methods on [`h2_dense::LinOp`],
+//!   one entry point each: [`pcg_with`] and [`block_pcg_with`] for SPD
+//!   systems, restarted [`gmres_with`] for unsymmetric ones.
 //! * [`precond`] — preconditioners assembled from the H2 representation:
 //!   block-Jacobi from the near-field diagonal blocks, and any direct
 //!   factorization wrapped as a preconditioner.
@@ -27,9 +28,8 @@ pub mod ulv;
 pub mod woodbury;
 
 pub use krylov::{
-    bicgstab, bicgstab_with, block_pcg, block_pcg_with, blocked_dot, blocked_norm, cgs, cgs_with,
-    gmres, gmres_with, pcg, pcg_with, BlockIterResult, BlockKrylovWorkspace, IterResult,
-    KrylovWorkspace, ReduceHook,
+    block_pcg_with, blocked_dot, blocked_norm, gmres_with, pcg_with, BlockIterResult,
+    BlockKrylovWorkspace, IterResult, KrylovWorkspace, ReduceHook,
 };
 pub use precond::{BlockJacobi, DiagJacobi, Identity, Preconditioner};
 pub use ulv::{UlvError, UlvFactor, UlvSchedule, UlvSweep};

@@ -9,16 +9,12 @@ use rayon::prelude::*;
 pub trait Preconditioner: Sync {
     fn n(&self) -> usize;
 
-    /// Apply `M⁻¹` to a block of vectors.
-    fn apply_inv(&self, r: &Mat) -> Mat;
-
-    /// Apply `M⁻¹` into a caller-owned buffer — the per-iteration entry
-    /// point of the Krylov methods, so a preconditioner that can solve in
-    /// place (identity, diagonal and block scalings) pays no allocation
-    /// per application. The default routes through [`Preconditioner::apply_inv`].
-    fn apply_inv_into(&self, r: MatRef<'_>, mut z: MatMut<'_>) {
-        z.copy_from(self.apply_inv(&r.to_mat()).rf());
-    }
+    /// Apply `M⁻¹` to a block of vectors, writing into a caller-owned
+    /// buffer of the same shape — the per-iteration entry point of the
+    /// Krylov methods, so a preconditioner that can solve in place
+    /// (identity, diagonal and block scalings) pays no allocation per
+    /// application.
+    fn apply_inv_into(&self, r: MatRef<'_>, z: MatMut<'_>);
 }
 
 /// No preconditioning (`M = I`).
@@ -29,10 +25,6 @@ pub struct Identity {
 impl Preconditioner for Identity {
     fn n(&self) -> usize {
         self.n
-    }
-
-    fn apply_inv(&self, r: &Mat) -> Mat {
-        r.clone()
     }
 
     fn apply_inv_into(&self, r: MatRef<'_>, mut z: MatMut<'_>) {
@@ -65,12 +57,6 @@ impl DiagJacobi {
 impl Preconditioner for DiagJacobi {
     fn n(&self) -> usize {
         self.inv_diag.len()
-    }
-
-    fn apply_inv(&self, r: &Mat) -> Mat {
-        let mut z = Mat::zeros(r.rows(), r.cols());
-        self.apply_inv_into(r.rf(), z.rm());
-        z
     }
 
     fn apply_inv_into(&self, r: MatRef<'_>, mut z: MatMut<'_>) {
@@ -156,30 +142,10 @@ impl Preconditioner for BlockJacobi {
         self.n
     }
 
-    fn apply_inv(&self, r: &Mat) -> Mat {
-        assert_eq!(r.rows(), self.n);
-        let d = r.cols();
-        let pieces: Vec<(usize, Mat)> = self
-            .ranges
-            .par_iter()
-            .zip(self.factors.par_iter())
-            .map(|(&(b, e), f)| {
-                let rb = r.view(b, 0, e - b, d).to_mat();
-                (b, f.solve(&rb))
-            })
-            .collect();
-        let mut z = Mat::zeros(self.n, d);
-        for (b, piece) in pieces {
-            z.view_mut(b, 0, piece.rows(), d).copy_from(piece.rf());
-        }
-        z
-    }
-
-    /// Into-buffer application. With one worker the input is copied once
-    /// and each leaf block solves in place (allocation-free); with a pool
-    /// the disjoint leaf solves run in parallel like
-    /// [`BlockJacobi::apply_inv`] — per-iteration wall clock beats the
-    /// small per-piece allocations there.
+    /// With one worker the input is copied once and each leaf block solves
+    /// in place (allocation-free); with a pool the disjoint leaf solves run
+    /// in parallel, each into its own piece — per-iteration wall clock
+    /// beats the small per-piece allocations there.
     fn apply_inv_into(&self, r: MatRef<'_>, mut z: MatMut<'_>) {
         assert_eq!(r.rows(), self.n);
         let d = r.cols();
@@ -212,11 +178,18 @@ mod tests {
     use super::*;
     use h2_dense::DenseOp;
 
+    /// `M⁻¹ r` into a fresh buffer.
+    fn apply(m: &dyn Preconditioner, r: &Mat) -> Mat {
+        let mut z = Mat::zeros(r.rows(), r.cols());
+        m.apply_inv_into(r.rf(), z.rm());
+        z
+    }
+
     #[test]
     fn identity_is_identity() {
         let r = Mat::from_fn(5, 2, |i, j| (i + 10 * j) as f64);
         let m = Identity { n: 5 };
-        assert_eq!(m.apply_inv(&r), r);
+        assert_eq!(apply(&m, &r), r);
     }
 
     #[test]
@@ -225,7 +198,7 @@ mod tests {
         let op = DenseOp::new(a);
         let m = DiagJacobi::new(&op, 2);
         let r = Mat::from_rows(&[&[8.0], &[4.0]]);
-        let z = m.apply_inv(&r);
+        let z = apply(&m, &r);
         assert_eq!(z[(0, 0)], 2.0);
         assert_eq!(z[(1, 0)], 2.0);
     }
@@ -236,7 +209,7 @@ mod tests {
         let op = DenseOp::new(a);
         let m = DiagJacobi::new(&op, 2);
         let r = Mat::from_rows(&[&[3.0], &[4.0]]);
-        let z = m.apply_inv(&r);
+        let z = apply(&m, &r);
         assert_eq!(z[(0, 0)], 3.0, "zero diagonal left unscaled");
         assert_eq!(z[(1, 0)], 2.0);
     }
@@ -260,7 +233,7 @@ mod tests {
         let op = DenseOp::new(a.clone());
         let m = BlockJacobi::from_entry(&op, &tree).unwrap();
         let b = h2_dense::gaussian_mat(64, 2, 7);
-        let z = m.apply_inv(&b);
+        let z = apply(&m, &b);
         // M = A here, so A z = b.
         let az = h2_dense::matmul(h2_dense::Op::NoTrans, h2_dense::Op::NoTrans, a.rf(), z.rf());
         let mut d = az;

@@ -84,7 +84,9 @@
 
 use crate::precond::Preconditioner;
 use crate::smallops::stored_op;
-use h2_dense::{gemm, gemm_rhs, lu_factor, matmul, qr_factor, LuFactor, Mat, MatMut, Op, QrFactor};
+use h2_dense::{
+    gemm, gemm_rhs, lu_factor, matmul, qr_factor, LuFactor, Mat, MatMut, MatRef, Op, QrFactor,
+};
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
@@ -885,8 +887,8 @@ impl Preconditioner for UlvFactor {
         self.n
     }
 
-    fn apply_inv(&self, r: &Mat) -> Mat {
-        self.solve(r)
+    fn apply_inv_into(&self, r: MatRef<'_>, mut z: MatMut<'_>) {
+        z.copy_from(self.solve(&r.to_mat()).rf());
     }
 }
 
@@ -1174,7 +1176,7 @@ mod tests {
 
     #[test]
     fn loose_ulv_preconditions_exact_operator() {
-        use crate::krylov::pcg;
+        use crate::krylov::{pcg_with, KrylovWorkspace};
         use crate::precond::Identity;
         // Exact operator: shifted covariance. Preconditioner: ULV of a
         // loosely compressed HSS of the same operator.
@@ -1198,9 +1200,20 @@ mod tests {
         let (hss, _) = sketch_construct(&op, &op, tree, part, &rt, &cfg);
         let ulv = UlvFactor::new(&hss).unwrap();
 
+        // As a preconditioner the factor applies exactly its own solve.
+        let r = gaussian_mat(n, 3, 33);
+        let mut z = Mat::zeros(n, 3);
+        ulv.apply_inv_into(r.rf(), z.rm());
+        let want = ulv.solve(&r);
+        for j in 0..3 {
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(z.col(j)), bits(want.col(j)), "column {j}");
+        }
+
         let b: Vec<f64> = (0..n).map(|i| (0.01 * i as f64).sin()).collect();
-        let plain = pcg(&op, &Identity { n }, &b, 400, 1e-10);
-        let prec = pcg(&op, &ulv, &b, 400, 1e-10);
+        let mut ws = KrylovWorkspace::new(n);
+        let plain = pcg_with(&op, &Identity { n }, &b, 400, 1e-10, &mut ws);
+        let prec = pcg_with(&op, &ulv, &b, 400, 1e-10, &mut ws);
         assert!(
             prec.converged,
             "preconditioned CG residual {}",

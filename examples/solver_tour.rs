@@ -20,7 +20,9 @@ use h2sketch::dense::{DenseOp, EntryAccess, Mat};
 use h2sketch::kernels::{ExponentialKernel, KernelMatrix};
 use h2sketch::runtime::Runtime;
 use h2sketch::sketch::{sketch_construct, SketchConfig};
-use h2sketch::solve::{pcg, woodbury_solve, BlockJacobi, Identity, UlvFactor};
+use h2sketch::solve::{
+    pcg_with, woodbury_solve, BlockJacobi, Identity, KrylovWorkspace, UlvFactor,
+};
 use h2sketch::tree::{uniform_cube, Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
 
@@ -42,9 +44,12 @@ fn main() {
     let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
 
     let b: Vec<f64> = (0..n).map(|i| (0.01 * i as f64).sin()).collect();
-    let plain = pcg(&h2, &Identity { n }, &b, 500, 1e-8);
+    // One Krylov workspace serves every solve below; it resizes itself
+    // when the problem size changes.
+    let mut ws = KrylovWorkspace::new(n);
+    let plain = pcg_with(&h2, &Identity { n }, &b, 500, 1e-8, &mut ws);
     let bj = BlockJacobi::from_h2(&h2).expect("diagonal blocks nonsingular");
-    let prec = pcg(&h2, &bj, &b, 500, 1e-8);
+    let prec = pcg_with(&h2, &bj, &b, 500, 1e-8, &mut ws);
     println!("== PCG on H2 covariance (N = {n}) ==");
     println!(
         "  identity precond : {:3} iterations, residual {:.2e}",
@@ -123,8 +128,8 @@ fn main() {
     let (hss2, _) = sketch_construct(&exact, &exact, tree2, part2, &rt, &cfg2);
     let ulv2 = UlvFactor::new(&hss2).expect("ULV");
     let b2: Vec<f64> = (0..n2).map(|i| 1.0 + (0.03 * i as f64).sin()).collect();
-    let it_plain = pcg(&exact, &Identity { n: n2 }, &b2, 1000, 1e-10);
-    let it_prec = pcg(&exact, &ulv2, &b2, 1000, 1e-10);
+    let it_plain = pcg_with(&exact, &Identity { n: n2 }, &b2, 1000, 1e-10, &mut ws);
+    let it_prec = pcg_with(&exact, &ulv2, &b2, 1000, 1e-10, &mut ws);
     println!("\n== Loose HSS+ULV as preconditioner (N = {n2}, mildly regularized) ==");
     println!("  plain CG  : {:4} iterations", it_plain.iterations);
     println!(

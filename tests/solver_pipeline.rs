@@ -11,7 +11,9 @@ use h2sketch::kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, Unsym
 use h2sketch::matrix::LowRankUpdate;
 use h2sketch::runtime::Runtime;
 use h2sketch::sketch::{sketch_construct, sketch_construct_unsym, SketchConfig};
-use h2sketch::solve::{bicgstab, gmres, pcg, woodbury_solve, BlockJacobi, Identity, UlvFactor};
+use h2sketch::solve::{
+    gmres_with, pcg_with, woodbury_solve, BlockJacobi, Identity, KrylovWorkspace, UlvFactor,
+};
 use h2sketch::tree::{uniform_cube, Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
 
@@ -34,7 +36,7 @@ fn pcg_on_h2_covariance() {
 
     let b: Vec<f64> = (0..n).map(|i| (0.02 * i as f64).sin()).collect();
     let bj = BlockJacobi::from_h2(&h2).unwrap();
-    let res = pcg(&h2, &bj, &b, 800, 1e-9);
+    let res = pcg_with(&h2, &bj, &b, 800, 1e-9, &mut KrylovWorkspace::new(n));
     assert!(res.converged, "residual {}", res.relative_residual);
 
     // The H2 solution also solves the *exact* kernel system to roughly the
@@ -54,9 +56,10 @@ fn pcg_on_h2_covariance() {
     );
 }
 
-/// GMRES and BiCGStab solve an unsymmetric compressed system and agree.
+/// GMRES solves an unsymmetric compressed system, and its solution solves
+/// the exact kernel system.
 #[test]
-fn unsym_h2_gmres_and_bicgstab() {
+fn unsym_h2_gmres() {
     let n = 1200;
     let pts = uniform_cube(n, 702);
     let tree = Arc::new(ClusterTree::build(&pts, 16));
@@ -71,19 +74,10 @@ fn unsym_h2_gmres_and_bicgstab() {
     let (h2, _) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
 
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (0.05 * i as f64).cos()).collect();
-    let g = gmres(&h2, &Identity { n }, &b, 40, 800, 1e-10);
+    let mut ws = KrylovWorkspace::new(n);
+    let g = gmres_with(&h2, &Identity { n }, &b, 40, 800, 1e-10, &mut ws);
     assert!(g.converged, "gmres residual {}", g.relative_residual);
-    let s = bicgstab(&h2, &Identity { n }, &b, 800, 1e-10);
-    assert!(s.converged, "bicgstab residual {}", s.relative_residual);
 
-    let mut dmax = 0.0f64;
-    for i in 0..n {
-        dmax = dmax.max((g.x[i] - s.x[i]).abs());
-    }
-    let xscale = g.x.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-    assert!(dmax < 1e-6 * xscale.max(1.0), "solvers disagree by {dmax}");
-
-    // And the solution solves the exact system.
     let x = Mat::from_vec(n, 1, g.x.clone());
     let kx = km.apply_mat(&x);
     let mut r = 0.0f64;
@@ -170,7 +164,8 @@ fn lowrank_update_woodbury_vs_recompression() {
 
     // Reference: iterate on the updated operator directly.
     let upd = LowRankUpdate::symmetric(&hss, p.clone());
-    let res = pcg(&upd, &Identity { n }, b.as_slice(), 2000, 1e-12);
+    let mut ws = KrylovWorkspace::new(n);
+    let res = pcg_with(&upd, &Identity { n }, b.as_slice(), 2000, 1e-12, &mut ws);
     assert!(res.converged);
     let mut dmax = 0.0f64;
     for i in 0..n {
