@@ -174,8 +174,9 @@ fn bench_batched_apply(rt: &Runtime, entries: usize, d: usize, min_secs: f64) ->
         .iter()
         .map(|u| 2.0 * u.rows() as f64 * u.cols() as f64 * d as f64)
         .sum();
+    let base_refs: Vec<&Mat> = bases.iter().collect();
     let secs = time_per_rep(min_secs, || {
-        let out = gemm_at_x(rt, &bases, &x);
+        let out = gemm_at_x(rt, &base_refs, &x);
         std::hint::black_box(out.total_len());
     });
     (flops / secs / 1e9, secs)

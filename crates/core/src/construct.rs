@@ -6,7 +6,7 @@
 //! `Y = Kblk(Ω)` (with `Z = Kᵀblk(Ψ)` for the unsymmetric extension), an
 //! entry evaluator for sub-blocks, a relative tolerance ε, and the sample
 //! block size `d`. The construction proceeds level by level from the
-//! leaves, driving one `SketchStream` per basis side:
+//! leaves, driving one sketch stream `(Y, Ω)` per basis side:
 //!
 //! * the **row** stream `Y = K Ω`: its per-node local samples span the
 //!   block row of the remaining admissible matrix; a row ID yields the row
@@ -40,16 +40,46 @@
 //! kernel sequence, so results are bitwise identical to the pre-unification
 //! path. Every step runs as batched kernels on the [`Runtime`] and is
 //! attributed to the Fig.-7 phase it belongs to.
+//!
+//! Algorithm 1's lines map onto the engine's statements (leaf level /
+//! inner levels):
+//!
+//! | Lines | Step | Statement |
+//! |---|---|---|
+//! | 1, 5 | global samples, gathered to the leaves | `draw_global_samples` |
+//! | 8 | near-field `batchedGen` | `gen_blocks(.., BlockSource::Dense)` |
+//! | 9 / 24, 27 | subtract known blocks, stack children | `advance_level` |
+//! | 11, 29 | convergence test | `qr_min_rdiag` in the `while` loop |
+//! | 12–14 / 30–32 | `updateSamples` | `sweep_new_samples`, `hcat_batches` |
+//! | 16, 19 / 34, 37 | row ID, store basis and skeleton | `batched_row_id`, `set_side_basis` |
+//! | 17–18 / 35–36 | shrink samples, compress inputs | `shrink_rows`, `gemm_at_x` |
+//! | 41 | coupling `batchedGen` | `gen_blocks(.., BlockSource::Coupling)` |
+//!
+//! Four departures from the paper:
+//! * `safety`: every threshold is `safety·ε·‖K‖₂` ([`SketchConfig::safety`],
+//!   1/30 by default), not `ε·‖K‖₂`;
+//! * the `√d` factor: at sample width `d` the convergence and ID thresholds
+//!   are scaled by `√d`, as `‖AΩ‖_F ≈ √d·‖A‖_F` for `d` Gaussian columns;
+//! * the convergence statistic is the smallest `|R_ii|` of an unpivoted QR
+//!   of each node's local samples (`qr_min_rdiag`);
+//! * the reference sampler: the engine sees only a [`LinOp`], and the
+//!   kernel matrices of this workspace sample with their exact `O(N²d)`
+//!   product where the paper assumes a fast black-box one.
+//!
+//! The device fabric (§IV.B) stays out of the loop: four calls of
+//! `h2_core::multidev`'s per-level fabric step, no-ops off the fabric,
+//! charge each level's epoch, issue a pipelined fabric's fetches ahead and
+//! keep the recovery ledger.
 
 use crate::config::{SketchConfig, SketchStats};
-use crate::multidev::ConstructPlanner;
+use crate::multidev::FabricStep;
 use h2_dense::cpqr::Truncation;
 use h2_dense::{norm_2_gkl, EntryAccess, LinOp, Mat};
 use h2_matrix::H2Matrix;
 use h2_runtime::{
-    batched_gen, batched_row_id, bsr_gemm, gather_rows, gemm_at_x, hcat_batches, issue_bsr_fetches,
-    qr_min_rdiag, rand_mat, shrink_rows, stack_children, BsrBlock, BsrPattern, GenBlock, Phase,
-    PipelineMode, Runtime, VarBatch,
+    batched_gen, batched_row_id, bsr_gemm, gather_rows, gemm_at_x, hcat_batches, qr_min_rdiag,
+    rand_mat, shrink_rows, stack_children, BsrBlock, BsrPattern, GenBlock, Phase, Runtime,
+    VarBatch,
 };
 use h2_tree::{ClusterTree, Partition};
 use std::sync::Arc;
@@ -60,6 +90,16 @@ use std::time::Instant;
 enum BlockSource {
     Dense,
     Coupling,
+}
+
+impl BlockSource {
+    /// The partition adjacency whose blocks the store holds.
+    fn adjacency(self, partition: &Partition) -> &[Vec<usize>] {
+        match self {
+            BlockSource::Dense => &partition.near_of,
+            BlockSource::Coupling => &partition.far_of,
+        }
+    }
 }
 
 /// Which sketch stream / basis side a computation serves. The row stream
@@ -81,15 +121,13 @@ impl Side {
     }
 }
 
-/// One sketch stream: a basis side plus its current per-node sample batches
-/// (`y` — the sketched output samples, `omega` — the random inputs), and on
-/// a pipelined fabric the per-device tickets of the `Ω_b` fetches issued
-/// ahead for the next level's `batchedBSRGemm`.
-struct SketchStream {
-    side: Side,
-    y: VarBatch,
-    omega: VarBatch,
-    fetched: Option<Vec<Vec<u64>>>,
+/// The sketch streams of a construction, in the engine's order.
+pub(crate) fn sides(symmetric: bool) -> &'static [Side] {
+    if symmetric {
+        &[Side::Row]
+    } else {
+        &[Side::Row, Side::Col]
+    }
 }
 
 /// The shared per-level BSR subtraction/stacking structure (identical for
@@ -114,50 +152,6 @@ struct LevelRecord {
     /// Per stream (same order as the engine's stream vector): skeleton row
     /// positions into the stacked local samples.
     skels_local: Vec<Vec<Vec<usize>>>,
-}
-
-/// One sealed per-level construction checkpoint: the finished level's
-/// identity plus the skeleton widths its bases committed into the
-/// `H2Matrix`. Sealed right after the level's fabric accounting epoch
-/// closes — and a device fail-stop is applied exactly at an epoch
-/// boundary — so a topology change can only ever interrupt the *next*,
-/// not-yet-sealed level. Recovery therefore verifies the sealed ledger
-/// intact and replays the single in-flight level by simply running it on
-/// the re-routed fabric: per-entry arithmetic is device-count-invariant,
-/// so the replayed level (and the whole construction) stays bit-identical
-/// to a fault-free run.
-struct LevelCheckpoint {
-    level: usize,
-    /// Node ids of the sealed level (level order).
-    node_ids: Vec<usize>,
-    /// Committed skeleton width per node: row side, then (unsymmetric
-    /// only) column side.
-    skel_widths: Vec<Vec<usize>>,
-}
-
-impl LevelCheckpoint {
-    fn seal(l: usize, node_ids: &[usize], h2: &H2Matrix, symmetric: bool) -> Self {
-        let mut skel_widths = vec![node_ids.iter().map(|&id| h2.skel[id].len()).collect()];
-        if !symmetric {
-            skel_widths.push(node_ids.iter().map(|&id| h2.col_skel()[id].len()).collect());
-        }
-        LevelCheckpoint {
-            level: l,
-            node_ids: node_ids.to_vec(),
-            skel_widths,
-        }
-    }
-
-    /// Assert the sealed level's committed state is still what it was at
-    /// seal time (nothing a later topology change may have clobbered).
-    fn verify(&self, h2: &H2Matrix, symmetric: bool) {
-        let fresh = LevelCheckpoint::seal(self.level, &self.node_ids, h2, symmetric);
-        assert_eq!(
-            self.skel_widths, fresh.skel_widths,
-            "construct checkpoint L{} violated after reshard",
-            self.level
-        );
-    }
 }
 
 /// Construct a symmetric H2 matrix by adaptive sketching (Algorithm 1).
@@ -221,42 +215,15 @@ fn sketch_construct_engine(
     };
     let mut stats = SketchStats::default();
     let leaf_level = tree.leaf_level();
-    // On a fabric, every closed epoch is charged from this planner's step.
-    let mut planner = rt
-        .shard_dispatch()
-        .map(|d| ConstructPlanner::new(&h2, cfg, d.devices(), d.mode(), d.wire()));
+    let leaves: Vec<usize> = tree.level(leaf_level).collect();
+    let mut fabric = FabricStep::new(rt, &h2, cfg);
 
     // ---- dense near-field blocks (batchedGen, line 8) ----
-    // Symmetric: once per unordered pair. Unsymmetric: every ordered pair —
-    // K(I_s, I_t) and K(I_t, I_s) are disjoint entry sets.
-    rt.phase(Phase::EntryGen, || {
-        let mut specs = Vec::new();
-        let mut keys = Vec::new();
-        for s in tree.level(leaf_level) {
-            for &t in partition.near_of[s]
-                .iter()
-                .filter(|&&t| !symmetric || s <= t)
-            {
-                let (sb, se) = tree.range(s);
-                let (tb, te) = tree.range(t);
-                specs.push(GenBlock {
-                    rows: (sb..se).collect(),
-                    cols: (tb..te).collect(),
-                });
-                keys.push((s, t));
-            }
-        }
-        let blocks = batched_gen(rt, gen, &specs);
-        for ((s, t), b) in keys.into_iter().zip(blocks) {
-            h2.dense.insert(s, t, b);
-        }
-    });
+    gen_blocks(rt, gen, &mut h2, &leaves, BlockSource::Dense);
 
     // Entirely dense partition (tiny N): done.
     let Some(top) = partition.top_far_level(&tree) else {
-        if let Some(planner) = &planner {
-            rt.shard_epoch(&planner.tail(&h2));
-        }
+        fabric.tail(&h2);
         stats.elapsed = t0.elapsed();
         stats.capture_profile(rt.profile());
         return (h2, stats);
@@ -264,34 +231,18 @@ fn sketch_construct_engine(
 
     // ---- initial sampling (line 1), one batch per stream ----
     let d0 = cfg.initial_width();
-    let leaf_ranges: Vec<(usize, usize)> =
-        tree.level(leaf_level).map(|id| tree.range(id)).collect();
-    let sides: &[Side] = if symmetric {
-        &[Side::Row]
-    } else {
-        &[Side::Row, Side::Col]
-    };
+    let leaf_ranges: Vec<(usize, usize)> = leaves.iter().map(|&id| tree.range(id)).collect();
+    let sides = sides(symmetric);
     let mut norm_start = None;
-    let mut streams: Vec<SketchStream> = sides
+    let mut streams: Vec<(VarBatch, VarBatch)> = sides
         .iter()
         .map(|&side| {
-            let (y, omega, start) = draw_global_samples(
-                rt,
-                sampler,
-                n,
-                d0,
-                cfg.seed ^ side.seed_salt(),
-                side,
-                &leaf_ranges,
-                side == Side::Row,
-            );
+            let seed = cfg.seed ^ side.seed_salt();
+            let first = side == Side::Row;
+            let (y, omega, start) =
+                draw_global_samples(rt, sampler, n, d0, seed, side, &leaf_ranges, first);
             norm_start = norm_start.take().or(start);
-            SketchStream {
-                side,
-                y,
-                omega,
-                fetched: None,
-            }
+            (y, omega)
         })
         .collect();
     stats.total_samples = d0;
@@ -314,58 +265,16 @@ fn sketch_construct_engine(
     if cfg.storage == h2_runtime::Precision::F32 {
         h2.dense.demote_pending(eps_abs);
     }
-
-    // The column stream samples through `apply_transpose`, whose `LinOp`
-    // default silently falls back to `apply` (correct only for symmetric
-    // operators). The adjoint identity xᵀ(K y) = (Kᵀ x)ᵀ y holds for every
-    // correct pair regardless of symmetry, so one cheap probe catches a
-    // forgotten override before it corrupts the column bases.
     if !symmetric {
-        rt.phase(Phase::Misc, || {
-            let x = h2_dense::gaussian_mat(n, 1, cfg.seed ^ 0x0DD5_EED5);
-            let y = h2_dense::gaussian_mat(n, 1, cfg.seed ^ 0x5EED_0DD5);
-            let ky = sampler.apply_mat(&y);
-            let mut ktx = Mat::zeros(n, 1);
-            sampler.apply_transpose(x.rf(), ktx.rm());
-            let a: f64 = (0..n).map(|i| x[(i, 0)] * ky[(i, 0)]).sum();
-            let b: f64 = (0..n).map(|i| ktx[(i, 0)] * y[(i, 0)]).sum();
-            let scale = norm_est.max(f64::MIN_POSITIVE) * x.norm_fro() * y.norm_fro();
-            assert!(
-                (a - b).abs() <= 1e-8 * scale,
-                "sampler violates the adjoint identity (|xᵀKy - (Kᵀx)ᵀy| = {:.3e} vs scale {:.3e}); \
-                 its LinOp::apply_transpose is likely the symmetric default",
-                (a - b).abs(),
-                scale
-            );
-        });
+        check_adjoint(rt, sampler, cfg.seed, norm_est);
     }
 
     let mut records: Vec<LevelRecord> = Vec::new();
     let mut round_seed = cfg.seed.wrapping_add(0x1234_5678);
-    let mut checkpoints: Vec<LevelCheckpoint> = Vec::new();
-    let mut reshard_seen = rt
-        .shard_dispatch()
-        .map(|d| d.reshard_version())
-        .unwrap_or(0);
 
     // ---- bottom-up level loop ----
     for l in (top..=leaf_level).rev() {
-        // Device-loss recovery boundary: a fail-stop lands exactly at an
-        // epoch close, so a reshard-version change observed here means the
-        // loss interrupted *this* (in-flight) level at worst. Verify the
-        // sealed ledger, count the recovery, and proceed — running the
-        // level on the re-routed fabric IS the bounded replay.
-        if let Some(disp) = rt.shard_dispatch() {
-            let v = disp.reshard_version();
-            if v != reshard_seen {
-                reshard_seen = v;
-                for cp in &checkpoints {
-                    cp.verify(&h2, symmetric);
-                }
-                stats.recoveries += 1;
-                disp.note_recovery("construct level replay");
-            }
-        }
+        fabric.open_level(&h2, &mut stats);
         let _level_span = rt.trace_span("construct", || format!("construct L{l}"));
         let node_ids: Vec<usize> = tree.level(l).collect();
         let is_leaf = l == leaf_level;
@@ -375,31 +284,27 @@ fn sketch_construct_engine(
         // (lines 9 / 24+27), per stream.
         let mut locals: Vec<(VarBatch, VarBatch)> = streams
             .drain(..)
-            .map(|s| advance_level(rt, &h2, &structure, s.side, s.y, s.omega, s.fetched))
+            .enumerate()
+            .map(|(k, (y, omega))| {
+                advance_level(rt, &h2, &structure, sides[k], y, omega, fabric.tickets(k))
+            })
             .collect();
 
         // ---- adaptive sampling loop (lines 11-14 / 29-32): every stream
-        // must pass the per-node convergence test ----
+        // must pass the per-node convergence test at the current width ----
+        let mut width = if locals[0].0.count() > 0 {
+            locals[0].0.cols_of(0)
+        } else {
+            0
+        };
         let mut level_rounds = 0usize;
-        loop {
-            let d_cur = if locals[0].0.count() > 0 {
-                locals[0].0.cols_of(0)
-            } else {
-                0
-            };
-            if !cfg.adaptive || d_cur == 0 {
-                break;
-            }
-            let eps_conv = eps_abs * (d_cur as f64).sqrt();
+        while cfg.adaptive && width > 0 {
+            let eps_conv = eps_abs * (width as f64).sqrt();
             let mut unconverged = false;
-            let mut mins_per_stream = Vec::with_capacity(locals.len());
             for (yloc, _) in &locals {
                 let mins = rt.phase(Phase::ConvergenceTest, || qr_min_rdiag(rt, yloc));
-                mins_per_stream.push(mins);
-            }
-            for ((yloc, _), mins) in locals.iter().zip(&mins_per_stream) {
                 unconverged |=
-                    (0..yloc.count()).any(|i| d_cur < yloc.rows_of(i) && mins[i] > eps_conv);
+                    (0..yloc.count()).any(|i| width < yloc.rows_of(i) && mins[i] > eps_conv);
             }
             if !unconverged {
                 break;
@@ -416,7 +321,6 @@ fn sketch_construct_engine(
                     rt,
                     sampler,
                     &h2,
-                    &tree,
                     &records,
                     &leaf_ranges,
                     &structure,
@@ -429,6 +333,7 @@ fn sketch_construct_engine(
                 *yloc = rt.phase(Phase::Misc, || hcat_batches(rt, yloc, &ny));
                 *omega_l = rt.phase(Phase::Misc, || hcat_batches(rt, omega_l, &nom));
             }
+            width += cfg.sample_block;
             stats.total_samples += cfg.sample_block;
             stats.rounds += 1;
             level_rounds += 1;
@@ -436,12 +341,9 @@ fn sketch_construct_engine(
         stats.rounds_per_level.push(level_rounds);
 
         // ---- batched row ID per stream (lines 16 / 34) ----
-        let height = leaf_level - l;
-        let eps_id =
-            eps_abs * cfg.schedule.scale(height) * (locals[0].0.cols_of(0).max(1) as f64).sqrt();
-        let mut skels_local: Vec<Vec<Vec<usize>>> = Vec::with_capacity(locals.len());
-        for (idx, &side) in sides.iter().enumerate() {
-            let (yloc, _) = &locals[idx];
+        let eps_id = eps_abs * cfg.schedule.scale(leaf_level - l) * (width.max(1) as f64).sqrt();
+        let mut skels_local: Vec<Vec<Vec<usize>>> = Vec::with_capacity(sides.len());
+        for (&side, (yloc, _)) in sides.iter().zip(&locals) {
             let mut id_res = rt.phase(Phase::Id, || {
                 batched_row_id(rt, yloc, Truncation::Absolute(eps_id))
             });
@@ -455,8 +357,7 @@ fn sketch_construct_engine(
 
             // Store bases and global skeleton indices (lines 19 / 37).
             let mut side_skels: Vec<Vec<usize>> = Vec::with_capacity(node_ids.len());
-            for (local, &id) in node_ids.iter().enumerate() {
-                let r = &id_res[local];
+            for (r, &id) in id_res.into_iter().zip(&node_ids) {
                 let stacked_rows: Vec<usize> = if is_leaf {
                     let (b, e) = tree.range(id);
                     (b..e).collect()
@@ -466,71 +367,16 @@ fn sketch_construct_engine(
                     skel[c1].iter().chain(skel[c2].iter()).copied().collect()
                 };
                 let global: Vec<usize> = r.skel.iter().map(|&p| stacked_rows[p]).collect();
-                set_side_basis(&mut h2, side, id, r.u.clone(), global);
-                side_skels.push(r.skel.clone());
+                set_side_basis(&mut h2, side, id, r.u, global);
+                side_skels.push(r.skel);
             }
             skels_local.push(side_skels);
         }
-
-        // ---- issue the next level's Ω/Ψ fetches (pipelined fabric) ----
-        // Everything the next processed level's `batchedBSRGemm` will fetch
-        // is determined right here: its BSR rows are this level's nodes
-        // (far-field adjacency), and the partner block heights are the
-        // opposite side's just-computed ranks (`Ω ← VᵀΩ`, `Ψ ← UᵀΨ`). Issue
-        // the transfers now so the virtual copies run behind the coupling
-        // generation and upsweep below; each stream carries its tickets to
-        // the next level's first `advance_level`.
-        let mut fetched: Vec<Option<Vec<Vec<u64>>>> = vec![None; sides.len()];
-        let ahead = rt
-            .shard_dispatch()
-            .filter(|disp| l > top && disp.mode() == PipelineMode::Pipelined);
-        if let Some(disp) = ahead {
-            let d_cur = if locals[0].0.count() > 0 {
-                locals[0].0.cols_of(0)
-            } else {
-                0
-            };
-            if d_cur > 0 {
-                let adj: Vec<Vec<usize>> = node_ids
-                    .iter()
-                    .map(|&s| {
-                        partition.far_of[s]
-                            .iter()
-                            .map(|&t| tree.local_index(t))
-                            .collect()
-                    })
-                    .collect();
-                let pattern = BsrPattern::from_rows(&adj);
-                for (slot, &side) in fetched.iter_mut().zip(sides) {
-                    let b = input_basis(&h2, side);
-                    let x_rows: Vec<usize> = node_ids.iter().map(|&id| b[id].cols()).collect();
-                    *slot = Some(issue_bsr_fetches(disp.as_ref(), &pattern, &x_rows, d_cur));
-                }
-            }
-        }
+        fabric.after_id(l, &h2, &node_ids, width);
 
         // ---- coupling blocks at this level (batchedGen, line 41):
         // B_{s,t} = K(Ĩ^r_s, Ĩ^c_t) ----
-        rt.phase(Phase::EntryGen, || {
-            let mut specs = Vec::new();
-            let mut keys = Vec::new();
-            for &s in &node_ids {
-                for &t in partition.far_of[s]
-                    .iter()
-                    .filter(|&&t| !symmetric || s <= t)
-                {
-                    specs.push(GenBlock {
-                        rows: h2.skel[s].clone(),
-                        cols: h2.col_skel()[t].clone(),
-                    });
-                    keys.push((s, t));
-                }
-            }
-            let blocks = batched_gen(rt, gen, &specs);
-            for ((s, t), b) in keys.into_iter().zip(blocks) {
-                h2.coupling.insert(s, t, b);
-            }
-        });
+        gen_blocks(rt, gen, &mut h2, &node_ids, BlockSource::Coupling);
 
         // ---- storage demotion as the level completes (norm-aware) ----
         // Bases and coupling blocks of this level narrow to f32 *before*
@@ -542,93 +388,116 @@ fn sketch_construct_engine(
 
         // ---- upsweep to the next level (lines 17-18 / 35-36): shrink each
         // stream's samples to its skeleton rows, compress its inputs by the
-        // opposite side's basis (Ω ← VᵀΩ, Ψ ← UᵀΨ; V = U when symmetric) ----
-        streams = {
-            // Inputs the chained upsweep jobs borrow — the drained local
-            // batches, the skeleton-ref views and the cloned bases — are
-            // hoisted so they outlive the chain scope's closing barrier.
-            let taken: Vec<(VarBatch, VarBatch)> = std::mem::take(&mut locals);
-            let skel_refs_per: Vec<Vec<&[usize]>> = if l > top {
-                skels_local
-                    .iter()
-                    .map(|sk| sk.iter().map(|v| v.as_slice()).collect())
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let bases_per: Vec<Vec<Mat>> = if l > top {
-                sides
-                    .iter()
-                    .map(|&side| {
-                        let b = input_basis(&h2, side);
-                        node_ids.iter().map(|&id| b[id].clone()).collect()
+        // opposite side's basis (Ω ← VᵀΩ, Ψ ← UᵀΨ; V = U when symmetric).
+        // Both streams' kernels run as one chain; what they borrow is bound
+        // outside it ----
+        if l > top {
+            let bases: Vec<Vec<&Mat>> = sides
+                .iter()
+                .map(|&side| input_bases(&h2, side, &node_ids))
+                .collect();
+            let skel_refs: Vec<Vec<&[usize]>> = skels_local
+                .iter()
+                .map(|sk| sk.iter().map(Vec::as_slice).collect())
+                .collect();
+            streams = rt.chained(|| {
+                (locals.iter().zip(&skel_refs).zip(&bases))
+                    .map(|(((yloc, omega_l), skels), b)| {
+                        let y = rt.phase(Phase::Upsweep, || shrink_rows(rt, yloc, skels));
+                        (y, rt.phase(Phase::Upsweep, || gemm_at_x(rt, b, omega_l)))
                     })
                     .collect()
-            } else {
-                Vec::new()
-            };
-            // Both streams' shrink + compress kernels share one chain scope
-            // on the pipelined fabric: one closing barrier instead of one
-            // per kernel.
-            rt.shard_chain_begin();
-            let out: Vec<SketchStream> = sides
-                .iter()
-                .zip(taken.iter())
-                .enumerate()
-                .map(|(idx, (&side, (yloc, omega_l)))| {
-                    if l > top {
-                        let y = rt.phase(Phase::Upsweep, || {
-                            shrink_rows(rt, yloc, &skel_refs_per[idx])
-                        });
-                        let omega =
-                            rt.phase(Phase::Upsweep, || gemm_at_x(rt, &bases_per[idx], omega_l));
-                        SketchStream {
-                            side,
-                            y,
-                            omega,
-                            fetched: fetched[idx].take(),
-                        }
-                    } else {
-                        SketchStream {
-                            side,
-                            y: VarBatch::zeros_uniform_cols(Vec::new(), 0),
-                            omega: VarBatch::zeros_uniform_cols(Vec::new(), 0),
-                            fetched: None,
-                        }
-                    }
-                })
-                .collect();
-            rt.shard_chain_end();
-            out
-        };
+            });
+        }
 
+        fabric.close_level(&h2, l, level_rounds, &node_ids, &mut stats);
         records.push(LevelRecord {
             structure,
             node_ids,
             skels_local,
         });
-
-        if let Some(planner) = &mut planner {
-            // Charge the fabric this level's epoch of `plan_construct` and
-            // close it.
-            rt.shard_epoch(&planner.level(&h2, l, level_rounds));
-            // Seal this level's checkpoint only after the epoch boundary —
-            // the point where a scheduled device fail-stop takes effect — so
-            // the ledger never contains a level the loss could have
-            // interrupted.
-            let rec = records.last().expect("level record just pushed");
-            checkpoints.push(LevelCheckpoint::seal(l, &rec.node_ids, &h2, symmetric));
-            stats.checkpoints += 1;
-        }
-
-        if l == top {
-            break;
-        }
     }
 
     stats.elapsed = t0.elapsed();
     stats.capture_profile(rt.profile());
     (h2, stats)
+}
+
+/// `batchedGen` (lines 8 / 41) of the blocks of `source` in the block rows
+/// `ids`: near-field `K(I_s, I_t)` or coupling `B_{s,t} = K(Ĩ^r_s, Ĩ^c_t)`,
+/// once per unordered pair when symmetric, every ordered pair otherwise
+/// (`K(I_s, I_t)` and `K(I_t, I_s)` are disjoint entry sets).
+fn gen_blocks(
+    rt: &Runtime,
+    gen: &dyn EntryAccess,
+    h2: &mut H2Matrix,
+    ids: &[usize],
+    source: BlockSource,
+) {
+    rt.phase(Phase::EntryGen, || {
+        let (tree, adj) = (&h2.tree, source.adjacency(&h2.partition));
+        let range = |id: usize| -> Vec<usize> {
+            let (b, e) = tree.range(id);
+            (b..e).collect()
+        };
+        let mut specs = Vec::new();
+        let mut keys = Vec::new();
+        for &s in ids {
+            for &t in adj[s].iter().filter(|&&t| stored(h2, s, t)) {
+                specs.push(match source {
+                    BlockSource::Dense => GenBlock {
+                        rows: range(s),
+                        cols: range(t),
+                    },
+                    BlockSource::Coupling => GenBlock {
+                        rows: h2.skel[s].clone(),
+                        cols: h2.col_skel()[t].clone(),
+                    },
+                });
+                keys.push((s, t));
+            }
+        }
+        let blocks = batched_gen(rt, gen, &specs);
+        let store = match source {
+            BlockSource::Dense => &mut h2.dense,
+            BlockSource::Coupling => &mut h2.coupling,
+        };
+        for ((s, t), b) in keys.into_iter().zip(blocks) {
+            store.insert(s, t, b);
+        }
+    });
+}
+
+/// Whether `h2`'s block stores hold the pair `(s, t)`: symmetric stores
+/// hold one block per unordered pair.
+pub(crate) fn stored(h2: &H2Matrix, s: usize, t: usize) -> bool {
+    !h2.is_symmetric() || s <= t
+}
+
+/// The column stream samples through `apply_transpose`, whose `LinOp`
+/// default silently falls back to `apply` (correct only for symmetric
+/// operators). The adjoint identity xᵀ(K y) = (Kᵀ x)ᵀ y holds for every
+/// correct pair regardless of symmetry, so one cheap probe catches a
+/// forgotten override before it corrupts the column bases.
+fn check_adjoint(rt: &Runtime, sampler: &dyn LinOp, seed: u64, norm_est: f64) {
+    let n = sampler.nrows();
+    rt.phase(Phase::Misc, || {
+        let x = h2_dense::gaussian_mat(n, 1, seed ^ 0x0DD5_EED5);
+        let y = h2_dense::gaussian_mat(n, 1, seed ^ 0x5EED_0DD5);
+        let ky = sampler.apply_mat(&y);
+        let mut ktx = Mat::zeros(n, 1);
+        sampler.apply_transpose(x.rf(), ktx.rm());
+        let a: f64 = (0..n).map(|i| x[(i, 0)] * ky[(i, 0)]).sum();
+        let b: f64 = (0..n).map(|i| ktx[(i, 0)] * y[(i, 0)]).sum();
+        let scale = norm_est.max(f64::MIN_POSITIVE) * x.norm_fro() * y.norm_fro();
+        assert!(
+            (a - b).abs() <= 1e-8 * scale,
+            "sampler violates the adjoint identity (|xᵀKy - (Kᵀx)ᵀy| = {:.3e} vs scale {:.3e}); \
+             its LinOp::apply_transpose is likely the symmetric default",
+            (a - b).abs(),
+            scale
+        );
+    });
 }
 
 /// The basis side a stream's row IDs populate.
@@ -664,6 +533,12 @@ pub(crate) fn input_basis(h2: &H2Matrix, side: Side) -> &[Mat] {
         Side::Row => h2.col_basis(),
         Side::Col => &h2.basis,
     }
+}
+
+/// [`input_basis`] at the nodes `ids`, borrowed in their order.
+pub(crate) fn input_bases<'a>(h2: &'a H2Matrix, side: Side, ids: &[usize]) -> Vec<&'a Mat> {
+    let b = input_basis(h2, side);
+    ids.iter().map(|&id| &b[id]).collect()
 }
 
 /// Draw `d` fresh global samples for one stream: random inputs, the
@@ -725,67 +600,52 @@ fn dominant_direction(y: &Mat) -> Mat {
     u
 }
 
-/// Build the shared BSR subtraction/stacking structure of a level.
+/// Build the shared BSR subtraction/stacking structure of a level: the
+/// near field of the leaves, or the coupling blocks of the level's children
+/// stacked onto their parents.
 pub(crate) fn level_structure(
     tree: &ClusterTree,
     partition: &Partition,
     node_ids: &[usize],
     is_leaf: bool,
 ) -> LevelStructure {
-    if is_leaf {
-        let adj: Vec<Vec<usize>> = node_ids
-            .iter()
-            .map(|&s| {
-                partition.near_of[s]
-                    .iter()
-                    .map(|&t| tree.local_index(t))
-                    .collect()
-            })
-            .collect();
-        let mut pairs = Vec::new();
-        for &s in node_ids {
-            for &t in &partition.near_of[s] {
-                pairs.push((s, t));
-            }
-        }
-        LevelStructure {
-            pattern: BsrPattern::from_rows(&adj),
-            pairs,
-            source: BlockSource::Dense,
-            children_local: Vec::new(),
-        }
+    let (rows, source, children_local) = if is_leaf {
+        (node_ids.to_vec(), BlockSource::Dense, Vec::new())
     } else {
         let child_level = tree.level_of(node_ids[0]) + 1;
-        let child_ids: Vec<usize> = tree.level(child_level).collect();
-        let adj: Vec<Vec<usize>> = child_ids
-            .iter()
-            .map(|&s| {
-                partition.far_of[s]
-                    .iter()
-                    .map(|&t| tree.local_index(t))
-                    .collect()
-            })
-            .collect();
-        let mut pairs = Vec::new();
-        for &s in &child_ids {
-            for &t in &partition.far_of[s] {
-                pairs.push((s, t));
-            }
-        }
-        let children_local: Vec<Vec<usize>> = node_ids
+        let children_local = node_ids
             .iter()
             .map(|&p| {
                 let (c1, c2) = tree.nodes[p].children.unwrap();
                 vec![tree.local_index(c1), tree.local_index(c2)]
             })
             .collect();
-        LevelStructure {
-            pattern: BsrPattern::from_rows(&adj),
-            pairs,
-            source: BlockSource::Coupling,
+        (
+            tree.level(child_level).collect(),
+            BlockSource::Coupling,
             children_local,
-        }
+        )
+    };
+    let adj = source.adjacency(partition);
+    LevelStructure {
+        pattern: bsr_pattern(tree, adj, &rows),
+        pairs: rows
+            .iter()
+            .flat_map(|&s| adj[s].iter().map(move |&t| (s, t)))
+            .collect(),
+        source,
+        children_local,
     }
+}
+
+/// The BSR pattern of the block rows `ids` over `adj`, partners by their
+/// index within their level.
+pub(crate) fn bsr_pattern(tree: &ClusterTree, adj: &[Vec<usize>], ids: &[usize]) -> BsrPattern {
+    let rows: Vec<Vec<usize>> = ids
+        .iter()
+        .map(|&s| adj[s].iter().map(|&t| tree.local_index(t)).collect())
+        .collect();
+    BsrPattern::from_rows(&rows)
 }
 
 /// Resolve the BSR block references of a level against the H2 block stores.
@@ -828,40 +688,31 @@ fn advance_level(
     omega: VarBatch,
     fetched: Option<Vec<Vec<u64>>>,
 ) -> (VarBatch, VarBatch) {
-    // On the pipelined fabric the subtraction and the child stacking run in
-    // one chain scope: each kernel's closing flush records a dependency
-    // boundary instead of blocking, so the stacking jobs queue behind the
-    // BSR jobs' completion tickets and a single barrier closes the scope.
-    // Everything the queued jobs borrow — `blocks`, `y`, `omega` — must
-    // stay alive until `shard_chain_end`, which is why `blocks` is hoisted
-    // out of the phase closure.
+    // The subtraction and the child stacking run as one chain: the
+    // stacking jobs queue behind the BSR jobs' completion tickets. What the
+    // queued jobs borrow — `blocks`, `y`, `omega` — is bound out here.
     let blocks = resolve_blocks(h2, &structure.pairs, structure.source, side);
-    rt.shard_chain_begin();
-    rt.phase(Phase::BsrGemm, || {
-        bsr_gemm(
-            rt,
-            &structure.pattern,
-            &blocks,
-            &omega,
-            &mut y,
-            -1.0,
-            fetched,
-        );
+    let children = &structure.children_local;
+    let stacked = rt.chained(|| {
+        rt.phase(Phase::BsrGemm, || {
+            bsr_gemm(
+                rt,
+                &structure.pattern,
+                &blocks,
+                &omega,
+                &mut y,
+                -1.0,
+                fetched,
+            );
+        });
+        (!children.is_empty()).then(|| {
+            rt.phase(Phase::Misc, || {
+                let yl = stack_children(rt, &y, children);
+                (yl, stack_children(rt, &omega, children))
+            })
+        })
     });
-    let stacked = if structure.children_local.is_empty() {
-        None
-    } else {
-        Some(rt.phase(Phase::Misc, || {
-            let yl = stack_children(rt, &y, &structure.children_local);
-            let ol = stack_children(rt, &omega, &structure.children_local);
-            (yl, ol)
-        }))
-    };
-    rt.shard_chain_end();
-    match stacked {
-        None => (y, omega),
-        Some(pair) => pair,
-    }
+    stacked.unwrap_or((y, omega))
 }
 
 /// `updateSamples` (lines 13/31) for one stream: draw a fresh global sketch
@@ -872,7 +723,6 @@ fn sweep_new_samples(
     rt: &Runtime,
     sampler: &dyn LinOp,
     h2: &H2Matrix,
-    tree: &ClusterTree,
     records: &[LevelRecord],
     leaf_ranges: &[(usize, usize)],
     cur_structure: &LevelStructure,
@@ -881,7 +731,7 @@ fn sweep_new_samples(
     d: usize,
     seed: u64,
 ) -> (VarBatch, VarBatch) {
-    let n = tree.npoints();
+    let n = h2.tree.npoints();
     let (mut yv, mut om, _) =
         draw_global_samples(rt, sampler, n, d, seed, side, leaf_ranges, false);
 
@@ -892,12 +742,9 @@ fn sweep_new_samples(
         // stream's skeletons, compress the inputs by the opposite side.
         let skel_refs: Vec<&[usize]> = rec.skels_local[stream_idx]
             .iter()
-            .map(|v| v.as_slice())
+            .map(Vec::as_slice)
             .collect();
-        let bases: Vec<Mat> = {
-            let b = input_basis(h2, side);
-            rec.node_ids.iter().map(|&id| b[id].clone()).collect()
-        };
+        let bases = input_bases(h2, side, &rec.node_ids);
         yv = rt.phase(Phase::Upsweep, || shrink_rows(rt, &yl, &skel_refs));
         om = rt.phase(Phase::Upsweep, || gemm_at_x(rt, &bases, &ol));
     }

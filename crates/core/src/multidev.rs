@@ -1,20 +1,27 @@
-//! The sharded construction planned once: [`plan_construct`] lays the run
-//! of Algorithm 1 that built a matrix out as the [`Schedule`] the device
-//! fabric executes and prices (§IV.B: only `batchedBSRGemm`'s `Ω_b` fetches
-//! and the line-24 stacking communicate). A sharded run is charged from
-//! the plan: the engine calls [`plan_construct`]'s per-level step at each
-//! level's close and the fabric charges the epoch it returns. The kernels
-//! of `h2_runtime` count nothing; they issue their transfers live, from
-//! the rules the plan reads too — fetches ([`FetchPlanner`]) and merges
-//! ([`child_gathers`]) over the level structure the engine builds.
+//! The sharded construction planned once, and the fabric's side of the
+//! level loop. [`plan_construct`] lays the run of Algorithm 1 that built a
+//! matrix out as the [`Schedule`] the device fabric executes and prices
+//! (§IV.B: only `batchedBSRGemm`'s `Ω_b` fetches and the line-24 stacking
+//! communicate). A sharded run is charged from the plan: the construction
+//! engine's per-level fabric step, `FabricStep` here, calls
+//! [`plan_construct`]'s per-level step at each level's close and the fabric
+//! charges the epoch it returns. The same step issues a pipelined fabric's
+//! next-level fetches and keeps the device-loss recovery ledger; off the
+//! fabric it does nothing. The kernels of `h2_runtime` count nothing; they
+//! issue their transfers live, from the rules the plan reads too — fetches
+//! ([`FetchPlanner`]) and merges ([`child_gathers`]) over the level
+//! structure the engine builds.
 
 use crate::config::{SketchConfig, SketchStats};
-use crate::construct::{input_basis, level_structure, side_skel, LevelStructure, Side};
+use crate::construct::{
+    bsr_pattern, input_bases, input_basis, level_structure, side_skel, sides, stored,
+    LevelStructure, Side,
+};
 use h2_matrix::H2Matrix;
 use h2_runtime::multidev::cost;
 use h2_runtime::{
-    child_gathers, chunk_bounds, BsrPattern, FetchPlanner, PipelineMode, Precision, Schedule,
-    ScheduleEpoch, Transfer,
+    child_gathers, chunk_bounds, issue_bsr_fetches, BsrPattern, FetchPlanner, PipelineMode,
+    Precision, Runtime, Schedule, ScheduleEpoch, ShardDispatch, Transfer,
 };
 
 /// [`ScheduleEpoch::kernel`] of every construction epoch.
@@ -100,8 +107,8 @@ pub fn plan_construct(
 /// round sweeps through, the running sample width and the standby bytes the
 /// last level's ahead-issued fetches carry into the next epoch.
 /// [`plan_construct`] folds [`ConstructPlanner::level`] over the processed
-/// levels; a sharded engine calls the same step at each level's close and
-/// hands the epoch to the fabric to charge.
+/// levels; on a sharded run [`FabricStep::close_level`] calls the same step
+/// at each level's close and hands the epoch to the fabric to charge.
 pub(crate) struct ConstructPlanner {
     devices: usize,
     pipelined: bool,
@@ -133,11 +140,7 @@ impl ConstructPlanner {
             devices,
             pipelined: mode == PipelineMode::Pipelined,
             wire,
-            sides: if h2.is_symmetric() {
-                &[Side::Row]
-            } else {
-                &[Side::Row, Side::Col]
-            },
+            sides: sides(h2.is_symmetric()),
             top: h2.partition.top_far_level(tree).unwrap_or(leaf_level + 1),
             sample_block: cfg.sample_block,
             adaptive: cfg.adaptive,
@@ -240,10 +243,150 @@ impl ConstructPlanner {
     }
 }
 
-/// Whether `h2`'s block stores hold the pair `(s, t)`: symmetric stores
-/// hold one block per unordered pair.
-fn stored(h2: &H2Matrix, s: usize, t: usize) -> bool {
-    !h2.is_symmetric() || s <= t
+/// The fabric's side of the construction's level loop (§IV.B), a no-op off
+/// the fabric. On a sharded runtime it charges each processed level's epoch
+/// from a [`ConstructPlanner`], issues a pipelined fabric's next-level
+/// fetches as soon as a level's IDs fix their sizes, and keeps the
+/// device-loss recovery ledger.
+pub(crate) struct FabricStep<'rt>(Option<Sharded<'rt>>);
+
+struct Sharded<'rt> {
+    disp: &'rt dyn ShardDispatch,
+    planner: ConstructPlanner,
+    /// One sealed checkpoint per closed level, leaf first.
+    sealed: Vec<LevelCheckpoint>,
+    reshard_seen: u64,
+    /// Per stream, the tickets of the fetches issued ahead for the next
+    /// level's first BSR product.
+    ahead: Vec<Option<Vec<Vec<u64>>>>,
+}
+
+impl<'rt> FabricStep<'rt> {
+    /// The step for a run of `cfg` on `rt` building `h2`'s tree and
+    /// partition.
+    pub(crate) fn new(rt: &'rt Runtime, h2: &H2Matrix, cfg: &SketchConfig) -> Self {
+        FabricStep(rt.shard_dispatch().map(|d| Sharded {
+            disp: d.as_ref(),
+            planner: ConstructPlanner::new(h2, cfg, d.devices(), d.mode(), d.wire()),
+            sealed: Vec::new(),
+            reshard_seen: d.reshard_version(),
+            ahead: Vec::new(),
+        }))
+    }
+
+    /// The recovery boundary, as a level opens. A device fail-stop lands
+    /// exactly at an epoch close, so a reshard observed here interrupted
+    /// this in-flight level at worst: verify the sealed ledger, count the
+    /// recovery and go on. Running the level on the re-routed fabric is the
+    /// bounded replay; per-entry arithmetic is device-count-invariant, so
+    /// the construction stays bit-identical to a fault-free run.
+    pub(crate) fn open_level(&mut self, h2: &H2Matrix, stats: &mut SketchStats) {
+        let Some(f) = &mut self.0 else { return };
+        let v = f.disp.reshard_version();
+        if v != f.reshard_seen {
+            f.reshard_seen = v;
+            for cp in &f.sealed {
+                cp.verify(h2);
+            }
+            stats.recoveries += 1;
+            f.disp.note_recovery("construct level replay");
+        }
+    }
+
+    /// After level `l`'s IDs at sample width `width`, on a pipelined
+    /// fabric: issue the `Ω_b`/`Ψ_b` fetches of the next level's BSR
+    /// product, whose rows are this level's nodes (far-field adjacency) and
+    /// whose partner heights are the opposite side's just-computed ranks.
+    /// The copies then run behind the coupling `batchedGen` and upsweep.
+    pub(crate) fn after_id(&mut self, l: usize, h2: &H2Matrix, node_ids: &[usize], width: usize) {
+        let Some(f) = &mut self.0 else { return };
+        if !f.planner.pipelined || l <= f.planner.top || width == 0 {
+            return;
+        }
+        let pattern = bsr_pattern(&h2.tree, &h2.partition.far_of, node_ids);
+        let fetch = |&side: &Side| {
+            let x_rows: Vec<usize> = input_bases(h2, side, node_ids)
+                .iter()
+                .map(|b| b.cols())
+                .collect();
+            Some(issue_bsr_fetches(f.disp, &pattern, &x_rows, width))
+        };
+        f.ahead = f.planner.sides.iter().map(fetch).collect();
+    }
+
+    /// The tickets of the fetches issued ahead for stream `k`'s next BSR
+    /// product (`None`: it issues its own).
+    pub(crate) fn tickets(&mut self, k: usize) -> Option<Vec<Vec<u64>>> {
+        self.0.as_mut()?.ahead.get_mut(k)?.take()
+    }
+
+    /// Close processed level `l` (nodes `node_ids`, `rounds` adaptive
+    /// rounds): charge the fabric its epoch of [`plan_construct`], then seal
+    /// its checkpoint. Sealing after the epoch boundary, where a scheduled
+    /// fail-stop takes effect, keeps out of the ledger any level the loss
+    /// could have interrupted.
+    pub(crate) fn close_level(
+        &mut self,
+        h2: &H2Matrix,
+        l: usize,
+        rounds: usize,
+        node_ids: &[usize],
+        stats: &mut SketchStats,
+    ) {
+        let Some(f) = &mut self.0 else { return };
+        f.disp.epoch(&f.planner.level(h2, l, rounds));
+        f.sealed.push(LevelCheckpoint::seal(l, node_ids, h2));
+        stats.checkpoints += 1;
+    }
+
+    /// Charge an all-dense partition's only epoch (see
+    /// [`ConstructPlanner::tail`]).
+    pub(crate) fn tail(&self, h2: &H2Matrix) {
+        if let Some(f) = &self.0 {
+            f.disp.epoch(&f.planner.tail(h2));
+        }
+    }
+}
+
+/// One sealed level: its node ids and the skeleton widths its bases
+/// committed into the `H2Matrix`, row side then (unsymmetric only) column
+/// side.
+struct LevelCheckpoint {
+    level: usize,
+    node_ids: Vec<usize>,
+    widths: Vec<usize>,
+}
+
+impl LevelCheckpoint {
+    fn seal(level: usize, node_ids: &[usize], h2: &H2Matrix) -> Self {
+        LevelCheckpoint {
+            level,
+            node_ids: node_ids.to_vec(),
+            widths: Self::widths(node_ids, h2),
+        }
+    }
+
+    fn widths(node_ids: &[usize], h2: &H2Matrix) -> Vec<usize> {
+        let sides = sides(h2.is_symmetric()).iter();
+        sides
+            .flat_map(|&side| {
+                node_ids
+                    .iter()
+                    .map(move |&id| side_skel(h2, side)[id].len())
+            })
+            .collect()
+    }
+
+    /// Assert the sealed level's committed state is still what it was at
+    /// seal time (nothing a later topology change may have clobbered).
+    fn verify(&self, h2: &H2Matrix) {
+        assert_eq!(
+            self.widths,
+            Self::widths(&self.node_ids, h2),
+            "construct checkpoint L{} violated after reshard",
+            self.level
+        );
+    }
 }
 
 /// The near-field blocks' shapes, in the engine's `batchedGen` order.
@@ -442,8 +585,10 @@ mod tests {
     use super::*;
     use crate::sketch_construct;
     use h2_kernels::{ExponentialKernel, KernelMatrix};
-    use h2_runtime::{DeviceModel, Runtime, TransferKind};
+    use h2_runtime::{DeviceModel, ShardJob, TransferKind};
     use h2_tree::{Admissibility, ClusterTree, Partition};
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Arc, OnceLock};
 
     fn built(n: usize, seed: u64) -> H2Matrix {
@@ -741,6 +886,113 @@ mod tests {
     fn single_device_no_comm_for_real_problem() {
         let h2 = sym();
         assert_eq!(plan(h2, 256, 1).total_comm_bytes(), 0);
+    }
+
+    /// A fabric that runs no job and moves no byte: just enough
+    /// `ShardDispatch` for the step's ledger, its reshard version bumped by
+    /// hand.
+    #[derive(Default)]
+    struct LedgerOnly {
+        reshard: AtomicU64,
+        noted: AtomicUsize,
+    }
+
+    impl ShardDispatch for LedgerOnly {
+        fn devices(&self) -> usize {
+            2
+        }
+        fn run<'a>(&self, _: Vec<ShardJob<'a>>) {
+            unreachable!("the ledger runs no job")
+        }
+        fn epoch(&self, _: &ScheduleEpoch) {}
+        fn wire(&self) -> Precision {
+            Precision::F64
+        }
+        fn mode(&self) -> PipelineMode {
+            PipelineMode::Synchronous
+        }
+        fn issue(&self, _: Transfer) -> u64 {
+            unreachable!("the ledger moves no byte")
+        }
+        unsafe fn enqueue<'a>(&self, _: usize, _: &[u64], _: ShardJob<'a>) -> u64 {
+            unreachable!("the ledger runs no job")
+        }
+        fn flush(&self) {}
+        fn chain_begin(&self) {}
+        fn chain_end(&self) {}
+        fn fault_plan(&self) -> Option<Arc<h2_fault::FaultPlan>> {
+            None
+        }
+        fn fault_occurrence(&self, _: u64) -> u32 {
+            0
+        }
+        fn reshard_version(&self) -> u64 {
+            self.reshard.load(Ordering::SeqCst)
+        }
+        fn note_recovery(&self, _: &str) {
+            self.noted.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn clobbered_sealed_level_violates_its_checkpoint() {
+        let h2 = sym();
+        let fabric = Arc::new(LedgerOnly::default());
+        let rt = Runtime::sharded(fabric.clone());
+        let mut step = FabricStep::new(&rt, h2, &one_pass(48));
+        let mut stats = SketchStats::default();
+        let leaf = h2.tree.leaf_level();
+        let leaves: Vec<usize> = h2.tree.level(leaf).collect();
+        step.close_level(h2, leaf, 0, &leaves, &mut stats);
+        assert_eq!(stats.checkpoints, 1);
+
+        // An intact ledger passes a reshard, counted once.
+        fabric.reshard.fetch_add(1, Ordering::SeqCst);
+        step.open_level(h2, &mut stats);
+        step.open_level(h2, &mut stats);
+        assert_eq!(
+            (stats.recoveries, fabric.noted.load(Ordering::SeqCst)),
+            (1, 1)
+        );
+
+        // A sealed skeleton width that changed behind the ledger fails it.
+        let mut skel = h2.skel.clone();
+        let id = *leaves.iter().find(|&&id| !skel[id].is_empty()).unwrap();
+        skel[id].pop();
+        let clobbered = H2Matrix {
+            skel,
+            ..H2Matrix::new_shell(h2.tree.clone(), h2.partition.clone())
+        };
+        fabric.reshard.fetch_add(1, Ordering::SeqCst);
+        let open = AssertUnwindSafe(|| step.open_level(&clobbered, &mut stats));
+        let payload = std::panic::catch_unwind(open).expect_err("the ledger must catch it");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            msg.contains(&format!("construct checkpoint L{leaf} violated")),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn off_the_fabric_the_step_does_nothing() {
+        let h2 = sym();
+        let rt = Runtime::sequential();
+        let mut step = FabricStep::new(&rt, h2, &one_pass(48));
+        let mut stats = SketchStats::default();
+        let top = h2.partition.top_far_level(&h2.tree).unwrap();
+        let leaf = h2.tree.leaf_level();
+        for l in (top..=leaf).rev() {
+            let nodes: Vec<usize> = h2.tree.level(l).collect();
+            step.open_level(h2, &mut stats);
+            step.after_id(l, h2, &nodes, 48);
+            assert!(step.tickets(0).is_none());
+            step.close_level(h2, l, 0, &nodes, &mut stats);
+        }
+        step.tail(h2);
+        assert_eq!((stats.checkpoints, stats.recoveries), (0, 0));
+        assert_eq!(rt.profile().total_launches(), 0);
     }
 
     #[test]

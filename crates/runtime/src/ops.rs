@@ -255,7 +255,7 @@ pub fn shrink_rows(rt: &Runtime, batch: &VarBatch, skels: &[&[usize]]) -> VarBat
 
 /// `batchedGemm` (transposed-A form): per entry `out_i = A_i^T X_i`
 /// (`Ω^{l+1}_τ = U_τ^T Ω^l_τ` / `E^T Ω`, Algorithm 1 lines 18/36).
-pub fn gemm_at_x(rt: &Runtime, a: &[Mat], x: &VarBatch) -> VarBatch {
+pub fn gemm_at_x(rt: &Runtime, a: &[&Mat], x: &VarBatch) -> VarBatch {
     assert_eq!(a.len(), x.count());
     rt.launch(Kernel::Gemm);
     let d = if x.count() > 0 { x.cols_of(0) } else { 0 };
@@ -475,7 +475,7 @@ mod tests {
             let x = gaussian_mat(6, 3, 8);
             let mut b = VarBatch::zeros_uniform_cols(vec![6], 3);
             b.set(0, x.rf());
-            let out = gemm_at_x(&rt, std::slice::from_ref(&u), &b);
+            let out = gemm_at_x(&rt, &[&u], &b);
             let want = h2_dense::matmul(Op::Trans, Op::NoTrans, u.rf(), x.rf());
             let mut d = out.to_mat(0);
             d.axpy(-1.0, &want);

@@ -19,7 +19,7 @@
 //!   them).
 
 use crate::batch::{cost_chunk_bounds, VarBatch};
-use crate::multidev::{owner, ScheduleEpoch};
+use crate::multidev::owner;
 use crate::profile::{Kernel, Phase, Profile};
 use crate::shard::{ShardDispatch, ShardJob};
 use h2_dense::{MatMut, MatRef};
@@ -106,33 +106,24 @@ impl Runtime {
         }
     }
 
-    /// Charge the fabric `epoch`'s planned counts and close it (no-op unless
-    /// sharded). The construction level loop calls this once per processed
-    /// level with that level's epoch of `h2_core::plan_construct`.
-    pub fn shard_epoch(&self, epoch: &ScheduleEpoch) {
-        if let Some(d) = self.shard_dispatch() {
-            d.epoch(epoch);
-        }
-    }
-
-    /// Open a cross-kernel chain scope on the fabric (no-op unless sharded
-    /// and pipelined): until [`Runtime::shard_chain_end`], each kernel's
-    /// closing `flush` records a dependency boundary instead of blocking,
-    /// so consecutive batched kernels run back-to-back per device, ordered
-    /// by job-completion tickets across devices.
-    pub fn shard_chain_begin(&self) {
-        if let Some(d) = self.shard_dispatch() {
-            d.chain_begin();
-        }
-    }
-
-    /// Close the chain scope and run the real barrier (no-op unless
-    /// sharded). Every host-side read of job-produced data must sit after
-    /// this point.
-    pub fn shard_chain_end(&self) {
-        if let Some(d) = self.shard_dispatch() {
-            d.chain_end();
-        }
+    /// Run `f` as one chain scope of a pipelined fabric: each kernel's
+    /// closing flush inside it records a dependency boundary instead of
+    /// blocking, so consecutive batched kernels run back-to-back per device,
+    /// ordered by job-completion tickets, and one real barrier closes the
+    /// scope before `chained` returns. Off the fabric it just runs `f`.
+    ///
+    /// Borrow rule: every buffer a chained job borrows is bound outside the
+    /// closure, since a queued job may still read it when `f` returns.
+    /// Host code inside may plan from shapes but never reads job-written
+    /// data before `chained` returns.
+    pub fn chained<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some(d) = self.shard_dispatch() else {
+            return f();
+        };
+        d.chain_begin();
+        let r = f();
+        d.chain_end();
+        r
     }
 
     pub fn profile(&self) -> &Profile {
@@ -231,7 +222,7 @@ impl Runtime {
     /// marshaling kernels, whose flop formula is zero). On a sharded
     /// backend device `dev`'s job waits for `deps[dev]` (transfer tickets
     /// issued ahead of the kernel, or none), and the call is chain-capable
-    /// as described at [`Runtime::shard_chain_begin`].
+    /// as described at [`Runtime::chained`].
     pub fn for_each_entry<F, C>(&self, batch: &mut VarBatch, deps: &[Vec<u64>], flops_of: C, f: F)
     where
         F: Fn(usize, MatMut<'_>) + Send + Sync,
@@ -335,6 +326,18 @@ mod tests {
             let v = rt.map(50, |i| (i * i * i) as f64, |i| i * i);
             assert_eq!(v, (0..50).map(|i| i * i).collect::<Vec<_>>());
             assert!(rt.map(0, |_| 1.0, |i| i).is_empty());
+        }
+    }
+
+    #[test]
+    fn chained_off_the_fabric_returns_its_value_and_issues_nothing() {
+        for rt in [Runtime::sequential(), Runtime::parallel()] {
+            assert_eq!(rt.chained(|| 7), 7);
+            let v = rt.chained(|| rt.map(20, |_| 1.0, |i| 2 * i));
+            assert_eq!(v, (0..20).map(|i| 2 * i).collect::<Vec<_>>());
+            // No dispatch to issue to, and the scope itself launches nothing.
+            assert!(rt.shard_dispatch().is_none());
+            assert_eq!(rt.profile().total_launches(), 0);
         }
     }
 

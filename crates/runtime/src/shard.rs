@@ -43,10 +43,11 @@
 //! * [`ShardDispatch::flush`] is the barrier, issued once per kernel call
 //!   (or once per chain scope of kernels).
 //!
-//! On a pipelined fabric the construction engine issues the next level's
-//! `Ω_b` fetches as soon as the current level's IDs fix the block sizes
-//! ([`crate::issue_bsr_fetches`]), keeps the returned tickets with the
-//! stream, and hands them to that level's `batchedBSRGemm`, so the copies
+//! On a pipelined fabric the construction's per-level fabric step
+//! (`h2_core::multidev`) issues the next level's `Ω_b` fetches as soon as
+//! the current level's IDs fix the block sizes
+//! ([`crate::issue_bsr_fetches`]), keeps the returned tickets per stream,
+//! and hands them to that level's `batchedBSRGemm`, so the copies
 //! run behind the current level's `batchedGen`/upsweep compute. Every other
 //! call issues its own fetches. Both go through the one [`FetchPlanner`]
 //! the construction plan reads, so a descriptor is the same record whether
@@ -304,8 +305,8 @@ pub trait ShardDispatch: Send + Sync {
 
     /// Version of the logical-to-physical reshard map. Bumps when a device
     /// fail-stop makes survivors adopt the lost shard's node ownership;
-    /// the construction level loop observes a change and replays only the
-    /// in-flight level from its last sealed checkpoint.
+    /// the construction's per-level fabric step observes a change and
+    /// replays only the in-flight level from its last sealed checkpoint.
     fn reshard_version(&self) -> u64;
 
     /// Record one bounded-recovery event at a named site (poison

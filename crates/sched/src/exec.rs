@@ -6,9 +6,13 @@
 //! §IV.B go on the explicit transfer queue, and each processed level closes
 //! one accounting epoch, charged from the plan. Every run is its plan:
 //! [`h2_core::plan_construct`] lays the run out — its configuration and the
-//! adaptive rounds its statistics record — with the per-level step the
-//! engine charges each epoch from, and [`ExecReport::check`] compares the
-//! two exactly, the transfers the kernels issued live included.
+//! adaptive rounds its statistics record — with the per-level step each
+//! epoch is charged from, and [`ExecReport::check`] compares the two
+//! exactly, the transfers the kernels issued live included. The
+//! construction engine itself knows no device: the per-level fabric step
+//! that charges the epochs, issues the pipelined next-level fetches and
+//! keeps the recovery ledger lives in [`h2_core::multidev`], beside the
+//! planner.
 
 use crate::fabric::{DeviceFabric, ExecReport};
 use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig, SketchStats};

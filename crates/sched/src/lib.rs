@@ -63,17 +63,19 @@
 //! to an overlapped schedule, each piece described in the [`fabric`] module
 //! docs: ordered per-device queues whose jobs carry completion tickets
 //! ([`DeviceFabric::enqueue`]; [`DeviceFabric::flush`] is the only
-//! barrier); chain scopes ([`DeviceFabric::chain_begin`]) that turn a
-//! sequence of kernels — the construction level's `bsr_gemm →
-//! stack_children` and `shrink_rows → gemm_at_x`, the matvec's
-//! upsweep→coupling handoff — into one flush scope with one real barrier
-//! (everything a chained job borrows must outlive `chain_end`, and host
-//! code inside a scope may plan from shapes but never read job-written
-//! data); an asynchronous prefetch stage behind the one transfer-issue call
-//! [`DeviceFabric::issue`], through which the construction engine issues
-//! the next level's `Ω_b`/`Ψ_b` fetches ([`h2_runtime::issue_bsr_fetches`])
-//! as soon as the current level's IDs fix their sizes, their bytes held in
-//! the arena of both the issuing and the consuming epoch. Per-device queue order
+//! barrier); chain scopes ([`DeviceFabric::chain_begin`], opened by
+//! [`h2_runtime::Runtime::chained`]) that turn a sequence of kernels — the
+//! construction level's `bsr_gemm → stack_children` and `shrink_rows →
+//! gemm_at_x`, the matvec's upsweep→coupling handoff — into one flush scope
+//! with one real barrier (everything a chained job borrows is bound outside
+//! the scope, and host code inside a scope may plan from shapes but never
+//! read job-written data); an asynchronous prefetch stage behind the one
+//! transfer-issue call [`DeviceFabric::issue`], through which the
+//! construction's per-level fabric step ([`h2_core::multidev`], the one
+//! place the construction meets the fabric) issues the next level's
+//! `Ω_b`/`Ψ_b` fetches ([`h2_runtime::issue_bsr_fetches`]) as soon as the
+//! current level's IDs fix their sizes, their bytes held in the arena of
+//! both the issuing and the consuming epoch. Per-device queue order
 //! and per-row arithmetic are the same in both modes, so outputs are
 //! bit-identical — `tests/pipeline.rs` asserts it, also under an injected
 //! transfer-delay hook that randomizes prefetch completion order.
@@ -121,8 +123,9 @@
 //!   device's queue routing to the lowest surviving device at the epoch
 //!   boundary and bumps [`DeviceFabric::reshard_version`]; ownership and
 //!   accounting stay logical, so byte totals are unchanged while the
-//!   physical workers shrink. The construction level loop checkpoints per
-//!   level and replays only the in-flight level on a version change.
+//!   physical workers shrink. The construction's per-level fabric step
+//!   checkpoints per level and replays only the in-flight level on a
+//!   version change.
 //! * **Poison recovery** — the sketching kernels finite-check their
 //!   outputs at the poison sites and deterministically recompute exactly
 //!   the poisoned columns, reporting each repair through

@@ -174,7 +174,7 @@ fn products_run_each_entry_on_its_owner() {
             let a: Vec<Mat> = (0..N)
                 .map(|i| gaussian_mat(h[i] + usize::from(i == bad), 2, 4 + i as u64))
                 .collect();
-            let got = failing_device(|| drop(gemm_at_x(&rt, &a, &x)));
+            let got = failing_device(|| drop(gemm_at_x(&rt, &a.iter().collect::<Vec<_>>(), &x)));
             assert_eq!(got, want, "gemm_at_x entry {bad} on D = {devices}");
 
             // batched_lu: entry `bad` is not square.
@@ -305,7 +305,11 @@ fn all_kernels(rt: &Runtime, h: &[usize]) -> Vec<Vec<Vec<u64>>> {
     let bases: Vec<Mat> = (0..n)
         .map(|i| gaussian_mat(h[i], 2, 20 + i as u64))
         .collect();
-    out.push(bits_of(&gemm_at_x(rt, &bases, &x)));
+    out.push(bits_of(&gemm_at_x(
+        rt,
+        &bases.iter().collect::<Vec<_>>(),
+        &x,
+    )));
     let wide = batch_of(h, &vec![2; n], 30);
     out.push(bits_of(&hcat_batches(rt, &x, &wide)));
     let mins = qr_min_rdiag(rt, &x);

@@ -544,7 +544,20 @@ impl UlvFactor {
     /// Solve `K_H2 X = B` for a block of right-hand sides (tree-permuted
     /// coordinates). O(N k) per column.
     pub fn solve(&self, b: &Mat) -> Mat {
+        let mut x = Mat::zeros(self.n, b.cols());
+        self.solve_into(b.rf(), x.rm());
+        x
+    }
+
+    /// [`UlvFactor::solve`] into a caller-owned `x` of `b`'s shape, which
+    /// it overwrites.
+    pub fn solve_into(&self, b: MatRef<'_>, mut x: MatMut<'_>) {
         assert_eq!(b.rows(), self.n, "ulv solve: rhs rows");
+        assert_eq!(
+            (x.rows(), x.cols()),
+            (b.rows(), b.cols()),
+            "ulv solve: solution shape"
+        );
         let d = b.cols();
         let tree = &self.tree;
         let sweep = self.sweep();
@@ -552,7 +565,9 @@ impl UlvFactor {
         let nnodes = tree.nodes.len();
 
         if leaf_level == 0 {
-            return self.root_lu.solve(b);
+            x.copy_from(b);
+            self.root_lu.solve_in_place(&mut x);
+            return;
         }
 
         // ---- forward pass: rotate, eliminate, reduce ----
@@ -580,8 +595,8 @@ impl UlvFactor {
         // ---- root solve ----
         let xroot = sweep.root_solve(&bred[0].take().expect("root rhs"));
 
-        // ---- backward pass: distribute, back-substitute, un-rotate ----
-        let mut x = Mat::zeros(self.n, d);
+        // ---- backward pass: distribute, back-substitute, un-rotate (the
+        // leaves' ranges cover every row of `x`) ----
         let mut xred: Vec<Option<Mat>> = (0..nnodes).map(|_| None).collect();
         {
             let (c1, c2) = tree.nodes[0].children.unwrap();
@@ -597,7 +612,8 @@ impl UlvFactor {
                 let xt = sweep.backward_node(id, &x1, b2);
                 if l == leaf_level {
                     let (lo, hi) = tree.range(id);
-                    x.view_mut(lo, 0, hi - lo, d)
+                    x.rb_mut()
+                        .into_view(lo, 0, hi - lo, d)
                         .copy_from(xt.view(0, 0, hi - lo, d));
                 } else {
                     let (c1, c2) = tree.nodes[id].children.unwrap();
@@ -608,7 +624,6 @@ impl UlvFactor {
                 }
             }
         }
-        x
     }
 
     /// Solve for a single right-hand side.
@@ -887,8 +902,8 @@ impl Preconditioner for UlvFactor {
         self.n
     }
 
-    fn apply_inv_into(&self, r: MatRef<'_>, mut z: MatMut<'_>) {
-        z.copy_from(self.solve(&r.to_mat()).rf());
+    fn apply_inv_into(&self, r: MatRef<'_>, z: MatMut<'_>) {
+        self.solve_into(r, z);
     }
 }
 
