@@ -190,8 +190,9 @@ pub mod stats {
 }
 
 /// The SIMD compilation tier the microkernel dispatcher selected for this
-/// host, detected once per process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// host, detected once per process. Tiers are ordered: a host supports
+/// every tier up to the one detected.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Portable baseline (the compiler's default codegen, SSE2 on x86-64).
     Baseline,

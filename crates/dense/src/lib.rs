@@ -16,11 +16,12 @@
 //!   level-2 [`QrFactor::apply_q`] / [`QrFactor::apply_qt`] whose result
 //!   per column is bit-identical at every right-hand-side width (the
 //!   solve-sweep kernel, as [`gemm_rhs`] is to [`gemm`](gemm::gemm)),
-//! * column-group right-hand-side kernels: the Householder reflector
-//!   application (level-2 `Q` / `Qᵀ`, the QR panel and CPQR trailing
-//!   updates) and the left triangular solves (and so
-//!   [`LuFactor::solve_in_place`]) work on four columns per pass, each
-//!   column's floating-point operations and their order unchanged,
+//! * right-hand-side strip kernels: the level-2 `Q` / `Qᵀ` application,
+//!   the left triangular solves, [`LuFactor::solve_in_place`] and
+//!   [`cholesky_solve`] interleave up to 32 columns row by row and run one
+//!   vector lane per column (the factorizations' one-reflector trailing
+//!   updates keep four-column groups), each column's floating-point
+//!   operations and their order unchanged,
 //! * column-pivoted QR and interpolative decompositions ([`cpqr`]) — the
 //!   skeletonization step; the factorization stops at the rank the
 //!   truncation rule keeps,
@@ -49,6 +50,7 @@ pub mod op;
 pub mod prec;
 pub mod qr;
 pub mod rand;
+mod strip;
 pub mod svd;
 pub mod tri;
 

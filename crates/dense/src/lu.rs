@@ -3,13 +3,15 @@
 //! LU backs the ULV's pivot-block and root solves, the block-Jacobi
 //! preconditioner, the dense linear solves in tests and the Gaussian-process
 //! example; Cholesky is the pivot-block factorization inside the
-//! multifrontal solver (`h2-frontal`). [`LuFactor::solve_in_place`] swaps
-//! the pivot rows and runs the two column-group triangular solves of
-//! [`crate::tri`], so column `j` of a solve is bit-identical at every
-//! right-hand-side width.
+//! multifrontal solver (`h2-frontal`). [`LuFactor::solve_in_place`] and
+//! [`cholesky_solve`] run as one right-hand-side strip kernel each (see
+//! [`crate::tri`]): a strip is marshaled once, then pivoted and swept by
+//! both triangular substitutions, so column `j` of a solve is
+//! bit-identical at every right-hand-side width.
 
 use crate::mat::{Mat, MatMut, MatRef};
-use crate::tri::{solve_triangular_left, solve_triangular_left_transposed, Diag, Triangle};
+use crate::strip::{for_strips, StripKernel};
+use crate::tri::{Diag, TriSolve, Triangle};
 
 /// Packed LU factor with pivot row indices.
 pub struct LuFactor {
@@ -66,21 +68,8 @@ pub fn lu_factor(mut a: Mat) -> Option<LuFactor> {
 impl LuFactor {
     /// Solve `A X = B` in place.
     pub fn solve_in_place(&self, b: &mut MatMut<'_>) {
-        let n = self.a.rows();
-        assert_eq!(b.rows(), n);
-        // Apply row pivots.
-        for k in 0..n {
-            let p = self.piv[k];
-            if p != k {
-                for j in 0..b.cols() {
-                    let t = b.at(k, j);
-                    *b.at_mut(k, j) = b.at(p, j);
-                    *b.at_mut(p, j) = t;
-                }
-            }
-        }
-        solve_triangular_left(Triangle::Lower, Diag::Unit, self.a.rf(), b);
-        solve_triangular_left(Triangle::Upper, Diag::NonUnit, self.a.rf(), b);
+        assert_eq!(b.rows(), self.a.rows());
+        for_strips(b, self);
     }
 
     /// Solve `A X = B`, returning `X`.
@@ -88,6 +77,22 @@ impl LuFactor {
         let mut x = b.clone();
         self.solve_in_place(&mut x.rm());
         x
+    }
+}
+
+/// The LU solve on a strip: the row pivots, then `L` (unit diagonal)
+/// forward and `U` backward.
+impl StripKernel for LuFactor {
+    #[inline(always)]
+    fn run<const L: usize>(&self, x: &mut [[f64; L]]) {
+        for (k, &p) in self.piv.iter().enumerate() {
+            if p != k {
+                x.swap(k, p);
+            }
+        }
+        let a = self.a.rf();
+        TriSolve::new(Triangle::Lower, Diag::Unit, a, false).run(x);
+        TriSolve::new(Triangle::Upper, Diag::NonUnit, a, false).run(x);
     }
 }
 
@@ -122,8 +127,20 @@ pub fn cholesky_in_place(a: &mut MatMut<'_>) -> Result<(), usize> {
 
 /// Cholesky solve `A X = B` given the in-place factor `L` (lower triangle).
 pub fn cholesky_solve(l: MatRef<'_>, b: &mut MatMut<'_>) {
-    solve_triangular_left(Triangle::Lower, Diag::NonUnit, l, b);
-    solve_triangular_left_transposed(Triangle::Lower, Diag::NonUnit, l, b);
+    assert_eq!(l.cols(), l.rows(), "cholesky: factor must be square");
+    assert_eq!(b.rows(), l.rows(), "rhs row mismatch");
+    for_strips(b, &CholeskySolve(l));
+}
+
+/// The Cholesky solve on a strip: `L` forward, then `Lᵀ` backward.
+struct CholeskySolve<'a>(MatRef<'a>);
+
+impl StripKernel for CholeskySolve<'_> {
+    #[inline(always)]
+    fn run<const L: usize>(&self, x: &mut [[f64; L]]) {
+        TriSolve::new(Triangle::Lower, Diag::NonUnit, self.0, false).run(x);
+        TriSolve::new(Triangle::Lower, Diag::NonUnit, self.0, true).run(x);
+    }
 }
 
 #[cfg(test)]
@@ -131,6 +148,47 @@ mod tests {
     use super::*;
     use crate::gemm::{matmul, Op};
     use crate::rand::gaussian_mat;
+    use crate::strip::{for_strips_on, host_tiers};
+    use crate::tri::solve_columns_ref;
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_tier_solves_columnwise_as_the_reference_loops() {
+        let n = 41;
+        // Off-diagonal entries large enough that partial pivoting swaps rows.
+        let lu = lu_factor(gaussian_mat(n, n, 46)).unwrap();
+        assert!(lu.piv.iter().enumerate().any(|(k, &p)| p != k));
+        let mut l = spd(n, 47);
+        cholesky_in_place(&mut l.rm()).unwrap();
+        let b0 = gaussian_mat(n, 67, 48);
+        for tier in host_tiers() {
+            for d in [1, 2, 31, 32, 33, 64, 67] {
+                let mut want = b0.view(0, 0, n, d).to_mat();
+                for (k, &p) in lu.piv.iter().enumerate() {
+                    for j in 0..d {
+                        let t = want[(k, j)];
+                        want[(k, j)] = want[(p, j)];
+                        want[(p, j)] = t;
+                    }
+                }
+                solve_columns_ref(Triangle::Lower, Diag::Unit, lu.a.rf(), false, &mut want);
+                solve_columns_ref(Triangle::Upper, Diag::NonUnit, lu.a.rf(), false, &mut want);
+                let mut got = b0.view(0, 0, n, d).to_mat();
+                for_strips_on(tier, &mut got.rm(), &lu);
+                assert_eq!(bits(&got), bits(&want), "LU {tier:?} width {d}");
+
+                let mut want = b0.view(0, 0, n, d).to_mat();
+                solve_columns_ref(Triangle::Lower, Diag::NonUnit, l.rf(), false, &mut want);
+                solve_columns_ref(Triangle::Lower, Diag::NonUnit, l.rf(), true, &mut want);
+                let mut got = b0.view(0, 0, n, d).to_mat();
+                for_strips_on(tier, &mut got.rm(), &CholeskySolve(l.rf()));
+                assert_eq!(bits(&got), bits(&want), "Cholesky {tier:?} width {d}");
+            }
+        }
+    }
 
     fn spd(n: usize, seed: u64) -> Mat {
         let g = gaussian_mat(n, n, seed);

@@ -9,12 +9,12 @@
 
 use std::fmt;
 
-/// Columns per pass of the right-hand-side kernels
-/// ([`MatMut::for_column_groups`]): the Householder reflector application
-/// and the triangular solves load each factor entry once for `W` columns
-/// and run `W` independent add chains. Four measured fastest on an x86-64
-/// baseline (SSE2) build: ahead of two and eight for the reflector kernel,
-/// ahead of eight for the triangular one.
+/// Columns per pass of the factorizations' one-reflector trailing updates
+/// ([`MatMut::for_column_groups`], the QR panel kernel and CPQR): the group
+/// loads each reflector entry once for `W` columns and runs `W` independent
+/// add chains. Four measured fastest on an x86-64 baseline (SSE2) build,
+/// ahead of two and eight. (Right-hand-side blocks run in strips
+/// instead, `crate::strip`.)
 pub(crate) const W: usize = 4;
 
 /// An owning, column-major, `f64` matrix with `ld == rows`.

@@ -31,21 +31,24 @@
 //! `D̃ = Qᵀ D P`, forming `Q`). Its GEMMs choose their kernel from the full
 //! shape of the block, so column `j` of the result may depend in the last
 //! bits on how many columns ride along. The level-2
-//! [`QrFactor::apply_q`] / [`QrFactor::apply_qt`] sweep the reflectors one
-//! at a time and apply each to `W = 4` columns per pass: the group shares
-//! every load of the reflector and runs four independent dot-product
-//! chains, while each column's operation sequence (`s = c₀`,
-//! `s += vᵢ·xᵢ` in `i` order, `s *= τ`, `c₀ −= s`, `xᵢ −= s·vᵢ`) is the one
-//! it has alone; the `cols % 4` columns after the last group run the same
-//! kernel one at a time. So **column `j` of their result is bit-identical at
-//! every right-hand-side width**, which is the contract the blocked ULV
-//! solve sweep (`UlvSweep`, `shard_ulv_solve`) pins its blocked ==
-//! sequential identity on. They are the right-hand-side kernel; the block
-//! form is the factorization kernel — the same split as [`gemm`] /
-//! [`gemm_rhs`](crate::gemm::gemm_rhs).
+//! [`QrFactor::apply_q`] / [`QrFactor::apply_qt`] run on strips: up to 32
+//! columns are interleaved so that row `i` of the strip holds their
+//! entries `i` (`crate::strip`), and every reflector is swept over the
+//! strip with one vector lane per column. Each lane's operation sequence
+//! (`s = c₀`, `s += vᵢ·xᵢ` in `i` order, `s *= τ`, `c₀ −= s`, `xᵢ −= s·vᵢ`)
+//! is the one its column has alone, a single column runs the one-lane
+//! instance in place, and nothing is fused into a multiply-add. So
+//! **column `j` of their result is bit-identical at every right-hand-side
+//! width**, which is the contract the blocked ULV solve sweep (`UlvSweep`,
+//! `shard_ulv_solve`) pins its blocked == sequential identity on. They are
+//! the right-hand-side kernel; the block form is the factorization kernel —
+//! the same split as [`gemm`] / [`gemm_rhs`](crate::gemm::gemm_rhs). The
+//! factorizations' own one-reflector trailing updates (the panel kernel,
+//! CPQR) keep the four-column groups of `house_apply`.
 
 use crate::gemm::{gemm, Op};
 use crate::mat::{Mat, MatMut, MatRef};
+use crate::strip::{for_strips, StripKernel};
 
 /// Panel width of the blocked factorization and of the block reflectors.
 pub const NB: usize = 32;
@@ -101,7 +104,7 @@ fn qr_panel(a: &mut MatMut<'_>, tau: &mut [f64]) {
 }
 
 /// Apply the reflector `(v_tail, tau)` acting on rows `k..` to every column
-/// of `c`, four columns per pass (the level-2 right-hand-side kernel).
+/// of `c`, four columns per pass (the factorizations' trailing update).
 pub(crate) fn apply_reflector(v_tail: &[f64], tau: f64, k: usize, c: &mut MatMut<'_>) {
     c.for_column_groups(
         |g| house_apply(v_tail, tau, k, g),
@@ -143,18 +146,9 @@ pub(crate) fn house_apply<const G: usize>(v_tail: &[f64], tau: f64, r0: usize, c
     let n = v_tail.len();
     let c = c.map(|col| &mut col[r0..r0 + n + 1]);
     let mut s: [f64; G] = std::array::from_fn(|g| c[g][0]);
-    if G == 1 {
-        // The same chain; zipped, it keeps the one-column path (PCG's
-        // preconditioner solve) free of the bounds check the indexed form
-        // leaves in the loop, which costs a single chain ~5 %.
-        for (v, x) in v_tail.iter().zip(&c[0][1..]) {
-            s[0] += v * x;
-        }
-    } else {
-        for (i, &v) in v_tail.iter().enumerate() {
-            for g in 0..G {
-                s[g] += v * c[g][i + 1];
-            }
+    for (i, &v) in v_tail.iter().enumerate() {
+        for g in 0..G {
+            s[g] += v * c[g][i + 1];
         }
     }
     for (g, col) in c.into_iter().enumerate() {
@@ -163,6 +157,59 @@ pub(crate) fn house_apply<const G: usize>(v_tail: &[f64], tau: f64, r0: usize, c
         *c0 -= s;
         for (v, x) in v_tail.iter().zip(ct.iter_mut()) {
             *x -= s * v;
+        }
+    }
+}
+
+/// A factor's `Q` (or `Qᵀ`, when `transpose`) as a strip kernel.
+struct Reflect<'a> {
+    f: &'a QrFactor,
+    transpose: bool,
+}
+
+impl StripKernel for Reflect<'_> {
+    #[inline(always)]
+    fn run<const L: usize>(&self, x: &mut [[f64; L]]) {
+        reflect_strip(self.f, self.transpose, x);
+    }
+}
+
+/// Apply every stored reflector of `f` to the `L`-column strip `x` (row
+/// `i` holds the columns' entries `i`): forward for `Qᵀ`, in reverse for
+/// `Q`, skipping the `tau = 0` identities. Per lane the sequence of a
+/// reflector is `house_apply`'s — `s = c₀; s += vᵢ·xᵢ` in `i` order,
+/// `s *= tau`, `c₀ −= s`, `xᵢ −= s·vᵢ` — so its bits do not depend on `L`.
+#[inline(always)]
+fn reflect_strip<const L: usize>(f: &QrFactor, transpose: bool, x: &mut [[f64; L]]) {
+    let k = f.tau.len();
+    for step in 0..k {
+        let r = if transpose { step } else { k - 1 - step };
+        let tau = f.tau[r];
+        if tau == 0.0 {
+            continue;
+        }
+        let v_tail = &f.a.col(r)[r + 1..];
+        let (c0, xs) = x[r..].split_first_mut().expect("reflector row");
+        let mut s = *c0;
+        for (&v, xi) in v_tail.iter().zip(xs.iter()) {
+            for g in 0..L {
+                s[g] += v * xi[g];
+            }
+        }
+        for g in 0..L {
+            s[g] *= tau;
+            c0[g] -= s[g];
+        }
+        for (&v, xi) in v_tail.iter().zip(xs.iter_mut()) {
+            // The rows of this loop are independent, and LLVM's loop
+            // vectorizer would run eight of them per vector through gathers
+            // and scatters. An opaque `v` keeps the loop scalar over rows,
+            // so the row's lanes fill the vectors instead (half the time on
+            // AVX-512). One lane keeps the vectorized row loop.
+            let v = if L > 1 { std::hint::black_box(v) } else { v };
+            for g in 0..L {
+                xi[g] -= s[g] * v;
+            }
         }
     }
 }
@@ -286,28 +333,27 @@ impl QrFactor {
     /// the result does not depend on the other columns of `c` (see the
     /// module docs).
     pub fn apply_q(&self, c: &mut MatMut<'_>) {
-        let m = self.a.rows();
-        assert_eq!(c.rows(), m, "apply_q: row mismatch");
-        for k in (0..self.tau.len()).rev() {
-            self.apply_reflector(k, c);
-        }
+        assert_eq!(c.rows(), self.a.rows(), "apply_q: row mismatch");
+        for_strips(
+            c,
+            &Reflect {
+                f: self,
+                transpose: false,
+            },
+        );
     }
 
     /// `c <- Q^T c`, one reflector at a time in forward order; the same
     /// column-independence as [`Self::apply_q`].
     pub fn apply_qt(&self, c: &mut MatMut<'_>) {
-        let m = self.a.rows();
-        assert_eq!(c.rows(), m, "apply_qt: row mismatch");
-        for k in 0..self.tau.len() {
-            self.apply_reflector(k, c);
-        }
-    }
-
-    fn apply_reflector(&self, k: usize, c: &mut MatMut<'_>) {
-        let t = self.tau[k];
-        if t != 0.0 {
-            apply_reflector(&self.a.col(k)[k + 1..], t, k, c);
-        }
+        assert_eq!(c.rows(), self.a.rows(), "apply_qt: row mismatch");
+        for_strips(
+            c,
+            &Reflect {
+                f: self,
+                transpose: true,
+            },
+        );
     }
 
     /// `c <- Q c` through the block reflectors (panels in reverse order):
@@ -436,6 +482,44 @@ mod tests {
                 let tau_via = qr_in_place(&mut via.rm());
                 assert_eq!(bits(&tau_via), bits(&tau_want), "entry tau {m}x{n}");
                 assert_eq!(bits(via.as_slice()), bits(want.as_slice()));
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_reflects_columnwise_as_the_column_kernel() {
+        // Column 7 is zero: its reflector is a tau = 0 identity.
+        let mut a = gaussian_mat(90, 70, 19);
+        a.col_mut(7).fill(0.0);
+        let f = qr_factor(a);
+        assert_eq!(f.tau[7], 0.0);
+        let c0 = gaussian_mat(90, 67, 20);
+        for tier in crate::strip::host_tiers() {
+            for d in [1, 2, 31, 32, 33, 64, 67] {
+                for transpose in [false, true] {
+                    let mut want = c0.view(0, 0, 90, d).to_mat();
+                    for j in 0..d {
+                        let col = want.col_mut(j);
+                        let mut one = |r: usize| {
+                            if f.tau[r] != 0.0 {
+                                house_apply(&f.a.col(r)[r + 1..], f.tau[r], r, [&mut *col]);
+                            }
+                        };
+                        if transpose {
+                            (0..70).for_each(&mut one);
+                        } else {
+                            (0..70).rev().for_each(&mut one);
+                        }
+                    }
+                    let mut got = c0.view(0, 0, 90, d).to_mat();
+                    let kernel = Reflect { f: &f, transpose };
+                    crate::strip::for_strips_on(tier, &mut got.rm(), &kernel);
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(want.as_slice()),
+                        "{tier:?} width {d} transpose {transpose}"
+                    );
+                }
             }
         }
     }

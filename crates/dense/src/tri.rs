@@ -3,14 +3,18 @@
 //! Cholesky-based frontal elimination, and LU back-substitution.
 //!
 //! The left solves ([`solve_triangular_left`],
-//! [`solve_triangular_left_transposed`]) substitute four right-hand-side
-//! columns per pass: each entry of `T` is loaded once for the group and the
-//! four columns' dot products run as independent chains.
-//! Every column keeps its own operation sequence (rows in substitution
+//! [`solve_triangular_left_transposed`]) run their right-hand sides in
+//! strips (`crate::strip`): up to 32 columns at a time are interleaved so
+//! that row `i` of the strip holds their entries `i`, and one substitution
+//! (`substitute_strip`) sweeps all of them, one vector lane per column —
+//! each entry of `T` is loaded once for the strip. Every
+//! lane keeps its column's own operation sequence (rows in substitution
 //! order, each row's sum in ascending `l`), so column `j` of the result is
-//! bit-identical at every width and equal to the column-at-a-time loop.
+//! bit-identical at every width, on every SIMD tier, and equal to the
+//! column-at-a-time loop.
 
 use crate::mat::{MatMut, MatRef};
+use crate::strip::{for_strips, StripKernel};
 
 /// Which triangle of the coefficient matrix holds the data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,37 +35,73 @@ pub fn solve_triangular_left(tri: Triangle, diag: Diag, t: MatRef<'_>, b: &mut M
     let n = t.rows();
     assert_eq!(t.cols(), n, "triangular matrix must be square");
     assert_eq!(b.rows(), n, "rhs row mismatch");
-    let forward = tri == Triangle::Lower;
-    let coef = |i: usize, l: usize| t.at(i, l);
-    b.for_column_groups(
-        |g| substitute(n, forward, diag, coef, g),
-        |g| substitute(n, forward, diag, coef, g),
-    );
+    for_strips(b, &TriSolve::new(tri, diag, t, false));
 }
 
-/// Substitution on the `G` right-hand-side columns `b`, `T` given by
-/// `coef(i, l)`: row `i` (ascending when `forward`, else descending)
-/// becomes `(bᵢ − Σₗ coef(i, l)·bₗ) / coef(i, i)` over the rows `l` solved
-/// before it, in ascending `l` order (no division for a unit diagonal). Each
-/// column's operation sequence is fixed, so its bits do not depend on `G`;
-/// the group loads each `T` entry once and runs `G` independent chains.
+/// One left triangular solve as a strip kernel: `T X = B`, or `Tᵀ X = B`
+/// when `transposed`.
+pub(crate) struct TriSolve<'a> {
+    t: MatRef<'a>,
+    forward: bool,
+    diag: Diag,
+    transposed: bool,
+}
+
+impl<'a> TriSolve<'a> {
+    pub(crate) fn new(tri: Triangle, diag: Diag, t: MatRef<'a>, transposed: bool) -> Self {
+        // L and Uᵀ substitute forward, U and Lᵀ backward.
+        let forward = (tri == Triangle::Lower) != transposed;
+        TriSolve {
+            t,
+            forward,
+            diag,
+            transposed,
+        }
+    }
+}
+
+impl StripKernel for TriSolve<'_> {
+    #[inline(always)]
+    fn run<const L: usize>(&self, x: &mut [[f64; L]]) {
+        let (t, n) = (self.t, self.t.rows());
+        if self.transposed {
+            substitute_strip(n, self.forward, self.diag, |i, l| t.at(l, i), x);
+        } else {
+            substitute_strip(n, self.forward, self.diag, |i, l| t.at(i, l), x);
+        }
+    }
+}
+
+/// Substitution on an `L`-column strip `x` (row `i` holds the columns'
+/// entries `i`), `T` given by `coef(i, l)`: row `i` (ascending when
+/// `forward`, else descending) becomes `(xᵢ − Σₗ coef(i, l)·xₗ) / coef(i, i)`
+/// over the rows `l` solved before it, in ascending `l` order (no division
+/// for a unit diagonal). Each lane's operation sequence is the one its
+/// column has alone, so its bits do not depend on `L`; the strip loads
+/// each `T` entry once and runs `L` independent chains.
 #[inline(always)]
-fn substitute<const G: usize>(
+pub(crate) fn substitute_strip<const L: usize>(
     n: usize,
     forward: bool,
     diag: Diag,
     coef: impl Fn(usize, usize) -> f64,
-    b: [&mut [f64]; G],
+    x: &mut [[f64; L]],
 ) {
-    let b = b.map(|col| &mut col[..n]);
+    let x = &mut x[..n];
     for step in 0..n {
         let i = if forward { step } else { n - 1 - step };
-        let solved = if forward { 0..i } else { i + 1..n };
-        let mut s: [f64; G] = std::array::from_fn(|g| b[g][i]);
-        for l in solved {
-            let tv = coef(i, l);
-            for g in 0..G {
-                s[g] -= tv * b[g][l];
+        let (head, rest) = x.split_at_mut(i);
+        let (xi, tail) = rest.split_first_mut().expect("row i");
+        let (solved, l0) = if forward {
+            (&*head, 0)
+        } else {
+            (&*tail, i + 1)
+        };
+        let mut s = *xi;
+        for (o, xl) in solved.iter().enumerate() {
+            let tv = coef(i, l0 + o);
+            for g in 0..L {
+                s[g] -= tv * xl[g];
             }
         }
         if diag == Diag::NonUnit {
@@ -70,9 +110,7 @@ fn substitute<const G: usize>(
                 *v /= d;
             }
         }
-        for g in 0..G {
-            b[g][i] = s[g];
-        }
+        *xi = s;
     }
 }
 
@@ -135,13 +173,42 @@ pub fn solve_triangular_left_transposed(
     let n = t.rows();
     assert_eq!(t.cols(), n);
     assert_eq!(b.rows(), n);
-    // U^T is lower triangular, L^T upper.
-    let forward = tri == Triangle::Upper;
-    let coef = |i: usize, l: usize| t.at(l, i);
-    b.for_column_groups(
-        |g| substitute(n, forward, diag, coef, g),
-        |g| substitute(n, forward, diag, coef, g),
-    );
+    for_strips(b, &TriSolve::new(tri, diag, t, true));
+}
+
+/// `op(T) X = B` one column and one row at a time (`op(T) = Tᵀ` when
+/// `transposed`): rows in substitution order, each row's sum over the rows
+/// solved before it in ascending order — the bitwise reference of the
+/// strip kernels.
+#[cfg(test)]
+pub(crate) fn solve_columns_ref(
+    tri: Triangle,
+    diag: Diag,
+    t: MatRef<'_>,
+    transposed: bool,
+    b: &mut crate::mat::Mat,
+) {
+    let n = t.rows();
+    let forward = (tri == Triangle::Lower) != transposed;
+    let coef = |i: usize, l: usize| if transposed { t.at(l, i) } else { t.at(i, l) };
+    for j in 0..b.cols() {
+        let rows: Vec<usize> = if forward {
+            (0..n).collect()
+        } else {
+            (0..n).rev().collect()
+        };
+        for i in rows {
+            let solved = if forward { 0..i } else { i + 1..n };
+            let mut s = b[(i, j)];
+            for l in solved {
+                s -= coef(i, l) * b[(l, j)];
+            }
+            if diag == Diag::NonUnit {
+                s /= coef(i, i);
+            }
+            b[(i, j)] = s;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -150,6 +217,46 @@ mod tests {
     use crate::gemm::{matmul, Op};
     use crate::mat::Mat;
     use crate::rand::gaussian_mat;
+    use crate::strip::{for_strips_on, host_tiers};
+
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_tier_solves_columnwise_as_the_reference_loop() {
+        // Both triangles filled; each solve reads only the one it is told to.
+        let n = 37;
+        let g = gaussian_mat(n, n, 9);
+        let t = Mat::from_fn(n, n, |i, j| {
+            if i == j {
+                2.5 + g[(i, j)].abs()
+            } else {
+                0.3 * g[(i, j)]
+            }
+        });
+        let b0 = gaussian_mat(n, 67, 10);
+        for tier in host_tiers() {
+            for d in [1, 2, 31, 32, 33, 64, 67] {
+                for tri in [Triangle::Lower, Triangle::Upper] {
+                    for diag in [Diag::NonUnit, Diag::Unit] {
+                        for transposed in [false, true] {
+                            let mut want = b0.view(0, 0, n, d).to_mat();
+                            solve_columns_ref(tri, diag, t.rf(), transposed, &mut want);
+                            let mut got = b0.view(0, 0, n, d).to_mat();
+                            let kernel = TriSolve::new(tri, diag, t.rf(), transposed);
+                            for_strips_on(tier, &mut got.rm(), &kernel);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{tier:?} width {d} {tri:?} {diag:?} transposed {transposed}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn well_conditioned_tri(n: usize, tri: Triangle, seed: u64) -> Mat {
         let g = gaussian_mat(n, n, seed);

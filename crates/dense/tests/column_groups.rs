@@ -1,14 +1,15 @@
-//! The triangular solves and the LU solve run `W = 4` right-hand-side
-//! columns per pass. Each column must come out bit for bit as the
-//! column-at-a-time loops below compute it, at every width: full groups,
-//! leftovers, both together, and inside a sub-view with `ld > rows`.
+//! The triangular, LU and Cholesky solves run their right-hand sides in
+//! strips of 32 interleaved columns. Each column must come out bit for bit
+//! as the column-at-a-time loops below compute it, at every width: a single
+//! column (run in place), partial strips, full strips, strips plus a
+//! partial one, and inside a sub-view with `ld > rows`.
 
 use h2_dense::{
-    gaussian_mat, lu_factor, solve_triangular_left, solve_triangular_left_transposed, Diag, Mat,
-    MatMut, Triangle,
+    cholesky_in_place, cholesky_solve, gaussian_mat, lu_factor, matmul, solve_triangular_left,
+    solve_triangular_left_transposed, Diag, Mat, MatMut, Op, Triangle,
 };
 
-const WIDTHS: [usize; 9] = [1, 2, 3, 4, 5, 7, 8, 9, 67];
+const WIDTHS: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64, 67];
 
 /// `T X = B`, one column and one row at a time.
 fn left_ref(tri: Triangle, diag: Diag, t: &Mat, b: &mut MatMut<'_>) {
@@ -158,5 +159,27 @@ fn lu_solve_is_columnwise_the_reference_loops() {
             reference,
         );
         assert!(n < 6 || lu.piv.iter().enumerate().any(|(k, &p)| p != k));
+    }
+}
+
+#[test]
+fn cholesky_solve_is_columnwise_the_reference_loops() {
+    for n in [1, 6, 41] {
+        let g = gaussian_mat(n, n, 7 + n as u64);
+        let mut a = matmul(Op::NoTrans, Op::Trans, g.rf(), g.rf());
+        for i in 0..n {
+            a[(i, i)] += n as f64;
+        }
+        cholesky_in_place(&mut a.rm()).expect("positive definite");
+        let b0 = gaussian_mat(n, 67, 8);
+        check(
+            &format!("Cholesky n = {n}"),
+            &b0,
+            |b| cholesky_solve(a.rf(), b),
+            |b| {
+                left_ref(Triangle::Lower, Diag::NonUnit, &a, b);
+                left_transposed_ref(Triangle::Lower, Diag::NonUnit, &a, b);
+            },
+        );
     }
 }

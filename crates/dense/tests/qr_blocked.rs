@@ -108,21 +108,55 @@ fn q_thin_is_the_block_form_of_q() {
     }
 }
 
-/// Widths around the column group of the level-2 kernel (`W = 4`): single
-/// columns, partial groups, exact groups and groups plus leftovers.
-const WIDTHS: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 64, 67];
+/// Widths around the 32-column strips of the level-2 kernel: single
+/// columns (run in place), partial strips, exact strips and strips plus a
+/// partial one.
+const WIDTHS: [usize; 13] = [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 64, 67];
 
 fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// `Q c` (or `Qᵀ c`) for one column, one reflector at a time: `s = c₀`,
+/// `s += vᵢ·xᵢ` in `i` order, `s *= τ`, `c₀ −= s`, `xᵢ −= s·vᵢ`, with the
+/// `τ = 0` identities skipped.
+fn apply_ref(f: &QrFactor, c: &mut [f64], transpose: bool) {
+    let k = f.tau.len();
+    let order: Vec<usize> = if transpose {
+        (0..k).collect()
+    } else {
+        (0..k).rev().collect()
+    };
+    for r in order {
+        let tau = f.tau[r];
+        if tau == 0.0 {
+            continue;
+        }
+        let v = &f.a.col(r)[r + 1..];
+        let mut s = c[r];
+        for (i, vi) in v.iter().enumerate() {
+            s += vi * c[r + 1 + i];
+        }
+        s *= tau;
+        c[r] -= s;
+        for (i, vi) in v.iter().enumerate() {
+            c[r + 1 + i] -= s * vi;
+        }
+    }
 }
 
 #[test]
 fn level2_apply_is_column_invariant() {
     // The contract that keeps the solve sweep on the level-2 kernel: column
     // j of a wide application equals the single-column application, bit for
-    // bit, at every width — whether the column rides in a group or is left
-    // over after the last one.
-    let f = qr_factor(gaussian_mat(150, 97, 41));
+    // bit, at every width — whether the column rides in a full strip or a
+    // partial one — and each single column equals the
+    // reference loop. Column 10 is zero, so its reflector has tau = 0: an
+    // identity the reference skips.
+    let mut a = gaussian_mat(150, 97, 41);
+    a.col_mut(10).fill(0.0);
+    let f = qr_factor(a);
+    assert_eq!(f.tau[10], 0.0, "tau of the zero column");
     let c0 = gaussian_mat(150, 67, 42);
     let apply = |c: &mut h2_dense::MatMut<'_>, transpose: bool| {
         if transpose {
@@ -136,6 +170,9 @@ fn level2_apply_is_column_invariant() {
             .map(|j| {
                 let mut one = c0.view(0, j, 150, 1).to_mat();
                 apply(&mut one.rm(), transpose);
+                let mut want = c0.col(j).to_vec();
+                apply_ref(&f, &mut want, transpose);
+                assert!(same_bits(one.col(0), &want), "column {j} vs reference");
                 one
             })
             .collect();
@@ -147,17 +184,19 @@ fn level2_apply_is_column_invariant() {
                 assert!(same, "width {d}, column {j}, transpose {transpose}");
             }
         }
-        // A sub-view with ld > rows: the columns of a taller block.
-        let mut tall = Mat::zeros(157, 13);
-        tall.view_mut(3, 2, 150, 9).copy_from(c0.view(0, 0, 150, 9));
-        apply(&mut tall.view_mut(3, 2, 150, 9), transpose);
-        for j in 0..9 {
+        // A sub-view with ld > rows, a full strip and a partial one wide:
+        // the columns of a taller block.
+        let mut tall = Mat::zeros(157, 45);
+        tall.view_mut(3, 2, 150, 41)
+            .copy_from(c0.view(0, 0, 150, 41));
+        apply(&mut tall.view_mut(3, 2, 150, 41), transpose);
+        for j in 0..41 {
             let col = &tall.col(j + 2)[3..153];
             assert!(same_bits(singles[j].col(0), col), "sub-view column {j}");
         }
-        let outside = (0..13).all(|j| {
+        let outside = (0..45).all(|j| {
             let c = tall.col(j);
-            let inside = (2..11).contains(&j);
+            let inside = (2..43).contains(&j);
             c[..3].iter().chain(&c[153..]).all(|&x| x == 0.0)
                 && (inside || c.iter().all(|&x| x == 0.0))
         });

@@ -72,7 +72,9 @@ pub fn batched_lu_solve(rt: &Runtime, lus: &[LuFactor], b: &mut VarBatch) {
 
 /// Batched `b_i ← Qᵢᵀ b_i` for stored compact QR factors through their block
 /// reflectors — the ULV rotation of the (wide) diagonal blocks. Right-hand
-/// sides go through the width-invariant level-2 `QrFactor::apply_qt` instead.
+/// sides go through the level-2 `QrFactor::apply_qt` instead, which runs
+/// every reflector over strips of up to 32 interleaved columns and keeps
+/// each column's bits independent of the width.
 pub fn batched_apply_qt(rt: &Runtime, qrs: &[QrFactor], b: &mut VarBatch) {
     assert_eq!(qrs.len(), b.count(), "batched_apply_qt: count mismatch");
     rt.launch(Kernel::Gemm);

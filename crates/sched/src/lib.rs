@@ -159,6 +159,6 @@ pub use matvec::{
 };
 pub use solve::{
     plan_ulv_solve, resident_reduce_bytes, resident_reduce_hook, shard_ulv_solve,
-    shard_ulv_solve_with_report, FabricOp, UlvFabricPrecond,
+    shard_ulv_solve_into, shard_ulv_solve_with_report, FabricOp, UlvFabricPrecond,
 };
 pub use trace::{drift, export_chrome_trace, export_chrome_trace_with_spans};

@@ -12,7 +12,8 @@
 //!   [`h2_runtime::owner`], the `k > 0 && owner(child) != owner(parent)`
 //!   guard, the per-node flop counts ([`UlvFactor::forward_flops`] /
 //!   [`UlvFactor::backward_flops`]) and the workspace formula.
-//! * [`shard_ulv_solve`] **executes** it through `DeviceFabric::execute`,
+//! * [`shard_ulv_solve`] (and [`shard_ulv_solve_into`], into a caller's
+//!   buffer) **executes** it through `DeviceFabric::execute`,
 //!   whose jobs run the [`h2_solve::UlvSweep`] node kernels of the
 //!   in-process [`UlvFactor::solve`] into per-node slots — so the solution
 //!   is bit-identical to it.
@@ -172,9 +173,9 @@ impl Preconditioner for UlvFabricPrecond<'_> {
         self.ulv.n()
     }
 
-    fn apply_inv_into(&self, r: MatRef<'_>, mut z: MatMut<'_>) {
+    fn apply_inv_into(&self, r: MatRef<'_>, z: MatMut<'_>) {
         charge_resident_arena(self.fabric, self.ulv.n(), 2 * r.cols());
-        z.copy_from(shard_ulv_solve(self.fabric, self.ulv, &r.to_mat()).rf());
+        shard_ulv_solve_into(self.fabric, self.ulv, r, z);
     }
 }
 
@@ -280,8 +281,26 @@ pub fn plan_ulv_solve(
 /// Numerically identical to [`UlvFactor::solve`] — the same per-node sweep
 /// kernels run, only the scheduling differs.
 pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
+    let mut x = Mat::zeros(b.rows(), b.cols());
+    shard_ulv_solve_into(fabric, ulv, b.rf(), x.rm());
+    x
+}
+
+/// [`shard_ulv_solve`] into a caller-owned `x` of `b`'s shape, which it
+/// overwrites.
+pub fn shard_ulv_solve_into(
+    fabric: &DeviceFabric,
+    ulv: &UlvFactor,
+    b: MatRef<'_>,
+    mut x: MatMut<'_>,
+) {
     let n = ulv.n();
     assert_eq!(b.rows(), n, "shard_ulv_solve: rhs rows");
+    assert_eq!(
+        (x.rows(), x.cols()),
+        (b.rows(), b.cols()),
+        "shard_ulv_solve: solution shape"
+    );
     let d = b.cols();
     let plan = plan_ulv_solve(ulv, d, fabric.devices(), fabric.mode(), fabric.wire());
     let tree = &**ulv.tree();
@@ -322,7 +341,7 @@ pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
             }
             ROOT => {
                 let root = if tree.nodes[0].children.is_none() {
-                    sweep.root_solve(b)
+                    sweep.root_solve(&b.to_mat())
                 } else {
                     sweep.root_solve(&stacked(0))
                 };
@@ -347,14 +366,13 @@ pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
     );
 
     // Leaf row ranges tile `0..n`.
-    let mut x = Mat::zeros(n, d);
     for id in tree.level(tree.leaf_level()) {
         let (lo, hi) = tree.range(id);
         let xt = xts[id].get().expect("leaf solution");
-        x.view_mut(lo, 0, hi - lo, d)
+        x.rb_mut()
+            .into_view(lo, 0, hi - lo, d)
             .copy_from(xt.view(0, 0, hi - lo, d));
     }
-    x
 }
 
 /// [`shard_ulv_solve`] with a fresh accounting scope: resets the fabric,

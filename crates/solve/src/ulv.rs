@@ -68,12 +68,13 @@
 //! sweeps rotate right-hand sides with the *same* stored reflectors
 //! through the level-2 [`QrFactor::apply_qt`] / [`QrFactor::apply_q`] and
 //! solve the pivot and root blocks with [`LuFactor::solve_in_place`]. Both
-//! work on four columns per pass — one load of each reflector or
-//! triangular entry for the group, four independent add chains — but give
-//! every column the operation sequence it has alone. That, with
-//! [`gemm_rhs`], is what makes column `j` of a blocked solve bit-identical
-//! to its own single-column solve, and what makes a 64-column sweep cheaper
-//! per column than a one-column sweep.
+//! run on strips of up to 32 right-hand sides interleaved row by row, one
+//! vector lane per column — one load of each reflector or triangular entry
+//! for the strip, 32 independent add chains — but give every column the
+//! operation sequence it has alone. That, with [`gemm_rhs`], is what makes
+//! column `j` of a blocked solve bit-identical to its own single-column
+//! solve, and what makes a 64-column sweep far cheaper per column than a
+//! one-column sweep.
 //!
 //! The factorization is exact for the represented matrix (up to roundoff),
 //! so `‖K_H2 x − b‖ ≈ ε_machine`, while `‖K x − b‖` reflects the
@@ -1247,12 +1248,13 @@ mod tests {
         let (mut h2, _) = hss_1d(256, 1e-9, 27);
         shift_diag(&mut h2, 2.0);
         let ulv = UlvFactor::new(&h2).unwrap();
-        let b = gaussian_mat(256, 4, 28);
+        // Two full strips of the right-hand-side kernels and a partial one.
+        let b = gaussian_mat(256, 67, 28);
         let x_all = ulv.solve(&b);
         // Bit-identity, not tolerance: the blocked sweep dispatches its
         // kernels on (rows, depth) only, so every column must match its
         // own single-RHS solve exactly.
-        for c in 0..4 {
+        for c in 0..67 {
             let bc: Vec<f64> = b.col(c).to_vec();
             let xc = ulv.solve_vec(&bc);
             for i in 0..256 {
