@@ -44,6 +44,7 @@ fn main() {
             "upsweep %",
             "rand %",
             "norm_est %",
+            "demote %",
             "misc %",
             "total (s)",
         ]);
@@ -84,6 +85,7 @@ fn main() {
                 pct("upsweep"),
                 pct("rand"),
                 pct("norm_est"),
+                pct("demote"),
                 pct("misc"),
                 format!("{total:.3}"),
             ]);

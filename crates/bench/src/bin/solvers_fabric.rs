@@ -70,9 +70,6 @@ fn shift_diag(h2: &mut H2Matrix, sigma: f64) {
             for j in 0..blk.rows() {
                 blk[(j, j)] += sigma;
             }
-            // Keep demoted f32 storage coherent with the shifted working
-            // copy (no-op for f64 blocks).
-            h2.dense.resync_demoted(i);
         }
     }
 }

@@ -61,12 +61,17 @@ pub struct SketchConfig {
     pub safety: f64,
     /// RNG seed (all sketching randomness derives from it).
     pub seed: u64,
-    /// Storage precision requested for finished basis/coupling/dense
+    /// Storage precision requested for finished bases and coupling
     /// blocks. With [`h2_runtime::Precision::F32`] the construction demotes
-    /// each level's blocks as the level completes, under the norm-aware
-    /// rule (`h2_matrix::H2Matrix::demote_level`): a block only narrows
-    /// when the f32 rounding error stays below the construction tolerance.
-    /// Arithmetic is f64 either way.
+    /// each level's bases and coupling blocks as the level completes, under
+    /// the norm-aware rule (`h2_matrix::H2Matrix::demote_level`): a block
+    /// only narrows when the f32 rounding error stays below the
+    /// construction tolerance. The dense near field does not read this
+    /// knob: every off-diagonal dense block that passes the same rule is
+    /// stored in f32, as its only copy, in every configuration, and
+    /// diagonal blocks always stay f64 (block-Jacobi and the ULV factor
+    /// them, and shifts mutate them in place). Arithmetic is f64 either
+    /// way.
     pub storage: h2_runtime::Precision,
 }
 

@@ -20,7 +20,7 @@
 //!    previous level's coupling blocks above) with `batchedBSRGemm` — the
 //!    column stream reads every block through the transposed lookup
 //!    (`Kᵀ(I_s, I_t) = K(I_t, I_s)ᵀ`), which the side-generic
-//!    `BlockStore::get_op` resolves for both storage layouts,
+//!    `BlockStore::lookup_op` resolves for both storage layouts,
 //! 2. test convergence per node via the QR diagonal of the local samples
 //!    (lines 11/29) and, if needed, draw `d` fresh global samples per
 //!    stream and sweep them up through the already-skeletonized levels
@@ -258,13 +258,13 @@ fn sketch_construct_engine(
     stats.norm_products = norm_products;
     let eps_abs = cfg.safety * cfg.tol * norm_est.max(f64::MIN_POSITIVE);
 
-    // ---- storage demotion of the finished near-field (norm-aware) ----
+    // ---- storage demotion of the finished near field (norm-aware) ----
+    // Every off-diagonal dense block whose f32 rounding error fits the
+    // tolerance is stored f32, as its only copy, whatever `storage` says.
     // Done before the level loop so the leaf-level BSR subtraction reads
     // exactly the values the stored operator will have: demotion error is
     // then *part of* the operator being sketched, not an unmodeled drift.
-    if cfg.storage == h2_runtime::Precision::F32 {
-        h2.dense.demote_pending(eps_abs);
-    }
+    rt.phase(Phase::Demote, || h2.dense.demote_pending(eps_abs));
     if !symmetric {
         check_adjoint(rt, sampler, cfg.seed, norm_est);
     }
@@ -383,7 +383,7 @@ fn sketch_construct_engine(
         // the upsweep and the next level's subtraction consume them, so
         // every later kernel reads the stored representation.
         if cfg.storage == h2_runtime::Precision::F32 {
-            h2.demote_level(l, eps_abs, norm_est);
+            rt.phase(Phase::Demote, || h2.demote_level(l, eps_abs, norm_est));
         }
 
         // ---- upsweep to the next level (lines 17-18 / 35-36): shrink each
@@ -653,7 +653,7 @@ pub(crate) fn bsr_pattern(tree: &ClusterTree, adj: &[Vec<usize>], ids: &[usize])
 /// The row stream multiplies blocks of `K` (ordered `(s, t)` lookups); the
 /// column stream multiplies blocks of `Kᵀ` (`K(I_t, I_s)ᵀ`). Both the
 /// unordered-symmetric and ordered-unsymmetric stores answer through
-/// `BlockStore::get_op`.
+/// `BlockStore::lookup_op`, each block at its stored width.
 fn resolve_blocks<'a>(
     h2: &'a H2Matrix,
     pairs: &[(usize, usize)],
@@ -668,8 +668,11 @@ fn resolve_blocks<'a>(
     pairs
         .iter()
         .map(|&(s, t)| {
-            let (mat, transposed) = store.get_op(s, t, transpose).expect("level block");
-            BsrBlock { mat, transposed }
+            let op = store.lookup_op(s, t, transpose).expect("level block");
+            BsrBlock {
+                mat: op.mat,
+                transposed: op.transposed,
+            }
         })
         .collect()
 }

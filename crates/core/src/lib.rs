@@ -185,6 +185,74 @@ mod tests {
         }
     }
 
+    /// The default construction stores the near field once: every
+    /// off-diagonal dense block that passes the norm-aware rule is held in
+    /// f32 as its only copy (its values are the demoted generated block),
+    /// no diagonal block demotes, `memory_bytes` is the bytes actually
+    /// held, and the sequential and parallel constructions store the same
+    /// blocks at the same widths, bit for bit.
+    #[test]
+    fn default_construction_stores_the_off_diagonal_near_field_in_f32() {
+        use h2_dense::{Mat32, Precision, StoredMat};
+        let (tree, part, km) = cov_problem(1500, 16, 0.7, 122);
+        let cfg = SketchConfig {
+            initial_samples: 64,
+            ..Default::default()
+        };
+        assert_eq!(cfg.storage, Precision::F64, "no knob asks for it");
+        let build = |backend| {
+            let rt = Runtime::new(backend);
+            sketch_construct(&km, &km, tree.clone(), part.clone(), &rt, &cfg)
+        };
+        let (h2, stats) = build(Backend::Sequential);
+        h2.validate().unwrap();
+        let eps_abs = cfg.safety * cfg.tol * stats.norm_estimate;
+        let eps32 = 0.5 * f32::EPSILON as f64;
+        let (mut demoted, mut held) = (0, 0);
+        for (i, &(s, t)) in h2.dense.pairs.iter().enumerate() {
+            let rows: Vec<usize> = (tree.range(s).0..tree.range(s).1).collect();
+            let cols: Vec<usize> = (tree.range(t).0..tree.range(t).1).collect();
+            let generated = km.block_mat(&rows, &cols);
+            let (m32, norm) = Mat32::demote_measured(&generated);
+            match h2.dense.block(i) {
+                StoredMat::F32(b) => {
+                    assert_ne!(s, t, "diagonal block ({s},{s}) demoted");
+                    assert!(eps32 * norm <= eps_abs, "({s},{t}) fails the rule");
+                    assert_eq!(b, &m32, "({s},{t}) is not the demoted block");
+                    assert_eq!(h2.dense.blocks[i].memory_bytes(), 0, "f64 copy kept");
+                    demoted += 1;
+                }
+                StoredMat::F64(b) => {
+                    assert!(
+                        s == t || eps32 * norm > eps_abs,
+                        "({s},{t}) passes the rule"
+                    );
+                    assert_eq!(b, &generated);
+                }
+            }
+            held += h2.dense.block(i).memory_bytes();
+        }
+        assert!(demoted > 0 && demoted == h2.dense.demoted_count());
+        assert_eq!(h2.dense.memory_bytes(), held);
+        assert_eq!(h2.coupling.demoted_count(), 0, "couplings follow `storage`");
+        assert!(h2.basis_prec.iter().all(|&p| p == Precision::F64));
+
+        let (par, _) = build(Backend::Parallel);
+        assert_eq!(par.memory_bytes(), h2.memory_bytes());
+        for store in [(&h2.dense, &par.dense), (&h2.coupling, &par.coupling)] {
+            assert_eq!(store.0.pairs, store.1.pairs);
+            for i in 0..store.0.len() {
+                let (a, b) = (store.0.block(i), store.1.block(i));
+                assert_eq!(a.precision(), b.precision());
+                let bits = |m: StoredMat<'_>| {
+                    let m = m.to_mat();
+                    m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(a), bits(b), "block {i} differs across backends");
+            }
+        }
+    }
+
     /// Sequential and parallel backends are numerically identical.
     #[test]
     fn backends_agree_exactly() {
@@ -897,6 +965,10 @@ mod unsym_tests {
         let (h2, _) = sketch_construct_unsym(&km, &km, tree, part, &rt, &cfg);
         let back = H2MatrixUnsym::from_bytes(&h2.to_bytes()).unwrap();
         assert!(!back.is_symmetric());
+        // The demoted near field comes back demoted.
+        assert!(back.dense.demoted_count() > 0);
+        assert_eq!(back.dense.demoted_count(), h2.dense.demoted_count());
+        assert_eq!(back.memory_bytes(), h2.memory_bytes());
         let mut d = h2.to_dense();
         d.axpy(-1.0, &back.to_dense());
         assert_eq!(d.norm_max(), 0.0);

@@ -751,7 +751,10 @@ mod tests {
         let p = plan(&h2, 48, 2);
         assert_eq!(p.epochs.len(), 1);
         assert_eq!(p.epochs[0].label, "construct tail");
-        let stored: usize = h2.dense.blocks.iter().map(|b| b.rows() * b.cols()).sum();
+        let stored: usize = (0..h2.dense.len())
+            .map(|i| h2.dense.block(i))
+            .map(|b| b.rows() * b.cols())
+            .sum();
         assert_eq!(p.epochs[0].entries.iter().sum::<f64>(), stored as f64);
         assert_eq!(p.total_comm_bytes(), 0);
     }

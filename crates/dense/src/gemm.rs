@@ -517,8 +517,9 @@ fn pack_a(
 /// mixed-precision path. Produces bitwise the same f64 panel as [`pack_a`]
 /// on `a.promote()` (promotion is exact), so the microkernel downstream is
 /// untouched and the mixed product equals the all-f64 product on the
-/// promoted working copy exactly.
-#[allow(clippy::too_many_arguments)]
+/// promoted copy exactly. Inlined into the SIMD-tier wrappers, where the
+/// conversions vectorize at the tier's width.
+#[inline(always)]
 fn pack_a32(
     ta: Op,
     a: &Mat32,
@@ -557,15 +558,45 @@ fn pack_a32(
                 let i0 = q * mrt;
                 let cnt = mrt.min(mc - i0);
                 for i in 0..cnt {
-                    let col = a.col(ic + i0 + i);
+                    let col = &a.col(ic + i0 + i)[pc..pc + kc];
                     let base = q * mrt * kc + i;
-                    for p in 0..kc {
-                        buf[base + p * mrt] = col[pc + p] as f64;
+                    for (p, &v) in col.iter().enumerate() {
+                        buf[base + p * mrt] = v as f64;
                     }
                 }
             }
         }
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn pack_a32_avx512(
+    ta: Op,
+    a: &Mat32,
+    ic: usize,
+    pc: usize,
+    mc: usize,
+    kc: usize,
+    mrt: usize,
+    buf: &mut Vec<f64>,
+) {
+    pack_a32(ta, a, ic, pc, mc, kc, mrt, buf);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn pack_a32_avx2(
+    ta: Op,
+    a: &Mat32,
+    ic: usize,
+    pc: usize,
+    mc: usize,
+    kc: usize,
+    mrt: usize,
+    buf: &mut Vec<f64>,
+) {
+    pack_a32(ta, a, ic, pc, mc, kc, mrt, buf);
 }
 
 /// Pack `op(B)[pc..pc+kc, jc..jc+nc]` into `NR`-column micro-panels
@@ -772,14 +803,25 @@ fn packed_macro_loops<PA>(
 /// Mixed-precision GEMM: `C = alpha * op(A₃₂) * op(B) + beta * C` with the
 /// `A` operand **stored in f32** and all arithmetic accumulating in f64.
 ///
-/// Above the crossover this packs the f32 operand straight into the f64
-/// micro-panels (`pack_a32` — promotion happens at the packing stage, so
-/// the register-tiled microkernel is byte-for-byte the all-f64 one); below
-/// it the operand is promoted once and the naive kernel runs. Either way
-/// the result is **bitwise identical** to [`gemm`] on `a.promote()` — the
-/// contract that lets block stores keep a promoted f64 working copy while
-/// shipping and storing the f32 form.
-pub fn gemm_mixed(
+/// It is the product of a block whose f32 storage is its only copy, so no
+/// f64 copy of `A` is ever made. Above the crossover it packs the f32
+/// operand straight into the f64 micro-panels (`pack_a32` — promotion
+/// happens at the packing stage, and the register-tiled microkernel is
+/// byte-for-byte the all-f64 one). Below it, the naive axpy/dot kernel runs
+/// on the f32 operand and promotes each element in a register, with the
+/// operations of [`gemm`]'s naive kernel in the same order; its transposed
+/// dots run eight output entries at once, one lane each, every lane the
+/// serial chain its entry has alone. Either way the result is **bitwise
+/// identical** to [`gemm`] on `a.promote()`, on every SIMD tier: nothing
+/// is fused (no `mul_add`, no FMA), and the tier only picks the codegen.
+pub fn gemm_mixed(ta: Op, tb: Op, alpha: f64, a: &Mat32, b: MatRef<'_>, beta: f64, c: MatMut<'_>) {
+    gemm_mixed_on(simd_tier(), ta, tb, alpha, a, b, beta, c);
+}
+
+/// [`gemm_mixed`] with its sub-crossover kernel and its f32 packing
+/// compiled for `tier`, which must be one this host supports.
+fn gemm_mixed_on(
+    tier: SimdTier,
     ta: Op,
     tb: Op,
     alpha: f64,
@@ -788,6 +830,10 @@ pub fn gemm_mixed(
     beta: f64,
     mut c: MatMut<'_>,
 ) {
+    assert!(
+        tier <= simd_tier(),
+        "gemm_mixed tier {tier:?} beyond the host's"
+    );
     let (m, k) = match ta {
         Op::NoTrans => (a.rows(), a.cols()),
         Op::Trans => (a.cols(), a.rows()),
@@ -810,12 +856,143 @@ pub fn gemm_mixed(
     if use_packed(m, n, k) {
         let mrt = dispatched_mr(m);
         packed_macro_loops(mrt, tb, alpha, m, k, b, c, |ic, pc, mc, kc, buf| {
-            pack_a32(ta, a, ic, pc, mc, kc, mrt, buf)
+            #[cfg(target_arch = "x86_64")]
+            match tier {
+                SimdTier::Avx512 => {
+                    // SAFETY: the assert above checked that the host
+                    // supports `tier`, and the Avx512 tier is detected with
+                    // AVX-512F.
+                    return unsafe { pack_a32_avx512(ta, a, ic, pc, mc, kc, mrt, buf) };
+                }
+                SimdTier::Avx2Fma => {
+                    // SAFETY: as above; the Avx2Fma tier is detected with
+                    // AVX2.
+                    return unsafe { pack_a32_avx2(ta, a, ic, pc, mc, kc, mrt, buf) };
+                }
+                SimdTier::Baseline => {}
+            }
+            pack_a32(ta, a, ic, pc, mc, kc, mrt, buf);
         });
-    } else {
-        let ap = a.promote();
-        naive_accumulate(ta, tb, alpha, ap.rf(), b, c);
+        return;
     }
+    #[cfg(target_arch = "x86_64")]
+    match tier {
+        // SAFETY: as for the packing above.
+        SimdTier::Avx512 => return unsafe { naive32_avx512(ta, tb, alpha, a, b, c) },
+        // SAFETY: as for the packing above.
+        SimdTier::Avx2Fma => return unsafe { naive32_avx2(ta, tb, alpha, a, b, c) },
+        SimdTier::Baseline => {}
+    }
+    naive_accumulate32(ta, tb, alpha, a, b, c);
+}
+
+/// Output entries per lane group of the transposed mixed dots.
+const DOT_LANES: usize = 8;
+
+/// [`naive_accumulate`] on an f32-stored `A`, each element promoted in a
+/// register: the same operations in the same order, so the bits are those
+/// of the naive kernel on `a.promote()`. The transposed forms run
+/// [`DOT_LANES`] output entries `i` at once; lane `q` is entry `i + q`'s
+/// own serial chain over `l`, so the grouping never shows in the bits.
+/// Inlined into the SIMD-tier wrappers.
+#[inline(always)]
+fn naive_accumulate32(ta: Op, tb: Op, alpha: f64, a: &Mat32, b: MatRef<'_>, mut c: MatMut<'_>) {
+    let n = tb.cols_of(b);
+    let b_at = |l: usize, j: usize| match tb {
+        Op::NoTrans => b.at(l, j),
+        Op::Trans => b.at(j, l),
+    };
+    match ta {
+        Op::NoTrans => {
+            // C[:,j] += alpha * op(B)[l,j] * A[:,l]
+            let k = a.cols();
+            for j in 0..n {
+                let cj = c.col_mut(j);
+                for l in 0..k {
+                    let s = alpha * b_at(l, j);
+                    if s != 0.0 {
+                        for (ci, &al) in cj.iter_mut().zip(a.col(l)) {
+                            *ci += s * al as f64;
+                        }
+                    }
+                }
+            }
+        }
+        Op::Trans => {
+            // C[i,j] += alpha * dot(A[:,i], op(B)[:,j])
+            for j in 0..n {
+                let cj = c.col_mut(j);
+                match tb {
+                    Op::NoTrans => {
+                        let bj = &b.col(j)[..a.rows()];
+                        dots32(alpha, a, |l| bj[l], cj);
+                    }
+                    Op::Trans => dots32(alpha, a, |l| b.at(j, l), cj),
+                }
+            }
+        }
+    }
+}
+
+/// `c[i] += alpha * dot(A[:,i], b)` for every column `i` of an f32-stored
+/// `A` (`b` given by entry): [`DOT_LANES`] entries at once, lane `q` the
+/// serial chain of entry `i + q` alone.
+#[inline(always)]
+fn dots32(alpha: f64, a: &Mat32, b: impl Fn(usize) -> f64, c: &mut [f64]) {
+    let (k, m) = (a.rows(), a.cols());
+    let whole = m - m % DOT_LANES;
+    let kt = k - k % DOT_LANES;
+    for i0 in (0..whole).step_by(DOT_LANES) {
+        let cols: [&[f32]; DOT_LANES] = std::array::from_fn(|q| a.col(i0 + q));
+        let mut s = [0.0f64; DOT_LANES];
+        // `8 × 8` tiles: row `q` holds entries `l0..l0 + 8` of column
+        // `i0 + q`; copied transposed, row `p` is step `l0 + p` of every
+        // lane, one vector operation across them.
+        for l0 in (0..kt).step_by(DOT_LANES) {
+            let tile: [&[f32; DOT_LANES]; DOT_LANES] =
+                std::array::from_fn(|q| cols[q][l0..l0 + DOT_LANES].try_into().unwrap());
+            let mut t = [[0.0f64; DOT_LANES]; DOT_LANES];
+            for (q, row) in tile.iter().enumerate() {
+                for (p, &v) in row.iter().enumerate() {
+                    t[p][q] = v as f64;
+                }
+            }
+            for (p, tp) in t.iter().enumerate() {
+                let bl = b(l0 + p);
+                for q in 0..DOT_LANES {
+                    s[q] += tp[q] * bl;
+                }
+            }
+        }
+        for l in kt..k {
+            let bl = b(l);
+            for q in 0..DOT_LANES {
+                s[q] += cols[q][l] as f64 * bl;
+            }
+        }
+        for (ci, &sq) in c[i0..i0 + DOT_LANES].iter_mut().zip(&s) {
+            *ci += alpha * sq;
+        }
+    }
+    for i in whole..m {
+        let mut s = 0.0;
+        for (l, &ai) in a.col(i).iter().enumerate() {
+            s += ai as f64 * b(l);
+        }
+        c[i] += alpha * s;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn naive32_avx512(ta: Op, tb: Op, alpha: f64, a: &Mat32, b: MatRef<'_>, c: MatMut<'_>) {
+    naive_accumulate32(ta, tb, alpha, a, b, c);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn naive32_avx2(ta: Op, tb: Op, alpha: f64, a: &Mat32, b: MatRef<'_>, c: MatMut<'_>) {
+    naive_accumulate32(ta, tb, alpha, a, b, c);
 }
 
 /// Convenience: allocate and return `op(A) * op(B)`.
@@ -1352,28 +1529,51 @@ mod tests {
 
     #[test]
     fn gemm_mixed_bitwise_equals_gemm_on_promoted_copy() {
-        // Both the packed (large) and naive (small) shapes: the mixed path
-        // must equal the all-f64 kernel on the round-trip working copy
-        // exactly, not merely to roundoff — that is the promote-on-pack
-        // contract block stores rely on.
-        for (m, k, n) in [(61, 67, 59), (5, 4, 3), (128, 64, 16)] {
-            for ta in [Op::NoTrans, Op::Trans] {
-                for tb in [Op::NoTrans, Op::Trans] {
-                    let a = match ta {
-                        Op::NoTrans => gaussian_mat(m, k, 17),
-                        Op::Trans => gaussian_mat(k, m, 17),
-                    };
-                    let b = match tb {
-                        Op::NoTrans => gaussian_mat(k, n, 18),
-                        Op::Trans => gaussian_mat(n, k, 18),
-                    };
-                    let a32 = Mat32::demote(a.rf());
-                    let awork = a32.promote();
-                    let mut c1 = gaussian_mat(m, n, 19);
-                    let mut c2 = c1.clone();
-                    gemm_mixed(ta, tb, 1.5, &a32, b.rf(), -0.5, c1.rm());
-                    gemm(ta, tb, 1.5, awork.rf(), b.rf(), -0.5, c2.rm());
-                    assert_eq!(c1, c2, "mixed path diverged for {ta:?},{tb:?}");
+        // The mixed path must equal the all-f64 kernel on the promoted copy
+        // exactly, not merely to roundoff — the contract a block store
+        // relies on when the f32 copy is the only one — on every SIMD tier
+        // the host has. The sub-crossover widths take the in-register
+        // kernel (every lane-group remainder of m), the last three shapes
+        // the packed one. op(B) holds a zero column and a zero entry, so
+        // the axpy form's zero skip is exercised.
+        let dims = [1, 7, 8, 9, 31, 32, 33, 64, 67];
+        let small = dims.iter().flat_map(|&m| {
+            dims.iter()
+                .flat_map(move |&k| (1..=3).map(move |n| (m, k, n)))
+        });
+        let packed = [(61, 67, 59), (128, 64, 16), (16, 64, 64)];
+        let shapes: Vec<(usize, usize, usize)> = small.chain(packed).collect();
+        for tier in crate::strip::host_tiers() {
+            for &(m, k, n) in &shapes {
+                for ta in [Op::NoTrans, Op::Trans] {
+                    for tb in [Op::NoTrans, Op::Trans] {
+                        let a = match ta {
+                            Op::NoTrans => gaussian_mat(m, k, 17),
+                            Op::Trans => gaussian_mat(k, m, 17),
+                        };
+                        let mut opb = gaussian_mat(k, n, 18);
+                        opb[(k / 2, 0)] = 0.0;
+                        if n > 1 {
+                            opb.col_mut(n - 1).fill(0.0);
+                        }
+                        let b = match tb {
+                            Op::NoTrans => opb,
+                            Op::Trans => opb.transpose(),
+                        };
+                        let a32 = Mat32::demote(a.rf());
+                        let awork = a32.promote();
+                        for alpha in [1.0, 1.5] {
+                            let mut c1 = gaussian_mat(m, n, 19);
+                            let mut c2 = c1.clone();
+                            gemm_mixed_on(tier, ta, tb, alpha, &a32, b.rf(), -0.5, c1.rm());
+                            gemm(ta, tb, alpha, awork.rf(), b.rf(), -0.5, c2.rm());
+                            assert_eq!(
+                                c1, c2,
+                                "{tier:?}: mixed path diverged for {ta:?},{tb:?} at \
+                                 (m, k, n) = ({m}, {k}, {n}), alpha = {alpha}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -34,9 +34,10 @@
 //!   paper's two black-box inputs — plus spectral-norm estimation by power
 //!   iteration and by Golub–Kahan–Lanczos bidiagonalisation,
 //! * the storage/wire precision tier ([`prec`]): [`Precision`], the f32
-//!   storage type [`Mat32`] with demote/promote conversion kernels, and the
-//!   mixed-precision [`gemm_mixed`] whose f32 operand is
-//!   promoted at the packing stage while every accumulation stays f64.
+//!   storage type [`Mat32`] with demote/promote conversion kernels, a
+//!   stored block at either width ([`StoredMat`]), and the mixed-precision
+//!   [`gemm_mixed`] whose f32 operand is promoted at the packing stage or
+//!   in registers while every accumulation stays f64.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -64,7 +65,7 @@ pub use krylov::hutchinson_trace;
 pub use lu::{cholesky_in_place, cholesky_solve, lu_factor, LuFactor};
 pub use mat::{Mat, MatMut, MatRef};
 pub use op::{estimate_norm_2, norm_2_gkl, relative_error_2, DenseOp, DiffOp, EntryAccess, LinOp};
-pub use prec::{demote_roundtrip, Mat32, Precision};
+pub use prec::{demote_roundtrip, Mat32, Precision, StoredMat};
 pub use qr::{orthonormalize, qr_factor, qr_in_place, QrFactor};
 pub use rand::{fill_gaussian, gaussian_mat, random_low_rank, standard_normal};
 pub use svd::{spectral_norm, svd, Svd};

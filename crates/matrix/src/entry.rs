@@ -124,12 +124,16 @@ impl H2Matrix {
         let tree = &self.tree;
         // Admissible pair: low-rank evaluation through the accumulated bases.
         if self.partition.far_of[s].binary_search(&t).is_ok() {
-            let (blk, transposed) = self.coupling.get(s, t).expect("coupling block");
+            let blk = self.coupling.get(s, t).expect("coupling block");
             let us = self.basis_rows(s, rows);
             let vt = self.col_basis_rows(t, cols);
             // value = U_s(rows) · op(B) · V_t(cols)ᵀ
-            let op = if transposed { Op::Trans } else { Op::NoTrans };
-            let tmp = matmul(op, Op::Trans, blk.rf(), vt.rf());
+            let op = if blk.transposed {
+                Op::Trans
+            } else {
+                Op::NoTrans
+            };
+            let tmp = blk.mat.matmul(op, Op::Trans, vt.rf());
             let val = matmul(Op::NoTrans, Op::NoTrans, us.rf(), tmp.rf());
             for (r, &rp) in row_pos.iter().enumerate() {
                 for (c, &cp) in col_pos.iter().enumerate() {
@@ -141,16 +145,17 @@ impl H2Matrix {
         // Dense leaf pair.
         if tree.level_of(s) == tree.leaf_level() {
             debug_assert!(self.partition.near_of[s].binary_search(&t).is_ok());
-            let (blk, transposed) = self.dense.get(s, t).expect("dense block");
+            let op = self.dense.get(s, t).expect("dense block");
+            let (blk, transposed) = (op.mat, op.transposed);
             let (sb, _) = tree.range(s);
             let (tb, _) = tree.range(t);
             for (r, &rp) in row_pos.iter().enumerate() {
                 for (c, &cp) in col_pos.iter().enumerate() {
                     let (li, lj) = (rows[r] - sb, cols[c] - tb);
                     out[(rp, cp)] = if transposed {
-                        blk[(lj, li)]
+                        blk.at(lj, li)
                     } else {
-                        blk[(li, lj)]
+                        blk.at(li, lj)
                     };
                 }
             }

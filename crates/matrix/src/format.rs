@@ -23,30 +23,40 @@
 //!   disjoint entry sets, so near-field memory doubles inherently.
 //!
 //! The same [`BlockStore`] implements both keying disciplines (and therefore
-//! one `memory_bytes` accounting); [`BlockStore::lookup_op`] (and its f64-only
-//! projection [`BlockStore::get_op`]) answers "the block of `K` or `Kᵀ` at
-//! ordered position `(s, t)`" uniformly, which is what the matvec and the
-//! construction's BSR subtraction consume.
+//! one `memory_bytes` accounting); [`BlockStore::lookup_op`] answers "the
+//! block of `K` or `Kᵀ` at ordered position `(s, t)`" uniformly, which is
+//! what the matvec and the construction's BSR subtraction consume.
 //!
 //! ## Storage precision tier
 //!
-//! Every block carries a storage [`Precision`]. Blocks are inserted f64 and
-//! optionally **demoted** to f32 by the norm-aware rule of
-//! [`BlockStore::demote_pending`]: a block `B` moves to f32 storage only
-//! when the rounding error it introduces — at most `(ε₃₂/2)·‖B‖_F` with
-//! `ε₃₂ = f32::EPSILON` — stays below the construction's absolute tolerance,
-//! so the H2 approximation error bound survives demotion by construction
-//! rather than by hope. A demoted block keeps an f64 *working copy* whose
-//! entries are exactly the stored f32 values round-tripped
-//! ([`h2_dense::demote_roundtrip`]), so every consumer that reads the `Mat`
-//! computes bitwise the same result as the promote-on-pack mixed-precision
-//! GEMM reading the f32 block directly ([`h2_dense::gemm_mixed`] — the
-//! matvec's coupling/near-field path). [`BlockStore::memory_bytes`] counts
-//! demoted blocks at their stored width (4 bytes/element), the footprint a
-//! device-resident build would hold; basis demotion on [`H2Matrix`] follows
-//! the same rule per node via [`H2Matrix::demote_level`].
+//! Every block is stored **once**, at one width. Blocks are inserted f64;
+//! the norm-aware rule of [`BlockStore::demote_pending`] moves a block `B`
+//! to f32 only when the rounding error it introduces — at most
+//! `(ε₃₂/2)·‖B‖_F` with `ε₃₂ = f32::EPSILON` — stays below the
+//! construction's absolute tolerance, so the H2 approximation error bound
+//! survives demotion by construction rather than by hope. A demoted
+//! block's f32 matrix is then its only copy: its `blocks` entry is emptied
+//! (0×0), and [`BlockStore::memory_bytes`] counts exactly the bytes held.
+//!
+//! **Diagonal blocks (`s == t`) never demote.** Block-Jacobi and the ULV
+//! factor them, and a diagonal shift mutates them in place through
+//! `blocks[i]`; they are a small share of the near field. The construction
+//! demotes every other dense block under the rule in every configuration,
+//! and coupling blocks and bases only when `SketchConfig::storage` asks for
+//! f32 ([`H2Matrix::demote_level`]; a demoted basis keeps its round-tripped
+//! f64 values in `basis` and its width in `basis_prec`).
+//!
+//! Who reads what: every reader takes a block as an [`h2_dense::StoredMat`]
+//! — from [`BlockStore::lookup_op`], [`BlockStore::get`] or
+//! [`BlockStore::block`] — and multiplies it through
+//! [`StoredMat::gemm`](h2_dense::StoredMat::gemm), which runs
+//! [`h2_dense::gemm_mixed`] on an f32 block: bitwise what the f64 product
+//! on the promoted values computes. The matvec, the BSR subtraction, the
+//! ULV's coupling reads and entry extraction all go this way; a reader
+//! that needs an f64 matrix promotes one block at a time
+//! ([`StoredMat::to_mat`](h2_dense::StoredMat::to_mat)).
 
-use h2_dense::{demote_roundtrip, Mat, Mat32, Precision};
+use h2_dense::{demote_roundtrip, Mat, Mat32, Precision, StoredMat};
 use h2_tree::{ClusterTree, Partition};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -64,13 +74,10 @@ pub enum StoreLayout {
 
 /// A stored block resolved as a product operand
 /// ([`BlockStore::lookup_op`]).
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub struct BlockOp<'a> {
-    /// The f64 working copy (for a demoted block: its f32 values promoted).
-    pub mat: &'a Mat,
-    /// The f32 storage of a demoted block — what the promote-on-pack GEMM
-    /// of the matvec reads; `None` while the block is stored f64.
-    pub mat32: Option<&'a Mat32>,
+    /// The block at its stored width.
+    pub mat: StoredMat<'a>,
     /// Whether the stored block must be read transposed.
     pub transposed: bool,
 }
@@ -91,14 +98,14 @@ pub struct BlockStore {
     /// Stored pair keys (unordered `s <= t` for [`StoreLayout::Symmetric`],
     /// ordered otherwise), in insertion order.
     pub pairs: Vec<(usize, usize)>,
-    /// `blocks[i]` is the block of `pairs[i]`, oriented as
-    /// `K(rows(pairs[i].0), cols(pairs[i].1))`. For a demoted block this is
-    /// the f64 *working copy* of the stored f32 block (exactly
-    /// f32-representable values — see the module docs).
+    /// `blocks[i]` is the f64 block of `pairs[i]`, oriented as
+    /// `K(rows(pairs[i].0), cols(pairs[i].1))`, or an empty 0×0 matrix
+    /// when the block is stored in f32 (read it through
+    /// [`BlockStore::block`]). Diagonal blocks are always here.
     pub blocks: Vec<Mat>,
-    /// `blocks32[i]` is the f32 storage of a demoted block, `None` while
-    /// the block is stored f64. Always the same length as `blocks`.
-    pub blocks32: Vec<Option<Mat32>>,
+    /// `blocks32[i]` is the only copy of a demoted block, `None` while the
+    /// block is stored f64. Always the same length as `blocks`.
+    blocks32: Vec<Option<Mat32>>,
     index: HashMap<(usize, usize), usize>,
     layout: StoreLayout,
     /// Demotion cursor: blocks below this index have been through
@@ -119,23 +126,20 @@ impl BlockStore {
     }
 
     pub fn symmetric() -> Self {
-        BlockStore {
-            pairs: Vec::new(),
-            blocks: Vec::new(),
-            blocks32: Vec::new(),
-            index: HashMap::new(),
-            layout: StoreLayout::Symmetric,
-            scanned: 0,
-        }
+        BlockStore::with_layout(StoreLayout::Symmetric)
     }
 
     pub fn ordered() -> Self {
+        BlockStore::with_layout(StoreLayout::Ordered)
+    }
+
+    pub fn with_layout(layout: StoreLayout) -> Self {
         BlockStore {
             pairs: Vec::new(),
             blocks: Vec::new(),
             blocks32: Vec::new(),
             index: HashMap::new(),
-            layout: StoreLayout::Ordered,
+            layout,
             scanned: 0,
         }
     }
@@ -144,11 +148,22 @@ impl BlockStore {
         self.layout
     }
 
-    /// Insert the block for pair `(s, t)`.
+    /// Insert the f64 block for pair `(s, t)`.
     ///
     /// Symmetric layout requires the canonical orientation `s <= t`; ordered
     /// layout accepts any pair. Duplicate keys panic in both layouts.
     pub fn insert(&mut self, s: usize, t: usize, block: Mat) {
+        self.push(s, t, block, None);
+    }
+
+    /// Insert a block already stored in f32 (a loaded operator's demoted
+    /// block); the key rules are those of [`BlockStore::insert`].
+    pub fn insert_f32(&mut self, s: usize, t: usize, block: Mat32) {
+        assert_ne!(s, t, "diagonal blocks are stored f64");
+        self.push(s, t, Mat::zeros(0, 0), Some(block));
+    }
+
+    fn push(&mut self, s: usize, t: usize, block: Mat, block32: Option<Mat32>) {
         if self.layout == StoreLayout::Symmetric {
             assert!(
                 s <= t,
@@ -160,27 +175,38 @@ impl BlockStore {
         assert!(prev.is_none(), "duplicate block ({s},{t})");
         self.pairs.push((s, t));
         self.blocks.push(block);
-        self.blocks32.push(None);
+        self.blocks32.push(block32);
+    }
+
+    /// Replace block `i` by the f64 matrix `block` (of any width before).
+    pub fn replace(&mut self, i: usize, block: Mat) {
+        self.blocks[i] = block;
+        self.blocks32[i] = None;
     }
 
     /// Norm-aware demotion sweep over blocks inserted since the last sweep
-    /// (the construction calls this as each level's blocks finalize):
-    /// a block `B` is demoted to f32 storage iff the rounding error bound
+    /// (the construction calls this as each level's blocks finalize): an
+    /// off-diagonal block `B` moves to f32 iff the rounding error bound
     /// `(ε₃₂/2)·‖B‖_F ≤ eps_abs`, i.e. iff demotion provably cannot breach
-    /// the construction tolerance. The f64 entry in `blocks` is replaced by
-    /// the round-tripped working copy. Returns how many blocks demoted.
+    /// the construction tolerance. The f32 matrix becomes the block's only
+    /// copy; its f64 entry is emptied. One pass over each block both
+    /// measures and demotes it ([`Mat32::demote_measured`]). Diagonal
+    /// blocks (`s == t`) stay f64 (module docs). Returns how many blocks
+    /// demoted.
     pub fn demote_pending(&mut self, eps_abs: f64) -> usize {
         let eps32 = 0.5 * f32::EPSILON as f64;
         let mut demoted = 0;
         for i in self.scanned..self.blocks.len() {
-            let b = &self.blocks[i];
-            if b.rows() * b.cols() == 0 || eps32 * b.norm_fro() > eps_abs {
+            let ((s, t), b) = (self.pairs[i], &self.blocks[i]);
+            if s == t || b.rows() * b.cols() == 0 {
                 continue;
             }
-            let m32 = Mat32::demote(b.rf());
-            self.blocks[i] = m32.promote();
-            self.blocks32[i] = Some(m32);
-            demoted += 1;
+            let (m32, norm) = Mat32::demote_measured(b);
+            if eps32 * norm <= eps_abs {
+                self.blocks[i] = Mat::zeros(0, 0);
+                self.blocks32[i] = Some(m32);
+                demoted += 1;
+            }
         }
         self.scanned = self.blocks.len();
         demoted
@@ -188,11 +214,7 @@ impl BlockStore {
 
     /// Storage precision of block `i` (insertion order).
     pub fn precision_of(&self, i: usize) -> Precision {
-        if self.blocks32[i].is_some() {
-            Precision::F32
-        } else {
-            Precision::F64
-        }
+        self.block(i).precision()
     }
 
     /// Number of blocks currently held in f32 storage.
@@ -200,24 +222,19 @@ impl BlockStore {
         self.blocks32.iter().filter(|b| b.is_some()).count()
     }
 
-    /// Re-establish the storage contract for block `i` after its working
-    /// copy was mutated in place (e.g. a diagonal shift): a demoted block's
-    /// f64 entry must stay the exact round-trip of its f32 storage, so the
-    /// mutation is re-demoted and the working copy replaced by the new
-    /// round-trip. No-op for blocks stored f64.
-    pub fn resync_demoted(&mut self, i: usize) {
-        if self.blocks32[i].is_some() {
-            let m32 = Mat32::demote(self.blocks[i].rf());
-            self.blocks[i] = m32.promote();
-            self.blocks32[i] = Some(m32);
+    /// Block `i` (insertion order) at its stored width.
+    pub fn block(&self, i: usize) -> StoredMat<'_> {
+        match &self.blocks32[i] {
+            Some(m32) => StoredMat::F32(m32),
+            None => StoredMat::F64(&self.blocks[i]),
         }
     }
 
     /// The one lookup of the side-generic matvec and BSR subtraction: the
     /// block of `K` (`transpose == false`) or of `Kᵀ` at the *ordered*
     /// position `(s, t)` — `Kᵀ(I_s, I_t) = K(I_t, I_s)ᵀ` — as a product
-    /// operand: working copy, f32 storage if demoted, and orientation, from
-    /// a single probe of the index.
+    /// operand: the block at its stored width and its orientation, from a
+    /// single probe of the index.
     ///
     /// A symmetric store represents a symmetric matrix, so `Kᵀ = K` and the
     /// flag is ignored — transpose products read *identical* blocks with
@@ -230,24 +247,20 @@ impl BlockStore {
             StoreLayout::Ordered => ((s, t), false),
         };
         self.index.get(&key).map(|&i| BlockOp {
-            mat: &self.blocks[i],
-            mat32: self.blocks32[i].as_ref(),
+            mat: self.block(i),
             transposed,
         })
     }
 
-    /// [`BlockStore::lookup_op`] for consumers of the f64 working copy only
-    /// (BSR subtraction, solvers): the matrix and whether it must be read
-    /// transposed.
-    pub fn get_op(&self, s: usize, t: usize, transpose: bool) -> Option<(&Mat, bool)> {
-        self.lookup_op(s, t, transpose)
-            .map(|b| (b.mat, b.transposed))
+    /// Look up the block of `K` at the *ordered* position `(s, t)`
+    /// ([`BlockStore::lookup_op`] without the transpose).
+    pub fn get(&self, s: usize, t: usize) -> Option<BlockOp<'_>> {
+        self.lookup_op(s, t, false)
     }
 
-    /// Look up the block of `K` at the *ordered* position `(s, t)`. Returns
-    /// the stored matrix and whether it must be read transposed.
-    pub fn get(&self, s: usize, t: usize) -> Option<(&Mat, bool)> {
-        self.get_op(s, t, false)
+    /// The diagonal block `(s, s)`, which is always stored f64.
+    pub fn diagonal(&self, s: usize) -> Option<&Mat> {
+        self.index.get(&(s, s)).map(|&i| &self.blocks[i])
     }
 
     pub fn len(&self) -> usize {
@@ -258,10 +271,8 @@ impl BlockStore {
         self.blocks.is_empty()
     }
 
-    /// Stored bytes of all blocks (identical accounting in both layouts):
-    /// demoted blocks count at their f32 width — the footprint a
-    /// device-resident build holds (the f64 working copy is a host-side
-    /// convenience of this reference implementation).
+    /// Bytes of all stored block entries (identical accounting in both
+    /// layouts): each block counts once, at its stored width.
     pub fn memory_bytes(&self) -> usize {
         let (f64b, f32b) = self.bytes_by_precision();
         f64b + f32b
@@ -269,14 +280,14 @@ impl BlockStore {
 
     /// Stored bytes split by precision: `(f64_bytes, f32_bytes)`.
     pub fn bytes_by_precision(&self) -> (usize, usize) {
-        let mut out = (0usize, 0usize);
-        for (i, b) in self.blocks.iter().enumerate() {
-            match &self.blocks32[i] {
-                Some(m32) => out.1 += m32.memory_bytes(),
-                None => out.0 += b.memory_bytes(),
-            }
-        }
-        out
+        let f64b = self.blocks.iter().map(Mat::memory_bytes).sum();
+        let f32b = self
+            .blocks32
+            .iter()
+            .flatten()
+            .map(Mat32::memory_bytes)
+            .sum();
+        (f64b, f32b)
     }
 }
 
@@ -578,7 +589,8 @@ impl H2Matrix {
             for &t in list.iter().filter(|&&t| !symmetric || s <= t) {
                 match self.coupling.get(s, t) {
                     None => return Err(format!("missing coupling block ({s},{t})")),
-                    Some((b, _)) => {
+                    Some(op) => {
+                        let b = op.mat;
                         if b.rows() != self.row_rank(s) || b.cols() != self.col_rank(t) {
                             return Err(format!(
                                 "coupling ({s},{t}) shape {}x{} != row/col ranks {}x{}",
@@ -597,7 +609,8 @@ impl H2Matrix {
             for &t in list.iter().filter(|&&t| !symmetric || s <= t) {
                 match self.dense.get(s, t) {
                     None => return Err(format!("missing dense block ({s},{t})")),
-                    Some((b, _)) => {
+                    Some(op) => {
+                        let b = op.mat;
                         if b.rows() != tree.nodes[s].len() || b.cols() != tree.nodes[t].len() {
                             return Err(format!("dense ({s},{t}) shape mismatch"));
                         }
@@ -635,17 +648,20 @@ impl MemoryBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2_dense::gaussian_mat;
+
+    /// `(value at (i, j), transposed)` of the block of `K` at `(s, t)`.
+    fn entry(store: &BlockStore, s: usize, t: usize, i: usize, j: usize) -> (f64, bool) {
+        let op = store.get(s, t).unwrap();
+        (op.mat.at(i, j), op.transposed)
+    }
 
     #[test]
     fn block_store_symmetric_lookup() {
         let mut s = BlockStore::new();
         s.insert(2, 5, Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let (b, t) = s.get(2, 5).unwrap();
-        assert!(!t);
-        assert_eq!(b[(0, 1)], 2.0);
-        let (b2, t2) = s.get(5, 2).unwrap();
-        assert!(t2);
-        assert_eq!(b2[(0, 1)], 2.0);
+        assert_eq!(entry(&s, 2, 5, 0, 1), (2.0, false));
+        assert_eq!(entry(&s, 5, 2, 0, 1), (2.0, true));
         assert!(s.get(1, 1).is_none());
     }
 
@@ -661,12 +677,9 @@ mod tests {
         let mut s = BlockStore::ordered();
         s.insert(2, 5, Mat::from_rows(&[&[1.0, 2.0]]));
         s.insert(5, 2, Mat::from_rows(&[&[3.0], &[4.0]]));
-        assert_eq!(s.get(2, 5).unwrap().0[(0, 1)], 2.0);
-        assert!(
-            !s.get(2, 5).unwrap().1,
-            "ordered lookups are never transposed"
-        );
-        assert_eq!(s.get(5, 2).unwrap().0[(1, 0)], 4.0);
+        // Ordered lookups are never transposed.
+        assert_eq!(entry(&s, 2, 5, 0, 1), (2.0, false));
+        assert_eq!(entry(&s, 5, 2, 1, 0), (4.0, false));
         assert!(s.get(2, 2).is_none());
         assert_eq!(s.len(), 2);
         assert_eq!(s.memory_bytes(), 4 * 8);
@@ -681,25 +694,24 @@ mod tests {
     }
 
     #[test]
-    fn get_op_is_transpose_consistent_across_layouts() {
-        // Symmetric store: K(5,2) = K(2,5)^T read through the flag.
+    fn lookup_op_is_transpose_consistent_across_layouts() {
+        // Symmetric store: K(5,2) = K(2,5)^T read through the flag, and
+        // Kᵀ at (2,5) = K(5,2)ᵀ = K(2,5) for the stored block.
         let mut sym = BlockStore::symmetric();
         sym.insert(2, 5, Mat::from_rows(&[&[1.0, 2.0]]));
-        let (m, tr) = sym.get_op(2, 5, false).unwrap();
-        assert!(!tr);
-        assert_eq!(m[(0, 1)], 2.0);
-        // Kᵀ at (2,5) = K(5,2)ᵀ = (K(2,5)ᵀ)ᵀ = K(2,5) for the stored block.
-        let (m, tr) = sym.get_op(2, 5, true).unwrap();
-        assert!(!tr);
-        assert_eq!(m[(0, 1)], 2.0);
-
+        for transpose in [false, true] {
+            let op = sym.lookup_op(2, 5, transpose).unwrap();
+            assert!(!op.transposed);
+            assert_eq!(op.mat.at(0, 1), 2.0);
+        }
         // Ordered store: Kᵀ at (2,5) reads the (5,2) block transposed.
         let mut ord = BlockStore::ordered();
         ord.insert(2, 5, Mat::from_rows(&[&[1.0, 2.0]]));
         ord.insert(5, 2, Mat::from_rows(&[&[3.0], &[4.0]]));
-        let (m, tr) = ord.get_op(2, 5, true).unwrap();
-        assert!(tr);
-        assert_eq!(m[(1, 0)], 4.0);
+        let op = ord.lookup_op(2, 5, true).unwrap();
+        assert!(op.transposed);
+        assert_eq!(op.mat.at(1, 0), 4.0);
+        assert_eq!(op.mirrored().transposed, !op.transposed);
     }
 
     #[test]
@@ -716,10 +728,10 @@ mod tests {
 
     #[test]
     fn demotion_is_norm_aware() {
-        use h2_dense::gaussian_mat;
         let mut s = BlockStore::new();
-        // A small-norm block (demotable at eps_abs) and a large-norm one
-        // (kept f64 because f32 rounding would breach the tolerance).
+        // A small-norm block (demotable at eps_abs), a large-norm one (kept
+        // f64 because f32 rounding would breach the tolerance) and a
+        // diagonal block, which never demotes.
         let small = gaussian_mat(8, 6, 1);
         let mut big = gaussian_mat(8, 6, 2);
         big.scale(1e6);
@@ -727,31 +739,41 @@ mod tests {
         assert!(0.5 * f32::EPSILON as f64 * big.norm_fro() > eps_abs);
         s.insert(0, 1, small.clone());
         s.insert(1, 2, big.clone());
+        s.insert(1, 1, gaussian_mat(6, 6, 4));
         assert_eq!(s.demote_pending(eps_abs), 1);
         assert_eq!(s.demoted_count(), 1);
         assert_eq!(s.precision_of(0), Precision::F32);
         assert_eq!(s.precision_of(1), Precision::F64);
-        // The working copy is the round-trip of the original, and its error
-        // stays below the bound the rule guarantees.
-        let (wc, _) = s.get(0, 1).unwrap();
-        let mut d = wc.clone();
+        assert_eq!(s.precision_of(2), Precision::F64);
+        assert_eq!(s.diagonal(1).unwrap().rows(), 6);
+        // The f32 matrix is the only copy: the f64 entry is empty, and the
+        // promoted values are the round-trip of the original, with an
+        // error below the bound the rule guarantees.
+        assert_eq!(s.blocks[0].memory_bytes(), 0);
+        let got = s.get(0, 1).unwrap().mat;
+        assert_eq!((got.rows(), got.cols()), (8, 6));
+        let wc = got.to_mat();
+        assert_eq!(wc, demote_roundtrip(&small));
+        let mut d = wc;
         d.axpy(-1.0, &small);
         assert!(d.norm_fro() <= eps_abs, "{} > {eps_abs}", d.norm_fro());
-        assert_eq!(wc, &demote_roundtrip(&small));
-        // Memory counts the demoted block at half width.
-        assert_eq!(s.memory_bytes(), 48 * 4 + 48 * 8);
-        assert_eq!(s.bytes_by_precision(), (48 * 8, 48 * 4));
+        // Memory counts the bytes held: the demoted block at half width.
+        assert_eq!(s.memory_bytes(), 48 * 4 + 48 * 8 + 36 * 8);
+        assert_eq!(s.bytes_by_precision(), (48 * 8 + 36 * 8, 48 * 4));
         // The sweep is incremental: a block inserted later is picked up by
         // the next sweep only.
         s.insert(2, 3, gaussian_mat(4, 4, 3));
-        assert_eq!(s.precision_of(2), Precision::F64);
+        assert_eq!(s.precision_of(3), Precision::F64);
         assert_eq!(s.demote_pending(f64::INFINITY), 1);
-        assert_eq!(s.precision_of(2), Precision::F32);
+        assert_eq!(s.precision_of(3), Precision::F32);
+        // Replacing a block stores it f64 again.
+        s.replace(0, small.clone());
+        assert_eq!(s.precision_of(0), Precision::F64);
+        assert_eq!(s.demoted_count(), 1);
     }
 
     #[test]
-    fn lookup_op_resolves_like_get_op() {
-        use h2_dense::gaussian_mat;
+    fn lookup_op_reads_the_stored_width() {
         // Symmetric store: (t, s) reads the stored block transposed, and
         // the transpose flag is ignored. Ordered store: Kᵀ at (2,5) reads
         // the (5,2) block transposed.
@@ -760,21 +782,30 @@ mod tests {
         let mut ord = BlockStore::ordered();
         ord.insert(2, 5, gaussian_mat(3, 4, 12));
         ord.insert(5, 2, gaussian_mat(4, 3, 13));
-        for store in [&mut sym, &mut ord] {
+        // (s, t, transpose) → (stored index, transposed), per layout.
+        let sym_want = [(0, false), (0, true), (0, false), (0, true)];
+        let ord_want = [(0, false), (1, false), (1, true), (0, true)];
+        for (store, want) in [(&mut sym, sym_want), (&mut ord, ord_want)] {
+            let before: Vec<Mat> = store.blocks.clone();
             store.demote_pending(f64::INFINITY);
-            for &(s, t, transpose) in &[(2, 5, false), (5, 2, false), (2, 5, true), (5, 2, true)] {
-                let (m64, tr64) = store.get_op(s, t, transpose).unwrap();
+            let probes = [(2, 5, false), (5, 2, false), (2, 5, true), (5, 2, true)];
+            for (&(s, t, transpose), &(i, transposed)) in probes.iter().zip(&want) {
                 let op = store.lookup_op(s, t, transpose).unwrap();
-                assert!(std::ptr::eq(op.mat, m64));
-                assert_eq!(op.transposed, tr64);
-                assert_eq!(&op.mat32.unwrap().promote(), m64);
-                assert_eq!(op.mirrored().transposed, !tr64);
+                let StoredMat::F32(m32) = op.mat else {
+                    panic!("a demoted block must be read at f32");
+                };
+                assert_eq!(m32, &Mat32::demote(before[i].rf()));
+                assert_eq!(op.transposed, transposed);
+                assert_eq!(op.mirrored().transposed, !transposed);
             }
         }
-        // A block kept f64 carries no 32-bit storage.
+        // A block kept f64 is read at f64.
         let mut kept = BlockStore::symmetric();
         kept.insert(0, 1, gaussian_mat(2, 2, 14));
-        assert!(kept.lookup_op(0, 1, false).unwrap().mat32.is_none());
+        assert!(matches!(
+            kept.lookup_op(0, 1, false).unwrap().mat,
+            StoredMat::F64(_)
+        ));
         assert!(kept.lookup_op(0, 2, false).is_none());
     }
 }

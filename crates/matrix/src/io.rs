@@ -11,18 +11,23 @@
 //! version, then length-prefixed sections (points, permutations, tree
 //! nodes, partition lists, bases, skeletons, block stores; the unsymmetric
 //! magic adds the column-side basis/skeleton sections). All integers are
-//! `u64` little-endian; floats are `f64` bit patterns. One reader accepts
-//! both magics and reconstructs the matching [`H2Matrix`] side layout.
+//! `u64` little-endian. Since version 2 every basis and block carries a
+//! precision tag and is written at its stored width — `f64` or `f32` bit
+//! patterns — so a loaded operator keeps its storage and its
+//! `memory_bytes`; version 1 files (all `f64`, no tags) still load. One
+//! reader accepts both magics and reconstructs the matching [`H2Matrix`]
+//! side layout.
 
 use crate::format::{BasisSide, BlockStore, H2Matrix, StoreLayout};
-use h2_dense::Mat;
+use h2_dense::{Mat, Mat32, Precision, StoredMat};
 use h2_tree::{Admissibility, BBox, Cluster, ClusterTree, Partition};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 const MAGIC_SYM: &[u8; 4] = b"H2SK";
 const MAGIC_UNSYM: &[u8; 4] = b"H2SU";
-const VERSION: u64 = 1;
+/// The version written; the reader also accepts version 1.
+const VERSION: u64 = 2;
 
 // ------------------------------------------------------------ primitives
 
@@ -91,58 +96,128 @@ fn read_mat(r: &mut impl Read) -> io::Result<Mat> {
     Ok(Mat::from_vec(rows, cols, data))
 }
 
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// A precision tag followed by the matrix at that width.
+fn write_stored(w: &mut impl Write, m: StoredMat<'_>) -> io::Result<()> {
+    match m {
+        StoredMat::F64(m) => {
+            write_u64(w, 0)?;
+            write_mat(w, m)
+        }
+        StoredMat::F32(m) => {
+            write_u64(w, 1)?;
+            write_usize(w, m.rows())?;
+            write_usize(w, m.cols())?;
+            for &v in m.as_slice() {
+                w.write_all(&v.to_le_bytes())?;
+            }
+            Ok(())
+        }
+    }
+}
+
+/// What [`write_stored`] wrote: an f64 matrix or an f32 one.
+enum Stored {
+    F64(Mat),
+    F32(Mat32),
+}
+
+/// A matrix written by [`write_stored`] — or, in a `version` 1 file, an
+/// untagged f64 matrix.
+fn read_stored(r: &mut impl Read, version: u64) -> io::Result<Stored> {
+    if version == 1 {
+        return Ok(Stored::F64(read_mat(r)?));
+    }
+    match read_u64(r)? {
+        0 => Ok(Stored::F64(read_mat(r)?)),
+        1 => {
+            let rows = read_usize(r)?;
+            let cols = read_usize(r)?;
+            let len = rows
+                .checked_mul(cols)
+                .ok_or_else(|| invalid("matrix size overflow"))?;
+            let mut data = Vec::with_capacity(len.min(1 << 20));
+            let mut b = [0u8; 4];
+            for _ in 0..len {
+                r.read_exact(&mut b)?;
+                data.push(f32::from_le_bytes(b));
+            }
+            Ok(Stored::F32(Mat32::from_vec(rows, cols, data)))
+        }
+        tag => Err(invalid(format!("bad precision tag {tag}"))),
+    }
+}
+
 fn write_block_store(w: &mut impl Write, s: &BlockStore) -> io::Result<()> {
     write_usize(w, s.pairs.len())?;
     for (i, &(a, b)) in s.pairs.iter().enumerate() {
         write_usize(w, a)?;
         write_usize(w, b)?;
-        write_mat(w, &s.blocks[i])?;
+        write_stored(w, s.block(i))?;
     }
     Ok(())
 }
 
-fn read_block_store(r: &mut impl Read, layout: StoreLayout) -> io::Result<BlockStore> {
+fn read_block_store(
+    r: &mut impl Read,
+    layout: StoreLayout,
+    version: u64,
+) -> io::Result<BlockStore> {
     let n = read_usize(r)?;
-    let mut s = match layout {
-        StoreLayout::Symmetric => BlockStore::symmetric(),
-        StoreLayout::Ordered => BlockStore::ordered(),
-    };
+    let mut s = BlockStore::with_layout(layout);
     for _ in 0..n {
         let a = read_usize(r)?;
         let b = read_usize(r)?;
         if layout == StoreLayout::Symmetric && a > b {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unordered symmetric pair",
-            ));
+            return Err(invalid("unordered symmetric pair"));
         }
         if s.get(a, b).is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("duplicate block pair ({a},{b})"),
-            ));
+            return Err(invalid(format!("duplicate block pair ({a},{b})")));
         }
-        let m = read_mat(r)?;
-        s.insert(a, b, m);
+        match read_stored(r, version)? {
+            Stored::F64(m) => s.insert(a, b, m),
+            Stored::F32(_) if a == b => {
+                return Err(invalid(format!("diagonal block ({a},{a}) stored f32")))
+            }
+            Stored::F32(m) => s.insert_f32(a, b, m),
+        }
     }
     Ok(s)
 }
 
-fn write_basis_section(w: &mut impl Write, basis: &[Mat]) -> io::Result<()> {
+/// One basis side: each basis at its stored width (a demoted basis holds
+/// f32-representable values, so writing it as f32 is exact).
+fn write_basis_section(w: &mut impl Write, basis: &[Mat], prec: &[Precision]) -> io::Result<()> {
     write_usize(w, basis.len())?;
-    for b in basis {
-        write_mat(w, b)?;
+    for (b, &p) in basis.iter().zip(prec) {
+        match p {
+            Precision::F64 => write_stored(w, StoredMat::F64(b))?,
+            Precision::F32 => write_stored(w, StoredMat::F32(&Mat32::demote(b.rf())))?,
+        }
     }
     Ok(())
 }
 
-fn read_basis_section(r: &mut impl Read) -> io::Result<Vec<Mat>> {
+fn read_basis_section(r: &mut impl Read, version: u64) -> io::Result<(Vec<Mat>, Vec<Precision>)> {
     let nb = read_usize(r)?;
-    let mut basis = Vec::with_capacity(nb);
+    let mut basis = Vec::with_capacity(nb.min(1 << 20));
+    let mut prec = Vec::with_capacity(nb.min(1 << 20));
     for _ in 0..nb {
-        basis.push(read_mat(r)?);
+        match read_stored(r, version)? {
+            Stored::F64(m) => {
+                basis.push(m);
+                prec.push(Precision::F64);
+            }
+            Stored::F32(m) => {
+                basis.push(m.promote());
+                prec.push(Precision::F32);
+            }
+        }
     }
-    Ok(basis)
+    Ok((basis, prec))
 }
 
 fn write_skel_section(w: &mut impl Write, skels: &[Vec<usize>]) -> io::Result<()> {
@@ -325,9 +400,9 @@ impl H2Matrix {
         write_u64(w, VERSION)?;
         write_tree(w, &self.tree)?;
         write_partition(w, &self.partition)?;
-        write_basis_section(w, &self.basis)?;
+        write_basis_section(w, &self.basis, &self.basis_prec)?;
         if let Some(c) = &self.col {
-            write_basis_section(w, &c.basis)?;
+            write_basis_section(w, &c.basis, &c.prec)?;
         }
         write_skel_section(w, &self.skel)?;
         if let Some(c) = &self.col {
@@ -354,19 +429,16 @@ impl H2Matrix {
             }
         };
         let version = read_u64(r)?;
-        if version != VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported format version {version}"),
-            ));
+        if !(1..=VERSION).contains(&version) {
+            return Err(invalid(format!("unsupported format version {version}")));
         }
         let tree = Arc::new(read_tree(r)?);
         let partition = Arc::new(read_partition(r)?);
-        let basis = read_basis_section(r)?;
+        let (basis, basis_prec) = read_basis_section(r, version)?;
         let col_basis = if symmetric {
             None
         } else {
-            Some(read_basis_section(r)?)
+            Some(read_basis_section(r, version)?)
         };
         let skel = read_skel_section(r)?;
         let col_skel = if symmetric {
@@ -379,17 +451,12 @@ impl H2Matrix {
         } else {
             StoreLayout::Ordered
         };
-        let coupling = read_block_store(r, layout)?;
-        let dense = read_block_store(r, layout)?;
+        let coupling = read_block_store(r, layout, version)?;
+        let dense = read_block_store(r, layout, version)?;
         let col = match (col_basis, col_skel) {
-            (Some(basis), Some(skel)) => Some(BasisSide {
-                prec: vec![h2_dense::Precision::F64; basis.len()],
-                basis,
-                skel,
-            }),
+            (Some((basis, prec)), Some(skel)) => Some(BasisSide { basis, skel, prec }),
             _ => None,
         };
-        let basis_prec = vec![h2_dense::Precision::F64; basis.len()];
         let h2 = H2Matrix {
             tree,
             partition,
@@ -455,6 +522,70 @@ mod tests {
         let mut dy = y1;
         dy.axpy(-1.0, &y2);
         assert_eq!(dy.norm_max(), 0.0);
+    }
+
+    /// `h2` (symmetric, all f64) in the untagged version 1 layout.
+    fn to_v1_bytes(h2: &H2Matrix) -> Vec<u8> {
+        let mut w = Vec::new();
+        w.extend_from_slice(MAGIC_SYM);
+        write_u64(&mut w, 1).unwrap();
+        write_tree(&mut w, &h2.tree).unwrap();
+        write_partition(&mut w, &h2.partition).unwrap();
+        write_usize(&mut w, h2.basis.len()).unwrap();
+        for b in &h2.basis {
+            write_mat(&mut w, b).unwrap();
+        }
+        write_skel_section(&mut w, &h2.skel).unwrap();
+        for store in [&h2.coupling, &h2.dense] {
+            write_usize(&mut w, store.len()).unwrap();
+            for (i, &(a, b)) in store.pairs.iter().enumerate() {
+                write_usize(&mut w, a).unwrap();
+                write_usize(&mut w, b).unwrap();
+                write_mat(&mut w, &store.block(i).to_mat()).unwrap();
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn version_1_files_still_load() {
+        let h2 = sample_h2(400, 906);
+        let back = H2Matrix::from_bytes(&to_v1_bytes(&h2)).unwrap();
+        assert_eq!(back.to_bytes(), h2.to_bytes());
+    }
+
+    /// f32-stored blocks and bases are written at their width and come
+    /// back at it: same storage, same bytes held, same bits.
+    #[test]
+    fn roundtrip_keeps_the_storage_width() {
+        let mut h2 = sample_h2(800, 907);
+        let leaf = h2.tree.leaf_level();
+        h2.demote_level(leaf, f64::INFINITY, 1.0);
+        h2.dense.demote_pending(f64::INFINITY);
+        assert!(h2.coupling.demoted_count() > 0 && h2.dense.demoted_count() > 0);
+        assert!(h2.basis_prec.contains(&Precision::F32));
+        let bytes = h2.to_bytes();
+        let back = H2Matrix::from_bytes(&bytes).unwrap();
+        assert_eq!(back.memory_bytes(), h2.memory_bytes());
+        assert_eq!(back.basis_prec, h2.basis_prec);
+        for (a, b) in [(&h2.coupling, &back.coupling), (&h2.dense, &back.dense)] {
+            assert_eq!(a.pairs, b.pairs);
+            for i in 0..a.len() {
+                assert_eq!(a.precision_of(i), b.precision_of(i));
+            }
+        }
+        let mut d = h2.to_dense();
+        d.axpy(-1.0, &back.to_dense());
+        assert_eq!(d.norm_max(), 0.0);
+        assert_eq!(back.to_bytes(), bytes);
+        // A diagonal block tagged f32 is not a valid store.
+        let mut w = Vec::new();
+        for v in [1, 3, 3] {
+            write_usize(&mut w, v).unwrap();
+        }
+        let one = Mat32::from_vec(1, 1, vec![1.0]);
+        write_stored(&mut w, StoredMat::F32(&one)).unwrap();
+        assert!(read_block_store(&mut &w[..], StoreLayout::Symmetric, VERSION).is_err());
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   carries a [`Precision`], and the norm-aware demotion rule
 //!   ([`BlockStore::demote_pending`] / [`H2Matrix::demote_level`]) moves a
 //!   block to f32 storage only when the f32 rounding error provably stays
-//!   below the construction tolerance; demoted blocks are consumed through
-//!   the promote-on-pack mixed GEMM (f32 storage, f64 accumulation).
+//!   below the construction tolerance; a demoted block's f32 matrix is its
+//!   only copy, read through the mixed GEMM (f32 storage, f64
+//!   accumulation), and diagonal blocks always stay f64.
 //!
 //! [`H2MatrixUnsym`] survives as a type alias: the unsymmetric matrix *is*
 //! an [`H2Matrix`] whose column side is stored.
@@ -321,16 +322,16 @@ mod rank_zero_tests {
                     let r = if s == leaf {
                         0
                     } else {
-                        h2.coupling.blocks[i].rows()
+                        h2.coupling.block(i).rows()
                     };
                     let c = if t == leaf {
                         0
                     } else {
-                        h2.coupling.blocks[i].cols()
+                        h2.coupling.block(i).cols()
                     };
                     store.insert(s, t, Mat::zeros(r, c));
                 } else {
-                    store.insert(s, t, h2.coupling.blocks[i].clone());
+                    store.insert(s, t, h2.coupling.block(i).to_mat());
                 }
             }
             h2.coupling = store;

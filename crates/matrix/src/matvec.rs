@@ -60,7 +60,7 @@
 //! bit-identical to this one whatever the device count.
 
 use crate::format::{BlockOp, BlockStore, H2Matrix, StoreLayout};
-use h2_dense::{gemm, gemm_mixed, Mat, MatMut, MatRef, Op};
+use h2_dense::{gemm, Mat, MatMut, MatRef, Op};
 use rayon::prelude::*;
 
 /// Side-resolved per-node kernels of the three-pass matvec.
@@ -296,21 +296,16 @@ impl<'a> ApplyPhases<'a> {
 }
 
 /// `acc += op(block) · input` — the one accumulation the coupling and
-/// near-field phases are made of, whoever schedules it.
-///
-/// Demoted blocks read their f32 storage through the promote-on-pack path —
-/// bitwise identical to the f64 working copy (see the format module docs),
-/// but it exercises the wire representation the fabric ships.
+/// near-field phases are made of, whoever schedules it. A demoted block is
+/// read at its stored f32 width ([`h2_dense::StoredMat::gemm`]), bitwise
+/// what the f64 product on its promoted values gives.
 fn accumulate(blk: BlockOp<'_>, input: MatRef<'_>, acc: MatMut<'_>) {
     let op = if blk.transposed {
         Op::Trans
     } else {
         Op::NoTrans
     };
-    match blk.mat32 {
-        Some(b32) => gemm_mixed(op, Op::NoTrans, 1.0, b32, input, 1.0, acc),
-        None => gemm(op, Op::NoTrans, 1.0, blk.mat.rf(), input, 1.0, acc),
-    }
+    blk.mat.gemm(op, Op::NoTrans, 1.0, input, 1.0, acc);
 }
 
 impl H2Matrix {

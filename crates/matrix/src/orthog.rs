@@ -149,9 +149,10 @@ impl H2Matrix {
                     r_col[t].as_ref()
                 };
                 if let (Some(rs), Some(rt)) = (rs, rt) {
-                    let b = &self.coupling.blocks[idx];
+                    let b = self.coupling.block(idx).to_mat();
                     let rb = matmul(Op::NoTrans, Op::NoTrans, rs.rf(), b.rf());
-                    self.coupling.blocks[idx] = matmul(Op::NoTrans, Op::Trans, rb.rf(), rt.rf());
+                    let scaled = matmul(Op::NoTrans, Op::Trans, rb.rf(), rt.rf());
+                    self.coupling.replace(idx, scaled);
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! precisions and shapes the traversal branches on, and check that the
 //! row-chunk count leaves the bits alone.
 
-use h2_dense::{gaussian_mat, gemm, gemm_mixed, Mat, MatMut, MatRef, Op, Precision};
+use h2_dense::{gaussian_mat, gemm, gemm_mixed, Mat, MatMut, MatRef, Op, Precision, StoredMat};
 use h2_kernels::{ExponentialKernel, KernelMatrix};
 use h2_matrix::{
     direct_construct, ApplyPhases, BlockOp, BlockStore, DirectConfig, H2Matrix, StoreLayout,
@@ -24,9 +24,9 @@ fn accumulate(blk: BlockOp<'_>, input: MatRef<'_>, acc: MatMut<'_>) {
     } else {
         Op::NoTrans
     };
-    match blk.mat32 {
-        Some(b32) => gemm_mixed(op, Op::NoTrans, 1.0, b32, input, 1.0, acc),
-        None => gemm(op, Op::NoTrans, 1.0, blk.mat.rf(), input, 1.0, acc),
+    match blk.mat {
+        StoredMat::F32(b32) => gemm_mixed(op, Op::NoTrans, 1.0, b32, input, 1.0, acc),
+        StoredMat::F64(b) => gemm(op, Op::NoTrans, 1.0, b.rf(), input, 1.0, acc),
     }
 }
 
@@ -243,16 +243,23 @@ fn f32_demoted_storage() {
         (unsymmetric_like(&sym), "demoted unsymmetric"),
         (sym, "demoted symmetric"),
     ] {
-        // Demote every second coupling/dense block: both GEMM paths run
+        // The norm-aware rule at the median block norm demotes about half
+        // of each store (and no diagonal block): both GEMM paths run
         // inside one product.
+        let eps32 = 0.5 * f32::EPSILON as f64;
         for store in [&mut h2.coupling, &mut h2.dense] {
-            store.demote_pending(f64::INFINITY);
-            for i in (0..store.len()).step_by(2) {
-                store.blocks32[i] = None;
-            }
+            let mut norms: Vec<f64> = store.blocks.iter().map(Mat::norm_fro).collect();
+            norms.sort_by(f64::total_cmp);
+            store.demote_pending(eps32 * norms[norms.len() / 2]);
             let demoted = store.demoted_count();
             assert!(0 < demoted && demoted < store.len());
-            assert_eq!(store.precision_of(1), Precision::F32);
+            for i in 0..store.len() {
+                let (s, t) = store.pairs[i];
+                if store.precision_of(i) == Precision::F32 {
+                    assert_ne!(s, t, "diagonal block ({s},{s}) demoted");
+                    assert_eq!(store.blocks[i].memory_bytes(), 0, "f64 copy kept");
+                }
+            }
         }
         check(&h2, name);
     }

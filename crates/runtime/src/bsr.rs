@@ -16,7 +16,7 @@ use crate::multidev::{cost, owner};
 use crate::profile::Kernel;
 use crate::runtime::Runtime;
 use crate::shard::{FetchPlanner, ShardDispatch};
-use h2_dense::{gemm, Mat, MatMut, Op};
+use h2_dense::{Mat, MatMut, Op, StoredMat};
 
 /// Sparsity pattern of a level's block-sparse matrix, pre-split into
 /// conflict-free slots.
@@ -109,18 +109,19 @@ impl BsrPattern {
     }
 }
 
-/// A reference to one block of the BSR matrix. Symmetric H2 storage keeps
+/// A reference to one block of the BSR matrix, at its stored width (an
+/// f32 block is multiplied by `gemm_mixed`). Symmetric H2 storage keeps
 /// only the `s <= t` blocks, so the `(t, s)` side is applied transposed.
 #[derive(Clone, Copy)]
 pub struct BsrBlock<'a> {
-    pub mat: &'a Mat,
+    pub mat: StoredMat<'a>,
     pub transposed: bool,
 }
 
 impl<'a> BsrBlock<'a> {
     pub fn plain(mat: &'a Mat) -> Self {
         BsrBlock {
-            mat,
+            mat: StoredMat::F64(mat),
             transposed: false,
         }
     }
@@ -187,7 +188,7 @@ pub fn bsr_gemm(
                     let xb = x.mat(pattern.col_of(p));
                     let b = blocks[p];
                     let op = if b.transposed { Op::Trans } else { Op::NoTrans };
-                    gemm(op, Op::NoTrans, alpha, b.mat.rf(), xb, 1.0, m.rb_mut());
+                    b.mat.gemm(op, Op::NoTrans, alpha, xb, 1.0, m.rb_mut());
                 }
             }
         },

@@ -135,11 +135,14 @@ pub enum Phase {
     /// start vector from the first sample block, then at most
     /// `2·iters + 1` single-vector sampler products.
     NormEst,
+    /// The norm-aware storage demotion of finished blocks (one pass over
+    /// each block measures and narrows it).
+    Demote,
     /// Marshaling, workspace allocation, bookkeeping.
     Misc,
 }
 
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 10;
 
 impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
@@ -151,6 +154,7 @@ impl Phase {
         Phase::Id,
         Phase::Upsweep,
         Phase::NormEst,
+        Phase::Demote,
         Phase::Misc,
     ];
 
@@ -164,7 +168,8 @@ impl Phase {
             Phase::Id => 5,
             Phase::Upsweep => 6,
             Phase::NormEst => 7,
-            Phase::Misc => 8,
+            Phase::Demote => 8,
+            Phase::Misc => 9,
         }
     }
 
@@ -178,6 +183,7 @@ impl Phase {
             Phase::Id => "id",
             Phase::Upsweep => "upsweep",
             Phase::NormEst => "norm_est",
+            Phase::Demote => "demote",
             Phase::Misc => "misc",
         }
     }

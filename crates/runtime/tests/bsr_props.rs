@@ -1,8 +1,9 @@
 //! Property tests for the `batchedBSRGemm` kernel: equivalence with a dense
-//! block-matrix product over random patterns, block orientations, and both
-//! backends, plus conflict-freedom of the slot decomposition.
+//! block-matrix product over random patterns, block orientations, storage
+//! widths (every second block is stored f32) and both backends, plus
+//! conflict-freedom of the slot decomposition.
 
-use h2_dense::{gaussian_mat, gemm, Op};
+use h2_dense::{demote_roundtrip, gaussian_mat, gemm, Mat32, Op, StoredMat};
 use h2_runtime::{bsr_gemm, BsrBlock, BsrPattern, Runtime, VarBatch};
 use proptest::prelude::*;
 
@@ -65,15 +66,24 @@ fn run_case(case: &Case, rt: &Runtime) -> (VarBatch, VarBatch) {
             } else {
                 gaussian_mat(m, n, rng_seed)
             };
-            mats.push(stored);
+            // Every second block is stored f32; the reference multiplies
+            // its promoted values.
+            mats.push(match mats.len() % 2 {
+                0 => stored,
+                _ => demote_roundtrip(&stored),
+            });
         }
     }
+    let mats32: Vec<Mat32> = mats.iter().map(|m| Mat32::demote(m.rf())).collect();
     let mut blocks = Vec::new();
     let mut k = 0;
     for (r, partners) in case.adj.iter().enumerate() {
         for (pi, _) in partners.iter().enumerate() {
             blocks.push(BsrBlock {
-                mat: &mats[k],
+                mat: match k % 2 {
+                    0 => StoredMat::F64(&mats[k]),
+                    _ => StoredMat::F32(&mats32[k]),
+                },
                 transposed: case.transposed[r][pi],
             });
             k += 1;

@@ -20,7 +20,7 @@
 
 use h2_dense::cpqr::Truncation;
 use h2_dense::gemm::stats::{self, DenseCounters};
-use h2_dense::{gaussian_mat, DenseOp, Diag, EntryAccess, Mat, Triangle};
+use h2_dense::{gaussian_mat, DenseOp, Diag, EntryAccess, Mat, StoredMat, Triangle};
 use h2_runtime::*;
 use h2_sched::{DeviceFabric, FaultPlan};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -346,7 +346,7 @@ fn all_kernels(rt: &Runtime, h: &[usize]) -> Vec<Vec<Vec<u64>>> {
         .iter()
         .enumerate()
         .map(|(p, mat)| BsrBlock {
-            mat,
+            mat: StoredMat::F64(mat),
             transposed: p % 2 == 1 && mat.rows() == mat.cols(),
         })
         .collect();

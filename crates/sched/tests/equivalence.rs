@@ -74,6 +74,21 @@ fn same_products(a: &H2Matrix, b: &H2Matrix, seed: u64) -> bool {
         )
 }
 
+/// Whether two H2 matrices store the same blocks at the same widths, with
+/// the same bits — the near field's f32 demotion included.
+fn same_storage(a: &H2Matrix, b: &H2Matrix) -> bool {
+    [(&a.dense, &b.dense), (&a.coupling, &b.coupling)]
+        .into_iter()
+        .all(|(x, y)| {
+            x.pairs == y.pairs
+                && (0..x.len()).all(|i| {
+                    let (p, q) = (x.block(i), y.block(i));
+                    p.precision() == q.precision() && same_bits(&p.to_mat(), &q.to_mat())
+                })
+        })
+        && a.memory_bytes() == b.memory_bytes()
+}
+
 /// Bit-for-bit equality of two matrices of the same shape.
 fn same_bits(a: &Mat, b: &Mat) -> bool {
     let bits = |m: &Mat| {
@@ -113,6 +128,10 @@ fn sym_construction_matches_single_device() {
             same_products(&h2, &reference, 72),
             "D={devices}: the sharded construction must equal the in-process one bit for bit"
         );
+        assert!(
+            same_storage(&h2, &reference),
+            "D={devices}: the sharded construction must store the same blocks at the same widths"
+        );
         // One epoch per processed level.
         let top = part.top_far_level(&tree).unwrap();
         let levels = tree.leaf_level() - top + 1;
@@ -143,6 +162,10 @@ fn unsym_construction_matches_single_device() {
             same_products(&h2, &reference, 74),
             "D={devices}: the sharded unsym construction must equal the in-process one \
              bit for bit, transpose included"
+        );
+        assert!(
+            same_storage(&h2, &reference),
+            "D={devices}: unsym storage differs"
         );
         assert_straddles(&report, devices);
         if devices > 1 {

@@ -29,7 +29,6 @@ fn shift_diag(h2: &mut H2Matrix, sigma: f64) {
             for j in 0..blk.rows() {
                 blk[(j, j)] += sigma;
             }
-            h2.dense.resync_demoted(i);
         }
     }
 }

@@ -92,10 +92,7 @@ impl BlockJacobi {
         let leaves: Vec<usize> = tree.level(tree.leaf_level()).collect();
         let blocks: Vec<Mat> = leaves
             .iter()
-            .map(|&s| {
-                let (blk, _) = h2.dense.get(s, s).expect("diagonal block");
-                blk.clone()
-            })
+            .map(|&s| h2.dense.diagonal(s).expect("diagonal block").clone())
             .collect();
         let ranges: Vec<(usize, usize)> = leaves.iter().map(|&s| tree.range(s)).collect();
         Self::from_blocks(ranges, blocks, tree.npoints())

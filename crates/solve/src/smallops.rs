@@ -10,7 +10,7 @@
 use h2_dense::Op;
 
 /// The `Op` reading a stored block in its looked-up orientation
-/// (`transposed` as returned by `BlockStore::get`/`get_op`).
+/// (`transposed` as returned by `BlockStore::get`/`lookup_op`).
 pub(crate) fn stored_op(transposed: bool) -> Op {
     if transposed {
         Op::Trans

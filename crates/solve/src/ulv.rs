@@ -38,11 +38,12 @@
 //!
 //! ## Storage precision
 //!
-//! The factorization reads the matrix's f64 working copies, which for
-//! blocks demoted to f32 storage hold exactly the round-tripped values
-//! (see `h2_matrix::format`) — so a ULV of a mixed-precision matrix is
-//! the *exact* factorization of the stored operator, bitwise identical to
-//! promoting every f32 block on the fly. Solve residuals against the
+//! The diagonal blocks it factors are always stored f64, and a coupling
+//! block stored in f32 (`SketchConfig::storage`) is read at its stored
+//! width, promoted per node inside the mixed product (see
+//! `h2_matrix::format`) — so a ULV of a mixed-precision matrix is the
+//! *exact* factorization of the stored operator, bitwise identical to
+//! promoting every f32 block up front. Solve residuals against the
 //! represented operator stay at machine precision regardless of the
 //! storage tier; only the represented operator itself differs from the
 //! original kernel by the (tolerance-bounded) demotion error.
@@ -330,9 +331,11 @@ fn rotated_coupling(
     s: usize,
     t: usize,
 ) -> Mat {
-    match h2.coupling.get_op(s, t, false) {
-        Some((b, tr)) => {
-            let bt = matmul(stored_op(tr), Op::Trans, b.rf(), nf_t.s_pad().rf());
+    match h2.coupling.get(s, t) {
+        Some(b) => {
+            let bt = b
+                .mat
+                .matmul(stored_op(b.transposed), Op::Trans, nf_t.s_pad().rf());
             matmul(Op::NoTrans, Op::NoTrans, nf_s.r.rf(), bt.rf())
         }
         None => Mat::zeros(nf_s.k, nf_t.k),
@@ -404,8 +407,7 @@ impl UlvFactor {
 
         if leaf_level == 0 {
             // Single dense block: plain LU.
-            let (blk, tr) = h2.dense.get(0, 0).expect("root dense block");
-            let root = if tr { blk.transpose() } else { blk.clone() };
+            let root = h2.dense.diagonal(0).expect("root dense block").clone();
             let root_size = root.rows();
             let root_lu = lu_factor(root).ok_or(UlvError::SingularRoot)?;
             return Ok(UlvFactor {
@@ -418,8 +420,7 @@ impl UlvFactor {
         }
 
         for id in tree.level(leaf_level) {
-            let (blk, tr) = h2.dense.get(id, id).expect("leaf diagonal block");
-            dloc[id] = Some(if tr { blk.transpose() } else { blk.clone() });
+            dloc[id] = Some(h2.dense.diagonal(id).expect("leaf diagonal block").clone());
         }
 
         for l in (1..=leaf_level).rev() {
