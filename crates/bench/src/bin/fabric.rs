@@ -60,16 +60,15 @@
 //!     --trace trace.json --expect-bytes $(cat trace.json.expect)
 //! ```
 
-use h2_core::{sketch_construct_unsym, SketchConfig};
-use h2_dense::LinOp;
+use h2_core::{sketch_construct, SketchConfig};
+use h2_dense::{EntryAccess, LinOp};
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::{direct_construct, DirectConfig};
 use h2_obs::Json;
 use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime};
 use h2_sched::{
     export_chrome_trace_with_spans, plan_construct, plan_matvec, shard_construct,
-    shard_construct_unsym, shard_matvec_with_report, DeviceFabric, ExecReport, FaultKind,
-    FaultPlan, LinkModel,
+    shard_matvec_with_report, DeviceFabric, ExecReport, FaultKind, FaultPlan, LinkModel,
 };
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
@@ -268,7 +267,7 @@ fn run_faults(smoke: bool) -> Vec<FaultRow> {
         let (h2c, _, base_rep) =
             shard_construct(&fabric, &sampler, &km, tree.clone(), part.clone(), &cfg);
         let base_makespan = base_rep.modeled_makespan(&weak);
-        let want = h2c.apply_permuted_mat(&probe);
+        let want = h2c.apply_mat(&probe);
         for kind in FaultKind::ALL {
             let plan = Arc::new(FaultPlan::chaos(0xFA59, kind));
             let fabric = fabric_for(devices, mode, Precision::F64);
@@ -276,7 +275,7 @@ fn run_faults(smoke: bool) -> Vec<FaultRow> {
             let (h2, stats, report) =
                 shard_construct(&fabric, &sampler, &km, tree.clone(), part.clone(), &cfg);
             assert_eq!(
-                h2.apply_permuted_mat(&probe),
+                h2.apply_mat(&probe),
                 want,
                 "{} / {mode_name}: faulted construction must be bit-identical",
                 kind.name()
@@ -363,15 +362,23 @@ fn run_regime(
         let ref_cfg = SketchConfig {
             tol: 1e-8,
             initial_samples: samples,
+            symmetric: false,
             ..Default::default()
         };
-        Box::new(sketch_construct_unsym(km, km, tree.clone(), part.clone(), &rt, &ref_cfg).0)
+        Box::new(sketch_construct(km, km, tree.clone(), part.clone(), &rt, &ref_cfg).0)
+    };
+
+    let gen: &dyn EntryAccess = match (&km_sym, &km_unsym) {
+        (Some(km), _) => km,
+        (_, Some(km)) => km,
+        _ => unreachable!("one kernel matrix per regime"),
     };
 
     for &prec in precisions {
         let cfg = SketchConfig {
             initial_samples: samples,
             storage: prec,
+            symmetric: sym,
             ..Default::default()
         };
         println!(
@@ -396,26 +403,14 @@ fn run_regime(
             let mut stats_last = None;
             for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
                 let fabric = fabric_for(devices, mode, prec);
-                let (h2, stats, report) = if let Some(km) = &km_sym {
-                    shard_construct(
-                        &fabric,
-                        sampler.as_ref(),
-                        km,
-                        tree.clone(),
-                        part.clone(),
-                        &cfg,
-                    )
-                } else {
-                    let km = km_unsym.as_ref().unwrap();
-                    shard_construct_unsym(
-                        &fabric,
-                        sampler.as_ref(),
-                        km,
-                        tree.clone(),
-                        part.clone(),
-                        &cfg,
-                    )
-                };
+                let (h2, stats, report) = shard_construct(
+                    &fabric,
+                    sampler.as_ref(),
+                    gen,
+                    tree.clone(),
+                    part.clone(),
+                    &cfg,
+                );
                 reports.push(report);
                 h2_last = Some(h2);
                 stats_last = Some(stats);

@@ -25,7 +25,7 @@
 
 use h2_bench::{build_problem, reference_h2, App, Args, BenchReport, TraceSink};
 use h2_core::{sketch_construct, SketchConfig};
-use h2_dense::{gaussian_mat, gemm, gemm_naive, par_gemm, qr_factor, qr_in_place, Mat, Op};
+use h2_dense::{gaussian_mat, gemm, gemm_naive, par_gemm, qr_factor, qr_in_place, LinOp, Mat, Op};
 use h2_obs::Json;
 use h2_runtime::{gemm_at_x, Runtime, VarBatch};
 use std::time::Instant;
@@ -275,7 +275,7 @@ fn main() {
     let x = gaussian_mat(n_construct, 1, 7);
     let t0 = Instant::now();
     for _ in 0..matvecs {
-        std::hint::black_box(h2.apply_permuted_mat(&x));
+        std::hint::black_box(h2.apply_mat(&x));
     }
     let matvec_secs = t0.elapsed().as_secs_f64() / matvecs.max(1) as f64;
     println!(

@@ -44,8 +44,8 @@
 //! iteration instants) and writes a Chrome-trace JSON at exit.
 
 use h2_bench::{BenchReport, TraceSink};
-use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig};
-use h2_dense::gaussian_mat;
+use h2_core::{sketch_construct, SketchConfig};
+use h2_dense::{gaussian_mat, LinOp};
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_obs::Json;
@@ -149,6 +149,7 @@ fn run_regime(
         initial_samples: 64,
         max_rank: 96,
         storage: prec,
+        symmetric: sym,
         ..Default::default()
     };
     let mut h2 = if sym {
@@ -156,7 +157,7 @@ fn run_regime(
         sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg).0
     } else {
         let km = UnsymKernelMatrix::new(ConvectionKernel::default(), tree.points.clone());
-        sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg).0
+        sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg).0
     };
     shift_diag(&mut h2, 3.0);
 
@@ -172,7 +173,7 @@ fn run_regime(
     let t0 = Instant::now();
     let x = ulv.solve(&b);
     let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut r = h2.apply_permuted_mat(&x);
+    let mut r = h2.apply_mat(&x);
     r.axpy(-1.0, &b);
     let residual = r.norm_fro() / b.norm_fro();
     assert!(residual < 1e-10, "{regime}: ULV residual {residual}");

@@ -35,11 +35,13 @@
 //!    `batchedGen` — per unordered pair when symmetric, per ordered pair
 //!    otherwise.
 //!
-//! The symmetric construction is the degenerate one-stream instance
-//! (`V = U`, shared skeletons): it executes exactly the seed symmetric
-//! kernel sequence, so results are bitwise identical to the pre-unification
-//! path. Every step runs as batched kernels on the [`Runtime`] and is
-//! attributed to the Fig.-7 phase it belongs to.
+//! One entry point, [`sketch_construct`], runs both regimes; the one
+//! `bool` [`SketchConfig::symmetric`] chooses between them. The symmetric
+//! construction is the degenerate one-stream instance (`V = U`, shared
+//! skeletons): it executes exactly the seed symmetric kernel sequence, so
+//! results are bitwise identical to the pre-unification path. Every step
+//! runs as batched kernels on the [`Runtime`] and is attributed to the
+//! Fig.-7 phase it belongs to.
 //!
 //! Algorithm 1's lines map onto the engine's statements (leaf level /
 //! inner levels):
@@ -154,11 +156,17 @@ struct LevelRecord {
     skels_local: Vec<Vec<Vec<usize>>>,
 }
 
-/// Construct a symmetric H2 matrix by adaptive sketching (Algorithm 1).
+/// Construct an H2 matrix by adaptive sketching (Algorithm 1).
 ///
-/// The degenerate one-stream instance of the engine: `V = U`, one sample
-/// stream, unordered block stores. `sampler` and `gen` view the matrix in
-/// tree-permuted coordinates, as do all operators in this workspace.
+/// [`SketchConfig::symmetric`] picks the instance: one sketch stream with
+/// `V = U` and unordered block stores, or two streams (`Y = K Ω`,
+/// `Z = Kᵀ Ψ`) with independent row/column bases and ordered block stores,
+/// for which `sampler` must implement both `apply` and `apply_transpose`.
+/// `sampler` and `gen` view the matrix in tree-permuted coordinates, as do
+/// all operators in this workspace.
+///
+/// `SketchStats::total_samples` counts the columns of **each** stream; an
+/// unsymmetric construction draws that many `Ω` and that many `Ψ` vectors.
 pub fn sketch_construct(
     sampler: &dyn LinOp,
     gen: &dyn EntryAccess,
@@ -167,52 +175,12 @@ pub fn sketch_construct(
     rt: &Runtime,
     cfg: &SketchConfig,
 ) -> (H2Matrix, SketchStats) {
-    sketch_construct_engine(sampler, gen, tree, partition, rt, cfg, true)
-}
-
-/// Construct an unsymmetric H2 matrix by adaptive sketching: the two-stream
-/// instance with independent row/column bases and ordered block stores.
-///
-/// `sampler` must implement both `apply` and `apply_transpose`; `gen`
-/// evaluates entries of the (possibly unsymmetric) matrix. Both view the
-/// matrix in tree-permuted coordinates.
-///
-/// `SketchStats::total_samples` counts the columns of **each** stream; the
-/// construction draws that many `Ω` and that many `Ψ` vectors.
-pub fn sketch_construct_unsym(
-    sampler: &dyn LinOp,
-    gen: &dyn EntryAccess,
-    tree: Arc<ClusterTree>,
-    partition: Arc<Partition>,
-    rt: &Runtime,
-    cfg: &SketchConfig,
-) -> (H2Matrix, SketchStats) {
-    assert_eq!(
-        sampler.ncols(),
-        sampler.nrows(),
-        "only square matrices are supported"
-    );
-    sketch_construct_engine(sampler, gen, tree, partition, rt, cfg, false)
-}
-
-/// The stream-generic construction engine behind both entry points.
-fn sketch_construct_engine(
-    sampler: &dyn LinOp,
-    gen: &dyn EntryAccess,
-    tree: Arc<ClusterTree>,
-    partition: Arc<Partition>,
-    rt: &Runtime,
-    cfg: &SketchConfig,
-    symmetric: bool,
-) -> (H2Matrix, SketchStats) {
     let t0 = Instant::now();
     let n = tree.npoints();
     assert_eq!(sampler.nrows(), n, "sampler size mismatch");
-    let mut h2 = if symmetric {
-        H2Matrix::new_shell(tree.clone(), partition.clone())
-    } else {
-        H2Matrix::new_shell_unsym(tree.clone(), partition.clone())
-    };
+    assert_eq!(sampler.ncols(), n, "only square matrices are supported");
+    let symmetric = cfg.symmetric;
+    let mut h2 = H2Matrix::new_shell(tree.clone(), partition.clone(), symmetric);
     let mut stats = SketchStats::default();
     let leaf_level = tree.leaf_level();
     let leaves: Vec<usize> = tree.level(leaf_level).collect();
@@ -379,11 +347,11 @@ fn sketch_construct_engine(
         gen_blocks(rt, gen, &mut h2, &node_ids, BlockSource::Coupling);
 
         // ---- storage demotion as the level completes (norm-aware) ----
-        // Bases and coupling blocks of this level narrow to f32 *before*
-        // the upsweep and the next level's subtraction consume them, so
-        // every later kernel reads the stored representation.
+        // Coupling blocks of this level narrow to f32, as their only copy,
+        // *before* the next level's subtraction consumes them, so every
+        // later kernel reads the stored representation.
         if cfg.storage == h2_runtime::Precision::F32 {
-            rt.phase(Phase::Demote, || h2.demote_level(l, eps_abs, norm_est));
+            rt.phase(Phase::Demote, || h2.coupling.demote_pending(eps_abs));
         }
 
         // ---- upsweep to the next level (lines 17-18 / 35-36): shrink each

@@ -10,9 +10,10 @@
 //! batches, and the level-by-level loop drives one stream (`Y = K Ω`,
 //! symmetric `V = U`) or two (`Y = K Ω` and `Z = Kᵀ Ψ`, independent row
 //! and column bases) through the same subtraction, convergence-test,
-//! `updateSamples`, row-ID and upsweep kernels. [`sketch_construct`] and
-//! [`sketch_construct_unsym`] are thin instantiations of the engine; the
-//! symmetric one reproduces the pre-unification kernel sequence bitwise.
+//! `updateSamples`, row-ID and upsweep kernels. [`sketch_construct`] is
+//! its one entry point, and [`SketchConfig::symmetric`] picks the number
+//! of streams; the symmetric instance reproduces the pre-unification
+//! kernel sequence bitwise.
 //!
 //! The construction consumes the two black-box inputs of the paper — a
 //! sketching operator `Y = Kblk(Ω)` ([`h2_dense::LinOp`], with
@@ -27,7 +28,7 @@ pub mod construct;
 pub mod multidev;
 
 pub use config::{SketchConfig, SketchStats, TolSchedule};
-pub use construct::{sketch_construct, sketch_construct_unsym, Side};
+pub use construct::{sketch_construct, Side};
 pub use multidev::plan_construct;
 
 #[cfg(test)]
@@ -61,6 +62,30 @@ mod tests {
         );
         let km = KernelMatrix::new(ExponentialKernel::default(), tree.points.clone());
         (tree, part, km)
+    }
+
+    /// Both regimes take the one input check: the sampler must be square,
+    /// of the tree's size.
+    fn construct_rectangular(symmetric: bool) {
+        let (tree, part, km) = cov_problem(300, 16, 0.7, 140);
+        let wide = DenseOp::new(Mat::zeros(tree.npoints(), tree.npoints() + 1));
+        let cfg = SketchConfig {
+            symmetric,
+            ..Default::default()
+        };
+        let _ = sketch_construct(&wide, &km, tree, part, &Runtime::sequential(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "only square matrices are supported")]
+    fn rectangular_sampler_is_rejected_symmetric() {
+        construct_rectangular(true);
+    }
+
+    #[test]
+    #[should_panic(expected = "only square matrices are supported")]
+    fn rectangular_sampler_is_rejected_unsymmetric() {
+        construct_rectangular(false);
     }
 
     /// Full pipeline against a dense reference: error must respect the
@@ -149,8 +174,8 @@ mod tests {
     /// block only narrows when its rounding error fits inside the
     /// construction's absolute threshold, so the measured error stays in
     /// the same band as pure-f64 storage at every tolerance — and at a
-    /// loose tolerance the rule actually fires (blocks, bases and dense
-    /// near-field all carry f32 copies).
+    /// loose tolerance the rule actually fires (coupling blocks and the
+    /// dense near field are stored f32; bases stay f64).
     #[test]
     fn f32_storage_stays_within_tolerance() {
         let (tree, part, km) = cov_problem(1500, 16, 0.7, 120);
@@ -175,14 +200,37 @@ mod tests {
                     h2.dense.demoted_count() > 0,
                     "loose tolerance must demote dense blocks"
                 );
-                assert!(
-                    h2.basis_prec.contains(&h2_runtime::Precision::F32),
-                    "loose tolerance must demote bases"
-                );
                 let (_, f32b) = h2.coupling.bytes_by_precision();
                 assert!(f32b > 0, "f32 bytes must show up in the accounting");
             }
         }
+    }
+
+    /// Under `storage = F32`, `memory_bytes` is the bytes the operator
+    /// holds: every basis at f64 (bases are never demoted), every skeleton
+    /// index, and every block of both stores at its stored width.
+    #[test]
+    fn f32_storage_memory_is_the_bytes_held() {
+        let (tree, part, km) = cov_problem(1500, 16, 0.7, 120);
+        let cfg = SketchConfig {
+            tol: 1e-4,
+            initial_samples: 64,
+            storage: h2_runtime::Precision::F32,
+            ..Default::default()
+        };
+        let (h2, _) = sketch_construct(&km, &km, tree, part, &Runtime::parallel(), &cfg);
+        assert!(h2.coupling.demoted_count() > 0 && h2.dense.demoted_count() > 0);
+        let bases: usize = h2.basis.iter().map(|b| size_of_val(b.as_slice())).sum();
+        let skels: usize = h2.skel.iter().map(|s| size_of_val(s.as_slice())).sum();
+        let held = |store: &h2_matrix::BlockStore| -> usize {
+            (0..store.len())
+                .map(|i| store.block(i).memory_bytes())
+                .sum()
+        };
+        assert_eq!(
+            h2.memory_bytes(),
+            bases + skels + held(&h2.coupling) + held(&h2.dense)
+        );
     }
 
     /// The default construction stores the near field once: every
@@ -235,7 +283,6 @@ mod tests {
         assert!(demoted > 0 && demoted == h2.dense.demoted_count());
         assert_eq!(h2.dense.memory_bytes(), held);
         assert_eq!(h2.coupling.demoted_count(), 0, "couplings follow `storage`");
-        assert!(h2.basis_prec.iter().all(|&p| p == Precision::F64));
 
         let (par, _) = build(Backend::Parallel);
         assert_eq!(par.memory_bytes(), h2.memory_bytes());
@@ -626,7 +673,7 @@ mod adaptive_tests {
 #[cfg(test)]
 mod unsym_tests {
     use super::*;
-    use h2_dense::{gaussian_mat, relative_error_2, EntryAccess, Mat};
+    use h2_dense::{gaussian_mat, relative_error_2, EntryAccess, LinOp, Mat};
     use h2_kernels::{
         ConvectionKernel, ExponentialKernel, KernelMatrix, ScaledKernelMatrix, UnsymKernelMatrix,
     };
@@ -634,6 +681,13 @@ mod unsym_tests {
     use h2_runtime::{Backend, Runtime};
     use h2_tree::{Admissibility, ClusterTree, Partition};
     use std::sync::Arc;
+
+    /// `Kᵀ x`, allocated.
+    fn transpose_product(op: &dyn LinOp, x: &Mat) -> Mat {
+        let mut y = Mat::zeros(op.ncols(), x.cols());
+        op.apply_transpose(x.rf(), y.rm());
+        y
+    }
 
     fn convection_problem(
         n: usize,
@@ -658,9 +712,10 @@ mod unsym_tests {
         let cfg = SketchConfig {
             tol: 1e-6,
             initial_samples: 64,
+            symmetric: false,
             ..Default::default()
         };
-        let (h2, stats) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (h2, stats) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         h2.validate().unwrap();
         assert!(
             !h2.is_symmetric(),
@@ -684,12 +739,13 @@ mod unsym_tests {
         let cfg = SketchConfig {
             tol: 1e-7,
             initial_samples: 80,
+            symmetric: false,
             ..Default::default()
         };
-        let (h2, _) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         let dense = Mat::from_fn(1000, 1000, |i, j| km.entry(i, j));
         let x = gaussian_mat(1000, 3, 503);
-        let got = h2.apply_transpose_permuted_mat(&x);
+        let got = transpose_product(&h2, &x);
         let want = h2_dense::matmul(
             h2_dense::Op::Trans,
             h2_dense::Op::NoTrans,
@@ -712,17 +768,18 @@ mod unsym_tests {
         let cfg = SketchConfig {
             tol: 1e-7,
             initial_samples: 80,
+            symmetric: false,
             ..Default::default()
         };
-        let (mut h2, _) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (mut h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         assert!(!h2.is_symmetric());
         assert!(
             h2.basis_orthogonality_error() > 1e-8,
             "interpolative bases start non-orthonormal"
         );
         let x = gaussian_mat(1100, 3, 516);
-        let fwd_before = h2.apply_permuted_mat(&x);
-        let adj_before = h2.apply_transpose_permuted_mat(&x);
+        let fwd_before = h2.apply_mat(&x);
+        let adj_before = transpose_product(&h2, &x);
 
         let processed = h2.orthogonalize();
         assert!(processed > 0, "both sides processed");
@@ -733,8 +790,8 @@ mod unsym_tests {
         );
         h2.validate().unwrap();
 
-        let fwd_after = h2.apply_permuted_mat(&x);
-        let adj_after = h2.apply_transpose_permuted_mat(&x);
+        let fwd_after = h2.apply_mat(&x);
+        let adj_after = transpose_product(&h2, &x);
         let mut df = fwd_after;
         df.axpy(-1.0, &fwd_before);
         let mut da = adj_after;
@@ -761,13 +818,14 @@ mod unsym_tests {
         let cfg = SketchConfig {
             tol: 1e-5,
             initial_samples: 48,
+            symmetric: false,
             ..Default::default()
         };
-        let (h2, _) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         let x = gaussian_mat(900, 2, 505);
         let y = gaussian_mat(900, 2, 506);
-        let ky = h2.apply_permuted_mat(&y);
-        let ktx = h2.apply_transpose_permuted_mat(&x);
+        let ky = h2.apply_mat(&y);
+        let ktx = transpose_product(&h2, &x);
         let a = h2_dense::matmul(h2_dense::Op::Trans, h2_dense::Op::NoTrans, x.rf(), ky.rf());
         let b = h2_dense::matmul(h2_dense::Op::Trans, h2_dense::Op::NoTrans, ktx.rf(), y.rf());
         let mut d = a;
@@ -796,9 +854,10 @@ mod unsym_tests {
         let cfg = SketchConfig {
             tol: 1e-6,
             initial_samples: 64,
+            symmetric: false,
             ..Default::default()
         };
-        let (h2, _) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         h2.validate().unwrap();
         let e = relative_error_2(&km, &h2, 20, 508);
         assert!(e < 1e-5, "scaled kernel rel err {e}");
@@ -816,9 +875,10 @@ mod unsym_tests {
         let cfg = SketchConfig {
             tol: 1e-6,
             initial_samples: 64,
+            symmetric: false,
             ..Default::default()
         };
-        let (h2, _) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         let e = relative_error_2(&km, &h2, 20, 510);
         assert!(e < 1e-5, "rel err {e}");
         let d = h2.to_dense();
@@ -837,9 +897,10 @@ mod unsym_tests {
             tol: 1e-6,
             initial_samples: 8,
             sample_block: 8,
+            symmetric: false,
             ..Default::default()
         };
-        let (h2, stats) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (h2, stats) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         assert!(stats.rounds > 0, "must adapt from 8 samples");
         assert!(stats.total_samples > 8);
         let e = relative_error_2(&km, &h2, 15, 512);
@@ -855,9 +916,10 @@ mod unsym_tests {
         let (tree, part, km) = convection_problem(800, 513);
         let cfg = SketchConfig {
             initial_samples: 48,
+            symmetric: false,
             ..Default::default()
         };
-        let (a, _) = sketch_construct_unsym(
+        let (a, _) = sketch_construct(
             &km,
             &km,
             tree.clone(),
@@ -865,7 +927,7 @@ mod unsym_tests {
             &Runtime::parallel(),
             &cfg,
         );
-        let (b, _) = sketch_construct_unsym(
+        let (b, _) = sketch_construct(
             &km,
             &km,
             tree.clone(),
@@ -889,9 +951,10 @@ mod unsym_tests {
         let cfg = SketchConfig {
             tol: 1e-7,
             initial_samples: 64,
+            symmetric: false,
             ..Default::default()
         };
-        let (h2, _) = sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &cfg);
+        let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
         let dense = h2.to_dense();
         let rows: Vec<usize> = (0..700).step_by(31).collect();
         let cols: Vec<usize> = (0..700).step_by(47).collect();
@@ -913,8 +976,17 @@ mod unsym_tests {
         let part = Arc::new(Partition::build(&tree, Admissibility::Strong { eta: 0.7 }));
         let km = UnsymKernelMatrix::new(ConvectionKernel::default(), tree.points.clone());
         let rt = Runtime::sequential();
-        let (h2, stats) =
-            sketch_construct_unsym(&km, &km, tree.clone(), part, &rt, &SketchConfig::default());
+        let (h2, stats) = sketch_construct(
+            &km,
+            &km,
+            tree.clone(),
+            part,
+            &rt,
+            &SketchConfig {
+                symmetric: false,
+                ..SketchConfig::default()
+            },
+        );
         assert_eq!(stats.total_samples, 0);
         let dense = Mat::from_fn(20, 20, |i, j| km.entry(i, j));
         let mut d = h2.to_dense();
@@ -946,10 +1018,11 @@ mod unsym_tests {
         let rt = Runtime::sequential();
         let cfg = SketchConfig {
             initial_samples: 16,
+            symmetric: false,
             ..Default::default()
         };
         let wrong = ForgotTranspose(&km);
-        let _ = sketch_construct_unsym(&wrong, &km, tree, part, &rt, &cfg);
+        let _ = sketch_construct(&wrong, &km, tree, part, &rt, &cfg);
     }
 
     /// The unsym IO roundtrip through the unified reader preserves the
@@ -960,9 +1033,10 @@ mod unsym_tests {
         let rt = Runtime::parallel();
         let cfg = SketchConfig {
             initial_samples: 48,
+            symmetric: false,
             ..Default::default()
         };
-        let (h2, _) = sketch_construct_unsym(&km, &km, tree, part, &rt, &cfg);
+        let (h2, _) = sketch_construct(&km, &km, tree, part, &rt, &cfg);
         let back = H2MatrixUnsym::from_bytes(&h2.to_bytes()).unwrap();
         assert!(!back.is_symmetric());
         // The demoted near field comes back demoted.
@@ -978,7 +1052,7 @@ mod unsym_tests {
 #[cfg(test)]
 mod engine_equivalence_tests {
     use super::*;
-    use h2_dense::{gaussian_mat, EntryAccess, Mat};
+    use h2_dense::{gaussian_mat, EntryAccess, LinOp, Mat};
     use h2_kernels::{ExponentialKernel, KernelMatrix};
     use h2_runtime::Runtime;
     use h2_tree::{Admissibility, ClusterTree, Partition};
@@ -1044,8 +1118,17 @@ mod engine_equivalence_tests {
             &Runtime::parallel(),
             &cfg,
         );
-        let (uns, _) =
-            sketch_construct_unsym(&km, &km, tree.clone(), part, &Runtime::parallel(), &cfg);
+        let (uns, _) = sketch_construct(
+            &km,
+            &km,
+            tree.clone(),
+            part,
+            &Runtime::parallel(),
+            &SketchConfig {
+                symmetric: false,
+                ..cfg
+            },
+        );
         let ds = sym.to_dense();
         let mut d = uns.to_dense();
         d.axpy(-1.0, &ds);
@@ -1055,8 +1138,9 @@ mod engine_equivalence_tests {
         // Symmetric representation: Kᵀx == Kx exactly (same blocks, same
         // sides read through the aliased column side).
         let x = gaussian_mat(n, 3, 603);
-        let fwd = sym.apply_permuted_mat(&x);
-        let mut tr = sym.apply_transpose_permuted_mat(&x);
+        let fwd = sym.apply_mat(&x);
+        let mut tr = Mat::zeros(n, 3);
+        sym.apply_transpose(x.rf(), tr.rm());
         tr.axpy(-1.0, &fwd);
         assert_eq!(
             tr.norm_max(),

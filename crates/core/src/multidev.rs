@@ -624,8 +624,7 @@ mod tests {
         H2Matrix {
             basis: h2.basis.clone(),
             skel: h2.skel.clone(),
-            basis_prec: h2.basis_prec.clone(),
-            ..H2Matrix::new_shell(h2.tree.clone(), h2.partition.clone())
+            ..H2Matrix::new_shell(h2.tree.clone(), h2.partition.clone(), true)
         }
     }
 
@@ -770,9 +769,10 @@ mod tests {
         let rt = Runtime::parallel();
         let cfg = SketchConfig {
             initial_samples: 48,
+            symmetric: false,
             ..Default::default()
         };
-        crate::sketch_construct_unsym(&km, &km, tree, part, &rt, &cfg).0
+        crate::sketch_construct(&km, &km, tree, part, &rt, &cfg).0
     }
 
     #[test]
@@ -964,7 +964,7 @@ mod tests {
         skel[id].pop();
         let clobbered = H2Matrix {
             skel,
-            ..H2Matrix::new_shell(h2.tree.clone(), h2.partition.clone())
+            ..H2Matrix::new_shell(h2.tree.clone(), h2.partition.clone(), true)
         };
         fabric.reshard.fetch_add(1, Ordering::SeqCst);
         let open = AssertUnwindSafe(|| step.open_level(&clobbered, &mut stats));

@@ -40,8 +40,8 @@
 //! instance in place, and nothing is fused into a multiply-add. So
 //! **column `j` of their result is bit-identical at every right-hand-side
 //! width**, which is the contract the blocked ULV solve sweep (`UlvSweep`,
-//! `shard_ulv_solve`) pins its blocked == sequential identity on. They are
-//! the right-hand-side kernel; the block form is the factorization kernel —
+//! `shard_ulv_solve_into`) pins its blocked == sequential identity on. They
+//! are the right-hand-side kernel; the block form is the factorization kernel —
 //! the same split as [`gemm`] / [`gemm_rhs`](crate::gemm::gemm_rhs). The
 //! factorizations' own one-reflector trailing updates (the panel kernel,
 //! CPQR) keep the four-column groups of `house_apply`.

@@ -50,7 +50,7 @@ pub fn direct_construct(
     partition: Arc<Partition>,
     cfg: &DirectConfig,
 ) -> H2Matrix {
-    let mut h2 = H2Matrix::new_shell(tree.clone(), partition.clone());
+    let mut h2 = H2Matrix::new_shell(tree.clone(), partition.clone(), true);
     let leaf_level = tree.leaf_level();
     let top = partition.top_far_level(&tree).unwrap_or(leaf_level);
 

@@ -42,9 +42,8 @@
 //! factor them, and a diagonal shift mutates them in place through
 //! `blocks[i]`; they are a small share of the near field. The construction
 //! demotes every other dense block under the rule in every configuration,
-//! and coupling blocks and bases only when `SketchConfig::storage` asks for
-//! f32 ([`H2Matrix::demote_level`]; a demoted basis keeps its round-tripped
-//! f64 values in `basis` and its width in `basis_prec`).
+//! and coupling blocks only when `SketchConfig::storage` asks for f32.
+//! Bases are always stored f64.
 //!
 //! Who reads what: every reader takes a block as an [`h2_dense::StoredMat`]
 //! — from [`BlockStore::lookup_op`], [`BlockStore::get`] or
@@ -56,7 +55,7 @@
 //! that needs an f64 matrix promotes one block at a time
 //! ([`StoredMat::to_mat`](h2_dense::StoredMat::to_mat)).
 
-use h2_dense::{demote_roundtrip, Mat, Mat32, Precision, StoredMat};
+use h2_dense::{Mat, Mat32, Precision, StoredMat};
 use h2_tree::{ClusterTree, Partition};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -297,13 +296,10 @@ impl BlockStore {
 pub struct BasisSide {
     /// Per node id: leaf basis (`m x k`) or stacked transfer
     /// `[E_{ν1}; E_{ν2}]` (`(k1+k2) x k`). Empty (0x0) above the top
-    /// admissible level. For a demoted node this is the round-tripped f64
-    /// working copy of the f32-stored basis.
+    /// admissible level.
     pub basis: Vec<Mat>,
     /// Per node id: skeleton (global permuted) indices, length = rank.
     pub skel: Vec<Vec<usize>>,
-    /// Per node id: storage precision of the basis/transfer.
-    pub prec: Vec<Precision>,
 }
 
 impl BasisSide {
@@ -311,7 +307,6 @@ impl BasisSide {
         BasisSide {
             basis: (0..nnodes).map(|_| Mat::zeros(0, 0)).collect(),
             skel: vec![Vec::new(); nnodes],
-            prec: vec![Precision::F64; nnodes],
         }
     }
 }
@@ -325,9 +320,6 @@ pub struct H2Matrix {
     pub basis: Vec<Mat>,
     /// Row skeleton indices `Ĩ^r_τ` (global permuted), length = row rank.
     pub skel: Vec<Vec<usize>>,
-    /// Per node id: storage precision of the row basis/transfer (demoted
-    /// nodes hold the round-tripped working copy in `basis`).
-    pub basis_prec: Vec<Precision>,
     /// Column side `V` / `Ĩ^c`. `None` means symmetric: the column side
     /// aliases the row side.
     pub col: Option<BasisSide>,
@@ -338,34 +330,24 @@ pub struct H2Matrix {
 }
 
 impl H2Matrix {
-    /// An empty *symmetric* shell ready to be populated by a constructor.
-    pub fn new_shell(tree: Arc<ClusterTree>, partition: Arc<Partition>) -> Self {
+    /// An empty shell ready to be populated by a constructor: symmetric
+    /// (aliased column side, unordered block stores) or unsymmetric
+    /// (independent column side, ordered block stores).
+    pub fn new_shell(tree: Arc<ClusterTree>, partition: Arc<Partition>, symmetric: bool) -> Self {
         let nnodes = tree.nodes.len();
+        let layout = if symmetric {
+            StoreLayout::Symmetric
+        } else {
+            StoreLayout::Ordered
+        };
         H2Matrix {
             tree,
             partition,
             basis: (0..nnodes).map(|_| Mat::zeros(0, 0)).collect(),
             skel: vec![Vec::new(); nnodes],
-            basis_prec: vec![Precision::F64; nnodes],
-            col: None,
-            coupling: BlockStore::symmetric(),
-            dense: BlockStore::symmetric(),
-        }
-    }
-
-    /// An empty *unsymmetric* shell: independent column side, ordered block
-    /// stores.
-    pub fn new_shell_unsym(tree: Arc<ClusterTree>, partition: Arc<Partition>) -> Self {
-        let nnodes = tree.nodes.len();
-        H2Matrix {
-            tree,
-            partition,
-            basis: (0..nnodes).map(|_| Mat::zeros(0, 0)).collect(),
-            skel: vec![Vec::new(); nnodes],
-            basis_prec: vec![Precision::F64; nnodes],
-            col: Some(BasisSide::empty(nnodes)),
-            coupling: BlockStore::ordered(),
-            dense: BlockStore::ordered(),
+            col: (!symmetric).then(|| BasisSide::empty(nnodes)),
+            coupling: BlockStore::with_layout(layout),
+            dense: BlockStore::with_layout(layout),
         }
     }
 
@@ -428,17 +410,17 @@ impl H2Matrix {
     /// metric). Bases, skeletons and block stores of every *stored* side are
     /// counted once — the aliased symmetric column side costs nothing,
     /// consistently with the shared [`BlockStore::memory_bytes`] accounting.
-    /// Demoted bases and blocks count at their f32 width.
+    /// Demoted blocks count at their f32 width.
     pub fn memory_bytes(&self) -> usize {
         let usize_bytes = std::mem::size_of::<usize>();
-        let mut total = side_basis_bytes(&self.basis, &self.basis_prec);
+        let mut total = side_basis_bytes(&self.basis);
         total += self
             .skel
             .iter()
             .map(|s| s.len() * usize_bytes)
             .sum::<usize>();
         if let Some(c) = &self.col {
-            total += side_basis_bytes(&c.basis, &c.prec);
+            total += side_basis_bytes(&c.basis);
             total += c.skel.iter().map(|s| s.len() * usize_bytes).sum::<usize>();
         }
         total + self.coupling.memory_bytes() + self.dense.memory_bytes()
@@ -446,49 +428,15 @@ impl H2Matrix {
 
     /// Memory broken down by component, in bytes.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
-        let mut basis = side_basis_bytes(&self.basis, &self.basis_prec);
+        let mut basis = side_basis_bytes(&self.basis);
         if let Some(c) = &self.col {
-            basis += side_basis_bytes(&c.basis, &c.prec);
+            basis += side_basis_bytes(&c.basis);
         }
         MemoryBreakdown {
             basis,
             coupling: self.coupling.memory_bytes(),
             dense: self.dense.memory_bytes(),
         }
-    }
-
-    /// Norm-aware demotion of one completed level: round the level's bases
-    /// (both stored sides) to f32 storage when the induced perturbation
-    /// stays below the construction tolerance, then sweep the block stores
-    /// for newly inserted coupling/dense blocks ([`BlockStore::demote_pending`]).
-    ///
-    /// A basis perturbation `ΔU` with `‖ΔU‖_F ≤ (ε₃₂/2)·‖U‖_F` enters the
-    /// approximation error scaled by the operator blocks it multiplies —
-    /// bounded by `norm_scale` (the construction's estimate of `‖K‖₂`) — so
-    /// the node demotes iff `(ε₃₂/2)·‖U‖_F·norm_scale ≤ eps_abs`. Returns
-    /// `(bases_demoted, blocks_demoted)`.
-    pub fn demote_level(&mut self, level: usize, eps_abs: f64, norm_scale: f64) -> (usize, usize) {
-        let eps32 = 0.5 * f32::EPSILON as f64;
-        let ids: Vec<usize> = self.tree.level(level).collect();
-        let mut bases = 0;
-        for &id in &ids {
-            let b = &self.basis[id];
-            if b.cols() > 0 && eps32 * b.norm_fro() * norm_scale.max(1.0) <= eps_abs {
-                self.basis[id] = demote_roundtrip(b);
-                self.basis_prec[id] = Precision::F32;
-                bases += 1;
-            }
-            if let Some(c) = &mut self.col {
-                let b = &c.basis[id];
-                if b.cols() > 0 && eps32 * b.norm_fro() * norm_scale.max(1.0) <= eps_abs {
-                    c.basis[id] = demote_roundtrip(b);
-                    c.prec[id] = Precision::F32;
-                    bases += 1;
-                }
-            }
-        }
-        let blocks = self.coupling.demote_pending(eps_abs) + self.dense.demote_pending(eps_abs);
-        (bases, blocks)
     }
 
     /// `(min, max)` rank over all nodes with a basis, across both sides
@@ -622,13 +570,9 @@ impl H2Matrix {
     }
 }
 
-/// Stored bytes of one basis side: demoted nodes at 4 bytes/element.
-fn side_basis_bytes(basis: &[Mat], prec: &[Precision]) -> usize {
-    basis
-        .iter()
-        .zip(prec)
-        .map(|(b, p)| b.memory_bytes() / 8 * p.bytes())
-        .sum()
+/// Stored bytes of one basis side.
+fn side_basis_bytes(basis: &[Mat]) -> usize {
+    basis.iter().map(Mat::memory_bytes).sum()
 }
 
 /// Bytes per component of an [`H2Matrix`].
@@ -648,7 +592,7 @@ impl MemoryBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_dense::gaussian_mat;
+    use h2_dense::{demote_roundtrip, gaussian_mat};
 
     /// `(value at (i, j), transposed)` of the block of `K` at `(s, t)`.
     fn entry(store: &BlockStore, s: usize, t: usize, i: usize, j: usize) -> (f64, bool) {

@@ -12,14 +12,15 @@
 //! nodes, partition lists, bases, skeletons, block stores; the unsymmetric
 //! magic adds the column-side basis/skeleton sections). All integers are
 //! `u64` little-endian. Since version 2 every basis and block carries a
-//! precision tag and is written at its stored width — `f64` or `f32` bit
-//! patterns — so a loaded operator keeps its storage and its
-//! `memory_bytes`; version 1 files (all `f64`, no tags) still load. One
-//! reader accepts both magics and reconstructs the matching [`H2Matrix`]
-//! side layout.
+//! precision tag and each block is written at its stored width — `f64` or
+//! `f32` bit patterns — so a loaded operator keeps its storage and its
+//! `memory_bytes`. Bases are written `f64`; an `f32`-tagged basis (older
+//! version-2 files) loads promoted. Version 1 files (all `f64`, no tags)
+//! still load. One reader accepts both magics and reconstructs the
+//! matching [`H2Matrix`] side layout.
 
 use crate::format::{BasisSide, BlockStore, H2Matrix, StoreLayout};
-use h2_dense::{Mat, Mat32, Precision, StoredMat};
+use h2_dense::{Mat, Mat32, StoredMat};
 use h2_tree::{Admissibility, BBox, Cluster, ClusterTree, Partition};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -188,36 +189,27 @@ fn read_block_store(
     Ok(s)
 }
 
-/// One basis side: each basis at its stored width (a demoted basis holds
-/// f32-representable values, so writing it as f32 is exact).
-fn write_basis_section(w: &mut impl Write, basis: &[Mat], prec: &[Precision]) -> io::Result<()> {
+/// One basis side, at f64: bases are always stored f64.
+fn write_basis_section(w: &mut impl Write, basis: &[Mat]) -> io::Result<()> {
     write_usize(w, basis.len())?;
-    for (b, &p) in basis.iter().zip(prec) {
-        match p {
-            Precision::F64 => write_stored(w, StoredMat::F64(b))?,
-            Precision::F32 => write_stored(w, StoredMat::F32(&Mat32::demote(b.rf())))?,
-        }
+    for b in basis {
+        write_stored(w, StoredMat::F64(b))?;
     }
     Ok(())
 }
 
-fn read_basis_section(r: &mut impl Read, version: u64) -> io::Result<(Vec<Mat>, Vec<Precision>)> {
+/// One basis side. Version-2 files written before bases were always f64
+/// may tag a basis f32; it loads promoted.
+fn read_basis_section(r: &mut impl Read, version: u64) -> io::Result<Vec<Mat>> {
     let nb = read_usize(r)?;
     let mut basis = Vec::with_capacity(nb.min(1 << 20));
-    let mut prec = Vec::with_capacity(nb.min(1 << 20));
     for _ in 0..nb {
-        match read_stored(r, version)? {
-            Stored::F64(m) => {
-                basis.push(m);
-                prec.push(Precision::F64);
-            }
-            Stored::F32(m) => {
-                basis.push(m.promote());
-                prec.push(Precision::F32);
-            }
-        }
+        basis.push(match read_stored(r, version)? {
+            Stored::F64(m) => m,
+            Stored::F32(m) => m.promote(),
+        });
     }
-    Ok((basis, prec))
+    Ok(basis)
 }
 
 fn write_skel_section(w: &mut impl Write, skels: &[Vec<usize>]) -> io::Result<()> {
@@ -400,9 +392,9 @@ impl H2Matrix {
         write_u64(w, VERSION)?;
         write_tree(w, &self.tree)?;
         write_partition(w, &self.partition)?;
-        write_basis_section(w, &self.basis, &self.basis_prec)?;
+        write_basis_section(w, &self.basis)?;
         if let Some(c) = &self.col {
-            write_basis_section(w, &c.basis, &c.prec)?;
+            write_basis_section(w, &c.basis)?;
         }
         write_skel_section(w, &self.skel)?;
         if let Some(c) = &self.col {
@@ -434,7 +426,7 @@ impl H2Matrix {
         }
         let tree = Arc::new(read_tree(r)?);
         let partition = Arc::new(read_partition(r)?);
-        let (basis, basis_prec) = read_basis_section(r, version)?;
+        let basis = read_basis_section(r, version)?;
         let col_basis = if symmetric {
             None
         } else {
@@ -454,7 +446,7 @@ impl H2Matrix {
         let coupling = read_block_store(r, layout, version)?;
         let dense = read_block_store(r, layout, version)?;
         let col = match (col_basis, col_skel) {
-            (Some((basis, prec)), Some(skel)) => Some(BasisSide { basis, skel, prec }),
+            (Some(basis), Some(skel)) => Some(BasisSide { basis, skel }),
             _ => None,
         };
         let h2 = H2Matrix {
@@ -462,7 +454,6 @@ impl H2Matrix {
             partition,
             basis,
             skel,
-            basis_prec,
             col,
             coupling,
             dense,
@@ -491,6 +482,7 @@ impl H2Matrix {
 mod tests {
     use super::*;
     use crate::direct::{direct_construct, DirectConfig};
+    use h2_dense::LinOp;
     use h2_kernels::{ExponentialKernel, KernelMatrix};
 
     fn sample_h2(n: usize, seed: u64) -> H2Matrix {
@@ -517,8 +509,8 @@ mod tests {
         assert_eq!(h2.rank_range(), back.rank_range());
         // Matvec through the loaded representation agrees bitwise.
         let x = h2_dense::gaussian_mat(800, 2, 902);
-        let y1 = h2.apply_permuted_mat(&x);
-        let y2 = back.apply_permuted_mat(&x);
+        let y1 = h2.apply_mat(&x);
+        let y2 = back.apply_mat(&x);
         let mut dy = y1;
         dy.axpy(-1.0, &y2);
         assert_eq!(dy.norm_max(), 0.0);
@@ -554,20 +546,19 @@ mod tests {
         assert_eq!(back.to_bytes(), h2.to_bytes());
     }
 
-    /// f32-stored blocks and bases are written at their width and come
-    /// back at it: same storage, same bytes held, same bits.
+    /// f32-stored blocks are written at their width and come back at it:
+    /// same storage, same bytes held, same bits. Bases are written f64, and
+    /// an f32-tagged basis of an older version-2 file loads promoted.
     #[test]
     fn roundtrip_keeps_the_storage_width() {
         let mut h2 = sample_h2(800, 907);
-        let leaf = h2.tree.leaf_level();
-        h2.demote_level(leaf, f64::INFINITY, 1.0);
+        h2.coupling.demote_pending(f64::INFINITY);
         h2.dense.demote_pending(f64::INFINITY);
         assert!(h2.coupling.demoted_count() > 0 && h2.dense.demoted_count() > 0);
-        assert!(h2.basis_prec.contains(&Precision::F32));
         let bytes = h2.to_bytes();
         let back = H2Matrix::from_bytes(&bytes).unwrap();
         assert_eq!(back.memory_bytes(), h2.memory_bytes());
-        assert_eq!(back.basis_prec, h2.basis_prec);
+        assert_eq!(back.basis, h2.basis);
         for (a, b) in [(&h2.coupling, &back.coupling), (&h2.dense, &back.dense)] {
             assert_eq!(a.pairs, b.pairs);
             for i in 0..a.len() {
@@ -586,6 +577,13 @@ mod tests {
         let one = Mat32::from_vec(1, 1, vec![1.0]);
         write_stored(&mut w, StoredMat::F32(&one)).unwrap();
         assert!(read_block_store(&mut &w[..], StoreLayout::Symmetric, VERSION).is_err());
+        // An f32-tagged basis loads as its promoted values.
+        let basis32 = Mat32::demote(h2.basis[h2.tree.level(h2.tree.leaf_level()).start].rf());
+        let mut w = Vec::new();
+        write_usize(&mut w, 1).unwrap();
+        write_stored(&mut w, StoredMat::F32(&basis32)).unwrap();
+        let read = read_basis_section(&mut &w[..], VERSION).unwrap();
+        assert_eq!(read, vec![basis32.promote()]);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!   [`BlockStore`] type for coupling/dense blocks in both the
 //!   unordered-symmetric and ordered-unsymmetric keying disciplines, and
 //!   shared memory/rank statistics,
-//! * O(N) [matvec](H2Matrix::apply_permuted) and
-//!   [transpose matvec](H2Matrix::apply_transpose_permuted) through one
-//!   side-swapping implementation (the fast black-box samplers `K·Ω` and
-//!   `Kᵀ·Ψ` of the two sketch streams),
+//! * O(N) matvec and transpose matvec as the [`h2_dense::LinOp`]
+//!   implementation of [`H2Matrix`] (`apply`, `apply_transpose`,
+//!   `apply_mat`), through one side-swapping implementation (the fast
+//!   black-box samplers `K·Ω` and `Kᵀ·Ψ` of the two sketch streams),
 //! * [entry/sub-block extraction](H2Matrix::extract_block) from the
 //!   compressed representation (the `batchedGen` input of the low-rank
 //!   update experiment),
@@ -19,11 +19,11 @@
 //!   for H2Opus's entry-based construction (bootstraps reference operators),
 //! * [`LowRankUpdate`] — `A + P Qᵀ` operators for the recompression
 //!   experiment,
-//! * a **storage precision tier**: every basis and coupling/dense block
-//!   carries a [`Precision`], and the norm-aware demotion rule
-//!   ([`BlockStore::demote_pending`] / [`H2Matrix::demote_level`]) moves a
-//!   block to f32 storage only when the f32 rounding error provably stays
-//!   below the construction tolerance; a demoted block's f32 matrix is its
+//! * a **storage precision tier**: every coupling/dense block carries a
+//!   [`Precision`], and the norm-aware demotion rule
+//!   ([`BlockStore::demote_pending`]) moves a block to f32 storage only
+//!   when the f32 rounding error provably stays below the construction
+//!   tolerance; a demoted block's f32 matrix is its
 //!   only copy, read through the mixed GEMM (f32 storage, f64
 //!   accumulation), and diagonal blocks always stay f64.
 //!
@@ -96,7 +96,7 @@ mod tests {
         let (tree, part, km) = setup(500, 16, 0.7, 81);
         let h2 = direct_construct(&km, tree.clone(), part, &DirectConfig::default());
         let x = h2_dense::gaussian_mat(500, 3, 82);
-        let y_fast = h2.apply_permuted_mat(&x);
+        let y_fast = h2.apply_mat(&x);
         let dense_h2 = h2.to_dense();
         let y_slow = h2_dense::matmul(
             h2_dense::Op::NoTrans,
@@ -226,7 +226,7 @@ mod tests {
         let x = h2_dense::gaussian_mat(400, 2, 93);
         let y = upd.apply_mat(&x);
         // reference: h2*x + p p^T x
-        let mut want = h2.apply_permuted_mat(&x);
+        let mut want = h2.apply_mat(&x);
         let ptx = h2_dense::matmul(h2_dense::Op::Trans, h2_dense::Op::NoTrans, p.rf(), x.rf());
         h2_dense::gemm(
             h2_dense::Op::NoTrans,
@@ -269,7 +269,7 @@ mod tests {
 #[cfg(test)]
 mod rank_zero_tests {
     use super::*;
-    use h2_dense::Mat;
+    use h2_dense::{LinOp, Mat};
     use h2_tree::{Admissibility, ClusterTree, Partition};
     use std::sync::Arc;
 
@@ -338,7 +338,7 @@ mod rank_zero_tests {
         }
         // These must not panic, whatever the rank pattern:
         let x = h2_dense::gaussian_mat(600, 2, 302);
-        let y = h2.apply_permuted_mat(&x);
+        let y = h2.apply_mat(&x);
         assert!(y.norm_fro().is_finite());
         let rows: Vec<usize> = (0..600).step_by(37).collect();
         let b = h2.extract_block(&rows, &rows);

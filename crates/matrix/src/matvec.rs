@@ -18,8 +18,8 @@
 //!
 //! A single-vector product is bandwidth-bound: its cost is the bytes of
 //! coupling and dense blocks it moves. A symmetric [`BlockStore`] keeps one
-//! block per unordered pair, so the in-process product
-//! ([`H2Matrix::apply_permuted`]) visits *stored blocks*, not block rows:
+//! block per unordered pair, so the in-process product (the [`LinOp`]
+//! implementation of [`H2Matrix`]) visits *stored blocks*, not block rows:
 //! rows are taken in ascending order, and a stored block `(s, t)`, `s < t`,
 //! is used while it is in cache for both `acc_s += B x_t` and
 //! `acc_t += Bᵀ x_s`. Coupling and near field are the same traversal
@@ -60,7 +60,7 @@
 //! bit-identical to this one whatever the device count.
 
 use crate::format::{BlockOp, BlockStore, H2Matrix, StoreLayout};
-use h2_dense::{gemm, Mat, MatMut, MatRef, Op};
+use h2_dense::{gemm, LinOp, Mat, MatMut, MatRef, Op};
 use rayon::prelude::*;
 
 /// Side-resolved per-node kernels of the three-pass matvec.
@@ -309,23 +309,11 @@ fn accumulate(blk: BlockOp<'_>, input: MatRef<'_>, acc: MatMut<'_>) {
 }
 
 impl H2Matrix {
-    /// `y = K x` for a block of vectors, in tree-permuted coordinates.
-    pub fn apply_permuted(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        self.apply_chunked(x, y, false, rayon::current_num_threads());
-    }
-
-    /// `y = Kᵀ x`: the basis sides swap and blocks are read transposed
-    /// (`Kᵀ`'s block `(s, t)` is `K(I_t, I_s)ᵀ`). Identical to
-    /// [`H2Matrix::apply_permuted`] for symmetric matrices.
-    pub fn apply_transpose_permuted(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        self.apply_chunked(x, y, true, rayon::current_num_threads());
-    }
-
-    /// The product behind [`H2Matrix::apply_permuted`] /
-    /// [`H2Matrix::apply_transpose_permuted`] with the block traversal cut
-    /// into `nchunks` row chunks instead of one per worker thread. The
-    /// result does not depend on `nchunks` (module docs); this entry point
-    /// exists so that tests can hold the product to that.
+    /// The product behind `LinOp::apply` / `LinOp::apply_transpose` with
+    /// the block traversal cut into `nchunks` row chunks instead of one per
+    /// worker thread. The result does not depend on `nchunks` (module
+    /// docs); this entry point exists so that tests can hold the product to
+    /// that.
     #[doc(hidden)]
     pub fn apply_chunked(&self, x: MatRef<'_>, mut y: MatMut<'_>, transpose: bool, nchunks: usize) {
         let n = self.n();
@@ -409,31 +397,17 @@ impl H2Matrix {
         }
     }
 
-    /// Convenience: allocate and return `K x` (permuted coordinates).
-    pub fn apply_permuted_mat(&self, x: &Mat) -> Mat {
-        let mut y = Mat::zeros(self.n(), x.cols());
-        self.apply_permuted(x.rf(), y.rm());
-        y
-    }
-
-    /// Convenience: allocate and return `Kᵀ x` (permuted coordinates).
-    pub fn apply_transpose_permuted_mat(&self, x: &Mat) -> Mat {
-        let mut y = Mat::zeros(self.n(), x.cols());
-        self.apply_transpose_permuted(x.rf(), y.rm());
-        y
-    }
-
     /// `y = K x` in the *original* (pre-permutation) index ordering.
     pub fn apply_original(&self, x: &Mat) -> Mat {
         let n = self.n();
         assert_eq!(x.rows(), n);
         let xp = Mat::from_fn(n, x.cols(), |i, j| x[(self.tree.perm[i], j)]);
-        let yp = self.apply_permuted_mat(&xp);
+        let yp = self.apply_mat(&xp);
         Mat::from_fn(n, x.cols(), |i, j| yp[(self.tree.iperm[i], j)])
     }
 }
 
-impl h2_dense::LinOp for H2Matrix {
+impl LinOp for H2Matrix {
     fn nrows(&self) -> usize {
         self.n()
     }
@@ -442,13 +416,16 @@ impl h2_dense::LinOp for H2Matrix {
         self.n()
     }
 
-    /// Operates in tree-permuted coordinates, like every operator in this
-    /// workspace.
+    /// `y = K x` for a block of vectors, in tree-permuted coordinates, like
+    /// every operator in this workspace.
     fn apply(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        self.apply_permuted(x, y);
+        self.apply_chunked(x, y, false, rayon::current_num_threads());
     }
 
+    /// `y = Kᵀ x`: the basis sides swap and blocks are read transposed
+    /// (`Kᵀ`'s block `(s, t)` is `K(I_t, I_s)ᵀ`). Bitwise equal to `apply`
+    /// for symmetric matrices.
     fn apply_transpose(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        self.apply_transpose_permuted(x, y);
+        self.apply_chunked(x, y, true, rayon::current_num_threads());
     }
 }

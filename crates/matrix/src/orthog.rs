@@ -186,7 +186,7 @@ impl H2Matrix {
 #[cfg(test)]
 mod tests {
     use crate::direct::{direct_construct, DirectConfig};
-    use h2_dense::gaussian_mat;
+    use h2_dense::{gaussian_mat, LinOp};
     use h2_kernels::{ExponentialKernel, KernelMatrix};
     use h2_tree::{Admissibility, ClusterTree, Partition};
     use std::sync::Arc;
@@ -205,7 +205,7 @@ mod tests {
             "interpolative bases are not orthonormal"
         );
         let x = gaussian_mat(1200, 3, 202);
-        let before = h2.apply_permuted_mat(&x);
+        let before = h2.apply_mat(&x);
 
         let processed = h2.orthogonalize();
         assert!(processed > 0);
@@ -215,7 +215,7 @@ mod tests {
             h2.basis_orthogonality_error()
         );
 
-        let after = h2.apply_permuted_mat(&x);
+        let after = h2.apply_mat(&x);
         let mut d = after;
         d.axpy(-1.0, &before);
         assert!(

@@ -1,10 +1,10 @@
-//! Sharded construction drivers. [`shard_construct`] /
-//! [`shard_construct_unsym`] run Algorithm 1 on a [`DeviceFabric`]-backed
-//! [`Runtime`]: every batched kernel of the level loop (both sketch streams
-//! when unsymmetric) executes its contiguous per-device chunks on the
-//! fabric's workers, the `Ω_b` fetches and boundary sibling merges of
-//! §IV.B go on the explicit transfer queue, and each processed level closes
-//! one accounting epoch, charged from the plan. Every run is its plan:
+//! Sharded construction driver. [`shard_construct`] runs Algorithm 1 on a
+//! [`DeviceFabric`]-backed [`Runtime`]: every batched kernel of the level
+//! loop (both sketch streams when [`SketchConfig::symmetric`] is `false`)
+//! executes its contiguous per-device chunks on the fabric's workers, the
+//! `Ω_b` fetches and boundary sibling merges of §IV.B go on the explicit
+//! transfer queue, and each processed level closes one accounting epoch,
+//! charged from the plan. Every run is its plan:
 //! [`h2_core::plan_construct`] lays the run out — its configuration and the
 //! adaptive rounds its statistics record — with the per-level step each
 //! epoch is charged from, and [`ExecReport::check`] compares the two
@@ -15,7 +15,7 @@
 //! planner.
 
 use crate::fabric::{DeviceFabric, ExecReport};
-use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig, SketchStats};
+use h2_core::{sketch_construct, SketchConfig, SketchStats};
 use h2_dense::{EntryAccess, LinOp};
 use h2_matrix::H2Matrix;
 use h2_runtime::{Runtime, ShardDispatch};
@@ -31,9 +31,11 @@ pub fn sharded_runtime(fabric: &Arc<DeviceFabric>) -> Runtime {
     }
 }
 
-/// Symmetric sketching construction executed on the device fabric.
-/// Resets the fabric, runs, and returns the result together with the
-/// fabric's execution report (one epoch per processed level).
+/// Sketching construction executed on the device fabric, symmetric or
+/// unsymmetric as [`SketchConfig::symmetric`] says (both the `Y = K Ω` and
+/// the `Z = Kᵀ Ψ` stream shard). Resets the fabric, runs, and returns the
+/// result together with the fabric's execution report (one epoch per
+/// processed level).
 pub fn shard_construct(
     fabric: &Arc<DeviceFabric>,
     sampler: &dyn LinOp,
@@ -45,21 +47,5 @@ pub fn shard_construct(
     fabric.reset();
     let rt = sharded_runtime(fabric);
     let (h2, stats) = sketch_construct(sampler, gen, tree, partition, &rt, cfg);
-    (h2, stats, fabric.report("construct tail"))
-}
-
-/// Unsymmetric (two-stream) sketching construction executed on the device
-/// fabric. Both the `Y = K Ω` and `Z = Kᵀ Ψ` streams shard.
-pub fn shard_construct_unsym(
-    fabric: &Arc<DeviceFabric>,
-    sampler: &dyn LinOp,
-    gen: &dyn EntryAccess,
-    tree: Arc<ClusterTree>,
-    partition: Arc<Partition>,
-    cfg: &SketchConfig,
-) -> (H2Matrix, SketchStats, ExecReport) {
-    fabric.reset();
-    let rt = sharded_runtime(fabric);
-    let (h2, stats) = sketch_construct_unsym(sampler, gen, tree, partition, &rt, cfg);
     (h2, stats, fabric.report("construct tail"))
 }

@@ -31,15 +31,16 @@
 //! its plan: [`ExecReport::check`] compares the two exactly, fault-plan
 //! retries included, so a run's measured makespan equals its planned one.
 //!
-//! * [`plan_construct`] → [`shard_construct`] / [`shard_construct_unsym`]
-//!   — Algorithm 1 on the fabric through the `Runtime::sharded` backend,
+//! * [`plan_construct`] → [`shard_construct`] — Algorithm 1 on the fabric,
+//!   in either symmetry regime ([`h2_core::SketchConfig::symmetric`]),
+//!   through the `Runtime::sharded` backend,
 //!   whose kernels issue their transfers by the plan's rules
 //!   ([`h2_runtime::FetchPlanner`], [`h2_runtime::child_gathers`]) and
 //!   count nothing: each level's epoch is charged from the plan's
 //!   per-level step, which reads the run's configuration and statistics,
 //!   adaptive rounds included.
 //! * [`plan_matvec`] → [`shard_matvec`] and [`plan_ulv_solve`] →
-//!   [`shard_ulv_solve`] —
+//!   [`shard_ulv_solve_into`] (or [`shard_ulv_solve_with_report`]) —
 //!   the three-pass matvec and the ULV sweeps (upsweep-ordered eliminate,
 //!   root solve, downsweep-ordered substitute) planned, run by the one plan
 //!   executor `DeviceFabric::execute` over the in-process node kernels
@@ -144,7 +145,7 @@ pub mod matvec;
 pub mod solve;
 pub mod trace;
 
-pub use exec::{shard_construct, shard_construct_unsym, sharded_runtime};
+pub use exec::{shard_construct, sharded_runtime};
 pub use fabric::{
     DeviceEpochStats, DeviceFabric, Epoch, ExecReport, FaultCounters, LinkModel, TransferDelay,
 };
@@ -158,7 +159,7 @@ pub use matvec::{
     plan_matvec, plan_matvec as simulate_matvec, shard_matvec, shard_matvec_with_report,
 };
 pub use solve::{
-    plan_ulv_solve, resident_reduce_bytes, resident_reduce_hook, shard_ulv_solve,
-    shard_ulv_solve_into, shard_ulv_solve_with_report, FabricOp, UlvFabricPrecond,
+    plan_ulv_solve, resident_reduce_bytes, resident_reduce_hook, shard_ulv_solve_into,
+    shard_ulv_solve_with_report, FabricOp, UlvFabricPrecond,
 };
 pub use trace::{drift, export_chrome_trace, export_chrome_trace_with_spans};

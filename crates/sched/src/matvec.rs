@@ -58,8 +58,8 @@
 //! chunk kernel ([`h2_matrix::ApplyPhases::traverse_chunk`]) over its
 //! contiguous node chunk of the level, so each stored symmetric block is
 //! read once per chunk, and the bits do not depend on where chunks start:
-//! the sharded product equals [`H2Matrix::apply_permuted`] bit for bit at
-//! every device count, in both disciplines. On a pipelined fabric the
+//! the sharded product equals the in-process one (`LinOp::apply` on
+//! [`H2Matrix`]) bit for bit at every device count, in both disciplines. On a pipelined fabric the
 //! upsweep and coupling epochs run in one chain scope of
 //! `DeviceFabric::execute`: each level's flush records a dependency
 //! boundary instead of blocking, the next level's jobs are gated on its
@@ -291,8 +291,8 @@ pub fn plan_matvec(
 
 /// `y = K x` (or `Kᵀ x`) executed sharded on the fabric, in tree-permuted
 /// coordinates: [`plan_matvec`] for the fabric's device count, mode and
-/// wire precision, run by `DeviceFabric::execute`. Bit-identical to
-/// [`H2Matrix::apply_permuted`] / `apply_transpose_permuted` — each device
+/// wire precision, run by `DeviceFabric::execute`. Bit-identical to the
+/// in-process `LinOp::apply` / `LinOp::apply_transpose` — each device
 /// runs the same [`h2_matrix::ApplyPhases`] kernels over its node chunks,
 /// only the scheduling differs.
 pub fn shard_matvec(fabric: &DeviceFabric, h2: &H2Matrix, x: &Mat, transpose: bool) -> Mat {

@@ -12,11 +12,11 @@
 //!   [`h2_runtime::owner`], the `k > 0 && owner(child) != owner(parent)`
 //!   guard, the per-node flop counts ([`UlvFactor::forward_flops`] /
 //!   [`UlvFactor::backward_flops`]) and the workspace formula.
-//! * [`shard_ulv_solve`] (and [`shard_ulv_solve_into`], into a caller's
-//!   buffer) **executes** it through `DeviceFabric::execute`,
-//!   whose jobs run the [`h2_solve::UlvSweep`] node kernels of the
-//!   in-process [`UlvFactor::solve`] into per-node slots — so the solution
-//!   is bit-identical to it.
+//! * [`shard_ulv_solve_into`] (into a caller's buffer) **executes** it
+//!   through `DeviceFabric::execute`, whose jobs run the
+//!   [`h2_solve::UlvSweep`] node kernels of the in-process
+//!   [`UlvFactor::solve`] into per-node slots — so the solution is
+//!   bit-identical to it.
 //! * [`Schedule::makespan`] **prices** it with the rule
 //!   [`ExecReport::modeled_makespan`] applies to the measured counts, so
 //!   bytes, flops and makespan agree by construction;
@@ -155,7 +155,7 @@ impl LinOp for FabricOp<'_> {
 
 /// A ULV factorization applied as a preconditioner through the
 /// fabric-sharded sweep: each Krylov iteration's `M⁻¹ r` runs
-/// [`shard_ulv_solve`] instead of the in-process solve, with the vector
+/// [`shard_ulv_solve_into`] instead of the in-process solve, with the vector
 /// shards resident like [`FabricOp`]'s.
 pub struct UlvFabricPrecond<'a> {
     fabric: &'a DeviceFabric,
@@ -276,18 +276,11 @@ pub fn plan_ulv_solve(
 }
 
 /// `x = K_H2⁻¹ b` through the ULV sweeps executed sharded on the fabric
-/// (tree-permuted coordinates): [`plan_ulv_solve`] for the fabric's device
-/// count, mode and wire precision, run by `DeviceFabric::execute`.
-/// Numerically identical to [`UlvFactor::solve`] — the same per-node sweep
-/// kernels run, only the scheduling differs.
-pub fn shard_ulv_solve(fabric: &DeviceFabric, ulv: &UlvFactor, b: &Mat) -> Mat {
-    let mut x = Mat::zeros(b.rows(), b.cols());
-    shard_ulv_solve_into(fabric, ulv, b.rf(), x.rm());
-    x
-}
-
-/// [`shard_ulv_solve`] into a caller-owned `x` of `b`'s shape, which it
-/// overwrites.
+/// (tree-permuted coordinates), into a caller-owned `x` of `b`'s shape,
+/// which it overwrites: [`plan_ulv_solve`] for the fabric's device count,
+/// mode and wire precision, run by `DeviceFabric::execute`. Numerically
+/// identical to [`UlvFactor::solve`] — the same per-node sweep kernels run,
+/// only the scheduling differs.
 pub fn shard_ulv_solve_into(
     fabric: &DeviceFabric,
     ulv: &UlvFactor,
@@ -375,14 +368,16 @@ pub fn shard_ulv_solve_into(
     }
 }
 
-/// [`shard_ulv_solve`] with a fresh accounting scope: resets the fabric,
-/// runs, and returns the solution with the execution report.
+/// [`shard_ulv_solve_into`] with a fresh accounting scope and a fresh
+/// solution: resets the fabric, runs, and returns the solution with the
+/// execution report.
 pub fn shard_ulv_solve_with_report(
     fabric: &DeviceFabric,
     ulv: &UlvFactor,
     b: &Mat,
 ) -> (Mat, ExecReport) {
     fabric.reset();
-    let x = shard_ulv_solve(fabric, ulv, b);
+    let mut x = Mat::zeros(b.rows(), b.cols());
+    shard_ulv_solve_into(fabric, ulv, b.rf(), x.rm());
     (x, fabric.report("ulv solve tail"))
 }

@@ -5,12 +5,12 @@
 //! must be its `plan_ulv_solve` schedule at that k — the multi-RHS
 //! extension of the solver-arm plan equivalence (`solver_sweep.rs`).
 
-use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig};
+use h2_core::{sketch_construct, SketchConfig};
 use h2_dense::{gaussian_mat, Mat};
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_runtime::{PipelineMode, Runtime};
-use h2_sched::{plan_ulv_solve, shard_ulv_solve, shard_ulv_solve_with_report, DeviceFabric};
+use h2_sched::{plan_ulv_solve, shard_ulv_solve_with_report, DeviceFabric};
 use h2_solve::UlvFactor;
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
@@ -58,9 +58,10 @@ fn unsym_hss(n: usize, leaf: usize) -> H2Matrix {
         tol: 1e-10,
         initial_samples: 64,
         max_rank: 96,
+        symmetric: false,
         ..Default::default()
     };
-    let (mut h2, _) = sketch_construct_unsym(&km, &km, tree, part, &rt, &cfg);
+    let (mut h2, _) = sketch_construct(&km, &km, tree, part, &rt, &cfg);
     shift_diag(&mut h2, 3.0);
     h2
 }
@@ -115,11 +116,11 @@ fn blocked_k32_matches_32_sequential_sharded_solves() {
     let ulv = UlvFactor::new(&h2).unwrap();
     let b = gaussian_mat(640, 32, 0xC0FE);
     let fabric = DeviceFabric::new(4);
-    let x = shard_ulv_solve(&fabric, &ulv, &b);
+    let x = shard_ulv_solve_with_report(&fabric, &ulv, &b).0;
     for j in 0..32 {
         let col = b.col_block(j, 1).to_mat();
         let single = DeviceFabric::new(4);
-        let xj = shard_ulv_solve(&single, &ulv, &col);
+        let xj = shard_ulv_solve_with_report(&single, &ulv, &col).0;
         assert_eq!(
             xj.as_slice(),
             x.col_block(j, 1).to_mat().as_slice(),

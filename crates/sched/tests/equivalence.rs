@@ -6,19 +6,21 @@
 //! included: the same epochs, counts and transfer records, hence the same
 //! modeled makespan.
 
-use h2_core::{
-    plan_construct, sketch_construct, sketch_construct_unsym, SketchConfig, SketchStats,
-};
-use h2_dense::{gaussian_mat, DenseOp, EntryAccess, Mat};
+use h2_core::{plan_construct, sketch_construct, SketchConfig, SketchStats};
+use h2_dense::{gaussian_mat, DenseOp, EntryAccess, LinOp, Mat};
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_runtime::{DeviceModel, Kernel, PipelineMode, Precision, Runtime, TransferKind};
-use h2_sched::{
-    shard_construct, shard_construct_unsym, shard_matvec, shard_matvec_with_report, DeviceFabric,
-    ExecReport,
-};
+use h2_sched::{shard_construct, shard_matvec, shard_matvec_with_report, DeviceFabric, ExecReport};
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
+
+/// `Kᵀ x`, allocated.
+fn transpose_product(op: &dyn LinOp, x: &Mat) -> Mat {
+    let mut y = Mat::zeros(op.ncols(), x.cols());
+    op.apply_transpose(x.rf(), y.rm());
+    y
+}
 
 const DEVICE_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
@@ -63,15 +65,20 @@ fn cfg() -> SketchConfig {
     }
 }
 
+/// [`cfg`] for the two-stream (unsymmetric) construction.
+fn unsym_cfg() -> SketchConfig {
+    SketchConfig {
+        symmetric: false,
+        ..cfg()
+    }
+}
+
 /// Whether two H2 matrices give bit-identical products on a few probes,
 /// transposed products included.
 fn same_products(a: &H2Matrix, b: &H2Matrix, seed: u64) -> bool {
     let x = gaussian_mat(b.n(), 3, seed);
-    same_bits(&a.apply_permuted_mat(&x), &b.apply_permuted_mat(&x))
-        && same_bits(
-            &a.apply_transpose_permuted_mat(&x),
-            &b.apply_transpose_permuted_mat(&x),
-        )
+    same_bits(&a.apply_mat(&x), &b.apply_mat(&x))
+        && same_bits(&transpose_product(a, &x), &transpose_product(b, &x))
 }
 
 /// Whether two H2 matrices store the same blocks at the same widths, with
@@ -151,11 +158,11 @@ fn sym_construction_matches_single_device() {
 fn unsym_construction_matches_single_device() {
     let (tree, part, km) = unsym_problem(600, 16, 73);
     let rt = Runtime::parallel();
-    let (reference, _) = sketch_construct_unsym(&km, &km, tree.clone(), part.clone(), &rt, &cfg());
+    let (reference, _) = sketch_construct(&km, &km, tree.clone(), part.clone(), &rt, &unsym_cfg());
     for devices in DEVICE_COUNTS {
         let fabric = DeviceFabric::new(devices);
         let (h2, _, report) =
-            shard_construct_unsym(&fabric, &km, &km, tree.clone(), part.clone(), &cfg());
+            shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &unsym_cfg());
         h2.validate().unwrap();
         assert!(!h2.is_symmetric());
         assert!(
@@ -183,15 +190,15 @@ fn sharded_matvec_matches_inprocess_sym_and_unsym() {
     let rt = Runtime::parallel();
     let (sym, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg());
     let (treeu, partu, kmu) = unsym_problem(900, 16, 77);
-    let (unsym, _) = sketch_construct_unsym(&kmu, &kmu, treeu, partu, &rt, &cfg());
+    let (unsym, _) = sketch_construct(&kmu, &kmu, treeu, partu, &rt, &unsym_cfg());
 
     for (h2, n) in [(&sym, 1000usize), (&unsym, 900usize)] {
         let x = gaussian_mat(n, 3, 78);
         for transpose in [false, true] {
             let want = if transpose {
-                h2.apply_transpose_permuted_mat(&x)
+                transpose_product(h2, &x)
             } else {
-                h2.apply_permuted_mat(&x)
+                h2.apply_mat(&x)
             };
             for devices in DEVICE_COUNTS {
                 for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
@@ -235,7 +242,7 @@ fn zero_node_devices_are_harmless() {
         "zero-node devices changed the result"
     );
     let x = gaussian_mat(450, 2, 81);
-    let want = h2.apply_permuted_mat(&x);
+    let want = h2.apply_mat(&x);
     assert!(same_bits(&shard_matvec(&fabric, &h2, &x, false), &want));
 }
 
@@ -268,7 +275,7 @@ fn executor_accounting_matches_simulator_unsym() {
     for devices in [2usize, 7] {
         let fabric = DeviceFabric::new(devices);
         let (h2, stats, report) =
-            shard_construct_unsym(&fabric, &km, &km, tree.clone(), part.clone(), &cfg());
+            shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &unsym_cfg());
         assert_executes_plan(&h2, &cfg(), &stats, &report);
     }
 }
@@ -333,7 +340,7 @@ fn sharded_construct_executes_its_plan() {
                     let (cfg, (h2, stats, report)) = match regime {
                         "unsym" => (
                             cfg(),
-                            shard_construct_unsym(&fabric, &op_u, &km_u, tree, part, &cfg()),
+                            shard_construct(&fabric, &op_u, &km_u, tree, part, &unsym_cfg()),
                         ),
                         "weak" => (
                             rounds,

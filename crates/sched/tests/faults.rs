@@ -9,14 +9,11 @@
 //! accounting at rate 1.0.
 
 use h2_core::{plan_construct, SketchConfig, SketchStats};
-use h2_dense::gaussian_mat;
+use h2_dense::{gaussian_mat, LinOp};
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_runtime::{PipelineMode, Precision, Transfer, TransferKind};
-use h2_sched::{
-    shard_construct, shard_construct_unsym, DeviceFabric, ExecReport, FabricError, FaultKind,
-    FaultPlan,
-};
+use h2_sched::{shard_construct, DeviceFabric, ExecReport, FabricError, FaultKind, FaultPlan};
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,6 +42,14 @@ fn cfg() -> SketchConfig {
     SketchConfig {
         initial_samples: 64,
         ..Default::default()
+    }
+}
+
+/// [`cfg`] for the two-stream (unsymmetric) construction.
+fn unsym_cfg() -> SketchConfig {
+    SketchConfig {
+        symmetric: false,
+        ..cfg()
     }
 }
 
@@ -98,7 +103,7 @@ fn chaos_grid_bit_identical_and_bytes_exact() {
         let adaptive = stats_clean.rounds > 0;
         assert_eq!(adaptive, cfg.sample_block == 16, "rounds drawn");
         let probe = gaussian_mat(tree.npoints(), 3, 108);
-        let want = h2_clean.apply_permuted_mat(&probe);
+        let want = h2_clean.apply_mat(&probe);
 
         for kind in FaultKind::ALL {
             for devices in [1usize, 2, 4] {
@@ -113,7 +118,7 @@ fn chaos_grid_bit_identical_and_bytes_exact() {
                         kind.name()
                     );
                     assert_eq!(
-                        h2.apply_permuted_mat(&probe),
+                        h2.apply_mat(&probe),
                         want,
                         "{ctx}: faulted construction must be bit-identical to fault-free"
                     );
@@ -187,16 +192,16 @@ fn chaos_unsym_drop_bit_identical() {
     let part = Arc::new(Partition::build(&tree, Admissibility::Strong { eta: 0.7 }));
     let km = UnsymKernelMatrix::new(ConvectionKernel::default(), tree.points.clone());
     let clean = DeviceFabric::new(1);
-    let (h2c, _, _) = shard_construct_unsym(&clean, &km, &km, tree.clone(), part.clone(), &cfg());
+    let (h2c, _, _) = shard_construct(&clean, &km, &km, tree.clone(), part.clone(), &unsym_cfg());
     let probe = gaussian_mat(n, 2, 110);
-    let want = h2c.apply_permuted_mat(&probe);
+    let want = h2c.apply_mat(&probe);
     for mode in [PipelineMode::Synchronous, PipelineMode::Pipelined] {
         let plan = Arc::new(FaultPlan::chaos(SEED ^ 1, FaultKind::TransferDrop));
         let fabric = fabric_for(4, mode);
         fabric.set_fault_plan(Some(plan.clone()));
         let (h2, stats, report) =
-            shard_construct_unsym(&fabric, &km, &km, tree.clone(), part.clone(), &cfg());
-        assert_eq!(h2.apply_permuted_mat(&probe), want, "mode={mode:?}");
+            shard_construct(&fabric, &km, &km, tree.clone(), part.clone(), &unsym_cfg());
+        assert_eq!(h2.apply_mat(&probe), want, "mode={mode:?}");
         let ctx = format!("{mode:?}");
         assert_retries_replayed(&report, &h2, &cfg(), &stats, &plan, &ctx);
         assert_fault_branch(&fabric, &report, &stats, FaultKind::TransferDrop, 4, &ctx);

@@ -9,16 +9,23 @@
 //! one.
 
 use h2_core::{plan_construct, SketchConfig};
-use h2_dense::{gaussian_mat, Mat};
+use h2_dense::{gaussian_mat, LinOp, Mat};
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_runtime::{bsr_gemm, BsrBlock, BsrPattern, DeviceModel, FetchPlanner, Runtime, VarBatch};
 use h2_sched::{
-    shard_construct, shard_construct_unsym, shard_matvec, sharded_runtime, DeviceFabric,
-    ExecReport, LinkModel, PipelineMode, Precision, TransferKind,
+    shard_construct, shard_matvec, sharded_runtime, DeviceFabric, ExecReport, LinkModel,
+    PipelineMode, Precision, TransferKind,
 };
 use h2_tree::{Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `Kᵀ x`, allocated.
+fn transpose_product(op: &dyn LinOp, x: &Mat) -> Mat {
+    let mut y = Mat::zeros(op.ncols(), x.cols());
+    op.apply_transpose(x.rf(), y.rm());
+    y
+}
 
 const DEVICE_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
@@ -63,6 +70,14 @@ fn cfg() -> SketchConfig {
     }
 }
 
+/// [`cfg`] for the two-stream (unsymmetric) construction.
+fn unsym_cfg() -> SketchConfig {
+    SketchConfig {
+        symmetric: false,
+        ..cfg()
+    }
+}
+
 fn assert_same_traffic(sync: &ExecReport, pipe: &ExecReport) {
     assert_eq!(
         sync.total_comm_bytes(),
@@ -98,8 +113,8 @@ fn assert_same_traffic(sync: &ExecReport, pipe: &ExecReport) {
 fn assert_h2_identical(a: &h2_matrix::H2Matrix, b: &h2_matrix::H2Matrix, n: usize, seed: u64) {
     let x = gaussian_mat(n, 3, seed);
     assert_eq!(
-        a.apply_permuted_mat(&x),
-        b.apply_permuted_mat(&x),
+        a.apply_mat(&x),
+        b.apply_mat(&x),
         "construction results must be bit-identical"
     );
 }
@@ -131,17 +146,14 @@ fn pipelined_construction_bit_identical_unsym() {
     for devices in DEVICE_COUNTS {
         let sync = DeviceFabric::new(devices);
         let (h2s, _, rep_s) =
-            shard_construct_unsym(&sync, &km, &km, tree.clone(), part.clone(), &cfg());
+            shard_construct(&sync, &km, &km, tree.clone(), part.clone(), &unsym_cfg());
         let pipe = DeviceFabric::pipelined(devices);
         let (h2p, _, rep_p) =
-            shard_construct_unsym(&pipe, &km, &km, tree.clone(), part.clone(), &cfg());
+            shard_construct(&pipe, &km, &km, tree.clone(), part.clone(), &unsym_cfg());
         assert_h2_identical(&h2s, &h2p, 700, 94);
         // The transpose product must also coincide exactly.
         let x = gaussian_mat(700, 2, 95);
-        assert_eq!(
-            h2s.apply_transpose_permuted_mat(&x),
-            h2p.apply_transpose_permuted_mat(&x)
-        );
+        assert_eq!(transpose_product(&h2s, &x), transpose_product(&h2p, &x));
         assert_same_traffic(&rep_s, &rep_p);
     }
 }
@@ -152,7 +164,7 @@ fn pipelined_matvec_bit_identical() {
     let sync1 = DeviceFabric::new(1);
     let (sym, _, _) = shard_construct(&sync1, &km, &km, tree, part, &cfg());
     let (treeu, partu, kmu) = unsym_problem(900, 16, 97);
-    let (unsym, _, _) = shard_construct_unsym(&sync1, &kmu, &kmu, treeu, partu, &cfg());
+    let (unsym, _, _) = shard_construct(&sync1, &kmu, &kmu, treeu, partu, &unsym_cfg());
 
     for (h2, n) in [(&sym, 1000usize), (&unsym, 900usize)] {
         let x = gaussian_mat(n, 3, 98);

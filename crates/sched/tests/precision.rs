@@ -45,6 +45,14 @@ fn cfg() -> SketchConfig {
     }
 }
 
+/// [`cfg`] for the two-stream (unsymmetric) construction.
+fn unsym_cfg() -> SketchConfig {
+    SketchConfig {
+        symmetric: false,
+        ..cfg()
+    }
+}
+
 /// HSS-flavored problem for the solver arm (weak admissibility, 1-D line).
 fn hss_matrix(n: usize, leaf: usize) -> H2Matrix {
     let pts: Vec<[f64; 3]> = (0..n).map(|i| [i as f64 / n as f64, 0.0, 0.0]).collect();
@@ -109,7 +117,7 @@ fn matvec_bytes_and_makespan_equal_simulator_at_both_widths() {
     let tree = Arc::new(ClusterTree::build(&pts, 16));
     let part = Arc::new(Partition::build(&tree, Admissibility::Strong { eta: 0.7 }));
     let kmu = UnsymKernelMatrix::new(ConvectionKernel::default(), tree.points.clone());
-    let (unsym, _) = h2_core::sketch_construct_unsym(&kmu, &kmu, tree, part, &rt, &cfg());
+    let (unsym, _) = h2_core::sketch_construct(&kmu, &kmu, tree, part, &rt, &unsym_cfg());
     let model = DeviceModel::default();
     for (h2, transpose) in [(&sym, false), (&sym, true), (&unsym, false), (&unsym, true)] {
         let x = gaussian_mat(h2.n(), 4, 93);

@@ -6,14 +6,14 @@
 //! the priced makespan equal the plan's exactly: the solver arm of the
 //! plan-equivalence suite (asserted in CI like construction/matvec).
 
-use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig};
+use h2_core::{sketch_construct, SketchConfig};
 use h2_dense::gaussian_mat;
 use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
 use h2_matrix::H2Matrix;
 use h2_runtime::{DeviceModel, PipelineMode, Precision, Runtime, TransferKind};
 use h2_sched::{
-    plan_ulv_solve, shard_ulv_solve, shard_ulv_solve_with_report, DeviceFabric, ExecReport,
-    FabricOp, LinkModel, UlvFabricPrecond,
+    plan_ulv_solve, shard_ulv_solve_with_report, DeviceFabric, ExecReport, FabricOp, LinkModel,
+    UlvFabricPrecond,
 };
 use h2_solve::{gmres_with, pcg_with, Identity, KrylovWorkspace, UlvFactor};
 use h2_tree::{Admissibility, ClusterTree, Partition};
@@ -66,9 +66,10 @@ fn unsym_hss(n: usize, leaf: usize) -> H2Matrix {
         tol: 1e-10,
         initial_samples: 64,
         max_rank: 96,
+        symmetric: false,
         ..Default::default()
     };
-    let (mut h2, _) = sketch_construct_unsym(&km, &km, tree, part, &rt, &cfg);
+    let (mut h2, _) = sketch_construct(&km, &km, tree, part, &rt, &cfg);
     shift_diag(&mut h2, 3.0);
     h2
 }
@@ -105,7 +106,7 @@ fn sharded_sweep_matches_inprocess_sym_and_unsym() {
         let want = ulv.solve(&b);
         for devices in DEVICE_COUNTS {
             let fabric = DeviceFabric::new(devices);
-            let got = shard_ulv_solve(&fabric, &ulv, &b);
+            let got = shard_ulv_solve_with_report(&fabric, &ulv, &b).0;
             assert_bitwise_equal(&got, &want, &format!("{tag} D={devices}"));
         }
     }
@@ -288,7 +289,7 @@ fn zero_node_devices_are_harmless_in_sweeps() {
     let b = gaussian_mat(300, 2, 74);
     let want = ulv.solve(&b);
     let fabric = DeviceFabric::new(7);
-    let got = shard_ulv_solve(&fabric, &ulv, &b);
+    let got = shard_ulv_solve_with_report(&fabric, &ulv, &b).0;
     assert_bitwise_equal(&got, &want, "zero-node D=7");
 }
 

@@ -82,7 +82,8 @@
 //! construction tolerance. A loosely-compressed HSS + ULV therefore makes
 //! an effective *preconditioner* for iterating on the exact operator; the
 //! solve sweeps themselves can run sharded on the device fabric
-//! (`h2_sched::shard_ulv_solve`) through the [`UlvSweep`] phase kernels.
+//! (`h2_sched::shard_ulv_solve_into`) through the [`UlvSweep`] phase
+//! kernels.
 
 use crate::precond::Preconditioner;
 use crate::smallops::stored_op;
@@ -628,12 +629,6 @@ impl UlvFactor {
         }
     }
 
-    /// Solve for a single right-hand side.
-    pub fn solve_vec(&self, b: &[f64]) -> Vec<f64> {
-        let bm = Mat::from_vec(b.len(), 1, b.to_vec());
-        self.solve(&bm).as_slice().to_vec()
-    }
-
     /// Resident bytes of the factor: every per-node rotation / pivot /
     /// coupling block plus the assembled root LU. The eviction currency of
     /// the `h2_serve` operator cache, the solver-side counterpart of
@@ -834,8 +829,8 @@ fn eliminate_level_batched(
 
 /// Per-node kernels of the ULV triangular solve sweeps — the solver
 /// analogue of [`h2_matrix::ApplyPhases`]: [`UlvFactor::solve`] drives them
-/// in-process, `h2_sched::shard_ulv_solve` drives the same kernels level by
-/// level over contiguous node chunks with explicit transfers.
+/// in-process, `h2_sched::shard_ulv_solve_into` drives the same kernels
+/// level by level over contiguous node chunks with explicit transfers.
 pub struct UlvSweep<'a> {
     f: &'a UlvFactor,
 }
@@ -912,8 +907,8 @@ impl Preconditioner for UlvFactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig};
-    use h2_dense::{gaussian_mat, DenseOp, EntryAccess};
+    use h2_core::{sketch_construct, SketchConfig};
+    use h2_dense::{gaussian_mat, DenseOp, EntryAccess, LinOp};
     use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
     use h2_tree::Partition;
 
@@ -964,9 +959,10 @@ mod tests {
             tol: 1e-10,
             initial_samples: 64,
             max_rank: 96,
+            symmetric: false,
             ..Default::default()
         };
-        let (mut h2, _) = sketch_construct_unsym(&km, &km, tree, part, &rt, &cfg);
+        let (mut h2, _) = sketch_construct(&km, &km, tree, part, &rt, &cfg);
         shift_diag(&mut h2, sigma);
         (h2, km)
     }
@@ -981,7 +977,7 @@ mod tests {
         let ulv = UlvFactor::new(&h2).unwrap();
         let b = gaussian_mat(512, 3, 22);
         let x = ulv.solve(&b);
-        let ax = h2.apply_permuted_mat(&x);
+        let ax = h2.apply_mat(&x);
         let mut r = ax;
         r.axpy(-1.0, &b);
         let rel = r.norm_fro() / b.norm_fro();
@@ -1048,7 +1044,7 @@ mod tests {
         let ulv = UlvFactor::new(&h2).unwrap();
         let b = gaussian_mat(512, 3, 22);
         let x = ulv.solve(&b);
-        let ax = h2.apply_permuted_mat(&x);
+        let ax = h2.apply_mat(&x);
         let mut r = ax;
         r.axpy(-1.0, &b);
         let rel = r.norm_fro() / b.norm_fro();
@@ -1167,7 +1163,7 @@ mod tests {
         assert_eq!(ulv.retained(leaf), 0, "rank-0 leaf retains nothing");
         let b = gaussian_mat(300, 2, 27);
         let x = ulv.solve(&b);
-        let ax = h2.apply_permuted_mat(&x);
+        let ax = h2.apply_mat(&x);
         let mut r = ax;
         r.axpy(-1.0, &b);
         assert!(r.norm_fro() / b.norm_fro() < 1e-10);
@@ -1185,7 +1181,7 @@ mod tests {
         let ulv = UlvFactor::new(&h2).unwrap();
         let b = gaussian_mat(20, 1, 26);
         let x = ulv.solve(&b);
-        let ax = h2.apply_permuted_mat(&x);
+        let ax = h2.apply_mat(&x);
         let mut r = ax;
         r.axpy(-1.0, &b);
         assert!(r.norm_fro() / b.norm_fro() < 1e-12);
@@ -1256,12 +1252,11 @@ mod tests {
         // kernels on (rows, depth) only, so every column must match its
         // own single-RHS solve exactly.
         for c in 0..67 {
-            let bc: Vec<f64> = b.col(c).to_vec();
-            let xc = ulv.solve_vec(&bc);
+            let xc = ulv.solve(&b.col_block(c, 1).to_mat());
             for i in 0..256 {
                 assert_eq!(
                     x_all[(i, c)].to_bits(),
-                    xc[i].to_bits(),
+                    xc[(i, 0)].to_bits(),
                     "column {c} row {i} drifted from the single-RHS sweep"
                 );
             }
@@ -1302,7 +1297,7 @@ mod tests {
 
         let b = gaussian_mat(n, 64, 31);
         let x = ulv.solve(&b);
-        let mut r = h2.apply_permuted_mat(&x);
+        let mut r = h2.apply_mat(&x);
         r.axpy(-1.0, &b);
         let rel = r.norm_fro() / b.norm_fro();
         assert!(rel < 1e-10, "ULV representation residual {rel}");

@@ -92,8 +92,8 @@ proptest! {
 // ---------------------------------------------------------------- ULV
 
 mod ulv_props {
-    use h2_core::{sketch_construct, sketch_construct_unsym, SketchConfig};
-    use h2_dense::{gaussian_mat, lu_factor};
+    use h2_core::{sketch_construct, SketchConfig};
+    use h2_dense::{gaussian_mat, lu_factor, LinOp};
     use h2_kernels::{ConvectionKernel, ExponentialKernel, KernelMatrix, UnsymKernelMatrix};
     use h2_runtime::Runtime;
     use h2_solve::{UlvFactor, UlvSchedule};
@@ -140,7 +140,7 @@ mod ulv_props {
             let ulv = UlvFactor::new(&hss).unwrap();
             let b = gaussian_mat(n, 2, seed ^ 0xF00D);
             let x = ulv.solve(&b);
-            let mut r = hss.apply_permuted_mat(&x);
+            let mut r = hss.apply_mat(&x);
             r.axpy(-1.0, &b);
             let rel = r.norm_fro() / b.norm_fro();
             prop_assert!(rel < 1e-9, "ULV residual {rel} at n={n} leaf={leaf} l={l}");
@@ -167,9 +167,10 @@ mod ulv_props {
                 initial_samples: 48,
                 max_rank: 96,
                 seed,
+                symmetric: false,
                 ..Default::default()
             };
-            let (mut hss, _) = sketch_construct_unsym(&km, &km, tree, part, &rt, &cfg);
+            let (mut hss, _) = sketch_construct(&km, &km, tree, part, &rt, &cfg);
             prop_assert!(!hss.is_symmetric());
             for i in 0..hss.dense.pairs.len() {
                 let (s, t) = hss.dense.pairs[i];
@@ -241,7 +242,7 @@ mod ulv_props {
             let ulv = UlvFactor::new(&hss).unwrap();
             let b = gaussian_mat(n, 2, seed ^ 0xCAFE);
             let x = ulv.solve(&b);
-            let mut r = hss.apply_permuted_mat(&x);
+            let mut r = hss.apply_mat(&x);
             r.axpy(-1.0, &b);
             let rel = r.norm_fro() / b.norm_fro();
             prop_assert!(rel < 1e-9, "f32-storage ULV residual {rel} at n={n} leaf={leaf}");

@@ -3,18 +3,20 @@
 //! The paper constructs symmetric matrices and notes the extension to
 //! unsymmetric ones is straightforward (§II.A). This example exercises that
 //! extension end to end: a drift term makes the kernel unsymmetric, the
-//! two-stream sketching construction builds independent row (`U`) and
-//! column (`V`) nested bases, and both `K x` and `Kᵀ x` products of the
-//! result are verified against the exact operator.
+//! same `sketch_construct` call with `SketchConfig::symmetric` set to
+//! `false` runs the two-stream construction, which builds independent row
+//! (`U`) and column (`V`) nested bases, and both `K x` and `Kᵀ x` products
+//! of the result (`LinOp::apply` / `LinOp::apply_transpose`) are verified
+//! against the exact operator.
 //!
 //! ```sh
 //! cargo run --release --example convection_unsym
 //! ```
 
-use h2sketch::dense::{estimate_norm_2, gaussian_mat, DiffOp, LinOp};
+use h2sketch::dense::{estimate_norm_2, gaussian_mat, DiffOp, LinOp, Mat};
 use h2sketch::kernels::{ConvectionKernel, UnsymKernelMatrix};
 use h2sketch::runtime::Runtime;
-use h2sketch::sketch::{sketch_construct_unsym, SketchConfig};
+use h2sketch::sketch::{sketch_construct, SketchConfig};
 use h2sketch::tree::{uniform_cube, Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
 
@@ -35,18 +37,19 @@ fn main() {
     };
     let km = UnsymKernelMatrix::new(kernel, tree.points.clone());
 
-    // Both black-box inputs come from the kernel matrix itself here; the
-    // sampler must provide K·Ω *and* Kᵀ·Ψ (the second sketch stream drives
-    // the column basis).
+    // Both black-box inputs come from the kernel matrix itself here; with
+    // `symmetric: false` the sampler must provide K·Ω *and* Kᵀ·Ψ (the
+    // second sketch stream drives the column basis).
     let rt = Runtime::parallel();
     let cfg = SketchConfig {
         tol: 1e-6,
         initial_samples: 64,
         sample_block: 32,
+        symmetric: false,
         ..Default::default()
     };
     let t0 = std::time::Instant::now();
-    let (h2, stats) = sketch_construct_unsym(&km, &km, tree.clone(), partition, &rt, &cfg);
+    let (h2, stats) = sketch_construct(&km, &km, tree.clone(), partition, &rt, &cfg);
     let dt = t0.elapsed();
     h2.validate().expect("structural validation");
 
@@ -69,10 +72,10 @@ fn main() {
     // Verify Kᵀ x: the transpose product reads the same representation
     // through the swapped basis trees.
     let x = gaussian_mat(n, 4, 3);
-    let mut want = h2sketch::dense::Mat::zeros(n, 4);
+    let mut want = Mat::zeros(n, 4);
     km.apply_transpose(x.rf(), want.rm());
-    let got = h2.apply_transpose_permuted_mat(&x);
-    let mut d = got;
+    let mut d = Mat::zeros(n, 4);
+    h2.apply_transpose(x.rf(), d.rm());
     d.axpy(-1.0, &want);
     let rel_t = d.norm_fro() / want.norm_fro();
     println!("transpose product relative error ≈ {rel_t:.3e}");

@@ -16,7 +16,7 @@
 //! cargo run --release --example solver_tour
 //! ```
 
-use h2sketch::dense::{DenseOp, EntryAccess, Mat};
+use h2sketch::dense::{DenseOp, EntryAccess, LinOp, Mat};
 use h2sketch::kernels::{ExponentialKernel, KernelMatrix};
 use h2sketch::runtime::Runtime;
 use h2sketch::sketch::{sketch_construct, SketchConfig};
@@ -93,7 +93,7 @@ fn main() {
     let t1 = std::time::Instant::now();
     let x = ulv.solve(&bm);
     let t_solve = t1.elapsed();
-    let mut r = hss.apply_permuted_mat(&x);
+    let mut r = hss.apply_mat(&x);
     r.axpy(-1.0, &bm);
     println!("\n== ULV direct solve of HSS (N = {n1}) ==");
     println!(
@@ -148,7 +148,7 @@ fn main() {
     };
     let xw = woodbury_solve(solve_a, &pscaled, &pscaled, &bm).expect("capacitance nonsingular");
     // Residual against (K_H2 + P Pᵀ).
-    let mut rw = hss.apply_permuted_mat(&xw);
+    let mut rw = hss.apply_mat(&xw);
     let ptx = h2sketch::dense::matmul(
         h2sketch::dense::Op::Trans,
         h2sketch::dense::Op::NoTrans,

@@ -2,7 +2,7 @@
 //! duplicate points, extreme parameters, and operators that stress the
 //! construction's assumptions.
 
-use h2sketch::dense::{relative_error_2, DenseOp, EntryAccess, Mat};
+use h2sketch::dense::{relative_error_2, DenseOp, EntryAccess, LinOp, Mat};
 use h2sketch::kernels::{ExponentialKernel, Kernel, KernelMatrix};
 use h2sketch::runtime::Runtime;
 use h2sketch::sketch::{sketch_construct, SketchConfig};
@@ -154,7 +154,7 @@ fn zero_operator() {
     };
     let (h2, _) = sketch_construct(&op, &op, tree.clone(), part, &rt, &cfg);
     let x = h2sketch::dense::gaussian_mat(n, 2, 78);
-    let y = h2.apply_permuted_mat(&x);
+    let y = h2.apply_mat(&x);
     assert_eq!(y.norm_max(), 0.0, "zero operator must stay exactly zero");
 }
 

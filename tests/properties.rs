@@ -2,7 +2,8 @@
 //! construction invariants.
 
 use h2sketch::dense::{
-    col_id, matmul, qr_factor, relative_error_2, row_id, svd, EntryAccess, Mat, Op, Truncation,
+    col_id, matmul, qr_factor, relative_error_2, row_id, svd, EntryAccess, LinOp, Mat, Op,
+    Truncation,
 };
 use h2sketch::kernels::{ExponentialKernel, KernelMatrix};
 use h2sketch::runtime::Runtime;
@@ -144,7 +145,7 @@ proptest! {
         let j = (seed as usize * 37) % 800;
         let mut e = Mat::zeros(800, 1);
         e[(j, 0)] = 1.0;
-        let col = h2.apply_permuted_mat(&e);
+        let col = h2.apply_mat(&e);
         let rows: Vec<usize> = (0..800).step_by(61).collect();
         let block = h2.extract_block(&rows, &[j]);
         for (ii, &i) in rows.iter().enumerate() {
