@@ -16,8 +16,9 @@
 //! construction run out of memory on 3-D problems (§V.B).
 
 use crate::hmatrix::{HMatrix, LowRankBlock};
+use h2_core::threshold::{estimate_norm, Threshold};
 use h2_dense::cpqr::{row_id, Truncation};
-use h2_dense::{norm_2_gkl, EntryAccess, LinOp, Mat};
+use h2_dense::{EntryAccess, LinOp, Mat};
 use h2_tree::{ClusterTree, Partition};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -26,21 +27,20 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of the peeling constructions.
+/// Configuration of the peeling constructions. Truncation follows
+/// Algorithm 1's one rule, [`h2_core::threshold`]: the same safety factor,
+/// norm-estimate cap and `√d` width scaling, so the comparator truncates
+/// exactly as the engine it is compared against.
 #[derive(Clone, Copy, Debug)]
 pub struct PeelConfig {
-    /// Relative tolerance ε.
+    /// Relative tolerance ε, the one truncation input (see
+    /// [`h2_core::threshold::Threshold`]).
     pub tol: f64,
     /// Samples per colour per adaptation round.
     pub d_block: usize,
     /// Total sample budget (the algorithm stops growing a level's sketch
     /// when exceeded — mirrors H2Opus's OOM failure mode gracefully).
     pub max_samples: usize,
-    /// Safety factor on the absolute threshold (see `SketchConfig::safety`).
-    pub safety: f64,
-    /// Cap of the norm estimate: at most `2·norm_est_iters + 1` sampler
-    /// products (see `SketchConfig::norm_est_iters`).
-    pub norm_est_iters: usize,
     pub seed: u64,
 }
 
@@ -50,8 +50,6 @@ impl Default for PeelConfig {
             tol: 1e-6,
             d_block: 32,
             max_samples: 100_000,
-            safety: 1.0 / 30.0,
-            norm_est_iters: 10,
             seed: 0xBEEF,
         }
     }
@@ -128,8 +126,8 @@ pub fn topdown_peel(
     let mut stats = PeelStats::default();
 
     let start = h2_dense::gaussian_mat(sampler.nrows(), 1, cfg.seed ^ 0xA5A5);
-    let (norm_est, _) = norm_2_gkl(sampler, &start, 2 * cfg.norm_est_iters + 1, cfg.tol);
-    let eps_abs = cfg.safety * cfg.tol * norm_est.max(f64::MIN_POSITIVE);
+    let (norm_est, _) = estimate_norm(sampler, &start, cfg.tol);
+    let threshold = Threshold::new(cfg.tol, norm_est);
 
     let top = partition.top_far_level(&tree);
     let leaf_level = tree.leaf_level();
@@ -224,7 +222,7 @@ pub fn topdown_peel(
 
                     // Convergence: smallest |R_ii| of each pair's sketch.
                     let d_cur = sketches[&targets[0]].0.cols();
-                    let eps_conv = eps_abs * (d_cur as f64).sqrt();
+                    let eps_conv = threshold.at_width(d_cur);
                     let unconverged = targets.par_iter().any(|&(s, t)| {
                         let (ys, _) = &sketches[&(s, t)];
                         if d_cur >= ys.rows() {
@@ -245,13 +243,13 @@ pub fn topdown_peel(
                 if stats.budget_exhausted {
                     // Finish this level with what we have, then stop
                     // (graceful version of the paper's observed OOM).
-                    finalize_level(&pairs, &sketches, gen, &tree, eps_abs, &mut h);
+                    finalize_level(&pairs, &sketches, gen, &tree, threshold, &mut h);
                     stats.samples_per_level.push(level_samples);
                     break 'levels;
                 }
             }
 
-            finalize_level(&pairs, &sketches, gen, &tree, eps_abs, &mut h);
+            finalize_level(&pairs, &sketches, gen, &tree, threshold, &mut h);
             stats.samples_per_level.push(level_samples);
         }
     }
@@ -289,7 +287,7 @@ fn finalize_level(
     sketches: &HashMap<(usize, usize), (Mat, Mat)>,
     gen: &dyn EntryAccess,
     tree: &ClusterTree,
-    eps_abs: f64,
+    threshold: Threshold,
     h: &mut HMatrix,
 ) {
     let built: Vec<((usize, usize), LowRankBlock)> = pairs
@@ -297,8 +295,7 @@ fn finalize_level(
         .filter_map(|&(s, t)| {
             let (ys, _) = sketches.get(&(s, t))?;
             let (yt, _) = sketches.get(&(t, s)).or_else(|| sketches.get(&(s, t)))?;
-            let d = ys.cols() as f64;
-            let rule = Truncation::Absolute(eps_abs * d.sqrt());
+            let rule = Truncation::Absolute(threshold.at_width(ys.cols()));
             let ids = row_id(ys, rule);
             let idt = if s == t {
                 row_id(ys, rule)

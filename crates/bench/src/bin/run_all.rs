@@ -52,7 +52,6 @@ fn main() {
             "fig7_breakdown.out",
         ),
         ("table2_adaptive", &["--n", "4096"], "table2_adaptive.out"),
-        ("ablation", &["--n", "2048"], "ablation.out"),
         (
             "ablation_multidevice",
             &["--n", "8192"],

@@ -3,32 +3,12 @@
 use h2_runtime::{Kernel, Phase, Profile};
 use std::time::Duration;
 
-/// Per-level tolerance schedule for the interpolative decompositions
-/// ("ID with ε_l", Algorithm 1 lines 16/34).
-///
-/// The paper's "simple error compensation scheme" keeps per-level truncation
-/// close to the target while errors accumulate up the tree; we expose the
-/// schedule so the Table II trade-off can be reproduced and explored.
-#[derive(Clone, Copy, Debug)]
-pub enum TolSchedule {
-    /// Same absolute threshold `ε·‖K‖` at every level.
-    Constant,
-    /// Tighten by `factor^h` at height `h` above the leaves (factor < 1
-    /// compensates for upsweep error accumulation).
-    PerLevel { factor: f64 },
-}
-
-impl TolSchedule {
-    /// Scaling applied to the base threshold at `height` levels above leaves.
-    pub fn scale(&self, height: usize) -> f64 {
-        match *self {
-            TolSchedule::Constant => 1.0,
-            TolSchedule::PerLevel { factor } => factor.powi(height as i32),
-        }
-    }
-}
-
 /// Configuration of Algorithm 1.
+///
+/// `tol` is the one truncation input: every convergence test and row ID
+/// truncates at the shared rule of [`crate::threshold`],
+/// `SAFETY·tol·‖K‖₂·√max(d, 1)` at sample width `d`, which no field
+/// rescales.
 #[derive(Clone, Copy, Debug)]
 pub struct SketchConfig {
     /// Relative compression tolerance ε (paper: 1e-6).
@@ -45,20 +25,6 @@ pub struct SketchConfig {
     pub max_samples: usize,
     /// Hard cap on per-node rank.
     pub max_rank: usize,
-    /// Cap of the `‖K‖₂` estimate backing the relative threshold (§III.B):
-    /// at most `2·norm_est_iters + 1` sampler products, the cost of that
-    /// many power iterations on `KᵀK`. The estimate
-    /// (`h2_dense::norm_2_gkl`, started from the first sample block) stops
-    /// earlier, once a product moves it by at most `tol` relative.
-    pub norm_est_iters: usize,
-    /// Per-level ID tolerance schedule.
-    pub schedule: TolSchedule,
-    /// Safety factor applied to the absolute threshold (`ε_eff = safety·ε·‖K‖`).
-    /// Truncation at exactly `ε·‖K‖` accumulates per-level and per-block
-    /// errors to a multiple of ε; a conservative factor keeps the measured
-    /// error at or below the requested tolerance, matching the paper's
-    /// reported errors (Table II shows measured errors 2-25x *below* ε).
-    pub safety: f64,
     /// RNG seed (all sketching randomness derives from it).
     pub seed: u64,
     /// Storage precision requested for finished coupling blocks. With
@@ -98,9 +64,6 @@ impl Default for SketchConfig {
             adaptive: true,
             max_samples: 2048,
             max_rank: 512,
-            norm_est_iters: 10,
-            schedule: TolSchedule::Constant,
-            safety: 1.0 / 30.0,
             seed: 0xC0FFEE,
             storage: h2_runtime::Precision::F64,
             symmetric: true,
@@ -114,17 +77,6 @@ impl SketchConfig {
     /// it and the planner starts from it.
     pub(crate) fn initial_width(&self) -> usize {
         self.initial_samples.min(self.max_samples).max(1)
-    }
-
-    /// The paper's headline configuration (Fig. 5): ε=1e-6, 256 initial
-    /// samples.
-    pub fn paper() -> Self {
-        SketchConfig {
-            tol: 1e-6,
-            initial_samples: 256,
-            sample_block: 32,
-            ..Default::default()
-        }
     }
 }
 
@@ -147,7 +99,7 @@ pub struct SketchStats {
     /// Estimated `‖K‖₂` backing the relative threshold.
     pub norm_estimate: f64,
     /// Sampler products (`K x` or `Kᵀ x`) the `‖K‖₂` estimate used, at most
-    /// `2·norm_est_iters + 1`.
+    /// [`crate::threshold::NORM_PRODUCTS`].
     pub norm_products: usize,
     /// Wall-clock construction time.
     pub elapsed: Duration,
@@ -208,20 +160,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_scales() {
-        assert_eq!(TolSchedule::Constant.scale(5), 1.0);
-        let s = TolSchedule::PerLevel { factor: 0.5 };
-        assert_eq!(s.scale(0), 1.0);
-        assert_eq!(s.scale(2), 0.25);
-    }
-
-    #[test]
     fn defaults_sane() {
         let c = SketchConfig::default();
         assert!(c.adaptive);
         assert!(c.initial_samples <= c.max_samples);
-        let p = SketchConfig::paper();
-        assert_eq!(p.initial_samples, 256);
-        assert_eq!(p.tol, 1e-6);
     }
 }

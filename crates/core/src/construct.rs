@@ -51,17 +51,18 @@
 //! | 1, 5 | global samples, gathered to the leaves | `draw_global_samples` |
 //! | 8 | near-field `batchedGen` | `gen_blocks(.., BlockSource::Dense)` |
 //! | 9 / 24, 27 | subtract known blocks, stack children | `advance_level` |
-//! | 11, 29 | convergence test | `qr_min_rdiag` in the `while` loop |
+//! | 11, 29 | convergence test | `qr_min_rdiag` in the sampling `loop` |
 //! | 12–14 / 30–32 | `updateSamples` | `sweep_new_samples`, `hcat_batches` |
 //! | 16, 19 / 34, 37 | row ID, store basis and skeleton | `batched_row_id`, `set_side_basis` |
 //! | 17–18 / 35–36 | shrink samples, compress inputs | `shrink_rows`, `gemm_at_x` |
 //! | 41 | coupling `batchedGen` | `gen_blocks(.., BlockSource::Coupling)` |
 //!
 //! Four departures from the paper:
-//! * `safety`: every threshold is `safety·ε·‖K‖₂` ([`SketchConfig::safety`],
-//!   1/30 by default), not `ε·‖K‖₂`;
-//! * the `√d` factor: at sample width `d` the convergence and ID thresholds
-//!   are scaled by `√d`, as `‖AΩ‖_F ≈ √d·‖A‖_F` for `d` Gaussian columns;
+//! * the safety factor: every threshold is `SAFETY·ε·‖K‖₂`
+//!   ([`crate::threshold::SAFETY`], 1/30), not `ε·‖K‖₂`;
+//! * the `√d` factor: at sample width `d` the convergence test and the ID
+//!   read one threshold, scaled by `√d` ([`Threshold::at_width`]), as
+//!   `‖AΩ‖_F ≈ √d·‖A‖_F` for `d` Gaussian columns;
 //! * the convergence statistic is the smallest `|R_ii|` of an unpivoted QR
 //!   of each node's local samples (`qr_min_rdiag`);
 //! * the reference sampler: the engine sees only a [`LinOp`], and the
@@ -75,8 +76,9 @@
 
 use crate::config::{SketchConfig, SketchStats};
 use crate::multidev::FabricStep;
+use crate::threshold::{estimate_norm, Threshold};
 use h2_dense::cpqr::Truncation;
-use h2_dense::{norm_2_gkl, EntryAccess, LinOp, Mat};
+use h2_dense::{EntryAccess, LinOp, Mat};
 use h2_matrix::H2Matrix;
 use h2_runtime::{
     batched_gen, batched_row_id, bsr_gemm, gather_rows, gemm_at_x, hcat_batches, qr_min_rdiag,
@@ -219,12 +221,11 @@ pub fn sketch_construct(
     // Golub–Kahan–Lanczos from the row samples' dominant direction, which
     // alternates K and Kᵀ, so unsymmetry is handled ----
     let start = norm_start.expect("the row stream yields the estimate's start");
-    let (norm_est, norm_products) = rt.phase(Phase::NormEst, || {
-        norm_2_gkl(sampler, &start, 2 * cfg.norm_est_iters + 1, cfg.tol)
-    });
+    let (norm_est, norm_products) =
+        rt.phase(Phase::NormEst, || estimate_norm(sampler, &start, cfg.tol));
     stats.norm_estimate = norm_est;
     stats.norm_products = norm_products;
-    let eps_abs = cfg.safety * cfg.tol * norm_est.max(f64::MIN_POSITIVE);
+    let threshold = Threshold::new(cfg.tol, norm_est);
 
     // ---- storage demotion of the finished near field (norm-aware) ----
     // Every off-diagonal dense block whose f32 rounding error fits the
@@ -232,7 +233,7 @@ pub fn sketch_construct(
     // Done before the level loop so the leaf-level BSR subtraction reads
     // exactly the values the stored operator will have: demotion error is
     // then *part of* the operator being sketched, not an unmodeled drift.
-    rt.phase(Phase::Demote, || h2.dense.demote_pending(eps_abs));
+    rt.phase(Phase::Demote, || h2.dense.demote_pending(threshold.abs()));
     if !symmetric {
         check_adjoint(rt, sampler, cfg.seed, norm_est);
     }
@@ -259,27 +260,31 @@ pub fn sketch_construct(
             .collect();
 
         // ---- adaptive sampling loop (lines 11-14 / 29-32): every stream
-        // must pass the per-node convergence test at the current width ----
+        // must pass the per-node convergence test at the current width. The
+        // loop yields the threshold at the final width, which the row ID
+        // reads too ----
         let mut width = if locals[0].0.count() > 0 {
             locals[0].0.cols_of(0)
         } else {
             0
         };
         let mut level_rounds = 0usize;
-        while cfg.adaptive && width > 0 {
-            let eps_conv = eps_abs * (width as f64).sqrt();
+        let eps = loop {
+            let eps = threshold.at_width(width);
+            if !cfg.adaptive || width == 0 {
+                break eps;
+            }
             let mut unconverged = false;
             for (yloc, _) in &locals {
                 let mins = rt.phase(Phase::ConvergenceTest, || qr_min_rdiag(rt, yloc));
-                unconverged |=
-                    (0..yloc.count()).any(|i| width < yloc.rows_of(i) && mins[i] > eps_conv);
+                unconverged |= (0..yloc.count()).any(|i| width < yloc.rows_of(i) && mins[i] > eps);
             }
             if !unconverged {
-                break;
+                break eps;
             }
             if stats.total_samples + cfg.sample_block > cfg.max_samples {
                 stats.sample_cap_hit = true;
-                break;
+                break eps;
             }
             // updateSamples: fresh global sketch per stream swept through the
             // frozen levels below, then advanced through this level.
@@ -305,15 +310,14 @@ pub fn sketch_construct(
             stats.total_samples += cfg.sample_block;
             stats.rounds += 1;
             level_rounds += 1;
-        }
+        };
         stats.rounds_per_level.push(level_rounds);
 
         // ---- batched row ID per stream (lines 16 / 34) ----
-        let eps_id = eps_abs * cfg.schedule.scale(leaf_level - l) * (width.max(1) as f64).sqrt();
         let mut skels_local: Vec<Vec<Vec<usize>>> = Vec::with_capacity(sides.len());
         for (&side, (yloc, _)) in sides.iter().zip(&locals) {
             let mut id_res = rt.phase(Phase::Id, || {
-                batched_row_id(rt, yloc, Truncation::Absolute(eps_id))
+                batched_row_id(rt, yloc, Truncation::Absolute(eps))
             });
             // Enforce the rank cap (rare; re-factor the offenders).
             for (i, r) in id_res.iter_mut().enumerate() {
@@ -351,7 +355,9 @@ pub fn sketch_construct(
         // *before* the next level's subtraction consumes them, so every
         // later kernel reads the stored representation.
         if cfg.storage == h2_runtime::Precision::F32 {
-            rt.phase(Phase::Demote, || h2.coupling.demote_pending(eps_abs));
+            rt.phase(Phase::Demote, || {
+                h2.coupling.demote_pending(threshold.abs())
+            });
         }
 
         // ---- upsweep to the next level (lines 17-18 / 35-36): shrink each

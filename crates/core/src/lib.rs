@@ -26,8 +26,9 @@
 pub mod config;
 pub mod construct;
 pub mod multidev;
+pub mod threshold;
 
-pub use config::{SketchConfig, SketchStats, TolSchedule};
+pub use config::{SketchConfig, SketchStats};
 pub use construct::{sketch_construct, Side};
 pub use multidev::plan_construct;
 
@@ -254,7 +255,7 @@ mod tests {
         };
         let (h2, stats) = build(Backend::Sequential);
         h2.validate().unwrap();
-        let eps_abs = cfg.safety * cfg.tol * stats.norm_estimate;
+        let eps_abs = threshold::Threshold::new(cfg.tol, stats.norm_estimate).abs();
         let eps32 = 0.5 * f32::EPSILON as f64;
         let (mut demoted, mut held) = (0, 0);
         for (i, &(s, t)) in h2.dense.pairs.iter().enumerate() {
@@ -641,7 +642,7 @@ mod adaptive_tests {
             "estimate {} vs {exact}",
             stats.norm_estimate
         );
-        let cap = 2 * cfg.norm_est_iters + 1;
+        let cap = threshold::NORM_PRODUCTS;
         assert!(
             stats.norm_products > 0 && stats.norm_products < cap,
             "{} products",

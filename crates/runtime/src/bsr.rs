@@ -83,11 +83,6 @@ impl BsrPattern {
         &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
 
-    /// `(start, end)` positions of row `r` in the flat block array.
-    pub fn row_range(&self, r: usize) -> (usize, usize) {
-        (self.row_ptr[r], self.row_ptr[r + 1])
-    }
-
     /// x-batch entry of block position `p`.
     pub fn col_of(&self, p: usize) -> usize {
         self.col_idx[p]

@@ -8,7 +8,7 @@ use h2sketch::kernels::{
 };
 use h2sketch::matrix::{direct_construct, DirectConfig, LowRankUpdate};
 use h2sketch::runtime::{Backend, Runtime};
-use h2sketch::sketch::{sketch_construct, SketchConfig, TolSchedule};
+use h2sketch::sketch::{sketch_construct, SketchConfig};
 use h2sketch::tree::{uniform_cube, uniform_sphere, Admissibility, ClusterTree, Partition};
 use std::sync::Arc;
 
@@ -172,24 +172,6 @@ fn sphere_geometry_pipeline() {
     let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
     let err = relative_error_2(&km, &h2, 20, 14);
     assert!(err < 1e-5, "sphere pipeline err {err}");
-}
-
-/// Per-level tolerance schedule tightens upper levels without breaking
-/// anything.
-#[test]
-fn per_level_schedule_works() {
-    let (tree, part) = strong_setup(1500, 16, 15);
-    let km = KernelMatrix::new(ExponentialKernel { l: 0.2 }, tree.points.clone());
-    let rt = Runtime::parallel();
-    let cfg = SketchConfig {
-        tol: 1e-6,
-        initial_samples: 64,
-        schedule: TolSchedule::PerLevel { factor: 0.5 },
-        ..Default::default()
-    };
-    let (h2, _) = sketch_construct(&km, &km, tree.clone(), part, &rt, &cfg);
-    let err = relative_error_2(&km, &h2, 20, 16);
-    assert!(err < 1e-5, "scheduled construction err {err}");
 }
 
 /// Original-order matvec round-trips the permutation correctly.
