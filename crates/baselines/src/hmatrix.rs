@@ -9,7 +9,7 @@
 
 use h2_dense::{gemm, Mat, MatMut, MatRef, Op};
 use h2_tree::{ClusterTree, Partition};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// One admissible low-rank block `U B V^T` (V = row interpolation of the
@@ -77,30 +77,33 @@ impl HMatrix {
 
         // Row-cluster adjacency over the stored unordered pairs: each
         // ordered side (row_node, col_node, transposed?) lands in the row
-        // node's task list.
-        let mut tasks: std::collections::HashMap<usize, Vec<(usize, usize, bool, bool)>> =
-            std::collections::HashMap::new();
-        // tuple: (col_node, pair_t, mirrored, is_dense) — pair key is
-        // (min, max) = (s, t); mirrored means we apply the transposed side.
-        for &(s, t) in self.lowrank.keys() {
-            tasks.entry(s).or_default().push((t, t, false, false));
+        // node's task list. Row nodes and each row's list are sorted, so
+        // the sum order, and with it the bits of the product, does not
+        // depend on the maps' iteration order.
+        let mut tasks: BTreeMap<usize, Vec<(usize, bool, bool)>> = BTreeMap::new();
+        // tuple: (col_node, is_dense, mirrored) — pair key is (min, max) =
+        // (s, t); mirrored means we apply the transposed side.
+        let lowrank = self.lowrank.keys().map(|&key| (key, false));
+        for ((s, t), is_dense) in lowrank.chain(self.dense.keys().map(|&key| (key, true))) {
+            tasks.entry(s).or_default().push((t, is_dense, false));
             if s != t {
-                tasks.entry(t).or_default().push((s, s, true, false));
+                tasks.entry(t).or_default().push((s, is_dense, true));
             }
         }
-        for &(s, t) in self.dense.keys() {
-            tasks.entry(s).or_default().push((t, t, false, true));
-            if s != t {
-                tasks.entry(t).or_default().push((s, s, true, true));
-            }
-        }
+        let tasks: Vec<(usize, Vec<(usize, bool, bool)>)> = tasks
+            .into_iter()
+            .map(|(row_node, mut list)| {
+                list.sort_unstable();
+                (row_node, list)
+            })
+            .collect();
 
         let contribs: Vec<(usize, Mat)> = tasks
             .par_iter()
-            .map(|(&row_node, list)| {
+            .map(|&(row_node, ref list)| {
                 let (rb, re) = tree.range(row_node);
                 let mut acc = Mat::zeros(re - rb, d);
-                for &(col_node, _, mirrored, is_dense) in list {
+                for &(col_node, is_dense, mirrored) in list {
                     let key = (row_node.min(col_node), row_node.max(col_node));
                     let (cb, ce) = tree.range(col_node);
                     let xt = x.view(cb, 0, ce - cb, d);
@@ -223,6 +226,47 @@ mod tests {
         let mut diff = y;
         diff.axpy(-1.0, &want);
         assert!(diff.norm_max() < 1e-12);
+    }
+
+    #[test]
+    fn equal_matrices_give_bit_identical_products() {
+        // Each HMatrix hashes its block keys with its own seed, so two
+        // matrices holding the same blocks iterate them in different orders;
+        // the product must not depend on that.
+        let n = 512;
+        let pts = h2_tree::uniform_cube(n, 9);
+        let tree = Arc::new(ClusterTree::build(&pts, 16));
+        let part = Arc::new(Partition::build(&tree, Admissibility::Strong { eta: 1.0 }));
+        let build = || {
+            let mut h = HMatrix::new(tree.clone(), part.clone());
+            for s in 0..part.far_of.len() {
+                let size = |v: usize| tree.range(v).1 - tree.range(v).0;
+                let seed = |t: usize| (s * part.far_of.len() + t) as u64;
+                for &t in part.far_of[s].iter().filter(|&&t| s <= t) {
+                    let block = LowRankBlock {
+                        u: gaussian_mat(size(s), 3, 3 * seed(t)),
+                        b: gaussian_mat(3, 3, 3 * seed(t) + 1),
+                        v: gaussian_mat(size(t), 3, 3 * seed(t) + 2),
+                    };
+                    h.lowrank.insert((s, t), block);
+                }
+                for &t in part.near_of[s].iter().filter(|&&t| s <= t) {
+                    h.dense
+                        .insert((s, t), gaussian_mat(size(s), size(t), seed(t)));
+                }
+            }
+            h
+        };
+        let x = gaussian_mat(n, 3, 5);
+        let first = build();
+        assert!(first.lowrank.len() > 50 && first.dense.len() > 50);
+        let want = first.apply_mat(&x);
+        for _ in 0..3 {
+            let got = build().apply_mat(&x);
+            let pairs = got.as_slice().iter().zip(want.as_slice());
+            let differ = pairs.filter(|(a, b)| a.to_bits() != b.to_bits()).count();
+            assert_eq!(differ, 0, "{differ} of {} entries differ", want.len());
+        }
     }
 
     #[test]

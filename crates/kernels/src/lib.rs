@@ -24,14 +24,98 @@
 //! column sketch stream. Every `apply` here is the exact O(N² d) product —
 //! used as ground truth in tests and to bootstrap reference operators;
 //! large-scale sampling goes through the O(N) H2 matvec in `h2-matrix`.
+//! The product evaluates each 128-row tile of `K` once through `block` and
+//! multiplies it into all `d` columns with one `gemm`.
+//!
+//! ## `batchedGen`: a block of entries in SIMD lanes
+//!
+//! [`KernelMatrix::block`](EntryAccess::block) gathers up to 256 row points
+//! into structure-of-arrays `x`/`y`/`z` scratch on the stack, then fills
+//! each output column with one branch-free loop:
+//! `r = √(dx² + dy² + dz²)` and `v = if r == 0 { diag } else { eval_r(r) }`.
+//! The loop compiles inside `#[target_feature]` wrappers picked by
+//! [`h2_dense::simd_tier`], so each vector lane evaluates one entry.
+//!
+//! Every exponential of this crate's kernels is the one [`exp`]: Cody–Waite
+//! reduction, a degree-13 polynomial and a `2^k` scale built from bits. It
+//! uses only IEEE `+ − × ÷` and integer bit operations, with no FMA, so a
+//! vector lane and a scalar call give the same bits, and it agrees with
+//! `f64::exp` within 1 ulp wherever the result is normal. A kernel needs to
+//! implement only [`Kernel::eval_r`] and [`Kernel::diag`] to get the vector
+//! path: `block` is generic over the kernel and inlines its `eval_r`.
+//! `block` and [`entry`](EntryAccess::entry) evaluate the same formula, so
+//! they agree bitwise on every SIMD tier. A kernel whose `eval_r` calls
+//! libm (Helmholtz's `cos`) runs the same loop in scalar lanes.
+//! [`UnsymKernelMatrix`]'s `block` runs the same loop over an inlined
+//! [`Kernel2::eval2`].
 
-use h2_dense::{EntryAccess, LinOp, MatMut, MatRef};
+use h2_dense::{gemm, simd_tier, EntryAccess, LinOp, Mat, MatMut, MatRef, Op, SimdTier};
 use h2_tree::{dist, Point};
 use rayon::prelude::*;
 
+/// `round(x · log₂e)` lands in the low mantissa bits of `x · log₂e + SHIFT`.
+const SHIFT: f64 = 6755399441055744.0; // 1.5 · 2^52
+/// `ln 2` split in two: the high part has 32 significant bits, so `k · LN2_HI`
+/// is exact for every `|k| < 2^21`.
+const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+/// Inputs are clamped to `[EXP_LO, EXP_HI]`, where the result is already
+/// `+0.0` and `+∞`.
+const EXP_LO: f64 = -746.0;
+const EXP_HI: f64 = 710.0;
+/// Taylor coefficients `1/2!, …, 1/13!` of `(eʳ − 1 − r) / r²`.
+const EXP_POLY: [f64; 12] = [
+    1.0 / 2.0,
+    1.0 / 6.0,
+    1.0 / 24.0,
+    1.0 / 120.0,
+    1.0 / 720.0,
+    1.0 / 5040.0,
+    1.0 / 40320.0,
+    1.0 / 362880.0,
+    1.0 / 3628800.0,
+    1.0 / 39916800.0,
+    1.0 / 479001600.0,
+    1.0 / 6227020800.0,
+];
+
+/// `eˣ`, branch-free, from IEEE `+ − ×` and integer bit operations only.
+///
+/// `x = k·ln 2 + r` with `k = round(x / ln 2)` and `|r| ≤ ln 2 / 2`
+/// (Cody–Waite: `k · ln 2` is subtracted in two parts), `eʳ` is a degree-13
+/// Taylor polynomial in Horner form, and `2^k` is applied as two factors
+/// built from exponent bits, so a subnormal result is rounded once. There is
+/// no FMA and no `mul_add`: every vector lane gives the scalar call's bits.
+///
+/// Within 1 ulp of `f64::exp` wherever the result is normal
+/// (`−708.39 ≤ x ≤ 709.78`); `+0.0` for `x ≤ −745.2` and `−∞`, `+∞` above
+/// `709.79`, NaN for NaN.
+#[inline(always)]
+pub fn exp(x: f64) -> f64 {
+    // Comparisons keep a NaN (both are false), where `max`/`min` would not.
+    let x = if x < EXP_LO { EXP_LO } else { x };
+    let x = if x > EXP_HI { EXP_HI } else { x };
+    let t = x * std::f64::consts::LOG2_E + SHIFT;
+    let kf = t - SHIFT;
+    let r = (x - kf * LN2_HI) - kf * LN2_LO;
+    let mut p = EXP_POLY[11];
+    for &c in EXP_POLY[..11].iter().rev() {
+        p = p * r + c;
+    }
+    let er = 1.0 + (r + r * r * p);
+    // k ∈ [−1076, 1024]: each half lies in the normal exponent range.
+    let k = (t.to_bits() as i64).wrapping_sub(SHIFT.to_bits() as i64);
+    let k1 = k >> 1;
+    let pow2 = |e: i64| f64::from_bits((e.wrapping_add(1023) as u64) << 52);
+    er * pow2(k1) * pow2(k - k1)
+}
+
 /// A symmetric, translation-invariant kernel function.
 pub trait Kernel: Sync + Send {
-    /// Evaluate the kernel at distance `r > 0`.
+    /// Evaluate the kernel at distance `r > 0`. Implementations are
+    /// `#[inline(always)]`, so that [`KernelMatrix::block`](EntryAccess::block)
+    /// evaluates them in SIMD lanes; a value at `r = 0` is computed there and
+    /// discarded, so it may be infinite.
     fn eval_r(&self, r: f64) -> f64;
 
     /// Value on the diagonal (and for coincident points).
@@ -62,8 +146,9 @@ impl Default for ExponentialKernel {
 }
 
 impl Kernel for ExponentialKernel {
+    #[inline(always)]
     fn eval_r(&self, r: f64) -> f64 {
-        (-r / self.l).exp()
+        exp(-r / self.l)
     }
 
     fn diag(&self) -> f64 {
@@ -96,6 +181,7 @@ impl HelmholtzKernel {
 }
 
 impl Kernel for HelmholtzKernel {
+    #[inline(always)]
     fn eval_r(&self, r: f64) -> f64 {
         (self.k * r).cos() / r
     }
@@ -112,8 +198,9 @@ pub struct GaussianKernel {
 }
 
 impl Kernel for GaussianKernel {
+    #[inline(always)]
     fn eval_r(&self, r: f64) -> f64 {
-        (-0.5 * (r / self.l) * (r / self.l)).exp()
+        exp(-0.5 * (r / self.l) * (r / self.l))
     }
 
     fn diag(&self) -> f64 {
@@ -128,9 +215,10 @@ pub struct Matern32Kernel {
 }
 
 impl Kernel for Matern32Kernel {
+    #[inline(always)]
     fn eval_r(&self, r: f64) -> f64 {
         let s = 3f64.sqrt() * r / self.l;
-        (1.0 + s) * (-s).exp()
+        (1.0 + s) * exp(-s)
     }
 
     fn diag(&self) -> f64 {
@@ -147,9 +235,10 @@ pub struct Matern52Kernel {
 }
 
 impl Kernel for Matern52Kernel {
+    #[inline(always)]
     fn eval_r(&self, r: f64) -> f64 {
         let s = 5f64.sqrt() * r / self.l;
-        (1.0 + s + s * s / 3.0) * (-s).exp()
+        (1.0 + s + s * s / 3.0) * exp(-s)
     }
 
     fn diag(&self) -> f64 {
@@ -166,6 +255,7 @@ pub struct InverseMultiquadricKernel {
 }
 
 impl Kernel for InverseMultiquadricKernel {
+    #[inline(always)]
     fn eval_r(&self, r: f64) -> f64 {
         let s = r / self.l;
         1.0 / (1.0 + s * s).sqrt()
@@ -184,6 +274,7 @@ pub struct CauchyKernel {
 }
 
 impl Kernel for CauchyKernel {
+    #[inline(always)]
     fn eval_r(&self, r: f64) -> f64 {
         let s = r / self.l;
         1.0 / (1.0 + s * s)
@@ -211,6 +302,7 @@ impl LaplaceKernel {
 }
 
 impl Kernel for LaplaceKernel {
+    #[inline(always)]
     fn eval_r(&self, r: f64) -> f64 {
         1.0 / (4.0 * std::f64::consts::PI * r)
     }
@@ -238,34 +330,168 @@ impl<K: Kernel> KernelMatrix<K> {
         self.points.len()
     }
 
-    #[inline]
-    fn value(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return self.kernel.diag();
+    /// [`EntryAccess::block`] compiled for `tier`, which must be one this
+    /// host supports (the tests run every such tier).
+    fn block_on(&self, tier: SimdTier, rows: &[usize], cols: &[usize], out: &mut MatMut<'_>) {
+        let (kernel, diag) = (&self.kernel, self.kernel.diag());
+        fill_on(tier, &self.points, rows, cols, out, &|a, b| {
+            entry_of(kernel, diag, a, b)
+        });
+    }
+}
+
+/// The one entry formula of [`KernelMatrix`]: `entry` and every lane of
+/// `block` evaluate it.
+#[inline(always)]
+fn entry_of<K: Kernel>(kernel: &K, diag: f64, a: &Point, b: &Point) -> f64 {
+    let r = dist(a, b);
+    if r == 0.0 {
+        diag
+    } else {
+        kernel.eval_r(r)
+    }
+}
+
+/// The one entry formula of [`UnsymKernelMatrix`], as [`entry_of`].
+#[inline(always)]
+fn entry2_of<K: Kernel2>(kernel: &K, diag: f64, a: &Point, b: &Point) -> f64 {
+    if dist(a, b) == 0.0 {
+        diag
+    } else {
+        kernel.eval2(a, b)
+    }
+}
+
+/// Row points a block gathers into its SoA stack tile at once.
+const ROW_TILE: usize = 256;
+
+/// `out[ii, jj] = entry(points[rows[ii]], points[cols[jj]])`, compiled for
+/// `tier`, which must be one this host supports.
+fn fill_on<F: Fn(&Point, &Point) -> f64>(
+    tier: SimdTier,
+    points: &[Point],
+    rows: &[usize],
+    cols: &[usize],
+    out: &mut MatMut<'_>,
+    entry: &F,
+) {
+    assert!(tier <= simd_tier(), "block tier {tier:?} beyond the host's");
+    assert_eq!(out.rows(), rows.len());
+    assert_eq!(out.cols(), cols.len());
+    #[cfg(target_arch = "x86_64")]
+    match tier {
+        // SAFETY: the assert above checked that the host supports `tier`,
+        // and the Avx512 tier is detected with AVX-512F.
+        SimdTier::Avx512 => return unsafe { fill_avx512(points, rows, cols, out, entry) },
+        // SAFETY: as above; the Avx2Fma tier is detected with AVX2.
+        SimdTier::Avx2Fma => return unsafe { fill_avx2(points, rows, cols, out, entry) },
+        SimdTier::Baseline => {}
+    }
+    fill(points, rows, cols, out, entry);
+}
+
+/// [`fill_on`]'s body: each tile of up to [`ROW_TILE`] row points is
+/// gathered into `x`/`y`/`z` arrays once, then every column is one
+/// branch-free loop over the tile. Inlined into the SIMD-tier wrappers.
+#[inline(always)]
+fn fill<F: Fn(&Point, &Point) -> f64>(
+    points: &[Point],
+    rows: &[usize],
+    cols: &[usize],
+    out: &mut MatMut<'_>,
+    entry: &F,
+) {
+    let mut soa = [[0.0; ROW_TILE]; 3];
+    for (t, tile) in rows.chunks(ROW_TILE).enumerate() {
+        let (i0, m) = (t * ROW_TILE, tile.len());
+        for (ii, &i) in tile.iter().enumerate() {
+            for c in 0..3 {
+                soa[c][ii] = points[i][c];
+            }
         }
-        let r = dist(&self.points[i], &self.points[j]);
-        if r == 0.0 {
-            self.kernel.diag()
-        } else {
-            self.kernel.eval_r(r)
+        let [xs, ys, zs] = &soa;
+        let (xs, ys, zs) = (&xs[..m], &ys[..m], &zs[..m]);
+        for (jj, &j) in cols.iter().enumerate() {
+            let b = points[j];
+            let col = &mut out.col_mut(jj)[i0..i0 + m];
+            for (((v, &x), &y), &z) in col.iter_mut().zip(xs).zip(ys).zip(zs) {
+                *v = entry(&[x, y, z], &b);
+            }
         }
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fill_avx512<F: Fn(&Point, &Point) -> f64>(
+    points: &[Point],
+    rows: &[usize],
+    cols: &[usize],
+    out: &mut MatMut<'_>,
+    entry: &F,
+) {
+    fill(points, rows, cols, out, entry);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fill_avx2<F: Fn(&Point, &Point) -> f64>(
+    points: &[Point],
+    rows: &[usize],
+    cols: &[usize],
+    out: &mut MatMut<'_>,
+    entry: &F,
+) {
+    fill(points, rows, cols, out, entry);
+}
+
 impl<K: Kernel> EntryAccess for KernelMatrix<K> {
     fn entry(&self, i: usize, j: usize) -> f64 {
-        self.value(i, j)
+        entry_of(
+            &self.kernel,
+            self.kernel.diag(),
+            &self.points[i],
+            &self.points[j],
+        )
     }
 
     fn block(&self, rows: &[usize], cols: &[usize], out: &mut MatMut<'_>) {
-        assert_eq!(out.rows(), rows.len());
-        assert_eq!(out.cols(), cols.len());
-        for (jj, &j) in cols.iter().enumerate() {
-            let col = out.col_mut(jj);
-            for (ii, &i) in rows.iter().enumerate() {
-                col[ii] = self.value(i, j);
-            }
-        }
+        self.block_on(simd_tier(), rows, cols, out);
+    }
+}
+
+/// Rows of `op(A)` one task of [`tiled_apply`] evaluates at once.
+const APPLY_TILE: usize = 128;
+
+/// `y = op(A) x` for an `n × n` operator `A`: each [`APPLY_TILE`]-row tile
+/// of `op(A)` is evaluated once through `A.block` (as `A(rows, :)`, or as
+/// `A(:, rows)` when transposed) and multiplied into all `d` columns of `x`
+/// with one `gemm`. Tiles run in parallel.
+fn tiled_apply(a: &impl EntryAccess, n: usize, ta: Op, x: MatRef<'_>, mut y: MatMut<'_>) {
+    let d = x.cols();
+    assert_eq!(x.rows(), n);
+    assert_eq!((y.rows(), y.cols()), (n, d));
+    let all: Vec<usize> = (0..n).collect();
+    let tiles: Vec<Mat> = all
+        .chunks(APPLY_TILE)
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|rows| {
+            let (r, c) = match ta {
+                Op::NoTrans => (rows, &all[..]),
+                Op::Trans => (&all[..], rows),
+            };
+            let mut tile = Mat::zeros(r.len(), c.len());
+            a.block(r, c, &mut tile.rm());
+            let mut yt = Mat::zeros(rows.len(), d);
+            gemm(ta, Op::NoTrans, 1.0, tile.rf(), x, 0.0, yt.rm());
+            yt
+        })
+        .collect();
+    for (t, yt) in tiles.iter().enumerate() {
+        y.rb_mut()
+            .into_view(t * APPLY_TILE, 0, yt.rows(), d)
+            .copy_from(yt.rf());
     }
 }
 
@@ -278,33 +504,11 @@ impl<K: Kernel> LinOp for KernelMatrix<K> {
         self.n()
     }
 
-    /// Exact dense product, computed on the fly (never forms the N x N
-    /// matrix), parallelized over output columns. O(N² d) — ground truth for
+    /// Exact dense product, computed on the fly one row tile of `K` at a
+    /// time (never forms the N × N matrix). O(N² d) — ground truth for
     /// tests and reference-operator bootstrap.
     fn apply(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        let n = self.n();
-        assert_eq!(x.rows(), n);
-        assert_eq!(y.rows(), n);
-        let d = x.cols();
-
-        // Disjoint single-column views of y for safe parallelism.
-        let mut cols: Vec<MatMut<'_>> = Vec::with_capacity(d);
-        let mut rest = y;
-        for _ in 0..d {
-            let (head, tail) = rest.split_cols(1);
-            cols.push(head);
-            rest = tail;
-        }
-        cols.into_par_iter().enumerate().for_each(|(j, mut yj)| {
-            let xj = x.col(j);
-            for i in 0..n {
-                let mut s = 0.0;
-                for (l, xl) in xj.iter().enumerate() {
-                    s += self.value(i, l) * xl;
-                }
-                *yj.at_mut(i, 0) = s;
-            }
-        });
+        tiled_apply(self, self.n(), Op::NoTrans, x, y);
     }
 }
 
@@ -341,10 +545,11 @@ impl Default for ConvectionKernel {
 }
 
 impl Kernel2 for ConvectionKernel {
+    #[inline(always)]
     fn eval2(&self, x: &Point, y: &Point) -> f64 {
         let r = dist(x, y);
         let drift: f64 = (0..3).map(|c| self.v[c] * (x[c] - y[c])).sum();
-        (-r / self.l).exp() * (1.0 + drift)
+        exp(-r / self.l) * (1.0 + drift)
     }
 
     fn diag(&self) -> f64 {
@@ -367,64 +572,27 @@ impl<K: Kernel2> UnsymKernelMatrix<K> {
         self.points.len()
     }
 
-    #[inline]
-    fn value(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return self.kernel.diag();
-        }
-        let x = &self.points[i];
-        let y = &self.points[j];
-        if dist(x, y) == 0.0 {
-            self.kernel.diag()
-        } else {
-            self.kernel.eval2(x, y)
-        }
-    }
-
-    fn apply_dir(&self, x: MatRef<'_>, y: MatMut<'_>, transpose: bool) {
-        let n = self.n();
-        assert_eq!(x.rows(), n);
-        assert_eq!(y.rows(), n);
-        let d = x.cols();
-        let mut cols: Vec<MatMut<'_>> = Vec::with_capacity(d);
-        let mut rest = y;
-        for _ in 0..d {
-            let (head, tail) = rest.split_cols(1);
-            cols.push(head);
-            rest = tail;
-        }
-        cols.into_par_iter().enumerate().for_each(|(j, mut yj)| {
-            let xj = x.col(j);
-            for i in 0..n {
-                let mut s = 0.0;
-                for (l, xl) in xj.iter().enumerate() {
-                    let v = if transpose {
-                        self.value(l, i)
-                    } else {
-                        self.value(i, l)
-                    };
-                    s += v * xl;
-                }
-                *yj.at_mut(i, 0) = s;
-            }
+    /// [`EntryAccess::block`] compiled for `tier`, as for [`KernelMatrix`].
+    fn block_on(&self, tier: SimdTier, rows: &[usize], cols: &[usize], out: &mut MatMut<'_>) {
+        let (kernel, diag) = (&self.kernel, self.kernel.diag());
+        fill_on(tier, &self.points, rows, cols, out, &|a, b| {
+            entry2_of(kernel, diag, a, b)
         });
     }
 }
 
 impl<K: Kernel2> EntryAccess for UnsymKernelMatrix<K> {
     fn entry(&self, i: usize, j: usize) -> f64 {
-        self.value(i, j)
+        entry2_of(
+            &self.kernel,
+            self.kernel.diag(),
+            &self.points[i],
+            &self.points[j],
+        )
     }
 
     fn block(&self, rows: &[usize], cols: &[usize], out: &mut MatMut<'_>) {
-        assert_eq!(out.rows(), rows.len());
-        assert_eq!(out.cols(), cols.len());
-        for (jj, &j) in cols.iter().enumerate() {
-            let col = out.col_mut(jj);
-            for (ii, &i) in rows.iter().enumerate() {
-                col[ii] = self.value(i, j);
-            }
-        }
+        self.block_on(simd_tier(), rows, cols, out);
     }
 }
 
@@ -437,13 +605,15 @@ impl<K: Kernel2> LinOp for UnsymKernelMatrix<K> {
         self.n()
     }
 
-    /// Exact dense product, O(N² d): ground truth for tests.
+    /// Exact dense product, O(N² d), one row tile of `K` at a time:
+    /// ground truth for tests.
     fn apply(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        self.apply_dir(x, y, false);
+        tiled_apply(self, self.n(), Op::NoTrans, x, y);
     }
 
+    /// `Kᵀ x`, each row tile of `Kᵀ` evaluated as a column tile of `K`.
     fn apply_transpose(&self, x: MatRef<'_>, y: MatMut<'_>) {
-        self.apply_dir(x, y, true);
+        tiled_apply(self, self.n(), Op::Trans, x, y);
     }
 }
 
@@ -623,10 +793,11 @@ mod tests {
 
     #[test]
     fn apply_matches_dense() {
-        let pts = uniform_cube(120, 63);
+        // 300 rows: two full row tiles of the product and a partial one.
+        let pts = uniform_cube(300, 63);
         let km = KernelMatrix::new(ExponentialKernel::default(), pts);
-        let dense = Mat::from_fn(120, 120, |i, j| km.entry(i, j));
-        let x = gaussian_mat(120, 3, 64);
+        let dense = Mat::from_fn(300, 300, |i, j| km.entry(i, j));
+        let x = gaussian_mat(300, 3, 64);
         let y = km.apply_mat(&x);
         let want = h2_dense::matmul(
             h2_dense::Op::NoTrans,
@@ -708,10 +879,10 @@ mod unsym_tests {
 
     #[test]
     fn unsym_apply_matches_dense() {
-        let pts = uniform_cube(80, 201);
+        let pts = uniform_cube(260, 201);
         let km = UnsymKernelMatrix::new(ConvectionKernel::default(), pts);
-        let dense = Mat::from_fn(80, 80, |i, j| km.entry(i, j));
-        let x = gaussian_mat(80, 3, 202);
+        let dense = Mat::from_fn(260, 260, |i, j| km.entry(i, j));
+        let x = gaussian_mat(260, 3, 202);
         let y = km.apply_mat(&x);
         let want = h2_dense::matmul(
             h2_dense::Op::NoTrans,
@@ -726,11 +897,11 @@ mod unsym_tests {
 
     #[test]
     fn unsym_apply_transpose_matches_dense() {
-        let pts = uniform_cube(70, 203);
+        let pts = uniform_cube(200, 203);
         let km = UnsymKernelMatrix::new(ConvectionKernel::default(), pts);
-        let dense = Mat::from_fn(70, 70, |i, j| km.entry(i, j));
-        let x = gaussian_mat(70, 2, 204);
-        let mut y = Mat::zeros(70, 2);
+        let dense = Mat::from_fn(200, 200, |i, j| km.entry(i, j));
+        let x = gaussian_mat(200, 2, 204);
+        let mut y = Mat::zeros(200, 2);
         km.apply_transpose(x.rf(), y.rm());
         let want = h2_dense::matmul(
             h2_dense::Op::Trans,
@@ -798,5 +969,162 @@ mod unsym_tests {
         let f = h2_dense::svd(&b);
         let rel_rank = f.s.iter().take_while(|&&s| s > 1e-8 * f.s[0]).count();
         assert!(rel_rank <= 24, "unsym far block rank {rel_rank}");
+    }
+}
+
+#[cfg(test)]
+mod simd_tests {
+    use super::*;
+    use h2_dense::Mat;
+    use h2_tree::uniform_cube;
+
+    /// Distance in units in the last place between two non-negative doubles.
+    fn ulps(a: f64, b: f64) -> u64 {
+        (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs()
+    }
+
+    /// Every tier this host supports, lowest first.
+    fn host_tiers() -> Vec<SimdTier> {
+        [SimdTier::Baseline, SimdTier::Avx2Fma, SimdTier::Avx512]
+            .into_iter()
+            .filter(|&t| t <= simd_tier())
+            .collect()
+    }
+
+    #[test]
+    fn exp_is_within_one_ulp_of_libm_on_the_normal_range() {
+        let (lo, hi) = (-708.39, 709.78);
+        let n = 2_000_000;
+        let sweep = (0..=n).map(|i| lo + (hi - lo) * (i as f64 / n as f64));
+        // Around 0 the reduction is the identity (k = 0) and the results
+        // straddle the binade boundary at 1.
+        let near_zero = (0..=200_000).map(|i| -1.0 + 2.0 * (i as f64 / 200_000.0));
+        let exact = [0.0, -0.0, 1e-300, -1e-300, f64::MIN_POSITIVE, 0.5, -0.5];
+        for x in sweep.chain(near_zero).chain(exact) {
+            let (got, want) = (exp(x), x.exp());
+            assert!(ulps(got, want) <= 1, "exp({x:e}) = {got:e}, libm {want:e}");
+        }
+        assert_eq!(exp(0.0), 1.0);
+    }
+
+    #[test]
+    fn exp_underflows_to_zero_and_rounds_subnormals() {
+        for x in [
+            -745.2,
+            -745.5,
+            -746.0,
+            -800.0,
+            -1e300,
+            f64::MIN,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(exp(x).to_bits(), 0.0f64.to_bits(), "exp({x:e})");
+        }
+        // Between the normal range and the underflow the result is a
+        // correctly scaled subnormal (2^k applied in two steps), not a clamp.
+        let (lo, hi) = (-745.0, -708.4);
+        let n = 400_000;
+        for x in (0..=n).map(|i| lo + (hi - lo) * (i as f64 / n as f64)) {
+            let (got, want) = (exp(x), x.exp());
+            assert!(want > 0.0 && want < f64::MIN_POSITIVE * 1.01);
+            assert!(ulps(got, want) <= 1, "exp({x:e}) = {got:e}, libm {want:e}");
+        }
+    }
+
+    #[test]
+    fn exp_overflows_and_keeps_nan() {
+        assert!(exp(f64::NAN).is_nan());
+        assert!(exp(-f64::NAN).is_nan());
+        for x in [709.8, 710.0, 1e10, f64::MAX, f64::INFINITY] {
+            assert_eq!(exp(x), f64::INFINITY, "exp({x:e})");
+        }
+        assert!(exp(709.78).is_finite());
+    }
+
+    /// A kernel outside this crate implements only the two required
+    /// methods, here with a nugget on the diagonal.
+    struct Nugget(ExponentialKernel);
+
+    impl Kernel for Nugget {
+        fn eval_r(&self, r: f64) -> f64 {
+            self.0.eval_r(r)
+        }
+
+        fn diag(&self) -> f64 {
+            self.0.diag() + 1e-3
+        }
+    }
+
+    /// 300 points in which point 7 coincides with point 3.
+    fn cloud() -> Vec<Point> {
+        let mut pts = uniform_cube(300, 71);
+        pts[7] = pts[3];
+        pts
+    }
+
+    /// `block_on` on every host tier equals `entry`, bit for bit, with
+    /// repeated indices and two coincident distinct points (which read
+    /// `diag`), across a full and a partial row tile.
+    fn assert_block_is_entry_on_every_tier(
+        what: &str,
+        m: &dyn EntryAccess,
+        block_on: impl Fn(SimdTier, &[usize], &[usize], &mut MatMut<'_>),
+        diag: f64,
+    ) {
+        let mut rows: Vec<usize> = (0..300).rev().collect();
+        rows.extend([3, 7, 3, 0, 299]);
+        let cols = [3, 7, 3, 250, 0, 0, 120, 299, 7];
+        for tier in host_tiers() {
+            let mut out = Mat::zeros(rows.len(), cols.len());
+            out.as_mut_slice().fill(f64::NAN);
+            block_on(tier, &rows, &cols, &mut out.rm());
+            for (ii, &i) in rows.iter().enumerate() {
+                for (jj, &j) in cols.iter().enumerate() {
+                    let (got, want) = (out[(ii, jj)], m.entry(i, j));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{what} {tier:?} ({i}, {j}): {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
+        assert_eq!(m.entry(3, 7), diag, "{what}");
+        assert_eq!(m.entry(7, 3), diag, "{what}");
+        assert_ne!(m.entry(3, 4), diag, "{what}");
+    }
+
+    fn check<K: Kernel>(kernel: K, what: &str) {
+        let km = KernelMatrix::new(kernel, cloud());
+        let block_on = |t, r: &[usize], c: &[usize], o: &mut MatMut<'_>| km.block_on(t, r, c, o);
+        assert_block_is_entry_on_every_tier(what, &km, block_on, km.kernel.diag());
+    }
+
+    #[test]
+    fn block_is_entry_on_every_tier_for_every_kernel() {
+        check(ExponentialKernel::default(), "exponential");
+        check(HelmholtzKernel::paper(300), "helmholtz");
+        check(GaussianKernel { l: 0.3 }, "gaussian");
+        check(Matern32Kernel { l: 0.2 }, "matern32");
+        check(Matern52Kernel { l: 0.2 }, "matern52");
+        check(InverseMultiquadricKernel { l: 0.5 }, "imq");
+        check(CauchyKernel { l: 0.5 }, "cauchy");
+        check(LaplaceKernel::with_mesh_width(0.1), "laplace");
+        let um = UnsymKernelMatrix::new(ConvectionKernel::default(), cloud());
+        let block_on = |t, r: &[usize], c: &[usize], o: &mut MatMut<'_>| um.block_on(t, r, c, o);
+        assert_block_is_entry_on_every_tier("convection", &um, block_on, um.kernel.diag());
+    }
+
+    #[test]
+    fn a_kernel_with_only_eval_r_and_diag_gets_the_same_bits() {
+        check(Nugget(ExponentialKernel::default()), "nugget");
+        let km = KernelMatrix::new(Nugget(ExponentialKernel::default()), uniform_cube(20, 72));
+        assert_eq!(km.entry(5, 5), 1.0 + 1e-3);
+        assert_eq!(
+            km.entry(2, 9).to_bits(),
+            ExponentialKernel::default()
+                .eval(&km.points[2], &km.points[9])
+                .to_bits()
+        );
     }
 }
